@@ -63,12 +63,6 @@ pub struct CompleterConfig {
     /// Worker threads the sampling batches fan out over (`0` = one per
     /// available hardware thread). Results never depend on this value.
     pub workers: usize,
-    /// Maintain the working join's token encoding incrementally across
-    /// synthesis steps (gather/extend cached columns, re-encode only the
-    /// attributes a step changed) instead of re-encoding the whole join
-    /// every step. Output is bit-identical either way; `false` keeps the
-    /// O(attrs × join) re-encode per step as the reference path.
-    pub incremental_encoding: bool,
 }
 
 impl Default for CompleterConfig {
@@ -80,7 +74,6 @@ impl Default for CompleterConfig {
             replacement: ReplacementMode::Auto,
             batch_size: 256,
             workers: 0,
-            incremental_encoding: true,
         }
     }
 }
@@ -139,7 +132,7 @@ impl CompletionOutput {
 /// The working state of Algorithm 1: the join so far plus parallel
 /// provenance arrays that must stay row-aligned through gathers/unions.
 ///
-/// `enc` optionally carries the model-token encoding of the working join
+/// `enc` carries the model-token encoding of the working join
 /// (attr-major, row-aligned). Cell values are never rewritten by the walk —
 /// rows are only gathered, duplicated, and unioned — so cached tokens move
 /// with their rows, and a step re-encodes only what it changed: the tuple
@@ -148,7 +141,7 @@ struct Working {
     table: Table,
     syn: Vec<Vec<bool>>,
     tf: Vec<Vec<Option<i64>>>,
-    enc: Option<Vec<Vec<u32>>>,
+    enc: Vec<Vec<u32>>,
 }
 
 impl Working {
@@ -171,11 +164,11 @@ impl Working {
                     }
                 })
                 .collect(),
-            enc: self.enc.as_ref().map(|cols| {
-                cols.iter()
-                    .map(|c| idx.iter().map(|&i| c[i]).collect())
-                    .collect()
-            }),
+            enc: self
+                .enc
+                .iter()
+                .map(|c| idx.iter().map(|&i| c[i]).collect())
+                .collect(),
         }
     }
 
@@ -187,14 +180,8 @@ impl Working {
         for (a, b) in self.tf.iter_mut().zip(other.tf) {
             a.extend(b);
         }
-        match (&mut self.enc, other.enc) {
-            (Some(a), Some(b)) => {
-                for (ac, bc) in a.iter_mut().zip(b) {
-                    ac.extend(bc);
-                }
-            }
-            (enc @ Some(_), None) => *enc = None,
-            _ => {}
+        for (a, b) in self.enc.iter_mut().zip(other.enc) {
+            a.extend(b);
         }
         Ok(self)
     }
@@ -202,15 +189,8 @@ impl Working {
     /// Re-encodes the attribute columns in `range` from the current table
     /// and tuple factors — called after a step changes what they encode.
     fn refresh_enc(&mut self, model: &CompletionModel, range: std::ops::Range<usize>) {
-        if self.enc.is_none() {
-            return;
-        }
-        let fresh: Vec<(usize, Vec<u32>)> = range
-            .map(|a| (a, model.encode_attr_column(&self.table, &self.tf, a)))
-            .collect();
-        let enc = self.enc.as_mut().expect("checked above");
-        for (a, col) in fresh {
-            enc[a] = col;
+        for a in range {
+            self.enc[a] = model.encode_attr_column(&self.table, &self.tf, a);
         }
     }
 
@@ -222,13 +202,12 @@ impl Working {
         }
     }
 
-    /// The working join's token encoding: the maintained cache when
-    /// incremental encoding is on, one fresh full encode otherwise.
-    fn encoded(&self, model: &CompletionModel) -> std::borrow::Cow<'_, [Vec<u32>]> {
-        match &self.enc {
-            Some(enc) => std::borrow::Cow::Borrowed(enc.as_slice()),
-            None => std::borrow::Cow::Owned(model.encode_tokens(&self.table, &self.tf)),
-        }
+    /// The working join's token encoding, as maintained across the walk.
+    /// Debug builds check it against the oracle — one full re-encode of
+    /// the join — wherever a step is about to sample from it.
+    fn encoded(&self, model: &CompletionModel) -> &[Vec<u32>] {
+        debug_assert_eq!(self.enc, model.encode_tokens(&self.table, &self.tf));
+        &self.enc
     }
 }
 
@@ -261,15 +240,14 @@ impl<'a> Completer<'a> {
         let path = model.path().clone();
         let root = self.db.table(path.root())?;
         let n0 = root.n_rows();
+        let table = root.qualified();
+        let tf = vec![Vec::new(); path.steps().len()];
         let mut w = Working {
-            table: root.qualified(),
+            enc: model.encode_tokens(&table, &tf),
+            table,
             syn: vec![vec![false; n0]],
-            tf: vec![Vec::new(); path.steps().len()],
-            enc: None,
+            tf,
         };
-        if self.cfg.incremental_encoding {
-            w.enc = Some(model.encode_tokens(&w.table, &w.tf));
-        }
         // One inference session per worker, reused across every batch and
         // step of the walk: parameters are frozen during completion, so
         // pooled activation buffers and the masked-weight cache stay valid
@@ -449,7 +427,6 @@ impl<'a> Completer<'a> {
             }
         }
         if !to_predict.is_empty() {
-            // The cached encoding (or one fresh pass) of the working join.
             // Expectation evaluation is RNG-free and row-independent, so
             // it runs in a few large fused chunks; stochastic rounding
             // then replays the exact per-sampling-batch RNG streams of
@@ -457,7 +434,7 @@ impl<'a> Completer<'a> {
             // to the unfused path and invariant to worker count.
             let encoded = w.encoded(model);
             let expectations = self.eval_batches(sessions, &to_predict, |session, chunk| {
-                model.tf_expectations_encoded_in(session, &w.table, &encoded, step_idx, chunk)
+                model.tf_expectations_encoded_in(session, &w.table, encoded, step_idx, chunk)
             })?;
             let bs = self.cfg.batch_size.max(1);
             let mut sampled = Vec::with_capacity(to_predict.len());
@@ -596,7 +573,7 @@ impl<'a> Completer<'a> {
             let encoded = w.encoded(model);
             let batches = self.sample_batches(sessions, rows, seed, |session, chunk, rng| {
                 model.sample_table_columns_encoded_in(
-                    session, &w.table, &encoded, table_idx, chunk, rng,
+                    session, &w.table, encoded, table_idx, chunk, rng,
                 )
             })?;
             // Column-wise concatenation of the per-batch blocks.

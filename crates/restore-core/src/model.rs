@@ -60,12 +60,6 @@ pub struct TrainConfig {
     /// function of the batch (never of `workers`), so it fixes both the
     /// work split and the gradient reduction tree.
     pub microbatch: usize,
-    /// Run autoregressive synthesis through the band-incremental sweep
-    /// (per sampled attribute, recompute only the hidden-degree band the
-    /// MADE masks say changed) instead of one full trunk forward per
-    /// attribute. Completions are **bit-identical** either way; `false`
-    /// keeps the full-recompute reference path.
-    pub incremental_sweep: bool,
 }
 
 impl Default for TrainConfig {
@@ -87,7 +81,6 @@ impl Default for TrainConfig {
             patience: 10,
             workers: 0,
             microbatch: 32,
-            incremental_sweep: true,
         }
     }
 }
@@ -220,14 +213,6 @@ impl CompletionModel {
     /// asserted from outside the crate.
     pub fn params(&self) -> &ParamStore {
         &self.store
-    }
-
-    /// Toggles the band-incremental synthesis sweep at runtime — the
-    /// escape hatch back to the full-recompute reference path (completions
-    /// are bit-identical either way; see
-    /// [`TrainConfig::incremental_sweep`]).
-    pub fn set_incremental_sweep(&mut self, on: bool) {
-        self.made.set_incremental_sweep(on);
     }
 
     /// Whether the lane-padded banded trunk caches were frozen for
@@ -431,8 +416,7 @@ impl CompletionModel {
             .collect();
         let made_cfg = MadeConfig::new(specs)
             .with_ctx(effective_ctx_dim)
-            .with_hidden(cfg.hidden.clone())
-            .with_incremental_sweep(cfg.incremental_sweep);
+            .with_hidden(cfg.hidden.clone());
         let made = Made::new(made_cfg, &mut store, rng);
 
         let deepsets = if ctx.is_empty() {

@@ -628,13 +628,6 @@ fn usize_field(v: &JsonValue, key: &str) -> Result<usize, PersistError> {
     json_usize(field(v, key)?, key)
 }
 
-fn bool_field(v: &JsonValue, key: &str) -> Result<bool, PersistError> {
-    match field(v, key)? {
-        JsonValue::Bool(b) => Ok(*b),
-        _ => Err(corrupt(format!("meta field {key:?} is not a bool"))),
-    }
-}
-
 fn f32_list(v: &JsonValue, key: &str) -> Result<Vec<f32>, PersistError> {
     arr(v, key)?
         .iter()
@@ -778,10 +771,12 @@ fn train_to_json(t: &TrainConfig) -> JsonValue {
         ("patience", jus(t.patience)),
         ("workers", jus(t.workers)),
         ("microbatch", jus(t.microbatch)),
-        ("incremental_sweep", JsonValue::Bool(t.incremental_sweep)),
     ])
 }
 
+// Meta lookups are by name, so v1 files written while the
+// `incremental_sweep` / `incremental_encoding` options still existed load
+// unchanged: nothing reads those two keys any more.
 fn train_from_json(v: &JsonValue) -> Result<TrainConfig, PersistError> {
     Ok(TrainConfig {
         epochs: usize_field(v, "epochs")?,
@@ -803,7 +798,6 @@ fn train_from_json(v: &JsonValue) -> Result<TrainConfig, PersistError> {
         patience: usize_field(v, "patience")?,
         workers: usize_field(v, "workers")?,
         microbatch: usize_field(v, "microbatch")?,
-        incremental_sweep: bool_field(v, "incremental_sweep")?,
     })
 }
 
@@ -822,10 +816,6 @@ fn completer_to_json(c: &CompleterConfig) -> JsonValue {
         ),
         ("batch_size", jus(c.batch_size)),
         ("workers", jus(c.workers)),
-        (
-            "incremental_encoding",
-            JsonValue::Bool(c.incremental_encoding),
-        ),
     ])
 }
 
@@ -842,7 +832,6 @@ fn completer_from_json(v: &JsonValue) -> Result<CompleterConfig, PersistError> {
         },
         batch_size: usize_field(v, "batch_size")?,
         workers: usize_field(v, "workers")?,
-        incremental_encoding: bool_field(v, "incremental_encoding")?,
     })
 }
 

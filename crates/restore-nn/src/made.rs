@@ -41,12 +41,6 @@ pub struct MadeConfig {
     /// Hidden layer widths. Equal widths enable residual connections.
     pub hidden: Vec<usize>,
     pub residual: bool,
-    /// Run autoregressive sampling and block-logit evaluation through the
-    /// band-incremental sweep (recompute only the newly needed degree band
-    /// of hidden units per attribute) instead of a full trunk forward per
-    /// attribute. Values are **bit-identical** either way; `false` keeps
-    /// the full-recompute path as the reference/escape hatch.
-    pub incremental_sweep: bool,
 }
 
 impl MadeConfig {
@@ -56,7 +50,6 @@ impl MadeConfig {
             ctx_dim: 0,
             hidden: vec![64, 64],
             residual: true,
-            incremental_sweep: true,
         }
     }
 
@@ -67,11 +60,6 @@ impl MadeConfig {
 
     pub fn with_hidden(mut self, hidden: Vec<usize>) -> Self {
         self.hidden = hidden;
-        self
-    }
-
-    pub fn with_incremental_sweep(mut self, on: bool) -> Self {
-        self.incremental_sweep = on;
         self
     }
 }
@@ -155,19 +143,6 @@ impl Made {
     /// Whether [`Made::freeze_banded`] has run (diagnostics).
     pub fn has_frozen_banded(&self) -> bool {
         self.banded.is_some()
-    }
-
-    /// Whether sampling/block-logit evaluation runs through the
-    /// band-incremental sweep (see [`MadeConfig::incremental_sweep`]).
-    pub fn incremental_sweep(&self) -> bool {
-        self.cfg.incremental_sweep
-    }
-
-    /// Toggles the band-incremental sweep at runtime — the escape hatch
-    /// back to the full-recompute reference path (values are bit-identical
-    /// either way).
-    pub fn set_incremental_sweep(&mut self, on: bool) {
-        self.cfg.incremental_sweep = on;
     }
 
     pub fn num_attrs(&self) -> usize {
@@ -260,10 +235,9 @@ impl Made {
     /// Gradient-free forward of the logit block of `attr` only — the
     /// autoregressive sampler never needs the other blocks. Returns the
     /// `rows × cardinality(attr)` block, bit-identical to the
-    /// corresponding slice of the full logits. With
-    /// [`MadeConfig::incremental_sweep`] on (the default) only the hidden
-    /// bands of degree `≤ attr` are evaluated (everything the block can
-    /// see); the escape hatch runs the full trunk.
+    /// corresponding slice of the full logits. Only the hidden bands of
+    /// degree `≤ attr` are evaluated (everything the block can see);
+    /// [`Made::logits_attr_full_in`] is the full-trunk oracle.
     pub fn logits_attr_in<'s>(
         &self,
         session: &'s mut InferenceSession,
@@ -272,20 +246,18 @@ impl Made {
         ctx: Option<&Matrix>,
         attr: usize,
     ) -> &'s Matrix {
-        if self.cfg.incremental_sweep {
-            let net = self.sweep_net();
-            let (sweep, masked) = session.sweep_parts();
-            self.sweep_begin(&net, sweep, store, tokens, ctx, attr);
-            let (off, card) = self.layout.block(attr);
-            sweep.output_block(masked, store, &self.output_layer, off..off + card);
-            return &sweep.logits;
-        }
-        self.logits_attr_full_in(session, store, tokens, ctx, attr)
+        let net = self.sweep_net();
+        let (sweep, masked) = session.sweep_parts();
+        self.sweep_begin(&net, sweep, store, tokens, ctx, attr);
+        let (off, card) = self.layout.block(attr);
+        sweep.output_block(masked, store, &self.output_layer, off..off + card);
+        &sweep.logits
     }
 
-    /// The full-trunk reference form of [`Made::logits_attr_in`]: one
-    /// complete trunk forward, then the block-restricted output.
-    fn logits_attr_full_in<'s>(
+    /// The full-trunk oracle of [`Made::logits_attr_in`]: one complete
+    /// trunk forward, then the block-restricted output. Nothing serves
+    /// from it; the sweep suites compare against it bit for bit.
+    pub fn logits_attr_full_in<'s>(
         &self,
         session: &'s mut InferenceSession,
         store: &'s ParamStore,
@@ -492,12 +464,13 @@ impl Made {
     /// attribute, so the draw sequence is a pure function of `(tokens,
     /// start, end, rng state)`.
     ///
-    /// With [`MadeConfig::incremental_sweep`] on (the default) the
-    /// attribute loop runs on the band-incremental sweep: the trunk is
-    /// evaluated up to degree `start` once, and each step recomputes only
-    /// the hidden band whose degree equals the attribute being sampled —
-    /// bit-identical to the full-recompute escape-hatch path below, at
-    /// roughly one trunk forward's GEMM cost for the whole range.
+    /// The attribute loop runs on the band-incremental sweep: a setup pass
+    /// computes all hidden bands of degree `≤ start`, then step `attr`
+    /// refreshes the just-sampled attribute's embedding block in the
+    /// cached trunk input and computes only the degree-`attr` band per
+    /// layer before evaluating that attribute's logit block —
+    /// bit-identical to [`Made::sample_range_full_in`], at roughly one
+    /// trunk forward's GEMM cost for the whole range.
     #[allow(clippy::too_many_arguments)]
     pub fn sample_range_in<R: Rng>(
         &self,
@@ -510,51 +483,9 @@ impl Made {
         excluded: &[Option<u32>],
         rng: &mut R,
     ) {
-        assert_eq!(tokens.len(), self.num_attrs());
-        assert!(end <= self.num_attrs() && start <= end);
-        assert!(excluded.is_empty() || excluded.len() == self.num_attrs());
-        let m = tokens.first().map_or(0, |t| t.len());
-        if m == 0 || start == end {
+        if self.empty_sample_range(tokens, start, end, excluded) {
             return;
         }
-        if self.cfg.incremental_sweep {
-            return self.sample_range_sweep(session, store, tokens, ctx, start, end, excluded, rng);
-        }
-        // Full-recompute reference path (escape hatch): one complete trunk
-        // forward per attribute. Sampling scratch is hoisted out of the
-        // attribute loop.
-        let mut dist = Vec::new();
-        let mut sampled = Vec::new();
-        for attr in start..end {
-            let block = self.logits_attr_full_in(session, store, tokens, ctx, attr);
-            sample_block_rows(
-                block,
-                excluded.get(attr).copied().flatten(),
-                &mut dist,
-                &mut sampled,
-                rng,
-            );
-            Arc::make_mut(&mut tokens[attr]).copy_from_slice(&sampled);
-        }
-    }
-
-    /// The band-incremental form of [`Made::sample_range_in`]: a setup
-    /// pass computes all hidden bands of degree `≤ start`, then step
-    /// `attr` refreshes the just-sampled attribute's embedding block in
-    /// the cached trunk input and computes only the degree-`attr` band per
-    /// layer before evaluating that attribute's logit block.
-    #[allow(clippy::too_many_arguments)]
-    fn sample_range_sweep<R: Rng>(
-        &self,
-        session: &mut InferenceSession,
-        store: &ParamStore,
-        tokens: &mut [Arc<Vec<u32>>],
-        ctx: Option<&Matrix>,
-        start: usize,
-        end: usize,
-        excluded: &[Option<u32>],
-        rng: &mut R,
-    ) {
         let net = self.sweep_net();
         let (sweep, masked) = session.sweep_parts();
         self.sweep_begin(&net, sweep, store, tokens, ctx, start);
@@ -585,6 +516,54 @@ impl Made {
             );
             Arc::make_mut(&mut tokens[attr]).copy_from_slice(sampled);
         }
+    }
+
+    /// The full-trunk oracle of [`Made::sample_range_in`]: one complete
+    /// trunk forward per attribute, same draws in the same order. Nothing
+    /// serves from it; the sweep suites compare against it bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    pub fn sample_range_full_in<R: Rng>(
+        &self,
+        session: &mut InferenceSession,
+        store: &ParamStore,
+        tokens: &mut [Arc<Vec<u32>>],
+        ctx: Option<&Matrix>,
+        start: usize,
+        end: usize,
+        excluded: &[Option<u32>],
+        rng: &mut R,
+    ) {
+        if self.empty_sample_range(tokens, start, end, excluded) {
+            return;
+        }
+        let mut dist = Vec::new();
+        let mut sampled = Vec::new();
+        for attr in start..end {
+            let block = self.logits_attr_full_in(session, store, tokens, ctx, attr);
+            sample_block_rows(
+                block,
+                excluded.get(attr).copied().flatten(),
+                &mut dist,
+                &mut sampled,
+                rng,
+            );
+            Arc::make_mut(&mut tokens[attr]).copy_from_slice(&sampled);
+        }
+    }
+
+    /// Validates a sampling request's shape; true when there is nothing
+    /// to sample (no rows or an empty attribute range).
+    fn empty_sample_range(
+        &self,
+        tokens: &[Arc<Vec<u32>>],
+        start: usize,
+        end: usize,
+        excluded: &[Option<u32>],
+    ) -> bool {
+        assert_eq!(tokens.len(), self.num_attrs());
+        assert!(end <= self.num_attrs() && start <= end);
+        assert!(excluded.is_empty() || excluded.len() == self.num_attrs());
+        tokens.first().map_or(0, |t| t.len()) == 0 || start == end
     }
 }
 

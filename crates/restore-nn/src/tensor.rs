@@ -230,7 +230,8 @@ impl Matrix {
     /// bit-equality oracle of the lane-tiled forward GEMM: per `(i, j)` the
     /// output accumulates from zero in ascending `k`, the exact sequence
     /// the tiled kernel runs.
-    pub fn matmul_into_naive(&self, other: &Matrix, out: &mut Matrix) {
+    #[cfg(test)]
+    pub(crate) fn matmul_into_naive(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols,
             other.rows,
@@ -338,7 +339,8 @@ impl Matrix {
 
     /// Reference (naive loop) form of [`Matrix::matmul_col_band_into`] —
     /// the bit-equality oracle of the lane-tiled band GEMM.
-    pub fn matmul_col_band_into_naive(
+    #[cfg(test)]
+    pub(crate) fn matmul_col_band_into_naive(
         &self,
         other: &Matrix,
         cols: std::ops::Range<usize>,
@@ -380,7 +382,7 @@ impl Matrix {
     /// lives in registers across the whole k loop. Per `(i, j)` the dot
     /// product still accumulates from zero in ascending `k` and lands in
     /// `out[i][j]` with one final add — the exact floating-point sequence
-    /// of [`Matrix::matmul_t_acc_naive`], so the results are bit-identical
+    /// of `matmul_t_acc_naive`, so the results are bit-identical
     /// (pinned by the kernel and tape equality tests).
     pub fn matmul_t_acc(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
@@ -453,7 +455,8 @@ impl Matrix {
 
     /// Reference (naive i-j-k loop) form of [`Matrix::matmul_t_acc`] — the
     /// bit-equality contract of the tiled kernel is defined against this.
-    pub fn matmul_t_acc_naive(&self, other: &Matrix, out: &mut Matrix) {
+    #[cfg(test)]
+    pub(crate) fn matmul_t_acc_naive(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
         assert_eq!(
             out.shape(),
@@ -475,7 +478,7 @@ impl Matrix {
 
     /// `out += selfᵀ · other` — accumulation form of [`Matrix::t_matmul`].
     ///
-    /// The same per-element math as [`Matrix::t_matmul_acc_naive`] — each
+    /// The same per-element math as `t_matmul_acc_naive` — each
     /// `out` element's terms are added in ascending row order with the
     /// same `a == 0` skip, so results are bit-identical — but
     /// [`t_acc_rows`] register-blocks [`T_ACC_RB`] source rows per pass,
@@ -502,7 +505,8 @@ impl Matrix {
     /// Reference (naive row-outer loop) form of [`Matrix::t_matmul_acc`] —
     /// the bit-equality contract of the tiled kernel is defined against
     /// this.
-    pub fn t_matmul_acc_naive(&self, other: &Matrix, out: &mut Matrix) {
+    #[cfg(test)]
+    pub(crate) fn t_matmul_acc_naive(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
         assert_eq!(
             out.shape(),
@@ -530,7 +534,7 @@ impl Matrix {
     /// binary masks MADE uses this equals masking the finished product.
     ///
     /// Same structure as [`Matrix::t_matmul_acc`]: per-element math of
-    /// [`Matrix::t_matmul_masked_acc_naive`] (ascending-row adds per
+    /// `t_matmul_masked_acc_naive` (ascending-row adds per
     /// element, `a == 0` skip — bit-identical), register-blocked over
     /// [`T_ACC_RB`] source rows by [`t_acc_rows_masked`].
     pub fn t_matmul_masked_acc(&self, other: &Matrix, mask: &Matrix, out: &mut Matrix) {
@@ -555,7 +559,13 @@ impl Matrix {
     /// Reference (naive row-outer loop) form of
     /// [`Matrix::t_matmul_masked_acc`] — the bit-equality contract of the
     /// tiled kernel is defined against this.
-    pub fn t_matmul_masked_acc_naive(&self, other: &Matrix, mask: &Matrix, out: &mut Matrix) {
+    #[cfg(test)]
+    pub(crate) fn t_matmul_masked_acc_naive(
+        &self,
+        other: &Matrix,
+        mask: &Matrix,
+        out: &mut Matrix,
+    ) {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
         assert_eq!(
             out.shape(),

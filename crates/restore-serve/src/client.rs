@@ -138,21 +138,12 @@ impl HttpClient {
     }
 
     pub fn get(&mut self, path: &str) -> std::io::Result<(u16, String)> {
-        self.request("GET", path, None)
+        self.request_full("GET", path, None, &[])
+            .map(|r| (r.status, r.body))
     }
 
     pub fn post(&mut self, path: &str, body: &str) -> std::io::Result<(u16, String)> {
-        self.request("POST", path, Some(body))
-    }
-
-    /// Issues one request and reads the full response `(status, body)`.
-    pub fn request(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-    ) -> std::io::Result<(u16, String)> {
-        self.request_full(method, path, body, &[])
+        self.request_full("POST", path, Some(body), &[])
             .map(|r| (r.status, r.body))
     }
 
@@ -297,16 +288,6 @@ fn parse_response(buf: &[u8]) -> std::io::Result<Option<(HttpResponse, usize)>> 
         },
         body_start + content_length,
     )))
-}
-
-/// One-shot convenience: connect, issue a single request, disconnect.
-pub fn one_shot(
-    addr: impl ToSocketAddrs,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> std::io::Result<(u16, String)> {
-    HttpClient::connect(addr)?.request(method, path, body)
 }
 
 /// Counters of one [`ConnectionPool`]: pool-level reuse plus how often a

@@ -4,8 +4,7 @@
 //! connection before handling (a simulated read error), drop the response
 //! (write error), write a torn response, or panic inside the handler — the
 //! generalization of the original test-only `/debug/panic/{key}` route into
-//! a full chaos layer the resilience tests and the `chaos_smoke` CI soak
-//! drive.
+//! a full chaos layer the resilience tests (`tests/resilience.rs`) drive.
 //!
 //! **Reproducibility contract.** The action for a request is a pure
 //! function of `(plan seed, fault key)`, where the fault key is either the

@@ -86,7 +86,7 @@
 //! * **Deterministic chaos** — a seeded [`FaultPlan`](fault::FaultPlan)
 //!   ([`ServeConfig::fault`]) injects delays, read/write errors, torn
 //!   responses, and handler panics as a pure function of `(seed, fault
-//!   key)`, so the chaos tests and the `chaos_smoke` CI soak reproduce
+//!   key)`, so the chaos soak in `tests/resilience.rs` reproduces
 //!   bit-identically across runs and worker counts.
 //! * **A resilient client** — [`HttpClient::request_with_retry`] backs off
 //!   exponentially with deterministic jitter, honors `Retry-After`, and
@@ -137,8 +137,7 @@ pub mod server;
 pub mod store;
 
 pub use client::{
-    one_shot, ClientConfig, ConnectionPool, ConnectionPoolStats, HttpClient, HttpResponse,
-    RetryPolicy,
+    ClientConfig, ConnectionPool, ConnectionPoolStats, HttpClient, HttpResponse, RetryPolicy,
 };
 pub use fault::{FaultAction, FaultConfig, FaultPlan};
 pub use http::{Limits, Request, Response};

@@ -1138,6 +1138,7 @@ pub(crate) fn metrics(shared: &Shared, fleet: Option<String>) -> Response {
         bytes += stats.bytes;
         entries += stats.entries;
     }
+    let fleet = fleet.map_or(String::new(), |f| format!("\"fleet\":{f},"));
     let body = format!(
         "{{\"uptime_s\":{},\
            \"connections\":{{\"total\":{},\"active\":{}}},\
@@ -1152,7 +1153,7 @@ pub(crate) fn metrics(shared: &Shared, fleet: Option<String>) -> Response {
            \"persistence\":{{\"snapshots_loaded\":{},\"snapshots_saved\":{},\
                              \"load_ms\":{},\"loaded_bytes\":{},\"saved_bytes\":{},\
                              \"rebuilds\":{{\"started\":{},\"completed\":{},\"failed\":{}}}}},\
-           \"tenants\":{{{}}}}}",
+           {fleet}\"tenants\":{{{}}}}}",
         uptime.to_json(),
         shared.shutdown.total_started(),
         shared.shutdown.active(),
@@ -1180,15 +1181,5 @@ pub(crate) fn metrics(shared: &Shared, fleet: Option<String>) -> Response {
         shared.metrics.rebuilds_failed.load(Ordering::Relaxed),
         tenants.join(",")
     );
-    let body = match fleet {
-        Some(fleet) => {
-            let tenants_key = "\"tenants\":";
-            let at = body
-                .rfind(tenants_key)
-                .expect("metrics has a tenants section");
-            format!("{}\"fleet\":{fleet},{}", &body[..at], &body[at..])
-        }
-        None => body,
-    };
     Response::json(200, body)
 }

@@ -137,9 +137,8 @@ macro_rules! impl_to_json {
     };
 }
 
-/// A parsed JSON value — the read side of this module, used by the bench
-/// trend report to diff freshly written `results/BENCH_*.json` records
-/// against the previous run's.
+/// A parsed JSON value — the read side of this module: the wire decoder,
+/// snapshot meta, and every `/metrics` reader go through it.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JsonValue {
     Null,

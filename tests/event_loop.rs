@@ -16,7 +16,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use restore_bench::sealed_synthetic_snapshot;
+use restore_fixtures::sealed_synthetic_snapshot;
 
 use restore::core::wire::{self, QueryRequest};
 use restore::core::{Snapshot, SnapshotRegistry};

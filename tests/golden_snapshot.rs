@@ -8,7 +8,7 @@
 
 use std::path::PathBuf;
 
-use restore_bench::{result_fingerprint as fingerprint, serving_workload as workload};
+use restore_fixtures::{result_fingerprint as fingerprint, serving_workload as workload};
 
 use restore::core::{
     CompleterConfig, ConfidenceQuery, ReStore, RestoreConfig, Snapshot, TrainConfig,

@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, OnceLock};
 
-use restore_bench::{sealed_synthetic_snapshot, serving_workload as workload};
+use restore_fixtures::{sealed_synthetic_snapshot, serving_workload as workload};
 
 use restore::core::wire::{self, QueryRequest};
 use restore::core::{ConfidenceQuery, Snapshot, SnapshotRegistry};

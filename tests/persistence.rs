@@ -18,7 +18,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use restore_bench::{
+use restore_fixtures::{
     result_fingerprint as fingerprint, sealed_synthetic_snapshot, serving_workload as workload,
 };
 

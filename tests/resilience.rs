@@ -22,7 +22,7 @@
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use restore_bench::sealed_synthetic_snapshot;
+use restore_fixtures::sealed_synthetic_snapshot;
 
 use restore::core::wire::QueryRequest;
 use restore::core::{Snapshot, SnapshotRegistry};
@@ -302,11 +302,18 @@ fn expected_outcome(action: FaultAction) -> Outcome {
     }
 }
 
-/// Soaks `keys` requests through a freshly faulted server with `workers`
-/// client threads (key k handled by worker k % workers) and returns the
-/// per-key outcome classes plus the server's final faults_injected count.
-fn chaos_soak(config: &FaultConfig, keys: u64, workers: u64) -> (Vec<Outcome>, f64) {
-    let registry = registry_with(&[]);
+/// Soaks `keys` requests for `route` (method, path, body) through a
+/// freshly faulted server with `workers` client threads (key k handled by
+/// worker k % workers) and returns the per-key outcome classes plus the
+/// server's final faults_injected count.
+fn chaos_soak(
+    config: &FaultConfig,
+    route: (&str, &str, Option<&str>),
+    keys: u64,
+    workers: u64,
+) -> (Vec<Outcome>, f64) {
+    let (method, path, body) = route;
+    let registry = registry_with(&["t"]);
     let server = Server::bind(
         "127.0.0.1:0",
         registry,
@@ -318,15 +325,15 @@ fn chaos_soak(config: &FaultConfig, keys: u64, workers: u64) -> (Vec<Outcome>, f
     .expect("bind");
     let addr = server.local_addr();
 
-    let mut handles = Vec::new();
-    for w in 0..workers {
-        handles.push(std::thread::spawn(move || {
+    let mut by_key = vec![Outcome::Ok; keys as usize];
+    std::thread::scope(|scope| {
+        let soak_worker = |w: u64| {
             let mut outcomes = Vec::new();
             for key in (0..keys).filter(|k| k % workers == w) {
                 let outcome = HttpClient::connect(addr).expect("connect").request_full(
-                    "GET",
-                    "/healthz",
-                    None,
+                    method,
+                    path,
+                    body,
                     &[("X-Fault-Key", &key.to_string())],
                 );
                 let class = match outcome {
@@ -338,14 +345,16 @@ fn chaos_soak(config: &FaultConfig, keys: u64, workers: u64) -> (Vec<Outcome>, f
                 outcomes.push((key, class));
             }
             outcomes
-        }));
-    }
-    let mut by_key = vec![Outcome::Ok; keys as usize];
-    for handle in handles {
-        for (key, class) in handle.join().expect("soak worker") {
-            by_key[key as usize] = class;
+        };
+        let handles: Vec<_> = (0..workers)
+            .map(|w| scope.spawn(move || soak_worker(w)))
+            .collect();
+        for handle in handles {
+            for (key, class) in handle.join().expect("soak worker") {
+                by_key[key as usize] = class;
+            }
         }
-    }
+    });
     let mut client = HttpClient::connect(addr).expect("connect");
     let injected = metric(&mut client, &["requests", "faults_injected"]);
     assert!(server.shutdown(), "a faulted server must still drain");
@@ -380,20 +389,35 @@ fn chaos_schedule_is_bit_reproducible_across_runs_and_worker_counts() {
         "keys past the window must be clean"
     );
 
-    let (serial, injected_serial) = chaos_soak(&config, 90, 1);
-    let (parallel_a, injected_a) = chaos_soak(&config, 90, 4);
-    let (parallel_b, injected_b) = chaos_soak(&config, 90, 4);
-    assert_eq!(
-        serial, expected,
-        "1-worker soak must match the plan exactly"
-    );
-    assert_eq!(parallel_a, expected, "4-worker soak must match the plan");
-    assert_eq!(parallel_b, expected, "reruns must be bit-identical");
-    assert_eq!(
-        (injected_serial, injected_a, injected_b),
-        (expected_injected, expected_injected, expected_injected),
-        "every injected fault is counted, and only those"
-    );
+    // The control plane, then the gated query route against a published
+    // snapshot: handler panics and torn writes must leave the admission
+    // permits and the single-flight table as reusable as a clean request.
+    let query = query_body();
+    for route in [
+        ("GET", "/healthz", None),
+        ("POST", "/v1/t/query", Some(query.as_str())),
+    ] {
+        let (serial, injected_serial) = chaos_soak(&config, route, 90, 1);
+        let (parallel_a, injected_a) = chaos_soak(&config, route, 90, 4);
+        let (parallel_b, injected_b) = chaos_soak(&config, route, 90, 4);
+        assert_eq!(
+            serial, expected,
+            "1-worker soak must match the plan exactly: {route:?}"
+        );
+        assert_eq!(
+            parallel_a, expected,
+            "4-worker soak must match the plan: {route:?}"
+        );
+        assert_eq!(
+            parallel_b, expected,
+            "reruns must be bit-identical: {route:?}"
+        );
+        assert_eq!(
+            (injected_serial, injected_a, injected_b),
+            (expected_injected, expected_injected, expected_injected),
+            "every injected fault is counted, and only those: {route:?}"
+        );
+    }
 }
 
 #[test]

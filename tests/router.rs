@@ -14,14 +14,14 @@
 //! * The router's `/metrics` carries a `fleet` section whose counters
 //!   track forwards and failures.
 //!
-//! Process-level spawn/re-exec failover is covered by the `router_smoke`
+//! Process-level spawn/re-exec failover is covered by the `process_smoke`
 //! binary; these tests pin the routing semantics without process churn.
 
 use std::net::SocketAddr;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use restore_bench::{balanced_fleet_tenants, sealed_synthetic_snapshot, serving_workload};
+use restore_fixtures::{balanced_fleet_tenants, sealed_synthetic_snapshot, serving_workload};
 
 use restore::core::wire::QueryRequest;
 use restore::core::{ConfidenceQuery, Snapshot, SnapshotRegistry};

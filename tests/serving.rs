@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use restore_bench::{result_fingerprint as fingerprint, serving_workload as workload};
+use restore_fixtures::{result_fingerprint as fingerprint, serving_workload as workload};
 
 use restore::core::{CompleterConfig, ReStore, RestoreConfig, Snapshot, TrainConfig};
 use restore::data::{apply_removal, generate_synthetic, BiasSpec, RemovalConfig, SyntheticConfig};

@@ -1,12 +1,11 @@
-//! Equality contract of the band-incremental autoregressive sweep: with
-//! `MadeConfig::incremental_sweep` on (the default), block logits and
-//! sampled tokens must be **bit-identical** to the full-recompute
-//! reference path (the escape hatch), across ragged batch shapes, resumed
-//! ranges (`start > 0`), excluded tokens, and the SSAR DeepSets context —
-//! all over warm, reused sessions, the way the completion engine runs it.
-//! Worker-count invariance of completions under the sweep is pinned by
-//! `tests/determinism.rs::worker_count_never_changes_the_completion`,
-//! which runs with the sweep on by default.
+//! Equality contract of the band-incremental autoregressive sweep: block
+//! logits and sampled tokens must be **bit-identical** to the full-trunk
+//! oracle (`Made::logits_attr_full_in` / `Made::sample_range_full_in`) on
+//! the same model, across ragged batch shapes, resumed ranges
+//! (`start > 0`), excluded tokens, and the SSAR DeepSets context — all
+//! over warm, reused sessions, the way the completion engine runs it.
+//! Worker-count invariance of completions under the sweep is also pinned
+//! by `tests/determinism.rs::worker_count_never_changes_the_completion`.
 
 use std::sync::Arc;
 
@@ -20,18 +19,14 @@ use restore::nn::{
 
 const CARDS: [usize; 4] = [7, 5, 9, 4];
 
-/// A `(sweep, full-recompute)` pair of the same trained-shape model: equal
-/// weights, only the engine flag differs.
-fn made_pair(ctx_dim: usize, hidden: Vec<usize>, seed: u64) -> (Made, Made, ParamStore) {
+/// A context-free model over [`CARDS`] with freshly initialised weights.
+fn new_made(hidden: Vec<usize>, seed: u64) -> (Made, ParamStore) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut store = ParamStore::new();
     let attrs = CARDS.iter().map(|&c| AttrSpec::new(c, 4)).collect();
-    let cfg = MadeConfig::new(attrs).with_ctx(ctx_dim).with_hidden(hidden);
+    let cfg = MadeConfig::new(attrs).with_hidden(hidden);
     let made = Made::new(cfg, &mut store, &mut rng);
-    assert!(made.incremental_sweep(), "sweep must be the default");
-    let mut full = made.clone();
-    full.set_incremental_sweep(false);
-    (made, full, store)
+    (made, store)
 }
 
 fn tokens(n: usize) -> Vec<Arc<Vec<u32>>> {
@@ -62,21 +57,21 @@ fn assert_bits_eq(a: &restore::nn::Matrix, b: &restore::nn::Matrix, what: &str) 
 fn sweep_block_logits_bit_identical_across_ragged_shapes() {
     // Residual trunk, non-residual ragged trunk, and a single hidden layer.
     for (hidden, seed) in [(vec![32, 32], 51u64), (vec![32, 16], 52), (vec![24], 53)] {
-        let (sweep, full, store) = made_pair(0, hidden.clone(), seed);
+        let (made, store) = new_made(hidden.clone(), seed);
         let mut s_sweep = InferenceSession::new();
         let mut s_full = InferenceSession::new();
         for &n in &[33usize, 1, 17, 33, 3] {
             let toks = tokens(n);
-            let logits = sweep.logits(&store, &toks, None);
+            let logits = made.logits(&store, &toks, None);
             for attr in 0..CARDS.len() {
-                let a = sweep
+                let a = made
                     .logits_attr_in(&mut s_sweep, &store, &toks, None, attr)
                     .clone();
-                let b = full
-                    .logits_attr_in(&mut s_full, &store, &toks, None, attr)
+                let b = made
+                    .logits_attr_full_in(&mut s_full, &store, &toks, None, attr)
                     .clone();
                 assert_bits_eq(&a, &b, &format!("hidden {hidden:?} n {n} attr {attr}"));
-                let (off, card) = sweep.layout().block(attr);
+                let (off, card) = made.layout().block(attr);
                 for r in 0..n {
                     assert_eq!(a.row(r), &logits.row(r)[off..off + card]);
                 }
@@ -90,7 +85,7 @@ fn sweep_block_logits_bit_identical_across_ragged_shapes() {
 /// ranges (`start > 0`) and partial ends.
 #[test]
 fn sweep_sampling_bit_identical_and_rng_aligned() {
-    let (sweep, full, store) = made_pair(0, vec![32, 32], 54);
+    let (made, store) = new_made(vec![32, 32], 54);
     let mut s_sweep = InferenceSession::new();
     let mut s_full = InferenceSession::new();
     for &n in &[1usize, 7, 33] {
@@ -99,7 +94,7 @@ fn sweep_sampling_bit_identical_and_rng_aligned() {
                 let base = tokens(n);
                 let mut cols_a = base.clone();
                 let mut rng_a = StdRng::seed_from_u64(1000 + start as u64);
-                sweep.sample_range_in(
+                made.sample_range_in(
                     &mut s_sweep,
                     &store,
                     &mut cols_a,
@@ -111,7 +106,7 @@ fn sweep_sampling_bit_identical_and_rng_aligned() {
                 );
                 let mut cols_b = base.clone();
                 let mut rng_b = StdRng::seed_from_u64(1000 + start as u64);
-                full.sample_range_in(
+                made.sample_range_full_in(
                     &mut s_full,
                     &store,
                     &mut cols_b,
@@ -141,14 +136,14 @@ fn sweep_sampling_bit_identical_and_rng_aligned() {
 /// excluded token never appears.
 #[test]
 fn sweep_respects_excluded_tokens() {
-    let (sweep, full, store) = made_pair(0, vec![32, 32], 55);
+    let (made, store) = new_made(vec![32, 32], 55);
     let excluded = [None, Some(3u32), None, Some(0)];
     let mut s_sweep = InferenceSession::new();
     let mut s_full = InferenceSession::new();
     let base = tokens(64);
     let mut cols_a = base.clone();
     let mut rng_a = StdRng::seed_from_u64(9);
-    sweep.sample_range_in(
+    made.sample_range_in(
         &mut s_sweep,
         &store,
         &mut cols_a,
@@ -160,7 +155,7 @@ fn sweep_respects_excluded_tokens() {
     );
     let mut cols_b = base.clone();
     let mut rng_b = StdRng::seed_from_u64(9);
-    full.sample_range_in(
+    made.sample_range_full_in(
         &mut s_full,
         &store,
         &mut cols_b,
@@ -194,8 +189,6 @@ fn sweep_matches_full_path_under_deepsets_context() {
         &mut store,
         &mut rng,
     );
-    let mut full = made.clone();
-    full.set_incremental_sweep(false);
 
     let n = 9;
     let batch = SetBatch {
@@ -215,8 +208,8 @@ fn sweep_matches_full_path_under_deepsets_context() {
         let a = made
             .logits_attr_in(&mut s_sweep, &store, &toks, Some(&ctx), attr)
             .clone();
-        let b = full
-            .logits_attr_in(&mut s_full, &store, &toks, Some(&ctx), attr)
+        let b = made
+            .logits_attr_full_in(&mut s_full, &store, &toks, Some(&ctx), attr)
             .clone();
         assert_bits_eq(&a, &b, &format!("ctx attr {attr}"));
     }
@@ -234,7 +227,7 @@ fn sweep_matches_full_path_under_deepsets_context() {
     );
     let mut cols_b = toks.clone();
     let mut rng_b = StdRng::seed_from_u64(4);
-    full.sample_range_in(
+    made.sample_range_full_in(
         &mut s_full,
         &store,
         &mut cols_b,
@@ -247,10 +240,9 @@ fn sweep_matches_full_path_under_deepsets_context() {
     assert_eq!(cols_a, cols_b, "ctx-conditioned sampling diverged");
 }
 
-/// End to end through the system: a trained completion model produces a
-/// bit-identical completed join with the sweep on (default) and off, and
-/// the sweep result is worker-count invariant against the sweep-off
-/// serial reference.
+/// End to end through the system: a trained completion model's swept
+/// completion is worker-count invariant. (Sweep-vs-oracle equality is the
+/// Made-level suites above; the engine has no other path to compare.)
 #[test]
 fn completion_is_bit_identical_with_and_without_sweep() {
     use restore::core::{
@@ -278,7 +270,7 @@ fn completion_is_bit_identical_with_and_without_sweep() {
         min_steps: 150,
         ..TrainConfig::default()
     };
-    let mut model = CompletionModel::train(&sc.incomplete, &ann, path, &cfg, 33).unwrap();
+    let model = CompletionModel::train(&sc.incomplete, &ann, path, &cfg, 33).unwrap();
 
     let complete_with = |model: &CompletionModel, workers: usize| {
         let ccfg = CompleterConfig {
@@ -291,17 +283,13 @@ fn completion_is_bit_identical_with_and_without_sweep() {
             .complete(model, 5)
             .unwrap()
     };
-    let swept = complete_with(&model, 1);
-    let swept_parallel = complete_with(&model, 4);
-    model.set_incremental_sweep(false);
-    let reference = complete_with(&model, 1);
+    let serial = complete_with(&model, 1);
+    let parallel = complete_with(&model, 4);
 
-    for out in [&swept, &swept_parallel] {
-        assert_eq!(reference.join.n_rows(), out.join.n_rows());
-        for r in 0..reference.join.n_rows() {
-            assert_eq!(reference.join.row(r), out.join.row(r), "row {r} differs");
-        }
-        assert_eq!(reference.syn, out.syn);
-        assert_eq!(reference.tf, out.tf);
+    assert_eq!(serial.join.n_rows(), parallel.join.n_rows());
+    for r in 0..serial.join.n_rows() {
+        assert_eq!(serial.join.row(r), parallel.join.row(r), "row {r} differs");
     }
+    assert_eq!(serial.syn, parallel.syn);
+    assert_eq!(serial.tf, parallel.tf);
 }

@@ -155,9 +155,11 @@ fn session_reuse_across_batches_is_bit_identical() {
     }
 }
 
-/// The incremental encoding cache must be invisible: a completion with
-/// cached, incrementally-refreshed encodings equals the full re-encode
-/// path bit for bit — rows, provenance, and tuple factors.
+/// The incremental encoding cache must be invisible: wherever a step
+/// samples from the cached, incrementally-refreshed encoding, the
+/// completion engine's debug assertion compares it with a full re-encode
+/// of the working join (tier-1 runs tests in debug). This drives one
+/// fan-out step through that check.
 #[test]
 fn incremental_encoding_matches_full_reencoding() {
     let sc = synthetic_scenario(35);
@@ -165,28 +167,18 @@ fn incremental_encoding_matches_full_reencoding() {
     let path = CompletionPath::from_tables(&sc.incomplete, &["ta".into(), "tb".into()]).unwrap();
     let model = CompletionModel::train(&sc.incomplete, &ann, path, &quick_cfg(0), 35).unwrap();
 
-    let complete_with = |incremental: bool| {
-        let cfg = CompleterConfig {
-            incremental_encoding: incremental,
-            batch_size: 64,
-            ..CompleterConfig::default()
-        };
-        Completer::new(&sc.incomplete, &ann)
-            .with_config(cfg)
-            .complete(&model, 12)
-            .unwrap()
+    let cfg = CompleterConfig {
+        batch_size: 64,
+        ..CompleterConfig::default()
     };
-    let full = complete_with(false);
-    let inc = complete_with(true);
-    assert_eq!(full.join.n_rows(), inc.join.n_rows());
-    for r in 0..full.join.n_rows() {
-        assert_eq!(full.join.row(r), inc.join.row(r), "row {r} differs");
-    }
-    assert_eq!(full.syn, inc.syn);
-    assert_eq!(full.tf, inc.tf);
+    let out = Completer::new(&sc.incomplete, &ann)
+        .with_config(cfg)
+        .complete(&model, 12)
+        .unwrap();
+    assert!(out.n_synthesized() > 0, "no step sampled from the cache");
 }
 
-/// Same contract on a longer path (movies: director → movie_director →
+/// Same check on a longer path (movies: director → movie_director →
 /// movie) so the cache survives multiple joins, tuple-factor refreshes,
 /// and nearest-neighbor replacement of intermediate tables.
 #[test]
@@ -224,23 +216,13 @@ fn incremental_encoding_matches_full_reencoding_multistep() {
     };
     let model = CompletionModel::train(&sc.incomplete, &ann, path, &cfg, 36).unwrap();
 
-    let complete_with = |incremental: bool| {
-        let ccfg = CompleterConfig {
-            incremental_encoding: incremental,
-            batch_size: 64,
-            ..CompleterConfig::default()
-        };
-        Completer::new(&sc.incomplete, &ann)
-            .with_config(ccfg)
-            .complete(&model, 13)
-            .unwrap()
+    let ccfg = CompleterConfig {
+        batch_size: 64,
+        ..CompleterConfig::default()
     };
-    let full = complete_with(false);
-    let inc = complete_with(true);
-    assert_eq!(full.join.n_rows(), inc.join.n_rows());
-    for r in 0..full.join.n_rows() {
-        assert_eq!(full.join.row(r), inc.join.row(r), "row {r} differs");
-    }
-    assert_eq!(full.syn, inc.syn);
-    assert_eq!(full.tf, inc.tf);
+    let out = Completer::new(&sc.incomplete, &ann)
+        .with_config(ccfg)
+        .complete(&model, 13)
+        .unwrap();
+    assert!(out.n_synthesized() > 0, "no step sampled from the cache");
 }
