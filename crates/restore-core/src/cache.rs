@@ -276,6 +276,7 @@ mod tests {
             tables: tables.iter().map(|s| s.to_string()).collect(),
             syn: vec![Vec::new(); tables.len()],
             tf: Vec::new(),
+            projections: Default::default(),
         })
     }
 
@@ -286,6 +287,7 @@ mod tests {
             tables: tables.iter().map(|s| s.to_string()).collect(),
             syn: vec![vec![false; rows]; tables.len()],
             tf: Vec::new(),
+            projections: Default::default(),
         };
         out.syn[0] = vec![true; rows];
         Arc::new(out)

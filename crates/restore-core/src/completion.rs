@@ -17,10 +17,11 @@
 //! under any worker count and reproduce the single-row sampling sequence
 //! at `batch_size = 1`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use restore_db::{hash_join, Column, Database, Table, Value};
 use restore_nn::InferenceSession;
@@ -79,7 +80,7 @@ impl Default for CompleterConfig {
 }
 
 /// The result of completing one path: the completed join plus provenance.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct CompletionOutput {
     /// Completed join with fully qualified column names.
     pub join: Table,
@@ -89,9 +90,37 @@ pub struct CompletionOutput {
     pub syn: Vec<Vec<bool>>,
     /// Tuple-factor values used per fan-out step (aligned with rows).
     pub tf: Vec<Vec<Option<i64>>>,
+    /// §4.4 projections of this join, keyed by which path tables the query
+    /// names. Built on first use and dropped with the join, so eviction,
+    /// hot swap and re-synthesis need no invalidation.
+    pub(crate) projections: Mutex<HashMap<Vec<bool>, Arc<Projection>>>,
 }
 
 impl CompletionOutput {
+    /// The seed-independent half of projecting this join onto
+    /// `query_tables`; `None` when the query names every path table and so
+    /// sees the whole join. Racing first users may both build: the results
+    /// are identical and the first insert wins.
+    pub(crate) fn projection(
+        &self,
+        query_tables: &[String],
+    ) -> CoreResult<Option<Arc<Projection>>> {
+        let named: Vec<bool> = self
+            .tables
+            .iter()
+            .map(|t| query_tables.contains(t))
+            .collect();
+        if named.iter().all(|&n| n) {
+            return Ok(None);
+        }
+        let lock = || self.projections.lock().expect("no panic under the lock");
+        if let Some(found) = lock().get(&named) {
+            return Ok(Some(Arc::clone(found)));
+        }
+        let built = Arc::new(Projection::build(self, query_tables)?);
+        Ok(Some(Arc::clone(lock().entry(named).or_insert(built))))
+    }
+
     /// Synthesized flags for a path table.
     pub fn synthesized_for(&self, table: &str) -> Option<&[bool]> {
         let i = self.tables.iter().position(|t| t == table)?;
@@ -126,6 +155,109 @@ impl CompletionOutput {
             .map(|v| v.len() * std::mem::size_of::<Option<i64>>())
             .sum();
         self.join.approx_bytes() + names + syn + tf
+    }
+}
+
+/// What a query over a subset of a completed join's tables sees of it
+/// before its seed thins the synthesized rows (§4.4: extra evidence tables
+/// multiply rows) — a pure function of the join and the table subset.
+/// Index vectors and one scalar, never column data: at most 4 bytes per
+/// join row.
+#[derive(Debug)]
+pub(crate) struct Projection {
+    /// The query tables' columns. Evidence columns stay hidden — they would
+    /// shadow query attributes (e.g. actor.gender vs director.gender).
+    pub(crate) cols: Vec<usize>,
+    /// Rows every seed keeps: the real rows, one per key.
+    kept: Vec<u32>,
+    /// Synthesized rows; a seed keeps each with probability `p_keep`.
+    candidates: Vec<u32>,
+    p_keep: f64,
+}
+
+impl Projection {
+    fn build(out: &CompletionOutput, query_tables: &[String]) -> CoreResult<Self> {
+        let (chain, join) = (&out.tables, &out.join);
+        let n = u32::try_from(join.n_rows())
+            .map_err(|_| CoreError::Invalid("completed join exceeds u32 rows".into()))?;
+        let in_query = |t: &str| query_tables.iter().any(|q| q == t);
+        let cols: Vec<usize> = (0..join.n_cols())
+            .filter(|&c| {
+                let qualified = join.fields()[c].name.split_once('.');
+                qualified.is_some_and(|(t, _)| in_query(t))
+            })
+            .collect();
+        // The extras form the evidence prefix; the pivot is the first chain
+        // table that belongs to the query.
+        let pivot_idx = chain
+            .iter()
+            .position(|t| in_query(t))
+            .ok_or_else(|| CoreError::Invalid("query tables not on chain".into()))?;
+        // Row keys: id columns of the pivot and all downstream query tables.
+        let key_cols: Vec<usize> = chain[pivot_idx..]
+            .iter()
+            .filter(|t| in_query(t))
+            .filter_map(|t| join.resolve(&format!("{t}.id")).ok())
+            .collect();
+        if key_cols.is_empty() {
+            // No identity available: every row, nothing to thin.
+            return Ok(Self {
+                cols,
+                kept: (0..n).collect(),
+                candidates: Vec::new(),
+                p_keep: 1.0,
+            });
+        }
+
+        // A row is synthetic when any *query-table* part of it was
+        // synthesized — euclidean replacement may have given it real keys
+        // (Fig. 3), so null-ness of the key is not the right signal.
+        let relevant: Vec<usize> = (0..chain.len()).filter(|&i| in_query(&chain[i])).collect();
+        let mut seen: HashSet<Vec<Value>> = HashSet::new();
+        let mut real_rows = 0usize;
+        let (mut kept, mut candidates) = (Vec::new(), Vec::new());
+        for r in 0..n {
+            let row = r as usize;
+            if relevant.iter().any(|&i| out.syn[i][row]) {
+                candidates.push(r);
+                continue;
+            }
+            let key: Vec<Value> = key_cols.iter().map(|&c| join.value(row, c)).collect();
+            if key.iter().any(Value::is_null) {
+                // Real parts but no identity — keep conservatively.
+                kept.push(r);
+                continue;
+            }
+            real_rows += 1;
+            if seen.insert(key) {
+                kept.push(r);
+            }
+        }
+        // Multiplicity of real keys → thinning factor for synthesized rows.
+        let multiplicity = (real_rows as f64 / seen.len().max(1) as f64).max(1.0);
+        Ok(Self {
+            cols,
+            kept,
+            candidates,
+            p_keep: 1.0 / multiplicity,
+        })
+    }
+
+    /// The rows one query sees, ascending: one draw per synthesized row in
+    /// row order, merged with the rows every seed keeps.
+    pub(crate) fn rows(&self, rng: &mut StdRng) -> Vec<u32> {
+        let mut rows = Vec::with_capacity(self.kept.len() + self.candidates.len());
+        let mut kept = self.kept.iter().copied().peekable();
+        for &c in &self.candidates {
+            if rng.random::<f64>() < self.p_keep {
+                while let Some(k) = kept.next_if(|&k| k < c) {
+                    rows.push(k);
+                }
+                rows.push(c);
+            }
+        }
+        rows.extend(kept);
+        rows
     }
 }
 
@@ -300,6 +432,7 @@ impl<'a> Completer<'a> {
             tables: path.tables().to_vec(),
             syn: w.syn,
             tf: w.tf,
+            projections: Mutex::default(),
         })
     }
 
@@ -797,6 +930,25 @@ mod tests {
         cfg.seed = seed;
         cfg.tf_keep_rate = 0.3;
         apply_removal(&db, &cfg)
+    }
+
+    #[test]
+    fn projection_rows_merge_kept_and_drawn_rows_in_row_order() {
+        let mut projection = Projection {
+            cols: Vec::new(),
+            kept: vec![0, 2, 5, 8],
+            candidates: vec![1, 3, 4, 6, 7, 9],
+            p_keep: 1.0,
+        };
+        let mut rng = StdRng::seed_from_u64(3);
+        assert_eq!(projection.rows(&mut rng), (0..10).collect::<Vec<u32>>());
+        projection.p_keep = 0.5;
+        let rows = projection.rows(&mut rng);
+        assert!(rows.windows(2).all(|w| w[0] < w[1]), "{rows:?}");
+        assert!(projection.kept.iter().all(|k| rows.contains(k)));
+        assert!(rows.len() > 4 && rows.len() < 10, "{rows:?}");
+        projection.p_keep = 0.0;
+        assert_eq!(projection.rows(&mut rng), projection.kept);
     }
 
     fn complete_scenario(sc: &restore_data::Scenario, seed: u64) -> CompletionOutput {

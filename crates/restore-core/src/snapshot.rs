@@ -29,7 +29,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use restore_db::{execute_on_join, Database, Query, QueryResult, Table, Value};
+use restore_db::{execute_on_join, Database, Query, QueryResult, Table, TableView, Value};
 use restore_util::derive_seed;
 
 use crate::annotation::{modeled_columns, SchemaAnnotation};
@@ -164,11 +164,20 @@ impl Snapshot {
             let completed = self.completed_table_focused(&query.tables[0], &focus, seed)?;
             return execute_on_join(&completed, query).map_err(CoreError::from);
         }
+        // Join queries run in place, over a view of the cached join: the
+        // query tables' columns, and the rows this seed's §4.4 thinning
+        // keeps when the chain carries extra evidence tables.
         let chain = self.execution_chain(&query.tables, &focus)?;
         let out = self.complete_join(&chain, seed)?;
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37);
-        let projected = self.project_completed(&out, &query.tables, &mut rng)?;
-        execute_on_join(&projected, query).map_err(CoreError::from)
+        let mut view = TableView::from(&out.join);
+        let projection = out.projection(&query.tables)?;
+        let rows;
+        if let Some(projection) = &projection {
+            rows = projection.rows(&mut StdRng::seed_from_u64(seed ^ 0x9e37));
+            view.cols = Some(&projection.cols);
+            view.rows = Some(&rows);
+        }
+        execute_on_join(view, query).map_err(CoreError::from)
     }
 
     /// Completes the join over an ordered table chain (Algorithm 1) with
@@ -224,13 +233,14 @@ impl Snapshot {
         // does one real target tuple appear in the chain join?
         let multiplicity = match join.resolve(&format!("{table}.id")) {
             Ok(id_idx) => {
+                let ids = join.column(id_idx);
                 let mut distinct = std::collections::HashSet::new();
                 let mut real = 0usize;
                 for (r, &s) in syn.iter().enumerate() {
-                    let v = join.value(r, id_idx);
+                    let v = ids.get(r);
                     if !s && !v.is_null() {
                         real += 1;
-                        distinct.insert(v.to_string());
+                        distinct.insert(v);
                     }
                 }
                 (real as f64 / distinct.len().max(1) as f64).max(1.0)
@@ -239,21 +249,23 @@ impl Snapshot {
         };
         let p_keep = 1.0 / multiplicity;
 
+        // The join column each field of the table is read from.
+        let source = |f: &restore_db::Field| {
+            let bare = f.name.rsplit('.').next().unwrap_or(&f.name);
+            join.resolve(&format!("{table}.{bare}")).ok()
+        };
+        let sources: Vec<Option<usize>> = base.fields().iter().map(source).collect();
+        let mut row: Vec<Value> = Vec::with_capacity(sources.len());
         for (r, &s) in syn.iter().enumerate() {
             if !s || rand::Rng::random::<f64>(&mut rng) >= p_keep {
                 continue;
             }
-            let row: Vec<Value> = base
-                .fields()
-                .iter()
-                .map(|f| {
-                    let bare = f.name.rsplit('.').next().unwrap_or(&f.name);
-                    match join.resolve(&format!("{table}.{bare}")) {
-                        Ok(i) => crate::completion::coerce(&join.value(r, i), f.dtype),
-                        Err(_) => Value::Null,
-                    }
+            row.clear();
+            row.extend(sources.iter().zip(base.fields()).map(|(source, f)| {
+                source.map_or(Value::Null, |c| {
+                    crate::completion::coerce(&join.value(r, c), f.dtype)
                 })
-                .collect();
+            }));
             result.push_row(&row)?;
         }
         Ok(result)
@@ -380,93 +392,6 @@ impl Snapshot {
                 CoreError::NoPath(format!("no execution chain covers {query_tables:?}"))
             })
         })
-    }
-
-    /// Projects a completed chain join onto the query tables, correcting
-    /// row multiplicity introduced by additional evidence tables (§4.4).
-    fn project_completed(
-        &self,
-        out: &CompletionOutput,
-        query_tables: &[String],
-        rng: &mut StdRng,
-    ) -> CoreResult<Table> {
-        let chain = &out.tables;
-        let extras: Vec<&String> = chain.iter().filter(|t| !query_tables.contains(t)).collect();
-        if extras.is_empty() {
-            return Ok(out.join.clone());
-        }
-        // Keep only the query tables' columns — evidence columns would
-        // shadow query attributes (e.g. actor.gender vs director.gender).
-        let query_cols: Vec<String> = out
-            .join
-            .fields()
-            .iter()
-            .map(|f| f.name.clone())
-            .filter(|name| {
-                name.split_once('.')
-                    .is_some_and(|(t, _)| query_tables.iter().any(|q| q == t))
-            })
-            .collect();
-        // The extras form the evidence prefix; the pivot is the first chain
-        // table that belongs to the query.
-        let pivot_idx = chain
-            .iter()
-            .position(|t| query_tables.contains(t))
-            .ok_or_else(|| CoreError::Invalid("query tables not on chain".into()))?;
-        let join = &out.join;
-        let n = join.n_rows();
-
-        // Row keys: id columns of the pivot and all downstream query tables.
-        let key_cols: Vec<usize> = chain[pivot_idx..]
-            .iter()
-            .filter(|t| query_tables.contains(t))
-            .filter_map(|t| join.resolve(&format!("{t}.id")).ok())
-            .collect();
-        if key_cols.is_empty() {
-            // No identity available; project columns and return as-is.
-            let refs: Vec<&str> = query_cols.iter().map(String::as_str).collect();
-            return join.project(&refs).map_err(CoreError::from);
-        }
-
-        // A row is synthetic when any *query-table* part of it was
-        // synthesized — euclidean replacement may have given it real keys
-        // (Fig. 3), so null-ness of the key is not the right signal.
-        let relevant: Vec<usize> = (0..chain.len())
-            .filter(|&i| query_tables.contains(&chain[i]))
-            .collect();
-        let is_syn = |r: usize| relevant.iter().any(|&i| out.syn[i][r]);
-
-        let mut seen: std::collections::HashSet<Vec<Value>> = std::collections::HashSet::new();
-        let mut real_rows = 0usize;
-        let mut keep = vec![false; n];
-        let mut syn_rows: Vec<usize> = Vec::new();
-        for (r, keep_slot) in keep.iter_mut().enumerate() {
-            if is_syn(r) {
-                syn_rows.push(r);
-                continue;
-            }
-            let key: Vec<Value> = key_cols.iter().map(|&c| join.value(r, c)).collect();
-            if key.iter().any(Value::is_null) {
-                // Real parts but no identity — keep conservatively.
-                *keep_slot = true;
-                continue;
-            }
-            real_rows += 1;
-            if seen.insert(key) {
-                *keep_slot = true;
-            }
-        }
-        // Multiplicity of real keys → thinning factor for synthesized rows.
-        let distinct = seen.len().max(1);
-        let multiplicity = (real_rows as f64 / distinct as f64).max(1.0);
-        let p_keep = 1.0 / multiplicity;
-        for &r in &syn_rows {
-            if rand::Rng::random::<f64>(rng) < p_keep {
-                keep[r] = true;
-            }
-        }
-        let refs: Vec<&str> = query_cols.iter().map(String::as_str).collect();
-        join.filter(&keep).project(&refs).map_err(CoreError::from)
     }
 }
 

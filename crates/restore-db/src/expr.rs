@@ -4,8 +4,11 @@
 //! on the completed join with normal operators — this module provides the
 //! comparison / boolean / arithmetic expression tree those filters use.
 
+use std::cmp::Ordering;
+
+use crate::column::{Column, Dictionary};
 use crate::error::DbResult;
-use crate::table::Table;
+use crate::table::{Table, TableView};
 use crate::value::Value;
 
 /// Comparison operators.
@@ -17,6 +20,21 @@ pub enum CmpOp {
     Le,
     Gt,
     Ge,
+}
+
+impl CmpOp {
+    /// Whether the comparison holds for an SQL ordering; `None` (a NULL or
+    /// NaN operand, a string against a number) satisfies no operator.
+    fn holds(self, ord: Option<Ordering>) -> bool {
+        ord.is_some_and(|o| match self {
+            CmpOp::Eq => o == Ordering::Equal,
+            CmpOp::Ne => o != Ordering::Equal,
+            CmpOp::Lt => o == Ordering::Less,
+            CmpOp::Le => o != Ordering::Greater,
+            CmpOp::Gt => o == Ordering::Greater,
+            CmpOp::Ge => o != Ordering::Less,
+        })
+    }
 }
 
 /// Arithmetic operators.
@@ -91,40 +109,30 @@ impl Expr {
         Expr::Not(Box::new(self))
     }
 
-    /// Evaluates the expression for row `row` of `table`.
-    pub fn eval(&self, table: &Table, row: usize) -> DbResult<Value> {
+    /// Evaluates the expression for row `row` of a table, or of the table
+    /// under a view (names then resolve among its visible columns): the
+    /// `Value` interpreter, which is the semantics of record —
+    /// [`Expr::select`] is tested against it.
+    pub fn eval<'a>(&self, view: impl Into<TableView<'a>>, row: usize) -> DbResult<Value> {
+        let view = view.into();
         Ok(match self {
-            Expr::Col(name) => {
-                let idx = table.resolve(name)?;
-                table.value(row, idx)
-            }
+            Expr::Col(name) => view.table.value(row, view.resolve(name)?),
             Expr::Lit(v) => v.clone(),
             Expr::Cmp(a, op, b) => {
-                let (va, vb) = (a.eval(table, row)?, b.eval(table, row)?);
-                match (op, va.partial_cmp_sql(&vb)) {
-                    (_, None) => {
-                        // NULL comparison is false except explicit Ne of
-                        // non-null vs null which is also NULL in SQL; we
-                        // model three-valued logic collapsed to false.
-                        Value::Int(0)
-                    }
-                    (CmpOp::Eq, Some(o)) => Value::Int((o == std::cmp::Ordering::Equal) as i64),
-                    (CmpOp::Ne, Some(o)) => Value::Int((o != std::cmp::Ordering::Equal) as i64),
-                    (CmpOp::Lt, Some(o)) => Value::Int((o == std::cmp::Ordering::Less) as i64),
-                    (CmpOp::Le, Some(o)) => Value::Int((o != std::cmp::Ordering::Greater) as i64),
-                    (CmpOp::Gt, Some(o)) => Value::Int((o == std::cmp::Ordering::Greater) as i64),
-                    (CmpOp::Ge, Some(o)) => Value::Int((o != std::cmp::Ordering::Less) as i64),
-                }
+                let (va, vb) = (a.eval(view, row)?, b.eval(view, row)?);
+                // Three-valued logic collapsed to false: a NULL operand
+                // satisfies no comparison, `Ne` included.
+                Value::Int(op.holds(va.partial_cmp_sql(&vb)) as i64)
             }
             Expr::And(a, b) => {
-                Value::Int((a.eval_bool(table, row)? && b.eval_bool(table, row)?) as i64)
+                Value::Int((a.eval_bool(view, row)? && b.eval_bool(view, row)?) as i64)
             }
             Expr::Or(a, b) => {
-                Value::Int((a.eval_bool(table, row)? || b.eval_bool(table, row)?) as i64)
+                Value::Int((a.eval_bool(view, row)? || b.eval_bool(view, row)?) as i64)
             }
-            Expr::Not(a) => Value::Int(!a.eval_bool(table, row)? as i64),
+            Expr::Not(a) => Value::Int(!a.eval_bool(view, row)? as i64),
             Expr::Arith(a, op, b) => {
-                let (va, vb) = (a.eval(table, row)?, b.eval(table, row)?);
+                let (va, vb) = (a.eval(view, row)?, b.eval(view, row)?);
                 match (va.as_f64(), vb.as_f64()) {
                     (Some(x), Some(y)) => {
                         let r = match op {
@@ -143,13 +151,13 @@ impl Expr {
                     _ => Value::Null,
                 }
             }
-            Expr::IsNull(a) => Value::Int(a.eval(table, row)?.is_null() as i64),
+            Expr::IsNull(a) => Value::Int(a.eval(view, row)?.is_null() as i64),
         })
     }
 
     /// Evaluates as a boolean; NULL and 0 are false.
-    pub fn eval_bool(&self, table: &Table, row: usize) -> DbResult<bool> {
-        Ok(match self.eval(table, row)? {
+    pub fn eval_bool<'a>(&self, view: impl Into<TableView<'a>>, row: usize) -> DbResult<bool> {
+        Ok(match self.eval(view, row)? {
             Value::Null => false,
             Value::Int(i) => i != 0,
             Value::Float(f) => f != 0.0,
@@ -175,6 +183,101 @@ impl Expr {
             }
             Expr::Not(a) | Expr::IsNull(a) => a.collect_columns(out),
         }
+    }
+
+    /// The rows of `view` the predicate holds for ([`Expr::eval_bool`]),
+    /// ascending. The predicate is bound to the view first, so an unknown
+    /// or ambiguous column reference is an error whatever the rows hold.
+    pub fn select(&self, view: TableView<'_>) -> DbResult<Vec<u32>> {
+        let bound = self.bind(view)?;
+        let mut selected = Vec::new();
+        for row in view.rows() {
+            if bound.matches(view, row)? {
+                selected.push(row as u32);
+            }
+        }
+        Ok(selected)
+    }
+
+    /// Resolves every column name, once, and sets each column-vs-literal
+    /// comparison up to run on the column's own storage.
+    fn bind<'a>(&'a self, view: TableView<'a>) -> DbResult<BoundExpr<'a>> {
+        if let Expr::Cmp(a, op, b) = self {
+            if let (Expr::Col(name), Expr::Lit(lit)) = (&**a, &**b) {
+                let column = view.table.column(view.resolve(name)?);
+                return Ok(match (column, lit.as_f64(), lit) {
+                    (Column::Int(v), Some(x), _) => BoundExpr::Int(v, *op, x),
+                    (Column::Float(v), Some(x), _) => BoundExpr::Float(v, *op, x),
+                    (Column::Str { dict, codes }, _, Value::Str(s)) => match op {
+                        CmpOp::Eq | CmpOp::Ne => {
+                            BoundExpr::StrCode(codes, dict.lookup(s), *op == CmpOp::Eq)
+                        }
+                        _ => BoundExpr::StrOrd(dict, codes, *op, s),
+                    },
+                    _ => BoundExpr::Never,
+                });
+            }
+        }
+        let bound = |e: &'a Expr| e.bind(view).map(Box::new);
+        Ok(match self {
+            Expr::And(a, b) => BoundExpr::And(bound(a)?, bound(b)?),
+            Expr::Or(a, b) => BoundExpr::Or(bound(a)?, bound(b)?),
+            Expr::Not(a) => BoundExpr::Not(bound(a)?),
+            // The interpreter runs every other node, once its column
+            // references are known to resolve.
+            _ => {
+                let mut names = Vec::new();
+                self.collect_columns(&mut names);
+                for name in &names {
+                    view.resolve(name)?;
+                }
+                BoundExpr::Interpreted(self)
+            }
+        })
+    }
+}
+
+/// A predicate bound to a [`TableView`] by [`Expr::bind`].
+enum BoundExpr<'a> {
+    /// Numeric column vs numeric literal, compared as `f64` — as
+    /// [`Value::partial_cmp_sql`] compares them.
+    Int(&'a [Option<i64>], CmpOp, f64),
+    Float(&'a [Option<f64>], CmpOp, f64),
+    /// String column `Eq` (`true`) / `Ne` a string literal, by dictionary
+    /// code; `None` when the dictionary does not hold the literal.
+    StrCode(&'a [Option<u32>], Option<u32>, bool),
+    /// String column ordered against a string literal, by dictionary entry.
+    StrOrd(&'a Dictionary, &'a [Option<u32>], CmpOp, &'a str),
+    /// A comparison no row satisfies: a number against a string, or a NULL
+    /// literal.
+    Never,
+    And(Box<BoundExpr<'a>>, Box<BoundExpr<'a>>),
+    Or(Box<BoundExpr<'a>>, Box<BoundExpr<'a>>),
+    Not(Box<BoundExpr<'a>>),
+    /// Everything else runs through [`Expr::eval`]'s interpreter.
+    Interpreted(&'a Expr),
+}
+
+impl BoundExpr<'_> {
+    /// [`Expr::eval_bool`] for row `row` of the underlying table.
+    fn matches(&self, view: TableView<'_>, row: usize) -> DbResult<bool> {
+        Ok(match self {
+            BoundExpr::Int(v, op, lit) => {
+                v[row].is_some_and(|x| op.holds((x as f64).partial_cmp(lit)))
+            }
+            BoundExpr::Float(v, op, lit) => v[row].is_some_and(|x| op.holds(x.partial_cmp(lit))),
+            BoundExpr::StrCode(codes, code, eq) => {
+                codes[row].is_some_and(|c| (Some(c) == *code) == *eq)
+            }
+            BoundExpr::StrOrd(dict, codes, op, lit) => {
+                codes[row].is_some_and(|c| op.holds(Some((**dict.value(c)).cmp(lit))))
+            }
+            BoundExpr::Never => false,
+            BoundExpr::And(a, b) => a.matches(view, row)? && b.matches(view, row)?,
+            BoundExpr::Or(a, b) => a.matches(view, row)? || b.matches(view, row)?,
+            BoundExpr::Not(a) => !a.matches(view, row)?,
+            BoundExpr::Interpreted(expr) => expr.eval_bool(view, row)?,
+        })
     }
 }
 

@@ -30,5 +30,5 @@ pub use query::{
     QueryResult,
 };
 pub use schema::{Database, ForeignKey, PathStep};
-pub use table::{Field, Table};
+pub use table::{Field, Table, TableView};
 pub use value::{DataType, Value};

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use crate::error::{DbError, DbResult};
-use crate::table::{Field, Table};
+use crate::table::{Field, Table, TableView};
 use crate::value::{DataType, Value};
 
 /// Aggregate functions supported by the SPJA executor.
@@ -107,31 +107,40 @@ impl AggState {
     }
 }
 
-/// Groups `table` by `group_by` columns and computes `aggs` per group.
+/// Groups a table — or the visible columns and selected rows of a
+/// [`TableView`] of one — by `group_by` columns and computes `aggs` per
+/// group. Each group sees its rows in ascending order, so float sums do
+/// not depend on how the rows were selected.
 ///
 /// Without group-by columns a single row is produced (even for an empty
 /// input, matching SQL's global aggregation semantics).
-pub fn aggregate(table: &Table, group_by: &[String], aggs: &[Agg]) -> DbResult<Table> {
+pub fn aggregate<'a>(
+    table: impl Into<TableView<'a>>,
+    group_by: &[String],
+    aggs: &[Agg],
+) -> DbResult<Table> {
     if aggs.is_empty() {
         return Err(DbError::InvalidQuery(
             "aggregation without aggregate functions".into(),
         ));
     }
+    let view = table.into();
+    let table = view.table;
     let group_idx: Vec<usize> = group_by
         .iter()
-        .map(|g| table.resolve(g))
+        .map(|g| view.resolve(g))
         .collect::<DbResult<_>>()?;
     let agg_idx: Vec<Option<usize>> = aggs
         .iter()
-        .map(|a| a.input_column().map(|c| table.resolve(c)).transpose())
+        .map(|a| a.input_column().map(|c| view.resolve(c)).transpose())
         .collect::<DbResult<_>>()?;
 
     // Group rows.
     let mut groups: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
     if group_idx.is_empty() {
-        groups.insert(Vec::new(), (0..table.n_rows()).collect());
+        groups.insert(Vec::new(), view.rows().collect());
     } else {
-        for r in 0..table.n_rows() {
+        for r in view.rows() {
             let key: Vec<Value> = group_idx.iter().map(|&c| table.value(r, c)).collect();
             groups.entry(key).or_default().push(r);
         }

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use crate::error::{DbError, DbResult};
 use crate::schema::Database;
-use crate::table::Table;
+use crate::table::{Table, TableView};
 
 use super::aggregate::aggregate;
 use super::join::hash_join;
@@ -82,22 +82,26 @@ pub fn execute(db: &Database, query: &Query) -> DbResult<QueryResult> {
 }
 
 /// Executes the filter/group/aggregate tail of `query` over an externally
-/// provided join result (e.g. a *completed* join produced by ReStore).
-pub fn execute_on_join(joined: &Table, query: &Query) -> DbResult<QueryResult> {
-    let filtered = match &query.filter {
-        Some(pred) => {
-            let mask = pred.eval_mask(joined)?;
-            joined.filter(&mask)
-        }
-        None => joined.clone(),
-    };
-    if query.aggregates.is_empty() {
-        return Ok(QueryResult {
-            table: filtered,
-            group_cols: query.group_by.len(),
-        });
+/// provided join result (e.g. a *completed* join produced by ReStore): a
+/// table, or a borrowed [`TableView`] of one. The filter narrows the
+/// view's row selection and aggregation reads through it, so nothing is
+/// copied but the result; a query without aggregates returns the filtered
+/// view as a table.
+pub fn execute_on_join<'a>(
+    joined: impl Into<TableView<'a>>,
+    query: &Query,
+) -> DbResult<QueryResult> {
+    let mut view = joined.into();
+    let selected;
+    if let Some(pred) = &query.filter {
+        selected = pred.select(view)?;
+        view.rows = Some(&selected);
     }
-    let table = aggregate(&filtered, &query.group_by, &query.aggregates)?;
+    let table = if query.aggregates.is_empty() {
+        view.materialize()
+    } else {
+        aggregate(view, &query.group_by, &query.aggregates)?
+    };
     Ok(QueryResult {
         table,
         group_cols: query.group_by.len(),
@@ -221,5 +225,43 @@ mod tests {
         let a = execute(&db, &q).unwrap();
         let b = execute_on_join(&joined, &q).unwrap();
         assert_eq!(a.groups(), b.groups());
+    }
+
+    /// A bad filter column is an error whatever the data: binding resolves
+    /// every reference before the first row, so neither an empty input nor
+    /// a short-circuiting `AND`/`OR` in front of it hides it.
+    #[test]
+    fn filter_columns_are_validated_before_the_first_row() {
+        let db = housing();
+        let joined = join_tables(&db, &["neighborhood".into(), "apartment".into()]).unwrap();
+        let nope = || Expr::col("nope").eq(Expr::lit(1i64));
+        let count = |filter: Expr| {
+            Query::new(["neighborhood", "apartment"])
+                .filter(filter)
+                .aggregate(Agg::CountStar)
+        };
+
+        let empty = joined.gather(&[]);
+        let err = execute_on_join(&empty, &count(nope())).unwrap_err();
+        assert!(matches!(err, DbError::UnknownColumn(_)), "{err:?}");
+
+        let never = Expr::col("rent").lt(Expr::lit(0.0));
+        let always = Expr::col("rent").gt(Expr::lit(0.0));
+        for hidden in [never.clone().and(nope()), always.clone().or(nope())] {
+            let err = execute_on_join(&joined, &count(hidden)).unwrap_err();
+            assert!(matches!(err, DbError::UnknownColumn(_)), "{err:?}");
+        }
+        // `id` is both neighborhood.id and apartment.id.
+        let ambiguous = never.and(Expr::col("id").eq(Expr::lit(1i64)));
+        let err = execute_on_join(&joined, &count(ambiguous)).unwrap_err();
+        assert!(matches!(err, DbError::AmbiguousColumn(_)), "{err:?}");
+        // The interpreter's nodes are checked too.
+        let arith = Expr::Arith(
+            Box::new(Expr::col("nope")),
+            crate::expr::ArithOp::Add,
+            Box::new(Expr::lit(1i64)),
+        );
+        let err = execute_on_join(&empty, &count(arith.gt(Expr::lit(0i64)))).unwrap_err();
+        assert!(matches!(err, DbError::UnknownColumn(_)), "{err:?}");
     }
 }

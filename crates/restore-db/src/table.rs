@@ -20,6 +20,38 @@ impl Field {
     }
 }
 
+/// [`Table::resolve`]'s rule over any subset of a table's fields; returns
+/// the position within `fields`.
+fn resolve_among<'f>(
+    table: &str,
+    fields: impl Iterator<Item = &'f Field> + Clone,
+    reference: &str,
+) -> DbResult<usize> {
+    if let Some(i) = fields.clone().position(|f| f.name == reference) {
+        return Ok(i);
+    }
+    let mut qualified = fields.clone().enumerate().filter(|(_, f)| {
+        f.name
+            .strip_suffix(reference)
+            .is_some_and(|table_part| table_part.ends_with('.'))
+    });
+    match (qualified.next(), qualified.next()) {
+        (Some((i, _)), None) => return Ok(i),
+        (Some(_), Some(_)) => return Err(DbError::AmbiguousColumn(reference.to_string())),
+        _ => {}
+    }
+    if let Some((table_part, col_part)) = reference.rsplit_once('.') {
+        if table_part == table {
+            if let Some(i) = fields.clone().position(|f| f.name == col_part) {
+                return Ok(i);
+            }
+        }
+    }
+    Err(DbError::UnknownColumn(format!(
+        "{reference} in table {table}"
+    )))
+}
+
 /// An in-memory table.
 #[derive(Clone, Debug)]
 pub struct Table {
@@ -109,33 +141,7 @@ impl Table {
     /// qualified reference (`price` matches reference `apartment.price`
     /// when this table is `apartment`). Ambiguity is an error.
     pub fn resolve(&self, reference: &str) -> DbResult<usize> {
-        if let Some(i) = self.fields.iter().position(|f| f.name == reference) {
-            return Ok(i);
-        }
-        let suffix = format!(".{reference}");
-        let matches: Vec<usize> = self
-            .fields
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.name.ends_with(&suffix))
-            .map(|(i, _)| i)
-            .collect();
-        match matches.len() {
-            1 => return Ok(matches[0]),
-            n if n > 1 => return Err(DbError::AmbiguousColumn(reference.to_string())),
-            _ => {}
-        }
-        if let Some((table_part, col_part)) = reference.rsplit_once('.') {
-            if table_part == self.name {
-                if let Some(i) = self.fields.iter().position(|f| f.name == col_part) {
-                    return Ok(i);
-                }
-            }
-        }
-        Err(DbError::UnknownColumn(format!(
-            "{reference} in table {}",
-            self.name
-        )))
+        resolve_among(&self.name, self.fields.iter(), reference)
     }
 
     pub fn column(&self, idx: usize) -> &Column {
@@ -287,6 +293,69 @@ impl Table {
             columns,
             n_rows: self.n_rows,
         })
+    }
+}
+
+/// A borrowed view of a table — what the filter/aggregate tail of a query
+/// runs over instead of a copy. `(&table).into()` views all of it.
+#[derive(Clone, Copy, Debug)]
+pub struct TableView<'a> {
+    pub table: &'a Table,
+    /// The visible columns, if not all: names resolve among these alone, so
+    /// a hidden column can neither shadow a visible one nor make a
+    /// reference ambiguous.
+    pub cols: Option<&'a [usize]>,
+    /// The selected rows, ascending, if not all.
+    pub rows: Option<&'a [u32]>,
+}
+
+impl<'a> From<&'a Table> for TableView<'a> {
+    fn from(table: &'a Table) -> Self {
+        Self {
+            table,
+            cols: None,
+            rows: None,
+        }
+    }
+}
+
+impl<'a> TableView<'a> {
+    /// The table's row indices in the view, ascending.
+    pub fn rows(&self) -> impl Iterator<Item = usize> + 'a {
+        let (selected, all) = match self.rows {
+            Some(rows) => (rows, 0..0),
+            None => (&[][..], 0..self.table.n_rows),
+        };
+        selected.iter().map(|&r| r as usize).chain(all)
+    }
+
+    /// [`Table::resolve`] among the visible columns; returns the index of
+    /// the column in the underlying table.
+    pub fn resolve(&self, reference: &str) -> DbResult<usize> {
+        let Some(cols) = self.cols else {
+            return self.table.resolve(reference);
+        };
+        let visible = cols.iter().map(|&c| &self.table.fields[c]);
+        resolve_among(&self.table.name, visible, reference).map(|i| cols[i])
+    }
+
+    /// Copies the view out as a table: the visible columns, the selected
+    /// rows (one gather per column).
+    pub fn materialize(&self) -> Table {
+        let table = self.table;
+        let rows: Option<Vec<usize>> = self.rows.map(|_| self.rows().collect());
+        let all: Vec<usize> = (0..table.n_cols()).collect();
+        let cols = self.cols.unwrap_or(&all);
+        let column = |&c: &usize| match &rows {
+            Some(rows) => table.columns[c].gather(rows),
+            None => table.columns[c].clone(),
+        };
+        Table {
+            name: table.name.clone(),
+            fields: cols.iter().map(|&c| table.fields[c].clone()).collect(),
+            columns: cols.iter().map(column).collect(),
+            n_rows: rows.as_ref().map_or(table.n_rows, Vec::len),
+        }
     }
 }
 

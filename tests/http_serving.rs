@@ -122,6 +122,28 @@ fn http_responses_are_byte_identical_to_direct_execution() {
     );
     let (status, _) = client.get("/v1/synthetic/query").expect("wrong method");
     assert_eq!(status, 405);
+    // A bad filter column is the same client error whether or not the data
+    // lets a short-circuit skip over it (no `tb.b` is "absent").
+    let bad_column = || Expr::col("nope").eq(Expr::lit(1i64));
+    let answers: Vec<(u16, String)> = [
+        bad_column(),
+        Expr::col("b").eq(Expr::lit("absent")).and(bad_column()),
+    ]
+    .into_iter()
+    .map(|filter| {
+        let query = Query::new(["ta", "tb"])
+            .filter(filter)
+            .aggregate(Agg::CountStar);
+        client
+            .post(
+                "/v1/synthetic/query",
+                &QueryRequest::new(query, 1).to_json(),
+            )
+            .expect("bad filter")
+    })
+    .collect();
+    assert_eq!(answers[0].0, 404, "{}", answers[0].1);
+    assert_eq!(answers[0], answers[1], "hidden behind a short-circuit");
     assert!(server.shutdown(), "drain");
 }
 

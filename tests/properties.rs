@@ -212,3 +212,208 @@ fn group_counts_partition_the_table() {
         assert_eq!(total as usize, keys.len(), "case {case}");
     }
 }
+
+/// Generators for the differential tests of the warm query tail: a random
+/// table over all three dtypes, predicate trees that reach every node kind
+/// of `BoundExpr` and its interpreter fallback, and aggregate lists.
+mod tail {
+    use super::*;
+    use restore::db::{Agg, ArithOp, CmpOp, DataType, Expr, Field, Query, Table, Value};
+
+    /// Columns of two "joined" tables `a` and `b` (`k` exists in both) plus
+    /// a bare column; only `a.i`, `b.s` and `g` are ever grouped on (no NaN).
+    pub const COLUMNS: [(&str, DataType); 7] = [
+        ("a.i", DataType::Int),
+        ("a.f", DataType::Float),
+        ("a.s", DataType::Str),
+        ("a.k", DataType::Int),
+        ("b.k", DataType::Int),
+        ("b.s", DataType::Str),
+        ("g", DataType::Int),
+    ];
+    const STRINGS: [&str; 4] = ["x", "y", "zz", "x y"];
+    const FLOATS: [f64; 6] = [0.0, -0.0, 0.5, 1.0, 2.0, f64::NAN];
+
+    pub fn table(rng: &mut StdRng) -> Table {
+        let fields = COLUMNS.iter().map(|(n, t)| Field::new(*n, *t)).collect();
+        let mut t = Table::new("t", fields);
+        for _ in 0..rng.random_range(0..40usize) {
+            let row: Vec<Value> = COLUMNS
+                .iter()
+                .map(|(_, dtype)| match (rng.random_range(0..6u32), dtype) {
+                    (0, _) => Value::Null,
+                    (_, DataType::Int) => Value::Int(rng.random_range(0..4i64)),
+                    (_, DataType::Float) => Value::Float(FLOATS[rng.random_range(0..6usize)]),
+                    (_, DataType::Str) => Value::str(STRINGS[rng.random_range(0..3usize)]),
+                })
+                .collect();
+            t.push_row(&row).unwrap();
+        }
+        t
+    }
+
+    /// A reference that resolves in the full table: qualified, or a bare
+    /// name only one column ends in.
+    fn column(rng: &mut StdRng) -> Expr {
+        const REFS: [&str; 9] = ["a.i", "a.f", "a.s", "a.k", "b.k", "b.s", "g", "i", "f"];
+        Expr::col(REFS[rng.random_range(0..REFS.len())])
+    }
+
+    /// Int and Float literals, strings in and absent from the dictionaries,
+    /// NaN and NULL.
+    fn literal(rng: &mut StdRng) -> Expr {
+        Expr::Lit(match rng.random_range(0..8u32) {
+            0 => Value::Null,
+            1 | 2 => Value::Int(rng.random_range(0..4i64)),
+            3 | 4 => Value::Float(FLOATS[rng.random_range(0..6usize)]),
+            _ => Value::str(STRINGS[rng.random_range(0..4usize)]),
+        })
+    }
+
+    fn cmp_op(rng: &mut StdRng) -> CmpOp {
+        use CmpOp::*;
+        [Eq, Ne, Lt, Le, Gt, Ge][rng.random_range(0..6usize)]
+    }
+
+    pub fn predicate(rng: &mut StdRng, depth: u32) -> Expr {
+        let cmp = |a: Expr, op, b: Expr| Expr::Cmp(Box::new(a), op, Box::new(b));
+        match rng.random_range(0..if depth == 0 { 6u32 } else { 10 }) {
+            0..=2 => cmp(column(rng), cmp_op(rng), literal(rng)),
+            3 => cmp(column(rng), cmp_op(rng), column(rng)),
+            4 => match rng.random_range(0..3u32) {
+                0 => cmp(literal(rng), cmp_op(rng), literal(rng)),
+                1 => Expr::IsNull(Box::new(column(rng))),
+                _ => column(rng),
+            },
+            5 => {
+                let op = [ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Div]
+                    [rng.random_range(0..4usize)];
+                let sum = Expr::Arith(Box::new(column(rng)), op, Box::new(literal(rng)));
+                cmp(sum, cmp_op(rng), literal(rng))
+            }
+            6 | 7 => predicate(rng, depth - 1).and(predicate(rng, depth - 1)),
+            8 => predicate(rng, depth - 1).or(predicate(rng, depth - 1)),
+            _ => predicate(rng, depth - 1).not(),
+        }
+    }
+
+    pub fn query(rng: &mut StdRng) -> Query {
+        let mut q = Query::new(["t"]);
+        if rng.random_range(0..4u32) > 0 {
+            q = q.filter(predicate(rng, 2));
+        }
+        for g in ["a.i", "b.s", "g"] {
+            if rng.random_range(0..3u32) == 0 {
+                q = q.group_by([g]);
+            }
+        }
+        for _ in 0..rng.random_range(0..4u32) {
+            q = q.aggregate(match rng.random_range(0..7u32) {
+                0 => Agg::CountStar,
+                1 => Agg::Count("a.s".into()),
+                2 => Agg::Sum("a.f".into()),
+                3 => Agg::Avg("a.i".into()),
+                4 => Agg::Min("b.s".into()),
+                5 => Agg::Max("a.f".into()),
+                _ => Agg::Sum("b.s".into()),
+            });
+        }
+        q
+    }
+
+    /// A random ascending subset of `0..n`.
+    pub fn selection(rng: &mut StdRng, n: usize) -> Vec<u32> {
+        (0..n as u32)
+            .filter(|_| rng.random_range(0..3u32) > 0)
+            .collect()
+    }
+}
+
+/// A bound predicate over a row selection picks exactly the rows the
+/// `Value` interpreter accepts, for every node kind and operand mix.
+#[test]
+fn bound_predicates_match_the_interpreter() {
+    use restore::db::TableView;
+    let mut rng = StdRng::seed_from_u64(0xa6);
+    for case in 0..40 * CASES {
+        let t = tail::table(&mut rng);
+        let pred = tail::predicate(&mut rng, 3);
+        let rows = tail::selection(&mut rng, t.n_rows());
+        let expect: Vec<u32> = rows
+            .iter()
+            .copied()
+            .filter(|&r| pred.eval_bool(&t, r as usize).unwrap())
+            .collect();
+        let view = TableView {
+            rows: Some(&rows),
+            ..(&t).into()
+        };
+        assert_eq!(pred.select(view).unwrap(), expect, "case {case}: {pred:?}");
+    }
+}
+
+/// The filter/aggregate tail over a row selection answers byte for byte
+/// what it answers over a gathered copy of those rows.
+#[test]
+fn tail_over_a_selection_matches_tail_over_a_copy() {
+    use restore::core::wire::query_response_json;
+    use restore::db::{execute_on_join, TableView};
+    let mut rng = StdRng::seed_from_u64(0xa7);
+    for case in 0..40 * CASES {
+        let t = tail::table(&mut rng);
+        let q = tail::query(&mut rng);
+        let rows = tail::selection(&mut rng, t.n_rows());
+        let view = TableView {
+            rows: Some(&rows),
+            ..(&t).into()
+        };
+        let copy = t.gather(&rows.iter().map(|&r| r as usize).collect::<Vec<_>>());
+        let body = |r| query_response_json(&r, None);
+        match (execute_on_join(view, &q), execute_on_join(&copy, &q)) {
+            (Ok(a), Ok(b)) => assert_eq!(body(a), body(b), "case {case}: {q:?}"),
+            (a, b) => assert_eq!(
+                format!("{:?}", a.err()),
+                format!("{:?}", b.err()),
+                "case {case}: {q:?}"
+            ),
+        }
+    }
+}
+
+/// Names resolve in a view with hidden columns exactly as in a projected
+/// copy of the visible ones — `AmbiguousColumn` / `UnknownColumn` included.
+#[test]
+fn hidden_columns_resolve_like_a_projection() {
+    use restore::db::TableView;
+    const REFS: [&str; 12] = [
+        "a.i", "i", "k", "a.k", "b.k", "s", "b.s", "g", "t.g", "t.k", "nope", "a.nope",
+    ];
+    let mut rng = StdRng::seed_from_u64(0xa8);
+    let t = tail::table(&mut rng);
+    for case in 0..CASES {
+        let mut visible: Vec<usize> = (0..t.n_cols())
+            .filter(|_| rng.random_range(0..2u32) == 0)
+            .collect();
+        // Views keep table order or not; resolution must not care.
+        if case % 2 == 1 {
+            visible.reverse();
+        }
+        let names: Vec<&str> = visible.iter().map(|&c| tail::COLUMNS[c].0).collect();
+        let projected = t.project(&names).unwrap();
+        let view = TableView {
+            cols: Some(&visible),
+            ..(&t).into()
+        };
+        for reference in REFS {
+            let in_view = view.resolve(reference).map(|c| &t.fields()[c].name);
+            let in_copy = projected
+                .resolve(reference)
+                .map(|c| &projected.fields()[c].name);
+            assert_eq!(
+                format!("{in_view:?}"),
+                format!("{in_copy:?}"),
+                "case {case}: {reference} among {names:?}"
+            );
+        }
+    }
+}

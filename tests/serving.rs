@@ -212,10 +212,9 @@ fn snapshot_serves_through_shared_reference() {
     assert!(ci.is_ok(), "confidence must serve from &self: {ci:?}");
 }
 
-/// A parent with two incomplete children → two distinct completion chains
-/// (`p→c1`, `p→c2`), so eviction under a one-entry budget is observable
-/// end-to-end.
-fn two_chain_restore(budget: usize, seed: u64) -> ReStore {
+/// A parent `p` with two children `c1`, `c2` (three each), rows removed
+/// from both children.
+fn two_children_db(seed: u64) -> restore::db::Database {
     use restore::db::{DataType, Database, Field, ForeignKey, Table, Value};
     let mut db = Database::new();
     let mut parent = Table::new(
@@ -273,11 +272,15 @@ fn two_chain_restore(budget: usize, seed: u64) -> ReStore {
     // Remove rows from c2 as well so both children need completion.
     let mut removal2 = RemovalConfig::new(BiasSpec::categorical("c2", "y"), 0.6, 0.3);
     removal2.seed = seed ^ 1;
-    let sc2 = apply_removal(&sc.incomplete, &removal2);
+    apply_removal(&sc.incomplete, &removal2).incomplete
+}
 
+/// Both children incomplete → two distinct completion chains (`p→c1`,
+/// `p→c2`), so eviction under a one-entry budget is observable end-to-end.
+fn two_chain_restore(budget: usize, seed: u64) -> ReStore {
     let mut cfg = quick_config();
     cfg.cache_budget_bytes = budget;
-    let mut rs = ReStore::new(sc2.incomplete, cfg);
+    let mut rs = ReStore::new(two_children_db(seed), cfg);
     rs.mark_incomplete("c1");
     rs.mark_incomplete("c2");
     rs
@@ -325,4 +328,286 @@ fn cache_budget_evicts_lru_end_to_end() {
     let a1_again = snap.execute(&q1, 1).unwrap().scalar().unwrap();
     assert_eq!(a1_again.to_bits(), a1.to_bits(), "resynthesis diverged");
     assert!(a2.is_finite());
+}
+
+/// The warm path as it was before queries ran in place, kept as the oracle
+/// of `Snapshot::execute`: the §4.4 projection copied into a table (the
+/// retired `Snapshot::project_completed`), the completed relation built
+/// cell by cell, and the materializing tail (mask → filtered copy →
+/// aggregate) on `Expr::eval_mask`.
+mod oracle {
+    use std::collections::HashSet;
+
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use restore::core::wire::query_response_json;
+    use restore::core::{CompletionOutput, Snapshot};
+    use restore::db::{aggregate, DataType, Query, QueryResult, Table, Value};
+
+    fn project_completed(out: &CompletionOutput, query_tables: &[String], seed: u64) -> Table {
+        let (chain, join) = (&out.tables, &out.join);
+        if chain.iter().all(|t| query_tables.contains(t)) {
+            return join.clone();
+        }
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37);
+        let in_query = |name: &str| {
+            query_tables
+                .iter()
+                .any(|q| name.starts_with(&format!("{q}.")))
+        };
+        let fields = join.fields().iter().map(|f| f.name.as_str());
+        let query_cols: Vec<&str> = fields.filter(|name| in_query(name)).collect();
+        let pivot = chain.iter().position(|t| query_tables.contains(t)).unwrap();
+        let key_cols: Vec<usize> = chain[pivot..]
+            .iter()
+            .filter(|t| query_tables.contains(t))
+            .filter_map(|t| join.resolve(&format!("{t}.id")).ok())
+            .collect();
+        if key_cols.is_empty() {
+            return join.project(&query_cols).unwrap();
+        }
+        let is_syn =
+            |r: usize| (0..chain.len()).any(|i| query_tables.contains(&chain[i]) && out.syn[i][r]);
+        let mut seen: HashSet<Vec<Value>> = HashSet::new();
+        let (mut real_rows, mut syn_rows) = (0usize, Vec::new());
+        let mut keep = vec![false; join.n_rows()];
+        for (r, keep) in keep.iter_mut().enumerate() {
+            let key: Vec<Value> = key_cols.iter().map(|&c| join.value(r, c)).collect();
+            if is_syn(r) {
+                syn_rows.push(r);
+            } else if key.iter().any(Value::is_null) {
+                *keep = true;
+            } else {
+                real_rows += 1;
+                *keep = seen.insert(key);
+            }
+        }
+        let p_keep = 1.0 / (real_rows as f64 / seen.len().max(1) as f64).max(1.0);
+        for r in syn_rows {
+            keep[r] = rng.random::<f64>() < p_keep;
+        }
+        join.filter(&keep).project(&query_cols).unwrap()
+    }
+
+    fn completed_table(snap: &Snapshot, out: &CompletionOutput, table: &str, seed: u64) -> Table {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x517e);
+        let base = snap.db().table(table).unwrap();
+        let (join, syn) = (&out.join, out.synthesized_for(table).unwrap());
+        let id = join.resolve(&format!("{table}.id")).unwrap();
+        let real_ids = (0..join.n_rows()).filter(|&r| !syn[r] && !join.value(r, id).is_null());
+        let distinct: HashSet<String> = real_ids
+            .clone()
+            .map(|r| join.value(r, id).to_string())
+            .collect();
+        let p_keep = 1.0 / (real_ids.count() as f64 / distinct.len().max(1) as f64).max(1.0);
+        let mut result = base.clone();
+        for r in (0..join.n_rows()).filter(|&r| syn[r]) {
+            if rng.random::<f64>() >= p_keep {
+                continue;
+            }
+            let cell = |f: &restore::db::Field| match join.resolve(&format!("{table}.{}", f.name)) {
+                Err(_) => Value::Null,
+                Ok(c) => match (join.value(r, c), f.dtype) {
+                    (Value::Float(x), DataType::Int) => Value::Int(x.round() as i64),
+                    (Value::Int(i), DataType::Float) => Value::Float(i as f64),
+                    (v, _) => v,
+                },
+            };
+            let row: Vec<Value> = base.fields().iter().map(cell).collect();
+            result.push_row(&row).unwrap();
+        }
+        result
+    }
+
+    /// The response body the old path gives `query` over the completion
+    /// `out` of the chain the snapshot serves it from.
+    pub fn body(snap: &Snapshot, out: &CompletionOutput, query: &Query, seed: u64) -> String {
+        let joined = match &query.tables[..] {
+            [table] => completed_table(snap, out, table, seed),
+            tables => project_completed(out, tables, seed),
+        };
+        let filtered = match &query.filter {
+            Some(pred) => joined.filter(&pred.eval_mask(&joined).unwrap()),
+            None => joined,
+        };
+        let table = match query.aggregates.is_empty() {
+            true => filtered,
+            false => aggregate(&filtered, &query.group_by, &query.aggregates).unwrap(),
+        };
+        let group_cols = query.group_by.len();
+        query_response_json(&QueryResult { table, group_cols }, None)
+    }
+}
+
+/// Asserts that `Snapshot::execute` over views of the cached join answers
+/// byte for byte what the copying path answered — on the call that builds
+/// a projection, on the next one, after the join was evicted and
+/// re-synthesized, from eight threads racing the first build, and from a
+/// saved→loaded snapshot. `shapes[0]` must be served from a chain with an
+/// extra evidence table; `rs` must have a one-byte cache, which keeps only
+/// the newest completion resident: every change of chain evicts. Returns
+/// the evictions of the sealed snapshot's cache.
+fn assert_matches_copying_oracle(mut rs: ReStore, shapes: &[Query], seed: u64) -> u64 {
+    use restore::core::wire::query_response_json;
+    for q in shapes {
+        rs.ensure_query_models(&q.tables, seed).expect("ensure");
+    }
+    let sealed = rs.seal(seed);
+    assert_eq!(sealed.config().cache_budget_bytes, 1);
+    let bytes = sealed.to_bytes();
+    let load = || Snapshot::from_bytes(&bytes).expect("load");
+    let body = |snap: &Snapshot, q: &Query, seed: u64| {
+        query_response_json(&snap.execute(q, seed).expect("execute"), None)
+    };
+
+    // The completion each shape is served from, out of a cache that has
+    // seen nothing else (synthesis is a function of serve seed and chain).
+    let outputs: Vec<_> = shapes
+        .iter()
+        .map(|q| {
+            let fresh = load();
+            fresh.execute(q, 0).expect("execute");
+            let (chain, out) = fresh.cached_completions().pop().expect("one completion");
+            assert!(q.tables.iter().all(|t| chain.contains(t)));
+            out
+        })
+        .collect();
+    assert!(
+        outputs[0].tables.len() > shapes[0].tables.len(),
+        "shape 0 must be served from a chain with an extra evidence table: {:?}",
+        outputs[0].tables
+    );
+
+    let loaded = load();
+    for round in 0..2 {
+        for (q, out) in shapes.iter().zip(&outputs) {
+            // First call (re-)synthesizes and builds the projection, the
+            // second finds both.
+            for seed in [1u64, 1, 2] {
+                let expect = oracle::body(&sealed, out, q, seed);
+                assert_eq!(body(&sealed, q, seed), expect, "round {round}: {q:?}");
+                assert_eq!(body(&loaded, q, seed), expect, "loaded, {round}: {q:?}");
+            }
+        }
+    }
+    // Eight threads race the first projection of a fresh join.
+    let racing = load();
+    let barrier = std::sync::Barrier::new(8);
+    let (q, out) = (&shapes[0], &outputs[0]);
+    std::thread::scope(|scope| {
+        for seed in 0..8u64 {
+            let (racing, barrier, sealed) = (&racing, &barrier, &sealed);
+            scope.spawn(move || {
+                barrier.wait();
+                assert_eq!(body(racing, q, seed), oracle::body(sealed, out, q, seed));
+            });
+        }
+    });
+    sealed.full_cache_stats().evictions
+}
+
+/// Housing: apartments completed from their neighborhood, which makes
+/// `neighborhood` an extra evidence table of `landlord ⋈ apartment`;
+/// filters on string and numeric columns, group-bys, queries without
+/// aggregates, single-table and join shapes.
+#[test]
+fn in_place_execution_matches_the_copying_oracle_on_housing() {
+    use restore::data::housing::{generate_housing, HousingConfig};
+    use restore::db::Expr;
+
+    let complete = generate_housing(&HousingConfig::scaled(0.1), 41);
+    let mut removal = RemovalConfig::new(BiasSpec::continuous("apartment", "price"), 0.4, 0.6);
+    removal.tf_keep_rate = 0.3;
+    removal.seed = 41;
+    let mut config = quick_config();
+    config.cache_budget_bytes = 1;
+    let mut rs = ReStore::new(apply_removal(&complete, &removal).incomplete, config);
+    rs.mark_incomplete("apartment");
+    rs.set_selected_path(
+        "apartment",
+        &["neighborhood".into(), "apartment".into()],
+        41,
+    )
+    .expect("train the forced path");
+
+    let entire = || Expr::col("room_type").eq(Expr::lit("Entire home/apt"));
+    let shapes = [
+        Query::new(["landlord", "apartment"])
+            .filter(entire())
+            .group_by(["landlord_since"])
+            .aggregate(Agg::Avg("price".into())),
+        Query::new(["neighborhood", "apartment"])
+            .group_by(["state"])
+            .aggregate(Agg::CountStar)
+            .aggregate(Agg::Avg("price".into())),
+        Query::new(["apartment"])
+            .filter(entire().and(Expr::col("property_type").eq(Expr::lit("House"))))
+            .group_by(["property_type"])
+            .aggregate(Agg::CountStar),
+        Query::new(["landlord", "apartment"])
+            .filter(Expr::col("accommodates").ge(Expr::lit(3i64)))
+            .aggregate(Agg::Sum("landlord_since".into())),
+        Query::new(["apartment"])
+            .filter(Expr::col("price").lt(Expr::lit(150.5)))
+            .aggregate(Agg::Sum("price".into())),
+        Query::new(["landlord", "apartment"]).filter(
+            Expr::col("property_type")
+                .ne(Expr::lit("no such type"))
+                .not(),
+        ),
+        Query::new(["landlord", "apartment"]).filter(Expr::col("accommodates").gt(Expr::lit(5.5))),
+    ];
+    let evictions = assert_matches_copying_oracle(rs, &shapes, 41);
+    assert!(evictions >= 2, "two chains must have evicted each other");
+}
+
+/// `c1` completed along `c2 → p → c1`: every `(p, c1)` pair appears once
+/// per `c2` sibling, so the §4.4 projection of `p ⋈ c1` de-duplicates real
+/// rows and thins synthesized ones with the query seed, and the hidden
+/// `c2.p_id` would make the filter column `p_id` ambiguous.
+#[test]
+fn in_place_execution_matches_the_copying_oracle_under_thinning() {
+    use restore::core::wire::query_response_json;
+    use restore::db::Expr;
+
+    let mut config = quick_config();
+    config.cache_budget_bytes = 1;
+    let mut rs = ReStore::new(two_children_db(43), config);
+    rs.mark_incomplete("c1");
+    let path = ["c2", "p", "c1"].map(String::from);
+    rs.set_selected_path("c1", &path, 43)
+        .expect("train the forced path");
+
+    let shapes = [
+        Query::new(["p", "c1"])
+            .filter(Expr::col("a").ne(Expr::lit("a0")))
+            .group_by(["x"])
+            .aggregate(Agg::CountStar),
+        Query::new(["c1"]).group_by(["x"]).aggregate(Agg::CountStar),
+        Query::new(["p", "c1"])
+            .filter(Expr::col("p_id").lt(Expr::lit(40i64)))
+            .group_by(["a"])
+            .aggregate(Agg::CountStar),
+        Query::new(["p", "c1"])
+            .filter(
+                Expr::col("a")
+                    .eq(Expr::lit("a1"))
+                    .or(Expr::col("x").gt(Expr::lit("x2"))),
+            )
+            .aggregate(Agg::Sum("c1.id".into())),
+        Query::new(["c2", "p", "c1"])
+            .group_by(["y"])
+            .aggregate(Agg::CountStar),
+        Query::new(["c1"])
+            .filter(Expr::col("x").ne(Expr::lit("x0")))
+            .aggregate(Agg::CountStar),
+        Query::new(["p", "c1"]).filter(Expr::col("a").eq(Expr::lit("a3"))),
+    ];
+    // The seed matters here: the draws of the thinning decide the answer.
+    let probe = rs.seal(43);
+    let count = |q: &Query, seed| query_response_json(&probe.execute(q, seed).unwrap(), None);
+    for q in &shapes[..2] {
+        assert!((2..6).any(|seed| count(q, seed) != count(q, 1)), "{q:?}");
+    }
+    assert_matches_copying_oracle(rs, &shapes, 43);
 }
