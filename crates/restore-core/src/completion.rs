@@ -268,7 +268,9 @@ impl Projection {
 /// (attr-major, row-aligned). Cell values are never rewritten by the walk —
 /// rows are only gathered, duplicated, and unioned — so cached tokens move
 /// with their rows, and a step re-encodes only what it changed: the tuple
-/// factor it resolved and the columns of the table it just joined.
+/// factor it resolved and the columns of the table it just joined. Tokens
+/// exist for the next sampling step to read; the path's last step has no
+/// reader, encodes nothing it adds and leaves `enc` empty.
 struct Working {
     table: Table,
     syn: Vec<Vec<bool>>,
@@ -276,31 +278,34 @@ struct Working {
     enc: Vec<Vec<u32>>,
 }
 
+/// Rows `idx` of each column; a column nothing has filled yet stays empty.
+fn gather_cols<T: Copy>(cols: &[Vec<T>], idx: &[usize]) -> Vec<Vec<T>> {
+    let rows = |col: &Vec<T>| {
+        if col.is_empty() {
+            Vec::new()
+        } else {
+            idx.iter().map(|&i| col[i]).collect()
+        }
+    };
+    cols.iter().map(rows).collect()
+}
+
+/// Whether nothing samples after step `step_idx` of the model's path, so the
+/// tokens of what it adds to the working join would have no reader.
+fn is_last_step(model: &CompletionModel, step_idx: usize) -> bool {
+    step_idx + 1 == model.path().steps().len()
+}
+
 impl Working {
-    fn gather(&self, idx: &[usize]) -> Working {
+    /// Rows `idx` of the provenance arrays — and of the tokens, if somebody
+    /// will read them — around `table`, which holds those rows already.
+    fn gather(&self, idx: &[usize], table: Table, with_enc: bool) -> Working {
+        let enc = if with_enc { &self.enc[..] } else { &[] };
         Working {
-            table: self.table.gather(idx),
-            syn: self
-                .syn
-                .iter()
-                .map(|f| idx.iter().map(|&i| f[i]).collect())
-                .collect(),
-            tf: self
-                .tf
-                .iter()
-                .map(|f| {
-                    if f.is_empty() {
-                        Vec::new()
-                    } else {
-                        idx.iter().map(|&i| f[i]).collect()
-                    }
-                })
-                .collect(),
-            enc: self
-                .enc
-                .iter()
-                .map(|c| idx.iter().map(|&i| c[i]).collect())
-                .collect(),
+            table,
+            syn: gather_cols(&self.syn, idx),
+            tf: gather_cols(&self.tf, idx),
+            enc: gather_cols(enc, idx),
         }
     }
 
@@ -322,7 +327,7 @@ impl Working {
     /// and tuple factors — called after a step changes what they encode.
     fn refresh_enc(&mut self, model: &CompletionModel, range: std::ops::Range<usize>) {
         for a in range {
-            self.enc[a] = model.encode_attr_column(&self.table, &self.tf, a);
+            self.enc[a] = model.encode_attr_column(&self.table, &self.tf, a, None);
         }
     }
 
@@ -397,7 +402,7 @@ impl<'a> Completer<'a> {
         for (i, step) in path.steps().iter().enumerate() {
             let next_name = path.tables()[i + 1].clone();
             let t_next = self.db.table(&next_name)?;
-            let last = i + 1 == path.tables().len() - 1;
+            let last = is_last_step(model, i);
             // Synthesized tuples of complete tables must be replaced to
             // comply with the annotation; tuples that feed further joins
             // need real foreign keys (§4.2–§4.3).
@@ -511,29 +516,23 @@ impl<'a> Completer<'a> {
         sessions: &mut [InferenceSession],
     ) -> CoreResult<Working> {
         let step = &model.path().steps()[step_idx];
+        let last = is_last_step(model, step_idx);
         let parent_key_ref = format!("{}.{}", step.fk.parent, step.fk.parent_col);
-        let child_key = t_next.resolve(&step.fk.child_col)?;
         let n = w.table.n_rows();
 
-        // Existing partner counts per working row (NULL keys have none).
-        let mut counts: HashMap<Value, i64> = HashMap::new();
-        for r in 0..t_next.n_rows() {
-            let k = t_next.value(r, child_key);
-            if !k.is_null() {
-                *counts.entry(k).or_insert(0) += 1;
-            }
+        // Existing partners: plain incompleteness-free join, which also
+        // counts them per working row (NULL keys have none).
+        let jout = hash_join(
+            &w.table,
+            &parent_key_ref,
+            t_next,
+            &step.fk.child_col,
+            "join",
+        )?;
+        let mut existing = vec![0i64; n];
+        for &l in &jout.left_indices {
+            existing[l] += 1;
         }
-        let pk_idx = w.table.resolve(&parent_key_ref)?;
-        let existing: Vec<i64> = (0..n)
-            .map(|r| {
-                let k = w.table.value(r, pk_idx);
-                if k.is_null() {
-                    0
-                } else {
-                    counts.get(&k).copied().unwrap_or(0)
-                }
-            })
-            .collect();
 
         // Known tuple factors from the __tf metadata column, if present.
         let tf_ref = format!(
@@ -586,26 +585,20 @@ impl<'a> Completer<'a> {
             .map(|r| (tf_final[r] - existing[r]).clamp(0, self.cfg.max_missing_per_row))
             .collect();
 
-        // Existing partners: plain incompleteness-free join.
-        let jout = hash_join(
-            &w.table,
-            &parent_key_ref,
-            t_next,
-            &step.fk.child_col,
-            "join",
-        )?;
-        let mut w_inc = w.gather(&jout.left_indices);
-        w_inc.table = jout.table;
-        w_inc.syn.push(vec![false; w_inc.table.n_rows()]);
+        let mut w_inc = w.gather(&jout.left_indices, jout.table, !last);
+        w_inc.syn.push(vec![false; jout.left_indices.len()]);
         w_inc.tf[step_idx] = jout
             .left_indices
             .iter()
             .map(|&l| Some(tf_final[l]))
             .collect();
-        // The join resolved this step's tuple factor and brought t_next's
-        // real columns into the working join — re-encode exactly those.
-        w_inc.refresh_tf_enc(model, step_idx);
-        w_inc.refresh_enc(model, model.table_attr_range(step_idx + 1));
+        if !last {
+            // The join resolved this step's tuple factor and brought
+            // t_next's real columns into the working join — re-encode
+            // exactly those, for the next step to sample from.
+            w_inc.refresh_tf_enc(model, step_idx);
+            w_inc.refresh_enc(model, model.table_attr_range(step_idx + 1));
+        }
 
         // Synthesized partners: duplicate each evidence row `missing` times.
         let mut dup_idx = Vec::new();
@@ -614,26 +607,11 @@ impl<'a> Completer<'a> {
                 dup_idx.push(r);
             }
         }
-        let mut w_syn = w.gather(&dup_idx);
+        let mut w_syn = w.gather(&dup_idx, w.table.gather(&dup_idx), true);
         w_syn.tf[step_idx] = dup_idx.iter().map(|&r| Some(tf_final[r])).collect();
         // Sampling below conditions on the resolved tuple factor.
         w_syn.refresh_tf_enc(model, step_idx);
-        let rows: Vec<usize> = (0..w_syn.table.n_rows()).collect();
-        let block = self.synthesize_block(
-            model,
-            &w_syn,
-            step_idx + 1,
-            t_next,
-            &rows,
-            replace,
-            col_seed,
-            sessions,
-        )?;
-        w_syn.table = w_syn.table.hstack(&block, "join")?;
-        w_syn.syn.push(vec![true; dup_idx.len()]);
-        w_syn.refresh_enc(model, model.table_attr_range(step_idx + 1));
-
-        w_inc.union(w_syn)
+        w_inc.union(self.synthesize(model, w_syn, step_idx, t_next, replace, col_seed, sessions)?)
     }
 
     /// n:1 step: every working row without a partner gets one synthesized.
@@ -649,6 +627,7 @@ impl<'a> Completer<'a> {
         sessions: &mut [InferenceSession],
     ) -> CoreResult<Working> {
         let step = &model.path().steps()[step_idx];
+        let last = is_last_step(model, step_idx);
         let child_key_ref = format!("{}.{}", step.fk.child, step.fk.child_col);
         let jout = hash_join(
             &w.table,
@@ -657,37 +636,52 @@ impl<'a> Completer<'a> {
             &step.fk.parent_col,
             "join",
         )?;
-        let unmatched = jout.unmatched_left.clone();
 
-        let mut w_inc = w.gather(&jout.left_indices);
-        w_inc.table = jout.table;
-        w_inc.syn.push(vec![false; w_inc.table.n_rows()]);
-        w_inc.refresh_enc(model, model.table_attr_range(step_idx + 1));
+        let mut w_inc = w.gather(&jout.left_indices, jout.table, !last);
+        w_inc.syn.push(vec![false; jout.left_indices.len()]);
+        if !last {
+            w_inc.refresh_enc(model, model.table_attr_range(step_idx + 1));
+        }
 
-        let mut w_syn = w.gather(&unmatched);
-        let rows: Vec<usize> = (0..w_syn.table.n_rows()).collect();
-        let block = self.synthesize_block(
-            model,
-            &w_syn,
-            step_idx + 1,
-            t_next,
-            &rows,
-            replace,
-            col_seed,
-            sessions,
-        )?;
-        w_syn.table = w_syn.table.hstack(&block, "join")?;
-        w_syn.syn.push(vec![true; unmatched.len()]);
-        w_syn.refresh_enc(model, model.table_attr_range(step_idx + 1));
-
-        w_inc.union(w_syn)
+        let unmatched = &jout.unmatched_left;
+        let w_syn = w.gather(unmatched, w.table.gather(unmatched), true);
+        w_inc.union(self.synthesize(model, w_syn, step_idx, t_next, replace, col_seed, sessions)?)
     }
 
-    /// Samples the modeled columns of path table `table_idx` for the given
-    /// working rows — in parallel batches of `batch_size` rows, one no-grad
-    /// forward pass per attribute per batch — optionally replacing each
-    /// synthesized tuple with its nearest real neighbor, and returns the
-    /// qualified column block.
+    /// Gives every row of `w_syn` a synthesized `t_next` tuple: stacks the
+    /// sampled block beside the evidence, flags it, and — unless this is
+    /// the path's last step — encodes it from the values it ended up with
+    /// (replacement swaps them for a real neighbour's; dtype coercion
+    /// rounds bin means).
+    #[allow(clippy::too_many_arguments)]
+    fn synthesize(
+        &self,
+        model: &CompletionModel,
+        mut w_syn: Working,
+        step_idx: usize,
+        t_next: &Table,
+        replace: bool,
+        col_seed: u64,
+        sessions: &mut [InferenceSession],
+    ) -> CoreResult<Working> {
+        let table_idx = step_idx + 1;
+        let block = self.synthesize_block(
+            model, &w_syn, table_idx, t_next, replace, col_seed, sessions,
+        )?;
+        w_syn.syn.push(vec![true; block.n_rows()]);
+        w_syn.table = w_syn.table.hstack(block, "join")?;
+        if !is_last_step(model, step_idx) {
+            w_syn.refresh_enc(model, model.table_attr_range(table_idx));
+        }
+        Ok(w_syn)
+    }
+
+    /// Samples the modeled columns of path table `table_idx` for every row
+    /// of the working join — in parallel batches of `batch_size` rows, one
+    /// no-grad forward pass per attribute per batch — optionally replacing
+    /// each synthesized tuple with its nearest real neighbor, and returns
+    /// the qualified column block. The block is assembled from tokens: one
+    /// decoded value per token, the sampled tokens pick among them.
     #[allow(clippy::too_many_arguments)]
     fn synthesize_block(
         &self,
@@ -695,36 +689,12 @@ impl<'a> Completer<'a> {
         w: &Working,
         table_idx: usize,
         t_next: &Table,
-        rows: &[usize],
         replace: bool,
         seed: u64,
         sessions: &mut [InferenceSession],
     ) -> CoreResult<Table> {
-        let sampled = if rows.is_empty() {
-            Vec::new()
-        } else {
-            let encoded = w.encoded(model);
-            let batches = self.sample_batches(sessions, rows, seed, |session, chunk, rng| {
-                model.sample_table_columns_encoded_in(
-                    session, &w.table, encoded, table_idx, chunk, rng,
-                )
-            })?;
-            // Column-wise concatenation of the per-batch blocks.
-            let mut merged: Vec<Vec<Value>> = Vec::new();
-            for block in batches {
-                if merged.is_empty() {
-                    merged = block;
-                } else {
-                    for (col, part) in merged.iter_mut().zip(block) {
-                        col.extend(part);
-                    }
-                }
-            }
-            merged
-        };
-
-        let attr_range = model.table_attr_range(table_idx);
-        let modeled: Vec<(&str, &AttrEncoder)> = model.attrs()[attr_range.clone()]
+        let n = w.table.n_rows();
+        let modeled: Vec<(&str, &AttrEncoder)> = model.attrs()[model.table_attr_range(table_idx)]
             .iter()
             .map(|a| match &a.kind {
                 AttrKind::Column { column, .. } => (column.as_str(), &a.encoder),
@@ -732,67 +702,62 @@ impl<'a> Completer<'a> {
             })
             .collect();
 
-        // Map of modeled column name → sampled values.
-        let mut by_col: HashMap<&str, Vec<Value>> = HashMap::new();
-        for ((name, _), vals) in modeled.iter().zip(sampled) {
-            by_col.insert(name, vals);
+        // Sampled token columns, the per-batch blocks concatenated.
+        let mut sampled: Vec<Vec<u32>> = vec![Vec::with_capacity(n); modeled.len()];
+        if n > 0 {
+            let rows: Vec<usize> = (0..n).collect();
+            let encoded = w.encoded(model);
+            let batches = self.sample_batches(sessions, &rows, seed, |session, chunk, rng| {
+                model.sample_table_tokens_in(session, &w.table, encoded, table_idx, chunk, rng)
+            })?;
+            for block in batches {
+                for (col, part) in sampled.iter_mut().zip(block) {
+                    col.extend(part);
+                }
+            }
         }
 
         // Euclidean replacement (Fig. 3): swap synthesized tuples for their
         // nearest real neighbors so keys become real.
         let mut replacement_rows: Option<Vec<usize>> = None;
-        if replace && t_next.n_rows() > 0 && !rows.is_empty() && !modeled.is_empty() {
+        if replace && t_next.n_rows() > 0 && n > 0 && !modeled.is_empty() {
+            // What each token of each modeled attribute decodes to.
+            let decoded: Vec<Vec<Value>> = modeled
+                .iter()
+                .map(|(_, enc)| {
+                    (0..enc.model_cardinality() as u32)
+                        .map(|t| enc.decode(t))
+                        .collect()
+                })
+                .collect();
             let featurizer = Featurizer::fit(t_next, &modeled)?;
             let points = featurizer.features_of_table(t_next)?;
             let index = AnnIndex::build(points, self.cfg.ann_bits, self.cfg.ann_tables, 0xa11);
-            let queries: Vec<Vec<f32>> = (0..rows.len())
+            let queries: Vec<Vec<f32>> = (0..n)
                 .map(|i| {
-                    let vals: Vec<&Value> =
-                        modeled.iter().map(|(name, _)| &by_col[name][i]).collect();
+                    let vals: Vec<&Value> = (decoded.iter().zip(&sampled))
+                        .map(|(values, tokens)| &values[tokens[i] as usize])
+                        .collect();
                     featurizer.features_of_values(&vals)
                 })
                 .collect();
             replacement_rows = Some(index.nearest_batch(&queries));
         }
 
-        // Assemble the block with t_next's full (qualified) schema.
-        let qualified = t_next.qualified();
-        let mut columns: Vec<Column> = Vec::with_capacity(qualified.n_cols());
-        for (fi, field) in qualified.fields().iter().enumerate() {
+        // Assemble the block with t_next's full schema.
+        let mut columns: Vec<Column> = Vec::with_capacity(t_next.n_cols());
+        for (fi, field) in t_next.fields().iter().enumerate() {
             let base = field.name.rsplit('.').next().unwrap_or(&field.name);
-            let mut col = Column::with_capacity(field.dtype, rows.len());
-            match &replacement_rows {
-                Some(repl) => {
-                    for &r in repl {
-                        col.push(&t_next.value(r, fi))?;
-                    }
-                }
-                None => {
-                    if let Some(vals) = by_col.get(base) {
-                        for v in vals.iter() {
-                            col.push(&coerce(v, field.dtype))?;
-                        }
-                    } else {
-                        // Keys / metadata of synthesized tuples stay NULL.
-                        for _ in 0..rows.len() {
-                            col.push(&Value::Null)?;
-                        }
-                    }
-                }
-            }
-            columns.push(col);
+            let modeled_at = modeled.iter().position(|(name, _)| *name == base);
+            columns.push(match (&replacement_rows, modeled_at) {
+                (Some(repl), _) => t_next.column(fi).gather_compact(repl),
+                (None, Some(m)) => modeled[m].1.decode_column(&sampled[m], field.dtype)?,
+                // Keys / metadata of synthesized tuples stay NULL.
+                (None, None) => Column::nulls(field.dtype, n),
+            });
         }
-        Table::from_columns("block", qualified.fields().to_vec(), columns).map_err(CoreError::from)
-    }
-}
-
-/// Coerces a sampled value into the column dtype (bin means are floats even
-/// for integer columns).
-pub(crate) fn coerce(v: &Value, dtype: restore_db::DataType) -> Value {
-    match (v, dtype) {
-        (Value::Float(f), restore_db::DataType::Int) => Value::Int(f.round() as i64),
-        (Value::Int(i), restore_db::DataType::Float) => Value::Float(*i as f64),
-        _ => v.clone(),
+        let block = Table::from_columns(t_next.name(), t_next.fields().to_vec(), columns)?;
+        Ok(block.into_qualified())
     }
 }
 

@@ -4,10 +4,13 @@
 //! to yield confidence intervals for COUNT / AVG / SUM aggregates over
 //! completed data.
 
+use std::collections::HashMap;
+
 use restore_db::{Database, Value};
 use restore_nn::kl_divergence;
 
 use crate::completion::CompletionOutput;
+use crate::encoding::AttrEncoder;
 use crate::error::{CoreError, CoreResult};
 use crate::model::CompletionModel;
 
@@ -44,13 +47,17 @@ fn certainty(dist: &[f32], marginal: &[f32]) -> f32 {
 }
 
 /// Computes the §6 confidence interval for an aggregate over a completed
-/// join. `level` is the confidence level (e.g. 0.95).
+/// join. `level` is the confidence level (e.g. 0.95); `batch_size` is how
+/// many synthesized rows the model evaluates per pass
+/// ([`CompleterConfig::batch_size`](crate::completion::CompleterConfig::batch_size)
+/// — it moves memory and time, never the interval).
 pub fn confidence_interval(
     model: &CompletionModel,
     db: &Database,
     output: &CompletionOutput,
     query: &ConfidenceQuery,
     level: f64,
+    batch_size: usize,
 ) -> CoreResult<ConfidenceInterval> {
     let (table, column) = match query {
         ConfidenceQuery::CountFraction { table, column, .. }
@@ -60,99 +67,89 @@ pub fn confidence_interval(
     let attr_idx = model
         .attr_index(table, column)
         .ok_or_else(|| CoreError::Invalid(format!("{table}.{column} is not a model attribute")))?;
-    let attr = &model.attrs()[attr_idx];
+    let encoder = &model.attrs()[attr_idx].encoder;
     let syn_flags = output
         .synthesized_for(table)
         .ok_or_else(|| CoreError::Invalid(format!("{table} is not on the completed path")))?;
 
     let join = &output.join;
-    let col_idx = join.resolve(&format!("{table}.{column}"))?;
+    let cells = join.column(join.resolve(&format!("{table}.{column}"))?);
     let n = join.n_rows();
-    let syn_rows: Vec<usize> = (0..n).filter(|&r| syn_flags[r]).collect();
-    let real_rows: Vec<usize> = (0..n).filter(|&r| !syn_flags[r]).collect();
+    let (syn_rows, real_rows): (Vec<usize>, Vec<usize>) = (0..n).partition(|&r| syn_flags[r]);
 
-    // Model conditionals for synthesized rows + training marginal.
-    let dists = if syn_rows.is_empty() {
-        Vec::new()
-    } else {
-        model.conditional_dist(join, &output.tf, attr_idx, &syn_rows)?
-    };
-    let marginal = model.training_marginal(db, attr_idx)?;
-
-    match query {
+    // Per aggregate: what the real rows contribute and how many of them
+    // count, the pessimistic bounds a synthesized row falls back to
+    // (P_lower / P_upper), and what each token is worth — a row's value
+    // under the model is its conditional's expectation of that (for a
+    // count: of the indicator of the target token, i.e. its probability).
+    let tokens = 0..encoder.cardinality() as u32;
+    let (existing, counted, (bound_lo, bound_hi), worth): (f64, usize, _, Vec<f64>) = match query {
         ConfidenceQuery::CountFraction { value, .. } => {
-            let target_tok = attr.encoder.encode(&Value::str(value.clone())).or_else(|| {
+            let target_tok = encoder.encode(&Value::str(value)).or_else(|| {
                 // Numeric categorical values arrive as strings too.
-                value
-                    .parse::<f64>()
-                    .ok()
-                    .and_then(|f| attr.encoder.encode(&Value::Float(f)))
+                let number = value.parse::<f64>().ok()?;
+                encoder.encode(&Value::Float(number))
             });
-            let existing = real_rows
-                .iter()
-                .filter(|&&r| join.value(r, col_idx).to_string() == *value)
-                .count() as f64;
-            let (p_hi, p_lo) = (level, 1.0 - level);
-            let mut lo = existing;
-            let mut hi = existing;
-            let mut est = existing;
-            for d in &dists {
-                let p_model =
-                    target_tok.map_or(0.0, |t| d.get(t as usize).copied().unwrap_or(0.0)) as f64;
-                let c = certainty(d, &marginal) as f64;
-                lo += c * p_model + (1.0 - c) * p_lo;
-                hi += c * p_model + (1.0 - c) * p_hi;
-                est += p_model;
-            }
-            let total = n.max(1) as f64;
-            Ok(ConfidenceInterval {
-                lo: lo / total,
-                hi: hi / total,
-                estimate: est / total,
-                theoretical: Some((existing / total, (existing + syn_rows.len() as f64) / total)),
-            })
+            // A real cell holds the value when it prints as it — the rule
+            // dictionaries match by — so a one-key dictionary finds the
+            // cells: one comparison per distinct string or number, not one
+            // `to_string()` per row.
+            let holds = AttrEncoder::Categorical {
+                values: vec![Value::str(value)],
+                index: HashMap::from([(value.clone(), 0)]),
+            };
+            let held = holds.encode_column(cells, Some(&real_rows));
+            let existing = held.iter().filter(|&&token| token == 0).count();
+            let is_target = tokens.map(|t| f64::from(Some(t) == target_tok));
+            (
+                existing as f64,
+                0,
+                (1.0 - level, level),
+                is_target.collect(),
+            )
         }
         ConfidenceQuery::Avg { .. } | ConfidenceQuery::Sum { .. } => {
-            // Pessimistic bound values: the level-quantiles of the training
-            // data (P_lower / P_upper concentrated on extreme values).
-            let (q_lo, q_hi) = training_quantiles(db, table, column, 1.0 - level, level)?;
-            let mut sum_lo = 0.0;
-            let mut sum_hi = 0.0;
-            let mut sum_est = 0.0;
-            let mut count = 0usize;
-            for &r in &real_rows {
-                if let Some(x) = join.value(r, col_idx).as_f64() {
-                    sum_lo += x;
-                    sum_hi += x;
-                    sum_est += x;
-                    count += 1;
-                }
-            }
-            for d in &dists {
-                let e_model: f64 = d
-                    .iter()
-                    .enumerate()
-                    .map(|(t, &p)| p as f64 * attr.encoder.token_numeric(t as u32).unwrap_or(0.0))
-                    .sum();
-                let c = certainty(d, &marginal) as f64;
-                sum_lo += c * e_model + (1.0 - c) * q_lo;
-                sum_hi += c * e_model + (1.0 - c) * q_hi;
-                sum_est += e_model;
-                count += 1;
-            }
-            let count = count.max(1) as f64;
-            let (lo, hi, est) = match query {
-                ConfidenceQuery::Avg { .. } => (sum_lo / count, sum_hi / count, sum_est / count),
-                _ => (sum_lo, sum_hi, sum_est),
-            };
-            Ok(ConfidenceInterval {
-                lo,
-                hi,
-                estimate: est,
-                theoretical: None,
-            })
+            // The level-quantiles of the training data: P_lower / P_upper
+            // concentrated on extreme values.
+            let bounds = training_quantiles(db, table, column, 1.0 - level, level)?;
+            let known = real_rows.iter().filter_map(|&r| cells.get(r).as_f64());
+            let known: Vec<f64> = known.filter(|x| !x.is_nan()).collect();
+            let sum = known.iter().fold(0.0, |sum, x| sum + x);
+            let numeric = tokens.map(|t| encoder.token_numeric(t).unwrap_or(0.0));
+            (sum, known.len(), bounds, numeric.collect())
         }
-    }
+    };
+
+    // Model conditionals of the synthesized rows against the training
+    // marginal, in row order.
+    let marginal = model.training_marginal(db, attr_idx)?;
+    let (mut lo, mut hi, mut estimate) = (existing, existing, existing);
+    let accumulate = |d: &[f32]| {
+        let value: f64 = d.iter().zip(&worth).map(|(&p, w)| p as f64 * w).sum();
+        let c = certainty(d, &marginal) as f64;
+        lo += c * value + (1.0 - c) * bound_lo;
+        hi += c * value + (1.0 - c) * bound_hi;
+        estimate += value;
+    };
+    model.conditional_dists(
+        join, &output.tf, attr_idx, &syn_rows, batch_size, accumulate,
+    )?;
+
+    let (per, theoretical) = match query {
+        ConfidenceQuery::CountFraction { .. } => {
+            let total = n.max(1) as f64;
+            let all = existing + syn_rows.len() as f64;
+            (total, Some((existing / total, all / total)))
+        }
+        ConfidenceQuery::Avg { .. } => ((counted + syn_rows.len()).max(1) as f64, None),
+        ConfidenceQuery::Sum { .. } => (1.0, None),
+    };
+    Ok(ConfidenceInterval {
+        lo: lo / per,
+        hi: hi / per,
+        estimate: estimate / per,
+        theoretical,
+    })
 }
 
 /// Quantiles of the available (incomplete) data for a numeric column.
@@ -165,11 +162,12 @@ fn training_quantiles(
 ) -> CoreResult<(f64, f64)> {
     let t = db.table(table)?;
     let col = t.column_by_name(column)?;
-    let mut vals: Vec<f64> = (0..col.len()).filter_map(|r| col.get(r).as_f64()).collect();
+    let vals = (0..col.len()).filter_map(|r| col.get(r).as_f64());
+    let mut vals: Vec<f64> = vals.filter(|x| !x.is_nan()).collect();
     if vals.is_empty() {
         return Ok((0.0, 0.0));
     }
-    vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    vals.sort_by(f64::total_cmp);
     let pick = |q: f64| {
         let i = ((vals.len() - 1) as f64 * q).round() as usize;
         vals[i]
@@ -233,7 +231,7 @@ mod tests {
             column: "b".into(),
             value: value.clone(),
         };
-        let ci = confidence_interval(&model, &sc.incomplete, &out, &q, 0.95).unwrap();
+        let ci = confidence_interval(&model, &sc.incomplete, &out, &q, 0.95, 64).unwrap();
         let truth = true_fraction(&sc, &value);
         let (tmin, tmax) = ci.theoretical.unwrap();
         assert!(ci.lo <= ci.hi);
@@ -259,9 +257,11 @@ mod tests {
             value: sc.bias_value.clone().unwrap(),
         };
         let ci_hi =
-            confidence_interval(&model_hi, &sc_hi.incomplete, &out_hi, &q(&sc_hi), 0.95).unwrap();
+            confidence_interval(&model_hi, &sc_hi.incomplete, &out_hi, &q(&sc_hi), 0.95, 64)
+                .unwrap();
         let ci_lo =
-            confidence_interval(&model_lo, &sc_lo.incomplete, &out_lo, &q(&sc_lo), 0.95).unwrap();
+            confidence_interval(&model_lo, &sc_lo.incomplete, &out_lo, &q(&sc_lo), 0.95, 64)
+                .unwrap();
         assert!(
             ci_hi.hi - ci_hi.lo < ci_lo.hi - ci_lo.lo,
             "predictable CI ({:.3}) should be tighter than noise CI ({:.3})",
@@ -282,7 +282,7 @@ mod tests {
             table: "tb".into(),
             column: "b".into(),
         };
-        let ci = confidence_interval(&model, &sc.incomplete, &out, &q, 0.95).unwrap();
+        let ci = confidence_interval(&model, &sc.incomplete, &out, &q, 0.95, 64).unwrap();
         // Categorical tokens decode to strings → numeric view is 0; the
         // interval still must be ordered and finite.
         assert!(ci.lo <= ci.hi);
@@ -296,6 +296,75 @@ mod tests {
             table: "tb".into(),
             column: "nope".into(),
         };
-        assert!(confidence_interval(&model, &sc.incomplete, &out, &q, 0.95).is_err());
+        assert!(confidence_interval(&model, &sc.incomplete, &out, &q, 0.95, 64).is_err());
+    }
+
+    /// A snapshot file can carry any `f64` bits: NaN in a float column is
+    /// one more unknown — it trains as MASK, is no quantile, and is left
+    /// out of the sums like NULL.
+    #[test]
+    fn nan_cells_leave_the_interval_finite() {
+        use restore_db::{DataType, Database, Field, ForeignKey, Table};
+        let mut parent = Table::new(
+            "p",
+            vec![
+                Field::new("id", DataType::Int),
+                Field::new("a", DataType::Str),
+                // Every parent is known to have three children.
+                Field::new(crate::annotation::tf_column_name("c"), DataType::Int),
+            ],
+        );
+        let mut child = Table::new(
+            "c",
+            vec![
+                Field::new("id", DataType::Int),
+                Field::new("p_id", DataType::Int),
+                Field::new("v", DataType::Float),
+            ],
+        );
+        for i in 0..80i64 {
+            let a = Value::str(format!("a{}", i % 4));
+            parent.push_row(&[Value::Int(i), a, Value::Int(3)]).unwrap();
+            // Two of them are left, one in nine of those NaN.
+            for j in 0..2i64 {
+                let v = match (3 * i + j) % 9 {
+                    0 => f64::NAN,
+                    _ => (i % 4 * 100 + 7 * i + j) as f64,
+                };
+                child
+                    .push_row(&[Value::Int(3 * i + j), Value::Int(i), Value::Float(v)])
+                    .unwrap();
+            }
+        }
+        let mut db = Database::new();
+        db.add_table(parent);
+        db.add_table(child);
+        db.add_foreign_key(ForeignKey::new("c", "p_id", "p", "id"))
+            .unwrap();
+        let ann = SchemaAnnotation::with_incomplete(["c"]);
+        let path = CompletionPath::from_tables(&db, &["p".into(), "c".into()]).unwrap();
+        let cfg = TrainConfig {
+            epochs: 3,
+            min_steps: 60,
+            hidden: vec![16, 16],
+            ..Default::default()
+        };
+        let model = CompletionModel::train(&db, &ann, path, &cfg, 35).unwrap();
+        let out = Completer::new(&db, &ann).complete(&model, 35).unwrap();
+        assert_eq!(out.n_synthesized(), 80);
+        for q in [
+            ConfidenceQuery::Avg {
+                table: "c".into(),
+                column: "v".into(),
+            },
+            ConfidenceQuery::Sum {
+                table: "c".into(),
+                column: "v".into(),
+            },
+        ] {
+            let ci = confidence_interval(&model, &db, &out, &q, 0.95, 64).unwrap();
+            assert!(ci.lo.is_finite() && ci.hi.is_finite() && ci.estimate.is_finite());
+            assert!(ci.lo <= ci.hi, "{ci:?}");
+        }
     }
 }

@@ -13,8 +13,10 @@
 //! encoder cardinality and is excluded at sampling time.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
+use std::str::FromStr;
 
-use restore_db::{Column, Value};
+use restore_db::{Column, DataType, DbResult, Value};
 
 /// Numeric columns with at most this many distinct values stay categorical.
 /// High enough that year-like attributes (`production_year`,
@@ -52,10 +54,12 @@ impl AttrEncoder {
                 Self::categorical_from(distinct)
             }
             _ => {
+                // NaN is no value to learn (it encodes to MASK, like NULL).
                 let mut vals: Vec<f64> = (0..column.len())
                     .filter_map(|i| column.get(i).as_f64())
+                    .filter(|v| !v.is_nan())
                     .collect();
-                vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                vals.sort_by(f64::total_cmp);
                 let mut distinct: Vec<f64> = Vec::new();
                 for &v in &vals {
                     if distinct.last().is_none_or(|&d| d != v) {
@@ -170,10 +174,12 @@ impl AttrEncoder {
         self.cardinality() + 1
     }
 
-    /// Encodes a value; NULLs and unknown values map to `None` (the model
-    /// feeds MASK with zero loss weight for those).
+    /// Encodes a value; NULLs, NaN and unknown values map to `None` (the
+    /// model feeds MASK with zero loss weight for those). Dictionaries match
+    /// by what the value prints as, so `Int` 2013, `Float` 2013.0 and the
+    /// string "2013" are one key.
     pub fn encode(&self, v: &Value) -> Option<u32> {
-        if v.is_null() {
+        if v.is_null() || matches!(v, Value::Float(x) if x.is_nan()) {
             return None;
         }
         match self {
@@ -186,6 +192,55 @@ impl AttrEncoder {
                 let x = v.as_i64()?;
                 Some((x.clamp(*min, *max) - min) as u32)
             }
+        }
+    }
+
+    /// [`AttrEncoder::encode`] down a column: the tokens of `rows` (of every
+    /// row when `None`), MASK where `encode` gives `None`. Works on the
+    /// column's storage — one dictionary lookup per distinct string, a typed
+    /// copy of the dictionary for numbers, the bin search on the raw `f64` —
+    /// so no cell becomes a `Value` or a `String`; the pairings with nothing
+    /// typed to gain go through `encode` cell by cell.
+    pub fn encode_column(&self, column: &Column, rows: Option<&[usize]>) -> Vec<u32> {
+        let mask = self.mask_token();
+        match (column, self) {
+            (Column::Int(cells), _) => self.encode_ints(cells, rows),
+            (Column::Str { dict, codes }, AttrEncoder::Categorical { index, .. }) => {
+                let by_code: Vec<Option<u32>> = (0..dict.len() as u32)
+                    .map(|code| index.get(&**dict.value(code)).copied())
+                    .collect();
+                tokens_of(codes, rows, mask, |code| by_code[code as usize])
+            }
+            (Column::Float(cells), AttrEncoder::Categorical { index, .. }) => {
+                let typed = typed_index(index, f64::to_bits);
+                let token = |x: f64| typed.get(&x.to_bits()).copied().filter(|_| !x.is_nan());
+                tokens_of(cells, rows, mask, token)
+            }
+            (Column::Float(cells), AttrEncoder::Binned { edges, .. }) => {
+                let token = |x: f64| (!x.is_nan()).then(|| bin_of(edges, x) as u32);
+                tokens_of(cells, rows, mask, token)
+            }
+            _ => for_rows(rows, column.len(), |r| {
+                self.encode(&column.get(r)).unwrap_or(mask)
+            }),
+        }
+    }
+
+    /// [`AttrEncoder::encode_column`] over the storage of an `Int` column —
+    /// which is also how the walk holds its tuple factors.
+    pub(crate) fn encode_ints(&self, cells: &[Option<i64>], rows: Option<&[usize]>) -> Vec<u32> {
+        let mask = self.mask_token();
+        match self {
+            AttrEncoder::Categorical { index, .. } => {
+                let typed = typed_index(index, |i: i64| i);
+                tokens_of(cells, rows, mask, |i| typed.get(&i).copied())
+            }
+            AttrEncoder::Binned { edges, .. } => {
+                tokens_of(cells, rows, mask, |i| Some(bin_of(edges, i as f64) as u32))
+            }
+            AttrEncoder::IntRange { min, max } => tokens_of(cells, rows, mask, |i| {
+                Some((i.clamp(*min, *max) - min) as u32)
+            }),
         }
     }
 
@@ -202,6 +257,20 @@ impl AttrEncoder {
         }
     }
 
+    /// [`AttrEncoder::decode`] down a column of tokens (each at most the
+    /// MASK token, which decodes to NULL), coerced into `dtype`: one decoded
+    /// value per token, among which the tokens pick
+    /// ([`Column::gather_compact`]: the dictionary holds what was sampled,
+    /// in order of first appearance).
+    pub fn decode_column(&self, tokens: &[u32], dtype: DataType) -> DbResult<Column> {
+        let mut per_token = Column::new(dtype);
+        for token in 0..self.model_cardinality() as u32 {
+            per_token.push(&coerce(&self.decode(token), dtype))?;
+        }
+        let picks: Vec<usize> = tokens.iter().map(|&t| t as usize).collect();
+        Ok(per_token.gather_compact(&picks))
+    }
+
     /// Numeric view of a token (used for euclidean replacement features and
     /// confidence bounds over continuous attributes).
     pub fn token_numeric(&self, token: u32) -> Option<f64> {
@@ -209,11 +278,62 @@ impl AttrEncoder {
     }
 }
 
+/// Coerces a sampled value into the column dtype (bin means are floats even
+/// for integer columns).
+pub(crate) fn coerce(v: &Value, dtype: DataType) -> Value {
+    match (v, dtype) {
+        (Value::Float(f), DataType::Int) => Value::Int(f.round() as i64),
+        (Value::Int(i), DataType::Float) => Value::Float(*i as f64),
+        _ => v.clone(),
+    }
+}
+
+/// `token(cell)` for `rows` of `cells` (for all of them when `None`); MASK
+/// for NULL cells and for values without a token.
+fn tokens_of<T: Copy>(
+    cells: &[Option<T>],
+    rows: Option<&[usize]>,
+    mask: u32,
+    token: impl Fn(T) -> Option<u32>,
+) -> Vec<u32> {
+    for_rows(rows, cells.len(), |r| {
+        cells[r].and_then(&token).unwrap_or(mask)
+    })
+}
+
+/// `token(r)` for every `r` in `rows`, or in `0..n` when there is no list.
+fn for_rows(rows: Option<&[usize]>, n: usize, token: impl Fn(usize) -> u32) -> Vec<u32> {
+    match rows {
+        Some(rows) => rows.iter().map(|&r| token(r)).collect(),
+        None => (0..n).map(token).collect(),
+    }
+}
+
+/// A string-keyed dictionary as seen by values of type `T`: dictionaries
+/// match by `to_string()`, so a `T` has a key's token exactly when the key
+/// parses to it and prints back as itself (`"2013"` for an `i64`, not
+/// `"2013.0"` or `"+5"`).
+fn typed_index<T: FromStr + ToString, K: Hash + Eq>(
+    index: &HashMap<String, u32>,
+    key: impl Fn(T) -> K,
+) -> HashMap<K, u32> {
+    let typed = |(text, &token): (&String, &u32)| {
+        let value: T = text.parse().ok()?;
+        (value.to_string() == *text).then(|| (key(value), token))
+    };
+    index.iter().filter_map(typed).collect()
+}
+
+/// The bin of a value that is not NaN.
 fn bin_of(edges: &[f64], v: f64) -> usize {
     // edges are sorted; bin i covers [edges[i], edges[i+1]) with the last
     // bin closed on the right.
     let bins = edges.len() - 1;
-    match edges.binary_search_by(|e| e.partial_cmp(&v).unwrap()) {
+    let order = |e: &f64| {
+        e.partial_cmp(&v)
+            .expect("neither bin edges nor encoded values are NaN")
+    };
+    match edges.binary_search_by(order) {
         Ok(i) => i.min(bins - 1),
         Err(0) => 0,
         Err(i) => (i - 1).min(bins - 1),
@@ -223,7 +343,6 @@ fn bin_of(edges: &[f64], v: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use restore_db::DataType;
 
     fn str_column(vals: &[&str]) -> Column {
         let mut c = Column::new(DataType::Str);
@@ -333,5 +452,27 @@ mod tests {
         // One distinct value -> categorical with a single token.
         assert_eq!(enc.cardinality(), 1);
         assert_eq!(enc.decode(0), Value::Float(5.0));
+    }
+
+    #[test]
+    fn nan_fits_and_encodes_like_null() {
+        // Few distinct values: a dictionary without a NaN entry.
+        let listed = AttrEncoder::fit(&float_column(&[2.0, f64::NAN, 1.0, f64::NAN]), 8);
+        assert_eq!(listed.cardinality(), 2);
+        // Many: bins whose edges and means are finite.
+        let mut vals: Vec<f64> = (0..300).map(|i| i as f64).collect();
+        vals[7] = f64::NAN;
+        let binned = AttrEncoder::fit(&float_column(&vals), 8);
+        let AttrEncoder::Binned { edges, means } = &binned else {
+            panic!("300 distinct values must bin");
+        };
+        assert!(edges.iter().chain(means).all(|x| x.is_finite()));
+        for enc in [&listed, &binned] {
+            assert_eq!(enc.encode(&Value::Float(f64::NAN)), None);
+            let col = float_column(&[1.0, f64::NAN]);
+            let tokens = enc.encode_column(&col, None);
+            assert_eq!(tokens[1], enc.mask_token());
+            assert_ne!(tokens[0], enc.mask_token());
+        }
     }
 }

@@ -216,8 +216,9 @@ impl CompletionModel {
     }
 
     /// Whether the lane-padded banded trunk caches were frozen for
-    /// cross-session sharing — true for snapshot-rehydrated models, which
-    /// build them once at load instead of once per inference session.
+    /// cross-session sharing — true for trained and snapshot-rehydrated
+    /// models alike, which build them once the weights are final instead of
+    /// once per inference session.
     pub fn has_frozen_banded(&self) -> bool {
         self.made.has_frozen_banded()
     }
@@ -273,6 +274,9 @@ impl CompletionModel {
 
         let mut model = Self::from_structure(path, structure, cfg);
         model.fit(&join, tokens, weights, &mut rng)?;
+        // The weights are final: share the banded trunk caches across all
+        // inference sessions, as a loaded model does.
+        model.made.freeze_banded(&model.store);
         model.train_seconds = started.elapsed().as_secs_f64();
         Ok(model)
     }
@@ -689,109 +693,53 @@ impl CompletionModel {
     /// `tf_values[step]` where available.
     pub fn encode_tokens(&self, join: &Table, tf_values: &[Vec<Option<i64>>]) -> Vec<Vec<u32>> {
         (0..self.attrs.len())
-            .map(|a| self.encode_attr_column(join, tf_values, a))
+            .map(|a| self.encode_attr_column(join, tf_values, a, None))
             .collect()
     }
 
-    /// Encodes one attribute's token column for every row of `join` — the
-    /// unit of the completion engine's incremental encoding cache, which
-    /// re-encodes only the attributes a synthesis step actually changed.
+    /// Encodes one attribute's token column for `rows` of `join` (for every
+    /// row when `None`) — the unit of the completion engine's incremental
+    /// encoding cache, which re-encodes only the attributes a synthesis step
+    /// actually changed, and of the §6 conditionals, which encode only the
+    /// rows they evaluate.
     pub fn encode_attr_column(
         &self,
         join: &Table,
         tf_values: &[Vec<Option<i64>>],
         attr_idx: usize,
+        rows: Option<&[usize]>,
     ) -> Vec<u32> {
-        let n = join.n_rows();
         let attr = &self.attrs[attr_idx];
-        let mut col = Vec::with_capacity(n);
+        let unknown = || vec![attr.encoder.mask_token(); rows.map_or(join.n_rows(), <[_]>::len)];
         match &attr.kind {
             AttrKind::Column { table, column } => {
                 match join.resolve(&format!("{table}.{column}")) {
-                    Ok(idx) => {
-                        for r in 0..n {
-                            let v = join.value(r, idx);
-                            col.push(attr.encoder.encode(&v).unwrap_or(attr.encoder.mask_token()));
-                        }
-                    }
-                    Err(_) => col.resize(n, attr.encoder.mask_token()),
+                    Ok(idx) => attr.encoder.encode_column(join.column(idx), rows),
+                    Err(_) => unknown(),
                 }
             }
             AttrKind::TupleFactor { step } => match tf_values.get(*step) {
-                Some(vals) if vals.len() == n => {
-                    for v in vals {
-                        col.push(match v {
-                            Some(x) => attr
-                                .encoder
-                                .encode(&Value::Int(*x))
-                                .unwrap_or(attr.encoder.mask_token()),
-                            None => attr.encoder.mask_token(),
-                        });
-                    }
-                }
-                _ => col.resize(n, attr.encoder.mask_token()),
+                Some(vals) if vals.len() == join.n_rows() => attr.encoder.encode_ints(vals, rows),
+                _ => unknown(),
             },
         }
-        col
     }
 
     /// Predicts the tuple factor of `step` for the given join rows,
-    /// conditioning on everything before it. The *expected value* of the
-    /// conditional distribution with stochastic rounding is used rather
-    /// than a plain sample: the completion clamps factors to at least the
-    /// observed partner count (`max(tf, existing)`), which would turn
-    /// sampling variance into a systematic cardinality overshoot; the
-    /// expectation keeps completed cardinalities unbiased.
-    pub fn sample_tf(
-        &self,
-        join: &Table,
-        tf_values: &[Vec<Option<i64>>],
-        step: usize,
-        rows: &[usize],
-        rng: &mut StdRng,
-    ) -> CoreResult<Vec<i64>> {
-        let encoded = self.encode_tokens(join, tf_values);
-        self.sample_tf_encoded(join, &encoded, step, rows, rng)
-    }
-
-    /// [`CompletionModel::sample_tf`] over pre-encoded tokens — the batched
-    /// completion path encodes the working join once per step and fans
-    /// chunks of rows out over workers, each calling this.
-    pub fn sample_tf_encoded(
-        &self,
-        join: &Table,
-        encoded: &[Vec<u32>],
-        step: usize,
-        rows: &[usize],
-        rng: &mut StdRng,
-    ) -> CoreResult<Vec<i64>> {
-        let mut session = InferenceSession::new();
-        self.sample_tf_encoded_in(&mut session, join, encoded, step, rows, rng)
-    }
-
-    /// [`CompletionModel::sample_tf_encoded`] over a caller-owned session —
-    /// each completion worker keeps one session warm across batches and
-    /// path steps (parameters are frozen at completion time, so the
-    /// session's masked-weight cache stays valid for the whole walk).
-    pub fn sample_tf_encoded_in(
-        &self,
-        session: &mut InferenceSession,
-        join: &Table,
-        encoded: &[Vec<u32>],
-        step: usize,
-        rows: &[usize],
-        rng: &mut StdRng,
-    ) -> CoreResult<Vec<i64>> {
-        let expectations = self.tf_expectations_encoded_in(session, join, encoded, step, rows)?;
-        Ok(Self::round_tf_expectations(&expectations, rng))
-    }
-
-    /// The RNG-free evaluation half of
-    /// [`CompletionModel::sample_tf_encoded_in`]: the per-row *expected*
-    /// tuple factor under the conditional distribution. Each row's value
-    /// depends only on that row's tokens, so the completion engine fuses
-    /// rows into a few large chunks (one sweep setup pass per chunk
-    /// instead of one per sampling batch) without changing any value.
+    /// conditioning on everything before it — the RNG-free half: the
+    /// per-row *expected value* of the conditional distribution, which
+    /// [`CompletionModel::round_tf_expectations`] rounds stochastically.
+    /// The expectation is used rather than a plain sample: the completion
+    /// clamps factors to at least the observed partner count (`max(tf,
+    /// existing)`), which would turn sampling variance into a systematic
+    /// cardinality overshoot; the expectation keeps completed cardinalities
+    /// unbiased. Each row's value depends only on that row's tokens, so the
+    /// completion engine fuses rows into a few large chunks (one sweep
+    /// setup pass per chunk instead of one per sampling batch) without
+    /// changing any value. The session is the caller's: each completion
+    /// worker keeps one warm across batches and path steps (parameters are
+    /// frozen at completion time, so its masked-weight cache stays valid
+    /// for the whole walk).
     pub fn tf_expectations_encoded_in(
         &self,
         session: &mut InferenceSession,
@@ -825,7 +773,7 @@ impl CompletionModel {
     }
 
     /// The stochastic-rounding half of
-    /// [`CompletionModel::sample_tf_encoded_in`]: exactly one draw per row
+    /// [`CompletionModel::tf_expectations_encoded_in`]: exactly one draw per row
     /// (unconditionally, so the stream position depends only on the row
     /// count), keeping completed cardinalities unbiased without sampling
     /// variance turning the `max(tf, existing)` clamp into overshoot.
@@ -869,7 +817,9 @@ impl CompletionModel {
     }
 
     /// [`CompletionModel::sample_table_columns_encoded`] over a
-    /// caller-owned session (see [`CompletionModel::sample_tf_encoded_in`]).
+    /// caller-owned session (see
+    /// [`CompletionModel::tf_expectations_encoded_in`]): the decoding
+    /// wrapper of [`CompletionModel::sample_table_tokens_in`].
     pub fn sample_table_columns_encoded_in(
         &self,
         session: &mut InferenceSession,
@@ -879,19 +829,32 @@ impl CompletionModel {
         rows: &[usize],
         rng: &mut StdRng,
     ) -> CoreResult<Vec<Vec<Value>>> {
+        let sampled = self.sample_table_tokens_in(session, join, encoded, table_idx, rows, rng)?;
+        let attrs = &self.attrs[self.table_attr_range(table_idx)];
+        Ok(sampled
+            .into_iter()
+            .zip(attrs)
+            .map(|(toks, attr)| toks.into_iter().map(|t| attr.encoder.decode(t)).collect())
+            .collect())
+    }
+
+    /// Samples the column attributes of path table `table_idx` for the
+    /// given join rows as tokens, one vec per modeled column — what the
+    /// walk assembles its synthesized blocks from.
+    pub(crate) fn sample_table_tokens_in(
+        &self,
+        session: &mut InferenceSession,
+        join: &Table,
+        encoded: &[Vec<u32>],
+        table_idx: usize,
+        rows: &[usize],
+        rng: &mut StdRng,
+    ) -> CoreResult<Vec<Vec<u32>>> {
         let range = self.table_attr_range(table_idx);
         if range.is_empty() {
             return Ok(Vec::new());
         }
-        let sampled = self.sample_attr_block(session, join, encoded, range.clone(), rows, rng)?;
-        Ok(sampled
-            .into_iter()
-            .enumerate()
-            .map(|(i, toks)| {
-                let enc = &self.attrs[range.start + i].encoder;
-                toks.into_iter().map(|t| enc.decode(t)).collect()
-            })
-            .collect())
+        self.sample_attr_block(session, join, encoded, range, rows, rng)
     }
 
     /// Core sampling routine: fills the token block `attr_range` for the
@@ -935,52 +898,53 @@ impl CompletionModel {
             .collect())
     }
 
-    /// Conditional distribution of attribute `attr_idx` for the given rows
-    /// of a completed join (used by the §6 confidence machinery).
-    pub fn conditional_dist(
+    /// Conditional distributions of attribute `attr_idx` for the given rows
+    /// of a completed join (the §6 confidence machinery's view of the
+    /// model): `visit` sees one per row, in row order, MASK dropped and
+    /// renormalized.
+    ///
+    /// Only what the conditional reads is computed. The attributes before
+    /// `attr_idx` are encoded for these rows alone — the rest of each batch
+    /// is MASK placeholders, which the network ignores by construction —
+    /// and the rows run through one session in chunks of `batch_size`, each
+    /// chunk's distributions handed over before the next is evaluated. A
+    /// row's distribution is a function of that row's tokens and evidence
+    /// sets and nothing else, so the chunking cannot change a bit of it.
+    pub fn conditional_dists(
         &self,
         join: &Table,
         tf_values: &[Vec<Option<i64>>],
         attr_idx: usize,
         rows: &[usize],
-    ) -> CoreResult<Vec<Vec<f32>>> {
-        let encoded = self.encode_tokens(join, tf_values);
-        self.conditional_dist_encoded(join, &encoded, attr_idx, rows)
-    }
-
-    /// [`CompletionModel::conditional_dist`] over pre-encoded tokens.
-    pub fn conditional_dist_encoded(
-        &self,
-        join: &Table,
-        encoded: &[Vec<u32>],
-        attr_idx: usize,
-        rows: &[usize],
-    ) -> CoreResult<Vec<Vec<f32>>> {
+        batch_size: usize,
+        mut visit: impl FnMut(&[f32]),
+    ) -> CoreResult<()> {
+        let prefix: Vec<Vec<u32>> = (0..attr_idx)
+            .map(|a| self.encode_attr_column(join, tf_values, a, Some(rows)))
+            .collect();
         let mut session = InferenceSession::new();
-        self.conditional_dist_encoded_in(&mut session, join, encoded, attr_idx, rows)
-    }
-
-    /// [`CompletionModel::conditional_dist_encoded`] over a caller-owned
-    /// session.
-    pub fn conditional_dist_encoded_in(
-        &self,
-        session: &mut InferenceSession,
-        join: &Table,
-        encoded: &[Vec<u32>],
-        attr_idx: usize,
-        rows: &[usize],
-    ) -> CoreResult<Vec<Vec<f32>>> {
         let mut dists = Vec::new();
-        self.conditional_dists_encoded_into(session, join, encoded, attr_idx, rows, &mut dists)?;
-        Ok(dists)
+        let batch_size = batch_size.max(1);
+        for (k, chunk) in rows.chunks(batch_size).enumerate() {
+            let span = k * batch_size..k * batch_size + chunk.len();
+            let batch: Vec<Arc<Vec<u32>>> = (self.attrs.iter().enumerate())
+                .map(|(a, attr)| match prefix.get(a) {
+                    Some(tokens) => tokens[span.clone()].to_vec(),
+                    None => vec![attr.encoder.mask_token(); chunk.len()],
+                })
+                .map(Arc::new)
+                .collect();
+            self.conditional_dists_into(&mut session, join, &batch, attr_idx, chunk, &mut dists)?;
+            dists.iter().for_each(|d| visit(d));
+        }
+        Ok(())
     }
 
     /// Fills `out` (allocations reused) with the conditional distribution
-    /// of `attr_idx` for the given rows, MASK token dropped and
-    /// renormalized — the buffer-reusing core of
-    /// [`CompletionModel::conditional_dist_encoded_in`].
+    /// of `attr_idx` for the given rows of `join`, read out of token
+    /// columns that cover the whole join — one batch, however many rows.
     #[allow(clippy::too_many_arguments)]
-    fn conditional_dists_encoded_into(
+    pub fn conditional_dists_encoded_into(
         &self,
         session: &mut InferenceSession,
         join: &Table,
@@ -993,9 +957,26 @@ impl CompletionModel {
             .iter()
             .map(|col| Arc::new(rows.iter().map(|&r| col[r]).collect::<Vec<u32>>()))
             .collect();
+        self.conditional_dists_into(session, join, &batch, attr_idx, rows, out)
+    }
+
+    /// The conditional distribution of `attr_idx` for a batch of token
+    /// rows — `rows` are the join rows they stand for, which is where an
+    /// SSAR model finds their evidence sets — MASK token dropped and
+    /// renormalized.
+    #[allow(clippy::too_many_arguments)]
+    fn conditional_dists_into(
+        &self,
+        session: &mut InferenceSession,
+        join: &Table,
+        batch: &[Arc<Vec<u32>>],
+        attr_idx: usize,
+        rows: &[usize],
+        out: &mut Vec<Vec<f32>>,
+    ) -> CoreResult<()> {
         let ctx = self.context_matrix_in(session, join, rows, false)?;
         self.made
-            .conditional_dists_in(session, &self.store, &batch, ctx.as_ref(), attr_idx, out);
+            .conditional_dists_in(session, &self.store, batch, ctx.as_ref(), attr_idx, out);
         // Drop the MASK token and renormalize.
         let card = self.attrs[attr_idx].encoder.cardinality();
         for d in out.iter_mut() {
@@ -1024,9 +1005,9 @@ impl CompletionModel {
         let card = attr.encoder.cardinality();
         let mut counts = vec![0.0f32; card];
         let mut total = 0.0f32;
-        for r in 0..col.len() {
-            if let Some(tok) = attr.encoder.encode(&col.get(r)) {
-                counts[tok as usize] += 1.0;
+        for tok in attr.encoder.encode_column(col, None) {
+            if let Some(count) = counts.get_mut(tok as usize) {
+                *count += 1.0;
                 total += 1.0;
             }
         }
@@ -1138,8 +1119,8 @@ fn encode_training_tokens(
     join: &Table,
 ) -> CoreResult<TokenColumns> {
     let n = join.n_rows();
-    let mut tokens: Vec<Vec<u32>> = vec![Vec::with_capacity(n); attrs.len()];
-    let mut weights: Vec<Vec<f32>> = vec![Vec::with_capacity(n); attrs.len()];
+    let mut tokens: Vec<Vec<u32>> = Vec::with_capacity(attrs.len());
+    let mut weights: Vec<Vec<f32>> = Vec::with_capacity(attrs.len());
 
     // Tuple factors per fan-out step, resolved once per step.
     let mut tf_per_step: Vec<Option<Vec<Option<i64>>>> = vec![None; path.steps().len()];
@@ -1164,43 +1145,21 @@ fn encode_training_tokens(
         tf_per_step[i] = Some(vals);
     }
 
-    for (a, attr) in attrs.iter().enumerate() {
-        match &attr.kind {
+    // MASK — a NULL, a NaN, an unknown factor — carries no loss weight.
+    for attr in attrs {
+        let column = match &attr.kind {
             AttrKind::Column { table, column } => {
                 let idx = join.resolve(&format!("{table}.{column}"))?;
-                for r in 0..n {
-                    match attr.encoder.encode(&join.value(r, idx)) {
-                        Some(t) => {
-                            tokens[a].push(t);
-                            weights[a].push(1.0);
-                        }
-                        None => {
-                            tokens[a].push(attr.encoder.mask_token());
-                            weights[a].push(0.0);
-                        }
-                    }
-                }
+                attr.encoder.encode_column(join.column(idx), None)
             }
             AttrKind::TupleFactor { step } => {
                 let vals = tf_per_step[*step].as_ref().expect("tf resolved above");
-                for v in vals {
-                    match v {
-                        Some(x) => {
-                            let t = attr
-                                .encoder
-                                .encode(&Value::Int(*x))
-                                .unwrap_or(attr.encoder.mask_token());
-                            tokens[a].push(t);
-                            weights[a].push(1.0);
-                        }
-                        None => {
-                            tokens[a].push(attr.encoder.mask_token());
-                            weights[a].push(0.0);
-                        }
-                    }
-                }
+                attr.encoder.encode_ints(vals, None)
             }
-        }
+        };
+        let mask = attr.encoder.mask_token();
+        weights.push(column.iter().map(|&t| f32::from(t != mask)).collect());
+        tokens.push(column);
     }
     Ok((tokens, weights))
 }
@@ -1272,15 +1231,9 @@ fn build_ctx_tables(
             .map(|c| Ok(AttrEncoder::fit(table.column_by_name(c)?, cfg.max_bins)))
             .collect::<CoreResult<_>>()?;
         // Pre-encode all rows.
-        let mut tokens: Vec<Vec<u32>> = Vec::with_capacity(columns.len());
-        for (c, enc) in columns.iter().zip(&encoders) {
-            let idx = table.resolve(c)?;
-            tokens.push(
-                (0..table.n_rows())
-                    .map(|r| enc.encode(&table.value(r, idx)).unwrap_or(enc.mask_token()))
-                    .collect(),
-            );
-        }
+        let tokens: Vec<Vec<u32>> = (columns.iter().zip(&encoders))
+            .map(|(c, enc)| Ok(enc.encode_column(table.column_by_name(c)?, None)))
+            .collect::<CoreResult<_>>()?;
         let row_ids = table.resolve("id").ok().map(|idx| {
             (0..table.n_rows())
                 .map(|r| table.value(r, idx))
@@ -1418,7 +1371,12 @@ mod tests {
         let rows: Vec<usize> = (0..ta.n_rows()).collect();
         let mut rng = StdRng::seed_from_u64(10);
         let tf_slots: Vec<Vec<Option<i64>>> = vec![vec![None; ta.n_rows()]];
-        let tfs = model.sample_tf(&ta, &tf_slots, 0, &rows, &mut rng).unwrap();
+        let encoded = model.encode_tokens(&ta, &tf_slots);
+        let mut session = InferenceSession::new();
+        let expectations = model
+            .tf_expectations_encoded_in(&mut session, &ta, &encoded, 0, &rows)
+            .unwrap();
+        let tfs = CompletionModel::round_tf_expectations(&expectations, &mut rng);
         // True fan-outs are 5..7; sampled factors must stay in a sane band.
         let mean = tfs.iter().sum::<i64>() as f64 / tfs.len() as f64;
         assert!(
@@ -1434,14 +1392,17 @@ mod tests {
         let ta = sc.incomplete.table("ta").unwrap().qualified();
         let tf_slots: Vec<Vec<Option<i64>>> = vec![vec![None; ta.n_rows()]];
         let b_attr = model.attr_index("tb", "b").unwrap();
-        let dists = model
-            .conditional_dist(&ta, &tf_slots, b_attr, &[0, 1, 2])
-            .unwrap();
-        for d in dists {
+        let mut seen = 0;
+        let check = |d: &[f32]| {
             assert_eq!(d.len(), model.attrs()[b_attr].encoder.cardinality());
             let s: f32 = d.iter().sum();
             assert!((s - 1.0).abs() < 1e-4);
-        }
+            seen += 1;
+        };
+        model
+            .conditional_dists(&ta, &tf_slots, b_attr, &[0, 1, 2], 2, check)
+            .unwrap();
+        assert_eq!(seen, 3, "one distribution per row, across chunks");
     }
 
     #[test]

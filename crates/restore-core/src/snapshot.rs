@@ -263,7 +263,7 @@ impl Snapshot {
             row.clear();
             row.extend(sources.iter().zip(base.fields()).map(|(source, f)| {
                 source.map_or(Value::Null, |c| {
-                    crate::completion::coerce(&join.value(r, c), f.dtype)
+                    crate::encoding::coerce(&join.value(r, c), f.dtype)
                 })
             }));
             result.push_row(&row)?;
@@ -288,7 +288,8 @@ impl Snapshot {
         let chain = self.execution_chain(query_tables, &focus)?;
         let out = self.complete_join(&chain, seed)?;
         let model = self.model_for_path(&chain)?;
-        confidence_interval(&model, &self.db, &out, query, level)
+        let batch_size = self.config.completer.batch_size;
+        confidence_interval(&model, &self.db, &out, query, level, batch_size)
     }
 
     /// Enumerates candidate execution chains for a set of query tables: a

@@ -82,6 +82,18 @@ impl Column {
         }
     }
 
+    /// A column of `n` NULLs.
+    pub fn nulls(dtype: DataType, n: usize) -> Self {
+        match dtype {
+            DataType::Int => Column::Int(vec![None; n]),
+            DataType::Float => Column::Float(vec![None; n]),
+            DataType::Str => Column::Str {
+                dict: Dictionary::new(),
+                codes: vec![None; n],
+            },
+        }
+    }
+
     pub fn dtype(&self) -> DataType {
         match self {
             Column::Int(_) => DataType::Int,
@@ -151,17 +163,45 @@ impl Column {
         }
     }
 
-    /// Appends all rows of `other` (must have the same dtype).
+    /// [`Column::gather`] with a dictionary of its own: only the strings the
+    /// gathered rows use, in order of first appearance — the column that
+    /// pushing those values one by one builds.
+    pub fn gather_compact(&self, indices: &[usize]) -> Column {
+        let mut out = Column::with_capacity(self.dtype(), indices.len());
+        out.extend_from(&self.gather(indices))
+            .expect("a gather keeps the dtype");
+        out
+    }
+
+    /// Appends all rows of `other` (must have the same dtype). Strings are
+    /// interned as their rows come — each source code translated once — so
+    /// the dictionary is the one a row-by-row [`Column::push`] builds: only
+    /// strings some row uses, in order of first appearance.
     pub fn extend_from(&mut self, other: &Column) -> DbResult<()> {
-        if self.dtype() != other.dtype() {
-            return Err(DbError::ShapeMismatch(format!(
-                "cannot append {} column to {} column",
-                other.dtype(),
-                self.dtype()
-            )));
-        }
-        for i in 0..other.len() {
-            self.push(&other.get(i))?;
+        match (self, other) {
+            (Column::Int(rows), Column::Int(more)) => rows.extend_from_slice(more),
+            (Column::Float(rows), Column::Float(more)) => rows.extend_from_slice(more),
+            (
+                Column::Str { dict, codes },
+                Column::Str {
+                    dict: from,
+                    codes: more,
+                },
+            ) => {
+                let mut remap: Vec<Option<u32>> = vec![None; from.len()];
+                codes.extend(more.iter().map(|code| {
+                    code.map(|c| {
+                        *remap[c as usize].get_or_insert_with(|| dict.intern(from.value(c)))
+                    })
+                }));
+            }
+            (rows, more) => {
+                return Err(DbError::ShapeMismatch(format!(
+                    "cannot append {} column to {} column",
+                    more.dtype(),
+                    rows.dtype()
+                )))
+            }
         }
         Ok(())
     }

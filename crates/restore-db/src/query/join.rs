@@ -1,10 +1,11 @@
 //! Hash equi-join along foreign keys.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 
+use crate::column::Column;
 use crate::error::DbResult;
 use crate::table::Table;
-use crate::value::Value;
 
 /// Result of a hash join, keeping the row provenance that ReStore's
 /// incompleteness join needs (which left rows had no partner, §4.2).
@@ -20,10 +21,52 @@ pub struct JoinOutput {
     pub unmatched_left: Vec<usize>,
 }
 
+/// Builds a hash table on the right keys, then calls `visit(l, partners)`
+/// for every left row in order, with the right rows (ascending) whose key
+/// equals its own. NULL keys (`None`) have no partners.
+fn probe<K: Hash + Eq>(
+    left: impl Iterator<Item = Option<K>>,
+    right: impl Iterator<Item = Option<K>>,
+    mut visit: impl FnMut(usize, &[usize]),
+) {
+    let mut build: HashMap<K, Vec<usize>> = HashMap::new();
+    for (r, key) in right.enumerate() {
+        if let Some(key) = key {
+            build.entry(key).or_default().push(r);
+        }
+    }
+    for (l, key) in left.enumerate() {
+        let partners = key.and_then(|key| build.get(&key));
+        visit(l, partners.map_or(&[], Vec::as_slice));
+    }
+}
+
+/// [`probe`] on the columns' own storage when both keys are `Int`, or both
+/// `Str` (by content — each side has its own dictionary). Every other
+/// pairing compares as [`Value`](crate::value::Value)s do, under which
+/// `Int` 1 equals `Float` 1.0.
+fn probe_keys<'a>(left: &'a Column, right: &'a Column, visit: impl FnMut(usize, &[usize])) {
+    match (left, right) {
+        (Column::Int(l), Column::Int(r)) => probe(l.iter().copied(), r.iter().copied(), visit),
+        (Column::Str { dict: ld, codes: l }, Column::Str { dict: rd, codes: r }) => probe(
+            l.iter().map(|c| c.map(|c| &**ld.value(c))),
+            r.iter().map(|c| c.map(|c| &**rd.value(c))),
+            visit,
+        ),
+        _ => {
+            let values = |col: &'a Column| {
+                (0..col.len()).map(move |i| Some(col.get(i)).filter(|v| !v.is_null()))
+            };
+            probe(values(left), values(right), visit)
+        }
+    }
+}
+
 /// Inner hash join `left ⋈ right` on `left.left_on == right.right_on`.
 ///
-/// Both inputs are qualified (`table.column`) before stacking so column
-/// names never collide. NULL keys never match (SQL semantics).
+/// The matched rows are gathered from each input and their fields
+/// qualified (`table.column`) before stacking, so column names never
+/// collide. NULL keys never match (SQL semantics).
 pub fn hash_join(
     left: &Table,
     left_on: &str,
@@ -33,42 +76,22 @@ pub fn hash_join(
 ) -> DbResult<JoinOutput> {
     let lcol = left.resolve(left_on)?;
     let rcol = right.resolve(right_on)?;
-
-    // Build on the right input.
-    let mut build: HashMap<Value, Vec<usize>> = HashMap::with_capacity(right.n_rows());
-    for r in 0..right.n_rows() {
-        let key = right.value(r, rcol);
-        if key.is_null() {
-            continue;
-        }
-        build.entry(key).or_default().push(r);
-    }
-
     let mut left_indices = Vec::new();
     let mut right_indices = Vec::new();
     let mut unmatched_left = Vec::new();
-    for l in 0..left.n_rows() {
-        let key = left.value(l, lcol);
-        if key.is_null() {
+    probe_keys(left.column(lcol), right.column(rcol), |l, partners| {
+        if partners.is_empty() {
             unmatched_left.push(l);
-            continue;
         }
-        match build.get(&key) {
-            Some(rows) => {
-                for &r in rows {
-                    left_indices.push(l);
-                    right_indices.push(r);
-                }
-            }
-            None => unmatched_left.push(l),
+        for &r in partners {
+            left_indices.push(l);
+            right_indices.push(r);
         }
-    }
-
-    let lgath = left.qualified().gather(&left_indices);
-    let rgath = right.qualified().gather(&right_indices);
-    let table = lgath.hstack(&rgath, out_name)?;
+    });
+    let lgath = left.gather(&left_indices).into_qualified();
+    let rgath = right.gather(&right_indices).into_qualified();
     Ok(JoinOutput {
-        table,
+        table: lgath.hstack(rgath, out_name)?,
         left_indices,
         right_indices,
         unmatched_left,
@@ -85,30 +108,18 @@ pub fn partner_counts(
 ) -> DbResult<Vec<usize>> {
     let lcol = left.resolve(left_on)?;
     let rcol = right.resolve(right_on)?;
-    let mut counts: HashMap<Value, usize> = HashMap::with_capacity(left.n_rows());
-    for r in 0..right.n_rows() {
-        let key = right.value(r, rcol);
-        if !key.is_null() {
-            *counts.entry(key).or_insert(0) += 1;
-        }
-    }
-    Ok((0..left.n_rows())
-        .map(|l| {
-            let key = left.value(l, lcol);
-            if key.is_null() {
-                0
-            } else {
-                counts.get(&key).copied().unwrap_or(0)
-            }
-        })
-        .collect())
+    let mut counts = Vec::with_capacity(left.n_rows());
+    probe_keys(left.column(lcol), right.column(rcol), |_, partners| {
+        counts.push(partners.len())
+    });
+    Ok(counts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::table::Field;
-    use crate::value::DataType;
+    use crate::value::{DataType, Value};
 
     fn parent() -> Table {
         let mut t = Table::new(

@@ -244,25 +244,19 @@ impl Table {
         Ok(())
     }
 
-    /// Renames every unqualified field to `table.field`.
+    /// A copy with every unqualified field renamed to `table.field`.
     pub fn qualified(&self) -> Table {
-        let fields = self
-            .fields
-            .iter()
-            .map(|f| {
-                if f.name.contains('.') {
-                    f.clone()
-                } else {
-                    Field::new(format!("{}.{}", self.name, f.name), f.dtype)
-                }
-            })
-            .collect();
-        Table {
-            name: self.name.clone(),
-            fields,
-            columns: self.columns.clone(),
-            n_rows: self.n_rows,
+        self.clone().into_qualified()
+    }
+
+    /// Renames every unqualified field to `table.field`.
+    pub fn into_qualified(mut self) -> Table {
+        for f in &mut self.fields {
+            if !f.name.contains('.') {
+                f.name = format!("{}.{}", self.name, f.name);
+            }
         }
+        self
     }
 
     /// Adds a column to the table (length must equal `n_rows`).
@@ -279,20 +273,14 @@ impl Table {
     }
 
     /// Side-by-side concatenation of two tables with equal row counts.
-    pub fn hstack(&self, other: &Table, name: impl Into<String>) -> DbResult<Table> {
+    pub fn hstack(mut self, other: Table, name: impl Into<String>) -> DbResult<Table> {
         if self.n_rows != other.n_rows {
             return Err(DbError::ShapeMismatch("hstack row counts".into()));
         }
-        let mut fields = self.fields.clone();
-        fields.extend(other.fields.iter().cloned());
-        let mut columns = self.columns.clone();
-        columns.extend(other.columns.iter().cloned());
-        Ok(Table {
-            name: name.into(),
-            fields,
-            columns,
-            n_rows: self.n_rows,
-        })
+        self.name = name.into();
+        self.fields.extend(other.fields);
+        self.columns.extend(other.columns);
+        Ok(self)
     }
 }
 
@@ -453,8 +441,8 @@ mod tests {
     fn hstack_requires_equal_rows() {
         let t = people();
         let short = t.filter(&[true, false, false]);
-        assert!(t.hstack(&short, "x").is_err());
-        let wide = t.hstack(&t.qualified(), "w").unwrap();
+        assert!(t.clone().hstack(short, "x").is_err());
+        let wide = t.clone().hstack(t.qualified(), "w").unwrap();
         assert_eq!(wide.n_cols(), 6);
     }
 }

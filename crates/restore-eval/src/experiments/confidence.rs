@@ -83,7 +83,9 @@ pub fn run_confidence_synthetic(
         let Ok(model) = train_synthetic_model(&sc, &eval_train_config(), s) else {
             return fail("train");
         };
-        let Ok(out) = complete_synthetic(&sc, &model, eval_completer_config(), s) else {
+        let completer = eval_completer_config();
+        let batch_size = completer.batch_size;
+        let Ok(out) = complete_synthetic(&sc, &model, completer, s) else {
             return fail("complete");
         };
         let q = ConfidenceQuery::CountFraction {
@@ -91,7 +93,7 @@ pub fn run_confidence_synthetic(
             column: "b".into(),
             value: sc.bias_value.clone().unwrap_or_default(),
         };
-        let Ok(ci) = confidence_interval(&model, &sc.incomplete, &out, &q, 0.95) else {
+        let Ok(ci) = confidence_interval(&model, &sc.incomplete, &out, &q, 0.95, batch_size) else {
             return fail("ci");
         };
         let (tmin, tmax) = ci.theoretical.unwrap_or((f64::NAN, f64::NAN));

@@ -1,38 +1,47 @@
 #!/usr/bin/env bash
 # Alternating parent-vs-change runs of one benchmark workload, the procedure
 # of the choosing-metrics guide, section 8:
-#   scripts/bench_pair.sh WORKLOAD [PAIRS=10] [REF=HEAD]
-# Builds the benchmark of REF (from a git worktree) and of the working tree
+#   scripts/bench_pair.sh WORKLOAD|all [PAIRS=10] [REF=HEAD]
+# Builds the benchmark of REF (from a `git archive` copy) and of the working tree
 # into separate target dirs under .bench_build/pair, runs PAIRS pairs (the
 # seed is the pair number, which side goes first alternates) and prints per
 # end-to-end metric both sides' median [quartiles] and the pairs each won.
+# `all` runs every workload of BENCHMARK.json on the one build: a markdown table.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-workload=${1:?usage: scripts/bench_pair.sh WORKLOAD [PAIRS=10] [REF=HEAD]}
+workloads=${1:?usage: scripts/bench_pair.sh WORKLOAD|all [PAIRS=10] [REF=HEAD]}
 pairs=${2:-10} ref=${3:-HEAD} root=$PWD dir=$PWD/.bench_build/pair
 seconds=$(awk -F'[:,]' '/"run_seconds"/ { print $2 + 0 }' BENCHMARK.json)
-mkdir -p "$dir" && rm -f "$dir"/*.runs
-git worktree prune
-git worktree add --detach --force "$dir/ref" "$ref" >/dev/null
-trap 'git -C "$root" worktree remove --force "$dir/ref"' EXIT
+echo "$workloads: $pairs pairs, ref = $ref ($(git rev-parse --short "$ref")), work = working tree"
+row='%-16s ref %-30s work %-30s pairs won: work %d, ref %d (%s is better)\n'
+if [[ $workloads == all ]]; then
+    workloads=$(awk '/"workloads"/ { on = 1 } /"end_to_end"/ { on = 0 }
+        on && /"name"/ { gsub(/[",]/, ""); print $2 }' BENCHMARK.json)
+    row='| `%s` | %s | %s | work %d, ref %d (%s) |\n'
+    printf '%s\n' '| workload, metric | ref median [q1, q3] | work median [q1, q3] | pairs won |' '|---|---|---|---|'
+fi
+rm -rf "$dir/ref" && mkdir -p "$dir/ref" && git archive "$ref" | tar -x -C "$dir/ref"
 
 declare -A tree=([ref]=$dir/ref [work]=$root)
 for side in ref work; do
     (cd "${tree[$side]}" && CARGO_TARGET_DIR=$dir/target-$side \
         cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
 done
-for pair in $(seq 1 "$pairs"); do
-    if ((pair % 2)); then order="ref work"; else order="work ref"; fi
-    for side in $order; do
-        (cd "${tree[$side]}" && "$dir/target-$side/release/restore-benchmark" --workload "$workload" \
-            --seed "$pair" --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1) >>"$dir/$side.runs"
+run_pairs() {
+    rm -f "$dir"/*.runs
+    for pair in $(seq 1 "$pairs"); do
+        if ((pair % 2)); then order="ref work"; else order="work ref"; fi
+        for side in $order; do
+            (cd "${tree[$side]}" && "$dir/target-$side/release/restore-benchmark" --workload "$workload" \
+                --seed "$pair" --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1) >>"$dir/$side.runs"
+        done
+        echo "$workload: pair $pair/$pairs done ($order)" >&2
     done
-    echo "pair $pair/$pairs done ($order)" >&2
-done
-if grep -hv '"correct":true,"attempted":[0-9]*,"failed":0,' "$dir"/*.runs; then
-    echo "the runs above were not correct or had failed requests" >&2
-    exit 1
-fi
+    if grep -hv '"correct":true,"attempted":[0-9]*,"failed":0,' "$dir"/*.runs; then
+        echo "the runs above were not correct or had failed requests" >&2
+        exit 1
+    fi
+}
 
 values() { sed -E "s/.*\"$2\":\{\"value\":([^,}]+).*/\1/" "$dir/$1.runs"; }
 summary() {
@@ -41,14 +50,17 @@ summary() {
         END { printf "%.5g [%.5g, %.5g]", (v[int((NR + 1) / 2)] + v[int(NR / 2) + 1]) / 2,
               v[ceil(NR / 4)], v[ceil(3 * NR / 4)] }'
 }
-echo "$workload: $pairs pairs, ref = $ref ($(git rev-parse --short "$ref")), work = working tree"
-awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
-    on && /"name"/ { gsub(/[",]/, ""); name = $2 }
-    on && /"better"/ { gsub(/[",]/, ""); print name, $2 }' BENCHMARK.json |
-    while read -r metric better; do
-        printf '%-16s ref %-30s work %-30s ' "$metric" \
-            "$(values ref "$metric" | summary)" "$(values work "$metric" | summary)"
-        paste <(values ref "$metric") <(values work "$metric") | awk -v better="$better" '
-            { d = (better == "higher") ? $2 - $1 : $1 - $2; if (d > 0) work++; else if (d < 0) ref++ }
-            END { printf "pairs won: work %d, ref %d (%s is better)\n", work, ref, better }'
-    done
+for workload in $workloads; do
+    run_pairs
+    awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
+        on && /"name"/ { gsub(/[",]/, ""); name = $2 }
+        on && /"better"/ { gsub(/[",]/, ""); print name, $2 }' BENCHMARK.json |
+        while read -r metric better; do
+            won=$(paste <(values ref "$metric") <(values work "$metric") | awk -v better="$better" '
+                { d = (better == "higher") ? $2 - $1 : $1 - $2; if (d > 0) work++; else if (d < 0) ref++ }
+                END { print work + 0, ref + 0 }')
+            # shellcheck disable=SC2059,SC2086
+            printf "$row" "$workload $metric" "$(values ref "$metric" | summary)" \
+                "$(values work "$metric" | summary)" $won "$better"
+        done
+done

@@ -86,6 +86,13 @@ fn round_trip_serves_byte_identically() {
         serve_fingerprints(&snapshot),
         "loaded snapshot must serve byte-identically"
     );
+    // Trained or loaded, the banded trunk caches are built once the weights
+    // are final, not once per inference session.
+    for served in [&snapshot, &loaded] {
+        let models = served.trained_models();
+        assert!(!models.is_empty());
+        assert!(models.iter().all(|m| m.has_frozen_banded()));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -417,3 +417,301 @@ fn hidden_columns_resolve_like_a_projection() {
         }
     }
 }
+
+/// Generators and comparisons for the differential tests of the typed
+/// column plumbing of a cold request: the column-wise encoder and decoder,
+/// `Column::extend_from`, and the typed-key hash join.
+mod typed {
+    use super::*;
+    use restore::db::{Column, DataType, Table, Value};
+
+    /// Numbers that print as integers, as decimals, as `-0`, `inf` and
+    /// `NaN`, and one no `i64` holds.
+    pub const FLOATS: [f64; 11] = [
+        0.0,
+        -0.0,
+        0.5,
+        1.0,
+        2.0,
+        f64::NAN,
+        2013.0,
+        1e3,
+        f64::INFINITY,
+        -1.5,
+        1e20,
+    ];
+    pub const INTS: [i64; 8] = [0, 1, 2, 5, 7, 2013, -3, 1000];
+    /// Strings some number prints as, strings that parse to a number
+    /// without being what it prints as, and plain ones.
+    pub const STRINGS: [&str; 14] = [
+        "x", "y", "zz", "2013", "1", "0.5", "-0", "+5", "007", "1e3", "inf", "NaN", "NULL", "1000",
+    ];
+
+    pub fn value(rng: &mut StdRng, dtype: DataType, spread: bool) -> Value {
+        match (rng.random_range(0..6u32), dtype) {
+            (0, _) => Value::Null,
+            (1..=3, DataType::Int) if spread => Value::Int(rng.random_range(-500..500i64)),
+            (1..=3, DataType::Float) if spread => Value::Float(rng.random_range(-50.0..50.0f64)),
+            (_, DataType::Int) => Value::Int(INTS[rng.random_range(0..INTS.len())]),
+            (_, DataType::Float) => Value::Float(FLOATS[rng.random_range(0..FLOATS.len())]),
+            (_, DataType::Str) => Value::str(STRINGS[rng.random_range(0..STRINGS.len())]),
+        }
+    }
+
+    /// A column of `n` values; `spread` draws most numbers from a range
+    /// wide enough that fitting it bins instead of listing.
+    pub fn column(rng: &mut StdRng, dtype: DataType, n: usize, spread: bool) -> Column {
+        let mut col = Column::new(dtype);
+        for _ in 0..n {
+            col.push(&value(rng, dtype, spread)).unwrap();
+        }
+        col
+    }
+
+    /// Row indices into a column of `n` rows, unordered, with duplicates.
+    pub fn row_list(rng: &mut StdRng, n: usize) -> Vec<usize> {
+        let len = if n == 0 {
+            0
+        } else {
+            rng.random_range(0..2 * n)
+        };
+        (0..len).map(|_| rng.random_range(0..n)).collect()
+    }
+
+    /// Everything two equal columns agree on: dtype, cells bit for bit
+    /// (codes for strings), the dictionary in entry order, and the byte
+    /// estimate the cache budgets with.
+    pub type Repr = (DataType, Vec<Option<u64>>, Vec<String>, usize);
+
+    pub fn repr(col: &Column) -> Repr {
+        let (cells, dict) = match col {
+            Column::Int(v) => (v.iter().map(|c| c.map(|i| i as u64)).collect(), vec![]),
+            Column::Float(v) => (v.iter().map(|c| c.map(f64::to_bits)).collect(), vec![]),
+            Column::Str { dict, codes } => (
+                codes.iter().map(|c| c.map(u64::from)).collect(),
+                (0..dict.len() as u32)
+                    .map(|c| dict.value(c).to_string())
+                    .collect(),
+            ),
+        };
+        (col.dtype(), cells, dict, col.approx_bytes())
+    }
+
+    pub fn table_repr(t: &Table) -> Vec<(String, Repr)> {
+        let named = |(f, c): (&restore::db::Field, &Column)| (f.name.clone(), repr(c));
+        t.fields().iter().zip(t.columns()).map(named).collect()
+    }
+}
+
+/// The column-wise encoder gives every row the token `AttrEncoder::encode`
+/// gives its value — for every pairing of column dtype and encoder kind,
+/// NULLs, NaN, -0.0, values the encoder never saw, encoders fitted on a
+/// column with another dictionary (or another dtype), and row lists with
+/// duplicates.
+#[test]
+fn column_encoding_matches_value_encoding() {
+    use restore::core::AttrEncoder;
+    use restore::db::DataType::{Float, Int, Str};
+    let mut rng = StdRng::seed_from_u64(0xa9);
+    let mut kinds = [0usize; 3];
+    for case in 0..20 * CASES {
+        let fitted_on = [Int, Float, Str][case % 3];
+        let spread = case % 2 == 0;
+        let n_fit = rng.random_range(0..300usize);
+        let encoder = match case % 7 {
+            0 => AttrEncoder::fit_tuple_factor([rng.random_range(0..9i64)], 64),
+            _ => AttrEncoder::fit(&typed::column(&mut rng, fitted_on, n_fit, spread), 8),
+        };
+        kinds[match encoder {
+            AttrEncoder::Categorical { .. } => 0,
+            AttrEncoder::Binned { .. } => 1,
+            AttrEncoder::IntRange { .. } => 2,
+        }] += 1;
+        for dtype in [Int, Float, Str] {
+            let n = rng.random_range(0..60usize);
+            let spread = rng.random_range(0..2u32) == 0;
+            let col = typed::column(&mut rng, dtype, n, spread);
+            let by_value = |r: usize| {
+                let token = encoder.encode(&col.get(r));
+                assert!(token.is_none_or(|t| t < encoder.mask_token()));
+                token.unwrap_or(encoder.mask_token())
+            };
+            let all: Vec<u32> = (0..n).map(by_value).collect();
+            assert_eq!(
+                encoder.encode_column(&col, None),
+                all,
+                "case {case}: {dtype}"
+            );
+            let rows = typed::row_list(&mut rng, n);
+            let listed: Vec<u32> = rows.iter().map(|&r| by_value(r)).collect();
+            assert_eq!(
+                encoder.encode_column(&col, Some(&rows)),
+                listed,
+                "case {case}: {dtype}, rows {rows:?}"
+            );
+        }
+    }
+    assert!(kinds.iter().all(|&k| k > 20), "encoder kinds {kinds:?}");
+}
+
+/// A column decoded from tokens is the column the decoded, coerced values
+/// build when pushed one by one: same cells, same dictionary order (the
+/// sampled strings, by first appearance), NULL for MASK — into the
+/// encoder's own dtype and across the Int/Float coercions.
+#[test]
+fn column_decoding_matches_value_decoding() {
+    use restore::core::AttrEncoder;
+    use restore::db::DataType::{Float, Int, Str};
+    use restore::db::{Column, Value};
+    let mut rng = StdRng::seed_from_u64(0xaa);
+    for case in 0..10 * CASES {
+        let fitted_on = [Int, Float, Str][case % 3];
+        let n_fit = rng.random_range(1..300usize);
+        let fitted = typed::column(&mut rng, fitted_on, n_fit, case % 2 == 0);
+        let encoder = AttrEncoder::fit(&fitted, 8);
+        let n = rng.random_range(0..80usize);
+        let tokens: Vec<u32> = (0..n)
+            .map(|_| rng.random_range(0..=encoder.mask_token()))
+            .collect();
+        let into = match fitted_on {
+            Str => vec![Str],
+            _ => vec![Int, Float],
+        };
+        for dtype in into {
+            let mut pushed = Column::new(dtype);
+            for &t in &tokens {
+                pushed
+                    .push(&match (encoder.decode(t), dtype) {
+                        (Value::Float(f), Int) => Value::Int(f.round() as i64),
+                        (Value::Int(i), Float) => Value::Float(i as f64),
+                        (v, _) => v,
+                    })
+                    .unwrap();
+            }
+            let decoded = encoder.decode_column(&tokens, dtype).unwrap();
+            assert_eq!(typed::repr(&decoded), typed::repr(&pushed), "case {case}");
+        }
+    }
+}
+
+/// Appending a column's storage — strings through a code remap — builds
+/// the column that pushing its values one by one builds: same cells, same
+/// dictionary in the same order, same byte estimate. Sources are gathers,
+/// so their dictionaries carry entries no row references.
+#[test]
+fn typed_append_matches_pushing_values() {
+    use restore::db::{Column, DataType};
+    let mut rng = StdRng::seed_from_u64(0xab);
+    let gathered = |rng: &mut StdRng, dtype: DataType| {
+        let n = rng.random_range(0..40usize);
+        let col = typed::column(rng, dtype, n, false);
+        col.gather(&typed::row_list(rng, n))
+    };
+    for case in 0..10 * CASES {
+        for dtype in [DataType::Int, DataType::Float, DataType::Str] {
+            let (head, tail) = (gathered(&mut rng, dtype), gathered(&mut rng, dtype));
+            let mut pushed = Column::new(dtype);
+            for col in [&head, &tail, &tail] {
+                (0..col.len()).for_each(|r| pushed.push(&col.get(r)).unwrap());
+            }
+            let mut appended = Column::new(dtype);
+            for col in [&head, &tail, &tail] {
+                appended.extend_from(col).unwrap();
+            }
+            assert_eq!(typed::repr(&appended), typed::repr(&pushed), "case {case}");
+            // A compact gather is the same thing from a row list.
+            let rows = typed::row_list(&mut rng, head.len());
+            let mut pushed = Column::new(dtype);
+            (rows.iter()).for_each(|&r| pushed.push(&head.get(r)).unwrap());
+            let compact = head.gather_compact(&rows);
+            assert_eq!(typed::repr(&compact), typed::repr(&pushed), "case {case}");
+        }
+        // The same through `Table::union`, over all dtypes at once.
+        let (t, u) = (tail::table(&mut rng), tail::table(&mut rng));
+        let u = u.gather(&typed::row_list(&mut rng, u.n_rows()));
+        let mut pushed = t.clone();
+        (0..u.n_rows()).for_each(|r| pushed.push_row(&u.row(r)).unwrap());
+        let mut unioned = t.clone();
+        unioned.union(&u).unwrap();
+        assert_eq!(unioned.n_rows(), pushed.n_rows());
+        assert_eq!(typed::table_repr(&unioned), typed::table_repr(&pushed));
+    }
+    let (mut ints, floats) = (Column::new(DataType::Int), Column::new(DataType::Float));
+    assert!(ints.extend_from(&floats).is_err(), "dtypes must agree");
+}
+
+/// The hash join over typed keys pairs the rows a join keyed by `Value`
+/// pairs, in the same order, and stacks the same table — for `Int` keys,
+/// `Str` keys held in different dictionaries, `Int` against `Float` (equal
+/// under `Value`'s `Eq`), NULL keys and duplicates on both sides.
+#[test]
+fn typed_hash_join_matches_the_value_keyed_join() {
+    use restore::db::DataType::{Float, Int, Str};
+    use restore::db::{hash_join, partner_counts, Field, Table, Value};
+    use std::collections::HashMap;
+    let mut rng = StdRng::seed_from_u64(0xac);
+    let keys: [&[Value]; 3] = [
+        &[0, 1, 2, 3, 2013].map(Value::Int),
+        &[0.0, 1.0, 2.5, 3.0, 2013.0].map(Value::Float),
+        &["x", "y", "2013", "1", "zz"].map(Value::str),
+    ];
+    let side = |rng: &mut StdRng, name: &str, dtype| {
+        let pool = keys[[Int, Float, Str].iter().position(|d| *d == dtype).unwrap()];
+        let fields = vec![Field::new("k", dtype), Field::new("payload", Str)];
+        let mut t = Table::new(name, fields);
+        for _ in 0..rng.random_range(0..30usize) {
+            let key = match rng.random_range(0..5u32) {
+                0 => Value::Null,
+                _ => pool[rng.random_range(0..pool.len())].clone(),
+            };
+            t.push_row(&[key, typed::value(rng, Str, false)]).unwrap();
+        }
+        // Dictionaries with entries in another order than the other side's,
+        // some of them unreferenced.
+        t.gather(&typed::row_list(rng, t.n_rows()))
+    };
+    let pairings = [
+        (Int, Int),
+        (Str, Str),
+        (Int, Float),
+        (Float, Int),
+        (Float, Float),
+    ];
+    for case in 0..10 * CASES {
+        let (ldtype, rdtype) = pairings[case % pairings.len()];
+        let (l, r) = (side(&mut rng, "l", ldtype), side(&mut rng, "r", rdtype));
+
+        let mut build: HashMap<Value, Vec<usize>> = HashMap::new();
+        for row in (0..r.n_rows()).filter(|&row| !r.value(row, 0).is_null()) {
+            build.entry(r.value(row, 0)).or_default().push(row);
+        }
+        let (mut li, mut ri, mut unmatched, mut counts) = (vec![], vec![], vec![], vec![]);
+        for row in 0..l.n_rows() {
+            let partners = build.get(&l.value(row, 0)).map_or(&[][..], Vec::as_slice);
+            let partners = if l.value(row, 0).is_null() {
+                &[]
+            } else {
+                partners
+            };
+            counts.push(partners.len());
+            if partners.is_empty() {
+                unmatched.push(row);
+            }
+            for &partner in partners {
+                li.push(row);
+                ri.push(partner);
+            }
+        }
+        let stacked = (l.qualified().gather(&li))
+            .hstack(r.qualified().gather(&ri), "j")
+            .unwrap();
+
+        let out = hash_join(&l, "k", &r, "r.k", "j").unwrap();
+        assert_eq!(out.left_indices, li, "case {case}");
+        assert_eq!(out.right_indices, ri, "case {case}");
+        assert_eq!(out.unmatched_left, unmatched, "case {case}");
+        assert_eq!(out.table.name(), "j");
+        assert_eq!(typed::table_repr(&out.table), typed::table_repr(&stacked));
+        assert_eq!(partner_counts(&l, "k", &r, "k").unwrap(), counts);
+    }
+}

@@ -330,19 +330,141 @@ fn cache_budget_evicts_lru_end_to_end() {
     assert!(a2.is_finite());
 }
 
-/// The warm path as it was before queries ran in place, kept as the oracle
-/// of `Snapshot::execute`: the §4.4 projection copied into a table (the
-/// retired `Snapshot::project_completed`), the completed relation built
-/// cell by cell, and the materializing tail (mask → filtered copy →
-/// aggregate) on `Expr::eval_mask`.
+/// Retired formulations, kept as oracles. Of `Snapshot::execute`: the warm
+/// path as it was before queries ran in place — the §4.4 projection copied
+/// into a table (the retired `Snapshot::project_completed`), the completed
+/// relation built cell by cell, and the materializing tail (mask → filtered
+/// copy → aggregate) on `Expr::eval_mask`. Of `Snapshot::confidence`: §6 as
+/// it was computed before it read only what it uses.
 mod oracle {
     use std::collections::HashSet;
 
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use restore::core::wire::query_response_json;
-    use restore::core::{CompletionOutput, Snapshot};
-    use restore::db::{aggregate, DataType, Query, QueryResult, Table, Value};
+    use restore::core::{
+        CompletionModel, CompletionOutput, ConfidenceInterval, ConfidenceQuery, Snapshot,
+    };
+    use restore::db::{aggregate, DataType, Database, Query, QueryResult, Table, Value};
+    use restore::nn::{kl_divergence, InferenceSession};
+
+    /// §6 over the whole join: every attribute of every row encoded, the
+    /// conditionals of all synthesized rows as one batch on a fresh
+    /// session, `token_numeric` per token per row, one `to_string()` per
+    /// real cell, the marginal one `Value` at a time.
+    pub fn confidence(
+        model: &CompletionModel,
+        db: &Database,
+        out: &CompletionOutput,
+        query: &ConfidenceQuery,
+        level: f64,
+    ) -> ConfidenceInterval {
+        let (table, column) = match query {
+            ConfidenceQuery::CountFraction { table, column, .. }
+            | ConfidenceQuery::Avg { table, column }
+            | ConfidenceQuery::Sum { table, column } => (table.as_str(), column.as_str()),
+        };
+        let attr_idx = model.attr_index(table, column).unwrap();
+        let encoder = &model.attrs()[attr_idx].encoder;
+        let syn = out.synthesized_for(table).unwrap();
+        let join = &out.join;
+        let col = join.resolve(&format!("{table}.{column}")).unwrap();
+        let n = join.n_rows();
+        let syn_rows: Vec<usize> = (0..n).filter(|&r| syn[r]).collect();
+        let real_rows: Vec<usize> = (0..n).filter(|&r| !syn[r]).collect();
+
+        let encoded = model.encode_tokens(join, &out.tf);
+        let mut dists = Vec::new();
+        if !syn_rows.is_empty() {
+            let mut session = InferenceSession::new();
+            model
+                .conditional_dists_encoded_into(
+                    &mut session,
+                    join,
+                    &encoded,
+                    attr_idx,
+                    &syn_rows,
+                    &mut dists,
+                )
+                .unwrap();
+        }
+        let trained_on = db.table(table).unwrap().column_by_name(column).unwrap();
+        let mut marginal = vec![0.0f32; encoder.cardinality()];
+        let mut total = 0.0f32;
+        for r in 0..trained_on.len() {
+            if let Some(token) = encoder.encode(&trained_on.get(r)) {
+                marginal[token as usize] += 1.0;
+                total += 1.0;
+            }
+        }
+        if total > 0.0 {
+            marginal.iter_mut().for_each(|c| *c /= total);
+        }
+        let certainty =
+            |d: &[f32]| (1.0 - (-kl_divergence(d, &marginal)).exp()).clamp(0.0, 1.0) as f64;
+
+        if let ConfidenceQuery::CountFraction { value, .. } = query {
+            let target = encoder.encode(&Value::str(value)).or_else(|| {
+                let number = value.parse::<f64>().ok()?;
+                encoder.encode(&Value::Float(number))
+            });
+            let holds = |r: &&usize| join.value(**r, col).to_string() == *value;
+            let existing = real_rows.iter().filter(holds).count() as f64;
+            let (mut lo, mut hi, mut est) = (existing, existing, existing);
+            for d in &dists {
+                let p = target.map_or(0.0, |t| d.get(t as usize).copied().unwrap_or(0.0)) as f64;
+                let c = certainty(d);
+                lo += c * p + (1.0 - c) * (1.0 - level);
+                hi += c * p + (1.0 - c) * level;
+                est += p;
+            }
+            let total = n.max(1) as f64;
+            let all = existing + syn_rows.len() as f64;
+            return ConfidenceInterval {
+                lo: lo / total,
+                hi: hi / total,
+                estimate: est / total,
+                theoretical: Some((existing / total, all / total)),
+            };
+        }
+        let mut known: Vec<f64> = (0..trained_on.len())
+            .filter_map(|r| trained_on.get(r).as_f64())
+            .collect();
+        known.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let pick = |q: f64| known[((known.len() - 1) as f64 * q).round() as usize];
+        let (q_lo, q_hi) = (pick(1.0 - level), pick(level));
+        let (mut lo, mut hi, mut est, mut count) = (0.0, 0.0, 0.0, 0usize);
+        for &r in &real_rows {
+            if let Some(x) = join.value(r, col).as_f64() {
+                lo += x;
+                hi += x;
+                est += x;
+                count += 1;
+            }
+        }
+        for d in &dists {
+            let expected: f64 = d
+                .iter()
+                .enumerate()
+                .map(|(t, &p)| p as f64 * encoder.token_numeric(t as u32).unwrap_or(0.0))
+                .sum();
+            let c = certainty(d);
+            lo += c * expected + (1.0 - c) * q_lo;
+            hi += c * expected + (1.0 - c) * q_hi;
+            est += expected;
+            count += 1;
+        }
+        let per = match query {
+            ConfidenceQuery::Avg { .. } => count.max(1) as f64,
+            _ => 1.0,
+        };
+        ConfidenceInterval {
+            lo: lo / per,
+            hi: hi / per,
+            estimate: est / per,
+            theoretical: None,
+        }
+    }
 
     fn project_completed(out: &CompletionOutput, query_tables: &[String], seed: u64) -> Table {
         let (chain, join) = (&out.tables, &out.join);
@@ -610,4 +732,126 @@ fn in_place_execution_matches_the_copying_oracle_under_thinning() {
         assert!((2..6).any(|seed| count(q, seed) != count(q, 1)), "{q:?}");
     }
     assert_matches_copying_oracle(rs, &shapes, 43);
+}
+
+/// Asserts that `Snapshot::confidence` on a fresh `snapshot` answers, bit
+/// for bit, what the whole-join formulation answers over the completion it
+/// was served from (the one entry of the cache afterwards); returns the
+/// chain.
+fn assert_confidence_matches_oracle(
+    snapshot: &Snapshot,
+    tables: &[&str],
+    query: &restore::core::ConfidenceQuery,
+) -> Vec<String> {
+    let tables: Vec<String> = tables.iter().map(|t| t.to_string()).collect();
+    let got = snapshot
+        .confidence(&tables, query, 0.9, 3)
+        .expect("confidence");
+    let (chain, out) = snapshot.cached_completions().pop().expect("a completion");
+    assert!(out.n_synthesized() > 100, "several ragged chunks of rows");
+    let model = snapshot.model_for_path(&chain).expect("model");
+    let expect = oracle::confidence(&model, snapshot.db(), &out, query, 0.9);
+    let bits = |ci: &restore::core::ConfidenceInterval| {
+        let theoretical = ci.theoretical.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
+        (
+            ci.lo.to_bits(),
+            ci.hi.to_bits(),
+            ci.estimate.to_bits(),
+            theoretical,
+        )
+    };
+    assert_eq!(
+        bits(&got),
+        bits(&expect),
+        "{query:?}: {got:?} vs {expect:?}"
+    );
+    assert!(got.lo < got.hi, "{got:?}");
+    chain
+}
+
+/// §6 reads only the attributes before the queried one, only for the
+/// synthesized rows, in `batch_size` chunks on one session — and answers
+/// what encoding the whole join and evaluating one batch answered: `Avg`
+/// and `Sum` over a binned float and a year-like categorical on housing,
+/// `CountFraction` on the synthetic schema under an AR and an SSAR model
+/// (whose evidence sets hang off the *join* rows of each chunk), and a
+/// three-table chain.
+#[test]
+fn confidence_matches_the_whole_join_oracle() {
+    use restore::core::ConfidenceQuery::{Avg, CountFraction, Sum};
+    use restore::data::housing::{generate_housing, HousingConfig};
+
+    // 48-row chunks: every case below evaluates several, the last ragged.
+    let chunked = |mut config: RestoreConfig| {
+        config.completer.batch_size = 48;
+        config
+    };
+    let count = |table: &str, column: &str, value: &str| CountFraction {
+        table: table.into(),
+        column: column.into(),
+        value: value.into(),
+    };
+
+    for ssar in [false, true] {
+        let mut config = chunked(quick_config());
+        if ssar {
+            config.train = config.train.ssar();
+        }
+        let db = generate_synthetic(
+            &SyntheticConfig {
+                predictability: 0.9,
+                n_parent: 150,
+                ..Default::default()
+            },
+            44,
+        );
+        let mut removal = RemovalConfig::new(BiasSpec::categorical("tb", "b"), 0.5, 0.5);
+        removal.seed = 44;
+        let mut rs = ReStore::new(apply_removal(&db, &removal).incomplete, config);
+        rs.mark_incomplete("tb");
+        rs.train(44).expect("train");
+        let snapshot = rs.seal(44);
+        let chain =
+            assert_confidence_matches_oracle(&snapshot, &["ta", "tb"], &count("tb", "b", "b1"));
+        assert_eq!(snapshot.model_for_path(&chain).unwrap().is_ssar(), ssar);
+    }
+
+    let complete = generate_housing(&HousingConfig::scaled(0.1), 45);
+    let mut removal = RemovalConfig::new(BiasSpec::continuous("apartment", "price"), 0.4, 0.6);
+    removal.tf_keep_rate = 0.3;
+    removal.seed = 45;
+    let incomplete = apply_removal(&complete, &removal).incomplete;
+    let mut rs = ReStore::new(incomplete, chunked(quick_config()));
+    rs.mark_incomplete("apartment");
+    rs.train(45).expect("train");
+    let tables = ["landlord", "apartment"];
+    rs.ensure_query_models(&tables.map(String::from), 45)
+        .expect("ensure");
+    let sealed = rs.seal(45).to_bytes();
+    let avg = |column: &str| Avg {
+        table: "apartment".into(),
+        column: column.into(),
+    };
+    let sum_price = Sum {
+        table: "apartment".into(),
+        column: "price".into(),
+    };
+    for query in [
+        avg("price"),
+        sum_price,
+        avg("accommodates"),
+        count("apartment", "accommodates", "2"),
+    ] {
+        let snapshot = Snapshot::from_bytes(&sealed).expect("load");
+        assert_confidence_matches_oracle(&snapshot, &tables, &query);
+    }
+
+    let mut rs = ReStore::new(two_children_db(46), chunked(quick_config()));
+    rs.mark_incomplete("c1");
+    let path = ["c2", "p", "c1"].map(String::from);
+    rs.set_selected_path("c1", &path, 46)
+        .expect("train the forced path");
+    let snapshot = rs.seal(46);
+    let chain = assert_confidence_matches_oracle(&snapshot, &["p", "c1"], &count("c1", "x", "x1"));
+    assert_eq!(chain, path);
 }

@@ -12,7 +12,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use restore::core::{
-    Completer, CompleterConfig, CompletionModel, CompletionPath, SchemaAnnotation, TrainConfig,
+    Completer, CompleterConfig, CompletionModel, CompletionOutput, CompletionPath,
+    SchemaAnnotation, TrainConfig,
 };
 use restore::data::{apply_removal, generate_synthetic, BiasSpec, RemovalConfig, SyntheticConfig};
 use restore::nn::InferenceSession;
@@ -225,4 +226,118 @@ fn incremental_encoding_matches_full_reencoding_multistep() {
         .complete(&model, 13)
         .unwrap();
     assert!(out.n_synthesized() > 0, "no step sampled from the cache");
+}
+
+/// FNV-1a over everything a completion hands the cache — field names and
+/// dtypes, every cell, string dictionaries in entry order, `syn`, `tf` —
+/// next to the byte estimate the cache budgets with.
+fn completion_fingerprint(out: &CompletionOutput) -> (u64, usize) {
+    use restore::db::Column;
+    struct Fnv(u64);
+    impl Fnv {
+        fn eat(&mut self, bytes: &[u8]) {
+            for &b in bytes.iter().chain(&[0xff]) {
+                self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        fn cell(&mut self, cell: Option<u64>) {
+            match cell {
+                Some(bits) => self.eat(&bits.to_le_bytes()),
+                None => self.eat(b"null"),
+            }
+        }
+    }
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for (field, column) in out.join.fields().iter().zip(out.join.columns()) {
+        h.eat(format!("{} {}", field.name, field.dtype).as_bytes());
+        match column {
+            Column::Int(cells) => cells.iter().for_each(|c| h.cell(c.map(|i| i as u64))),
+            Column::Float(cells) => cells.iter().for_each(|c| h.cell(c.map(f64::to_bits))),
+            Column::Str { dict, codes } => {
+                codes.iter().for_each(|c| h.cell(c.map(u64::from)));
+                (0..dict.len()).for_each(|c| h.eat(dict.value(c as u32).as_bytes()));
+            }
+        }
+    }
+    for flags in &out.syn {
+        h.eat(&flags.iter().map(|&f| f as u8).collect::<Vec<u8>>());
+    }
+    for factors in &out.tf {
+        h.eat(format!("{factors:?}").as_bytes());
+    }
+    (h.0, out.approx_bytes())
+}
+
+/// Completions are pinned bit for bit — cells, dictionary order, provenance
+/// and byte estimate — to what the walk produced before it stopped encoding
+/// columns nobody reads and moved typed storage instead of `Value`s (the
+/// values were recorded by running this test at the parent of that change).
+/// Housing with apartments *and* landlords removed: one table (nothing to
+/// walk), the two chains the cold benchmark synthesizes (binned floats,
+/// year-like categoricals, strings, known tuple factors), and
+/// `neighborhood → apartment → landlord` under every replacement mode —
+/// a non-final fan-out step whose sampled tuples are (or are not) swapped
+/// for real neighbours before an n:1 step samples from the tokens the walk
+/// maintained, which debug builds compare with the full re-encode at every
+/// sampling point (`Working::encoded`).
+#[test]
+fn completions_are_pinned_on_one_two_and_three_table_paths() {
+    use restore::core::ReplacementMode::{self, Always, Auto, Never};
+    use restore::data::housing::{generate_housing, HousingConfig};
+
+    let complete = generate_housing(&HousingConfig::scaled(0.1), 37);
+    let mut removal = RemovalConfig::new(BiasSpec::continuous("apartment", "price"), 0.4, 0.6);
+    removal.tf_keep_rate = 0.3;
+    removal.seed = 37;
+    let db = apply_removal(&complete, &removal).incomplete;
+    let mut removal = RemovalConfig::new(
+        BiasSpec::continuous("landlord", "landlord_response_rate"),
+        0.6,
+        0.5,
+    );
+    removal.seed = 38;
+    let db = apply_removal(&db, &removal).incomplete;
+    let ann = SchemaAnnotation::with_incomplete(["apartment", "landlord"]);
+    let cfg = TrainConfig {
+        epochs: 3,
+        min_steps: 60,
+        hidden: vec![24, 24],
+        max_train_rows: 2_000,
+        ..TrainConfig::default()
+    };
+
+    let mut got = Vec::new();
+    let chains: [(&[&str], &[ReplacementMode]); 4] = [
+        (&["neighborhood"], &[Auto]),
+        (&["neighborhood", "apartment"], &[Auto]),
+        (&["landlord", "apartment"], &[Auto]),
+        (
+            &["neighborhood", "apartment", "landlord"],
+            &[Auto, Always, Never],
+        ),
+    ];
+    for (chain, modes) in chains {
+        let tables: Vec<String> = chain.iter().map(|t| t.to_string()).collect();
+        let path = CompletionPath::from_tables(&db, &tables).unwrap();
+        let model = CompletionModel::train(&db, &ann, path, &cfg, 37).unwrap();
+        for &replacement in modes {
+            let ccfg = CompleterConfig {
+                batch_size: 64,
+                replacement,
+                ..CompleterConfig::default()
+            };
+            let completer = Completer::new(&db, &ann).with_config(ccfg);
+            let out = completer.complete(&model, 14).unwrap();
+            got.push(completion_fingerprint(&out));
+        }
+    }
+    let pinned: [(u64, usize); 6] = [
+        (0x2e91fcc6106dbc61, 1_723),
+        (0x4908abbb4f407a2a, 70_474),
+        (0x3bd0662be9faa944, 61_541),
+        (0xc2177e61e10c08f7, 98_756),
+        (0x87cf464bf60379cf, 98_756),
+        (0x41ff6547a2c2bc9a, 98_756),
+    ];
+    assert_eq!(got, pinned, "{got:#x?}");
 }
