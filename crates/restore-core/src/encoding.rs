@@ -253,7 +253,14 @@ impl AttrEncoder {
             AttrEncoder::Binned { means, .. } => means
                 .get(token as usize)
                 .map_or(Value::Null, |&m| Value::Float(m)),
-            AttrEncoder::IntRange { min, .. } => Value::Int(min + token as i64),
+            AttrEncoder::IntRange { min, max } => {
+                let v = min + token as i64;
+                if v <= *max {
+                    Value::Int(v)
+                } else {
+                    Value::Null
+                }
+            }
         }
     }
 
@@ -437,6 +444,7 @@ mod tests {
         assert_eq!(enc.encode(&Value::Int(100)), Some(7));
         assert_eq!(enc.decode(5), Value::Int(5));
         assert_eq!(enc.mask_token(), 8);
+        assert_eq!(enc.decode(enc.mask_token()), Value::Null);
     }
 
     #[test]

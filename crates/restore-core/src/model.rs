@@ -180,6 +180,8 @@ pub struct CompletionModel {
     store: ParamStore,
     ctx: Vec<CtxTable>,
     deepsets: Option<DeepSets>,
+    /// Every attribute's MASK token — what sampling must never draw.
+    mask_tokens: Vec<Option<u32>>,
     cfg: TrainConfig,
     /// Per-epoch mean training loss.
     pub train_losses: Vec<f32>,
@@ -332,8 +334,12 @@ impl CompletionModel {
 
     /// Wraps a built structure into an (untrained) model shell.
     fn from_structure(path: CompletionPath, s: ModelStructure, cfg: &TrainConfig) -> Self {
+        let mask_tokens = (s.attrs.iter())
+            .map(|a| Some(a.encoder.mask_token()))
+            .collect();
         Self {
             path,
+            mask_tokens,
             attrs: s.attrs,
             table_ranges: s.table_ranges,
             tf_attrs: s.tf_attrs,
@@ -758,14 +764,11 @@ impl CompletionModel {
             self.conditional_dists_encoded_into(session, join, encoded, attr_idx, rows, &mut dists);
         let result = filled.map(|()| {
             let enc = &self.attrs[attr_idx].encoder;
-            dists
-                .iter()
-                .map(|d| {
-                    d.iter()
-                        .enumerate()
-                        .map(|(i, &p)| p as f64 * enc.decode(i as u32).as_i64().unwrap_or(0) as f64)
-                        .sum()
-                })
+            let worth: Vec<f64> = (0..enc.cardinality() as u32)
+                .map(|token| enc.decode(token).as_i64().unwrap_or(0) as f64)
+                .collect();
+            (dists.iter())
+                .map(|d| d.iter().zip(&worth).map(|(&p, w)| p as f64 * w).sum())
                 .collect()
         });
         session.store_dists(dists);
@@ -872,16 +875,8 @@ impl CompletionModel {
         rows: &[usize],
         rng: &mut StdRng,
     ) -> CoreResult<Vec<Vec<u32>>> {
-        let mut batch: Vec<Arc<Vec<u32>>> = encoded
-            .iter()
-            .map(|col| Arc::new(rows.iter().map(|&r| col[r]).collect::<Vec<u32>>()))
-            .collect();
+        let mut batch = batch_tokens(encoded, rows, attr_range.end);
         let ctx = self.context_matrix_in(session, join, rows, false)?;
-        let excluded: Vec<Option<u32>> = self
-            .attrs
-            .iter()
-            .map(|a| Some(a.encoder.mask_token()))
-            .collect();
         self.made.sample_range_in(
             session,
             &self.store,
@@ -889,12 +884,13 @@ impl CompletionModel {
             ctx.as_ref(),
             attr_range.start,
             attr_range.end,
-            &excluded,
+            &self.mask_tokens,
             rng,
         );
-        Ok(batch[attr_range]
-            .iter()
-            .map(|col| col.as_ref().clone())
+        // The session retains nothing, so each sampled column moves out.
+        let sampled = batch.drain(attr_range);
+        Ok(sampled
+            .map(|col| Arc::try_unwrap(col).unwrap_or_else(|shared| (*shared).clone()))
             .collect())
     }
 
@@ -953,10 +949,7 @@ impl CompletionModel {
         rows: &[usize],
         out: &mut Vec<Vec<f32>>,
     ) -> CoreResult<()> {
-        let batch: Vec<Arc<Vec<u32>>> = encoded
-            .iter()
-            .map(|col| Arc::new(rows.iter().map(|&r| col[r]).collect::<Vec<u32>>()))
-            .collect();
+        let batch = batch_tokens(encoded, rows, attr_idx);
         self.conditional_dists_into(session, join, &batch, attr_idx, rows, out)
     }
 
@@ -1162,6 +1155,23 @@ fn encode_training_tokens(
         tokens.push(column);
     }
     Ok((tokens, weights))
+}
+
+/// The token columns of an inference batch over `rows`: the first `used`
+/// attributes gathered out of `encoded`. The network neither reads nor
+/// range-checks a later attribute's tokens (a sampled range is overwritten),
+/// so those columns share one filler of the batch's length.
+fn batch_tokens(encoded: &[Vec<u32>], rows: &[usize], used: usize) -> Vec<Arc<Vec<u32>>> {
+    let unread = Arc::new(vec![0; rows.len()]);
+    (encoded.iter().enumerate())
+        .map(|(a, col)| {
+            if a < used {
+                Arc::new(rows.iter().map(|&r| col[r]).collect())
+            } else {
+                Arc::clone(&unread)
+            }
+        })
+        .collect()
 }
 
 /// Gathers batch rows out of column-major token/weight storage.

@@ -3,6 +3,7 @@
 //! (§3.1–§3.2 of the paper), with learned per-attribute embeddings and
 //! residual connections as in naru (Yang et al., VLDB 2019).
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::Rng;
@@ -11,7 +12,7 @@ use crate::infer::{Forward, InferenceSession};
 use crate::layers::{Embedding, MaskedLinear};
 use crate::loss::{block_cross_entropy, softmax_into, BlockLayout, BlockLoss};
 use crate::masks::build_masks;
-use crate::params::ParamStore;
+use crate::params::{ParamId, ParamStore};
 use crate::sweep::{ArSweep, BandedCache, SweepNet};
 use crate::tensor::Matrix;
 
@@ -236,8 +237,9 @@ impl Made {
     /// autoregressive sampler never needs the other blocks. Returns the
     /// `rows × cardinality(attr)` block, bit-identical to the
     /// corresponding slice of the full logits. Only the hidden bands of
-    /// degree `≤ attr` are evaluated (everything the block can see);
-    /// [`Made::logits_attr_full_in`] is the full-trunk oracle.
+    /// degree `≤ attr` are evaluated (everything the block can see), once
+    /// per distinct evidence prefix; [`Made::logits_attr_full_in`] is the
+    /// full-trunk oracle.
     pub fn logits_attr_in<'s>(
         &self,
         session: &'s mut InferenceSession,
@@ -248,9 +250,8 @@ impl Made {
     ) -> &'s Matrix {
         let net = self.sweep_net();
         let (sweep, masked) = session.sweep_parts();
-        self.sweep_begin(&net, sweep, store, tokens, ctx, attr);
-        let (off, card) = self.layout.block(attr);
-        sweep.output_block(masked, store, &self.output_layer, off..off + card);
+        self.sweep_begin(&net, sweep, masked, store, tokens, ctx, attr);
+        sweep.logits.expand_rows(&sweep.group);
         &sweep.logits
     }
 
@@ -289,25 +290,24 @@ impl Made {
         }
     }
 
-    /// Starts a sweep: validates the batch (same checks as the trunk),
-    /// assembles the trunk input (context block + every attribute's
-    /// embedding block under the current tokens) and computes all hidden
-    /// bands of degree `≤ upto`, after which any logit block `attr ≤ upto`
-    /// can be evaluated.
+    /// Starts a sweep: validates the batch (same checks as the trunk) and
+    /// evaluates attribute `upto`'s logit block **once per distinct
+    /// evidence prefix** ([`ArSweep::group_prefixes`]): row `i` of the trunk
+    /// input, of the hidden bands of degree `≤ upto` computed here and of
+    /// `sweep.logits` stands for every batch row `r` with
+    /// `sweep.group[r] == i`.
+    #[allow(clippy::too_many_arguments)]
     fn sweep_begin(
         &self,
         net: &SweepNet,
         sweep: &mut ArSweep,
+        masked: &mut HashMap<ParamId, (usize, Matrix)>,
         store: &ParamStore,
         tokens: &[Arc<Vec<u32>>],
         ctx: Option<&Matrix>,
         upto: usize,
     ) {
         let m = self.check_batch(tokens, ctx.map(|c| c.shape()));
-        sweep.begin(store, net, m);
-        if let Some(c) = ctx {
-            sweep.set_x_block(0, c);
-        }
         // Only attributes `< upto` feed the bands computed here or later:
         // band degree `d` reads attribute blocks `< d`, the setup pass
         // covers degrees `≤ upto`, and every later step re-gathers the
@@ -315,10 +315,17 @@ impl Made {
         // Blocks `≥ upto` are never read (their band weights are zero and
         // the k-limited GEMM skips their rows entirely), so their stale
         // contents are irrelevant.
+        sweep.group_prefixes(&tokens[..upto], ctx, m);
+        sweep.begin(store, net, sweep.reps.len());
+        if let Some(c) = ctx {
+            sweep.set_x_context(c);
+        }
         for (a, (emb, toks)) in self.embeddings.iter().zip(tokens).enumerate().take(upto) {
-            sweep.gather_x_block(self.embed_offsets[a], store.value(emb.param_id()), toks);
+            sweep.gather_x_block_reps(self.embed_offsets[a], store.value(emb.param_id()), toks);
         }
         sweep.compute(net, 0..upto + 1);
+        let (off, card) = self.layout.block(upto);
+        sweep.output_block(masked, store, &self.output_layer, off..off + card);
     }
 
     /// Inference-only forward returning an owned logits matrix (convenience
@@ -384,7 +391,7 @@ impl Made {
     /// buffer — the completion engine keeps one session per worker warm
     /// across batches, and `out` is resized and refilled in place (inner
     /// vectors reused) instead of allocating per-row softmax results on
-    /// every call.
+    /// every call. Rows that share an evidence prefix share one evaluation.
     #[allow(clippy::too_many_arguments)]
     pub fn conditional_dists_in(
         &self,
@@ -395,12 +402,21 @@ impl Made {
         attr: usize,
         out: &mut Vec<Vec<f32>>,
     ) {
-        let block = self.logits_attr_in(session, store, tokens, ctx, attr);
-        let card = block.cols();
-        out.resize_with(block.rows(), Vec::new);
-        for (r, d) in out.iter_mut().enumerate() {
-            d.resize(card, 0.0);
-            softmax_into(block.row(r), d);
+        let net = self.sweep_net();
+        let (sweep, masked) = session.sweep_parts();
+        self.sweep_begin(&net, sweep, masked, store, tokens, ctx, attr);
+        // One softmax per prefix, at the first row that carries it; the
+        // prefix's later rows copy that row's result.
+        out.resize_with(sweep.group.len(), Vec::new);
+        for (r, &g) in sweep.group.iter().enumerate() {
+            let (done, rest) = out.split_at_mut(r);
+            match done.get(sweep.reps[g as usize] as usize) {
+                Some(first) => rest[0].clone_from(first),
+                None => {
+                    rest[0].resize(sweep.logits.cols(), 0.0);
+                    softmax_into(sweep.logits.row(g as usize), &mut rest[0]);
+                }
+            }
         }
     }
 
@@ -465,9 +481,11 @@ impl Made {
     /// start, end, rng state)`.
     ///
     /// The attribute loop runs on the band-incremental sweep: a setup pass
-    /// computes all hidden bands of degree `≤ start`, then step `attr`
-    /// refreshes the just-sampled attribute's embedding block in the
-    /// cached trunk input and computes only the degree-`attr` band per
+    /// computes all hidden bands of degree `≤ start` and attribute
+    /// `start`'s distribution once per distinct evidence prefix (Algorithm
+    /// 1 hands over each evidence row once per missing tuple), then step
+    /// `attr` refreshes the just-sampled attribute's embedding block in
+    /// the cached trunk input and computes only the degree-`attr` band per
     /// layer before evaluating that attribute's logit block —
     /// bit-identical to [`Made::sample_range_full_in`], at roughly one
     /// trunk forward's GEMM cost for the whole range.
@@ -488,17 +506,28 @@ impl Made {
         }
         let net = self.sweep_net();
         let (sweep, masked) = session.sweep_parts();
-        self.sweep_begin(&net, sweep, store, tokens, ctx, start);
-        for attr in start..end {
-            if attr > start {
-                let prev = attr - 1;
-                sweep.gather_x_block(
-                    self.embed_offsets[prev],
-                    store.value(self.embeddings[prev].param_id()),
-                    &tokens[prev],
-                );
-                sweep.compute(&net, attr..attr + 1);
-            }
+        self.sweep_begin(&net, sweep, masked, store, tokens, ctx, start);
+        let exclude = |attr: usize| excluded.get(attr).copied().flatten();
+        let ArSweep {
+            logits,
+            dist,
+            sampled,
+            group,
+            ..
+        } = &mut *sweep;
+        sample_block_groups(logits, exclude(start), group, dist, sampled, rng);
+        Arc::make_mut(&mut tokens[start]).copy_from_slice(sampled);
+        if start + 1 < end {
+            sweep.expand_rows();
+        }
+        for attr in start + 1..end {
+            let prev = attr - 1;
+            sweep.gather_x_block(
+                self.embed_offsets[prev],
+                store.value(self.embeddings[prev].param_id()),
+                &tokens[prev],
+            );
+            sweep.compute(&net, attr..attr + 1);
             let (off, card) = self.layout.block(attr);
             sweep.output_block(masked, store, &self.output_layer, off..off + card);
             let ArSweep {
@@ -507,13 +536,7 @@ impl Made {
                 sampled,
                 ..
             } = &mut *sweep;
-            sample_block_rows(
-                logits,
-                excluded.get(attr).copied().flatten(),
-                dist,
-                sampled,
-                rng,
-            );
+            sample_block_rows(logits, exclude(attr), dist, sampled, rng);
             Arc::make_mut(&mut tokens[attr]).copy_from_slice(sampled);
         }
     }
@@ -567,11 +590,10 @@ impl Made {
     }
 }
 
-/// Samples one token per row from a logits block: per row, in order, a
-/// softmax into `dist`, optional excluded-token renormalization, then one
-/// categorical draw. `dist` and `sampled` are caller-owned scratch —
-/// hoisted out of the per-attribute loop so steady-state sampling
-/// allocates nothing.
+/// Samples one token per row from a logits block: per row, in order, its
+/// [`block_row_dist`] into `dist`, then one categorical draw. `dist` and
+/// `sampled` are caller-owned scratch — hoisted out of the per-attribute
+/// loop so steady-state sampling allocates nothing.
 fn sample_block_rows<R: Rng>(
     block: &Matrix,
     excluded: Option<u32>,
@@ -582,31 +604,59 @@ fn sample_block_rows<R: Rng>(
     dist.resize(block.cols(), 0.0);
     sampled.clear();
     for r in 0..block.rows() {
-        softmax_into(block.row(r), dist);
-        if let Some(ex) = excluded {
-            let ex = ex as usize;
-            if ex < dist.len() {
-                dist[ex] = 0.0;
-                let s: f32 = dist.iter().sum();
-                if s > 0.0 {
-                    for d in dist.iter_mut() {
-                        *d /= s;
-                    }
-                } else {
-                    // Degenerate: everything but the excluded token had
-                    // zero mass; fall back to uniform.
-                    let n = dist.len();
-                    for (i, d) in dist.iter_mut().enumerate() {
-                        *d = if i == ex {
-                            0.0
-                        } else {
-                            1.0 / (n - 1).max(1) as f32
-                        };
-                    }
-                }
-            }
-        }
+        block_row_dist(block.row(r), excluded, dist);
         sampled.push(sample_categorical(dist, rng));
+    }
+}
+
+/// [`sample_block_rows`] for the first attribute of a sweep, whose block has
+/// one row per distinct prefix: one distribution per prefix (`dist` holds
+/// them all), and still one draw per batch row, in row order, from the
+/// distribution of its prefix `group[r]`.
+fn sample_block_groups<R: Rng>(
+    block: &Matrix,
+    excluded: Option<u32>,
+    group: &[u32],
+    dist: &mut Vec<f32>,
+    sampled: &mut Vec<u32>,
+    rng: &mut R,
+) {
+    let card = block.cols();
+    dist.resize(block.rows() * card, 0.0);
+    for (g, d) in dist.chunks_exact_mut(card).enumerate() {
+        block_row_dist(block.row(g), excluded, d);
+    }
+    sampled.clear();
+    for &g in group {
+        let d = &dist[g as usize * card..][..card];
+        sampled.push(sample_categorical(d, rng));
+    }
+}
+
+/// The distribution a logits row is sampled from: its softmax, with the
+/// excluded token (if any) zeroed and the rest renormalized.
+fn block_row_dist(logits: &[f32], excluded: Option<u32>, dist: &mut [f32]) {
+    softmax_into(logits, dist);
+    let Some(ex) = excluded.map(|ex| ex as usize).filter(|&ex| ex < dist.len()) else {
+        return;
+    };
+    dist[ex] = 0.0;
+    let s: f32 = dist.iter().sum();
+    if s > 0.0 {
+        for d in dist.iter_mut() {
+            *d /= s;
+        }
+    } else {
+        // Degenerate: everything but the excluded token had zero mass;
+        // fall back to uniform.
+        let n = dist.len();
+        for (i, d) in dist.iter_mut().enumerate() {
+            *d = if i == ex {
+                0.0
+            } else {
+                1.0 / (n - 1).max(1) as f32
+            };
+        }
     }
 }
 
@@ -620,7 +670,11 @@ pub fn sample_categorical<R: Rng>(dist: &[f32], rng: &mut R) -> u32 {
             return i as u32;
         }
     }
-    (dist.len() - 1) as u32
+    // `u` reaches `1 − 2⁻²⁴` and a renormalized `f32` distribution may sum
+    // to that or less. The last index is where an excluded MASK token sits,
+    // at probability exactly 0: land on the last token that can be drawn.
+    let last = dist.iter().rposition(|&p| p > 0.0);
+    last.unwrap_or(dist.len() - 1) as u32
 }
 
 #[cfg(test)]
@@ -743,6 +797,21 @@ mod tests {
         assert!(toks[0].is_empty());
         let loss = made.evaluate(&store, &[Arc::new(vec![]), Arc::new(vec![])], None, None);
         assert_eq!(loss.loss, 0.0);
+    }
+
+    /// The vendored `random::<f32>()` tops out at `1 − 2⁻²⁴`, which a
+    /// renormalized distribution need not exceed: the draw must then land on
+    /// the last token with mass, not on the zeroed (excluded) last index.
+    #[test]
+    fn sample_categorical_never_falls_back_onto_a_zero_probability_token() {
+        struct Max;
+        impl rand::RngCore for Max {
+            fn next_u64(&mut self) -> u64 {
+                u64::MAX
+            }
+        }
+        assert_eq!(sample_categorical(&[0.5, 0.4999999, 0.0], &mut Max), 1);
+        assert_eq!(sample_categorical(&[0.0, 0.0], &mut Max), 1);
     }
 
     #[test]

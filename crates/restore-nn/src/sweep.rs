@@ -36,6 +36,17 @@
 //! never touches a real unit's value, keeping the bit-identity contract
 //! intact. The output layer is unaffected: [`ArSweep::output_block`] goes
 //! through the session's shared *unpadded* masked-weight cache.
+//!
+//! Distinct prefixes: until the first draw of a sweep, a row's trunk input,
+//! its hidden bands of degree `≤ start`, attribute `start`'s logit block and
+//! the distribution drawn from are functions of its evidence prefix — the
+//! context row and the tokens `< start` — and Algorithm 1 fills a batch
+//! with copies of each evidence row, one per missing tuple. The setup pass
+//! runs over one row per distinct prefix ([`ArSweep::group_prefixes`]);
+//! every batch row then takes its own draw, and [`ArSweep::expand_rows`]
+//! copies the per-prefix state out for the incremental steps. Every kernel
+//! computes an output row from that input row alone, so no value depends on
+//! which rows are evaluated beside it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -250,11 +261,22 @@ pub struct ArSweep {
     pre: Matrix,
     /// Logit block of the attribute being evaluated.
     pub(crate) logits: Matrix,
-    /// Per-row softmax scratch, reused across rows and attributes.
+    /// Softmax scratch, reused across attributes: every prefix's
+    /// distribution for the first one of a sweep, then one row's at a time.
     pub(crate) dist: Vec<f32>,
     /// Sampled token column scratch, reused across attributes.
     pub(crate) sampled: Vec<u32>,
+    /// The batch's distinct evidence prefixes ([`ArSweep::group_prefixes`]):
+    /// the first batch row that carries each, in order of first appearance.
+    pub(crate) reps: Vec<u32>,
+    /// Batch row → index of its prefix in `reps`; `group[r] ≤ r`.
+    pub(crate) group: Vec<u32>,
+    /// Open-addressing table of `group_prefixes`: prefix index or [`EMPTY`].
+    slots: Vec<u32>,
 }
+
+/// Free slot of the prefix hash table.
+const EMPTY: u32 = u32::MAX;
 
 impl ArSweep {
     /// Number of layers with a degree-banded weight cache (diagnostics).
@@ -262,9 +284,61 @@ impl ArSweep {
         self.banded.len()
     }
 
-    /// Starts a sweep over an `m`-row batch: adopts the model's shared
-    /// frozen caches (or builds session-local ones on first use) and
-    /// sizes + zeroes the activation matrices (zeroed so the
+    /// Finds the distinct evidence prefixes of an `m`-row batch into
+    /// `reps` / `group`. Two rows share a prefix iff their `prefix` tokens
+    /// are equal and their context rows are equal by `f32::to_bits` —
+    /// bit-equal inputs give bit-equal outputs, and unequal bits (`−0.0`,
+    /// `0.0`) cost at worst an unshared row. Prefixes are numbered in order
+    /// of first appearance, so `group[r] ≤ r`. Algorithm 1 duplicates
+    /// evidence rows back to back, so the previous row is tried first; other
+    /// repeats are found through a hash whose hits are confirmed on the
+    /// prefix itself: the grouping does not depend on the hash function.
+    pub(crate) fn group_prefixes(
+        &mut self,
+        prefix: &[Arc<Vec<u32>>],
+        ctx: Option<&Matrix>,
+        m: usize,
+    ) {
+        let same = |a: usize, b: usize| {
+            prefix.iter().all(|col| col[a] == col[b])
+                && ctx.is_none_or(|c| {
+                    (c.row(a).iter().zip(c.row(b))).all(|(x, y)| x.to_bits() == y.to_bits())
+                })
+        };
+        let hash = |r: usize| {
+            let mix =
+                |h: u64, v: u32| (h.rotate_left(5) ^ v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let h = prefix.iter().fold(0, |h, col| mix(h, col[r]));
+            let ctx_bits = ctx.map_or(&[][..], |c| c.row(r)).iter();
+            (ctx_bits.fold(h, |h, v| mix(h, v.to_bits())) >> 32) as usize
+        };
+        let ArSweep {
+            reps, group, slots, ..
+        } = self;
+        reps.clear();
+        group.clear();
+        slots.clear();
+        slots.resize((2 * m).next_power_of_two(), EMPTY);
+        for r in 0..m {
+            if r > 0 && same(r, r - 1) {
+                group.push(group[r - 1]);
+                continue;
+            }
+            let mut slot = hash(r) & (slots.len() - 1);
+            while slots[slot] != EMPTY && !same(reps[slots[slot] as usize] as usize, r) {
+                slot = (slot + 1) & (slots.len() - 1);
+            }
+            if slots[slot] == EMPTY {
+                slots[slot] = reps.len() as u32;
+                reps.push(r as u32);
+            }
+            group.push(slots[slot]);
+        }
+    }
+
+    /// Starts a sweep over `m` rows (one per distinct prefix): adopts the
+    /// model's shared frozen caches (or builds session-local ones on first
+    /// use) and sizes + zeroes the activation matrices (zeroed so the
     /// not-yet-computed bands contribute deterministic masked zeros to
     /// the full-length band dot products).
     pub(crate) fn begin(&mut self, store: &ParamStore, net: &SweepNet, m: usize) {
@@ -299,26 +373,36 @@ impl ArSweep {
         }
     }
 
-    /// Copies a `m × dim` block (the context) into `x` at column `offset`.
-    pub(crate) fn set_x_block(&mut self, offset: usize, values: &Matrix) {
-        let dim = values.cols();
-        for r in 0..values.rows() {
-            self.x.row_mut(r)[offset..offset + dim].copy_from_slice(values.row(r));
+    /// Setup: copies the representatives' rows of the batch context into
+    /// `x` at column 0.
+    pub(crate) fn set_x_context(&mut self, ctx: &Matrix) {
+        let dim = ctx.cols();
+        for (i, &r) in self.reps.iter().enumerate() {
+            self.x.row_mut(i)[..dim].copy_from_slice(ctx.row(r as usize));
         }
     }
 
+    /// Setup: gathers the embedding rows of the representatives' tokens
+    /// into `x` at column `offset`.
+    pub(crate) fn gather_x_block_reps(&mut self, offset: usize, table: &Matrix, tokens: &[u32]) {
+        let reps = self.reps.iter().map(|&r| tokens[r as usize]);
+        gather_block(&mut self.x, offset, table, reps);
+    }
+
     /// Gathers embedding rows for a token column into `x` at column
-    /// `offset` — the in-place refresh of one attribute's input block.
+    /// `offset` — the in-place refresh of one attribute's input block once
+    /// `x` holds a row per batch row ([`ArSweep::expand_rows`]).
     pub(crate) fn gather_x_block(&mut self, offset: usize, table: &Matrix, tokens: &[u32]) {
-        let dim = table.cols();
-        for (r, &t) in tokens.iter().enumerate() {
-            let t = t as usize;
-            assert!(
-                t < table.rows(),
-                "gather index {t} out of range {}",
-                table.rows()
-            );
-            self.x.row_mut(r)[offset..offset + dim].copy_from_slice(table.row(t));
+        gather_block(&mut self.x, offset, table, tokens.iter().copied());
+    }
+
+    /// After the first draw the rows of a prefix part ways: the trunk input
+    /// and the activations become one row per batch row, each a copy of its
+    /// prefix's, for the incremental steps to continue from.
+    pub(crate) fn expand_rows(&mut self) {
+        self.x.expand_rows(&self.group);
+        for act in &mut self.acts {
+            act.expand_rows(&self.group);
         }
     }
 
@@ -405,6 +489,21 @@ impl ArSweep {
                 *v += bias;
             }
         }
+    }
+}
+
+/// Writes `table`'s row of each token into the next row of `x`, at column
+/// `offset`.
+fn gather_block(x: &mut Matrix, offset: usize, table: &Matrix, tokens: impl Iterator<Item = u32>) {
+    let dim = table.cols();
+    for (r, t) in tokens.enumerate() {
+        let t = t as usize;
+        assert!(
+            t < table.rows(),
+            "gather index {t} out of range {}",
+            table.rows()
+        );
+        x.row_mut(r)[offset..offset + dim].copy_from_slice(table.row(t));
     }
 }
 

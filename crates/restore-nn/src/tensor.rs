@@ -690,6 +690,29 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
+    /// Regroups the rows in place: the matrix becomes `group.len()` rows,
+    /// row `r` a copy of the old row `group[r]`. Needs `group[r] ≤ r`, which
+    /// is what makes it safe without a second buffer: rows past the old end
+    /// only read old rows and are appended first (no zero-fill), then the
+    /// old rows are rewritten from the last one down, so no row is
+    /// overwritten before every row that copies it has been written.
+    pub(crate) fn expand_rows(&mut self, group: &[u32]) {
+        let (old, c) = (self.rows, self.cols);
+        debug_assert!((group.iter().enumerate()).all(|(r, &g)| (g as usize) < old.min(r + 1)));
+        self.data.reserve((group.len() - old) * c);
+        for &g in &group[old..] {
+            let g = g as usize;
+            self.data.extend_from_within(g * c..(g + 1) * c);
+        }
+        for (r, &g) in group[..old].iter().enumerate().rev() {
+            let g = g as usize;
+            if g != r {
+                self.data.copy_within(g * c..(g + 1) * c, r * c);
+            }
+        }
+        self.rows = group.len();
+    }
+
     /// Becomes an element-wise copy of `other`, reusing the allocation.
     pub fn copy_from(&mut self, other: &Matrix) {
         self.rows = other.rows;

@@ -78,28 +78,44 @@ fn worker_count_never_changes_the_completion() {
     };
     let model = CompletionModel::train(&sc.incomplete, &ann, path, &cfg, 21).unwrap();
 
-    let complete_with = |workers: usize| {
+    let complete_with = |batch_size: usize, workers: usize| {
         let ccfg = CompleterConfig {
-            batch_size: 64,
+            batch_size,
             workers,
             ..CompleterConfig::default()
         };
         let completer = Completer::new(&sc.incomplete, &ann).with_config(ccfg);
         completer.complete(&model, 9).unwrap()
     };
-    let serial = complete_with(1);
-    for workers in [2, 8] {
-        let parallel = complete_with(workers);
-        assert_eq!(serial.join.n_rows(), parallel.join.n_rows());
-        for r in 0..serial.join.n_rows() {
-            assert_eq!(
-                serial.join.row(r),
-                parallel.join.row(r),
-                "row {r} differs at {workers} workers"
-            );
+    // At 3 rows a batch, the duplicates of one evidence row (which the
+    // sweep evaluates as one prefix) fall into several batches, each with
+    // its own RNG stream: grouping is per batch and never shows.
+    for batch_size in [64, 3] {
+        let serial = complete_with(batch_size, 1);
+        let parents = serial.join.column(serial.join.resolve("ta.id").unwrap());
+        let syn = serial.synthesized_for("tb").unwrap();
+        let longest_run = (0..serial.join.n_rows())
+            .filter(|&r| syn[r])
+            .fold((0, 0, None), |(longest, run, prev), r| {
+                let id = Some(parents.get(r));
+                let run = if id == prev { run + 1 } else { 1 };
+                (longest.max(run), run, id)
+            })
+            .0;
+        assert!(longest_run > 3, "no run of duplicates to split");
+        for workers in [2, 8] {
+            let parallel = complete_with(batch_size, workers);
+            assert_eq!(serial.join.n_rows(), parallel.join.n_rows());
+            for r in 0..serial.join.n_rows() {
+                assert_eq!(
+                    serial.join.row(r),
+                    parallel.join.row(r),
+                    "row {r} differs at {workers} workers"
+                );
+            }
+            assert_eq!(serial.syn, parallel.syn);
+            assert_eq!(serial.tf, parallel.tf);
         }
-        assert_eq!(serial.syn, parallel.syn);
-        assert_eq!(serial.tf, parallel.tf);
     }
 }
 

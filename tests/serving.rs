@@ -275,6 +275,48 @@ fn two_children_db(seed: u64) -> restore::db::Database {
     apply_removal(&sc.incomplete, &removal2).incomplete
 }
 
+/// `parents` rows of `p`, no two alike in `(a, b)`, each with `existing`
+/// children in `c` and a known tuple factor of `tf`: completing `c`
+/// synthesizes `tf − existing` tuples per parent.
+fn fan_out_db(parents: i64, existing: i64, tf: i64) -> restore::db::Database {
+    use restore::db::{DataType, Database, Field, ForeignKey, Table, Value};
+    let mut parent = Table::new(
+        "p",
+        vec![
+            Field::new("id", DataType::Int),
+            Field::new("a", DataType::Str),
+            Field::new("b", DataType::Str),
+            Field::new("__tf_c", DataType::Int),
+        ],
+    );
+    let mut child = Table::new(
+        "c",
+        vec![
+            Field::new("id", DataType::Int),
+            Field::new("p_id", DataType::Int),
+            Field::new("x", DataType::Str),
+        ],
+    );
+    for i in 0..parents {
+        let (a, b) = (format!("a{}", i % 12), format!("b{}", i / 12));
+        parent
+            .push_row(&[Value::Int(i), Value::str(a), Value::str(b), Value::Int(tf)])
+            .unwrap();
+        for j in 0..existing {
+            let x = format!("x{}", (i + j) % 3);
+            child
+                .push_row(&[Value::Int(i * existing + j), Value::Int(i), Value::str(x)])
+                .unwrap();
+        }
+    }
+    let mut db = Database::new();
+    db.add_table(parent);
+    db.add_table(child);
+    db.add_foreign_key(ForeignKey::new("c", "p_id", "p", "id"))
+        .unwrap();
+    db
+}
+
 /// Both children incomplete → two distinct completion chains (`p→c1`,
 /// `p→c2`), so eviction under a one-entry budget is observable end-to-end.
 fn two_chain_restore(budget: usize, seed: u64) -> ReStore {
@@ -854,4 +896,27 @@ fn confidence_matches_the_whole_join_oracle() {
     let snapshot = rs.seal(46);
     let chain = assert_confidence_matches_oracle(&snapshot, &["p", "c1"], &count("c1", "x", "x1"));
     assert_eq!(chain, path);
+
+    // The sweep evaluates a conditional once per distinct evidence prefix:
+    // 116 synthesized rows that are all duplicates of two parents (the runs
+    // split by the 48-row chunks), and 120 of which no two share a parent.
+    for (parents, existing, tf) in [(2, 6, 64), (120, 1, 2)] {
+        let mut rs = ReStore::new(fan_out_db(parents, existing, tf), chunked(quick_config()));
+        rs.mark_incomplete("c");
+        rs.train(47).expect("train");
+        let snapshot = rs.seal(47);
+        assert_confidence_matches_oracle(&snapshot, &["p", "c"], &count("c", "x", "x1"));
+        let (_, out) = snapshot.cached_completions().pop().expect("a completion");
+        let syn = out.synthesized_for("c").expect("c is on the path");
+        let ids = out.join.column(out.join.resolve("p.id").unwrap());
+        let evidence: std::collections::HashSet<String> = (0..out.join.n_rows())
+            .filter(|&r| syn[r])
+            .map(|r| ids.get(r).to_string())
+            .collect();
+        assert_eq!(
+            evidence.len() as i64,
+            parents.min(out.n_synthesized() as i64)
+        );
+        assert_eq!(out.n_synthesized() as i64, parents * (tf - existing));
+    }
 }

@@ -2,8 +2,10 @@
 //! logits and sampled tokens must be **bit-identical** to the full-trunk
 //! oracle (`Made::logits_attr_full_in` / `Made::sample_range_full_in`) on
 //! the same model, across ragged batch shapes, resumed ranges
-//! (`start > 0`), excluded tokens, and the SSAR DeepSets context — all
-//! over warm, reused sessions, the way the completion engine runs it.
+//! (`start > 0`), excluded tokens, the SSAR DeepSets context, and batches
+//! that repeat their evidence prefixes (which the sweep evaluates once per
+//! distinct prefix) — all over warm, reused sessions, the way the
+//! completion engine runs it.
 //! Worker-count invariance of completions under the sweep is also pinned
 //! by `tests/determinism.rs::worker_count_never_changes_the_completion`.
 
@@ -12,41 +14,116 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use restore::nn::loss::softmax_into;
 use restore::nn::{
-    AttrSpec, DeepSets, DeepSetsConfig, InferenceSession, Made, MadeConfig, ParamStore, SetBatch,
-    SetTableSpec, TableSet,
+    AttrSpec, DeepSets, DeepSetsConfig, InferenceSession, Made, MadeConfig, Matrix, ParamStore,
+    SetBatch, SetTableSpec, TableSet,
 };
 
 const CARDS: [usize; 4] = [7, 5, 9, 4];
 
-/// A context-free model over [`CARDS`] with freshly initialised weights.
-fn new_made(hidden: Vec<usize>, seed: u64) -> (Made, ParamStore) {
+/// A model over [`CARDS`] with freshly initialised weights and a
+/// `ctx_dim`-wide context block (0: context-free).
+fn new_made(hidden: Vec<usize>, ctx_dim: usize, seed: u64) -> (Made, ParamStore) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut store = ParamStore::new();
     let attrs = CARDS.iter().map(|&c| AttrSpec::new(c, 4)).collect();
-    let cfg = MadeConfig::new(attrs).with_hidden(hidden);
+    let cfg = MadeConfig::new(attrs).with_ctx(ctx_dim).with_hidden(hidden);
     let made = Made::new(cfg, &mut store, &mut rng);
     (made, store)
 }
 
 fn tokens(n: usize) -> Vec<Arc<Vec<u32>>> {
+    tokens_of(&(0..n as u32).collect::<Vec<_>>())
+}
+
+/// One batch row per id, equal ids giving equal rows: attribute `a` of id
+/// `i` is `(i + a) % card`, so unequal ids still share short prefixes.
+fn tokens_of(ids: &[u32]) -> Vec<Arc<Vec<u32>>> {
     CARDS
         .iter()
         .enumerate()
-        .map(|(a, &card)| {
-            Arc::new(
-                (0..n as u32)
-                    .map(|r| (r + a as u32) % card as u32)
-                    .collect(),
-            )
-        })
+        .map(|(a, &card)| Arc::new(ids.iter().map(|i| (i + a as u32) % card as u32).collect()))
         .collect()
 }
 
-fn assert_bits_eq(a: &restore::nn::Matrix, b: &restore::nn::Matrix, what: &str) {
+fn assert_bits_eq(a: &Matrix, b: &Matrix, what: &str) {
     assert_eq!(a.shape(), b.shape(), "{what}: shape");
     for (x, y) in a.data().iter().zip(b.data()) {
         assert_eq!(x.to_bits(), y.to_bits(), "{what}: value diverged");
+    }
+}
+
+/// The sweep against the full-trunk oracles on one batch: every
+/// attribute's logit block and conditional distributions by `to_bits`, and
+/// every `start..end` range's sampled tokens plus the position both RNG
+/// streams are left at.
+#[allow(clippy::too_many_arguments)]
+fn assert_matches_oracle(
+    made: &Made,
+    store: &ParamStore,
+    s_sweep: &mut InferenceSession,
+    s_full: &mut InferenceSession,
+    base: &[Arc<Vec<u32>>],
+    ctx: Option<&Matrix>,
+    excluded: &[Option<u32>],
+    what: &str,
+) {
+    let mut dists = Vec::new();
+    for attr in 0..CARDS.len() {
+        let full = made
+            .logits_attr_full_in(s_full, store, base, ctx, attr)
+            .clone();
+        let block = made.logits_attr_in(s_sweep, store, base, ctx, attr).clone();
+        assert_bits_eq(&block, &full, &format!("{what} attr {attr}"));
+        made.conditional_dists_in(s_sweep, store, base, ctx, attr, &mut dists);
+        assert_eq!(dists.len(), full.rows(), "{what} attr {attr}: dist count");
+        let mut expect = vec![0.0; full.cols()];
+        for (r, dist) in dists.iter().enumerate() {
+            softmax_into(full.row(r), &mut expect);
+            let bits = |d: &[f32]| d.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(dist),
+                bits(&expect),
+                "{what} attr {attr} row {r}: dist"
+            );
+        }
+    }
+    for start in 0..CARDS.len() {
+        for end in start..=CARDS.len() {
+            let seed = 1000 + start as u64;
+            let mut cols_a = base.to_vec();
+            let mut rng_a = StdRng::seed_from_u64(seed);
+            made.sample_range_in(
+                s_sweep,
+                store,
+                &mut cols_a,
+                ctx,
+                start,
+                end,
+                excluded,
+                &mut rng_a,
+            );
+            let mut cols_b = base.to_vec();
+            let mut rng_b = StdRng::seed_from_u64(seed);
+            made.sample_range_full_in(
+                s_full,
+                store,
+                &mut cols_b,
+                ctx,
+                start,
+                end,
+                excluded,
+                &mut rng_b,
+            );
+            assert_eq!(cols_a, cols_b, "{what}: tokens diverged at {start}..{end}");
+            // Same number of draws consumed → streams stay aligned.
+            assert_eq!(
+                rand::Rng::random::<u64>(&mut rng_a),
+                rand::Rng::random::<u64>(&mut rng_b),
+                "{what}: RNG streams misaligned at {start}..{end}"
+            );
+        }
     }
 }
 
@@ -57,7 +134,7 @@ fn assert_bits_eq(a: &restore::nn::Matrix, b: &restore::nn::Matrix, what: &str) 
 fn sweep_block_logits_bit_identical_across_ragged_shapes() {
     // Residual trunk, non-residual ragged trunk, and a single hidden layer.
     for (hidden, seed) in [(vec![32, 32], 51u64), (vec![32, 16], 52), (vec![24], 53)] {
-        let (made, store) = new_made(hidden.clone(), seed);
+        let (made, store) = new_made(hidden.clone(), 0, seed);
         let mut s_sweep = InferenceSession::new();
         let mut s_full = InferenceSession::new();
         for &n in &[33usize, 1, 17, 33, 3] {
@@ -85,7 +162,7 @@ fn sweep_block_logits_bit_identical_across_ragged_shapes() {
 /// ranges (`start > 0`) and partial ends.
 #[test]
 fn sweep_sampling_bit_identical_and_rng_aligned() {
-    let (made, store) = new_made(vec![32, 32], 54);
+    let (made, store) = new_made(vec![32, 32], 0, 54);
     let mut s_sweep = InferenceSession::new();
     let mut s_full = InferenceSession::new();
     for &n in &[1usize, 7, 33] {
@@ -136,7 +213,7 @@ fn sweep_sampling_bit_identical_and_rng_aligned() {
 /// excluded token never appears.
 #[test]
 fn sweep_respects_excluded_tokens() {
-    let (made, store) = new_made(vec![32, 32], 55);
+    let (made, store) = new_made(vec![32, 32], 0, 55);
     let excluded = [None, Some(3u32), None, Some(0)];
     let mut s_sweep = InferenceSession::new();
     let mut s_full = InferenceSession::new();
@@ -168,6 +245,91 @@ fn sweep_respects_excluded_tokens() {
     assert_eq!(cols_a, cols_b, "excluded-token sampling diverged");
     assert!(cols_a[1].iter().all(|&t| t != 3), "excluded token sampled");
     assert!(cols_a[3].iter().all(|&t| t != 0), "excluded token sampled");
+}
+
+/// Batches that repeat their evidence prefixes — Algorithm 1 duplicates an
+/// evidence row once per missing tuple — are evaluated once per distinct
+/// prefix and must not show it: adjacent runs, interleaved repeats, one
+/// prefix for the whole batch and no repeat at all, over every trunk shape,
+/// every `start..end`, an excluded token, and one warm session a model
+/// whose row and prefix counts shrink and grow from batch to batch (rows
+/// past the distinct count hold an earlier batch's values). A context is
+/// part of the prefix bit for bit: rows with equal tokens and contexts that
+/// are equal, one ulp apart, `0.0` against `−0.0`, or plainly different.
+#[test]
+fn sweep_shares_duplicate_prefixes_without_changing_a_bit() {
+    let runs = |len: usize, m: usize| (0..m).map(|r| (r / len) as u32).collect::<Vec<_>>();
+    let batches: Vec<(&str, Vec<u32>)> = vec![
+        ("runs of 22", runs(22, 64)),
+        ("one row", vec![5]),
+        ("runs of 2", runs(2, 44)),
+        ("one prefix", vec![3; 40]),
+        ("all distinct", runs(1, 33)),
+        ("one run of m", runs(7, 7)),
+        (
+            "interleaved",
+            (0..50).map(|r| [4, 0, 9, 4, 11, 0][r % 6]).collect(),
+        ),
+        ("runs of 22 again", runs(22, 90)),
+        (
+            "ragged runs",
+            (0..30).map(|r| (r * r / 40) as u32).collect(),
+        ),
+    ];
+    let excluded = [None, Some(3u32), None, Some(0)];
+    for (hidden, seed) in [(vec![32, 32], 61u64), (vec![32, 16], 62), (vec![24], 63)] {
+        let (made, store) = new_made(hidden.clone(), 0, seed);
+        let mut s_sweep = InferenceSession::new();
+        let mut s_full = InferenceSession::new();
+        for (name, ids) in &batches {
+            let what = format!("hidden {hidden:?}, {name}");
+            let base = tokens_of(ids);
+            for excluded in [&[][..], &excluded] {
+                assert_matches_oracle(
+                    &made,
+                    &store,
+                    &mut s_sweep,
+                    &mut s_full,
+                    &base,
+                    None,
+                    excluded,
+                    &what,
+                );
+            }
+        }
+    }
+
+    let (made, store) = new_made(vec![32, 32], 3, 64);
+    let mut s_sweep = InferenceSession::new();
+    let mut s_full = InferenceSession::new();
+    let v = [0.75f32, -1.5, 0.25];
+    let ulp = [v[0], f32::from_bits(v[1].to_bits() + 1), v[2]];
+    let contexts: [&[f32]; 8] = [
+        &v,
+        &v,
+        &ulp,
+        &v,
+        &[0.0, 0.0, 0.0],
+        &[0.0, -0.0, 0.0],
+        &[0.0, 0.0, 0.0],
+        &[-0.75, 1.5, 2.0],
+    ];
+    for (name, ids) in &batches {
+        let rows: Vec<&[f32]> = (0..ids.len()).map(|r| contexts[r % 8]).collect();
+        let ctx = Matrix::from_rows(&rows);
+        let what = format!("context, {name}");
+        let base = tokens_of(ids);
+        assert_matches_oracle(
+            &made,
+            &store,
+            &mut s_sweep,
+            &mut s_full,
+            &base,
+            Some(&ctx),
+            &excluded,
+            &what,
+        );
+    }
 }
 
 /// The SSAR path: a DeepSets-encoded context conditions the sweep exactly
