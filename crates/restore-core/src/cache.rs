@@ -1,9 +1,6 @@
 //! Completed-join reuse (§4.5): data synthesized for one query is reused
-//! for related queries. Exact path matches are the wired path
-//! ([`JoinCache::get_or_compute`]); [`JoinCache::get_prefix`] additionally
-//! *offers* prefix reuse (a cached join whose extra trailing steps are all
-//! n:1 preserves row multiplicity over any prefix of its path) for callers
-//! that do their own projection — the serving engine does not use it yet.
+//! for related queries, matched by exact path
+//! ([`JoinCache::get_or_compute`]).
 //!
 //! The cache is built for concurrent serving:
 //!
@@ -12,9 +9,11 @@
 //!   instead of racing duplicates; the miss counter counts *syntheses*
 //!   (distinct cold paths), not requests.
 //! * **Memory budget** — entries carry an approximate byte size
-//!   ([`CompletionOutput::approx_bytes`]); inserts evict least-recently-used
-//!   entries until the total fits [`JoinCache::budget_bytes`], so a
-//!   long-running server does not grow without bound.
+//!   ([`CompletionOutput::approx_bytes`]), read again when a query attaches
+//!   a projection or a relation to one ([`JoinCache::recharge`]); inserts
+//!   and growth evict least-recently-used entries until the total fits
+//!   [`JoinCache::budget_bytes`], so a long-running server does not grow
+//!   without bound.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -163,26 +162,6 @@ impl JoinCache {
         result
     }
 
-    /// Looks up any cached completion whose path *starts with* `tables`
-    /// (prefix reuse). The caller is responsible for projecting — prefix
-    /// reuse is only offered when the cached entry marks the extra steps as
-    /// multiplicity-preserving. Refreshes the serving entry's LRU stamp so
-    /// a prefix-served completion does not look idle to the evictor.
-    pub fn get_prefix(&self, tables: &[String]) -> Option<Arc<CompletionOutput>> {
-        let mut inner = lock(&self.inner);
-        inner.clock += 1;
-        let clock = inner.clock;
-        inner
-            .map
-            .iter_mut()
-            .filter(|(k, _)| k.len() > tables.len() && k.starts_with(tables))
-            .map(|(_, v)| {
-                v.stamp = clock;
-                Arc::clone(&v.out)
-            })
-            .next()
-    }
-
     /// Inserts an entry, evicting least-recently-used entries while the
     /// resident estimate exceeds the budget (the fresh entry is never
     /// evicted by its own insert).
@@ -202,6 +181,27 @@ impl JoinCache {
             inner.total_bytes -= old.bytes;
         }
         inner.total_bytes += bytes;
+        self.evict_down_to_budget(&mut inner, &tables);
+    }
+
+    /// Reads the size of the entry for `tables` again — a query attached
+    /// something to its completion — and evicts as [`JoinCache::put`] does,
+    /// never the grown entry itself. A no-op if the entry is gone. The
+    /// caller must hold no lock of the completion.
+    pub fn recharge(&self, tables: &[String]) {
+        let mut inner = lock(&self.inner);
+        let Some(entry) = inner.map.get_mut(tables) else {
+            return;
+        };
+        let bytes = entry.out.approx_bytes();
+        let old = std::mem::replace(&mut entry.bytes, bytes);
+        inner.total_bytes = inner.total_bytes - old + bytes;
+        self.evict_down_to_budget(&mut inner, tables);
+    }
+
+    /// Evicts least-recently-used entries other than `keep` while the
+    /// resident estimate exceeds the budget.
+    fn evict_down_to_budget(&self, inner: &mut Inner, keep: &[String]) {
         if self.budget_bytes == 0 {
             return;
         }
@@ -209,7 +209,7 @@ impl JoinCache {
             let victim = inner
                 .map
                 .iter()
-                .filter(|(k, _)| **k != tables)
+                .filter(|(k, _)| k.as_slice() != keep)
                 .min_by_key(|(_, e)| e.stamp)
                 .map(|(k, _)| k.clone());
             let Some(victim) = victim else { break };
@@ -277,6 +277,7 @@ mod tests {
             syn: vec![Vec::new(); tables.len()],
             tf: Vec::new(),
             projections: Default::default(),
+            relations: Default::default(),
         })
     }
 
@@ -288,6 +289,7 @@ mod tests {
             syn: vec![vec![false; rows]; tables.len()],
             tf: Vec::new(),
             projections: Default::default(),
+            relations: Default::default(),
         };
         out.syn[0] = vec![true; rows];
         Arc::new(out)
@@ -304,18 +306,6 @@ mod tests {
         cache.put(key(&["a", "b"]), dummy_output(&["a", "b"]));
         assert!(cache.get(&key(&["a", "b"])).is_some());
         assert_eq!(cache.stats(), (1, 1));
-    }
-
-    #[test]
-    fn prefix_lookup_finds_longer_paths() {
-        let cache = JoinCache::new();
-        cache.put(key(&["a", "b", "c"]), dummy_output(&["a", "b", "c"]));
-        assert!(cache.get_prefix(&key(&["a", "b"])).is_some());
-        assert!(cache.get_prefix(&key(&["a", "c"])).is_none());
-        assert!(
-            cache.get_prefix(&key(&["a", "b", "c"])).is_none(),
-            "prefix must be strict"
-        );
     }
 
     #[test]

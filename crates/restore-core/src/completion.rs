@@ -29,7 +29,7 @@ use restore_util::{default_workers, derive_seed, parallel_map_with};
 
 use crate::ann::AnnIndex;
 use crate::annotation::SchemaAnnotation;
-use crate::encoding::AttrEncoder;
+use crate::encoding::{coerce, AttrEncoder};
 use crate::error::{CoreError, CoreResult};
 use crate::model::{AttrKind, CompletionModel};
 
@@ -93,17 +93,45 @@ pub struct CompletionOutput {
     /// §4.4 projections of this join, keyed by which path tables the query
     /// names. Built on first use and dropped with the join, so eviction,
     /// hot swap and re-synthesis need no invalidation.
-    pub(crate) projections: Mutex<HashMap<Vec<bool>, Arc<Projection>>>,
+    pub(crate) projections: Attached<Vec<bool>, Projection>,
+    /// Completed relations of this join's tables, keyed by table name;
+    /// built and dropped as the projections are.
+    pub(crate) relations: Attached<String, Relation>,
+}
+
+/// What queries derived from a completed join, each built on first use.
+pub(crate) type Attached<K, V> = Mutex<HashMap<K, Arc<V>>>;
+
+/// `slot[key]`, built on first use. Racing first users may both build: the
+/// results are identical and the first insert wins — and calls `grew`, with
+/// the lock released, for the cache to weigh its entry again
+/// ([`crate::cache::JoinCache::recharge`]).
+fn attach<K: std::hash::Hash + Eq, V>(
+    slot: &Attached<K, V>,
+    key: K,
+    build: impl FnOnce() -> CoreResult<V>,
+    grew: impl FnOnce(),
+) -> CoreResult<Arc<V>> {
+    let lock = || slot.lock().expect("no panic under the lock");
+    if let Some(found) = lock().get(&key) {
+        return Ok(Arc::clone(found));
+    }
+    let built = Arc::new(build()?);
+    let resident = Arc::clone(lock().entry(key).or_insert_with(|| Arc::clone(&built)));
+    if Arc::ptr_eq(&resident, &built) {
+        grew();
+    }
+    Ok(resident)
 }
 
 impl CompletionOutput {
     /// The seed-independent half of projecting this join onto
-    /// `query_tables`; `None` when the query names every path table and so
-    /// sees the whole join. Racing first users may both build: the results
-    /// are identical and the first insert wins.
+    /// `query_tables`, [`attach`]ed on first use; `None` when the query
+    /// names every path table and so sees the whole join.
     pub(crate) fn projection(
         &self,
         query_tables: &[String],
+        grew: impl FnOnce(),
     ) -> CoreResult<Option<Arc<Projection>>> {
         let named: Vec<bool> = self
             .tables
@@ -113,12 +141,15 @@ impl CompletionOutput {
         if named.iter().all(|&n| n) {
             return Ok(None);
         }
-        let lock = || self.projections.lock().expect("no panic under the lock");
-        if let Some(found) = lock().get(&named) {
-            return Ok(Some(Arc::clone(found)));
-        }
-        let built = Arc::new(Projection::build(self, query_tables)?);
-        Ok(Some(Arc::clone(lock().entry(named).or_insert(built))))
+        let build = || Projection::build(self, query_tables);
+        attach(&self.projections, named, build, grew).map(Some)
+    }
+
+    /// The seed-independent half of completing `base`, a table of this
+    /// join's path, [`attach`]ed on first use.
+    pub(crate) fn relation(&self, base: &Table, grew: impl FnOnce()) -> CoreResult<Arc<Relation>> {
+        let build = || Relation::build(self, base);
+        attach(&self.relations, base.name().to_string(), build, grew)
     }
 
     /// Synthesized flags for a path table.
@@ -145,7 +176,8 @@ impl CompletionOutput {
     }
 
     /// Approximate resident size in bytes — what one cached completion
-    /// costs the serving cache's memory budget.
+    /// costs the serving cache's memory budget, the projections and
+    /// relations attached to it so far included.
     pub fn approx_bytes(&self) -> usize {
         let names: usize = self.tables.iter().map(String::len).sum();
         let syn: usize = self.syn.iter().map(Vec::len).sum();
@@ -154,7 +186,12 @@ impl CompletionOutput {
             .iter()
             .map(|v| v.len() * std::mem::size_of::<Option<i64>>())
             .sum();
-        self.join.approx_bytes() + names + syn + tf
+        let projections = self.projections.lock().expect("no panic under the lock");
+        let relations = self.relations.lock().expect("no panic under the lock");
+        let projections = projections.values().map(|p| p.approx_bytes());
+        let relations = relations.values().map(|r| r.table.approx_bytes());
+        let attached: usize = projections.chain(relations).sum();
+        self.join.approx_bytes() + names + syn + tf + attached
     }
 }
 
@@ -199,15 +236,6 @@ impl Projection {
             .filter(|t| in_query(t))
             .filter_map(|t| join.resolve(&format!("{t}.id")).ok())
             .collect();
-        if key_cols.is_empty() {
-            // No identity available: every row, nothing to thin.
-            return Ok(Self {
-                cols,
-                kept: (0..n).collect(),
-                candidates: Vec::new(),
-                p_keep: 1.0,
-            });
-        }
 
         // A row is synthetic when any *query-table* part of it was
         // synthesized — euclidean replacement may have given it real keys
@@ -223,7 +251,7 @@ impl Projection {
                 continue;
             }
             let key: Vec<Value> = key_cols.iter().map(|&c| join.value(row, c)).collect();
-            if key.iter().any(Value::is_null) {
+            if key.is_empty() || key.iter().any(Value::is_null) {
                 // Real parts but no identity — keep conservatively.
                 kept.push(r);
                 continue;
@@ -257,6 +285,72 @@ impl Projection {
             }
         }
         rows.extend(kept);
+        rows
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.cols.len() * std::mem::size_of::<usize>()
+            + (self.kept.len() + self.candidates.len()) * std::mem::size_of::<u32>()
+    }
+}
+
+/// What a query over one table of a completed join sees of it before its
+/// seed thins the synthesized rows — a pure function of the join and the
+/// table. One table, not a second segment beside the base table: the query
+/// tail keeps reading one set of columns with one dictionary each.
+#[derive(Debug)]
+pub(crate) struct Relation {
+    /// In the base table's schema: its `n_base` rows, then every
+    /// synthesized candidate in join-row order.
+    pub(crate) table: Table,
+    n_base: u32,
+    /// A seed keeps each candidate with this probability (§4.4: an n:1
+    /// evidence step visits a real target tuple once per evidence row).
+    p_keep: f64,
+}
+
+impl Relation {
+    fn build(out: &CompletionOutput, base: &Table) -> CoreResult<Self> {
+        let (name, join) = (base.name(), &out.join);
+        // The §4.4 reweighting of a query that names this table alone: its
+        // synthesized rows, thinned by how often the chain join repeats one
+        // real tuple. The real rows come from the base table instead.
+        let Projection {
+            candidates, p_keep, ..
+        } = Projection::build(out, &[name.to_string()])?;
+        let n_rows = base.n_rows() + candidates.len();
+        u32::try_from(n_rows)
+            .map_err(|_| CoreError::Invalid("completed relation exceeds u32 rows".into()))?;
+
+        // Exact capacity: two snapshot versions' relations are co-resident
+        // across a hot swap.
+        let mut columns = Vec::with_capacity(base.n_cols());
+        for (f, base_col) in base.fields().iter().zip(base.columns()) {
+            let mut col = Column::with_capacity(f.dtype, n_rows);
+            col.extend_from(base_col)?;
+            // The join column each field of the table is read from.
+            let bare = f.name.rsplit('.').next().unwrap_or(&f.name);
+            let source = join.resolve(&format!("{name}.{bare}")).ok();
+            for &r in &candidates {
+                let cell = source.map(|c| coerce(&join.value(r as usize, c), f.dtype));
+                col.push(&cell.unwrap_or(Value::Null))?;
+            }
+            columns.push(col);
+        }
+        Ok(Self {
+            table: Table::from_columns(name, base.fields().to_vec(), columns)?,
+            n_base: base.n_rows() as u32,
+            p_keep,
+        })
+    }
+
+    /// The rows one query sees, ascending: every base row, then one draw
+    /// per candidate in row order.
+    pub(crate) fn rows(&self, rng: &mut StdRng) -> Vec<u32> {
+        let n = self.table.n_rows() as u32;
+        let mut rows = Vec::with_capacity(n as usize);
+        rows.extend(0..self.n_base);
+        rows.extend((self.n_base..n).filter(|_| rng.random::<f64>() < self.p_keep));
         rows
     }
 }
@@ -438,6 +532,7 @@ impl<'a> Completer<'a> {
             syn: w.syn,
             tf: w.tf,
             projections: Mutex::default(),
+            relations: Mutex::default(),
         })
     }
 

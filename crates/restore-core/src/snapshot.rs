@@ -29,7 +29,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use restore_db::{execute_on_join, Database, Query, QueryResult, Table, TableView, Value};
+use restore_db::{execute_on_join, Database, Query, QueryResult, Table, TableView};
 use restore_util::derive_seed;
 
 use crate::annotation::{modeled_columns, SchemaAnnotation};
@@ -158,19 +158,21 @@ impl Snapshot {
             return self.execute_without_completion(query);
         }
         let focus = query_focus_columns(query);
-        // Single-table queries get the completed relation directly (all
-        // real rows plus reweighted synthesized ones).
-        if query.tables.len() == 1 {
-            let completed = self.completed_table_focused(&query.tables[0], &focus, seed)?;
-            return execute_on_join(&completed, query).map_err(CoreError::from);
+        // Every query runs in place, over a view of what its cache entry
+        // holds. A single-table query sees the completed relation: all real
+        // rows plus the synthesized ones this seed's reweighting keeps.
+        if let [table] = &query.tables[..] {
+            let answer =
+                self.with_completed(table, &focus, seed, |view| execute_on_join(view, query))?;
+            return answer.map_err(CoreError::from);
         }
-        // Join queries run in place, over a view of the cached join: the
-        // query tables' columns, and the rows this seed's §4.4 thinning
-        // keeps when the chain carries extra evidence tables.
+        // A join query sees the cached join: the query tables' columns, and
+        // the rows this seed's §4.4 thinning keeps when the chain carries
+        // extra evidence tables.
         let chain = self.execution_chain(&query.tables, &focus)?;
         let out = self.complete_join(&chain, seed)?;
         let mut view = TableView::from(&out.join);
-        let projection = out.projection(&query.tables)?;
+        let projection = out.projection(&query.tables, || self.cache.recharge(&chain))?;
         let rows;
         if let Some(projection) = &projection {
             rows = projection.rows(&mut StdRng::seed_from_u64(seed ^ 0x9e37));
@@ -217,58 +219,27 @@ impl Snapshot {
         focus: &[String],
         seed: u64,
     ) -> CoreResult<Table> {
-        let tname = table.to_string();
-        let chain = self.execution_chain(std::slice::from_ref(&tname), focus)?;
+        self.with_completed(table, focus, seed, |view| view.materialize())
+    }
+
+    /// Runs `read` over the completed relation of `table` on the chain
+    /// `focus` selects — built once per cache entry — narrowed to the rows
+    /// this seed sees.
+    fn with_completed<R>(
+        &self,
+        table: &str,
+        focus: &[String],
+        seed: u64,
+        read: impl FnOnce(TableView) -> R,
+    ) -> CoreResult<R> {
+        let chain = self.execution_chain(&[table.to_string()], focus)?;
         let out = self.complete_join(&chain, seed)?;
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x517e);
-
-        let base = self.db.table(table)?;
-        let mut result = base.clone();
-        let join = &out.join;
-        let syn = out
-            .synthesized_for(table)
-            .ok_or_else(|| CoreError::Invalid(format!("{table} not on completed chain")))?;
-
-        // Evidence multiplicity from real (non-synthesized) rows: how often
-        // does one real target tuple appear in the chain join?
-        let multiplicity = match join.resolve(&format!("{table}.id")) {
-            Ok(id_idx) => {
-                let ids = join.column(id_idx);
-                let mut distinct = std::collections::HashSet::new();
-                let mut real = 0usize;
-                for (r, &s) in syn.iter().enumerate() {
-                    let v = ids.get(r);
-                    if !s && !v.is_null() {
-                        real += 1;
-                        distinct.insert(v);
-                    }
-                }
-                (real as f64 / distinct.len().max(1) as f64).max(1.0)
-            }
-            Err(_) => 1.0,
-        };
-        let p_keep = 1.0 / multiplicity;
-
-        // The join column each field of the table is read from.
-        let source = |f: &restore_db::Field| {
-            let bare = f.name.rsplit('.').next().unwrap_or(&f.name);
-            join.resolve(&format!("{table}.{bare}")).ok()
-        };
-        let sources: Vec<Option<usize>> = base.fields().iter().map(source).collect();
-        let mut row: Vec<Value> = Vec::with_capacity(sources.len());
-        for (r, &s) in syn.iter().enumerate() {
-            if !s || rand::Rng::random::<f64>(&mut rng) >= p_keep {
-                continue;
-            }
-            row.clear();
-            row.extend(sources.iter().zip(base.fields()).map(|(source, f)| {
-                source.map_or(Value::Null, |c| {
-                    crate::encoding::coerce(&join.value(r, c), f.dtype)
-                })
-            }));
-            result.push_row(&row)?;
-        }
-        Ok(result)
+        let relation = out.relation(self.db.table(table)?, || self.cache.recharge(&chain))?;
+        let rows = relation.rows(&mut StdRng::seed_from_u64(seed ^ 0x517e));
+        Ok(read(TableView {
+            rows: Some(&rows),
+            ..(&relation.table).into()
+        }))
     }
 
     /// §6 confidence interval for an aggregate over the completed join of

@@ -146,13 +146,15 @@ pub fn aggregate<'a>(
         }
     }
 
-    // Deterministic output order.
+    // Deterministic output order, total on distinct keys (numbers < NaN <
+    // NULL) so that the map's iteration order never shows.
+    let rank = |v: &Value| 2 * v.is_null() as u8 + v.as_f64().is_some_and(f64::is_nan) as u8;
     let mut keys: Vec<&Vec<Value>> = groups.keys().collect();
     keys.sort_by(|a, b| {
         for (x, y) in a.iter().zip(b.iter()) {
             let ord = x
                 .partial_cmp_sql(y)
-                .unwrap_or_else(|| x.is_null().cmp(&y.is_null()));
+                .unwrap_or_else(|| rank(x).cmp(&rank(y)));
             if ord != std::cmp::Ordering::Equal {
                 return ord;
             }
@@ -278,6 +280,21 @@ mod tests {
         let out = aggregate(&t, &["region".into()], &[Agg::CountStar]).unwrap();
         assert_eq!(out.value(0, 0), Value::str("east"));
         assert_eq!(out.value(1, 0), Value::str("west"));
+    }
+
+    #[test]
+    fn zeros_nans_and_nulls_group_once_each_in_a_total_order() {
+        let mut t = Table::new("t", vec![Field::new("x", DataType::Float)]);
+        let nan = f64::NAN;
+        for x in [nan, 0.0, -1.0, -0.0, nan, 2.0, -nan, 0.0] {
+            t.push_row(&[Value::Float(x)]).unwrap();
+            t.push_row(&[Value::Null]).unwrap();
+        }
+        let out = aggregate(&t, &["x".into()], &[Agg::CountStar]).unwrap();
+        let groups: Vec<String> = (0..out.n_rows())
+            .map(|r| format!("{}: {}", out.value(r, 0), out.value(r, 1)))
+            .collect();
+        assert_eq!(groups, ["-1: 1", "0: 3", "2: 1", "NaN: 3", "NULL: 8"]);
     }
 
     #[test]

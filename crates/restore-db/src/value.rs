@@ -94,7 +94,8 @@ impl PartialEq for Value {
             (Value::Null, Value::Null) => true,
             (Value::Str(a), Value::Str(b)) => a == b,
             (Value::Int(a), Value::Int(b)) => a == b,
-            (Value::Float(a), Value::Float(b)) => a == b,
+            // Reflexive, as `Eq` promises: a NaN group key equals itself.
+            (Value::Float(a), Value::Float(b)) => a == b || (a.is_nan() && b.is_nan()),
             (Value::Int(a), Value::Float(b)) | (Value::Float(b), Value::Int(a)) => *a as f64 == *b,
             _ => false,
         }
@@ -107,9 +108,11 @@ impl Hash for Value {
     fn hash<H: Hasher>(&self, state: &mut H) {
         match self {
             Value::Null => 0u8.hash(state),
-            // Ints and equal-valued floats must hash alike (they are equal).
+            // Equal values must hash alike: ints and equal-valued floats,
+            // -0.0 and 0.0 (`-0.0 + 0.0` is `0.0`), NaNs of any payload.
             Value::Int(i) => (*i as f64).to_bits().hash(state),
-            Value::Float(f) => f.to_bits().hash(state),
+            Value::Float(f) if f.is_nan() => f64::NAN.to_bits().hash(state),
+            Value::Float(f) => (f + 0.0).to_bits().hash(state),
             Value::Str(s) => s.hash(state),
         }
     }
@@ -161,6 +164,20 @@ mod tests {
         let b = Value::Float(3.0);
         assert_eq!(a, b);
         assert_eq!(hash_of(&a), hash_of(&b));
+    }
+
+    #[test]
+    fn signed_zeros_and_nans_are_one_key_each() {
+        let (neg, pos) = (Value::Float(-0.0), Value::Float(0.0));
+        assert_eq!(neg, pos);
+        assert_eq!(hash_of(&neg), hash_of(&pos));
+        assert_eq!(hash_of(&pos), hash_of(&Value::Int(0)));
+        let (nan, other_nan) = (Value::Float(f64::NAN), Value::Float(-f64::NAN));
+        assert_eq!(nan, nan.clone(), "Eq must be reflexive");
+        assert_eq!(nan, other_nan);
+        assert_eq!(hash_of(&nan), hash_of(&other_nan));
+        assert_ne!(nan, Value::Float(0.0));
+        assert_ne!(nan, Value::Null);
     }
 
     #[test]

@@ -221,7 +221,8 @@ mod tail {
     use restore::db::{Agg, ArithOp, CmpOp, DataType, Expr, Field, Query, Table, Value};
 
     /// Columns of two "joined" tables `a` and `b` (`k` exists in both) plus
-    /// a bare column; only `a.i`, `b.s` and `g` are ever grouped on (no NaN).
+    /// a bare column; the differentials group on `a.i`, `b.s` and `g` only,
+    /// `grouping_on_floats_is_exact_and_ordered` on `a.f`.
     pub const COLUMNS: [(&str, DataType); 7] = [
         ("a.i", DataType::Int),
         ("a.f", DataType::Float),
@@ -378,6 +379,52 @@ fn tail_over_a_selection_matches_tail_over_a_copy() {
             ),
         }
     }
+}
+
+/// Grouping on a float column with NULLs, NaNs and both zeros gives one
+/// group per value — `-0.0` and `0.0` are one value, every NaN another —
+/// in one order, numbers < NaN < NULL, whatever the hash map's layout in
+/// this process.
+#[test]
+fn grouping_on_floats_is_exact_and_ordered() {
+    use restore::db::{aggregate, Agg};
+    let mut rng = StdRng::seed_from_u64(0xad);
+    let mut t = tail::table(&mut rng);
+    while t.n_rows() < 200 {
+        t.union(&tail::table(&mut rng)).unwrap();
+    }
+    let f = t.resolve("a.f").unwrap();
+    let cells: Vec<Option<f64>> = (0..t.n_rows()).map(|r| t.value(r, f).as_f64()).collect();
+    let count = |pick: &dyn Fn(&Option<f64>) -> bool| cells.iter().filter(|c| pick(c)).count();
+    // `-0.0` and `0.0` are one key, spelled as the group's first row is.
+    let zeros: Vec<f64> = cells
+        .iter()
+        .flatten()
+        .copied()
+        .filter(|x| *x == 0.0)
+        .collect();
+    assert!(
+        zeros.iter().any(|x| x.is_sign_negative()) && zeros.iter().any(|x| x.is_sign_positive())
+    );
+    let expect = [
+        (zeros[0].to_string(), zeros.len()),
+        ("0.5".into(), count(&|c| *c == Some(0.5))),
+        ("1".into(), count(&|c| *c == Some(1.0))),
+        ("2".into(), count(&|c| *c == Some(2.0))),
+        ("NaN".into(), count(&|c| c.is_some_and(f64::is_nan))),
+        ("NULL".into(), count(&|c| c.is_none())),
+    ];
+    assert!(expect.iter().all(|(_, n)| *n > 0), "{expect:?}");
+    assert_eq!(expect.iter().map(|(_, n)| n).sum::<usize>(), t.n_rows());
+
+    let out = aggregate(&t, &["a.f".into()], &[Agg::CountStar]).unwrap();
+    let groups: Vec<(String, usize)> = (0..out.n_rows())
+        .map(|r| {
+            let count = out.value(r, 1).as_i64().unwrap() as usize;
+            (out.value(r, 0).to_string(), count)
+        })
+        .collect();
+    assert_eq!(groups, expect);
 }
 
 /// Names resolve in a view with hidden columns exactly as in a projected

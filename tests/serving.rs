@@ -372,6 +372,71 @@ fn cache_budget_evicts_lru_end_to_end() {
     assert!(a2.is_finite());
 }
 
+/// A completed relation is half as large as the join it hangs off, so it
+/// counts: the entry grows by it on the first single-table query and by
+/// nothing after, growth past the budget evicts the least recently used
+/// *other* entry, and an entry that is gone cannot be charged.
+#[test]
+fn attached_relations_count_against_the_cache_budget() {
+    use restore::core::JoinCache;
+    let q1 = Query::new(["c1"]).aggregate(Agg::CountStar);
+    let q2 = Query::new(["c2"]).aggregate(Agg::CountStar);
+    let mut rs = two_chain_restore(0, 36);
+    rs.train(36).expect("train");
+    for q in [&q1, &q2] {
+        rs.ensure_query_models(&q.tables, 36).expect("ensure");
+    }
+    let snap = rs.seal(36);
+    let chain_of = |q: &Query| {
+        let probe = Snapshot::from_bytes(&snap.to_bytes()).expect("load");
+        probe.execute(q, 1).expect("execute");
+        probe.cached_completions().pop().expect("one completion").0
+    };
+    let (chain1, chain2) = (chain_of(&q1), chain_of(&q2));
+    assert_ne!(chain1, chain2);
+
+    // The joins alone, then the first query over `c1`, then more of them.
+    let out1 = snap.complete_join(&chain1, 0).expect("complete");
+    let out2 = snap.complete_join(&chain2, 0).expect("complete");
+    let (join1, join2) = (out1.approx_bytes(), out2.approx_bytes());
+    assert_eq!(snap.full_cache_stats().bytes, join1 + join2);
+    // A second cache over the same completions, with room for the two joins
+    // and nothing else; `chain1` is its least recently used entry.
+    let tight = JoinCache::with_budget(join1 + join2);
+    tight.put(chain1.clone(), Arc::clone(&out1));
+    tight.put(chain2.clone(), Arc::clone(&out2));
+    assert_eq!(tight.full_stats().evictions, 0);
+
+    snap.execute(&q1, 1).expect("execute");
+    let relation = out1.approx_bytes() - join1;
+    let c1 = snap.db().table("c1").expect("c1");
+    assert!(
+        relation >= c1.n_rows() * c1.n_cols() * 8,
+        "a relation holds at least the base rows: {relation} bytes"
+    );
+    assert_eq!(snap.full_cache_stats().bytes, join1 + join2 + relation);
+    snap.execute(&q1, 2).expect("execute");
+    snap.execute(&q1.clone().group_by(["x"]), 3)
+        .expect("execute");
+    snap.completed_table("c1", 4).expect("completed table");
+    assert_eq!(snap.full_cache_stats().bytes, join1 + join2 + relation);
+    assert_eq!(
+        out2.approx_bytes(),
+        join2,
+        "nothing was attached to c2's join"
+    );
+
+    // Charging the growth evicts the other entry, never the grown one.
+    tight.recharge(&chain1);
+    assert!(tight.get(&chain1).is_some(), "the grown entry stays");
+    let stats = tight.full_stats();
+    assert_eq!((stats.entries, stats.evictions), (1, 1), "{stats:?}");
+    assert_eq!(stats.bytes, join1 + relation);
+    // The evicted chain is gone: nothing to charge, nothing to evict.
+    tight.recharge(&chain2);
+    assert_eq!(tight.full_stats(), stats);
+}
+
 /// Retired formulations, kept as oracles. Of `Snapshot::execute`: the warm
 /// path as it was before queries ran in place — the §4.4 projection copied
 /// into a table (the retired `Snapshot::project_completed`), the completed
@@ -603,14 +668,60 @@ mod oracle {
     }
 }
 
-/// Asserts that `Snapshot::execute` over views of the cached join answers
-/// byte for byte what the copying path answered — on the call that builds
-/// a projection, on the next one, after the join was evicted and
-/// re-synthesized, from eight threads racing the first build, and from a
-/// saved→loaded snapshot. `shapes[0]` must be served from a chain with an
-/// extra evidence table; `rs` must have a one-byte cache, which keeps only
-/// the newest completion resident: every change of chain evicts. Returns
-/// the evictions of the sealed snapshot's cache.
+/// What the cache reports resident is what its entries weigh now — true
+/// only if every projection and relation a query attached to a completion
+/// since its insert was charged to the entry. For a quiescent snapshot.
+fn assert_resident_bytes_are_current(snap: &Snapshot) {
+    let entries = snap.cached_completions();
+    let weight: usize = entries.iter().map(|(_, out)| out.approx_bytes()).sum();
+    assert_eq!(snap.full_cache_stats().bytes, weight, "stale cache bytes");
+}
+
+/// `GET /v1/{t}/tables/{name}`'s body for the table of the single-table
+/// shape `q`, asserted equal to what the oracle builds from `out`. The
+/// oracle's `completed_table` is private to its module; `oracle::body` of
+/// the bare query over the table is that relation as a response — its
+/// column names and every row — and its name and dtypes are the base
+/// table's, which the oracle starts from. Together that is every byte of
+/// `wire::table_json`.
+fn table_body_matching_oracle(
+    snap: &Snapshot,
+    out: &restore::core::CompletionOutput,
+    q: &Query,
+    seed: u64,
+) -> String {
+    use restore::core::wire::{query_response_json, table_json};
+    let name = q.tables[0].as_str();
+    let focus = restore::core::query_focus_columns(q);
+    let table = snap
+        .completed_table_focused(name, &focus, seed)
+        .expect("completed table");
+    let base = snap.db().table(name).expect("base table");
+    assert_eq!(table.name(), base.name());
+    assert_eq!(table.fields(), base.fields());
+    let body = table_json(&table);
+    let as_response = restore::db::QueryResult {
+        table,
+        group_cols: 0,
+    };
+    assert_eq!(
+        query_response_json(&as_response, None),
+        oracle::body(snap, out, &Query::new([name]), seed),
+        "completed table of {q:?}, seed {seed}"
+    );
+    body
+}
+
+/// Asserts that `Snapshot::execute` over views of what the cache holds
+/// answers byte for byte what the copying path answered — on the call that
+/// builds a projection or a completed relation, on the next one, after the
+/// join was evicted and re-synthesized, from eight threads racing the first
+/// build, and from a saved→loaded snapshot — and that `completed_table`
+/// renders the relation of every single-table shape as the oracle builds
+/// it, at each of those points. `shapes[0]` must be served from a chain
+/// with an extra evidence table; `rs` must have a one-byte cache, which
+/// keeps only the newest completion resident: every change of chain evicts.
+/// Returns the evictions of the sealed snapshot's cache.
 fn assert_matches_copying_oracle(mut rs: ReStore, shapes: &[Query], seed: u64) -> u64 {
     use restore::core::wire::query_response_json;
     for q in shapes {
@@ -648,25 +759,45 @@ fn assert_matches_copying_oracle(mut rs: ReStore, shapes: &[Query], seed: u64) -
             // First call (re-)synthesizes and builds the projection, the
             // second finds both.
             for seed in [1u64, 1, 2] {
+                // On the sealed snapshot the table route is the first to
+                // need a single-table shape's relation, on the loaded one
+                // the query is.
+                let single = q.tables.len() == 1;
+                let table = single.then(|| table_body_matching_oracle(&sealed, out, q, seed));
                 let expect = oracle::body(&sealed, out, q, seed);
                 assert_eq!(body(&sealed, q, seed), expect, "round {round}: {q:?}");
                 assert_eq!(body(&loaded, q, seed), expect, "loaded, {round}: {q:?}");
+                if single {
+                    let loaded_table = table_body_matching_oracle(&loaded, out, q, seed);
+                    assert_eq!(Some(loaded_table), table, "loaded, {round}: {q:?}");
+                }
+                assert_resident_bytes_are_current(&sealed);
+                assert_resident_bytes_are_current(&loaded);
             }
         }
     }
-    // Eight threads race the first projection of a fresh join.
-    let racing = load();
-    let barrier = std::sync::Barrier::new(8);
-    let (q, out) = (&shapes[0], &outputs[0]);
-    std::thread::scope(|scope| {
-        for seed in 0..8u64 {
-            let (racing, barrier, sealed) = (&racing, &barrier, &sealed);
-            scope.spawn(move || {
-                barrier.wait();
-                assert_eq!(body(racing, q, seed), oracle::body(sealed, out, q, seed));
-            });
-        }
-    });
+    // Eight threads race the first projection of a fresh join, then the
+    // first relation of one: half of them through the query, half through
+    // the table route.
+    let single = shapes.iter().position(|q| q.tables.len() == 1);
+    for shape in [0, single.expect("a single-table shape")] {
+        let racing = load();
+        let barrier = std::sync::Barrier::new(8);
+        let (q, out) = (&shapes[shape], &outputs[shape]);
+        std::thread::scope(|scope| {
+            for seed in 0..8u64 {
+                let (racing, barrier, sealed) = (&racing, &barrier, &sealed);
+                scope.spawn(move || {
+                    barrier.wait();
+                    if shape > 0 && seed % 2 == 1 {
+                        table_body_matching_oracle(racing, out, q, seed);
+                    }
+                    assert_eq!(body(racing, q, seed), oracle::body(sealed, out, q, seed));
+                });
+            }
+        });
+        assert_resident_bytes_are_current(&racing);
+    }
     sealed.full_cache_stats().evictions
 }
 
@@ -773,6 +904,17 @@ fn in_place_execution_matches_the_copying_oracle_under_thinning() {
     for q in &shapes[..2] {
         assert!((2..6).any(|seed| count(q, seed) != count(q, 1)), "{q:?}");
     }
+    // The projection of `p ⋈ c1` is charged to its entry as a relation is:
+    // when the first query builds it, and once.
+    let fresh = Snapshot::from_bytes(&probe.to_bytes()).expect("load");
+    let out = fresh.complete_join(&path, 0).expect("complete");
+    let join = out.approx_bytes();
+    assert_eq!(fresh.full_cache_stats().bytes, join);
+    fresh.execute(&shapes[0], 1).expect("execute");
+    let projection = out.approx_bytes() - join;
+    assert!(projection > 0, "index vectors weigh something");
+    fresh.execute(&shapes[0], 2).expect("execute");
+    assert_eq!(fresh.full_cache_stats().bytes, join + projection);
     assert_matches_copying_oracle(rs, &shapes, 43);
 }
 
