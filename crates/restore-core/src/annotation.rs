@@ -56,8 +56,9 @@ impl SchemaAnnotation {
         }
     }
 
-    pub fn mark_incomplete(&mut self, table: impl Into<String>) {
-        self.incomplete.insert(table.into());
+    /// Marks `table` incomplete; true if that changed the annotation.
+    pub fn mark_incomplete(&mut self, table: impl Into<String>) -> bool {
+        self.incomplete.insert(table.into())
     }
 
     pub fn mark_complete(&mut self, table: &str) {

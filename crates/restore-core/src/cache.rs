@@ -75,18 +75,7 @@ pub struct JoinCache {
     evictions: AtomicU64,
 }
 
-impl Default for JoinCache {
-    fn default() -> Self {
-        Self::with_budget(0)
-    }
-}
-
 impl JoinCache {
-    /// An unbounded cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// A cache that evicts least-recently-used entries once the resident
     /// estimate exceeds `budget_bytes` (`0` = unbounded).
     pub fn with_budget(budget_bytes: usize) -> Self {
@@ -220,26 +209,12 @@ impl JoinCache {
         }
     }
 
-    pub fn invalidate(&self) {
-        let mut inner = lock(&self.inner);
-        inner.map.clear();
-        inner.total_bytes = 0;
-    }
-
     pub fn len(&self) -> usize {
         lock(&self.inner).map.len()
     }
 
     pub fn is_empty(&self) -> bool {
         lock(&self.inner).map.is_empty()
-    }
-
-    /// `(hits, misses)` counters for instrumentation.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
     }
 
     /// All counters plus resident-size gauges.
@@ -301,26 +276,17 @@ mod tests {
 
     #[test]
     fn exact_hit_and_miss_counting() {
-        let cache = JoinCache::new();
+        let cache = JoinCache::with_budget(0);
         assert!(cache.get(&key(&["a", "b"])).is_none());
         cache.put(key(&["a", "b"]), dummy_output(&["a", "b"]));
         assert!(cache.get(&key(&["a", "b"])).is_some());
-        assert_eq!(cache.stats(), (1, 1));
-    }
-
-    #[test]
-    fn invalidate_clears() {
-        let cache = JoinCache::new();
-        cache.put(key(&["a"]), dummy_output(&["a"]));
-        assert_eq!(cache.len(), 1);
-        cache.invalidate();
-        assert!(cache.is_empty());
-        assert_eq!(cache.full_stats().bytes, 0);
+        let stats = cache.full_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]
     fn get_or_compute_runs_once_per_path() {
-        let cache = JoinCache::new();
+        let cache = JoinCache::with_budget(0);
         let mut calls = 0;
         for _ in 0..3 {
             let out = cache
@@ -338,7 +304,7 @@ mod tests {
 
     #[test]
     fn get_or_compute_propagates_errors_without_caching() {
-        let cache = JoinCache::new();
+        let cache = JoinCache::with_budget(0);
         let err = cache.get_or_compute(&key(&["a"]), || {
             Err(crate::error::CoreError::Invalid("boom".into()))
         });
@@ -353,7 +319,7 @@ mod tests {
 
     #[test]
     fn concurrent_same_path_synthesizes_once() {
-        let cache = Arc::new(JoinCache::new());
+        let cache = Arc::new(JoinCache::with_budget(0));
         let synths = Arc::new(AtomicU64::new(0));
         let barrier = Arc::new(std::sync::Barrier::new(6));
         let mut handles = Vec::new();

@@ -14,8 +14,10 @@
 //! * [`selection`] — model & path selection (§5);
 //! * [`confidence`] — completion confidence intervals (§6);
 //! * [`cache`] — completed-join reuse (§4.5): single-flight, budgeted;
-//! * [`restore`] — the [`ReStore`] build facade tying everything together;
-//! * [`snapshot`] — the immutable, concurrent serving [`Snapshot`];
+//! * [`restore`] — the [`ReStore`] builder: annotate, train, then
+//!   [`ReStore::seal`]. It answers no query;
+//! * [`snapshot`] — the immutable, concurrent serving [`Snapshot`] a seal
+//!   (or a snapshot file) produces — the only type that answers one;
 //! * [`registry`] — multi-tenant snapshot registry with atomic hot swap;
 //! * [`wire`] — the serializable JSON query surface the HTTP front-end
 //!   (`restore-serve`) speaks.

@@ -223,14 +223,10 @@ impl Snapshot {
             .ok_or_else(|| corrupt("incomplete table list"))?;
         let annotation = SchemaAnnotation::with_incomplete(incomplete);
         let config = config_from_json(field(&meta, "config")?)?;
-        let base_seed = match field(&meta, "serve_seed")? {
-            JsonValue::Null => None,
-            JsonValue::Str(s) => Some(
-                s.parse::<u64>()
-                    .map_err(|_| corrupt(format!("serve_seed {s:?} is not a u64")))?,
-            ),
-            _ => return Err(corrupt("serve_seed must be a string or null")),
-        };
+        let serve_seed = str_field(&meta, "serve_seed")?;
+        let serve_seed = serve_seed
+            .parse::<u64>()
+            .map_err(|_| corrupt(format!("serve_seed {serve_seed:?} is not a u64")))?;
 
         // ---- models (weight blocks follow the catalog in the payload) ---
         let mut models = HashMap::new();
@@ -284,13 +280,9 @@ impl Snapshot {
         let forced = chains_from_json(&meta, "forced")?;
         let suspected = suspected_from_json(&meta)?;
 
-        // Loaded snapshots start with a cold cache; sealed seeds make the
-        // repopulated entries bit-identical to the original's.
-        let cache = if base_seed.is_some() {
-            JoinCache::with_budget(config.cache_budget_bytes)
-        } else {
-            JoinCache::new()
-        };
+        // Loaded snapshots start with a cold cache; path-derived seeds make
+        // the repopulated entries bit-identical to the original's.
+        let cache = JoinCache::with_budget(config.cache_budget_bytes);
         Ok(Snapshot {
             db: Arc::new(db),
             annotation,
@@ -300,11 +292,11 @@ impl Snapshot {
             forced,
             suspected,
             cache,
-            base_seed,
+            serve_seed,
         })
     }
 
-    fn sorted_model_keys(&self) -> Vec<Vec<String>> {
+    pub(crate) fn sorted_model_keys(&self) -> Vec<Vec<String>> {
         let mut keys: Vec<Vec<String>> = self.models.keys().cloned().collect();
         keys.sort();
         keys
@@ -372,13 +364,7 @@ impl Snapshot {
             .collect();
         let mut fields = vec![
             ("format", jstr("restore-snapshot")),
-            (
-                "serve_seed",
-                match self.base_seed {
-                    Some(s) => jstr(&s.to_string()),
-                    None => JsonValue::Null,
-                },
-            ),
+            ("serve_seed", jstr(&self.serve_seed.to_string())),
             (
                 "incomplete",
                 JsonValue::Arr(
@@ -918,6 +904,19 @@ mod tests {
         assert!(matches!(
             Snapshot::from_bytes(&bad),
             Err(PersistError::Corrupt(m)) if m.contains("checksum")
+        ));
+        // A well-formed file whose meta says `"serve_seed":null`: there is
+        // no unsealed snapshot to load it as.
+        let rs = crate::ReStore::new(Database::new(), RestoreConfig::default());
+        let mut file = rs.seal(41).to_bytes();
+        let seed = file.windows(4).position(|w| w == br#""41""#).unwrap();
+        file[seed..seed + 4].copy_from_slice(b"null");
+        let body = file.len() - 8;
+        let checksum = fnv1a64(&file[..body]);
+        file[body..].copy_from_slice(&checksum.to_le_bytes());
+        assert!(matches!(
+            Snapshot::from_bytes(&file),
+            Err(PersistError::Corrupt(m)) if m.contains("serve_seed")
         ));
     }
 }

@@ -1,11 +1,11 @@
-//! The [`ReStore`] facade: annotate → train → complete → query (Fig. 1).
+//! The [`ReStore`] builder: annotate → train (Fig. 1), then
+//! [`ReStore::seal`] → [`Snapshot`] for complete → query.
 //!
 //! [`ReStore`] is the *build phase* of the lifecycle: it owns the mutable
-//! state (annotations, bias hints, on-demand model training) and answers
-//! queries by training whatever candidate models the query needs first,
-//! then delegating to the serving logic. [`ReStore::seal`] freezes the
-//! build into an immutable [`Snapshot`] whose serving methods all take
-//! `&self` — that is the type to share across threads in a server.
+//! state (annotations, bias hints, trained models, selected and forced
+//! paths) and answers no query. [`ReStore::seal`] freezes the build into an
+//! immutable [`Snapshot`], the only type that serves — all of its methods
+//! take `&self`, so it is the type to share across threads in a server.
 //!
 //! Queries over incomplete tables are answered by (1) building an
 //! *execution chain* — the selected completion path of the incomplete
@@ -13,24 +13,24 @@
 //! over the chain, (3) projecting the completed join onto the query tables
 //! (with the §4.4 reweighting when the chain contains additional evidence
 //! tables), and (4) executing the filter/aggregate tail with normal
-//! operators.
+//! operators. The builder trains the models of step (1)'s candidates
+//! ([`ReStore::ensure_query_models`]); the snapshot does the rest.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use restore_db::{Database, Query, QueryResult, Table};
+use restore_db::Database;
 
 use crate::annotation::{modeled_columns, SchemaAnnotation};
-use crate::cache::{CacheStats, JoinCache};
-use crate::completion::{CompleterConfig, CompletionOutput};
-use crate::confidence::{ConfidenceInterval, ConfidenceQuery};
+use crate::cache::JoinCache;
+use crate::completion::CompleterConfig;
 use crate::error::{CoreError, CoreResult};
 use crate::model::{CompletionModel, TrainConfig};
-use crate::paths::CompletionPath;
+use crate::paths::{enumerate_paths, CompletionPath};
 use crate::selection::{select_model, CandidateScore, SelectionStrategy, SuspectedBias};
-use crate::snapshot::Snapshot;
+use crate::snapshot::{candidate_chains, Snapshot};
 
-/// Configuration of the ReStore facade.
+/// Configuration of a ReStore build and of the snapshots sealed from it.
 #[derive(Clone, Debug)]
 pub struct RestoreConfig {
     pub train: TrainConfig,
@@ -40,14 +40,12 @@ pub struct RestoreConfig {
     /// Maximum candidate paths trained during selection.
     pub max_candidates: usize,
     pub strategy: SelectionStrategy,
-    /// Approximate memory budget of the **sealed** snapshot's
-    /// completed-join cache in bytes; least-recently-used completions are
-    /// evicted beyond it (`0` = unbounded). Sized from
-    /// [`CompletionOutput::approx_bytes`]. The build facade's own cache is
-    /// always unbounded: its synthesis seeds follow the caller's query
-    /// seed, so evicting would make repeated queries
-    /// eviction-order-dependent — only sealed snapshots (whose synthesis
-    /// seeds are path-derived, hence resynthesis-stable) can evict safely.
+    /// Approximate memory budget of a snapshot's completed-join cache in
+    /// bytes; least-recently-used completions are evicted beyond it (`0` =
+    /// unbounded). Sized from
+    /// [`CompletionOutput::approx_bytes`](crate::CompletionOutput::approx_bytes).
+    /// Evicting is safe because synthesis seeds are path-derived: a
+    /// re-synthesized join is bit-identical to the evicted one.
     pub cache_budget_bytes: usize,
 }
 
@@ -84,104 +82,82 @@ pub struct TrainReport {
     pub candidates: HashMap<String, Vec<CandidateScore>>,
 }
 
-/// The ReStore build phase: an incomplete database plus trained completion
-/// models, ready to answer aggregate queries as if the data were complete.
-///
-/// Serving methods (`execute`, `completed_table`, `complete_join`,
-/// `confidence`) train missing candidate models on demand and therefore
-/// take `&mut self`; [`ReStore::seal`] produces the immutable, shareable
-/// [`Snapshot`] for concurrent serving.
+/// The ReStore build phase: an incomplete database, its annotation and the
+/// completion models trained so far. It answers no query — [`ReStore::seal`]
+/// produces the immutable, shareable [`Snapshot`] that does.
 pub struct ReStore {
-    inner: Snapshot,
+    db: Arc<Database>,
+    annotation: SchemaAnnotation,
+    config: RestoreConfig,
+    models: HashMap<Vec<String>, Arc<CompletionModel>>,
+    selected: HashMap<String, Vec<String>>,
+    /// Paths explicitly forced by [`ReStore::set_selected_path`].
+    forced: HashMap<String, Vec<String>>,
+    suspected: Vec<SuspectedBias>,
 }
 
 impl ReStore {
     pub fn new(db: Database, config: RestoreConfig) -> Self {
-        // Unbounded on purpose — see `RestoreConfig::cache_budget_bytes`.
-        let cache = JoinCache::new();
         Self {
-            inner: Snapshot {
-                db: Arc::new(db),
-                annotation: SchemaAnnotation::new(),
-                config,
-                models: HashMap::new(),
-                selected: HashMap::new(),
-                forced: HashMap::new(),
-                suspected: Vec::new(),
-                cache,
-                base_seed: None,
-            },
+            db: Arc::new(db),
+            annotation: SchemaAnnotation::new(),
+            config,
+            models: HashMap::new(),
+            selected: HashMap::new(),
+            forced: HashMap::new(),
+            suspected: Vec::new(),
         }
     }
 
     pub fn db(&self) -> &Database {
-        &self.inner.db
+        &self.db
     }
 
     pub fn annotation(&self) -> &SchemaAnnotation {
-        &self.inner.annotation
+        &self.annotation
     }
 
-    /// Annotates a table as incomplete (§2.2, step 1).
+    /// Annotates a table as incomplete (§2.2, step 1). A model is a
+    /// function of the annotation it was trained under (which paths exist,
+    /// which tables feed the SSAR context), so changing the annotation
+    /// drops every trained model and selected path; forced paths are user
+    /// intent and stay — their models retrain on demand.
     pub fn mark_incomplete(&mut self, table: impl Into<String>) {
-        self.inner.annotation.mark_incomplete(table);
-        self.inner.cache.invalidate();
+        if self.annotation.mark_incomplete(table) {
+            self.models.clear();
+            self.selected.clear();
+        }
     }
 
     /// Registers a suspected bias hint used by
     /// [`SelectionStrategy::SuspectedBiasRanking`].
     pub fn suspect_bias(&mut self, bias: SuspectedBias) {
-        self.inner.suspected.push(bias);
-    }
-
-    /// Cache statistics `(hits, misses)` (§4.5 instrumentation).
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.inner.cache_stats()
-    }
-
-    /// Full cache counters including single-flight waits and evictions.
-    pub fn full_cache_stats(&self) -> CacheStats {
-        self.inner.full_cache_stats()
-    }
-
-    /// All completed joins currently cached (diagnostics).
-    pub fn cached_completions(&self) -> Vec<(Vec<String>, Arc<CompletionOutput>)> {
-        self.inner.cached_completions()
+        self.suspected.push(bias);
     }
 
     /// All models trained so far (diagnostics).
     pub fn trained_models(&self) -> Vec<Arc<CompletionModel>> {
-        self.inner.trained_models()
+        self.models.values().cloned().collect()
     }
 
     /// Seals the build into an immutable [`Snapshot`] for concurrent
-    /// serving: models, selected paths and annotation are carried over;
-    /// synthesis seeds derive from `serve_seed` so results are a pure
-    /// function of `(snapshot, query, seed)` no matter how many threads
-    /// execute. Chains the build phase completed (e.g. via
-    /// [`ReStore::precompute_pairs`]) are **re-synthesized** under the
-    /// serve-derived seed rather than carried verbatim — build-time
-    /// entries used legacy query-derived seeds, and carrying them would
-    /// let eviction state leak into sealed results. The facade remains
+    /// serving: models, selected paths and annotation are carried over, the
+    /// completed-join cache starts cold, and synthesis seeds derive from
+    /// `serve_seed` so results are a pure function of `(snapshot, query,
+    /// seed)` no matter how many threads execute. The builder remains
     /// usable — further training affects only future seals.
     pub fn seal(&self, serve_seed: u64) -> Snapshot {
-        let snapshot = Snapshot {
-            db: Arc::clone(&self.inner.db),
-            annotation: self.inner.annotation.clone(),
-            config: self.inner.config.clone(),
-            models: self.inner.models.clone(),
-            selected: self.inner.selected.clone(),
-            forced: self.inner.forced.clone(),
-            suspected: self.inner.suspected.clone(),
-            cache: JoinCache::with_budget(self.inner.config.cache_budget_bytes),
-            base_seed: Some(serve_seed),
-        };
-        for (chain, _) in self.inner.cache.entries() {
-            // Seed argument is unused on sealed snapshots; chains whose
-            // model was dropped are simply not pre-warmed.
-            let _ = snapshot.complete_join(&chain, serve_seed);
+        Snapshot {
+            db: Arc::clone(&self.db),
+            annotation: self.annotation.clone(),
+            config: self.config.clone(),
+            models: self.models.clone(),
+            selected: self.selected.clone(),
+            forced: self.forced.clone(),
+            suspected: self.suspected.clone(),
+            cache: JoinCache::with_budget(self.config.cache_budget_bytes),
+            serve_seed,
         }
-        snapshot
     }
 
     /// Starts a fresh build phase from an existing snapshot (typically one
@@ -193,24 +169,17 @@ impl ReStore {
     /// persisted in the snapshot meta) so a re-ranking rebuild sees them.
     pub fn rebuild_from(snapshot: &Snapshot, train_seed: u64) -> CoreResult<Self> {
         let mut rs = Self {
-            inner: Snapshot {
-                db: Arc::clone(&snapshot.db),
-                annotation: snapshot.annotation.clone(),
-                config: snapshot.config.clone(),
-                models: HashMap::new(),
-                selected: HashMap::new(),
-                forced: snapshot.forced.clone(),
-                suspected: snapshot.suspected.clone(),
-                cache: JoinCache::new(),
-                base_seed: None,
-            },
+            db: Arc::clone(&snapshot.db),
+            annotation: snapshot.annotation.clone(),
+            config: snapshot.config.clone(),
+            models: HashMap::new(),
+            selected: snapshot.selected.clone(),
+            forced: snapshot.forced.clone(),
+            suspected: snapshot.suspected.clone(),
         };
-        let mut keys: Vec<Vec<String>> = snapshot.models.keys().cloned().collect();
-        keys.sort();
-        for (i, tables) in keys.iter().enumerate() {
+        for (i, tables) in snapshot.sorted_model_keys().iter().enumerate() {
             rs.model_for_path(tables, train_seed.wrapping_add(i as u64 * 7919))?;
         }
-        rs.inner.selected = snapshot.selected.clone();
         Ok(rs)
     }
 
@@ -220,31 +189,25 @@ impl ReStore {
     pub fn train(&mut self, seed: u64) -> CoreResult<TrainReport> {
         let mut report = TrainReport::default();
         let targets: Vec<String> = self
-            .inner
             .annotation
             .incomplete_tables()
             .map(str::to_string)
             .collect();
         for (i, target) in targets.iter().enumerate() {
-            let table = self.inner.db.table(target)?;
+            let table = self.db.table(target)?;
             if modeled_columns(table).is_empty() {
                 continue;
             }
-            let suspected = self
-                .inner
-                .suspected
-                .iter()
-                .find(|s| &s.table == target)
-                .cloned();
+            let suspected = self.suspected.iter().find(|s| &s.table == target);
             let outcome = select_model(
-                &self.inner.db,
-                &self.inner.annotation,
+                &self.db,
+                &self.annotation,
                 target,
-                self.inner.config.max_path_len,
-                self.inner.config.max_candidates,
-                &self.inner.config.strategy,
-                suspected.as_ref(),
-                &self.inner.config.train,
+                self.config.max_path_len,
+                self.config.max_candidates,
+                &self.config.strategy,
+                suspected,
+                &self.config.train,
                 seed.wrapping_add(i as u64 * 7919),
             )?;
             let model = Arc::new(outcome.model);
@@ -258,12 +221,9 @@ impl ReStore {
                 parameters: model.num_parameters(),
             });
             report.candidates.insert(target.clone(), outcome.candidates);
-            self.inner
-                .selected
+            self.selected
                 .insert(target.clone(), model.path().tables().to_vec());
-            self.inner
-                .models
-                .insert(model.path().tables().to_vec(), model);
+            self.models.insert(model.path().tables().to_vec(), model);
         }
         Ok(report)
     }
@@ -274,26 +234,25 @@ impl ReStore {
         tables: &[String],
         seed: u64,
     ) -> CoreResult<Arc<CompletionModel>> {
-        if let Some(m) = self.inner.models.get(tables) {
+        if let Some(m) = self.models.get(tables) {
             return Ok(Arc::clone(m));
         }
-        let path = CompletionPath::from_tables(&self.inner.db, tables)?;
+        let path = CompletionPath::from_tables(&self.db, tables)?;
         let model = Arc::new(CompletionModel::train(
-            &self.inner.db,
-            &self.inner.annotation,
+            &self.db,
+            &self.annotation,
             path,
-            &self.inner.config.train,
+            &self.config.train,
             seed,
         )?);
-        self.inner
-            .models
-            .insert(tables.to_vec(), Arc::clone(&model));
+        self.models.insert(tables.to_vec(), Arc::clone(&model));
         Ok(model)
     }
 
     /// The model selected for an incomplete table, if trained.
     pub fn selected_model(&self, table: &str) -> Option<Arc<CompletionModel>> {
-        self.inner.selected_model(table)
+        let path = self.selected.get(table)?;
+        self.models.get(path).cloned()
     }
 
     /// Forces the completion path used for `table` (training the model on
@@ -313,81 +272,61 @@ impl ReStore {
                 model.path().describe()
             )));
         }
-        self.inner
-            .selected
-            .insert(table.to_string(), tables.to_vec());
-        self.inner.forced.insert(table.to_string(), tables.to_vec());
+        self.selected.insert(table.to_string(), tables.to_vec());
+        self.forced.insert(table.to_string(), tables.to_vec());
         Ok(())
     }
 
     /// Candidate completion paths for an incomplete table.
     pub fn candidate_paths(&self, table: &str) -> Vec<CompletionPath> {
-        self.inner.candidate_paths(table)
+        enumerate_paths(&self.db, &self.annotation, table, self.config.max_path_len)
     }
 
-    /// §4.5 offline completion: without workload knowledge, pre-completes
-    /// every joinable (complete evidence, incomplete target) pair so that
-    /// any single-table or two-table query is answerable without
-    /// generating data at query time. Returns the number of cached joins.
-    pub fn precompute_pairs(&mut self, seed: u64) -> CoreResult<usize> {
-        let incomplete: Vec<String> = self
-            .inner
-            .annotation
-            .incomplete_tables()
-            .map(str::to_string)
-            .collect();
-        let mut cached = 0;
-        for target in incomplete {
-            let table = self.inner.db.table(&target)?;
-            if modeled_columns(table).is_empty() {
+    /// The build half of §4.5 offline completion: without workload
+    /// knowledge, trains the model of every joinable (complete evidence,
+    /// incomplete target) pair, so any single-table or two-table query is
+    /// servable, and returns the pairs' chains. Completing them ahead of
+    /// the first query is [`Snapshot::complete_join`] per chain on the
+    /// sealed snapshot. Pairs whose model fails to train are left out.
+    pub fn train_pair_models(&mut self, seed: u64) -> CoreResult<Vec<Vec<String>>> {
+        let mut chains = Vec::new();
+        for target in self.annotation.incomplete_tables() {
+            if modeled_columns(self.db.table(target)?).is_empty() {
                 continue;
             }
-            for step in self.inner.db.neighbors(&target) {
+            for step in self.db.neighbors(target) {
                 // The evidence side is the FK neighbor; it must be complete.
-                let other = step.to_table().to_string();
-                if self.inner.annotation.is_incomplete(&other) {
-                    continue;
-                }
-                let chain = vec![other, target.clone()];
-                if self.complete_join(&chain, seed).is_ok() {
-                    cached += 1;
+                if self.annotation.is_complete(step.to_table()) {
+                    chains.push(vec![step.to_table().to_string(), target.to_string()]);
                 }
             }
         }
-        Ok(cached)
-    }
-
-    /// Completes the join over an ordered table chain (Algorithm 1) with
-    /// §4.5 caching, training the path's model on demand.
-    pub fn complete_join(
-        &mut self,
-        tables: &[String],
-        seed: u64,
-    ) -> CoreResult<Arc<CompletionOutput>> {
-        self.model_for_path(tables, seed)?;
-        self.inner.complete_join(tables, seed)
+        chains.retain(|chain| self.model_for_path(chain, seed).is_ok());
+        Ok(chains)
     }
 
     /// Trains (on demand) the models for every candidate execution chain
-    /// covering `query_tables`, so the chains are servable from `&self` —
-    /// this is what [`ReStore::execute`] runs before delegating to the
-    /// serving logic, and what a server calls per expected query shape
-    /// before [`ReStore::seal`]. Individual candidates that fail to train
-    /// are skipped (the serving-side selection scores the survivors);
-    /// returns the last training error for diagnostics.
+    /// covering `query_tables`, so the sealed snapshot can serve them —
+    /// call it per expected query shape before [`ReStore::seal`].
+    /// Individual candidates that fail to train are skipped (the
+    /// serving-side selection scores the survivors); returns the last
+    /// training error for diagnostics.
     pub fn ensure_query_models(
         &mut self,
         query_tables: &[String],
         seed: u64,
     ) -> CoreResult<Option<CoreError>> {
-        if !query_tables
-            .iter()
-            .any(|t| self.inner.annotation.is_incomplete(t))
-        {
+        if query_tables.iter().all(|t| self.annotation.is_complete(t)) {
             // Nothing to complete — nothing to train.
             return Ok(None);
         }
-        let (chains, mut last_err) = self.inner.candidate_chains(query_tables)?;
+        let (chains, mut last_err) = candidate_chains(
+            &self.db,
+            &self.annotation,
+            &self.forced,
+            &self.config,
+            query_tables,
+        )?;
         for chain in chains {
             if let Err(e) = self.model_for_path(&chain, seed) {
                 last_err = Some(e);
@@ -395,77 +334,12 @@ impl ReStore {
         }
         Ok(last_err)
     }
-
-    /// Executes a query over the incomplete data as-is (the baseline the
-    /// paper compares against).
-    pub fn execute_without_completion(&self, query: &Query) -> CoreResult<QueryResult> {
-        self.inner.execute_without_completion(query)
-    }
-
-    /// Executes a query with data completion: the ReStore answer.
-    pub fn execute(&mut self, query: &Query, seed: u64) -> CoreResult<QueryResult> {
-        let needs_completion = query
-            .tables
-            .iter()
-            .any(|t| self.inner.annotation.is_incomplete(t));
-        if !needs_completion {
-            return self.execute_without_completion(query);
-        }
-        let train_err = self.ensure_query_models(&query.tables, seed)?;
-        recover(self.inner.execute(query, seed), train_err)
-    }
-
-    /// Completes a single incomplete table and returns it in the table's
-    /// own schema — see [`Snapshot::completed_table`].
-    pub fn completed_table(&mut self, table: &str, seed: u64) -> CoreResult<Table> {
-        self.completed_table_focused(table, &[], seed)
-    }
-
-    /// [`ReStore::completed_table`] with query-aware path selection (§5).
-    pub fn completed_table_focused(
-        &mut self,
-        table: &str,
-        focus: &[String],
-        seed: u64,
-    ) -> CoreResult<Table> {
-        let tname = table.to_string();
-        let train_err = self.ensure_query_models(std::slice::from_ref(&tname), seed)?;
-        recover(
-            self.inner.completed_table_focused(table, focus, seed),
-            train_err,
-        )
-    }
-
-    /// §6 confidence interval for an aggregate over the completed join of
-    /// `query_tables`.
-    pub fn confidence(
-        &mut self,
-        query_tables: &[String],
-        query: &ConfidenceQuery,
-        level: f64,
-        seed: u64,
-    ) -> CoreResult<ConfidenceInterval> {
-        let train_err = self.ensure_query_models(query_tables, seed)?;
-        recover(
-            self.inner.confidence(query_tables, query, level, seed),
-            train_err,
-        )
-    }
-}
-
-/// Surfaces the build-time training error when serving failed only because
-/// a model is missing — "training failed because X" beats "no model".
-fn recover<T>(result: CoreResult<T>, train_err: Option<CoreError>) -> CoreResult<T> {
-    match (result, train_err) {
-        (Err(CoreError::NoModel(_)), Some(e)) => Err(e),
-        (r, _) => r,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use restore_db::Agg;
+    use restore_db::{Agg, Query, QueryResult};
 
     use restore_data::{apply_removal, BiasSpec, RemovalConfig, SyntheticConfig};
 
@@ -490,6 +364,12 @@ mod tests {
         (sc, rs)
     }
 
+    /// The lifecycle in three lines: train what the query needs, seal, serve.
+    fn serve(rs: &mut ReStore, q: &Query, seed: u64) -> CoreResult<QueryResult> {
+        rs.ensure_query_models(&q.tables, seed)?;
+        rs.seal(seed).execute(q, seed)
+    }
+
     #[test]
     fn train_reports_models() {
         let (_, mut rs) = restore_on_synthetic(51);
@@ -504,16 +384,26 @@ mod tests {
     }
 
     #[test]
+    fn changing_the_annotation_drops_trained_models() {
+        let (_, mut rs) = restore_on_synthetic(59);
+        rs.train(59).unwrap();
+        // Marking what is already marked changes nothing.
+        rs.mark_incomplete("tb");
+        assert!(rs.selected_model("tb").is_some());
+        // A model trained with `ta` complete is no model of this annotation.
+        rs.mark_incomplete("ta");
+        assert!(rs.selected_model("tb").is_none());
+        assert!(rs.trained_models().is_empty());
+    }
+
+    #[test]
     fn completed_count_beats_incomplete_count() {
         let (sc, mut rs) = restore_on_synthetic(52);
         rs.train(52).unwrap();
         let q = Query::new(["tb"]).aggregate(Agg::CountStar);
-        let truth = restore_db::execute(&sc.complete, &q)
-            .unwrap()
-            .scalar()
-            .unwrap();
-        let incomplete = rs.execute_without_completion(&q).unwrap().scalar().unwrap();
-        let completed = rs.execute(&q, 52).unwrap().scalar().unwrap();
+        let count = |db| restore_db::execute(db, &q).unwrap().scalar().unwrap();
+        let (truth, incomplete) = (count(&sc.complete), count(rs.db()));
+        let completed = serve(&mut rs, &q, 52).unwrap().scalar().unwrap();
         assert!(
             (completed - truth).abs() < (incomplete - truth).abs(),
             "completion did not improve COUNT: truth {truth}, incomplete {incomplete}, completed {completed}"
@@ -524,7 +414,7 @@ mod tests {
     fn complete_queries_bypass_completion() {
         let (sc, mut rs) = restore_on_synthetic(53);
         let q = Query::new(["ta"]).aggregate(Agg::CountStar);
-        let r = rs.execute(&q, 53).unwrap();
+        let r = serve(&mut rs, &q, 53).unwrap();
         let truth = restore_db::execute(&sc.complete, &q).unwrap();
         assert_eq!(r.scalar(), truth.scalar());
     }
@@ -534,10 +424,12 @@ mod tests {
         let (_, mut rs) = restore_on_synthetic(54);
         rs.train(54).unwrap();
         let q = Query::new(["ta", "tb"]).aggregate(Agg::CountStar);
-        let a = rs.execute(&q, 54).unwrap().scalar().unwrap();
-        let (h0, _) = rs.cache_stats();
-        let b = rs.execute(&q, 54).unwrap().scalar().unwrap();
-        let (h1, _) = rs.cache_stats();
+        rs.ensure_query_models(&q.tables, 54).unwrap();
+        let snap = rs.seal(54);
+        let a = snap.execute(&q, 54).unwrap().scalar().unwrap();
+        let h0 = snap.full_cache_stats().hits;
+        let b = snap.execute(&q, 54).unwrap().scalar().unwrap();
+        let h1 = snap.full_cache_stats().hits;
         assert_eq!(a, b, "cached completion must give identical answers");
         assert!(h1 > h0, "second query must hit the cache");
     }
@@ -545,14 +437,20 @@ mod tests {
     #[test]
     fn precompute_pairs_fills_the_cache() {
         let (_, mut rs) = restore_on_synthetic(56);
-        let cached = rs.precompute_pairs(56).unwrap();
-        assert_eq!(cached, 1, "ta→tb is the only (complete, incomplete) pair");
+        let chains = rs.train_pair_models(56).unwrap();
+        let pair = vec!["ta".to_string(), "tb".to_string()];
+        assert_eq!(chains, [pair], "the only (complete, incomplete) pair");
+        let snap = rs.seal(56);
+        for chain in &chains {
+            snap.complete_join(chain).unwrap();
+        }
         // The subsequent query hits the cache instead of re-completing.
-        let (h0, _) = rs.cache_stats();
+        let before = snap.full_cache_stats();
         let q = Query::new(["ta", "tb"]).aggregate(Agg::CountStar);
-        rs.execute(&q, 56).unwrap();
-        let (h1, _) = rs.cache_stats();
-        assert!(h1 > h0, "query after precompute must hit the cache");
+        snap.execute(&q, 56).unwrap();
+        let after = snap.full_cache_stats();
+        assert!(after.hits > before.hits, "must hit the cache");
+        assert_eq!(after.misses, before.misses, "must not synthesize");
     }
 
     #[test]
@@ -563,8 +461,8 @@ mod tests {
             .group_by(["b"])
             .aggregate(Agg::CountStar);
         let truth = restore_db::execute(&sc.complete, &q).unwrap().groups();
-        let incomplete = rs.execute_without_completion(&q).unwrap().groups();
-        let completed = rs.execute(&q, 55).unwrap().groups();
+        let incomplete = restore_db::execute(rs.db(), &q).unwrap().groups();
+        let completed = serve(&mut rs, &q, 55).unwrap().groups();
         // Mean absolute relative error over true groups.
         let err = |m: &std::collections::BTreeMap<Vec<String>, Vec<f64>>| {
             let mut tot = 0.0;
@@ -580,25 +478,6 @@ mod tests {
             err(&completed),
             err(&incomplete)
         );
-    }
-
-    #[test]
-    fn sealed_snapshot_serves_like_the_facade() {
-        let (_, mut rs) = restore_on_synthetic(57);
-        rs.train(57).unwrap();
-        let q = Query::new(["ta", "tb"]).aggregate(Agg::CountStar);
-        rs.ensure_query_models(&q.tables, 57).unwrap();
-        let snap = Arc::new(rs.seal(57));
-        let a = snap.execute(&q, 57).unwrap().scalar().unwrap();
-        let b = snap.execute(&q, 57).unwrap().scalar().unwrap();
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "snapshot serving is deterministic"
-        );
-        // The snapshot answers from frozen models only.
-        let unknown = Query::new(["tb"]).aggregate(Agg::CountStar);
-        assert!(snap.execute(&unknown, 57).is_ok());
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! The serving half of the ReStore lifecycle: an immutable, shareable
-//! [`Snapshot`] of everything the system learned at build time.
+//! [`Snapshot`] of everything the system learned at build time — the only
+//! type that answers a query.
 //!
 //! After annotate → train → select, nothing mutates — the database, the
 //! trained models, and the selected paths are all frozen. [`Snapshot`]
 //! captures that frozen state so *every* serving method takes `&self` and
 //! is safe to call from any number of threads over one `Arc<Snapshot>`.
+//! A snapshot comes from [`ReStore::seal`](crate::restore::ReStore::seal)
+//! or from [`Snapshot::from_bytes`]; both fix its serve seed.
 //! The only interior mutability is the [`JoinCache`], which is thread-safe
 //! and single-flight: concurrent queries needing the same cold completion
 //! path block on one synthesis instead of racing duplicates.
@@ -19,9 +22,9 @@
 //!    snapshot's fixed serve seed and the path itself — so whichever
 //!    thread happens to populate the cache, the cached join is the same.
 //!
-//! (The legacy [`ReStore`](crate::restore::ReStore) facade instead seeds
-//! synthesis from the caller's query seed — serially deterministic, which
-//! is all the single-client build phase needs.)
+//! So the *serve* seed resamples the synthesized tuples and the *query*
+//! seed only drives the §4.4 thinning: on a chain with nothing to thin,
+//! every query seed gives the same bits.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,7 +33,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use restore_db::{execute_on_join, Database, Query, QueryResult, Table, TableView};
-use restore_util::derive_seed;
+use restore_util::{derive_seed, Fnv64};
 
 use crate::annotation::{modeled_columns, SchemaAnnotation};
 use crate::cache::{CacheStats, JoinCache};
@@ -38,22 +41,20 @@ use crate::completion::{Completer, CompletionOutput};
 use crate::confidence::{confidence_interval, ConfidenceInterval, ConfidenceQuery};
 use crate::error::{CoreError, CoreResult};
 use crate::model::CompletionModel;
-use crate::paths::CompletionPath;
+use crate::paths::enumerate_paths;
 use crate::restore::RestoreConfig;
 use crate::selection::SuspectedBias;
 
 /// Stable fingerprint of an ordered table chain (FNV-1a over the names) —
 /// the per-path component of the sealed synthesis seed.
 fn path_fingerprint(tables: &[String]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv64::new();
     for name in tables {
-        for b in name.bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.update(name.as_bytes());
         // Separator so ["ab"] and ["a","b"] differ.
-        h = (h ^ 0x1f).wrapping_mul(0x0000_0100_0000_01b3);
+        h.update(&[0x1f]);
     }
-    h
+    h.finish()
 }
 
 /// An immutable, `Arc`-shareable serving snapshot: incomplete database +
@@ -72,10 +73,8 @@ pub struct Snapshot {
     /// same hints instead of silently dropping them.
     pub(crate) suspected: Vec<SuspectedBias>,
     pub(crate) cache: JoinCache,
-    /// `Some(serve_seed)` once sealed: synthesis seeds derive from
-    /// `(serve_seed, path)`. `None` inside the build facade: synthesis
-    /// seeds follow the caller's query seed (legacy behavior).
-    pub(crate) base_seed: Option<u64>,
+    /// Synthesis seeds derive from `(serve_seed, path)`.
+    pub(crate) serve_seed: u64,
 }
 
 impl Snapshot {
@@ -91,9 +90,9 @@ impl Snapshot {
         &self.config
     }
 
-    /// The serve seed this snapshot was sealed with, if sealed.
-    pub fn serve_seed(&self) -> Option<u64> {
-        self.base_seed
+    /// The serve seed this snapshot was sealed with.
+    pub fn serve_seed(&self) -> u64 {
+        self.serve_seed
     }
 
     /// Suspected-bias hints frozen into this snapshot at build time.
@@ -101,12 +100,8 @@ impl Snapshot {
         &self.suspected
     }
 
-    /// Cache statistics `(hits, misses)` (§4.5 instrumentation).
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
-    }
-
-    /// Full cache counters including single-flight waits and evictions.
+    /// Cache counters (§4.5 instrumentation), single-flight waits and
+    /// evictions included.
     pub fn full_cache_stats(&self) -> CacheStats {
         self.cache.full_stats()
     }
@@ -137,11 +132,6 @@ impl Snapshot {
         })
     }
 
-    /// Candidate completion paths for an incomplete table.
-    pub fn candidate_paths(&self, table: &str) -> Vec<CompletionPath> {
-        crate::paths::enumerate_paths(&self.db, &self.annotation, table, self.config.max_path_len)
-    }
-
     /// Executes a query over the incomplete data as-is (the baseline the
     /// paper compares against).
     pub fn execute_without_completion(&self, query: &Query) -> CoreResult<QueryResult> {
@@ -170,7 +160,7 @@ impl Snapshot {
         // the rows this seed's §4.4 thinning keeps when the chain carries
         // extra evidence tables.
         let chain = self.execution_chain(&query.tables, &focus)?;
-        let out = self.complete_join(&chain, seed)?;
+        let out = self.complete_join(&chain)?;
         let mut view = TableView::from(&out.join);
         let projection = out.projection(&query.tables, || self.cache.recharge(&chain))?;
         let rows;
@@ -183,16 +173,13 @@ impl Snapshot {
     }
 
     /// Completes the join over an ordered table chain (Algorithm 1) with
-    /// §4.5 caching and single-flight deduplication.
-    pub fn complete_join(&self, tables: &[String], seed: u64) -> CoreResult<Arc<CompletionOutput>> {
-        // Sealed snapshots derive the synthesis seed from (serve seed,
-        // path) so the cached join never depends on which query — or which
-        // thread — populated the cache; the build facade keeps the legacy
-        // query-seeded behavior.
-        let synth_seed = match self.base_seed {
-            Some(base) => derive_seed(base, path_fingerprint(tables)),
-            None => seed,
-        };
+    /// §4.5 caching and single-flight deduplication. Calling it ahead of
+    /// the first query is §4.5 offline completion.
+    pub fn complete_join(&self, tables: &[String]) -> CoreResult<Arc<CompletionOutput>> {
+        // The synthesis seed derives from (serve seed, path), so the cached
+        // join never depends on which query — or which thread — populated
+        // the cache.
+        let synth_seed = derive_seed(self.serve_seed, path_fingerprint(tables));
         self.cache.get_or_compute(tables, || {
             let model = self.model_for_path(tables)?;
             let completer = Completer::new(&self.db, &self.annotation)
@@ -233,7 +220,7 @@ impl Snapshot {
         read: impl FnOnce(TableView) -> R,
     ) -> CoreResult<R> {
         let chain = self.execution_chain(&[table.to_string()], focus)?;
-        let out = self.complete_join(&chain, seed)?;
+        let out = self.complete_join(&chain)?;
         let relation = out.relation(self.db.table(table)?, || self.cache.recharge(&chain))?;
         let rows = relation.rows(&mut StdRng::seed_from_u64(seed ^ 0x517e));
         Ok(read(TableView {
@@ -243,13 +230,15 @@ impl Snapshot {
     }
 
     /// §6 confidence interval for an aggregate over the completed join of
-    /// `query_tables`.
+    /// `query_tables`. The interval is a function of the snapshot alone:
+    /// `_seed` is unused and stays only because `benchmark/`, which a PR
+    /// that changes other code may not edit, passes four arguments.
     pub fn confidence(
         &self,
         query_tables: &[String],
         query: &ConfidenceQuery,
         level: f64,
-        seed: u64,
+        _seed: u64,
     ) -> CoreResult<ConfidenceInterval> {
         let focus = match query {
             ConfidenceQuery::CountFraction { column, .. }
@@ -257,72 +246,10 @@ impl Snapshot {
             | ConfidenceQuery::Sum { column, .. } => vec![column.clone()],
         };
         let chain = self.execution_chain(query_tables, &focus)?;
-        let out = self.complete_join(&chain, seed)?;
+        let out = self.complete_join(&chain)?;
         let model = self.model_for_path(&chain)?;
         let batch_size = self.config.completer.batch_size;
         confidence_interval(&model, &self.db, &out, query, level, batch_size)
-    }
-
-    /// Enumerates candidate execution chains for a set of query tables: a
-    /// candidate completion path of an incomplete query table, extended
-    /// with the remaining query tables along FK edges. Also returns the
-    /// last enumeration error (unextendable chains) for diagnostics.
-    pub(crate) fn candidate_chains(
-        &self,
-        query_tables: &[String],
-    ) -> CoreResult<(Vec<Vec<String>>, Option<CoreError>)> {
-        let incomplete: Vec<String> = query_tables
-            .iter()
-            .filter(|t| self.annotation.is_incomplete(t))
-            .cloned()
-            .collect();
-        if incomplete.is_empty() {
-            return Err(CoreError::Invalid("no incomplete table in query".into()));
-        }
-        let mut chains = Vec::new();
-        let mut last_err = None;
-        for anchor in &incomplete {
-            let table = self.db.table(anchor)?;
-            if modeled_columns(table).is_empty() {
-                continue;
-            }
-            // A forced path short-circuits candidate enumeration.
-            let candidates: Vec<Vec<String>> = match self.forced.get(anchor) {
-                Some(forced) => vec![forced.clone()],
-                None => self
-                    .candidate_paths(anchor)
-                    .into_iter()
-                    .take(self.config.max_candidates.max(1))
-                    .map(|p| p.tables().to_vec())
-                    .collect(),
-            };
-            for mut chain in candidates {
-                let mut remaining: Vec<String> = query_tables
-                    .iter()
-                    .filter(|t| !chain.contains(t))
-                    .cloned()
-                    .collect();
-                // Greedily append tables connected to the chain's end.
-                while !remaining.is_empty() {
-                    let end = chain.last().unwrap().clone();
-                    match remaining
-                        .iter()
-                        .position(|t| self.db.edge_between(&end, t).is_some())
-                    {
-                        Some(i) => chain.push(remaining.remove(i)),
-                        None => break,
-                    }
-                }
-                if !remaining.is_empty() {
-                    last_err = Some(CoreError::Invalid(format!(
-                        "cannot extend chain {chain:?} with {remaining:?}"
-                    )));
-                    continue;
-                }
-                chains.push(chain);
-            }
-        }
-        Ok((chains, last_err))
     }
 
     /// Picks the execution chain for a set of query tables among the
@@ -334,7 +261,13 @@ impl Snapshot {
         query_tables: &[String],
         focus: &[String],
     ) -> CoreResult<Vec<String>> {
-        let (chains, mut last_err) = self.candidate_chains(query_tables)?;
+        let (chains, mut last_err) = candidate_chains(
+            &self.db,
+            &self.annotation,
+            &self.forced,
+            &self.config,
+            query_tables,
+        )?;
         let mut best: Option<(f32, Vec<String>)> = None;
         for chain in chains {
             match self.models.get(&chain) {
@@ -365,6 +298,72 @@ impl Snapshot {
             })
         })
     }
+}
+
+/// Enumerates candidate execution chains for a set of query tables: a
+/// candidate completion path of an incomplete query table, extended with
+/// the remaining query tables along FK edges. Also returns the last
+/// enumeration error (unextendable chains) for diagnostics. The build phase
+/// trains these chains' models and the serve phase picks among them, so
+/// both read the one enumeration.
+pub(crate) fn candidate_chains(
+    db: &Database,
+    annotation: &SchemaAnnotation,
+    forced: &HashMap<String, Vec<String>>,
+    config: &RestoreConfig,
+    query_tables: &[String],
+) -> CoreResult<(Vec<Vec<String>>, Option<CoreError>)> {
+    let incomplete: Vec<String> = query_tables
+        .iter()
+        .filter(|t| annotation.is_incomplete(t))
+        .cloned()
+        .collect();
+    if incomplete.is_empty() {
+        return Err(CoreError::Invalid("no incomplete table in query".into()));
+    }
+    let mut chains = Vec::new();
+    let mut last_err = None;
+    for anchor in &incomplete {
+        let table = db.table(anchor)?;
+        if modeled_columns(table).is_empty() {
+            continue;
+        }
+        // A forced path short-circuits candidate enumeration.
+        let candidates: Vec<Vec<String>> = match forced.get(anchor) {
+            Some(forced) => vec![forced.clone()],
+            None => enumerate_paths(db, annotation, anchor, config.max_path_len)
+                .into_iter()
+                .take(config.max_candidates.max(1))
+                .map(|p| p.tables().to_vec())
+                .collect(),
+        };
+        for mut chain in candidates {
+            let mut remaining: Vec<String> = query_tables
+                .iter()
+                .filter(|t| !chain.contains(t))
+                .cloned()
+                .collect();
+            // Greedily append tables connected to the chain's end.
+            while !remaining.is_empty() {
+                let end = chain.last().unwrap().clone();
+                match remaining
+                    .iter()
+                    .position(|t| db.edge_between(&end, t).is_some())
+                {
+                    Some(i) => chain.push(remaining.remove(i)),
+                    None => break,
+                }
+            }
+            if !remaining.is_empty() {
+                last_err = Some(CoreError::Invalid(format!(
+                    "cannot extend chain {chain:?} with {remaining:?}"
+                )));
+                continue;
+            }
+            chains.push(chain);
+        }
+    }
+    Ok((chains, last_err))
 }
 
 /// Bare (unqualified) column names a query reads: filter references,

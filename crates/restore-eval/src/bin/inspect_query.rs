@@ -51,12 +51,12 @@ fn main() {
     }
 
     let truth = restore_db::execute(&sc.complete, &wq.query).unwrap();
-    let incomplete = rs.execute_without_completion(&wq.query).unwrap();
     // Train what the query needs, seal, and serve from the snapshot — the
     // same `&self` path a concurrent server uses.
     rs.ensure_query_models(&wq.query.tables, seed)
         .expect("ensure models");
     let rs = rs.seal(seed);
+    let incomplete = rs.execute_without_completion(&wq.query).unwrap();
     let completed = rs.execute(&wq.query, seed).expect("completed execution");
     if let Some(m) = rs.selected_model(&sc.bias.table) {
         println!("selected path: {}", m.path().describe());

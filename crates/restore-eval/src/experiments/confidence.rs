@@ -167,7 +167,14 @@ pub fn run_confidence_real(
             column: sc.bias.column.clone(),
             value: value.clone(),
         };
-        let ci = match rs.confidence(std::slice::from_ref(&sc.bias.table), &q, 0.95, s) {
+        // Sealed per cell: the serve seed is what resamples the synthesized
+        // tuples. A cell that fails reports why training failed, if it did.
+        let tables = std::slice::from_ref(&sc.bias.table);
+        let ci = rs.ensure_query_models(tables, s).and_then(|train_err| {
+            let ci = rs.seal(s).confidence(tables, &q, 0.95, s);
+            ci.map_err(|e| train_err.unwrap_or(e))
+        });
+        let ci = match ci {
             Ok(ci) => ci,
             Err(e) => return fail(&e.to_string()),
         };

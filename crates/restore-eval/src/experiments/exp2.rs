@@ -133,7 +133,8 @@ pub fn run_exp2_cell(
             last_err = Some(e.to_string());
             continue;
         }
-        let completed = match rs.completed_table(target, seed) {
+        // Sealed per candidate: the forced path above is what it serves.
+        let completed = match rs.seal(seed).completed_table(target, seed) {
             Ok(t) => t,
             Err(e) => {
                 last_err = Some(e.to_string());

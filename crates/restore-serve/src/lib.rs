@@ -1,7 +1,7 @@
 //! # restore-serve — the network serving front-end
 //!
-//! Turns a set of sealed [`Snapshot`](restore_core::Snapshot)s into a
-//! deployable service: a `std`-only TCP/HTTP 1.1 server (hand-rolled
+//! Turns a set of [`Snapshot`](restore_core::Snapshot)s — sealed builds —
+//! into a deployable service: a `std`-only TCP/HTTP 1.1 server (hand-rolled
 //! incremental request parsing, no external dependencies) over a
 //! hot-swappable, multi-tenant [`SnapshotRegistry`](restore_core::SnapshotRegistry).
 //! One epoll reactor thread ([`reactor`]) owns every socket and holds tens

@@ -895,15 +895,12 @@ fn completed_table(
         return response;
     }
     counters.queries.fetch_add(1, Ordering::Relaxed);
-    let seed = match request.query_param("seed") {
-        None => 0,
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(seed) => seed,
-            Err(_) => {
-                counters.note_error(request_id);
-                return Response::error(400, &format!("bad seed {raw:?}"));
-            }
-        },
+    let seed = match seed_param(request, "seed") {
+        Ok(seed) => seed.unwrap_or(0),
+        Err(response) => {
+            counters.note_error(request_id);
+            return response;
+        }
     };
     if let Err(elapsed) = budget.check() {
         counters.note_error(request_id);
@@ -994,7 +991,7 @@ fn rebuild(shared: &Arc<Shared>, tenant: &str, request: &Request) -> Response {
     let version = store.latest_version(tenant).unwrap_or(0).saturating_add(1);
     let serve_seed = match seed_param(request, "serve_seed") {
         Ok(Some(s)) => s,
-        Ok(None) => derive_seed(snapshot.serve_seed().unwrap_or(0), version as u64),
+        Ok(None) => derive_seed(snapshot.serve_seed(), version as u64),
         Err(response) => return response,
     };
     let train_seed = match seed_param(request, "train_seed") {

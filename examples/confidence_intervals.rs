@@ -40,9 +40,14 @@ fn main() {
 
         let mut restore = ReStore::new(sc.incomplete.clone(), RestoreConfig::default());
         restore.mark_incomplete("tb");
+        let tables = ["tb".to_string()];
+        restore
+            .ensure_query_models(&tables, 13)
+            .expect("query models");
         let ci = restore
+            .seal(13)
             .confidence(
-                &["tb".to_string()],
+                &tables,
                 &ConfidenceQuery::CountFraction {
                     table: "tb".into(),
                     column: "b".into(),

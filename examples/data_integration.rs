@@ -64,8 +64,12 @@ fn main() {
         .aggregate(Agg::Avg("price".into()));
 
     let truth = execute(&national, &query).unwrap();
-    let incomplete = restore.execute_without_completion(&query).unwrap();
-    let completed = restore.execute(&query, 99).unwrap();
+    restore
+        .ensure_query_models(&query.tables, 99)
+        .expect("query models");
+    let snapshot = restore.seal(99);
+    let incomplete = snapshot.execute_without_completion(&query).unwrap();
+    let completed = snapshot.execute(&query, 99).unwrap();
 
     let row = |r: &restore::db::QueryResult| {
         (

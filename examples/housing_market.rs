@@ -31,9 +31,20 @@ fn main() {
         .group_by(["state"])
         .aggregate(Agg::CountStar)
         .aggregate(Agg::Avg("price".into()));
+    // Train what the two questions below need, then seal and serve.
+    let apartment = ["apartment".to_string()];
+    for tables in [&query.tables[..], &apartment[..]] {
+        restore
+            .ensure_query_models(tables, 7)
+            .expect("query models");
+    }
+    let snapshot = restore.seal(7);
     let truth = execute(&complete, &query).unwrap().groups();
-    let incomplete = restore.execute_without_completion(&query).unwrap().groups();
-    let completed = restore.execute(&query, 7).unwrap().groups();
+    let incomplete = snapshot
+        .execute_without_completion(&query)
+        .unwrap()
+        .groups();
+    let completed = snapshot.execute(&query, 7).unwrap().groups();
 
     println!(
         "SELECT COUNT(*), AVG(price) FROM neighborhood NATURAL JOIN apartment GROUP BY state;\n"
@@ -65,9 +76,9 @@ fn main() {
     );
 
     // How sure is the model about the completed average rent? (§6)
-    let ci = restore
+    let ci = snapshot
         .confidence(
-            &["apartment".to_string()],
+            &apartment,
             &ConfidenceQuery::Avg {
                 table: "apartment".into(),
                 column: "price".into(),

@@ -48,13 +48,20 @@ fn main() {
         .filter(Expr::col("room_type").eq(Expr::lit("Entire home/apt")))
         .aggregate(Agg::Sum("price".into()));
 
+    // 6. Train what the query needs beyond step 4, seal the build into an
+    //    immutable snapshot, and serve: only a snapshot answers queries.
+    restore
+        .ensure_query_models(&query.tables, 42)
+        .expect("query models");
+    let snapshot = restore.seal(42);
+
     let truth = execute(&complete, &query).unwrap().scalar().unwrap();
-    let incomplete = restore
+    let incomplete = snapshot
         .execute_without_completion(&query)
         .unwrap()
         .scalar()
         .unwrap();
-    let completed = restore.execute(&query, 42).unwrap().scalar().unwrap();
+    let completed = snapshot.execute(&query, 42).unwrap().scalar().unwrap();
 
     println!("\nSELECT SUM(price) FROM apartment WHERE room_type='Entire home/apt'");
     println!("  true (complete) answer : {truth:9.2}");

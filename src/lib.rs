@@ -29,11 +29,17 @@
 //! ```no_run
 //! use restore::core::{ReStore, RestoreConfig};
 //! use restore::data::housing::{HousingConfig, generate_housing};
+//! use restore::db::{Agg, Query};
 //!
 //! let db = generate_housing(&HousingConfig::small(), 42);
 //! let mut restore = ReStore::new(db, RestoreConfig::default());
 //! restore.mark_incomplete("apartment");
 //! restore.train(7).unwrap();
+//! // The builder answers nothing: seal it, and the snapshot serves.
+//! let query = Query::new(["apartment"]).aggregate(Agg::CountStar);
+//! restore.ensure_query_models(&query.tables, 7).unwrap();
+//! let snapshot = restore.seal(7);
+//! let completed = snapshot.execute(&query, 7).unwrap();
 //! ```
 
 pub use restore_core as core;

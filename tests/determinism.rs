@@ -6,7 +6,9 @@ use restore::core::{ReStore, RestoreConfig, TrainConfig};
 use restore::data::{apply_removal, generate_synthetic, BiasSpec, RemovalConfig, SyntheticConfig};
 use restore::db::{Agg, Query};
 
-fn pipeline(seed: u64, query_seed: u64) -> f64 {
+/// Data, removal and training under `seed`; synthesis under `serve_seed`;
+/// one `COUNT(*)` over `tb` per query seed, all from the one snapshot.
+fn pipeline(seed: u64, serve_seed: u64, query_seeds: &[u64]) -> Vec<u64> {
     let db = generate_synthetic(
         &SyntheticConfig {
             n_parent: 150,
@@ -30,24 +32,35 @@ fn pipeline(seed: u64, query_seed: u64) -> f64 {
     let mut rs = ReStore::new(sc.incomplete.clone(), cfg);
     rs.mark_incomplete("tb");
     let q = Query::new(["tb"]).aggregate(Agg::CountStar);
-    rs.execute(&q, query_seed).unwrap().scalar().unwrap()
+    rs.ensure_query_models(&q.tables, seed).unwrap();
+    let snapshot = rs.seal(serve_seed);
+    let count = |&s| snapshot.execute(&q, s).unwrap().scalar().unwrap();
+    query_seeds.iter().map(count).map(f64::to_bits).collect()
 }
 
 #[test]
 fn same_seed_same_answer() {
-    assert_eq!(pipeline(11, 1), pipeline(11, 1));
+    assert_eq!(pipeline(11, 1, &[1]), pipeline(11, 1, &[1]));
 }
 
 #[test]
 fn different_completion_seed_changes_sampling() {
-    // Different query seeds resample the synthesized tuples; COUNTs may
+    // The serve seed resamples the synthesized tuples; COUNTs may
     // coincide, so check over several seeds that at least one differs.
-    let base = pipeline(11, 1);
-    let any_different = (2..6).any(|qs| pipeline(11, qs) != base);
+    let base = pipeline(11, 1, &[1]);
+    let any_different = (2..6).any(|serve| pipeline(11, serve, &[1]) != base);
     assert!(
         any_different,
         "sampling should depend on the completion seed"
     );
+}
+
+#[test]
+fn query_seed_alone_only_drives_thinning() {
+    // `ta → tb` has one evidence table, so §4.4 has nothing to thin and the
+    // query seed nothing to decide: synthesis hangs off the serve seed.
+    let counts = pipeline(11, 1, &[1, 2, 3, 4, 5]);
+    assert!(counts.iter().all(|&c| c == counts[0]), "{counts:?}");
 }
 
 /// The batching contract of the completion engine: for a fixed batch size

@@ -1,10 +1,10 @@
 //! End-to-end integration: annotate → train → complete → query across all
 //! workspace crates, on both the synthetic and the housing schema.
 
-use restore::core::{ReStore, RestoreConfig, SelectionStrategy, TrainConfig};
+use restore::core::{CoreResult, ReStore, RestoreConfig, SelectionStrategy, TrainConfig};
 use restore::data::housing::{generate_housing, HousingConfig};
 use restore::data::{apply_removal, generate_synthetic, BiasSpec, RemovalConfig, SyntheticConfig};
-use restore::db::{execute, Agg, Expr, Query};
+use restore::db::{execute, Agg, Expr, Query, QueryResult};
 
 fn quick_config() -> RestoreConfig {
     RestoreConfig {
@@ -19,6 +19,12 @@ fn quick_config() -> RestoreConfig {
         strategy: SelectionStrategy::BestValLoss,
         ..RestoreConfig::default()
     }
+}
+
+/// The lifecycle in three lines: train what the query needs, seal, serve.
+fn serve(rs: &mut ReStore, q: &Query, seed: u64) -> CoreResult<QueryResult> {
+    rs.ensure_query_models(&q.tables, seed)?;
+    rs.seal(seed).execute(q, seed)
 }
 
 #[test]
@@ -44,8 +50,8 @@ fn synthetic_count_query_is_debiased() {
         .filter(Expr::col("b").eq(Expr::lit(value.as_str())))
         .aggregate(Agg::CountStar);
     let truth = execute(&sc.complete, &q).unwrap().scalar().unwrap();
-    let incomplete = rs.execute_without_completion(&q).unwrap().scalar().unwrap();
-    let completed = rs.execute(&q, 501).unwrap().scalar().unwrap();
+    let incomplete = execute(rs.db(), &q).unwrap().scalar().unwrap();
+    let completed = serve(&mut rs, &q, 501).unwrap().scalar().unwrap();
     assert!(
         (completed - truth).abs() < (incomplete - truth).abs(),
         "COUNT of the biased value: truth {truth}, incomplete {incomplete}, completed {completed}"
@@ -67,8 +73,8 @@ fn housing_sum_query_improves() {
 
     let q = Query::new(["apartment"]).aggregate(Agg::Sum("price".into()));
     let truth = execute(&complete, &q).unwrap().scalar().unwrap();
-    let incomplete = rs.execute_without_completion(&q).unwrap().scalar().unwrap();
-    let completed = rs.execute(&q, 502).unwrap().scalar().unwrap();
+    let incomplete = execute(rs.db(), &q).unwrap().scalar().unwrap();
+    let completed = serve(&mut rs, &q, 502).unwrap().scalar().unwrap();
     assert!(
         (completed - truth).abs() < (incomplete - truth).abs() * 0.7,
         "SUM(price): truth {truth:.0}, incomplete {incomplete:.0}, completed {completed:.0}"
@@ -86,8 +92,8 @@ fn housing_join_query_executes_and_adds_rows() {
     rs.mark_incomplete("apartment");
 
     let q = Query::new(["landlord", "apartment"]).aggregate(Agg::CountStar);
-    let incomplete = rs.execute_without_completion(&q).unwrap().scalar().unwrap();
-    let completed = rs.execute(&q, 503).unwrap().scalar().unwrap();
+    let incomplete = execute(rs.db(), &q).unwrap().scalar().unwrap();
+    let completed = serve(&mut rs, &q, 503).unwrap().scalar().unwrap();
     let truth = execute(&complete, &q).unwrap().scalar().unwrap();
     assert!(completed > incomplete, "completion must add joined rows");
     assert!(
@@ -109,8 +115,8 @@ fn landlord_n_to_1_completion_works() {
     rs.mark_incomplete("landlord");
     let q = Query::new(["landlord"]).aggregate(Agg::CountStar);
     let truth = execute(&complete, &q).unwrap().scalar().unwrap();
-    let incomplete = rs.execute_without_completion(&q).unwrap().scalar().unwrap();
-    let completed = rs.execute(&q, 504).unwrap().scalar().unwrap();
+    let incomplete = execute(rs.db(), &q).unwrap().scalar().unwrap();
+    let completed = serve(&mut rs, &q, 504).unwrap().scalar().unwrap();
     assert!(
         (completed - truth).abs() < (incomplete - truth).abs(),
         "landlord COUNT: truth {truth}, incomplete {incomplete}, completed {completed}"
@@ -128,7 +134,7 @@ fn queries_on_complete_tables_are_exact() {
     // Neighborhood is complete: ReStore must not touch it.
     let q = Query::new(["neighborhood"]).aggregate(Agg::Avg("pop_density".into()));
     let truth = execute(&complete, &q).unwrap().scalar().unwrap();
-    let got = rs.execute(&q, 505).unwrap().scalar().unwrap();
+    let got = serve(&mut rs, &q, 505).unwrap().scalar().unwrap();
     assert_eq!(truth, got);
 }
 
@@ -150,10 +156,12 @@ fn completed_join_cache_reuses_results() {
     let q2 = Query::new(["ta", "tb"])
         .group_by(["a"])
         .aggregate(Agg::CountStar);
-    let a = rs.execute(&q1, 506).unwrap().scalar().unwrap();
-    let (h0, _) = rs.cache_stats();
-    let groups = rs.execute(&q2, 506).unwrap().groups();
-    let (h1, _) = rs.cache_stats();
+    rs.ensure_query_models(&q1.tables, 506).unwrap();
+    let snap = rs.seal(506);
+    let a = snap.execute(&q1, 506).unwrap().scalar().unwrap();
+    let h0 = snap.full_cache_stats().hits;
+    let groups = snap.execute(&q2, 506).unwrap().groups();
+    let h1 = snap.full_cache_stats().hits;
     assert!(
         h1 > h0,
         "second query over the same join path must hit the cache"

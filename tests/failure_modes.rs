@@ -2,10 +2,10 @@
 //! panics, when data is degenerate or requests are malformed.
 
 use restore::core::{
-    CompletionPath, CoreError, ReStore, RestoreConfig, SchemaAnnotation, TrainConfig,
+    CompletionPath, CoreError, CoreResult, ReStore, RestoreConfig, SchemaAnnotation, TrainConfig,
 };
 use restore::data::{apply_removal, generate_synthetic, BiasSpec, RemovalConfig, SyntheticConfig};
-use restore::db::{Agg, DataType, Database, Field, ForeignKey, Query, Table, Value};
+use restore::db::{Agg, DataType, Database, Field, ForeignKey, Query, QueryResult, Table, Value};
 
 fn quick_config() -> RestoreConfig {
     RestoreConfig {
@@ -20,6 +20,12 @@ fn quick_config() -> RestoreConfig {
     }
 }
 
+/// The lifecycle in three lines: train what the query needs, seal, serve.
+fn serve(rs: &mut ReStore, q: &Query, seed: u64) -> CoreResult<QueryResult> {
+    rs.ensure_query_models(&q.tables, seed)?;
+    rs.seal(seed).execute(q, seed)
+}
+
 #[test]
 fn unknown_table_in_query_errors() {
     let db = generate_synthetic(
@@ -32,7 +38,7 @@ fn unknown_table_in_query_errors() {
     let mut rs = ReStore::new(db, quick_config());
     rs.mark_incomplete("tb");
     let q = Query::new(["nonexistent"]).aggregate(Agg::CountStar);
-    assert!(rs.execute(&q, 601).is_err());
+    assert!(serve(&mut rs, &q, 601).is_err());
 }
 
 #[test]
@@ -54,7 +60,7 @@ fn incomplete_table_without_evidence_errors() {
     let mut rs = ReStore::new(db, quick_config());
     rs.mark_incomplete("island");
     let q = Query::new(["island"]).aggregate(Agg::CountStar);
-    let err = rs.execute(&q, 602).unwrap_err();
+    let err = serve(&mut rs, &q, 602).unwrap_err();
     assert!(
         matches!(
             err,
@@ -128,7 +134,7 @@ fn constant_attribute_is_handled() {
     let mut rs = ReStore::new(sc.incomplete.clone(), quick_config());
     rs.mark_incomplete("c");
     let q = Query::new(["c"]).aggregate(Agg::CountStar);
-    let completed = rs.execute(&q, 604).unwrap().scalar().unwrap();
+    let completed = serve(&mut rs, &q, 604).unwrap().scalar().unwrap();
     assert!(
         completed > 70.0,
         "completion should restore the constant-attr table, got {completed}"
@@ -164,7 +170,7 @@ fn nulls_in_evidence_are_tolerated() {
     rs.mark_incomplete("tb");
     let q = Query::new(["tb"]).aggregate(Agg::CountStar);
     assert!(
-        rs.execute(&q, 605).is_ok(),
+        serve(&mut rs, &q, 605).is_ok(),
         "NULL evidence must not break completion"
     );
 }

@@ -105,7 +105,7 @@ fn golden_fixture_loads_and_serves_pinned_results() {
         "committed golden_v1.snap must load with today's loader \
          (format change without a version bump?)",
     );
-    assert_eq!(snapshot.serve_seed(), Some(41));
+    assert_eq!(snapshot.serve_seed(), 41);
     let expected: Vec<String> = std::fs::read_to_string(expected_path())
         .expect("committed golden_v1_expected.txt")
         .lines()

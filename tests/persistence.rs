@@ -275,7 +275,7 @@ fn rebuild_endpoint_retrains_saves_and_republishes() {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
     let v2 = loop {
         if let Some(snap) = registry.get("t") {
-            if snap.serve_seed() == Some(77) {
+            if snap.serve_seed() == 77 {
                 break snap;
             }
         }
@@ -289,7 +289,7 @@ fn rebuild_endpoint_retrains_saves_and_republishes() {
     // v2 landed on disk through the atomic path and round-trips.
     assert_eq!(store.versions("t"), vec![1, 2], "v2 must be saved");
     let from_disk = Snapshot::load(&store.version_path("t", 2)).expect("load v2");
-    assert_eq!(from_disk.serve_seed(), Some(77));
+    assert_eq!(from_disk.serve_seed(), 77);
 
     // And the server now serves the rebuilt snapshot, byte-identical to
     // direct execution against both the published and the on-disk v2.

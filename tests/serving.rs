@@ -162,32 +162,6 @@ fn sealed_results_do_not_depend_on_which_query_warmed_the_cache() {
 }
 
 #[test]
-fn seal_rewarms_build_cache_under_the_serve_seed() {
-    // A cache warmed during the build phase (legacy query-derived seeds)
-    // must not leak into sealed results: seal re-synthesizes each chain
-    // under the serve seed, so a warm-sealed and a cold-sealed snapshot
-    // serve identical bits — before *and* after any eviction.
-    let q = Query::new(["ta", "tb"]).aggregate(Agg::CountStar);
-
-    let mut rs = build_restore(37);
-    rs.train(37).expect("train");
-    rs.ensure_query_models(&q.tables, 37).expect("ensure");
-    rs.execute(&q, 12345).unwrap(); // warms the facade cache, seed 12345
-    let warm = Arc::new(rs.seal(37));
-    let stats = warm.full_cache_stats();
-    assert!(stats.entries >= 1, "seal must arrive pre-warmed: {stats:?}");
-
-    let cold = sealed(37);
-    assert_eq!(
-        fingerprint(&warm.execute(&q, 5).unwrap()),
-        fingerprint(&cold.execute(&q, 5).unwrap()),
-        "build-time cache contents leaked into sealed results"
-    );
-    // The pre-warmed entry serves the first query as a hit.
-    assert!(warm.full_cache_stats().hits >= 1);
-}
-
-#[test]
 fn snapshot_serves_through_shared_reference() {
     // The compile-time shape of the tentpole: all serving methods on &self
     // behind an Arc, no locks in user code.
@@ -396,8 +370,8 @@ fn attached_relations_count_against_the_cache_budget() {
     assert_ne!(chain1, chain2);
 
     // The joins alone, then the first query over `c1`, then more of them.
-    let out1 = snap.complete_join(&chain1, 0).expect("complete");
-    let out2 = snap.complete_join(&chain2, 0).expect("complete");
+    let out1 = snap.complete_join(&chain1).expect("complete");
+    let out2 = snap.complete_join(&chain2).expect("complete");
     let (join1, join2) = (out1.approx_bytes(), out2.approx_bytes());
     assert_eq!(snap.full_cache_stats().bytes, join1 + join2);
     // A second cache over the same completions, with room for the two joins
@@ -907,7 +881,7 @@ fn in_place_execution_matches_the_copying_oracle_under_thinning() {
     // The projection of `p ⋈ c1` is charged to its entry as a relation is:
     // when the first query builds it, and once.
     let fresh = Snapshot::from_bytes(&probe.to_bytes()).expect("load");
-    let out = fresh.complete_join(&path, 0).expect("complete");
+    let out = fresh.complete_join(&path).expect("complete");
     let join = out.approx_bytes();
     assert_eq!(fresh.full_cache_stats().bytes, join);
     fresh.execute(&shapes[0], 1).expect("execute");
