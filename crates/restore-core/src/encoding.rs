@@ -1,5 +1,5 @@
 //! Attribute encoders: every model attribute becomes a categorical token
-//! domain, mirroring naru [40] (the paper's stated starting point).
+//! domain, mirroring naru \[40\] (the paper's stated starting point).
 //!
 //! * strings → dictionary codes;
 //! * low-cardinality numerics → one token per distinct value;

@@ -55,8 +55,7 @@ pub use persist::{PersistError, SNAPSHOT_FORMAT_VERSION, SNAPSHOT_MAGIC};
 pub use registry::{RegistryView, SnapshotRegistry};
 pub use restore::{ModelSummary, ReStore, RestoreConfig, TrainReport};
 pub use selection::{
-    basic_filter, select_model, BiasDirection, CandidateScore, SelectionOutcome, SelectionStrategy,
-    SuspectedBias,
+    score_candidates, BiasDirection, CandidateScore, SelectionStrategy, SuspectedBias,
 };
 pub use snapshot::{query_focus_columns, Snapshot};
 pub use wire::{ConfidenceSpec, QueryRequest, WireError};

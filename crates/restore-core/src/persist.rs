@@ -830,7 +830,6 @@ fn config_to_json(c: &RestoreConfig) -> JsonValue {
         (
             "strategy",
             jstr(match c.strategy {
-                SelectionStrategy::Shortest => "shortest",
                 SelectionStrategy::BestValLoss => "best_val_loss",
                 SelectionStrategy::SuspectedBiasRanking => "suspected_bias_ranking",
             }),
@@ -846,8 +845,9 @@ fn config_from_json(v: &JsonValue) -> Result<RestoreConfig, PersistError> {
         max_path_len: usize_field(v, "max_path_len")?,
         max_candidates: usize_field(v, "max_candidates")?,
         strategy: match str_field(v, "strategy")? {
-            "shortest" => SelectionStrategy::Shortest,
-            "best_val_loss" => SelectionStrategy::BestValLoss,
+            // Retired name, read only. Serving never honoured it, so the
+            // file keeps its candidate count.
+            "shortest" | "best_val_loss" => SelectionStrategy::BestValLoss,
             "suspected_bias_ranking" => SelectionStrategy::SuspectedBiasRanking,
             other => return Err(corrupt(format!("unknown selection strategy {other:?}"))),
         },
@@ -868,6 +868,14 @@ mod tests {
         assert_eq!(back.train.hidden, cfg.train.hidden);
         assert_eq!(back.completer.batch_size, cfg.completer.batch_size);
         assert_eq!(back.cache_budget_bytes, cfg.cache_budget_bytes);
+        assert_eq!(back.strategy, cfg.strategy);
+        // A file written while `SelectionStrategy::Shortest` existed.
+        let old = config_to_json(&cfg)
+            .to_json()
+            .replace("best_val_loss", "shortest");
+        let back = config_from_json(&parse(&old).unwrap()).unwrap();
+        assert_eq!(back.strategy, SelectionStrategy::BestValLoss);
+        assert_eq!(back.max_candidates, cfg.max_candidates);
     }
 
     #[test]

@@ -7,14 +7,21 @@
 //! immutable [`Snapshot`], the only type that serves — all of its methods
 //! take `&self`, so it is the type to share across threads in a server.
 //!
+//! One function trains: [`ReStore::model_for_path`], under the caller's
+//! seed as given and never a chain that is already there — so neither who
+//! asks ([`ReStore::train`] for every candidate path, which
+//! [`score_candidates`] then ranks; [`ReStore::ensure_query_models`] for
+//! the chains of a query shape; [`ReStore::rebuild_from`] for the chains of
+//! a snapshot) nor the order of the calls decides a chain's weights.
+//!
 //! Queries over incomplete tables are answered by (1) building an
-//! *execution chain* — the selected completion path of the incomplete
+//! *execution chain* — a candidate completion path of the incomplete
 //! table, extended by the remaining query tables, (2) running Algorithm 1
 //! over the chain, (3) projecting the completed join onto the query tables
 //! (with the §4.4 reweighting when the chain contains additional evidence
 //! tables), and (4) executing the filter/aggregate tail with normal
-//! operators. The builder trains the models of step (1)'s candidates
-//! ([`ReStore::ensure_query_models`]); the snapshot does the rest.
+//! operators. The builder trains the models of step (1)'s candidates; the
+//! snapshot picks among them per query and does the rest.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,9 +33,9 @@ use crate::cache::JoinCache;
 use crate::completion::CompleterConfig;
 use crate::error::{CoreError, CoreResult};
 use crate::model::{CompletionModel, TrainConfig};
-use crate::paths::{enumerate_paths, CompletionPath};
-use crate::selection::{select_model, CandidateScore, SelectionStrategy, SuspectedBias};
-use crate::snapshot::{candidate_chains, Snapshot};
+use crate::paths::CompletionPath;
+use crate::selection::{score_candidates, CandidateScore, SelectionStrategy, SuspectedBias};
+use crate::snapshot::{candidate_chains, candidate_paths, Snapshot};
 
 /// Configuration of a ReStore build and of the snapshots sealed from it.
 #[derive(Clone, Debug)]
@@ -37,7 +44,9 @@ pub struct RestoreConfig {
     pub completer: CompleterConfig,
     /// Maximum completion-path length (tables); the movie setups need 5.
     pub max_path_len: usize,
-    /// Maximum candidate paths trained during selection.
+    /// Candidate completion paths per incomplete table, shortest first (at
+    /// least one): what [`ReStore::train`] trains and ranks and what a
+    /// snapshot picks among per query. `1` is "the shortest path only".
     pub max_candidates: usize,
     pub strategy: SelectionStrategy,
     /// Approximate memory budget of a snapshot's completed-join cache in
@@ -90,8 +99,10 @@ pub struct ReStore {
     annotation: SchemaAnnotation,
     config: RestoreConfig,
     models: HashMap<Vec<String>, Arc<CompletionModel>>,
+    /// The build's ranking: reported and persisted, read by no serving path.
     selected: HashMap<String, Vec<String>>,
-    /// Paths explicitly forced by [`ReStore::set_selected_path`].
+    /// Paths that bind the serving side: set by [`ReStore::set_selected_path`]
+    /// or ranked first by [`ReStore::train`] under the user's bias hint.
     forced: HashMap<String, Vec<String>>,
     suspected: Vec<SuspectedBias>,
 }
@@ -163,10 +174,11 @@ impl ReStore {
     /// Starts a fresh build phase from an existing snapshot (typically one
     /// loaded from disk): database, annotation, config and forced paths
     /// carry over, and every model of `snapshot` is **retrained** under
-    /// `train_seed` — this is the background-rebuild primitive that
-    /// produces version n+1 while version n keeps serving. Selected paths
-    /// are copied, not re-scored; suspected-bias hints carry over (they are
-    /// persisted in the snapshot meta) so a re-ranking rebuild sees them.
+    /// `train_seed` as given (the seed it was built with reproduces it) —
+    /// this is the background-rebuild primitive that produces version n+1
+    /// while version n keeps serving. Selected paths are copied, not
+    /// re-scored; suspected-bias hints carry over (they are persisted in the
+    /// snapshot meta) so a re-ranking rebuild sees them.
     pub fn rebuild_from(snapshot: &Snapshot, train_seed: u64) -> CoreResult<Self> {
         let mut rs = Self {
             db: Arc::clone(&snapshot.db),
@@ -177,15 +189,16 @@ impl ReStore {
             forced: snapshot.forced.clone(),
             suspected: snapshot.suspected.clone(),
         };
-        for (i, tables) in snapshot.sorted_model_keys().iter().enumerate() {
-            rs.model_for_path(tables, train_seed.wrapping_add(i as u64 * 7919))?;
+        for tables in snapshot.sorted_model_keys() {
+            rs.model_for_path(&tables, train_seed)?;
         }
         Ok(rs)
     }
 
-    /// Selects completion paths and trains models for every incomplete
-    /// table with modeled attributes (link tables without attributes are
-    /// completed implicitly inside longer chains).
+    /// Trains and keeps the model of every candidate path of every
+    /// incomplete table with modeled attributes (link tables without
+    /// attributes are completed implicitly inside longer chains) and ranks
+    /// them under the configured strategy (§5).
     pub fn train(&mut self, seed: u64) -> CoreResult<TrainReport> {
         let mut report = TrainReport::default();
         let targets: Vec<String> = self
@@ -193,24 +206,39 @@ impl ReStore {
             .incomplete_tables()
             .map(str::to_string)
             .collect();
-        for (i, target) in targets.iter().enumerate() {
-            let table = self.db.table(target)?;
-            if modeled_columns(table).is_empty() {
+        for target in targets {
+            if modeled_columns(self.db.table(&target)?).is_empty() {
                 continue;
             }
-            let suspected = self.suspected.iter().find(|s| &s.table == target);
-            let outcome = select_model(
+            let paths = candidate_paths(&self.db, &self.annotation, &self.config, &target);
+            if paths.is_empty() {
+                return Err(CoreError::NoPath(format!(
+                    "no completion path reaches {target}"
+                )));
+            }
+            let mut trained = Vec::new();
+            let mut failures = Vec::new();
+            for path in &paths {
+                match self.model_for_path(path.tables(), seed) {
+                    Ok(model) => trained.push(model),
+                    Err(e) => failures.push(format!("{}: {e}", path.describe())),
+                }
+            }
+            if trained.is_empty() {
+                return Err(CoreError::NoModel(format!(
+                    "all candidate paths failed for {target}: {failures:?}"
+                )));
+            }
+            let candidates = score_candidates(
                 &self.db,
                 &self.annotation,
-                target,
-                self.config.max_path_len,
-                self.config.max_candidates,
+                &trained,
                 &self.config.strategy,
-                suspected,
-                &self.config.train,
-                seed.wrapping_add(i as u64 * 7919),
+                self.suspected.iter().find(|s| s.table == target),
+                seed,
             )?;
-            let model = Arc::new(outcome.model);
+            let winner = candidates.iter().position(|c| c.selected);
+            let model = &trained[winner.expect("a non-empty sheet marks its winner")];
             report.models.push(ModelSummary {
                 target: target.clone(),
                 path: model.path().describe(),
@@ -220,15 +248,21 @@ impl ReStore {
                 seconds: model.train_seconds,
                 parameters: model.num_parameters(),
             });
-            report.candidates.insert(target.clone(), outcome.candidates);
-            self.selected
-                .insert(target.clone(), model.path().tables().to_vec());
-            self.models.insert(model.path().tables().to_vec(), model);
+            let tables = model.path().tables().to_vec();
+            // The user's hint binds the serving side like a forced path; a
+            // loss ranking is reported, and the snapshot picks per query.
+            if self.config.strategy == SelectionStrategy::SuspectedBiasRanking {
+                self.forced.insert(target.clone(), tables.clone());
+            }
+            self.selected.insert(target.clone(), tables);
+            report.candidates.insert(target, candidates);
         }
         Ok(report)
     }
 
-    /// Returns (training on demand) the model for an exact path.
+    /// Returns (training on demand) the model for an exact path: the build
+    /// phase's one trainer. `seed` is used as given, so a chain's weights
+    /// depend on (database, annotation, train config, chain, seed) alone.
     pub fn model_for_path(
         &mut self,
         tables: &[String],
@@ -279,7 +313,7 @@ impl ReStore {
 
     /// Candidate completion paths for an incomplete table.
     pub fn candidate_paths(&self, table: &str) -> Vec<CompletionPath> {
-        enumerate_paths(&self.db, &self.annotation, table, self.config.max_path_len)
+        candidate_paths(&self.db, &self.annotation, &self.config, table)
     }
 
     /// The build half of §4.5 offline completion: without workload
@@ -394,6 +428,14 @@ mod tests {
         rs.mark_incomplete("ta");
         assert!(rs.selected_model("tb").is_none());
         assert!(rs.trained_models().is_empty());
+    }
+
+    #[test]
+    fn no_path_is_an_error() {
+        let (_, mut rs) = restore_on_synthetic(42);
+        // Mark everything incomplete: no complete evidence root exists.
+        rs.mark_incomplete("ta");
+        assert!(matches!(rs.train(42), Err(CoreError::NoPath(_))));
     }
 
     #[test]

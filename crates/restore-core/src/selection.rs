@@ -1,20 +1,22 @@
 //! Model & path selection (§5).
 //!
-//! *Basic selection* filters models by their held-out test loss — an
-//! unpredictable target attribute means the bias cannot be corrected
-//! (Fig. 5b validates the criterion). *Advanced selection* derives an
-//! additional incomplete scenario from the already-incomplete data (whose
-//! ground truth we hold) and ranks candidates by how well they reconstruct
-//! it. When the user *suspects* the direction of the bias, candidates are
-//! ranked by how strongly they correct in that direction.
+//! Selection trains nothing: [`ReStore::train`](crate::ReStore::train)
+//! trains one model per candidate path and keeps them all, and
+//! [`score_candidates`] ranks what it is handed. *Basic selection* filters
+//! models by their held-out test loss — an unpredictable target attribute
+//! means the bias cannot be corrected (Fig. 5b validates the criterion).
+//! When the user *suspects* the direction of the bias, the candidates that
+//! pass the filter are ranked by how strongly they correct in that
+//! direction.
 
-use restore_db::Database;
+use std::sync::Arc;
+
+use restore_db::{Database, Table};
 
 use crate::annotation::SchemaAnnotation;
-use crate::completion::{Completer, CompletionOutput};
+use crate::completion::Completer;
 use crate::error::{CoreError, CoreResult};
-use crate::model::{CompletionModel, TrainConfig};
-use crate::paths::enumerate_paths;
+use crate::model::CompletionModel;
 
 /// The direction of a suspected bias on an attribute (§5): does the
 /// incomplete data over- or under-estimate it?
@@ -34,17 +36,22 @@ pub struct SuspectedBias {
     pub value: Option<String>,
 }
 
-/// How the facade selects among candidate completion paths.
+/// How [`ReStore::train`](crate::ReStore::train) ranks the candidate paths
+/// of an incomplete table. Every candidate is trained and kept under either
+/// strategy (`RestoreConfig::max_candidates = 1` is how to train only the
+/// shortest path); the strategy decides which one the build reports as
+/// selected and whether that choice binds the serving side.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum SelectionStrategy {
-    /// Pick the shortest valid path (no training of alternatives).
-    Shortest,
-    /// Train every candidate and pick the lowest held-out target NLL
-    /// (basic selection, §5).
+    /// The lowest held-out target NLL wins (basic selection, §5). The
+    /// winner is reported and persisted; a snapshot still picks per query
+    /// among all trained candidates.
     #[default]
     BestValLoss,
-    /// Additionally rank the basic-filtered candidates by completing the
-    /// data and scoring against the suspected bias direction.
+    /// Candidates that pass the basic filter are ranked by completing the
+    /// data and scoring the shift against the suspected bias direction.
+    /// The hint is the user's, so the winner is recorded like a forced
+    /// path: it is the one that serves.
     SuspectedBiasRanking,
 }
 
@@ -54,116 +61,72 @@ pub struct CandidateScore {
     pub path: String,
     pub val_loss: f32,
     pub target_val_loss: f32,
-    /// Strategy-specific ranking score (higher is better).
+    /// Strategy-specific ranking score (higher is better); `-inf` for a
+    /// candidate the basic filter rules out.
     pub score: f64,
     pub selected: bool,
 }
 
-/// Outcome of path selection for one incomplete table.
-pub struct SelectionOutcome {
-    pub model: CompletionModel,
-    pub candidates: Vec<CandidateScore>,
-}
-
 /// Basic filter (§5): a model whose held-out NLL on the target attributes
 /// is close to the uninformative (marginal-entropy) bound cannot correct
-/// the bias. We filter candidates whose target NLL exceeds `factor` × the
-/// best candidate's.
-pub fn basic_filter(scored: &mut Vec<(CompletionModel, f64)>, factor: f32) {
-    if scored.len() <= 1 {
-        return;
-    }
-    let best = scored
+/// the bias. A candidate is filtered when its target NLL exceeds `factor` ×
+/// the best candidate's.
+fn filtered(models: &[Arc<CompletionModel>], factor: f32) -> Vec<bool> {
+    let best = models
         .iter()
-        .map(|(m, _)| m.target_val_loss())
+        .map(|m| m.target_val_loss())
         .fold(f32::INFINITY, f32::min);
-    scored.retain(|(m, _)| m.target_val_loss() <= best * factor + 1e-3);
+    models
+        .iter()
+        .map(|m| m.target_val_loss() > best * factor + 1e-3)
+        .collect()
 }
 
-/// Trains candidate models for all paths to `target` and applies the
-/// selection strategy.
-#[allow(clippy::too_many_arguments)]
-pub fn select_model(
+/// Scores the trained candidate models of one incomplete table under
+/// `strategy` and marks the winner — one sheet per model, in order. A
+/// filtered candidate stays on the sheet at `-inf`; it just cannot win.
+pub fn score_candidates(
     db: &Database,
     annotation: &SchemaAnnotation,
-    target: &str,
-    max_path_len: usize,
-    max_candidates: usize,
+    models: &[Arc<CompletionModel>],
     strategy: &SelectionStrategy,
     suspected: Option<&SuspectedBias>,
-    train_cfg: &TrainConfig,
     seed: u64,
-) -> CoreResult<SelectionOutcome> {
-    let mut paths = enumerate_paths(db, annotation, target, max_path_len);
-    if paths.is_empty() {
-        return Err(CoreError::NoPath(format!(
-            "no completion path reaches {target}"
-        )));
-    }
-    if *strategy == SelectionStrategy::Shortest {
-        paths.truncate(1);
-    } else {
-        paths.truncate(max_candidates.max(1));
-    }
-
-    // Train all candidates.
-    let mut trained: Vec<(CompletionModel, f64)> = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
-    for (i, path) in paths.iter().enumerate() {
-        match CompletionModel::train(
-            db,
-            annotation,
-            path.clone(),
-            train_cfg,
-            seed ^ (i as u64) << 8,
-        ) {
-            Ok(m) => trained.push((m, 0.0)),
-            Err(e) => failures.push(format!("{}: {e}", path.describe())),
-        }
-    }
-    if trained.is_empty() {
-        return Err(CoreError::NoModel(format!(
-            "all candidate paths failed for {target}: {failures:?}"
-        )));
-    }
-
-    // Score per strategy.
-    match strategy {
-        SelectionStrategy::Shortest | SelectionStrategy::BestValLoss => {
-            for (m, score) in trained.iter_mut() {
-                *score = -(m.target_val_loss() as f64);
-            }
-        }
+) -> CoreResult<Vec<CandidateScore>> {
+    let scores: Vec<f64> = match strategy {
+        SelectionStrategy::BestValLoss => models
+            .iter()
+            .map(|m| -(m.target_val_loss() as f64))
+            .collect(),
         SelectionStrategy::SuspectedBiasRanking => {
-            basic_filter(&mut trained, 1.5);
             let sus = suspected.ok_or_else(|| {
                 CoreError::Invalid("SuspectedBiasRanking needs a SuspectedBias hint".into())
             })?;
-            for (m, score) in trained.iter_mut() {
-                *score = suspected_bias_score(db, annotation, m, sus, seed)?;
-            }
+            models
+                .iter()
+                .zip(filtered(models, 1.5))
+                .map(|(m, out)| {
+                    if out {
+                        Ok(f64::NEG_INFINITY)
+                    } else {
+                        suspected_bias_score(db, annotation, m, sus, seed)
+                    }
+                })
+                .collect::<CoreResult<_>>()?
         }
-    }
-
-    // Pick the max-score candidate; report everything.
-    let best_idx = trained
+    };
+    let best = (0..scores.len()).max_by(|&a, &b| scores[a].total_cmp(&scores[b]));
+    Ok(models
         .iter()
         .enumerate()
-        .max_by(|a, b| a.1 .1.partial_cmp(&b.1 .1).unwrap())
-        .map(|(i, _)| i)
-        .unwrap();
-    let mut candidates = Vec::with_capacity(trained.len());
-    for (i, (m, score)) in trained.iter().enumerate() {
-        candidates.push(CandidateScore {
+        .map(|(i, m)| CandidateScore {
             path: m.path().describe(),
             val_loss: m.val_loss,
             target_val_loss: m.target_val_loss(),
-            score: *score,
-            selected: i == best_idx,
-        });
-    }
-    let model = trained.swap_remove(best_idx).0;
-    Ok(SelectionOutcome { model, candidates })
+            score: scores[i],
+            selected: Some(i) == best,
+        })
+        .collect())
 }
 
 /// Scores a candidate by how strongly its completion corrects the
@@ -179,8 +142,10 @@ fn suspected_bias_score(
 ) -> CoreResult<f64> {
     let completer = Completer::new(db, annotation);
     let out = completer.complete(model, seed ^ 0xb1a5)?;
-    let before = attr_statistic(StatInput::Incomplete(db), suspected)?;
-    let after = attr_statistic(StatInput::Completed(&out), suspected)?;
+    let SuspectedBias { table, column, .. } = suspected;
+    let value = suspected.value.as_deref();
+    let before = attr_statistic(db.table(table)?, column, value)?;
+    let after = attr_statistic(&out.join, &format!("{table}.{column}"), value)?;
     let shift = after - before;
     Ok(match suspected.direction {
         // Incomplete data overestimates → a good completion lowers it.
@@ -189,42 +154,19 @@ fn suspected_bias_score(
     })
 }
 
-enum StatInput<'a> {
-    Incomplete(&'a Database),
-    Completed(&'a CompletionOutput),
-}
-
-/// Mean (continuous) or target-value share (categorical) of the suspected
-/// attribute.
-fn attr_statistic(input: StatInput<'_>, suspected: &SuspectedBias) -> CoreResult<f64> {
-    let (values, n): (Vec<restore_db::Value>, usize) = match input {
-        StatInput::Incomplete(db) => {
-            let t = db.table(&suspected.table)?;
-            let idx = t.resolve(&suspected.column)?;
-            (
-                (0..t.n_rows()).map(|r| t.value(r, idx)).collect(),
-                t.n_rows(),
-            )
-        }
-        StatInput::Completed(out) => {
-            let idx = out
-                .join
-                .resolve(&format!("{}.{}", suspected.table, suspected.column))?;
-            (
-                (0..out.join.n_rows())
-                    .map(|r| out.join.value(r, idx))
-                    .collect(),
-                out.join.n_rows(),
-            )
-        }
-    };
+/// Mean of `column` (continuous), or the share of its rows that read `value`
+/// (categorical).
+fn attr_statistic(table: &Table, column: &str, value: Option<&str>) -> CoreResult<f64> {
+    let idx = table.resolve(column)?;
+    let n = table.n_rows();
     if n == 0 {
         return Ok(0.0);
     }
-    Ok(match &suspected.value {
-        Some(v) => values.iter().filter(|x| x.to_string() == *v).count() as f64 / n as f64,
+    let values = (0..n).map(|r| table.value(r, idx));
+    Ok(match value {
+        Some(v) => values.filter(|x| x.to_string() == v).count() as f64 / n as f64,
         None => {
-            let nums: Vec<f64> = values.iter().filter_map(|x| x.as_f64()).collect();
+            let nums: Vec<f64> = values.filter_map(|x| x.as_f64()).collect();
             if nums.is_empty() {
                 0.0
             } else {
@@ -237,9 +179,14 @@ fn attr_statistic(input: StatInput<'_>, suspected: &SuspectedBias) -> CoreResult
 #[cfg(test)]
 mod tests {
     use super::*;
-    use restore_data::{apply_removal, BiasSpec, RemovalConfig, SyntheticConfig};
+    use crate::model::TrainConfig;
+    use crate::paths::CompletionPath;
+    use restore_data::{apply_removal, BiasSpec, RemovalConfig, Scenario, SyntheticConfig};
 
-    fn scenario(seed: u64) -> restore_data::Scenario {
+    /// A biased removal on `tb.b` and two models of its one path `ta→tb`:
+    /// a trained one, then an untrained one (0 epochs, no minimum-step
+    /// floor).
+    fn trained_and_untrained(seed: u64) -> (Scenario, SchemaAnnotation, Vec<Arc<CompletionModel>>) {
         let db = restore_data::generate_synthetic(
             &SyntheticConfig {
                 predictability: 0.95,
@@ -250,107 +197,65 @@ mod tests {
         );
         let mut cfg = RemovalConfig::new(BiasSpec::categorical("tb", "b"), 0.5, 0.6);
         cfg.seed = seed;
-        apply_removal(&db, &cfg)
-    }
-
-    fn quick_cfg() -> TrainConfig {
-        TrainConfig {
+        let sc = apply_removal(&db, &cfg);
+        let ann = SchemaAnnotation::with_incomplete(["tb"]);
+        let path =
+            CompletionPath::from_tables(&sc.incomplete, &["ta".into(), "tb".into()]).unwrap();
+        let good = TrainConfig {
             epochs: 6,
             hidden: vec![32, 32],
             max_train_rows: 4000,
             ..Default::default()
-        }
+        };
+        let bad = TrainConfig {
+            epochs: 0,
+            min_steps: 0,
+            ..good.clone()
+        };
+        let models = [good, bad]
+            .map(|cfg| CompletionModel::train(&sc.incomplete, &ann, path.clone(), &cfg, 1).unwrap())
+            .map(Arc::new)
+            .to_vec();
+        (sc, ann, models)
     }
 
     #[test]
-    fn best_val_loss_selects_a_model() {
-        let sc = scenario(41);
-        let ann = SchemaAnnotation::with_incomplete(["tb"]);
-        let outcome = select_model(
-            &sc.incomplete,
-            &ann,
-            "tb",
-            3,
-            4,
-            &SelectionStrategy::BestValLoss,
-            None,
-            &quick_cfg(),
-            41,
-        )
-        .unwrap();
-        assert_eq!(outcome.model.path().target(), "tb");
-        assert!(outcome.candidates.iter().any(|c| c.selected));
-    }
-
-    #[test]
-    fn no_path_is_an_error() {
-        let sc = scenario(42);
-        // Mark everything incomplete: no complete evidence root exists.
-        let ann = SchemaAnnotation::with_incomplete(["ta", "tb"]);
-        assert!(matches!(
-            select_model(
-                &sc.incomplete,
-                &ann,
-                "tb",
-                3,
-                4,
-                &SelectionStrategy::BestValLoss,
-                None,
-                &quick_cfg(),
-                42,
-            ),
-            Err(CoreError::NoPath(_))
-        ));
+    fn best_val_loss_marks_the_trained_model() {
+        let (sc, ann, models) = trained_and_untrained(41);
+        let strategy = SelectionStrategy::BestValLoss;
+        let sheet = score_candidates(&sc.incomplete, &ann, &models, &strategy, None, 41).unwrap();
+        let selected: Vec<bool> = sheet.iter().map(|c| c.selected).collect();
+        assert_eq!(selected, [true, false]);
     }
 
     #[test]
     fn suspected_bias_ranking_prefers_correcting_models() {
-        let sc = scenario(43);
-        let ann = SchemaAnnotation::with_incomplete(["tb"]);
+        let (sc, ann, models) = trained_and_untrained(43);
+        let strategy = SelectionStrategy::SuspectedBiasRanking;
+        let score = |sus| score_candidates(&sc.incomplete, &ann, &models, &strategy, sus, 43);
+        assert!(matches!(score(None), Err(CoreError::Invalid(_))));
         let sus = SuspectedBias {
             table: "tb".into(),
             column: "b".into(),
             direction: BiasDirection::Underestimated,
             value: sc.bias_value.clone(),
         };
-        let outcome = select_model(
-            &sc.incomplete,
-            &ann,
-            "tb",
-            2,
-            2,
-            &SelectionStrategy::SuspectedBiasRanking,
-            Some(&sus),
-            &quick_cfg(),
-            43,
-        )
-        .unwrap();
+        let sheet = score(Some(&sus)).unwrap();
+        // The uninformative model is reported, and cannot win.
+        assert_eq!(sheet[1].score, f64::NEG_INFINITY);
         // The biased value was depleted; a good completion raises its share,
         // so the winning score must be positive.
-        let winner = outcome.candidates.iter().find(|c| c.selected).unwrap();
+        assert!(sheet[0].selected && !sheet[1].selected);
         assert!(
-            winner.score > 0.0,
+            sheet[0].score > 0.0,
             "winning score {} should correct the bias",
-            winner.score
+            sheet[0].score
         );
     }
 
     #[test]
-    fn basic_filter_drops_bad_models() {
-        let sc = scenario(44);
-        let ann = SchemaAnnotation::with_incomplete(["tb"]);
-        let path =
-            crate::paths::CompletionPath::from_tables(&sc.incomplete, &["ta".into(), "tb".into()])
-                .unwrap();
-        let good =
-            CompletionModel::train(&sc.incomplete, &ann, path.clone(), &quick_cfg(), 1).unwrap();
-        // An untrained model: 0 epochs and no minimum-step floor.
-        let mut bad_cfg = quick_cfg();
-        bad_cfg.epochs = 0;
-        bad_cfg.min_steps = 0;
-        let bad = CompletionModel::train(&sc.incomplete, &ann, path, &bad_cfg, 1).unwrap();
-        let mut scored = vec![(good, 0.0), (bad, 0.0)];
-        basic_filter(&mut scored, 1.1);
-        assert_eq!(scored.len(), 1, "the uninformative model must be filtered");
+    fn basic_filter_flags_bad_models() {
+        let (_, _, models) = trained_and_untrained(44);
+        assert_eq!(filtered(&models, 1.1), [false, true]);
     }
 }

@@ -41,7 +41,7 @@ use crate::completion::{Completer, CompletionOutput};
 use crate::confidence::{confidence_interval, ConfidenceInterval, ConfidenceQuery};
 use crate::error::{CoreError, CoreResult};
 use crate::model::CompletionModel;
-use crate::paths::enumerate_paths;
+use crate::paths::{enumerate_paths, CompletionPath};
 use crate::restore::RestoreConfig;
 use crate::selection::SuspectedBias;
 
@@ -65,8 +65,9 @@ pub struct Snapshot {
     pub(crate) annotation: SchemaAnnotation,
     pub(crate) config: RestoreConfig,
     pub(crate) models: HashMap<Vec<String>, Arc<CompletionModel>>,
+    /// The build's ranking, a diagnostic: `execution_chain` picks what serves.
     pub(crate) selected: HashMap<String, Vec<String>>,
-    /// Paths explicitly forced at build time.
+    /// Paths bound at build time by the user or by their suspected-bias hint.
     pub(crate) forced: HashMap<String, Vec<String>>,
     /// Suspected-bias hints registered at build time (§5). Frozen into the
     /// snapshot (and persisted) so a rebuild re-ranks candidates under the
@@ -300,6 +301,20 @@ impl Snapshot {
     }
 }
 
+/// The candidate completion paths of an incomplete table: the one list
+/// behind what [`ReStore::train`](crate::ReStore::train) trains and ranks
+/// and what [`candidate_chains`] extends.
+pub(crate) fn candidate_paths(
+    db: &Database,
+    annotation: &SchemaAnnotation,
+    config: &RestoreConfig,
+    target: &str,
+) -> Vec<CompletionPath> {
+    let mut paths = enumerate_paths(db, annotation, target, config.max_path_len);
+    paths.truncate(config.max_candidates.max(1));
+    paths
+}
+
 /// Enumerates candidate execution chains for a set of query tables: a
 /// candidate completion path of an incomplete query table, extended with
 /// the remaining query tables along FK edges. Also returns the last
@@ -331,9 +346,8 @@ pub(crate) fn candidate_chains(
         // A forced path short-circuits candidate enumeration.
         let candidates: Vec<Vec<String>> = match forced.get(anchor) {
             Some(forced) => vec![forced.clone()],
-            None => enumerate_paths(db, annotation, anchor, config.max_path_len)
-                .into_iter()
-                .take(config.max_candidates.max(1))
+            None => candidate_paths(db, annotation, config, anchor)
+                .iter()
                 .map(|p| p.tables().to_vec())
                 .collect(),
         };

@@ -3,9 +3,10 @@
 //! The paper supports acyclic Select-Project-Join-Aggregate queries with
 //! equi-joins along foreign keys, arbitrary filters, and any number of
 //! group-by attributes (§2.2). [`Query`] captures exactly that shape;
-//! [`execute`] runs it over a [`Database`], and [`execute_on_join`] runs the
-//! filter/aggregate tail over an externally provided (e.g. *completed*)
-//! join — which is how ReStore answers queries after an incompleteness join.
+//! [`execute`] runs it over a [`Database`](crate::Database), and
+//! [`execute_on_join`] runs the filter/aggregate tail over an externally
+//! provided (e.g. *completed*) join — which is how ReStore answers queries
+//! after an incompleteness join.
 
 pub mod aggregate;
 pub mod executor;

@@ -8,7 +8,7 @@
 
 use restore_util::impl_to_json;
 
-use restore_core::{ReStore, RestoreConfig, SelectionStrategy};
+use restore_core::{ReStore, RestoreConfig};
 use restore_data::{build_scenario, Setup};
 
 use crate::harness::{eval_completer_config, eval_train_config, stat_of};
@@ -100,7 +100,6 @@ pub fn run_exp2_cell(
         } else {
             eval_train_config()
         },
-        strategy: SelectionStrategy::Shortest,
         completer: eval_completer_config(),
         ..RestoreConfig::default()
     };
@@ -118,8 +117,7 @@ pub fn run_exp2_cell(
 
     let candidates: Vec<Vec<String>> = rs
         .candidate_paths(target)
-        .into_iter()
-        .take(3)
+        .iter()
         .map(|p| p.tables().to_vec())
         .collect();
     if candidates.is_empty() {

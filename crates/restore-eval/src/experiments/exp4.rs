@@ -2,13 +2,14 @@
 //! bias-reduction distributions), Fig. 10 (model/path selection quality),
 //! Fig. 11 (training time) and Fig. 12 (completion time per path).
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use restore_util::impl_to_json;
 
 use restore_core::{
-    enumerate_paths, Completer, CompleterConfig, CompletionModel, ReplacementMode,
-    SchemaAnnotation, TrainConfig,
+    enumerate_paths, score_candidates, BiasDirection, Completer, CompleterConfig, CompletionModel,
+    ReplacementMode, SchemaAnnotation, SelectionStrategy, SuspectedBias, TrainConfig,
 };
 use restore_data::{build_scenario, Scenario, Setup};
 
@@ -145,18 +146,8 @@ pub fn run_fig10(setups: &[Setup], corrs: &[f64], scale: f64, seed: u64) -> Vec<
         let paths = enumerate_paths(&sc.incomplete, &ann, &sc.bias.table, 5);
         let train = eval_train_config();
 
-        // Statistics for the suspected-bias score: the removal depletes the
-        // biased attribute, so the completion should *raise* it.
-        let value = sc.bias_value.as_deref();
-        let inc_stat = stat_of(
-            sc.incomplete.table(&sc.bias.table).unwrap(),
-            &sc.bias.column,
-            value,
-        );
-
+        let mut models = Vec::new();
         let mut all = Vec::new();
-        let mut by_val_loss: Option<(f32, f64)> = None;
-        let mut by_suspected: Option<(f64, f64)> = None;
         for p in paths.into_iter().take(3) {
             let Ok(m) = CompletionModel::train(&sc.incomplete, &ann, p, &train, s) else {
                 continue;
@@ -165,28 +156,23 @@ pub fn run_fig10(setups: &[Setup], corrs: &[f64], scale: f64, seed: u64) -> Vec<
             if br.is_nan() {
                 continue;
             }
-            // Suspected-bias score: shift of the statistic upwards.
-            let ann2 =
-                SchemaAnnotation::with_incomplete(sc.incomplete_tables.iter().map(String::as_str));
-            let completer = Completer::new(&sc.incomplete, &ann2);
-            let shift = completer
-                .complete(&m, s ^ 0x5a5a)
-                .map(|out| {
-                    stat_of(
-                        &out.join,
-                        &format!("{}.{}", sc.bias.table, sc.bias.column),
-                        value,
-                    ) - inc_stat
-                })
-                .unwrap_or(f64::NEG_INFINITY);
             all.push((m.path().describe(), br));
-            if by_val_loss.is_none_or(|(v, _)| m.target_val_loss() < v) {
-                by_val_loss = Some((m.target_val_loss(), br));
-            }
-            if by_suspected.is_none_or(|(sc_, _)| shift > sc_) {
-                by_suspected = Some((shift, br));
-            }
+            models.push(Arc::new(m));
         }
+        // Which candidate §5 picks is the library's answer. The removal
+        // depletes the biased attribute, so the hint is "underestimated".
+        let hint = SuspectedBias {
+            table: sc.bias.table.clone(),
+            column: sc.bias.column.clone(),
+            direction: BiasDirection::Underestimated,
+            value: sc.bias_value.clone(),
+        };
+        let pick = |strategy| {
+            score_candidates(&sc.incomplete, &ann, &models, &strategy, Some(&hint), s)
+                .ok()
+                .and_then(|sheet| sheet.iter().position(|c| c.selected))
+                .map_or(f64::NAN, |i| all[i].1)
+        };
         let best = all
             .iter()
             .map(|(_, b)| *b)
@@ -194,10 +180,10 @@ pub fn run_fig10(setups: &[Setup], corrs: &[f64], scale: f64, seed: u64) -> Vec<
         Fig10Cell {
             setup: setup.id.to_string(),
             removal_correlation: *corr,
-            all_models: all,
-            selected: by_val_loss.map(|(_, b)| b).unwrap_or(f64::NAN),
-            selected_suspected: by_suspected.map(|(_, b)| b).unwrap_or(f64::NAN),
+            selected: pick(SelectionStrategy::BestValLoss),
+            selected_suspected: pick(SelectionStrategy::SuspectedBiasRanking),
             best: if best.is_finite() { best } else { f64::NAN },
+            all_models: all,
         }
     })
 }

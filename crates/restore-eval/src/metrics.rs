@@ -14,7 +14,7 @@ pub fn relative_error(estimate: f64, truth: f64) -> f64 {
 }
 
 /// Average relative error over the groups of a group-by result (following
-/// DeepDB [17], as the paper does): averaged over the *true* groups; a
+/// DeepDB \[17\], as the paper does): averaged over the *true* groups; a
 /// group missing from the estimate counts as 100% error.
 pub fn group_relative_error(
     truth: &BTreeMap<Vec<String>, Vec<f64>>,

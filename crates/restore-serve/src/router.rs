@@ -189,9 +189,9 @@ impl Drop for Shard {
 }
 
 /// A fleet of worker processes behind one router. Create with
-/// [`Fleet::start`], hand the `Arc` to [`ServeConfig::fleet`]
-/// (crate::ServeConfig::fleet), and call [`Fleet::shutdown`] after the
-/// router server drains.
+/// [`Fleet::start`], hand the `Arc` to
+/// [`ServeConfig::fleet`](crate::ServeConfig::fleet), and call
+/// [`Fleet::shutdown`] after the router server drains.
 pub struct Fleet {
     shards: Vec<Arc<Shard>>,
     config: FleetConfig,

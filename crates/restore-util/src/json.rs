@@ -2,8 +2,9 @@
 //!
 //! The environment cannot pull serde, and the evaluation only ever needs to
 //! *write* flat result records, so this module provides a [`ToJson`] trait
-//! for primitives and containers plus the [`impl_to_json!`] macro that
-//! derives the object encoding for a named-field struct.
+//! for primitives and containers plus the
+//! [`impl_to_json!`](crate::impl_to_json) macro that derives the object
+//! encoding for a named-field struct.
 
 /// Serializes a value to a JSON string.
 pub trait ToJson {

@@ -268,3 +268,95 @@ fn different_data_seed_changes_data() {
         || (0..t1.n_rows().min(t2.n_rows())).any(|r| t1.row(r) != t2.row(r));
     assert!(differs);
 }
+
+/// One function trains a chain, under the caller's seed as given — so a
+/// chain's model is the same whoever asks for it and in whatever order.
+/// `train` keeps every candidate it trains, `ensure_query_models` finds them
+/// there, and a rebuild under the build's seed reproduces the build.
+#[test]
+fn a_chain_is_trained_once_whoever_asks() {
+    use restore::core::CompletionModel;
+    use restore::data::housing::{generate_housing, HousingConfig};
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
+    let seed = 71;
+    let complete = generate_housing(&HousingConfig::scaled(0.1), seed);
+    let mut removal = RemovalConfig::new(BiasSpec::continuous("apartment", "price"), 0.4, 0.6);
+    removal.seed = seed;
+    let sc = apply_removal(&complete, &removal);
+    let builder = || {
+        let cfg = RestoreConfig {
+            train: TrainConfig {
+                epochs: 3,
+                hidden: vec![24, 24],
+                min_steps: 60,
+                max_train_rows: 2_000,
+                ..TrainConfig::default()
+            },
+            max_candidates: 2,
+            ..RestoreConfig::default()
+        };
+        let mut rs = ReStore::new(sc.incomplete.clone(), cfg);
+        rs.mark_incomplete("apartment");
+        rs
+    };
+    // `[apartment, landlord]` is covered by the unextended candidate
+    // `[landlord, apartment]`: the three shapes want 4 chains, not 5.
+    let shapes = [
+        vec!["apartment".to_string()],
+        vec!["apartment".to_string(), "landlord".to_string()],
+        vec!["apartment".to_string(), "neighborhood".to_string()],
+    ];
+    // Chain → bits of its held-out losses and of every parameter.
+    let bits = |models: &[Arc<CompletionModel>]| -> BTreeMap<Vec<String>, Vec<u32>> {
+        let model_bits = |m: &Arc<CompletionModel>| {
+            let params = m.params().values().iter().flat_map(|mat| mat.data());
+            let floats = m.val_per_attr.iter().chain(params);
+            (
+                m.path().tables().to_vec(),
+                floats.map(|v| v.to_bits()).collect(),
+            )
+        };
+        models.iter().map(model_bits).collect()
+    };
+
+    let mut rs = builder();
+    rs.train(seed).unwrap();
+    let kept = rs.trained_models();
+    let candidates = rs.candidate_paths("apartment");
+    assert_eq!(candidates.len(), 2);
+    assert_eq!(kept.len(), 2, "train keeps every candidate it trained");
+    for path in &candidates {
+        assert!(kept.iter().any(|m| m.path() == path), "{}", path.describe());
+    }
+    for shape in &shapes {
+        rs.ensure_query_models(shape, seed).unwrap();
+    }
+    let built = rs.trained_models();
+    let built_bits = bits(&built);
+    assert_eq!(built.len(), 4);
+    for model in &kept {
+        assert!(
+            built.iter().any(|m| Arc::ptr_eq(m, model)),
+            "{} was trained again",
+            model.path().describe()
+        );
+    }
+
+    let mut reversed = builder();
+    for shape in shapes.iter().rev() {
+        reversed.ensure_query_models(shape, seed).unwrap();
+    }
+    reversed.train(seed).unwrap();
+    assert!(
+        bits(&reversed.trained_models()) == built_bits,
+        "the order of the calls decided a chain's weights"
+    );
+
+    let rebuilt = ReStore::rebuild_from(&rs.seal(1), seed).unwrap();
+    assert!(
+        bits(&rebuilt.trained_models()) == built_bits,
+        "rebuild_from under the build's seed did not reproduce the build"
+    );
+}

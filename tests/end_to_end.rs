@@ -169,3 +169,52 @@ fn completed_join_cache_reuses_results() {
     let total: f64 = groups.values().map(|v| v[0]).sum();
     assert_eq!(total, a, "cached join must be consistent across queries");
 }
+
+/// §5: the user's suspected-bias hint picks the path — and what it picks is
+/// what serves, not only what the build reports.
+#[test]
+fn suspected_bias_hint_decides_what_serves() {
+    use restore::core::{BiasDirection, SuspectedBias};
+
+    let complete = generate_housing(&HousingConfig::scaled(0.1), 513);
+    let mut removal = RemovalConfig::new(BiasSpec::continuous("apartment", "price"), 0.4, 0.6);
+    removal.seed = 513;
+    let sc = apply_removal(&complete, &removal);
+    let q = Query::new(["apartment"]).aggregate(Agg::Avg("price".into()));
+
+    let served_under = |direction: BiasDirection| {
+        let config = RestoreConfig {
+            strategy: SelectionStrategy::SuspectedBiasRanking,
+            ..quick_config()
+        };
+        let mut rs = ReStore::new(sc.incomplete.clone(), config);
+        rs.mark_incomplete("apartment");
+        rs.suspect_bias(SuspectedBias {
+            table: "apartment".into(),
+            column: "price".into(),
+            direction,
+            value: None,
+        });
+        rs.train(513).unwrap();
+        rs.ensure_query_models(&q.tables, 513).unwrap();
+        let snapshot = rs.seal(513);
+        snapshot.execute(&q, 513).unwrap();
+        let ranked_first = snapshot.selected_model("apartment").unwrap();
+        let served: Vec<Vec<String>> = snapshot
+            .cached_completions()
+            .into_iter()
+            .map(|(chain, _)| chain)
+            .collect();
+        assert_eq!(
+            served,
+            [ranked_first.path().tables().to_vec()],
+            "{direction:?}: the chain that served is not the one the hint ranked first"
+        );
+        served
+    };
+    assert_ne!(
+        served_under(BiasDirection::Overestimated),
+        served_under(BiasDirection::Underestimated),
+        "opposite hints must pick different paths"
+    );
+}
