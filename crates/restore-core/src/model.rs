@@ -95,6 +95,14 @@ impl TrainConfig {
     pub fn is_ssar(&self) -> bool {
         self.ctx_dim > 0
     }
+
+    /// `workers` with `0` resolved to one per available hardware thread.
+    pub(crate) fn engine_workers(&self) -> usize {
+        match self.workers {
+            0 => default_workers(),
+            w => w,
+        }
+    }
 }
 
 /// What a model attribute represents.
@@ -189,7 +197,9 @@ pub struct CompletionModel {
     pub val_per_attr: Vec<f32>,
     /// Held-out total NLL.
     pub val_loss: f32,
-    /// Wall-clock training time in seconds (Fig. 11).
+    /// Wall-clock training time of this chain in seconds (Fig. 11). A
+    /// build trains chains side by side, so theirs may overlap: the sum
+    /// over a build's models can exceed the build's own wall time.
     pub train_seconds: f64,
 }
 
@@ -255,6 +265,21 @@ impl CompletionModel {
         cfg: &TrainConfig,
         seed: u64,
     ) -> CoreResult<Self> {
+        Self::train_on(db, annotation, path, cfg, cfg.engine_workers(), seed)
+    }
+
+    /// [`CompletionModel::train`] on `workers` engine threads, whatever
+    /// `cfg.workers` says: a build that trains chains side by side splits
+    /// its workers between them. The model keeps `cfg` as given; the split
+    /// moves no weight (training is bit-identical under any worker count).
+    pub(crate) fn train_on(
+        db: &Database,
+        annotation: &SchemaAnnotation,
+        path: CompletionPath,
+        cfg: &TrainConfig,
+        workers: usize,
+        seed: u64,
+    ) -> CoreResult<Self> {
         let started = Instant::now();
         let mut rng = StdRng::seed_from_u64(seed);
 
@@ -275,7 +300,7 @@ impl CompletionModel {
             encode_training_tokens(db, &path, &structure.attrs, &structure.tf_attrs, &join)?;
 
         let mut model = Self::from_structure(path, structure, cfg);
-        model.fit(&join, tokens, weights, &mut rng)?;
+        model.fit(&join, tokens, weights, workers, &mut rng)?;
         // The weights are final: share the banded trunk caches across all
         // inference sessions, as a loaded model does.
         model.made.freeze_banded(&model.store);
@@ -489,6 +514,7 @@ impl CompletionModel {
         join: &Table,
         tokens: Vec<Vec<u32>>,
         weights: Vec<Vec<f32>>,
+        workers: usize,
         rng: &mut StdRng,
     ) -> CoreResult<()> {
         let n = tokens[0].len();
@@ -506,11 +532,6 @@ impl CompletionModel {
         let mut adam = Adam::new(&self.store, self.cfg.lr);
         // The engine's tapes and gradient-buffer pool live for the whole
         // training run: after the first epoch every step reuses its arenas.
-        let workers = if self.cfg.workers == 0 {
-            default_workers()
-        } else {
-            self.cfg.workers
-        };
         let mut engine = TrainEngine::new(workers);
         let bs = self.cfg.batch_size.max(8);
         let batches_per_epoch = train_rows.len().div_ceil(bs).max(1);

@@ -7,9 +7,10 @@
 //! immutable [`Snapshot`], the only type that serves — all of its methods
 //! take `&self`, so it is the type to share across threads in a server.
 //!
-//! One function trains: [`ReStore::model_for_path`], under the caller's
-//! seed as given and never a chain that is already there — so neither who
-//! asks ([`ReStore::train`] for every candidate path, which
+//! One function trains: `ReStore::models_for_paths` (a list of chains, side
+//! by side; [`ReStore::model_for_path`] is its one-chain call), under the
+//! caller's seed as given and never a chain that is already there — so
+//! neither who asks ([`ReStore::train`] for every candidate path, which
 //! [`score_candidates`] then ranks; [`ReStore::ensure_query_models`] for
 //! the chains of a query shape; [`ReStore::rebuild_from`] for the chains of
 //! a snapshot) nor the order of the calls decides a chain's weights.
@@ -27,6 +28,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use restore_db::Database;
+use restore_util::parallel_map_workers;
 
 use crate::annotation::{modeled_columns, SchemaAnnotation};
 use crate::cache::JoinCache;
@@ -79,6 +81,8 @@ pub struct ModelSummary {
     pub ssar: bool,
     pub val_loss: f32,
     pub target_val_loss: f32,
+    /// The chain's own wall time ([`CompletionModel::train_seconds`]);
+    /// chains trained side by side overlap.
     pub seconds: f64,
     pub parameters: usize,
 }
@@ -189,8 +193,8 @@ impl ReStore {
             forced: snapshot.forced.clone(),
             suspected: snapshot.suspected.clone(),
         };
-        for tables in snapshot.sorted_model_keys() {
-            rs.model_for_path(&tables, train_seed)?;
+        for trained in rs.models_for_paths(&snapshot.sorted_model_keys(), train_seed) {
+            trained?;
         }
         Ok(rs)
     }
@@ -218,8 +222,9 @@ impl ReStore {
             }
             let mut trained = Vec::new();
             let mut failures = Vec::new();
-            for path in &paths {
-                match self.model_for_path(path.tables(), seed) {
+            let chains: Vec<&[String]> = paths.iter().map(CompletionPath::tables).collect();
+            for (path, result) in paths.iter().zip(self.models_for_paths(&chains, seed)) {
+                match result {
                     Ok(model) => trained.push(model),
                     Err(e) => failures.push(format!("{}: {e}", path.describe())),
                 }
@@ -260,27 +265,52 @@ impl ReStore {
         Ok(report)
     }
 
-    /// Returns (training on demand) the model for an exact path: the build
-    /// phase's one trainer. `seed` is used as given, so a chain's weights
-    /// depend on (database, annotation, train config, chain, seed) alone.
+    /// Returns (training on demand) the model for an exact path: the one
+    /// trainer, `models_for_paths`, asked for one chain.
     pub fn model_for_path(
         &mut self,
         tables: &[String],
         seed: u64,
     ) -> CoreResult<Arc<CompletionModel>> {
-        if let Some(m) = self.models.get(tables) {
-            return Ok(Arc::clone(m));
+        let mut one = self.models_for_paths(&[tables], seed);
+        one.pop().expect("one result per chain")
+    }
+
+    /// Returns (training on demand) the model of every chain, in input
+    /// order: the build phase's one trainer. `seed` is used as given, so a
+    /// chain's weights depend on (database, annotation, train config, chain,
+    /// seed) alone. The `k` chains not trained yet train side by side —
+    /// `min(k, W)` at a time with `max(1, W / k)` engine workers each, `W`
+    /// being [`TrainConfig::workers`] — which moves no weight: training is
+    /// bit-identical under any worker count.
+    fn models_for_paths<C: AsRef<[String]>>(
+        &mut self,
+        chains: &[C],
+        seed: u64,
+    ) -> Vec<CoreResult<Arc<CompletionModel>>> {
+        let mut missing: Vec<&[String]> = Vec::new();
+        for chain in chains.iter().map(C::as_ref) {
+            if !self.models.contains_key(chain) && !missing.contains(&chain) {
+                missing.push(chain);
+            }
         }
-        let path = CompletionPath::from_tables(&self.db, tables)?;
-        let model = Arc::new(CompletionModel::train(
-            &self.db,
-            &self.annotation,
-            path,
-            &self.config.train,
-            seed,
-        )?);
-        self.models.insert(tables.to_vec(), Arc::clone(&model));
-        Ok(model)
+        let workers = self.config.train.engine_workers();
+        let each = (workers / missing.len().max(1)).max(1);
+        let (db, annotation, cfg) = (&*self.db, &self.annotation, &self.config.train);
+        let trained = parallel_map_workers(missing.clone(), workers, |tables| {
+            let path = CompletionPath::from_tables(db, tables)?;
+            CompletionModel::train_on(db, annotation, path, cfg, each, seed).map(Arc::new)
+        });
+        for (tables, model) in missing.iter().zip(&trained) {
+            if let Ok(model) = model {
+                self.models.insert(tables.to_vec(), Arc::clone(model));
+            }
+        }
+        let result_of = |chain: &[String]| match missing.iter().position(|m| *m == chain) {
+            Some(i) => trained[i].clone(),
+            None => Ok(Arc::clone(&self.models[chain])),
+        };
+        chains.iter().map(|c| result_of(c.as_ref())).collect()
     }
 
     /// The model selected for an incomplete table, if trained.
@@ -335,8 +365,12 @@ impl ReStore {
                 }
             }
         }
-        chains.retain(|chain| self.model_for_path(chain, seed).is_ok());
-        Ok(chains)
+        let trained = self.models_for_paths(&chains, seed);
+        let kept = chains
+            .into_iter()
+            .zip(trained)
+            .filter(|(_, model)| model.is_ok());
+        Ok(kept.map(|(chain, _)| chain).collect())
     }
 
     /// Trains (on demand) the models for every candidate execution chain
@@ -361,8 +395,8 @@ impl ReStore {
             &self.config,
             query_tables,
         )?;
-        for chain in chains {
-            if let Err(e) = self.model_for_path(&chain, seed) {
+        for trained in self.models_for_paths(&chains, seed) {
+            if let Err(e) = trained {
                 last_err = Some(e);
             }
         }

@@ -55,7 +55,14 @@ pub struct MaskedLinear {
 }
 
 impl MaskedLinear {
+    /// # Panics
+    /// Panics unless `mask` holds only `0.0` and `1.0`: the weight-gradient
+    /// kernel ([`Matrix::t_matmul_masked_acc`]) applies it as a select.
     pub fn new<R: Rng>(store: &mut ParamStore, mask: Arc<Matrix>, rng: &mut R) -> Self {
+        assert!(
+            mask.data().iter().all(|&m| m == 0.0 || m == 1.0),
+            "a MADE mask is binary"
+        );
         let (in_dim, out_dim) = mask.shape();
         let w = store.register(Matrix::glorot(in_dim, out_dim, rng));
         let b = store.register(Matrix::zeros(1, out_dim));

@@ -58,20 +58,16 @@ impl Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let (lr, b1, b2, eps, wd) = (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
         for (id, value, grad) in store.iter_mut() {
-            let m = &mut self.m[id];
-            let v = &mut self.v[id];
-            let lr = self.lr;
-            let (b1, b2, eps, wd) = (self.beta1, self.beta2, self.eps, self.weight_decay);
-            for i in 0..value.len() {
-                let g = grad.data()[i];
-                let md = &mut m.data_mut()[i];
-                *md = b1 * *md + (1.0 - b1) * g;
-                let vd = &mut v.data_mut()[i];
-                *vd = b2 * *vd + (1.0 - b2) * g * g;
-                let mhat = *md / bc1;
-                let vhat = *vd / bc2;
-                let w = &mut value.data_mut()[i];
+            // Four equal-length slices zipped, so the loop vectorises
+            // (`sqrt` and `/` round correctly in every lane).
+            let moments = self.m[id].data_mut().iter_mut().zip(self.v[id].data_mut());
+            for ((w, &g), (m, v)) in value.data_mut().iter_mut().zip(grad.data()).zip(moments) {
+                *m = b1 * *m + (1.0 - b1) * g;
+                *v = b2 * *v + (1.0 - b2) * g * g;
+                let mhat = *m / bc1;
+                let vhat = *v / bc2;
                 *w -= lr * (mhat / (vhat.sqrt() + eps) + wd * *w);
             }
         }
@@ -92,8 +88,8 @@ impl Sgd {
     pub fn step(&mut self, store: &mut ParamStore) {
         let lr = self.lr;
         for (_, value, grad) in store.iter_mut() {
-            for i in 0..value.len() {
-                value.data_mut()[i] -= lr * grad.data()[i];
+            for (w, &g) in value.data_mut().iter_mut().zip(grad.data()) {
+                *w -= lr * g;
             }
         }
         store.zero_grads();

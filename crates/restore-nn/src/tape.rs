@@ -834,6 +834,65 @@ mod tests {
     }
 
     #[test]
+    fn masked_matmul_backward_is_bit_identical_to_naive_kernels() {
+        // The accumulate kernels sum every term — zeros included — from
+        // zero and gate the finished product; the loops they replaced
+        // skipped zero activations, added term by term into the gradient
+        // slot and multiplied every term by the mask. A tape cannot tell
+        // the two apart (a slot starts at `+0.0`, a weight is used once a
+        // pass): the expected values are the old loops, written out.
+        let mut rng = StdRng::seed_from_u64(78);
+        let (rows, inp, out) = (33, 10, 19);
+        let mut x = Matrix::rand_uniform(rows, inp, -1.0, 1.0, &mut rng);
+        let mut mask = Matrix::rand_uniform(inp, out, -1.0, 1.0, &mut rng);
+        for (i, v) in x.data_mut().iter_mut().enumerate() {
+            *v = [0.0, *v, -0.0, *v, *v][i % 5];
+        }
+        for m in mask.data_mut() {
+            *m = if *m < 0.0 { 0.0 } else { 1.0 };
+        }
+        let w_val = Matrix::rand_uniform(inp, out, -1.0, 1.0, &mut rng);
+        let seed_grad = Matrix::rand_uniform(rows, out, -1.0, 1.0, &mut rng);
+
+        let mut dw = Matrix::zeros(inp, out);
+        for r in 0..rows {
+            for i in (0..inp).filter(|&i| x.get(r, i) != 0.0) {
+                for j in 0..out {
+                    let term = x.get(r, i) * seed_grad.get(r, j) * mask.get(i, j);
+                    dw.set(i, j, dw.get(i, j) + term);
+                }
+            }
+        }
+        let mut dx = Matrix::zeros(rows, inp);
+        seed_grad.matmul_t_acc_naive(&w_val.hadamard(&mask), &mut dx);
+
+        let mask = Arc::new(mask);
+        let mut store = ParamStore::new();
+        let pid = store.register(w_val);
+        let mut tape = Tape::new();
+        for pass in ["fresh", "reused"] {
+            tape.reset();
+            let xi = tape.input(x.clone());
+            let w = tape.param(&store, pid);
+            let y = tape.masked_matmul(xi, w, Arc::clone(&mask));
+            store.zero_grads();
+            tape.backward(y, seed_grad.clone(), &mut store);
+            for (a, b) in store.grad(pid).data().iter().zip(dw.data()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "dW diverged ({pass} tape)");
+            }
+            for (a, b) in tape
+                .grad(xi)
+                .expect("input grad")
+                .data()
+                .iter()
+                .zip(dx.data())
+            {
+                assert_eq!(a.to_bits(), b.to_bits(), "dx diverged ({pass} tape)");
+            }
+        }
+    }
+
+    #[test]
     fn matmul_gradient_matches_finite_difference() {
         let x = Matrix::from_rows(&[&[0.5, -1.0, 2.0], &[1.5, 0.25, -0.75]]);
         finite_diff_check(

@@ -1,6 +1,8 @@
 //! Dense row-major `f32` matrices — the only tensor shape the ReStore models
 //! need. Kept deliberately small: 2-D, contiguous, no views.
 
+use std::cell::RefCell;
+
 use rand::Rng;
 
 /// Build-time SIMD lane-width selection for the wide `f32` kernels.
@@ -375,15 +377,16 @@ impl Matrix {
     }
 
     /// `out += self · otherᵀ` — the gradient-accumulation form of
-    /// [`Matrix::matmul_t`], writing into a caller-owned accumulator so the
-    /// backward pass allocates nothing.
+    /// [`Matrix::matmul_t`], writing into a caller-owned accumulator.
     ///
-    /// Register-tiled like the forward GEMM: an MR×NR accumulator block
-    /// lives in registers across the whole k loop. Per `(i, j)` the dot
-    /// product still accumulates from zero in ascending `k` and lands in
-    /// `out[i][j]` with one final add — the exact floating-point sequence
-    /// of `matmul_t_acc_naive`, so the results are bit-identical
-    /// (pinned by the kernel and tape equality tests).
+    /// All three accumulate kernels share one contract, `out += P`: `P` is
+    /// the product as the forward GEMM computes it (per element a
+    /// zero-initialized sum in ascending order of the contracted index,
+    /// zero terms added and not skipped — so a non-finite gradient meets a
+    /// zero activation as `NaN`, exactly as in the forward pass) and lands
+    /// in `out` with one add per element. They run *on* the forward GEMM:
+    /// the operand that is the wrong way round for it (here `other`, a
+    /// weight) is transposed into per-thread scratch first.
     pub fn matmul_t_acc(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
         assert_eq!(
@@ -391,66 +394,9 @@ impl Matrix {
             (self.rows, other.rows),
             "accumulator shape mismatch"
         );
-        const MR: usize = 4;
-        // Lane-derived tile width: the NR `j` lanes are independent
-        // ascending-k dot products, so widening the tile only amortizes the
-        // strided `b` gathers and the `a` loads — values are unchanged.
-        const NR: usize = if lane::WIDTH > 4 { lane::WIDTH } else { 4 };
-        let (rows, kk, n) = (self.rows, self.cols, other.rows);
-        let mut i = 0;
-        while i + MR <= rows {
-            let mut j0 = 0;
-            while j0 + NR <= n {
-                let mut acc = [[0f32; NR]; MR];
-                for k in 0..kk {
-                    let mut a_tile = [0f32; MR];
-                    for (r, a) in a_tile.iter_mut().enumerate() {
-                        *a = self.data[(i + r) * kk + k];
-                    }
-                    let mut b_tile = [0f32; NR];
-                    for (j, b) in b_tile.iter_mut().enumerate() {
-                        *b = other.data[(j0 + j) * kk + k];
-                    }
-                    for (r, acc_row) in acc.iter_mut().enumerate() {
-                        for j in 0..NR {
-                            acc_row[j] += a_tile[r] * b_tile[j];
-                        }
-                    }
-                }
-                for (r, acc_row) in acc.iter().enumerate() {
-                    let out_row = &mut out.data[(i + r) * n + j0..(i + r) * n + j0 + NR];
-                    for (o, &a) in out_row.iter_mut().zip(acc_row) {
-                        *o += a;
-                    }
-                }
-                j0 += NR;
-            }
-            // Remainder columns of this row block: naive per (i, j).
-            for r in i..i + MR {
-                let a_row = self.row(r);
-                for j in j0..n {
-                    let b_row = other.row(j);
-                    let mut acc = 0.0;
-                    for k in 0..kk {
-                        acc += a_row[k] * b_row[k];
-                    }
-                    out.data[r * n + j] += acc;
-                }
-            }
-            i += MR;
-        }
-        // Remainder rows: naive.
-        for i in i..rows {
-            let a_row = self.row(i);
-            for j in 0..n {
-                let b_row = other.row(j);
-                let mut acc = 0.0;
-                for k in 0..kk {
-                    acc += a_row[k] * b_row[k];
-                }
-                out.data[i * n + j] += acc;
-            }
-        }
+        acc_product(other, out, None, |bt, p| {
+            gemm_tiled(&self.data, bt, p, self.rows, self.cols, other.rows)
+        });
     }
 
     /// Reference (naive i-j-k loop) form of [`Matrix::matmul_t_acc`] — the
@@ -476,89 +422,49 @@ impl Matrix {
         }
     }
 
-    /// `out += selfᵀ · other` — accumulation form of [`Matrix::t_matmul`].
-    ///
-    /// The same per-element math as `t_matmul_acc_naive` — each
-    /// `out` element's terms are added in ascending row order with the
-    /// same `a == 0` skip, so results are bit-identical — but
-    /// [`t_acc_rows`] register-blocks [`T_ACC_RB`] source rows per pass,
-    /// loading and storing each `out` element once per block instead of
-    /// once per row (the skip on zero activations — ReLU outputs, one-hot
-    /// embeddings — also sidesteps `0 · b` edge cases for non-finite `b`).
+    /// `out += selfᵀ · other` — accumulation form of [`Matrix::t_matmul`],
+    /// under the contract of [`Matrix::matmul_t_acc`]: `self` (a microbatch
+    /// of activations) is transposed and the product runs on the forward
+    /// GEMM, each element summed from zero in ascending row order.
     pub fn t_matmul_acc(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
-        assert_eq!(
-            out.shape(),
-            (self.cols, other.cols),
-            "accumulator shape mismatch"
-        );
-        t_acc_rows(
-            &self.data,
-            &other.data,
-            &mut out.data,
-            self.rows,
-            self.cols,
-            other.cols,
-        );
+        self.t_matmul_acc_gated(other, None, out);
     }
 
-    /// Reference (naive row-outer loop) form of [`Matrix::t_matmul_acc`] —
-    /// the bit-equality contract of the tiled kernel is defined against
-    /// this.
+    /// Reference form of [`Matrix::t_matmul_acc`]: per element a
+    /// zero-initialized sum in ascending row order, zero terms included,
+    /// added to `out` once.
     #[cfg(test)]
     pub(crate) fn t_matmul_acc_naive(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
-        assert_eq!(
-            out.shape(),
-            (self.cols, other.cols),
-            "accumulator shape mismatch"
-        );
-        let n = other.cols;
-        for r in 0..self.rows {
-            let a_row = self.row(r);
-            let b_row = other.row(r);
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * n..(i + 1) * n];
-                for j in 0..n {
-                    out_row[j] += a * b_row[j];
-                }
-            }
-        }
+        let ones = Matrix::filled(self.cols, other.cols, 1.0);
+        self.t_matmul_masked_acc_naive(other, &ones, out);
     }
 
     /// `out += (selfᵀ · other) ⊙ mask` — the masked-linear weight gradient.
-    /// Each term is gated by the mask entry as it is accumulated; for the
-    /// binary masks MADE uses this equals masking the finished product.
-    ///
-    /// Same structure as [`Matrix::t_matmul_acc`]: per-element math of
-    /// `t_matmul_masked_acc_naive` (ascending-row adds per
-    /// element, `a == 0` skip — bit-identical), register-blocked over
-    /// [`T_ACC_RB`] source rows by [`t_acc_rows_masked`].
+    /// [`Matrix::t_matmul_acc`] with the finished product gated by a
+    /// **binary** mask as a select (`mask == 0` adds `+0.0`, anything else
+    /// adds the product) — [`MaskedLinear`](crate::layers::MaskedLinear)
+    /// asserts its masks hold only `0.0` and `1.0`.
     pub fn t_matmul_masked_acc(&self, other: &Matrix, mask: &Matrix, out: &mut Matrix) {
+        assert_eq!(mask.shape(), out.shape(), "mask shape mismatch");
+        self.t_matmul_acc_gated(other, Some(&mask.data), out);
+    }
+
+    fn t_matmul_acc_gated(&self, other: &Matrix, mask: Option<&[f32]>, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
         assert_eq!(
             out.shape(),
             (self.cols, other.cols),
             "accumulator shape mismatch"
         );
-        assert_eq!(mask.shape(), out.shape(), "mask shape mismatch");
-        t_acc_rows_masked(
-            &self.data,
-            &other.data,
-            &mask.data,
-            &mut out.data,
-            self.rows,
-            self.cols,
-            other.cols,
-        );
+        acc_product(self, out, mask, |at, p| {
+            gemm_tiled(at, &other.data, p, self.cols, self.rows, other.cols)
+        });
     }
 
-    /// Reference (naive row-outer loop) form of
-    /// [`Matrix::t_matmul_masked_acc`] — the bit-equality contract of the
-    /// tiled kernel is defined against this.
+    /// Reference form of [`Matrix::t_matmul_masked_acc`] — the bit-equality
+    /// contract of the kernel is defined against this: the zero-initialized
+    /// ascending-row sum of every term, the mask applied to the result, one
+    /// add into `out`.
     #[cfg(test)]
     pub(crate) fn t_matmul_masked_acc_naive(
         &self,
@@ -573,19 +479,13 @@ impl Matrix {
             "accumulator shape mismatch"
         );
         assert_eq!(mask.shape(), out.shape(), "mask shape mismatch");
-        let n = other.cols;
-        for r in 0..self.rows {
-            let a_row = self.row(r);
-            let b_row = other.row(r);
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
+        for i in 0..self.cols {
+            for j in 0..other.cols {
+                let mut acc = 0.0;
+                for r in 0..self.rows {
+                    acc += self.get(r, i) * other.get(r, j);
                 }
-                let out_row = &mut out.data[i * n..(i + 1) * n];
-                let m_row = mask.row(i);
-                for j in 0..n {
-                    out_row[j] += a * b_row[j] * m_row[j];
-                }
+                out.data[i * other.cols + j] += if mask.get(i, j) == 0.0 { 0.0 } else { acc };
             }
         }
     }
@@ -830,139 +730,46 @@ fn gemm_tiled_cols(
     }
 }
 
-/// Fixed block width for the axpy-style kernels: two lanes (so the update
-/// Source rows register-blocked per [`t_acc_rows`] pass. The `aᵀ · b`
-/// accumulators are out-row load/store bound when updated one source row
-/// at a time; folding `T_ACC_RB` rows into one pass amortizes that
-/// traffic by 4× without reordering any element's add sequence.
-const T_ACC_RB: usize = 4;
-
-/// `out[j] += Σ_t avs[t] * brs[t][j]`, accumulated left-to-right in
-/// registers. Per element this is the same ascending-`t` add sequence the
-/// one-row-at-a-time naive loop performs through memory, so results are
-/// bit-identical; only the intermediate load/store round-trips disappear.
-#[inline(always)]
-fn axpy_rows<const R: usize>(avs: [f32; R], brs: [&[f32]; R], out: &mut [f32]) {
-    let n = out.len();
-    // Pin every operand row to the output length so the inner-loop bounds
-    // checks hoist and the `j` loop vectorizes cleanly.
-    let mut rows: [&[f32]; R] = brs;
-    for (t, row) in rows.iter_mut().enumerate() {
-        *row = &brs[t][..n];
-    }
-    for j in 0..n {
-        let mut acc = out[j];
-        for t in 0..R {
-            acc += avs[t] * rows[t][j];
-        }
-        out[j] = acc;
-    }
+thread_local! {
+    /// Scratch of the accumulate kernels: the transposed operand, then the
+    /// product. Per thread, so a long-lived caller allocates it once.
+    static ACC_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Masked form of [`axpy_rows`]: every term is additionally gated by the
-/// (out-shaped) mask row, `out[j] += Σ_t avs[t] * brs[t][j] * m[j]`.
-#[inline(always)]
-fn axpy_rows_masked<const R: usize>(avs: [f32; R], brs: [&[f32]; R], m: &[f32], out: &mut [f32]) {
-    let n = out.len();
-    let m = &m[..n];
-    let mut rows: [&[f32]; R] = brs;
-    for (t, row) in rows.iter_mut().enumerate() {
-        *row = &brs[t][..n];
-    }
-    for j in 0..n {
-        let mut acc = out[j];
-        for t in 0..R {
-            acc += avs[t] * rows[t][j] * m[j];
-        }
-        out[j] = acc;
-    }
-}
-
-/// Loop nest of [`Matrix::t_matmul_acc`] over raw slices: accumulates
-/// `a[r][i] * b[r]` into accumulator row `i`, skipping zero `a` entries.
-/// Blocks [`T_ACC_RB`] source rows per pass: for each accumulator row the
-/// block's surviving (nonzero) coefficients are collected in ascending
-/// `r` order and folded in one register-resident sweep, so each out
-/// element sees the exact add sequence of the naive loop while touching
-/// memory once per block instead of once per row. A free function over
-/// bare slices, kept out of line — inlined into the method, LLVM
-/// outer-loop-vectorizes across `i` with gather/scatter (masked by the
-/// zero skip), which runs slower than scalar code.
-#[inline(never)]
-fn t_acc_rows(a: &[f32], b: &[f32], out: &mut [f32], rows: usize, m: usize, n: usize) {
-    let mut r0 = 0;
-    while r0 < rows {
-        let rb = T_ACC_RB.min(rows - r0);
-        for i in 0..m {
-            let mut avs = [0f32; T_ACC_RB];
-            let mut brs: [&[f32]; T_ACC_RB] = [&[]; T_ACC_RB];
-            let mut cnt = 0;
-            for r in r0..r0 + rb {
-                let av = a[r * m + i];
-                if av != 0.0 {
-                    avs[cnt] = av;
-                    brs[cnt] = &b[r * n..(r + 1) * n];
-                    cnt += 1;
-                }
-            }
-            let out_row = &mut out[i * n..(i + 1) * n];
-            match cnt {
-                1 => axpy_rows([avs[0]], [brs[0]], out_row),
-                2 => axpy_rows([avs[0], avs[1]], [brs[0], brs[1]], out_row),
-                3 => axpy_rows([avs[0], avs[1], avs[2]], [brs[0], brs[1], brs[2]], out_row),
-                4 => axpy_rows(avs, brs, out_row),
-                _ => {}
-            }
-        }
-        r0 += rb;
-    }
-}
-
-/// Masked form of [`t_acc_rows`] for [`Matrix::t_matmul_masked_acc`]:
-/// every accumulated term is additionally gated by `mask` (same shape as
-/// `out`).
-#[inline(never)]
-fn t_acc_rows_masked(
-    a: &[f32],
-    b: &[f32],
-    mask: &[f32],
-    out: &mut [f32],
-    rows: usize,
-    m: usize,
-    n: usize,
+/// The shared body of the accumulate kernels: hands `product` the
+/// transpose of `flipped` and a buffer shaped like `out`, which it must
+/// overwrite with the finished product, then adds that product into `out`
+/// — one add per element, gated by `mask` (same shape as `out`) as a
+/// select when there is one.
+fn acc_product(
+    flipped: &Matrix,
+    out: &mut Matrix,
+    mask: Option<&[f32]>,
+    product: impl FnOnce(&[f32], &mut [f32]),
 ) {
-    let mut r0 = 0;
-    while r0 < rows {
-        let rb = T_ACC_RB.min(rows - r0);
-        for i in 0..m {
-            let mut avs = [0f32; T_ACC_RB];
-            let mut brs: [&[f32]; T_ACC_RB] = [&[]; T_ACC_RB];
-            let mut cnt = 0;
-            for r in r0..r0 + rb {
-                let av = a[r * m + i];
-                if av != 0.0 {
-                    avs[cnt] = av;
-                    brs[cnt] = &b[r * n..(r + 1) * n];
-                    cnt += 1;
+    ACC_SCRATCH.with_borrow_mut(|scratch| {
+        scratch.resize(flipped.len() + out.len(), 0.0);
+        let (t, p) = scratch.split_at_mut(flipped.len());
+        // Blocks of source rows: a line's worth of contiguous writes per
+        // column, and no power-of-two stride over the whole operand.
+        let (rows, cols) = flipped.shape();
+        for r0 in (0..rows).step_by(16) {
+            for c in 0..cols {
+                for r in r0..(r0 + 16).min(rows) {
+                    t[c * rows + r] = flipped.data[r * cols + c];
                 }
             }
-            let m_row = &mask[i * n..(i + 1) * n];
-            let out_row = &mut out[i * n..(i + 1) * n];
-            match cnt {
-                1 => axpy_rows_masked([avs[0]], [brs[0]], m_row, out_row),
-                2 => axpy_rows_masked([avs[0], avs[1]], [brs[0], brs[1]], m_row, out_row),
-                3 => axpy_rows_masked(
-                    [avs[0], avs[1], avs[2]],
-                    [brs[0], brs[1], brs[2]],
-                    m_row,
-                    out_row,
-                ),
-                4 => axpy_rows_masked(avs, brs, m_row, out_row),
-                _ => {}
+        }
+        product(t, p);
+        match mask {
+            None => out.data.iter_mut().zip(&*p).for_each(|(o, &v)| *o += v),
+            Some(mask) => {
+                for ((o, &v), &m) in out.data.iter_mut().zip(&*p).zip(mask) {
+                    *o += if m == 0.0 { 0.0 } else { v };
+                }
             }
         }
-        r0 += rb;
-    }
+    });
 }
 
 /// One `4 × NR` register tile of [`gemm_tiled_cols`]: columns
@@ -1061,8 +868,7 @@ mod tests {
         let mut acc = Matrix::zeros(3, 4);
         a.t_matmul_acc(&b, &mut acc);
         assert_eq!(acc, a.t_matmul(&b));
-        // Accumulates rather than overwrites (per-term, so only
-        // approximately equal to product-then-add).
+        // Accumulates rather than overwrites.
         a.t_matmul_acc(&b, &mut acc);
         let mut twice = a.t_matmul(&b);
         twice.add_assign(&a.t_matmul(&b));
@@ -1106,11 +912,51 @@ mod tests {
         m
     }
 
+    /// All three accumulate kernels against their oracles on the shapes of
+    /// one linear layer's backward pass — `gx (rows × inp) += g · wᵀ` and
+    /// `gw (inp × out) += xᵀ · g`, plain and masked — with `tricky`
+    /// operands, non-zero accumulators with planted `±0.0`, a random binary
+    /// mask, and each accumulator used twice.
+    fn check_acc_kernels(rows: usize, inp: usize, out: usize, rng: &mut StdRng) {
+        let same = |tiled: &Matrix, naive: &Matrix, what: &str| {
+            for (x, y) in tiled.data().iter().zip(naive.data()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{what} {rows}x{inp}x{out}");
+            }
+        };
+        let (x, g, w) = (
+            tricky(rows, inp, rng),
+            tricky(rows, out, rng),
+            tricky(inp, out, rng),
+        );
+        let mut mask = Matrix::rand_uniform(inp, out, -1.0, 1.0, rng);
+        for m in mask.data_mut() {
+            *m = if *m < 0.0 { 0.0 } else { 1.0 };
+        }
+        let (mut gx, mut gw, mut gm) = (
+            tricky(rows, inp, rng),
+            tricky(inp, out, rng),
+            tricky(inp, out, rng),
+        );
+        let (mut gx_naive, mut gw_naive, mut gm_naive) = (gx.clone(), gw.clone(), gm.clone());
+        for _ in 0..2 {
+            g.matmul_t_acc(&w, &mut gx);
+            g.matmul_t_acc_naive(&w, &mut gx_naive);
+            same(&gx, &gx_naive, "matmul_t_acc");
+            x.t_matmul_acc(&g, &mut gw);
+            x.t_matmul_acc_naive(&g, &mut gw_naive);
+            same(&gw, &gw_naive, "t_matmul_acc");
+            x.t_matmul_masked_acc(&g, &mask, &mut gm);
+            x.t_matmul_masked_acc_naive(&g, &mask, &mut gm_naive);
+            same(&gm, &gm_naive, "t_matmul_masked_acc");
+        }
+    }
+
     #[test]
     fn tiled_acc_kernels_are_bit_identical_to_naive() {
         let mut rng = StdRng::seed_from_u64(11);
         // Shapes straddling the tile sizes: exact multiples, remainders in
-        // both dimensions, and degenerate single rows/cols.
+        // both dimensions, and degenerate single rows/cols — each triple
+        // once as `(m × k) · (n × k)ᵀ` and once as `(k × m)ᵀ · (k × n)`.
         let shapes = [
             (8usize, 8usize, 8usize),
             (9, 5, 11),
@@ -1120,40 +966,24 @@ mod tests {
             (6, 64, 33),
         ];
         for &(m, k, n) in &shapes {
-            // matmul_t_acc: (m × k) · (n × k)ᵀ += (m × n)
-            let a = tricky(m, k, &mut rng);
-            let b = tricky(n, k, &mut rng);
-            let init = tricky(m, n, &mut rng);
-            let mut tiled = init.clone();
-            let mut naive = init.clone();
-            a.matmul_t_acc(&b, &mut tiled);
-            a.matmul_t_acc_naive(&b, &mut naive);
-            for (x, y) in tiled.data().iter().zip(naive.data()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "matmul_t_acc {m}x{k}x{n}");
-            }
+            check_acc_kernels(m, n, k, &mut rng);
+            check_acc_kernels(k, m, n, &mut rng);
+        }
+    }
 
-            // t_matmul_acc: (k × m)ᵀ · (k × n) += (m × n)
-            let a = tricky(k, m, &mut rng);
-            let b = tricky(k, n, &mut rng);
-            let init = tricky(m, n, &mut rng);
-            let mut tiled = init.clone();
-            let mut naive = init.clone();
-            a.t_matmul_acc(&b, &mut tiled);
-            a.t_matmul_acc_naive(&b, &mut naive);
-            for (x, y) in tiled.data().iter().zip(naive.data()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "t_matmul_acc {k}x{m}x{n}");
+    #[test]
+    fn acc_kernels_bit_identical_to_naive_on_the_tapes_shapes() {
+        // What training feeds them: microbatches of 32 rows (1 and 33 when
+        // ragged) through the 88 → 64 → 64 → n trunk, n over every residue
+        // of the two-lane tile, and the small fixture's 24 × 24.
+        let mut rng = StdRng::seed_from_u64(25);
+        for rows in [32usize, 1, 33] {
+            for (inp, out) in [(88usize, 64usize), (64, 64), (24, 24)] {
+                check_acc_kernels(rows, inp, out, &mut rng);
             }
-
-            // t_matmul_masked_acc: ((k × m)ᵀ · (k × n)) ⊙ mask += (m × n)
-            let mask = tricky(m, n, &mut rng);
-            let init = tricky(m, n, &mut rng);
-            let mut tiled = init.clone();
-            let mut naive = init.clone();
-            a.t_matmul_masked_acc(&b, &mask, &mut tiled);
-            a.t_matmul_masked_acc_naive(&b, &mask, &mut naive);
-            for (x, y) in tiled.data().iter().zip(naive.data()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "t_matmul_masked_acc {k}x{m}x{n}");
-            }
+        }
+        for out in 200..200 + 2 * lane::WIDTH {
+            check_acc_kernels(32, 64, out, &mut rng);
         }
     }
 
@@ -1242,39 +1072,11 @@ mod tests {
     #[test]
     fn wide_acc_kernels_bit_identical_to_naive_on_ragged_widths() {
         let mut rng = StdRng::seed_from_u64(23);
-        let (m, k) = (7usize, 6usize);
         for n in ragged_widths() {
-            // matmul_t_acc: (m × k) · (n × k)ᵀ += (m × n)
-            let a = tricky(m, k, &mut rng);
-            let b = tricky(n, k, &mut rng);
-            let init = tricky(m, n, &mut rng);
-            let mut tiled = init.clone();
-            let mut naive = init.clone();
-            a.matmul_t_acc(&b, &mut tiled);
-            a.matmul_t_acc_naive(&b, &mut naive);
-            for (x, y) in tiled.data().iter().zip(naive.data()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "matmul_t_acc n={n}");
-            }
-
-            // t_matmul_acc and its masked form: (k × m)ᵀ · (k × n) += (m × n)
-            let a = tricky(k, m, &mut rng);
-            let b = tricky(k, n, &mut rng);
-            let init = tricky(m, n, &mut rng);
-            let mut tiled = init.clone();
-            let mut naive = init.clone();
-            a.t_matmul_acc(&b, &mut tiled);
-            a.t_matmul_acc_naive(&b, &mut naive);
-            for (x, y) in tiled.data().iter().zip(naive.data()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "t_matmul_acc n={n}");
-            }
-            let mask = tricky(m, n, &mut rng);
-            let mut tiled = init.clone();
-            let mut naive = init;
-            a.t_matmul_masked_acc(&b, &mask, &mut tiled);
-            a.t_matmul_masked_acc_naive(&b, &mask, &mut naive);
-            for (x, y) in tiled.data().iter().zip(naive.data()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "t_matmul_masked_acc n={n}");
-            }
+            // matmul_t_acc: (7 × 6) · (n × 6)ᵀ; t_matmul_acc and its masked
+            // form: (6 × 7)ᵀ · (6 × n).
+            check_acc_kernels(7, n, 6, &mut rng);
+            check_acc_kernels(6, 7, n, &mut rng);
         }
     }
 

@@ -341,3 +341,173 @@ fn completions_are_pinned_on_one_two_and_three_table_paths() {
     ];
     assert_eq!(got, pinned, "{got:#x?}");
 }
+
+/// A snapshot file as `(meta, payload)`, the numbers written after
+/// `"train_seconds":` (wall clock) and `"workers":` blanked in the meta.
+fn snapshot_parts(bytes: &[u8]) -> (String, &[u8]) {
+    let meta_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
+    let mut meta = String::from_utf8(bytes[20..20 + meta_len].to_vec()).unwrap();
+    for key in ["\"train_seconds\":", "\"workers\":"] {
+        let mut pieces = meta.split(key);
+        let mut blanked = pieces.next().unwrap().to_string();
+        for piece in pieces {
+            blanked.push_str(key);
+            blanked.push_str(piece.trim_start_matches(|c: char| "0123456789.eE+-".contains(c)));
+        }
+        meta = blanked;
+    }
+    (meta, &bytes[20 + meta_len..bytes.len() - 8])
+}
+
+/// A build trains the chains it is asked for side by side and splits
+/// `workers` between them. That moves no weight, whatever the count and
+/// whoever asks (`train`, `ensure_query_models`, `rebuild_from`), and the
+/// split is written nowhere: snapshots differ in what `workers` itself
+/// writes and in the wall clock.
+#[test]
+fn a_build_is_bit_identical_across_worker_counts() {
+    use restore::core::{ReStore, RestoreConfig};
+    use restore::data::housing::{generate_housing, HousingConfig};
+
+    let seed = 41;
+    let complete = generate_housing(&HousingConfig::scaled(0.1), seed);
+    let mut removal = RemovalConfig::new(BiasSpec::continuous("apartment", "price"), 0.4, 0.6);
+    removal.seed = seed;
+    let db = apply_removal(&complete, &removal).incomplete;
+    let shapes = [
+        vec!["apartment".to_string()],
+        vec!["apartment".to_string(), "landlord".to_string()],
+        vec!["apartment".to_string(), "neighborhood".to_string()],
+    ];
+    // Chain → bits of its held-out losses and of every parameter.
+    let bits = |rs: &ReStore| -> std::collections::BTreeMap<Vec<String>, Vec<u32>> {
+        let models = rs.trained_models();
+        let model_bits = |m: &std::sync::Arc<CompletionModel>| {
+            let params = m.params().values().iter().flat_map(|mat| mat.data());
+            let floats = m.val_per_attr.iter().chain(params);
+            (
+                m.path().tables().to_vec(),
+                floats.map(|v| v.to_bits()).collect(),
+            )
+        };
+        models.iter().map(model_bits).collect()
+    };
+    let build = |workers: usize| {
+        let cfg = RestoreConfig {
+            train: TrainConfig {
+                epochs: 3,
+                min_steps: 60,
+                hidden: vec![24, 24],
+                max_train_rows: 2_000,
+                workers,
+                ..TrainConfig::default()
+            },
+            max_candidates: 2,
+            ..RestoreConfig::default()
+        };
+        let mut rs = ReStore::new(db.clone(), cfg);
+        rs.mark_incomplete("apartment");
+        rs.train(seed).unwrap();
+        for shape in &shapes {
+            assert!(rs.ensure_query_models(shape, seed).unwrap().is_none());
+        }
+        let snapshot = rs.seal(1);
+        let rebuilt = ReStore::rebuild_from(&snapshot, seed).unwrap();
+        for model in rs.trained_models() {
+            assert_eq!(
+                model.train_config().workers,
+                workers,
+                "the split was stored"
+            );
+        }
+        (bits(&rs), bits(&rebuilt), snapshot.to_bytes())
+    };
+
+    let (built, rebuilt, bytes) = build(1);
+    assert_eq!(built.len(), 4);
+    assert!(built == rebuilt, "one worker: rebuild_from moved a weight");
+    for workers in [2usize, 4] {
+        let (other, other_rebuilt, other_bytes) = build(workers);
+        assert!(other == built, "{workers} workers moved a weight");
+        assert!(
+            other_rebuilt == built,
+            "{workers} workers: rebuild_from moved a weight"
+        );
+        let (meta, payload) = snapshot_parts(&bytes);
+        let (other_meta, other_payload) = snapshot_parts(&other_bytes);
+        assert_eq!(
+            meta, other_meta,
+            "{workers} workers changed the snapshot meta"
+        );
+        assert!(
+            payload == other_payload,
+            "{workers} workers changed the snapshot payload"
+        );
+    }
+}
+
+/// A chain that cannot train beside one that can is reported the way it was
+/// when chains trained one after the other: `train` ranks the survivors,
+/// `ensure_query_models` hands the error back.
+#[test]
+fn a_failed_chain_beside_a_trained_one_surfaces_as_before() {
+    use restore::core::{CoreError, ReStore, RestoreConfig};
+    use restore::db::{DataType, Database, Field, ForeignKey, Table, Value};
+
+    // `c` hangs off `p` (every row) and off `q` (5 rows: too few to train on).
+    let mut db = Database::new();
+    let parent = |name: &str| {
+        let fields = vec![
+            Field::new("id", DataType::Int),
+            Field::new("a", DataType::Str),
+        ];
+        let mut t = Table::new(name, fields);
+        for i in 0..40 {
+            let a = Value::str(["x", "y", "z"][i as usize % 3]);
+            t.push_row(&[Value::Int(i), a]).unwrap();
+        }
+        t
+    };
+    let mut child = Table::new(
+        "c",
+        vec![
+            Field::new("id", DataType::Int),
+            Field::new("p_id", DataType::Int),
+            Field::new("q_id", DataType::Int),
+            Field::new("x", DataType::Str),
+        ],
+    );
+    for i in 0..120 {
+        let q_id = if i < 5 { i } else { 1_000 + i };
+        let x = Value::str(["u", "v"][(i % 3 == 0) as usize]);
+        let row = [Value::Int(i), Value::Int(i / 3), Value::Int(q_id), x];
+        child.push_row(&row).unwrap();
+    }
+    db.add_table(parent("p"));
+    db.add_table(parent("q"));
+    db.add_table(child);
+    db.add_foreign_key(ForeignKey::new("c", "p_id", "p", "id"))
+        .unwrap();
+    db.add_foreign_key(ForeignKey::new("c", "q_id", "q", "id"))
+        .unwrap();
+
+    for workers in [1usize, 2] {
+        let cfg = RestoreConfig {
+            train: quick_cfg(workers),
+            max_candidates: 2,
+            ..RestoreConfig::default()
+        };
+        let mut rs = ReStore::new(db.clone(), cfg);
+        rs.mark_incomplete("c");
+        assert_eq!(rs.candidate_paths("c").len(), 2);
+        let report = rs.train(35).unwrap();
+        assert_eq!(report.candidates["c"].len(), 1, "{workers} workers");
+        assert_eq!(rs.trained_models().len(), 1);
+        assert_eq!(rs.selected_model("c").unwrap().path().tables(), ["p", "c"]);
+        let last_err = rs.ensure_query_models(&["c".to_string()], 35).unwrap();
+        assert!(
+            matches!(last_err, Some(CoreError::InsufficientData(_))),
+            "{workers} workers: {last_err:?}"
+        );
+    }
+}
