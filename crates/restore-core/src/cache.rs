@@ -230,13 +230,14 @@ impl JoinCache {
         }
     }
 
-    /// Snapshot of all cached entries (diagnostics).
+    /// Snapshot of all cached entries (diagnostics), sorted by chain: the
+    /// same order in every process, whatever the map's hasher.
     pub fn entries(&self) -> Vec<(Vec<String>, Arc<CompletionOutput>)> {
-        lock(&self.inner)
-            .map
-            .iter()
-            .map(|(k, v)| (k.clone(), Arc::clone(&v.out)))
-            .collect()
+        let inner = lock(&self.inner);
+        let entry = |(k, v): (&Vec<String>, &Entry)| (k.clone(), Arc::clone(&v.out));
+        let mut entries: Vec<_> = inner.map.iter().map(entry).collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        entries
     }
 }
 
@@ -282,6 +283,17 @@ mod tests {
         assert!(cache.get(&key(&["a", "b"])).is_some());
         let stats = cache.full_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn entries_come_sorted_by_chain() {
+        let cache = JoinCache::with_budget(0);
+        for chain in ["b c", "a c", "c", "a b c", "b"] {
+            let chain: Vec<&str> = chain.split(' ').collect();
+            cache.put(key(&chain), dummy_output(&chain));
+        }
+        let listed: Vec<String> = cache.entries().iter().map(|(k, _)| k.join(" ")).collect();
+        assert_eq!(listed, ["a b c", "a c", "b", "b c", "c"]);
     }
 
     #[test]

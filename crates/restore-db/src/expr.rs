@@ -189,14 +189,7 @@ impl Expr {
     /// ascending. The predicate is bound to the view first, so an unknown
     /// or ambiguous column reference is an error whatever the rows hold.
     pub fn select(&self, view: TableView<'_>) -> DbResult<Vec<u32>> {
-        let bound = self.bind(view)?;
-        let mut selected = Vec::new();
-        for row in view.rows() {
-            if bound.matches(view, row)? {
-                selected.push(row as u32);
-            }
-        }
-        Ok(selected)
+        self.bind(view)?.narrow(&view.selection())
     }
 
     /// Resolves every column name, once, and sets each column-vs-literal
@@ -231,7 +224,7 @@ impl Expr {
                 for name in &names {
                     view.resolve(name)?;
                 }
-                BoundExpr::Interpreted(self)
+                BoundExpr::Interpreted(self, view)
             }
         })
     }
@@ -255,30 +248,85 @@ enum BoundExpr<'a> {
     Or(Box<BoundExpr<'a>>, Box<BoundExpr<'a>>),
     Not(Box<BoundExpr<'a>>),
     /// Everything else runs through [`Expr::eval`]'s interpreter.
-    Interpreted(&'a Expr),
+    Interpreted(&'a Expr, TableView<'a>),
 }
 
 impl BoundExpr<'_> {
-    /// [`Expr::eval_bool`] for row `row` of the underlying table.
-    fn matches(&self, view: TableView<'_>, row: usize) -> DbResult<bool> {
+    /// The rows of `rows` (ascending) that [`Expr::eval_bool`] holds for,
+    /// ascending: a comparison is one loop over its column, a connective
+    /// combines its operands' selections.
+    fn narrow(&self, rows: &[u32]) -> DbResult<Vec<u32>> {
         Ok(match self {
-            BoundExpr::Int(v, op, lit) => {
-                v[row].is_some_and(|x| op.holds((x as f64).partial_cmp(lit)))
-            }
-            BoundExpr::Float(v, op, lit) => v[row].is_some_and(|x| op.holds(x.partial_cmp(lit))),
-            BoundExpr::StrCode(codes, code, eq) => {
-                codes[row].is_some_and(|c| (Some(c) == *code) == *eq)
-            }
+            BoundExpr::Int(v, op, lit) => compare(rows, *op, *lit, |r| v[r].map(|x| x as f64)),
+            BoundExpr::Float(v, op, lit) => compare(rows, *op, *lit, |r| v[r]),
+            BoundExpr::StrCode(codes, code, eq) => keep(rows, |r| {
+                codes[r].is_some_and(|c| (Some(c) == *code) == *eq)
+            }),
             BoundExpr::StrOrd(dict, codes, op, lit) => {
-                codes[row].is_some_and(|c| op.holds(Some((**dict.value(c)).cmp(lit))))
+                compare(rows, *op, *lit, |r| codes[r].map(|c| &**dict.value(c)))
             }
-            BoundExpr::Never => false,
-            BoundExpr::And(a, b) => a.matches(view, row)? && b.matches(view, row)?,
-            BoundExpr::Or(a, b) => a.matches(view, row)? || b.matches(view, row)?,
-            BoundExpr::Not(a) => !a.matches(view, row)?,
-            BoundExpr::Interpreted(expr) => expr.eval_bool(view, row)?,
+            BoundExpr::Never => Vec::new(),
+            BoundExpr::And(a, b) => b.narrow(&a.narrow(rows)?)?,
+            BoundExpr::Or(a, b) => union(&a.narrow(rows)?, &b.narrow(rows)?),
+            BoundExpr::Not(a) => difference(rows, &a.narrow(rows)?),
+            BoundExpr::Interpreted(expr, view) => {
+                let mut kept = Vec::new();
+                for &r in rows {
+                    if expr.eval_bool(*view, r as usize)? {
+                        kept.push(r);
+                    }
+                }
+                kept
+            }
         })
     }
+}
+
+fn keep(rows: &[u32], holds: impl Fn(usize) -> bool) -> Vec<u32> {
+    let held = rows.iter().filter(|&&r| holds(r as usize));
+    held.copied().collect()
+}
+
+/// The rows whose cell is not NULL and compares to `lit` as `op` says, the
+/// operator chosen outside the loop. Unordered operands (a NaN) satisfy no
+/// operator, `Ne` included — [`CmpOp::holds`] on a `partial_cmp`.
+#[allow(clippy::double_comparisons)] // `x != lit` holds for a NaN
+fn compare<T: PartialOrd + Copy>(
+    rows: &[u32],
+    op: CmpOp,
+    lit: T,
+    cell: impl Fn(usize) -> Option<T>,
+) -> Vec<u32> {
+    match op {
+        CmpOp::Eq => keep(rows, |r| cell(r).is_some_and(|x| x == lit)),
+        CmpOp::Ne => keep(rows, |r| cell(r).is_some_and(|x| x < lit || x > lit)),
+        CmpOp::Lt => keep(rows, |r| cell(r).is_some_and(|x| x < lit)),
+        CmpOp::Le => keep(rows, |r| cell(r).is_some_and(|x| x <= lit)),
+        CmpOp::Gt => keep(rows, |r| cell(r).is_some_and(|x| x > lit)),
+        CmpOp::Ge => keep(rows, |r| cell(r).is_some_and(|x| x >= lit)),
+    }
+}
+
+/// The ascending merge of two ascending selections, a row in both once.
+fn union(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += (x <= y) as usize;
+        j += (y <= x) as usize;
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
+/// The rows of `rows` that are not in its ascending sub-selection `drop`.
+fn difference(rows: &[u32], drop: &[u32]) -> Vec<u32> {
+    let mut drop = drop.iter().peekable();
+    let kept = rows.iter().filter(|&r| drop.next_if_eq(&r).is_none());
+    kept.copied().collect()
 }
 
 #[cfg(test)]
@@ -372,5 +420,37 @@ mod tests {
         let t = apartments();
         let pred = Expr::col("price").ge(Expr::lit(500i64));
         assert_eq!(pred.eval_mask(&t).unwrap(), vec![true, true, false]);
+    }
+
+    /// `Or` merges and `Not` subtracts selections — sides that overlap, are
+    /// disjoint, are empty — of rows that are not all of the table's.
+    #[test]
+    fn or_merges_and_not_subtracts_over_a_sub_selection() {
+        let mut t = Table::new("t", vec![Field::new("x", DataType::Int)]);
+        for x in 0..10i64 {
+            t.push_row(&[Value::Int(x)]).unwrap();
+        }
+        let rows = [1u32, 2, 4, 5, 7, 8, 9];
+        let view = TableView {
+            rows: Some(&rows),
+            ..(&t).into()
+        };
+        let x = || Expr::col("x");
+        let select = |pred: Expr| pred.select(view).unwrap();
+        let (low, high) = (x().lt(Expr::lit(5i64)), x().ge(Expr::lit(4i64)));
+        let (none, all) = (x().lt(Expr::lit(0i64)), x().ge(Expr::lit(0i64)));
+        // Overlapping (4 on both sides), disjoint and interleaved, empty.
+        assert_eq!(select(low.clone().or(high.clone())), rows);
+        let odd = x().eq(Expr::lit(1i64)).or(x().eq(Expr::lit(7i64)));
+        let even = x().eq(Expr::lit(4i64)).or(x().eq(Expr::lit(8i64)));
+        assert_eq!(select(odd.clone().or(even.clone())), [1, 4, 7, 8]);
+        assert_eq!(select(even.or(odd)), [1, 4, 7, 8]);
+        assert_eq!(select(none.clone().or(low.clone())), [1, 2, 4]);
+        assert_eq!(select(low.clone().or(none.clone())), [1, 2, 4]);
+        assert_eq!(select(none.clone().or(none.clone())), [0u32; 0]);
+        // Not of everything, of nothing, of a run in the middle.
+        assert_eq!(select(all.not()), [0u32; 0]);
+        assert_eq!(select(none.not()), rows);
+        assert_eq!(select(low.and(high).not()), [1, 2, 5, 7, 8, 9]);
     }
 }

@@ -1,7 +1,9 @@
 //! Grouped aggregation.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::sync::Arc;
 
+use crate::column::Column;
 use crate::error::{DbError, DbResult};
 use crate::table::{Field, Table, TableView};
 use crate::value::{DataType, Value};
@@ -48,65 +50,6 @@ fn short(name: &str) -> &str {
     name.rsplit('.').next().unwrap_or(name)
 }
 
-struct AggState {
-    count: usize,
-    sum: f64,
-    min: Option<Value>,
-    max: Option<Value>,
-}
-
-impl AggState {
-    fn new() -> Self {
-        Self {
-            count: 0,
-            sum: 0.0,
-            min: None,
-            max: None,
-        }
-    }
-
-    fn update(&mut self, v: &Value) {
-        if v.is_null() {
-            return;
-        }
-        self.count += 1;
-        if let Some(x) = v.as_f64() {
-            self.sum += x;
-        }
-        let better_min = self
-            .min
-            .as_ref()
-            .is_none_or(|m| matches!(v.partial_cmp_sql(m), Some(std::cmp::Ordering::Less)));
-        if better_min {
-            self.min = Some(v.clone());
-        }
-        let better_max = self
-            .max
-            .as_ref()
-            .is_none_or(|m| matches!(v.partial_cmp_sql(m), Some(std::cmp::Ordering::Greater)));
-        if better_max {
-            self.max = Some(v.clone());
-        }
-    }
-
-    fn finish(&self, agg: &Agg, group_rows: usize) -> Value {
-        match agg {
-            Agg::CountStar => Value::Int(group_rows as i64),
-            Agg::Count(_) => Value::Int(self.count as i64),
-            Agg::Sum(_) => Value::Float(self.sum),
-            Agg::Avg(_) => {
-                if self.count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(self.sum / self.count as f64)
-                }
-            }
-            Agg::Min(_) => self.min.clone().unwrap_or(Value::Null),
-            Agg::Max(_) => self.max.clone().unwrap_or(Value::Null),
-        }
-    }
-}
-
 /// Groups a table — or the visible columns and selected rows of a
 /// [`TableView`] of one — by `group_by` columns and computes `aggs` per
 /// group. Each group sees its rows in ascending order, so float sums do
@@ -114,6 +57,10 @@ impl AggState {
 ///
 /// Without group-by columns a single row is produced (even for an empty
 /// input, matching SQL's global aggregation semantics).
+///
+/// Everything per row runs on the columns' own storage: group keys packed
+/// into `u64` words and mapped to dense group ids, then one loop per
+/// aggregate into per-group slots. A [`Value`] exists only in the output.
 pub fn aggregate<'a>(
     table: impl Into<TableView<'a>>,
     group_by: &[String],
@@ -134,64 +81,218 @@ pub fn aggregate<'a>(
         .iter()
         .map(|a| a.input_column().map(|c| view.resolve(c)).transpose())
         .collect::<DbResult<_>>()?;
+    let rows = view.selection();
 
-    // Group rows.
-    let mut groups: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-    if group_idx.is_empty() {
-        groups.insert(Vec::new(), view.rows().collect());
+    // `gids[i]` is the group of `rows[i]`, `first[g]` the position in `rows`
+    // of group `g`'s first row. No group column is one group, of no row too.
+    let (gids, first) = if group_idx.is_empty() {
+        (vec![0; rows.len()], vec![0])
     } else {
-        for r in view.rows() {
-            let key: Vec<Value> = group_idx.iter().map(|&c| table.value(r, c)).collect();
-            groups.entry(key).or_default().push(r);
-        }
-    }
+        let columns: Vec<&Column> = group_idx.iter().map(|&c| table.column(c)).collect();
+        group_ids(&columns, &rows)
+    };
 
-    // Deterministic output order, total on distinct keys (numbers < NaN <
-    // NULL) so that the map's iteration order never shows.
+    // A group's key reads as its first row's does (`-0` or `0`). The output
+    // order is total on distinct keys (numbers < NaN < NULL) but for `i64`s
+    // that are one `f64`: those stay in order of first appearance.
+    let cell = |i: u32, c: usize| table.value(rows[i as usize] as usize, c);
+    let key = |&i: &u32| group_idx.iter().map(|&c| cell(i, c)).collect();
+    let mut keys: Vec<Vec<Value>> = first.iter().map(key).collect();
     let rank = |v: &Value| 2 * v.is_null() as u8 + v.as_f64().is_some_and(f64::is_nan) as u8;
-    let mut keys: Vec<&Vec<Value>> = groups.keys().collect();
-    keys.sort_by(|a, b| {
-        for (x, y) in a.iter().zip(b.iter()) {
-            let ord = x
-                .partial_cmp_sql(y)
-                .unwrap_or_else(|| rank(x).cmp(&rank(y)));
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
+    let cmp = |(x, y): (&Value, &Value)| {
+        let unordered = || rank(x).cmp(&rank(y));
+        x.partial_cmp_sql(y).unwrap_or_else(unordered)
+    };
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_by(|&a, &b| {
+        let mut cells = keys[a].iter().zip(&keys[b]).map(cmp);
+        cells.find(|ord| ord.is_ne()).unwrap_or(Ordering::Equal)
     });
 
-    // Output schema.
+    // Output schema, and every aggregate's value per group.
     let mut fields: Vec<Field> = group_idx
         .iter()
         .map(|&i| table.fields()[i].clone())
         .collect();
+    let mut outputs: Vec<Vec<Value>> = Vec::with_capacity(aggs.len());
     for (agg, idx) in aggs.iter().zip(&agg_idx) {
+        let Some(column) = idx.map(|c| table.column(c)) else {
+            let mut group_rows = vec![0i64; first.len()];
+            gids.iter().for_each(|&g| group_rows[g as usize] += 1);
+            fields.push(Field::new(agg.output_name(), DataType::Int));
+            outputs.push(group_rows.into_iter().map(Value::Int).collect());
+            continue;
+        };
         let dtype = match agg {
             Agg::CountStar | Agg::Count(_) => DataType::Int,
             Agg::Sum(_) | Agg::Avg(_) => DataType::Float,
-            Agg::Min(_) | Agg::Max(_) => table.fields()[idx.unwrap()].dtype,
+            Agg::Min(_) | Agg::Max(_) => column.dtype(),
         };
         fields.push(Field::new(agg.output_name(), dtype));
+        outputs.push(accumulate(agg, column, &rows, &gids, first.len()));
     }
     let mut out = Table::new(format!("{}_agg", table.name()), fields);
-
-    for key in keys {
-        let rows = &groups[key];
-        let mut row: Vec<Value> = key.clone();
-        for (agg, idx) in aggs.iter().zip(&agg_idx) {
-            let mut state = AggState::new();
-            if let Some(c) = idx {
-                for &r in rows {
-                    state.update(&table.value(r, *c));
-                }
-            }
-            row.push(state.finish(agg, rows.len()));
-        }
+    for g in order {
+        let mut row = std::mem::take(&mut keys[g]);
+        row.extend(outputs.iter().map(|cells| cells[g].clone()));
         out.push_row(&row)?;
     }
     Ok(out)
+}
+
+/// Dense group ids in order of first appearance, `(gids, first)` as
+/// [`aggregate`] names them. A row's key is one word per column — the
+/// `i64`'s bits, the `f64`'s once `-0.0` is `0.0` and every NaN is one NaN,
+/// the dictionary code (one dictionary per column, so equal codes are equal
+/// strings) — and a NULL bit per column behind them. Keys map to ids through
+/// an open-addressing table of group ids: a group's key is its first row's.
+fn group_ids(columns: &[&Column], rows: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    let k = columns.len();
+    let stride = k + k.div_ceil(64);
+    let mut keys = vec![0u64; rows.len() * stride];
+    for (c, column) in columns.iter().enumerate() {
+        let slots = keys.chunks_exact_mut(stride).zip(rows);
+        let null = (k + c / 64, 1 << (c % 64));
+        match column {
+            Column::Int(v) => pack(slots, c, null, |r| v[r].map(|x| x as u64)),
+            Column::Float(v) => pack(slots, c, null, |r| {
+                v[r].map(|x| if x.is_nan() { f64::NAN } else { x + 0.0 }.to_bits())
+            }),
+            Column::Str { codes, .. } => pack(slots, c, null, |r| codes[r].map(u64::from)),
+        }
+    }
+    let key = |i: u32| &keys[i as usize * stride..][..stride];
+    let hash = |i: u32| {
+        let mix = |h: u64, &w: &u64| (h.rotate_left(5) ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        key(i).iter().fold(0, mix)
+    };
+
+    const EMPTY: u32 = u32::MAX;
+    let mut bits = 4;
+    let mut table = vec![EMPTY; 1 << bits];
+    let mut first: Vec<u32> = Vec::new();
+    let mut gids = Vec::with_capacity(rows.len());
+    for i in 0..rows.len() as u32 {
+        if 2 * first.len() >= table.len() {
+            bits += 2;
+            table = vec![EMPTY; 1 << bits];
+            for (g, &f) in first.iter().enumerate() {
+                let mut slot = (hash(f) >> (64 - bits)) as usize;
+                while table[slot] != EMPTY {
+                    slot = (slot + 1) % table.len();
+                }
+                table[slot] = g as u32;
+            }
+        }
+        let mut slot = (hash(i) >> (64 - bits)) as usize;
+        let gid = loop {
+            match table[slot] {
+                EMPTY => {
+                    table[slot] = first.len() as u32;
+                    first.push(i);
+                    break table[slot];
+                }
+                g if key(first[g as usize]) == key(i) => break g,
+                _ => slot = (slot + 1) % table.len(),
+            }
+        };
+        gids.push(gid);
+    }
+    (gids, first)
+}
+
+/// One column's word, or its NULL bit (`null`: word and mask), into each key.
+fn pack<'k>(
+    slots: impl Iterator<Item = (&'k mut [u64], &'k u32)>,
+    c: usize,
+    null: (usize, u64),
+    word: impl Fn(usize) -> Option<u64>,
+) {
+    for (key, &r) in slots {
+        match word(r as usize) {
+            Some(w) => key[c] = w,
+            None => key[null.0] |= null.1,
+        }
+    }
+}
+
+/// One aggregate over one column: a typed loop into per-group slots, then a
+/// [`Value`] per group. As [`Value`] would: `Sum`/`Avg` add an `i64` as
+/// `f64` and count a string without adding it; `Min`/`Max` compare numbers
+/// as `f64`, and of two cells that tie or do not compare (a NaN) the first
+/// stays.
+fn accumulate(agg: &Agg, column: &Column, rows: &[u32], gids: &[u32], groups: usize) -> Vec<Value> {
+    let row_group = || {
+        rows.iter()
+            .zip(gids)
+            .map(|(&r, &g)| (r as usize, g as usize))
+    };
+    let want = match agg {
+        Agg::Min(_) => Ordering::Less,
+        Agg::Max(_) => Ordering::Greater,
+        _ => {
+            let (mut count, mut sum) = (vec![0i64; groups], vec![0.0f64; groups]);
+            let mut add = |g: usize, x: Option<f64>| {
+                if let Some(x) = x {
+                    count[g] += 1;
+                    sum[g] += x;
+                }
+            };
+            match column {
+                Column::Int(v) => row_group().for_each(|(r, g)| add(g, v[r].map(|x| x as f64))),
+                Column::Float(v) => row_group().for_each(|(r, g)| add(g, v[r])),
+                Column::Str { codes, .. } => {
+                    row_group().for_each(|(r, g)| add(g, codes[r].map(|_| 0.0)))
+                }
+            }
+            let finish = |(n, sum): (i64, f64)| match agg {
+                Agg::Count(_) => Value::Int(n),
+                Agg::Avg(_) if n == 0 => Value::Null,
+                Agg::Avg(_) => Value::Float(sum / n as f64),
+                _ => Value::Float(sum),
+            };
+            return count.into_iter().zip(sum).map(finish).collect();
+        }
+    };
+    match column {
+        Column::Int(v) => {
+            let cells = row_group().map(|(r, g)| (g, v[r]));
+            let better = |x: i64, m: i64| (x as f64).partial_cmp(&(m as f64)) == Some(want);
+            best(groups, cells, better, Value::Int)
+        }
+        Column::Float(v) => {
+            let cells = row_group().map(|(r, g)| (g, v[r]));
+            let better = |x: f64, m: f64| x.partial_cmp(&m) == Some(want);
+            best(groups, cells, better, Value::Float)
+        }
+        Column::Str { dict, codes } => {
+            let cells = row_group().map(|(r, g)| (g, codes[r]));
+            let better = |x: u32, m: u32| x != m && dict.value(x).cmp(dict.value(m)) == want;
+            best(groups, cells, better, |c| {
+                Value::Str(Arc::clone(dict.value(c)))
+            })
+        }
+    }
+}
+
+/// Per group a running best — its first cell, until one `better` than it
+/// comes — as a `value`, NULL for a group of no cell.
+fn best<T: Copy>(
+    groups: usize,
+    cells: impl Iterator<Item = (usize, Option<T>)>,
+    better: impl Fn(T, T) -> bool,
+    value: impl Fn(T) -> Value,
+) -> Vec<Value> {
+    let mut best = vec![None; groups];
+    for (g, cell) in cells {
+        if let Some(x) = cell {
+            if best[g].is_none_or(|m| better(x, m)) {
+                best[g] = Some(x);
+            }
+        }
+    }
+    let value = |cell: Option<T>| cell.map_or(Value::Null, &value);
+    best.into_iter().map(value).collect()
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! Tables: a named schema plus columnar data.
 
+use std::borrow::Cow;
+
 use crate::column::Column;
 use crate::error::{DbError, DbResult};
 use crate::value::{DataType, Value};
@@ -308,13 +310,13 @@ impl<'a> From<&'a Table> for TableView<'a> {
 }
 
 impl<'a> TableView<'a> {
-    /// The table's row indices in the view, ascending.
-    pub fn rows(&self) -> impl Iterator<Item = usize> + 'a {
-        let (selected, all) = match self.rows {
-            Some(rows) => (rows, 0..0),
-            None => (&[][..], 0..self.table.n_rows),
-        };
-        selected.iter().map(|&r| r as usize).chain(all)
+    /// The table's row indices in the view, ascending: the selection a
+    /// typed loop runs over.
+    pub(crate) fn selection(&self) -> Cow<'a, [u32]> {
+        match self.rows {
+            Some(rows) => Cow::Borrowed(rows),
+            None => Cow::Owned((0..self.table.n_rows as u32).collect()),
+        }
     }
 
     /// [`Table::resolve`] among the visible columns; returns the index of
@@ -331,7 +333,9 @@ impl<'a> TableView<'a> {
     /// rows (one gather per column).
     pub fn materialize(&self) -> Table {
         let table = self.table;
-        let rows: Option<Vec<usize>> = self.rows.map(|_| self.rows().collect());
+        let rows = self
+            .rows
+            .map(|rows| rows.iter().map(|&r| r as usize).collect::<Vec<_>>());
         let all: Vec<usize> = (0..table.n_cols()).collect();
         let cols = self.cols.unwrap_or(&all);
         let column = |&c: &usize| match &rows {

@@ -77,6 +77,7 @@ use std::time::{Duration, Instant};
 
 use restore_core::wire::{self, QueryRequest};
 use restore_core::{CoreError, ReStore, SnapshotRegistry};
+use restore_db::DbError;
 use restore_util::json::ToJson;
 use restore_util::{derive_seed, RateLimitConfig, RateLimiter, Shutdown, SingleFlight};
 
@@ -1085,12 +1086,15 @@ fn run_rebuild(
     }
 }
 
-/// Client-visible status for an execution error: unknown tables and other
-/// relational errors are 404-ish lookups; everything else is a valid
-/// request the snapshot cannot serve (no model, no path, …) → 422.
+/// Client-visible status for an execution error: a table or column the
+/// snapshot does not have is a lookup that found nothing → 404; any other
+/// relational error (an ambiguous reference, a type mismatch, an invalid
+/// join) is a malformed request → 400; the rest is a valid request the
+/// snapshot cannot serve (no model, no path, …) → 422.
 fn core_error_status(e: &CoreError) -> u16 {
     match e {
-        CoreError::Db(_) => 404,
+        CoreError::Db(DbError::UnknownTable(_) | DbError::UnknownColumn(_)) => 404,
+        CoreError::Db(_) => 400,
         _ => 422,
     }
 }

@@ -144,6 +144,29 @@ fn http_responses_are_byte_identical_to_direct_execution() {
     .collect();
     assert_eq!(answers[0].0, 404, "{}", answers[0].1);
     assert_eq!(answers[0], answers[1], "hidden behind a short-circuit");
+    // A reference two columns answer to (`ta.id`, `tb.id`) found too much,
+    // not nothing: a malformed request, behind a short-circuit or not.
+    let ambiguous = || Expr::col("id").eq(Expr::lit(1i64));
+    let answers: Vec<(u16, String)> = [
+        ambiguous(),
+        Expr::col("b").eq(Expr::lit("absent")).and(ambiguous()),
+    ]
+    .into_iter()
+    .map(|filter| {
+        let query = Query::new(["ta", "tb"])
+            .filter(filter)
+            .aggregate(Agg::CountStar);
+        client
+            .post(
+                "/v1/synthetic/query",
+                &QueryRequest::new(query, 1).to_json(),
+            )
+            .expect("ambiguous filter")
+    })
+    .collect();
+    assert_eq!(answers[0].0, 400, "{}", answers[0].1);
+    assert!(answers[0].1.contains("ambiguous"), "{}", answers[0].1);
+    assert_eq!(answers[0], answers[1], "hidden behind a short-circuit");
     assert!(server.shutdown(), "drain");
 }
 

@@ -215,14 +215,19 @@ fn group_counts_partition_the_table() {
 
 /// Generators for the differential tests of the warm query tail: a random
 /// table over all three dtypes, predicate trees that reach every node kind
-/// of `BoundExpr` and its interpreter fallback, and aggregate lists.
+/// of `BoundExpr` and its interpreter fallback, group-by and aggregate
+/// lists over every column — and the `Value`-keyed `aggregate` the typed
+/// one replaced, as the reference.
 mod tail {
     use super::*;
-    use restore::db::{Agg, ArithOp, CmpOp, DataType, Expr, Field, Query, Table, Value};
+    use restore::db::{
+        Agg, ArithOp, CmpOp, DataType, DbError, DbResult, Expr, Field, Query, Table, TableView,
+        Value,
+    };
+    use std::collections::HashMap;
 
     /// Columns of two "joined" tables `a` and `b` (`k` exists in both) plus
-    /// a bare column; the differentials group on `a.i`, `b.s` and `g` only,
-    /// `grouping_on_floats_is_exact_and_ordered` on `a.f`.
+    /// a bare column.
     pub const COLUMNS: [(&str, DataType); 7] = [
         ("a.i", DataType::Int),
         ("a.f", DataType::Float),
@@ -233,18 +238,25 @@ mod tail {
         ("g", DataType::Int),
     ];
     const STRINGS: [&str; 4] = ["x", "y", "zz", "x y"];
-    const FLOATS: [f64; 6] = [0.0, -0.0, 0.5, 1.0, 2.0, f64::NAN];
+    /// Both zeros, and NaNs of two payloads.
+    const FLOATS: [f64; 7] = [0.0, -0.0, 0.5, 1.0, 2.0, f64::NAN, -f64::NAN];
+    /// Neighbours that are one `f64` and two `i64`s, and the ends.
+    const WIDE_INTS: [i64; 4] = [1 << 53, (1 << 53) + 1, i64::MIN, i64::MAX];
 
+    /// Every other table is short (empty now and then); the rest run to 300
+    /// rows, for merges over long runs and group tables that grow.
     pub fn table(rng: &mut StdRng) -> Table {
         let fields = COLUMNS.iter().map(|(n, t)| Field::new(*n, *t)).collect();
         let mut t = Table::new("t", fields);
-        for _ in 0..rng.random_range(0..40usize) {
+        let longest = [40, 301][rng.random_range(0..2usize)];
+        for _ in 0..rng.random_range(0..longest) {
             let row: Vec<Value> = COLUMNS
                 .iter()
                 .map(|(_, dtype)| match (rng.random_range(0..6u32), dtype) {
                     (0, _) => Value::Null,
+                    (1, DataType::Int) => Value::Int(WIDE_INTS[rng.random_range(0..4usize)]),
                     (_, DataType::Int) => Value::Int(rng.random_range(0..4i64)),
-                    (_, DataType::Float) => Value::Float(FLOATS[rng.random_range(0..6usize)]),
+                    (_, DataType::Float) => Value::Float(FLOATS[rng.random_range(0..7usize)]),
                     (_, DataType::Str) => Value::str(STRINGS[rng.random_range(0..3usize)]),
                 })
                 .collect();
@@ -266,7 +278,7 @@ mod tail {
         Expr::Lit(match rng.random_range(0..8u32) {
             0 => Value::Null,
             1 | 2 => Value::Int(rng.random_range(0..4i64)),
-            3 | 4 => Value::Float(FLOATS[rng.random_range(0..6usize)]),
+            3 | 4 => Value::Float(FLOATS[rng.random_range(0..7usize)]),
             _ => Value::str(STRINGS[rng.random_range(0..4usize)]),
         })
     }
@@ -303,29 +315,168 @@ mod tail {
         if rng.random_range(0..4u32) > 0 {
             q = q.filter(predicate(rng, 2));
         }
-        for g in ["a.i", "b.s", "g"] {
-            if rng.random_range(0..3u32) == 0 {
-                q = q.group_by([g]);
-            }
-        }
+        // Any 0–3 of the columns (one twice now and then), every aggregate
+        // over every dtype.
+        let column = |rng: &mut StdRng| COLUMNS[rng.random_range(0..7usize)].0.to_string();
+        let groups = [0, 0, 1, 1, 1, 2, 2, 3][rng.random_range(0..8usize)];
+        q = q.group_by((0..groups).map(|_| column(rng)));
         for _ in 0..rng.random_range(0..4u32) {
-            q = q.aggregate(match rng.random_range(0..7u32) {
-                0 => Agg::CountStar,
-                1 => Agg::Count("a.s".into()),
-                2 => Agg::Sum("a.f".into()),
-                3 => Agg::Avg("a.i".into()),
-                4 => Agg::Min("b.s".into()),
-                5 => Agg::Max("a.f".into()),
-                _ => Agg::Sum("b.s".into()),
+            q = q.aggregate(match (rng.random_range(0..6u32), column(rng)) {
+                (0, _) => Agg::CountStar,
+                (1, c) => Agg::Count(c),
+                (2, c) => Agg::Sum(c),
+                (3, c) => Agg::Avg(c),
+                (4, c) => Agg::Min(c),
+                (_, c) => Agg::Max(c),
             });
         }
         q
     }
 
-    /// A random ascending subset of `0..n`.
+    /// `restore_db::aggregate` as it was while it grouped through a map
+    /// from a `Vec<Value>` key to row indices and folded every cell as a
+    /// `Value` — the semantics of record of the typed one. Copied as it
+    /// stood but for one thing it left to the hasher: `i64` keys that are
+    /// one `f64` (2^53 and 2^53 + 1) are two groups the sort calls equal,
+    /// and they came out in the map's order; here, as in the typed
+    /// `aggregate`, in order of first appearance.
+    pub fn reference_aggregate(
+        view: TableView,
+        group_by: &[String],
+        aggs: &[Agg],
+    ) -> DbResult<Table> {
+        struct AggState {
+            count: usize,
+            sum: f64,
+            min: Option<Value>,
+            max: Option<Value>,
+        }
+
+        impl AggState {
+            fn update(&mut self, v: &Value) {
+                use std::cmp::Ordering::{Greater, Less};
+                if v.is_null() {
+                    return;
+                }
+                self.count += 1;
+                if let Some(x) = v.as_f64() {
+                    self.sum += x;
+                }
+                let is = |m: &Option<Value>, want| {
+                    m.as_ref()
+                        .is_none_or(|m| v.partial_cmp_sql(m) == Some(want))
+                };
+                if is(&self.min, Less) {
+                    self.min = Some(v.clone());
+                }
+                if is(&self.max, Greater) {
+                    self.max = Some(v.clone());
+                }
+            }
+
+            fn finish(&self, agg: &Agg, group_rows: usize) -> Value {
+                match agg {
+                    Agg::CountStar => Value::Int(group_rows as i64),
+                    Agg::Count(_) => Value::Int(self.count as i64),
+                    Agg::Sum(_) => Value::Float(self.sum),
+                    Agg::Avg(_) if self.count == 0 => Value::Null,
+                    Agg::Avg(_) => Value::Float(self.sum / self.count as f64),
+                    Agg::Min(_) => self.min.clone().unwrap_or(Value::Null),
+                    Agg::Max(_) => self.max.clone().unwrap_or(Value::Null),
+                }
+            }
+        }
+
+        if aggs.is_empty() {
+            return Err(DbError::InvalidQuery(
+                "aggregation without aggregate functions".into(),
+            ));
+        }
+        let table = view.table;
+        let group_idx: Vec<usize> = group_by
+            .iter()
+            .map(|g| view.resolve(g))
+            .collect::<DbResult<_>>()?;
+        let agg_idx: Vec<Option<usize>> = aggs
+            .iter()
+            .map(|a| a.input_column().map(|c| view.resolve(c)).transpose())
+            .collect::<DbResult<_>>()?;
+
+        let view_rows: Vec<usize> = match view.rows {
+            Some(rows) => rows.iter().map(|&r| r as usize).collect(),
+            None => (0..table.n_rows()).collect(),
+        };
+        let mut groups: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+        let mut keys: Vec<Vec<Value>> = Vec::new();
+        if group_idx.is_empty() {
+            groups.insert(Vec::new(), view_rows);
+            keys.push(Vec::new());
+        } else {
+            for r in view_rows {
+                let key: Vec<Value> = group_idx.iter().map(|&c| table.value(r, c)).collect();
+                let rows = groups.entry(key.clone()).or_default();
+                if rows.is_empty() {
+                    keys.push(key);
+                }
+                rows.push(r);
+            }
+        }
+
+        let rank = |v: &Value| 2 * v.is_null() as u8 + v.as_f64().is_some_and(f64::is_nan) as u8;
+        keys.sort_by(|a, b| {
+            for (x, y) in a.iter().zip(b.iter()) {
+                let ord = x
+                    .partial_cmp_sql(y)
+                    .unwrap_or_else(|| rank(x).cmp(&rank(y)));
+                if ord != std::cmp::Ordering::Equal {
+                    return ord;
+                }
+            }
+            std::cmp::Ordering::Equal
+        });
+
+        let mut fields: Vec<Field> = group_idx
+            .iter()
+            .map(|&i| table.fields()[i].clone())
+            .collect();
+        for (agg, idx) in aggs.iter().zip(&agg_idx) {
+            let dtype = match agg {
+                Agg::CountStar | Agg::Count(_) => DataType::Int,
+                Agg::Sum(_) | Agg::Avg(_) => DataType::Float,
+                Agg::Min(_) | Agg::Max(_) => table.fields()[idx.unwrap()].dtype,
+            };
+            fields.push(Field::new(agg.output_name(), dtype));
+        }
+        let mut out = Table::new(format!("{}_agg", table.name()), fields);
+
+        for key in keys {
+            let rows = &groups[&key];
+            let mut row: Vec<Value> = key.clone();
+            for (agg, idx) in aggs.iter().zip(&agg_idx) {
+                let mut state = AggState {
+                    count: 0,
+                    sum: 0.0,
+                    min: None,
+                    max: None,
+                };
+                if let Some(c) = idx {
+                    for &r in rows {
+                        state.update(&table.value(r, *c));
+                    }
+                }
+                row.push(state.finish(agg, rows.len()));
+            }
+            out.push_row(&row)?;
+        }
+        Ok(out)
+    }
+
+    /// A random ascending subset of `0..n`: two rows in three, one in
+    /// five, or none.
     pub fn selection(rng: &mut StdRng, n: usize) -> Vec<u32> {
+        let (keep, of) = [(2, 3), (2, 3), (2, 3), (1, 5), (0, 1)][rng.random_range(0..5usize)];
         (0..n as u32)
-            .filter(|_| rng.random_range(0..3u32) > 0)
+            .filter(|_| rng.random_range(0..of) < keep)
             .collect()
     }
 }
@@ -338,7 +489,7 @@ fn bound_predicates_match_the_interpreter() {
     let mut rng = StdRng::seed_from_u64(0xa6);
     for case in 0..40 * CASES {
         let t = tail::table(&mut rng);
-        let pred = tail::predicate(&mut rng, 3);
+        let pred = tail::predicate(&mut rng, 4);
         let rows = tail::selection(&mut rng, t.n_rows());
         let expect: Vec<u32> = rows
             .iter()
@@ -379,6 +530,55 @@ fn tail_over_a_selection_matches_tail_over_a_copy() {
             ),
         }
     }
+}
+
+/// The typed `aggregate` — packed keys, dense group ids, one loop per
+/// aggregate — returns the table the `Value`-keyed one it replaced returns:
+/// names, dtypes, every cell bit for bit and the response's bytes, over
+/// 0–3 group columns of every dtype (`a.f` with NaN and both zeros, `i64`s
+/// that are one `f64`), every aggregate over every dtype, groups that hold
+/// only NULLs, the whole table, a selection of it and none of it.
+#[test]
+fn typed_aggregation_matches_the_value_keyed_reference() {
+    use restore::core::wire::query_response_json;
+    use restore::db::{aggregate, Agg, QueryResult, TableView};
+    let mut rng = StdRng::seed_from_u64(0xae);
+    let mut most_groups = 0;
+    for case in 0..40 * CASES {
+        let t = tail::table(&mut rng);
+        let mut q = tail::query(&mut rng);
+        // No aggregate is the same error on both sides; once is enough.
+        if q.aggregates.is_empty() && case > 0 {
+            q = q.aggregate(Agg::CountStar);
+        }
+        let rows = tail::selection(&mut rng, t.n_rows());
+        let view = TableView {
+            rows: (case % 4 > 0).then_some(&rows[..]),
+            ..(&t).into()
+        };
+        let typed = aggregate(view, &q.group_by, &q.aggregates);
+        let reference = tail::reference_aggregate(view, &q.group_by, &q.aggregates);
+        let (typed, reference) = match (typed, reference) {
+            (Ok(typed), Ok(reference)) => (typed, reference),
+            (typed, reference) => {
+                assert_eq!(typed.err(), reference.err(), "case {case}: {q:?}");
+                continue;
+            }
+        };
+        assert_eq!(
+            typed::table_repr(&typed),
+            typed::table_repr(&reference),
+            "case {case}: {q:?}"
+        );
+        most_groups = most_groups.max(typed.n_rows());
+        let body = |table| {
+            let group_cols = q.group_by.len();
+            query_response_json(&QueryResult { table, group_cols }, None)
+        };
+        assert_eq!(body(typed), body(reference), "case {case}: {q:?}");
+    }
+    // 16 slots → 64 → 256 → 1024: the group table grew three times.
+    assert!(most_groups > 128, "{most_groups}");
 }
 
 /// Grouping on a float column with NULLs, NaNs and both zeros gives one

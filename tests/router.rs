@@ -25,7 +25,7 @@ use restore_fixtures::{balanced_fleet_tenants, sealed_synthetic_snapshot, servin
 
 use restore::core::wire::QueryRequest;
 use restore::core::{ConfidenceQuery, Snapshot, SnapshotRegistry};
-use restore::db::{Agg, Query};
+use restore::db::{Agg, Expr, Query};
 use restore::serve::router::{Fleet, FleetConfig, ShardConfig};
 use restore::serve::{ClientConfig, HttpClient, RetryPolicy, ServeConfig, Server};
 use restore::util::json::parse;
@@ -116,6 +116,11 @@ fn forwarded_responses_are_byte_identical_for_every_route() {
         )
         .to_json();
     let plain = plain_query();
+    // `id` is `ta.id` and `tb.id`: a relational error that is not a lookup.
+    let ambiguous = Query::new(["ta", "tb"])
+        .filter(Expr::col("id").eq(Expr::lit(1i64)))
+        .aggregate(Agg::CountStar);
+    let ambiguous = QueryRequest::new(ambiguous, 1).to_json();
     let mut forwards = 0u64;
     for tenant in &tenants {
         // The mapping is the documented hash — computable without the fleet.
@@ -136,6 +141,12 @@ fn forwarded_responses_are_byte_identical_for_every_route() {
             ),
             ("GET", format!("{base}/tables/tb?seed=2"), None, 200),
             ("POST", format!("{base}/query"), Some("not json"), 400),
+            (
+                "POST",
+                format!("{base}/query"),
+                Some(ambiguous.as_str()),
+                400,
+            ),
             ("GET", format!("{base}/query"), None, 405),
         ];
         for (method, path, body, expected_status) in cases {
