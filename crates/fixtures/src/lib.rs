@@ -4,6 +4,8 @@
 //! tenant list / snapshot directory of a worker fleet. Measurement lives
 //! in `benchmark/`; nothing here times anything.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use restore_core::{CompleterConfig, ReStore, RestoreConfig, Snapshot, TrainConfig};

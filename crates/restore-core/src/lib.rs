@@ -22,6 +22,8 @@
 //! * [`wire`] — the serializable JSON query surface the HTTP front-end
 //!   (`restore-serve`) speaks.
 
+#![forbid(unsafe_code)]
+
 pub mod ann;
 pub mod annotation;
 pub mod cache;

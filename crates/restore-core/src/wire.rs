@@ -260,7 +260,8 @@ fn binary_pair(v: &JsonValue, what: &str) -> Result<(Expr, Expr), WireError> {
     Ok((expr_from_wire(&pair[0])?, expr_from_wire(&pair[1])?))
 }
 
-/// Parses a filter expression tree.
+/// Parses a filter expression tree. One call per JSON level, so the
+/// parser's nesting bound bounds this recursion too.
 pub fn expr_from_wire(v: &JsonValue) -> Result<Expr, WireError> {
     let fields = v.fields();
     if fields.len() != 1 {

@@ -14,6 +14,8 @@
 //!   correlation, tuple-factor keep rate, cascades);
 //! * [`setups`] — the ten completion setups H1–H5 / M1–M5 of Fig. 4c.
 
+#![forbid(unsafe_code)]
+
 pub mod housing;
 pub mod movies;
 pub mod removal;

@@ -253,8 +253,8 @@ enum BoundExpr<'a> {
 
 impl BoundExpr<'_> {
     /// The rows of `rows` (ascending) that [`Expr::eval_bool`] holds for,
-    /// ascending: a comparison is one loop over its column, a connective
-    /// combines its operands' selections.
+    /// ascending: a comparison is one branch-free loop over its column
+    /// ([`keep`]), a connective combines its operands' selections.
     fn narrow(&self, rows: &[u32]) -> DbResult<Vec<u32>> {
         Ok(match self {
             BoundExpr::Int(v, op, lit) => compare(rows, *op, *lit, |r| v[r].map(|x| x as f64)),
@@ -282,9 +282,19 @@ impl BoundExpr<'_> {
     }
 }
 
+/// The rows of `rows` that `holds`, without a branch on the answer: every
+/// row is written at the cursor, which advances only past the rows kept.
+/// A leaf keeps a third to two thirds of its rows on the benchmark's
+/// dashboards, where a branch around a push mispredicts most.
 fn keep(rows: &[u32], holds: impl Fn(usize) -> bool) -> Vec<u32> {
-    let held = rows.iter().filter(|&&r| holds(r as usize));
-    held.copied().collect()
+    let mut kept = vec![0; rows.len()];
+    let mut n = 0;
+    for &r in rows {
+        kept[n] = r;
+        n += holds(r as usize) as usize;
+    }
+    kept.truncate(n);
+    kept
 }
 
 /// The rows whose cell is not NULL and compares to `lit` as `op` says, the

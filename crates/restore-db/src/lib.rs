@@ -14,6 +14,8 @@
 //!   [`query::execute_on_join`] for running a query tail over a *completed*
 //!   join produced by ReStore.
 
+#![forbid(unsafe_code)]
+
 pub mod column;
 pub mod error;
 pub mod expr;

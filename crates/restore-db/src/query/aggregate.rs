@@ -84,12 +84,14 @@ pub fn aggregate<'a>(
     let rows = view.selection();
 
     // `gids[i]` is the group of `rows[i]`, `first[g]` the position in `rows`
-    // of group `g`'s first row. No group column is one group, of no row too.
+    // of group `g`'s first row. No group column is one group, of no row too,
+    // and no group ids: every row is in group 0.
     let (gids, first) = if group_idx.is_empty() {
-        (vec![0; rows.len()], vec![0])
+        (None, vec![0])
     } else {
         let columns: Vec<&Column> = group_idx.iter().map(|&c| table.column(c)).collect();
-        group_ids(&columns, &rows)
+        let (gids, first) = group_ids(&columns, &rows);
+        (Some(gids), first)
     };
 
     // A group's key reads as its first row's does (`-0` or `0`). The output
@@ -118,7 +120,10 @@ pub fn aggregate<'a>(
     for (agg, idx) in aggs.iter().zip(&agg_idx) {
         let Some(column) = idx.map(|c| table.column(c)) else {
             let mut group_rows = vec![0i64; first.len()];
-            gids.iter().for_each(|&g| group_rows[g as usize] += 1);
+            match &gids {
+                Some(gids) => gids.iter().for_each(|&g| group_rows[g as usize] += 1),
+                None => group_rows[0] = rows.len() as i64,
+            }
             fields.push(Field::new(agg.output_name(), DataType::Int));
             outputs.push(group_rows.into_iter().map(Value::Int).collect());
             continue;
@@ -129,7 +134,14 @@ pub fn aggregate<'a>(
             Agg::Min(_) | Agg::Max(_) => column.dtype(),
         };
         fields.push(Field::new(agg.output_name(), dtype));
-        outputs.push(accumulate(agg, column, &rows, &gids, first.len()));
+        outputs.push(match &gids {
+            Some(gids) => {
+                let row_group = rows.iter().zip(gids);
+                let row_group = row_group.map(|(&r, &g)| (r as usize, g as usize));
+                accumulate(agg, column, row_group, first.len())
+            }
+            None => accumulate(agg, column, rows.iter().map(|&r| (r as usize, 0)), 1),
+        });
     }
     let mut out = Table::new(format!("{}_agg", table.name()), fields);
     for g in order {
@@ -140,13 +152,43 @@ pub fn aggregate<'a>(
     Ok(out)
 }
 
+/// The slots a direct group table may have however few rows are selected.
+const DIRECT_SLOTS: usize = 1 << 12;
+
 /// Dense group ids in order of first appearance, `(gids, first)` as
-/// [`aggregate`] names them. A row's key is one word per column — the
+/// [`aggregate`] names them. A key of one column whose domain is small
+/// indexes a table of ids directly: a `Str` column by dictionary code (one
+/// dictionary per column, so equal codes are equal strings), an `Int`
+/// column by its offset from the least value of the selected rows, NULL in
+/// a slot after the values'. **The rule:** the domain is small when its
+/// slots (`dict.len() + 1`, or `max - min + 2` over the selected rows) are
+/// at most [`DIRECT_SLOTS`] or the number of selected rows, whichever is
+/// larger. Every other key (a `Float` column, several columns, an `Int`
+/// span or a dictionary past the rule) is one word per column — the
 /// `i64`'s bits, the `f64`'s once `-0.0` is `0.0` and every NaN is one NaN,
-/// the dictionary code (one dictionary per column, so equal codes are equal
-/// strings) — and a NULL bit per column behind them. Keys map to ids through
-/// an open-addressing table of group ids: a group's key is its first row's.
+/// the dictionary code — and a NULL bit per column behind them, mapped to
+/// ids through an open-addressing table: a group's key is its first row's.
+/// Both tables give equal keys one id, so both give the same ids.
 fn group_ids(columns: &[&Column], rows: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    let limit = DIRECT_SLOTS.max(rows.len());
+    match columns {
+        [Column::Str { dict, codes }] if dict.len() < limit => {
+            let null = dict.len();
+            return direct_ids(rows, null + 1, |r| codes[r].map_or(null, |c| c as usize));
+        }
+        [Column::Int(v)] => {
+            let cells = rows.iter().filter_map(|&r| v[r as usize]);
+            let (min, max) = cells.fold((i64::MAX, i64::MIN), |(lo, hi), x| (lo.min(x), hi.max(x)));
+            // One slot per value of `min..=max` (none when no row holds one).
+            let null = (max as i128 - min as i128 + 1).max(0);
+            if null < limit as i128 {
+                let (null, slot) = (null as usize, |x: i64| x.wrapping_sub(min) as u64 as usize);
+                return direct_ids(rows, null + 1, |r| v[r].map_or(null, slot));
+            }
+        }
+        _ => {}
+    }
+
     let k = columns.len();
     let stride = k + k.div_ceil(64);
     let mut keys = vec![0u64; rows.len() * stride];
@@ -201,6 +243,20 @@ fn group_ids(columns: &[&Column], rows: &[u32]) -> (Vec<u32>, Vec<u32>) {
     (gids, first)
 }
 
+/// [`group_ids`] through a table of `slots` ids indexed by a row's `slot`.
+fn direct_ids(rows: &[u32], slots: usize, slot: impl Fn(usize) -> usize) -> (Vec<u32>, Vec<u32>) {
+    let (mut table, mut first) = (vec![u32::MAX; slots], Vec::new());
+    let gids = (0..).zip(rows).map(|(i, &r)| {
+        let gid = &mut table[slot(r as usize)];
+        if *gid == u32::MAX {
+            *gid = first.len() as u32;
+            first.push(i);
+        }
+        *gid
+    });
+    (gids.collect(), first)
+}
+
 /// One column's word, or its NULL bit (`null`: word and mask), into each key.
 fn pack<'k>(
     slots: impl Iterator<Item = (&'k mut [u64], &'k u32)>,
@@ -216,17 +272,19 @@ fn pack<'k>(
     }
 }
 
-/// One aggregate over one column: a typed loop into per-group slots, then a
-/// [`Value`] per group. As [`Value`] would: `Sum`/`Avg` add an `i64` as
-/// `f64` and count a string without adding it; `Min`/`Max` compare numbers
-/// as `f64`, and of two cells that tie or do not compare (a NaN) the first
-/// stays.
-fn accumulate(agg: &Agg, column: &Column, rows: &[u32], gids: &[u32], groups: usize) -> Vec<Value> {
-    let row_group = || {
-        rows.iter()
-            .zip(gids)
-            .map(|(&r, &g)| (r as usize, g as usize))
-    };
+/// One aggregate over one column: a typed loop over `(row, group)` pairs
+/// into per-group slots, then a [`Value`] per group. As [`Value`] would:
+/// `Sum`/`Avg` add an `i64` as `f64`, count a string without adding it and
+/// end in the last NaN's bits, whichever operand order codegen picks;
+/// `Min`/`Max` compare numbers as `f64`, and of two cells that tie or do
+/// not compare (a NaN) the first stays.
+fn accumulate(
+    agg: &Agg,
+    column: &Column,
+    row_groups: impl Iterator<Item = (usize, usize)> + Clone,
+    groups: usize,
+) -> Vec<Value> {
+    let row_group = || row_groups.clone();
     let want = match agg {
         Agg::Min(_) => Ordering::Less,
         Agg::Max(_) => Ordering::Greater,
@@ -235,7 +293,7 @@ fn accumulate(agg: &Agg, column: &Column, rows: &[u32], gids: &[u32], groups: us
             let mut add = |g: usize, x: Option<f64>| {
                 if let Some(x) = x {
                     count[g] += 1;
-                    sum[g] += x;
+                    sum[g] = if x.is_nan() { x } else { sum[g] + x };
                 }
             };
             match column {

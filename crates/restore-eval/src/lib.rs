@@ -19,6 +19,8 @@
 //! (see DESIGN.md §2); the *shapes* — who wins, trends across keep rate and
 //! removal correlation — reproduce the paper.
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 pub mod experiments;
 pub mod harness;

@@ -26,6 +26,8 @@
 //! Everything is deterministic given a seed and sized for laptop-scale
 //! tabular models (a few hundred thousand parameters).
 
+#![forbid(unsafe_code)]
+
 pub mod deepsets;
 pub mod infer;
 pub mod layers;

@@ -99,6 +99,8 @@ mod sys {
 /// server-side bench phases and the soak tests — calls this first.
 pub fn raise_fd_limit() -> io::Result<u64> {
     let mut lim = sys::RLimit { cur: 0, max: 0 };
+    // SAFETY: `lim` is a live, writable `struct rlimit` (two `u64`s, the
+    // layout of `rlim_t` on Linux), and the kernel writes only that.
     if unsafe { sys::getrlimit(sys::RLIMIT_NOFILE, &mut lim) } != 0 {
         return Err(io::Error::last_os_error());
     }
@@ -107,6 +109,7 @@ pub fn raise_fd_limit() -> io::Result<u64> {
             cur: lim.max,
             max: lim.max,
         };
+        // SAFETY: `want` is a live `struct rlimit` the kernel only reads.
         if unsafe { sys::setrlimit(sys::RLIMIT_NOFILE, &want) } != 0 {
             return Err(io::Error::last_os_error());
         }
@@ -135,11 +138,15 @@ fn interest_mask(read: bool, write: bool) -> u32 {
 
 impl Epoll {
     pub(crate) fn new() -> io::Result<Self> {
+        // SAFETY: takes no pointer; the result is checked before use.
         let fd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
         if fd < 0 {
             return Err(io::Error::last_os_error());
         }
         Ok(Self {
+            // SAFETY: `fd` was just opened by this call and is owned by
+            // nothing else, so the `OwnedFd` is its only owner and closes it
+            // exactly once.
             fd: unsafe { OwnedFd::from_raw_fd(fd) },
             events: vec![sys::EpollEvent { events: 0, data: 0 }; 1024],
         })
@@ -150,6 +157,9 @@ impl Epoll {
             events: mask,
             data: token,
         };
+        // SAFETY: the epoll fd is open for as long as `self` lives; `ev` is
+        // a live `epoll_event` of the kernel's layout, which it only reads.
+        // A bad `fd` is an error return, not undefined behaviour.
         if unsafe { sys::epoll_ctl(self.fd.as_raw_fd(), op, fd, &mut ev) } != 0 {
             return Err(io::Error::last_os_error());
         }
@@ -183,6 +193,9 @@ impl Epoll {
             }
         };
         let n = loop {
+            // SAFETY: `events` is a live buffer of `events.len()` entries of
+            // the kernel's `epoll_event` layout, and the kernel writes at
+            // most `maxevents` = `events.len()` of them.
             let n = unsafe {
                 sys::epoll_wait(
                     self.fd.as_raw_fd(),
@@ -215,11 +228,15 @@ pub(crate) struct WakeHandle {
 
 impl WakeHandle {
     pub(crate) fn new() -> io::Result<Self> {
+        // SAFETY: takes no pointer; the result is checked before use.
         let fd = unsafe { sys::eventfd(0, sys::EFD_CLOEXEC | sys::EFD_NONBLOCK) };
         if fd < 0 {
             return Err(io::Error::last_os_error());
         }
         Ok(Self {
+            // SAFETY: `fd` was just opened by this call and is owned by
+            // nothing else, so the `OwnedFd` is its only owner and closes it
+            // exactly once.
             fd: unsafe { OwnedFd::from_raw_fd(fd) },
         })
     }
@@ -230,11 +247,17 @@ impl WakeHandle {
 
     pub(crate) fn wake(&self) {
         let one = 1u64.to_ne_bytes();
+        // SAFETY: the eventfd is open for as long as `self` lives, and the
+        // kernel reads `one.len()` bytes from `one`, a live local of that
+        // length.
         let _ = unsafe { sys::write(self.fd.as_raw_fd(), one.as_ptr(), one.len()) };
     }
 
     pub(crate) fn drain(&self) {
         let mut buf = [0u8; 8];
+        // SAFETY: the eventfd is open for as long as `self` lives, and the
+        // kernel writes at most `buf.len()` bytes into `buf`, a live local
+        // of that length.
         while unsafe { sys::read(self.fd.as_raw_fd(), buf.as_mut_ptr(), buf.len()) } > 0 {}
     }
 }

@@ -220,7 +220,7 @@ impl ToJson for JsonValue {
 pub fn parse(input: &str) -> Option<JsonValue> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos == bytes.len() {
         Some(value)
@@ -245,11 +245,20 @@ fn eat(b: &[u8], pos: &mut usize, c: u8) -> Option<()> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Option<JsonValue> {
+/// How deep arrays and objects may nest. A deeper document parses as
+/// `None`: the parser recurses once per level, and so does every reader
+/// that walks the tree (the wire decoder's expressions), so the bound is
+/// what keeps one request body from overflowing a thread's stack — which
+/// aborts the process, as no `catch_unwind` can stop it.
+const MAX_DEPTH: usize = 128;
+
+/// A value inside `depth` open arrays and objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Option<JsonValue> {
     skip_ws(b, pos);
     match *b.get(*pos)? {
-        b'{' => parse_object(b, pos),
-        b'[' => parse_array(b, pos),
+        b'{' if depth < MAX_DEPTH => parse_object(b, pos, depth + 1),
+        b'[' if depth < MAX_DEPTH => parse_array(b, pos, depth + 1),
+        b'{' | b'[' => None,
         b'"' => parse_string(b, pos).map(JsonValue::Str),
         b't' => parse_lit(b, pos, "true", JsonValue::Bool(true)),
         b'f' => parse_lit(b, pos, "false", JsonValue::Bool(false)),
@@ -312,17 +321,19 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
                 *pos += 1;
             }
             _ => {
-                // Consume one UTF-8 scalar (multi-byte sequences included).
-                let rest = std::str::from_utf8(&b[*pos..]).ok()?;
-                let c = rest.chars().next()?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // The run up to the next quote or backslash, in one copy:
+                // both are ASCII, so the run ends on a character boundary
+                // of the (UTF-8) input and is checked once, not per byte.
+                let len = b[*pos..].iter().position(|&c| matches!(c, b'"' | b'\\'));
+                let end = *pos + len.unwrap_or(b.len() - *pos);
+                out.push_str(std::str::from_utf8(&b[*pos..end]).ok()?);
+                *pos = end;
             }
         }
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Option<JsonValue> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Option<JsonValue> {
     eat(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -331,7 +342,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Option<JsonValue> {
         return Some(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match *b.get(*pos)? {
             b',' => *pos += 1,
@@ -344,7 +355,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Option<JsonValue> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Option<JsonValue> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Option<JsonValue> {
     eat(b, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(b, pos);
@@ -356,7 +367,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Option<JsonValue> {
         skip_ws(b, pos);
         let key = parse_string(b, pos)?;
         eat(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         fields.push((key, value));
         skip_ws(b, pos);
         match *b.get(*pos)? {
@@ -450,6 +461,35 @@ mod tests {
         let parsed = parse(doc).expect("parse");
         assert_eq!(parsed.to_json(), doc);
         assert_eq!(parse(&parsed.to_json()), Some(parsed));
+    }
+
+    /// Strings are copied a run at a time: 1 MiB of one string, escapes and
+    /// multi-byte characters among its runs, reads back whole and fast
+    /// (checking the rest of the document at every character took minutes).
+    #[test]
+    fn a_long_string_parses_in_linear_time() {
+        let run = "plain ascii, then é and ✓ ".repeat(1 << 15);
+        let text = format!("{run}\"quoted\" and \\ backslashed\n{run}");
+        assert!(text.len() > 1 << 20);
+        let started = std::time::Instant::now();
+        let parsed = parse(&text.as_str().to_json()).expect("parse");
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+        assert_eq!(parsed.as_str(), Some(text.as_str()));
+    }
+
+    /// Nesting past the bound is an error, not a stack overflow — on a
+    /// thread with an eighth of a worker's stack — and the bound itself
+    /// parses.
+    #[test]
+    fn nesting_past_the_depth_bound_parses_as_none() {
+        for (open, inner, close) in [("[", "", "]"), ("{\"a\":", "0", "}")] {
+            let nested = |depth| open.repeat(depth) + inner + &close.repeat(depth);
+            assert!(parse(&nested(MAX_DEPTH)).is_some());
+            assert_eq!(parse(&nested(MAX_DEPTH + 1)), None);
+        }
+        let bomb = std::thread::Builder::new().stack_size(256 << 10);
+        let bomb = bomb.spawn(|| parse(&"[".repeat(1 << 20)));
+        assert_eq!(bomb.unwrap().join().unwrap(), None);
     }
 
     #[test]

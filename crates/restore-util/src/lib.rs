@@ -8,6 +8,8 @@
 //! determinism contract: results are a pure function of the inputs and the
 //! seeds, never of scheduling.
 
+#![forbid(unsafe_code)]
+
 pub mod backoff;
 pub mod fsio;
 pub mod json;

@@ -42,6 +42,8 @@
 //! let completed = snapshot.execute(&query, 7).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use restore_core as core;
 pub use restore_data as data;
 pub use restore_db as db;

@@ -170,6 +170,31 @@ fn http_responses_are_byte_identical_to_direct_execution() {
     assert!(server.shutdown(), "drain");
 }
 
+/// A body nested deeper than the JSON reader's bound — 200 KB of `[`, which
+/// used to overflow a worker's stack and abort the whole process — is a
+/// malformed request like any other, and the server goes on serving.
+#[test]
+fn a_deeply_nested_body_answers_400_and_the_server_keeps_serving() {
+    let snapshot = snap_a();
+    let registry = Arc::new(SnapshotRegistry::new());
+    registry.publish("synthetic", Arc::clone(&snapshot));
+    let server = serve(&registry, ServeConfig::default());
+    let nested = format!("{{\"tables\":{}", "[".repeat(200_000));
+    let (status, body) = HttpClient::connect(server.local_addr())
+        .expect("connect")
+        .post("/v1/synthetic/query", &nested)
+        .expect("the bomb is answered");
+    assert_eq!(status, 400, "{body}");
+
+    let request = QueryRequest::new(workload()[0].clone(), 1);
+    let (status, body) = HttpClient::connect(server.local_addr())
+        .expect("a new connection")
+        .post("/v1/synthetic/query", &request.to_json())
+        .expect("request after the bomb");
+    assert_eq!((status, body), (200, direct_body(&snapshot, &request)));
+    assert!(server.shutdown(), "drain");
+}
+
 #[test]
 fn hot_swap_under_load_is_torn_free() {
     let (v1, v2) = (snap_a(), snap_b());

@@ -216,8 +216,9 @@ fn group_counts_partition_the_table() {
 /// Generators for the differential tests of the warm query tail: a random
 /// table over all three dtypes, predicate trees that reach every node kind
 /// of `BoundExpr` and its interpreter fallback, group-by and aggregate
-/// lists over every column — and the `Value`-keyed `aggregate` the typed
-/// one replaced, as the reference.
+/// lists over every column — keys that reach both of `aggregate`'s group
+/// tables and the edges of the rule between them — and the `Value`-keyed
+/// `aggregate` the typed one replaced, as the reference.
 mod tail {
     use super::*;
     use restore::db::{
@@ -226,9 +227,10 @@ mod tail {
     };
     use std::collections::HashMap;
 
-    /// Columns of two "joined" tables `a` and `b` (`k` exists in both) plus
-    /// a bare column.
-    pub const COLUMNS: [(&str, DataType); 7] = [
+    /// Columns of two "joined" tables `a` and `b` (`k` exists in both), a
+    /// bare group key column `g` and the row number `n`, the one column that
+    /// holds no NULL.
+    pub const COLUMNS: [(&str, DataType); 8] = [
         ("a.i", DataType::Int),
         ("a.f", DataType::Float),
         ("a.s", DataType::Str),
@@ -236,39 +238,104 @@ mod tail {
         ("b.k", DataType::Int),
         ("b.s", DataType::Str),
         ("g", DataType::Int),
+        ("n", DataType::Int),
     ];
     const STRINGS: [&str; 4] = ["x", "y", "zz", "x y"];
     /// Both zeros, and NaNs of two payloads.
     const FLOATS: [f64; 7] = [0.0, -0.0, 0.5, 1.0, 2.0, f64::NAN, -f64::NAN];
     /// Neighbours that are one `f64` and two `i64`s, and the ends.
     const WIDE_INTS: [i64; 4] = [1 << 53, (1 << 53) + 1, i64::MIN, i64::MAX];
+    /// `restore-db`'s rule for a direct group table (`query/aggregate.rs`):
+    /// a one-column key gets one when its slots are at most this many or the
+    /// number of selected rows, whichever is larger.
+    pub const DIRECT_SLOTS: u128 = 1 << 12;
 
-    /// Every other table is short (empty now and then); the rest run to 300
-    /// rows, for merges over long runs and group tables that grow.
+    /// Half the tables are short (empty now and then); a quarter run to
+    /// 300 rows, for merges over long runs and group tables that grow; a
+    /// quarter hold 300 to 330.
     pub fn table(rng: &mut StdRng) -> Table {
+        let n = match rng.random_range(0..4u32) {
+            0 | 1 => rng.random_range(0..40),
+            2 => rng.random_range(40..300),
+            _ => rng.random_range(300..=330),
+        };
+        table_of(rng, n)
+    }
+
+    /// A table of `n` rows. Half the tables draw their `Int` cells from
+    /// `0..4` only, the others now and then from the wide ones; `b.s` draws
+    /// from up to 300 strings, `g` from [`key_cells`].
+    pub fn table_of(rng: &mut StdRng, n: usize) -> Table {
         let fields = COLUMNS.iter().map(|(n, t)| Field::new(*n, *t)).collect();
         let mut t = Table::new("t", fields);
-        let longest = [40, 301][rng.random_range(0..2usize)];
-        for _ in 0..rng.random_range(0..longest) {
-            let row: Vec<Value> = COLUMNS
-                .iter()
-                .map(|(_, dtype)| match (rng.random_range(0..6u32), dtype) {
-                    (0, _) => Value::Null,
-                    (1, DataType::Int) => Value::Int(WIDE_INTS[rng.random_range(0..4usize)]),
-                    (_, DataType::Int) => Value::Int(rng.random_range(0..4i64)),
-                    (_, DataType::Float) => Value::Float(FLOATS[rng.random_range(0..7usize)]),
-                    (_, DataType::Str) => Value::str(STRINGS[rng.random_range(0..3usize)]),
-                })
-                .collect();
-            t.push_row(&row).unwrap();
+        let wide = rng.random_range(0..2u32) == 0;
+        let strings = rng.random_range(3..=300usize);
+        let keys = key_cells(rng, n);
+        for (r, key) in keys.iter().enumerate() {
+            let cell =
+                |&(name, dtype): &(&str, DataType)| match (name, rng.random_range(0..6), dtype) {
+                    ("g", ..) => key.map_or(Value::Null, Value::Int),
+                    ("n", ..) => Value::Int(r as i64),
+                    (_, 0, _) => Value::Null,
+                    (_, 1, DataType::Int) if wide => {
+                        Value::Int(WIDE_INTS[rng.random_range(0..4usize)])
+                    }
+                    (_, _, DataType::Int) => Value::Int(rng.random_range(0..4i64)),
+                    (_, _, DataType::Float) => Value::Float(FLOATS[rng.random_range(0..7usize)]),
+                    ("b.s", ..) => match rng.random_range(0..strings) {
+                        i @ 0..3 => Value::str(STRINGS[i]),
+                        i => Value::str(format!("s{i}")),
+                    },
+                    (_, _, DataType::Str) => Value::str(STRINGS[rng.random_range(0..3usize)]),
+                };
+            t.push_row(&COLUMNS.iter().map(cell).collect::<Vec<_>>())
+                .unwrap();
         }
         t
+    }
+
+    /// The cells of `g`, of one kind per table: values in `0..4` and NULLs
+    /// (a third of the tables); two values whose span puts the direct
+    /// table's slots exactly at [`DIRECT_SLOTS`], or one past it, and NULLs;
+    /// `i64::MIN`, `i64::MAX`, 0 and NULLs; NULL alone.
+    fn key_cells(rng: &mut StdRng, n: usize) -> Vec<Option<i64>> {
+        let low = rng.random_range(-1000..1000i64);
+        let at_limit = low + DIRECT_SLOTS as i64 - 2;
+        let values = match rng.random_range(0..6u32) {
+            0 | 1 => vec![Some(0), Some(1), Some(2), Some(3), None],
+            2 => vec![Some(low), Some(at_limit), None],
+            3 => vec![Some(low), Some(at_limit + 1), None],
+            4 => vec![Some(i64::MIN), Some(i64::MAX), Some(0), None],
+            _ => vec![None],
+        };
+        (0..n)
+            .map(|_| values[rng.random_range(0..values.len())])
+            .collect()
+    }
+
+    /// The slots the direct group table needs for the key `column` over
+    /// `rows`: the dictionary's entries and NULL, or the `Int` values from
+    /// the least to the greatest and NULL; `None` for a `Float` column.
+    pub fn direct_slots(t: &Table, column: &str, rows: &[u32]) -> Option<u128> {
+        use restore::db::Column;
+        match t.column_by_name(column).ok()? {
+            Column::Str { dict, .. } => Some(dict.len() as u128 + 1),
+            Column::Int(v) => {
+                let cells = rows.iter().filter_map(|&r| v[r as usize]);
+                let (min, max) = (cells.clone().min(), cells.max());
+                Some(
+                    min.zip(max)
+                        .map_or(1, |(min, max)| (max as i128 - min as i128) as u128 + 2),
+                )
+            }
+            Column::Float(_) => None,
+        }
     }
 
     /// A reference that resolves in the full table: qualified, or a bare
     /// name only one column ends in.
     fn column(rng: &mut StdRng) -> Expr {
-        const REFS: [&str; 9] = ["a.i", "a.f", "a.s", "a.k", "b.k", "b.s", "g", "i", "f"];
+        const REFS: [&str; 10] = ["a.i", "a.f", "a.s", "a.k", "b.k", "b.s", "g", "n", "i", "f"];
         Expr::col(REFS[rng.random_range(0..REFS.len())])
     }
 
@@ -315,9 +382,13 @@ mod tail {
         if rng.random_range(0..4u32) > 0 {
             q = q.filter(predicate(rng, 2));
         }
-        // Any 0–3 of the columns (one twice now and then), every aggregate
+        // Any 0–3 of the columns (one twice now and then; `g`, the key at the
+        // direct group table's edges, one time in three), every aggregate
         // over every dtype.
-        let column = |rng: &mut StdRng| COLUMNS[rng.random_range(0..7usize)].0.to_string();
+        let column = |rng: &mut StdRng| match rng.random_range(0..4u32) {
+            0 => "g".to_string(),
+            _ => COLUMNS[rng.random_range(0..COLUMNS.len())].0.to_string(),
+        };
         let groups = [0, 0, 1, 1, 1, 2, 2, 3][rng.random_range(0..8usize)];
         q = q.group_by((0..groups).map(|_| column(rng)));
         for _ in 0..rng.random_range(0..4u32) {
@@ -472,9 +543,10 @@ mod tail {
     }
 
     /// A random ascending subset of `0..n`: two rows in three, one in
-    /// five, or none.
+    /// five, none or all.
     pub fn selection(rng: &mut StdRng, n: usize) -> Vec<u32> {
-        let (keep, of) = [(2, 3), (2, 3), (2, 3), (1, 5), (0, 1)][rng.random_range(0..5usize)];
+        let (keep, of) =
+            [(2, 3), (2, 3), (2, 3), (1, 5), (0, 1), (1, 1)][rng.random_range(0..6usize)];
         (0..n as u32)
             .filter(|_| rng.random_range(0..of) < keep)
             .collect()
@@ -501,6 +573,29 @@ fn bound_predicates_match_the_interpreter() {
             ..(&t).into()
         };
         assert_eq!(pred.select(view).unwrap(), expect, "case {case}: {pred:?}");
+    }
+    // Leaves that keep all and none of 300 rows and more, where the cursor a
+    // leaf writes its rows at ends at the end or stays at the start: on the
+    // row number, which is never NULL.
+    use restore::db::Expr;
+    for case in 0..CASES {
+        let n = rng.random_range(300..=330);
+        let t = tail::table_of(&mut rng, n);
+        let rows: Vec<u32> = (0..n as u32).collect();
+        let view = TableView {
+            rows: Some(&rows),
+            ..(&t).into()
+        };
+        let (row, lit) = (|| Expr::col("n"), |x: i64| Expr::lit(x));
+        let all = [row().ge(lit(0)), row().ne(lit(-1)), row().lt(lit(n as i64))];
+        let none = [row().lt(lit(0)), row().eq(lit(-1)), row().gt(lit(n as i64))];
+        for (pred, expect) in all
+            .iter()
+            .map(|p| (p, &rows[..]))
+            .chain(none.iter().map(|p| (p, &[][..])))
+        {
+            assert_eq!(pred.select(view).unwrap(), expect, "case {case}: {pred:?}");
+        }
     }
 }
 
@@ -544,6 +639,7 @@ fn typed_aggregation_matches_the_value_keyed_reference() {
     use restore::db::{aggregate, Agg, QueryResult, TableView};
     let mut rng = StdRng::seed_from_u64(0xae);
     let mut most_groups = 0;
+    let (mut direct, mut hashed, mut edges) = (0, 0, [0; 5]);
     for case in 0..40 * CASES {
         let t = tail::table(&mut rng);
         let mut q = tail::query(&mut rng);
@@ -570,7 +666,39 @@ fn typed_aggregation_matches_the_value_keyed_reference() {
             typed::table_repr(&reference),
             "case {case}: {q:?}"
         );
-        most_groups = most_groups.max(typed.n_rows());
+        // Which of the two group tables ran, by `restore-db`'s rule over the
+        // data, and which edges of the rule the case sits on.
+        let all: Vec<u32> = (0..t.n_rows() as u32).collect();
+        let selected = view.rows.unwrap_or(&all);
+        let limit = tail::DIRECT_SLOTS.max(selected.len() as u128);
+        let slots = match &q.group_by[..] {
+            [key] => tail::direct_slots(&t, key, selected),
+            _ => None,
+        };
+        if let ([key], Some(slots)) = (&q.group_by[..], slots) {
+            let column = t.resolve(key).unwrap();
+            let null = |&r: &u32| t.value(r as usize, column).is_null();
+            let all_null = !selected.is_empty() && selected.iter().all(null);
+            let reached = [
+                slots == limit,
+                slots == limit + 1,
+                slots > 1 << 64,
+                all_null,
+            ];
+            edges
+                .iter_mut()
+                .zip(reached)
+                .for_each(|(n, hit)| *n += hit as usize);
+        }
+        edges[4] += (!q.group_by.is_empty() && selected.is_empty()) as usize;
+        match slots {
+            Some(slots) if slots <= limit => direct += 1,
+            _ if !q.group_by.is_empty() => {
+                hashed += 1;
+                most_groups = most_groups.max(typed.n_rows());
+            }
+            _ => {}
+        }
         let body = |table| {
             let group_cols = q.group_by.len();
             query_response_json(&QueryResult { table, group_cols }, None)
@@ -579,6 +707,13 @@ fn typed_aggregation_matches_the_value_keyed_reference() {
     }
     // 16 slots → 64 → 256 → 1024: the group table grew three times.
     assert!(most_groups > 128, "{most_groups}");
+    assert!(
+        direct >= 100 && hashed >= 100,
+        "direct {direct}, hashed {hashed}"
+    );
+    // Slots at the limit and one past it, an `Int` span that overflows, an
+    // all-NULL key, a grouped query over no row.
+    assert!(edges.iter().all(|&n| n > 0), "{edges:?}");
 }
 
 /// Grouping on a float column with NULLs, NaNs and both zeros gives one

@@ -121,6 +121,8 @@ fn forwarded_responses_are_byte_identical_for_every_route() {
         .filter(Expr::col("id").eq(Expr::lit(1i64)))
         .aggregate(Agg::CountStar);
     let ambiguous = QueryRequest::new(ambiguous, 1).to_json();
+    // Nested past the JSON reader's depth bound.
+    let nested = format!("{{\"tables\":{}", "[".repeat(200_000));
     let mut forwards = 0u64;
     for tenant in &tenants {
         // The mapping is the documented hash — computable without the fleet.
@@ -141,6 +143,7 @@ fn forwarded_responses_are_byte_identical_for_every_route() {
             ),
             ("GET", format!("{base}/tables/tb?seed=2"), None, 200),
             ("POST", format!("{base}/query"), Some("not json"), 400),
+            ("POST", format!("{base}/query"), Some(nested.as_str()), 400),
             (
                 "POST",
                 format!("{base}/query"),
