@@ -1,10 +1,10 @@
-//! Shared fixtures of the integration tests (`tests/`) and the one
-//! process-level smoke (`process_smoke`): a small sealed snapshot, the
-//! serving query mix over it, a bit-stable result fingerprint, and the
-//! tenant list / snapshot directory of a worker fleet. Measurement lives
-//! in `benchmark/`; nothing here times anything.
+//! Shared fixtures of the integration tests (`tests/`) and the process
+//! smoke (`process_smoke`): a small sealed snapshot, the serving query mix
+//! over it, a bit-stable result fingerprint, and a worker fleet's tenant
+//! list and snapshot directory. Nothing here times anything (`benchmark/`).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 use std::sync::Arc;
 

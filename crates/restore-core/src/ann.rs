@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// LSH index over `f32` feature vectors.
-pub struct AnnIndex {
+pub(crate) struct AnnIndex {
     points: Vec<Vec<f32>>,
     dim: usize,
     /// One hyperplane set per table: `planes[t][b]` is a d-vector.
@@ -24,7 +24,7 @@ pub struct AnnIndex {
 
 impl AnnIndex {
     /// Builds an index with `n_tables` hash tables of `bits` hyperplanes.
-    pub fn build(points: Vec<Vec<f32>>, bits: usize, n_tables: usize, seed: u64) -> Self {
+    pub(crate) fn build(points: Vec<Vec<f32>>, bits: usize, n_tables: usize, seed: u64) -> Self {
         assert!(!points.is_empty(), "cannot index an empty point set");
         let dim = points[0].len();
         assert!(
@@ -65,24 +65,12 @@ impl AnnIndex {
         h
     }
 
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     fn distance2(a: &[f32], b: &[f32]) -> f32 {
         a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
     }
 
     /// Index of (approximately) the nearest stored point.
-    pub fn nearest(&self, query: &[f32]) -> usize {
+    pub(crate) fn nearest(&self, query: &[f32]) -> usize {
         assert_eq!(query.len(), self.dim, "query dimension mismatch");
         let mut best = usize::MAX;
         let mut best_d = f32::INFINITY;
@@ -113,7 +101,7 @@ impl AnnIndex {
     }
 
     /// Batched variant of [`AnnIndex::nearest`].
-    pub fn nearest_batch(&self, queries: &[Vec<f32>]) -> Vec<usize> {
+    pub(crate) fn nearest_batch(&self, queries: &[Vec<f32>]) -> Vec<usize> {
         queries.iter().map(|q| self.nearest(q)).collect()
     }
 }

@@ -5,27 +5,27 @@
 
 use std::collections::BTreeSet;
 
-use restore_db::{Database, Table};
+use restore_db::Table;
 
 /// Name of the tuple-factor metadata column for an incomplete child table.
-pub fn tf_column_name(child_table: &str) -> String {
+pub(crate) fn tf_column_name(child_table: &str) -> String {
     format!("__tf_{child_table}")
 }
 
 /// True for helper columns that are not part of the logical schema.
-pub fn is_tf_column(name: &str) -> bool {
+pub(crate) fn is_tf_column(name: &str) -> bool {
     name.rsplit('.').next().unwrap_or(name).starts_with("__tf_")
 }
 
 /// True for key columns (primary `id` / foreign `*_id`) — completion models
 /// never synthesize keys (§4.2).
-pub fn is_key_column(name: &str) -> bool {
+pub(crate) fn is_key_column(name: &str) -> bool {
     let base = name.rsplit('.').next().unwrap_or(name);
     base == "id" || base.ends_with("_id")
 }
 
 /// The non-key, non-metadata columns a completion model learns for a table.
-pub fn modeled_columns(table: &Table) -> Vec<String> {
+pub(crate) fn modeled_columns(table: &Table) -> Vec<String> {
     table
         .fields()
         .iter()
@@ -41,7 +41,7 @@ pub struct SchemaAnnotation {
 }
 
 impl SchemaAnnotation {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -57,29 +57,20 @@ impl SchemaAnnotation {
     }
 
     /// Marks `table` incomplete; true if that changed the annotation.
-    pub fn mark_incomplete(&mut self, table: impl Into<String>) -> bool {
+    pub(crate) fn mark_incomplete(&mut self, table: impl Into<String>) -> bool {
         self.incomplete.insert(table.into())
     }
 
-    pub fn mark_complete(&mut self, table: &str) {
-        self.incomplete.remove(table);
-    }
-
-    pub fn is_incomplete(&self, table: &str) -> bool {
+    pub(crate) fn is_incomplete(&self, table: &str) -> bool {
         self.incomplete.contains(table)
     }
 
-    pub fn is_complete(&self, table: &str) -> bool {
+    pub(crate) fn is_complete(&self, table: &str) -> bool {
         !self.is_incomplete(table)
     }
 
-    pub fn incomplete_tables(&self) -> impl Iterator<Item = &str> {
+    pub(crate) fn incomplete_tables(&self) -> impl Iterator<Item = &str> {
         self.incomplete.iter().map(String::as_str)
-    }
-
-    /// Complete tables of `db` under this annotation.
-    pub fn complete_tables<'a>(&'a self, db: &'a Database) -> impl Iterator<Item = &'a str> + 'a {
-        db.table_names().filter(move |t| self.is_complete(t))
     }
 }
 
@@ -122,8 +113,7 @@ mod tests {
         assert!(a.is_complete("apartment"));
         a.mark_incomplete("apartment");
         assert!(a.is_incomplete("apartment"));
-        a.mark_complete("apartment");
-        assert!(a.is_complete("apartment"));
+        assert!(!a.mark_incomplete("apartment"), "already incomplete");
         let b = SchemaAnnotation::with_incomplete(["x", "y"]);
         assert_eq!(b.incomplete_tables().count(), 2);
     }

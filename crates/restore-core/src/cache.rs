@@ -90,11 +90,6 @@ impl JoinCache {
         }
     }
 
-    /// The configured memory budget (`0` = unbounded).
-    pub fn budget_bytes(&self) -> usize {
-        self.budget_bytes
-    }
-
     /// Stat-free lookup that refreshes the entry's LRU stamp.
     fn lookup(&self, tables: &[String]) -> Option<Arc<CompletionOutput>> {
         let mut inner = lock(&self.inner);
@@ -120,7 +115,7 @@ impl JoinCache {
     /// semantics, so concurrent callers needing the same cold path share
     /// one synthesis (the leader computes and inserts; followers block and
     /// clone the leader's result, errors included).
-    pub fn get_or_compute<F>(
+    pub(crate) fn get_or_compute<F>(
         &self,
         tables: &[String],
         compute: F,
@@ -209,14 +204,6 @@ impl JoinCache {
         }
     }
 
-    pub fn len(&self) -> usize {
-        lock(&self.inner).map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        lock(&self.inner).map.is_empty()
-    }
-
     /// All counters plus resident-size gauges.
     pub fn full_stats(&self) -> CacheStats {
         let inner = lock(&self.inner);
@@ -232,7 +219,7 @@ impl JoinCache {
 
     /// Snapshot of all cached entries (diagnostics), sorted by chain: the
     /// same order in every process, whatever the map's hasher.
-    pub fn entries(&self) -> Vec<(Vec<String>, Arc<CompletionOutput>)> {
+    pub(crate) fn entries(&self) -> Vec<(Vec<String>, Arc<CompletionOutput>)> {
         let inner = lock(&self.inner);
         let entry = |(k, v): (&Vec<String>, &Entry)| (k.clone(), Arc::clone(&v.out));
         let mut entries: Vec<_> = inner.map.iter().map(entry).collect();
@@ -321,7 +308,7 @@ mod tests {
             Err(crate::error::CoreError::Invalid("boom".into()))
         });
         assert!(err.is_err());
-        assert!(cache.is_empty(), "errors must not be cached");
+        assert_eq!(cache.full_stats().entries, 0, "errors must not be cached");
         // The next call retries.
         assert!(cache
             .get_or_compute(&key(&["a"]), || Ok(dummy_output(&["a"])))
@@ -374,22 +361,30 @@ mod tests {
         // Touch "a" so "b" is the LRU victim.
         assert!(cache.get(&key(&["a"])).is_some());
         cache.put(key(&["c"]), sized_output(&["c"], 1000));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.full_stats().entries, 2);
         assert!(cache.get(&key(&["b"])).is_none(), "LRU entry must go");
         assert!(cache.get(&key(&["a"])).is_some());
         assert!(cache.get(&key(&["c"])).is_some());
         let stats = cache.full_stats();
         assert_eq!(stats.evictions, 1);
-        assert!(stats.bytes <= cache.budget_bytes());
+        assert!(stats.bytes <= cache.budget_bytes);
     }
 
     #[test]
     fn oversized_entry_survives_its_own_insert() {
         let cache = JoinCache::with_budget(8);
         cache.put(key(&["big"]), sized_output(&["big"], 10_000));
-        assert_eq!(cache.len(), 1, "the fresh entry is never self-evicted");
+        assert_eq!(
+            cache.full_stats().entries,
+            1,
+            "the fresh entry is never self-evicted"
+        );
         cache.put(key(&["big2"]), sized_output(&["big2"], 10_000));
-        assert_eq!(cache.len(), 1, "over budget, the older entry goes");
+        assert_eq!(
+            cache.full_stats().entries,
+            1,
+            "over budget, the older entry goes"
+        );
         assert!(cache.get(&key(&["big2"])).is_some());
     }
 }

@@ -49,12 +49,6 @@ pub enum ReplacementMode {
 /// Tuning knobs of the completion executor.
 #[derive(Clone, Debug)]
 pub struct CompleterConfig {
-    /// LSH hyperplanes per hash table.
-    pub ann_bits: usize,
-    /// Number of LSH hash tables.
-    pub ann_tables: usize,
-    /// Clamp on synthesized tuples per evidence row (runaway protection).
-    pub max_missing_per_row: i64,
     /// Euclidean replacement policy.
     pub replacement: ReplacementMode,
     /// Rows sampled per no-grad forward pass (B). Larger batches amortize
@@ -69,15 +63,23 @@ pub struct CompleterConfig {
 impl Default for CompleterConfig {
     fn default() -> Self {
         Self {
-            ann_bits: 10,
-            ann_tables: 4,
-            max_missing_per_row: 64,
             replacement: ReplacementMode::Auto,
             batch_size: 256,
             workers: 0,
         }
     }
 }
+
+// Completion constants no caller varies. Snapshot files written while they
+// were `CompleterConfig` fields still carry them as keys; the loader accepts
+// a key only at its constant's value.
+
+/// LSH hyperplanes per hash table of the euclidean replacement's index.
+pub(crate) const ANN_BITS: usize = 10;
+/// Number of LSH hash tables of the euclidean replacement's index.
+pub(crate) const ANN_TABLES: usize = 4;
+/// Clamp on synthesized tuples per evidence row (runaway protection).
+pub(crate) const MAX_MISSING_PER_ROW: i64 = 64;
 
 /// The result of completing one path: the completed join plus provenance.
 #[derive(Debug)]
@@ -677,7 +679,7 @@ impl<'a> Completer<'a> {
             tf_final[r] = tf_final[r].max(existing[r]);
         }
         let missing: Vec<i64> = (0..n)
-            .map(|r| (tf_final[r] - existing[r]).clamp(0, self.cfg.max_missing_per_row))
+            .map(|r| (tf_final[r] - existing[r]).clamp(0, MAX_MISSING_PER_ROW))
             .collect();
 
         let mut w_inc = w.gather(&jout.left_indices, jout.table, !last);
@@ -827,7 +829,7 @@ impl<'a> Completer<'a> {
                 .collect();
             let featurizer = Featurizer::fit(t_next, &modeled)?;
             let points = featurizer.features_of_table(t_next)?;
-            let index = AnnIndex::build(points, self.cfg.ann_bits, self.cfg.ann_tables, 0xa11);
+            let index = AnnIndex::build(points, ANN_BITS, ANN_TABLES, 0xa11);
             let queries: Vec<Vec<f32>> = (0..n)
                 .map(|i| {
                     let vals: Vec<&Value> = (decoded.iter().zip(&sampled))

@@ -22,7 +22,7 @@ use restore_db::{Column, DataType, DbResult, Value};
 /// High enough that year-like attributes (`production_year`,
 /// `landlord_since`) keep exact values — group-by queries on them must
 /// produce matching keys after completion.
-pub const MAX_DISTINCT_CATEGORICAL: usize = 96;
+pub(crate) const MAX_DISTINCT_CATEGORICAL: usize = 96;
 
 /// An encoder mapping scalar values to dense tokens and back.
 #[derive(Clone, Debug)]
@@ -170,7 +170,7 @@ impl AttrEncoder {
     }
 
     /// Cardinality including the MASK token — the width the model uses.
-    pub fn model_cardinality(&self) -> usize {
+    pub(crate) fn model_cardinality(&self) -> usize {
         self.cardinality() + 1
     }
 

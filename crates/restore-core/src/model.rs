@@ -32,25 +32,15 @@ use crate::paths::CompletionPath;
 pub struct TrainConfig {
     pub epochs: usize,
     pub batch_size: usize,
-    pub lr: f32,
     pub hidden: Vec<usize>,
     pub embed_dim: usize,
-    pub max_bins: usize,
-    pub val_fraction: f64,
-    pub clip_norm: f32,
     /// Training joins larger than this are subsampled (stride sampling).
     pub max_train_rows: usize,
-    /// Tuple factors are clamped to this maximum token.
-    pub tf_cap: i64,
     /// Width of the SSAR conditioning context (0 disables DeepSets → AR).
     pub ctx_dim: usize,
-    /// Per-row cap on fan-out evidence set sizes.
-    pub max_set_size: usize,
     /// Minimum number of gradient steps: small training sets get extra
     /// epochs so the conditional is actually fit.
     pub min_steps: usize,
-    /// Early-stopping patience (epochs without validation improvement).
-    pub patience: usize,
     /// Worker threads for the data-parallel gradient engine (`0` = one per
     /// available hardware thread). Training results are **bit-identical**
     /// under any worker count: microbatch gradients are computed
@@ -67,18 +57,11 @@ impl Default for TrainConfig {
         Self {
             epochs: 12,
             batch_size: 256,
-            lr: 5e-3,
             hidden: vec![64, 64],
             embed_dim: 8,
-            max_bins: 24,
-            val_fraction: 0.1,
-            clip_norm: 5.0,
             max_train_rows: 20_000,
-            tf_cap: 64,
             ctx_dim: 0,
-            max_set_size: 12,
             min_steps: 400,
-            patience: 10,
             workers: 0,
             microbatch: 32,
         }
@@ -92,7 +75,7 @@ impl TrainConfig {
         self
     }
 
-    pub fn is_ssar(&self) -> bool {
+    pub(crate) fn is_ssar(&self) -> bool {
         self.ctx_dim > 0
     }
 
@@ -104,6 +87,25 @@ impl TrainConfig {
         }
     }
 }
+
+// Training constants no caller varies. Snapshot files written while they
+// were `TrainConfig` fields still carry them as keys; the loader accepts a
+// key only at its constant's value.
+
+/// Adam's learning rate.
+pub(crate) const LR: f32 = 5e-3;
+/// Upper bound on the quantile bins of a continuous attribute.
+pub(crate) const MAX_BINS: usize = 24;
+/// Share of the (subsampled) training rows held out for validation.
+pub(crate) const VAL_FRACTION: f64 = 0.1;
+/// Global gradient norm every step is clipped to before Adam applies it.
+pub(crate) const CLIP_NORM: f32 = 5.0;
+/// Tuple factors are clamped to this maximum token.
+pub(crate) const TF_CAP: i64 = 64;
+/// Per-row cap on fan-out evidence set sizes.
+pub(crate) const MAX_SET_SIZE: usize = 12;
+/// Early-stopping patience: epochs without validation improvement.
+pub(crate) const PATIENCE: usize = 10;
 
 /// What a model attribute represents.
 #[derive(Clone, Debug, PartialEq)]
@@ -216,7 +218,7 @@ impl CompletionModel {
         self.deepsets.is_some()
     }
 
-    pub fn num_parameters(&self) -> usize {
+    pub(crate) fn num_parameters(&self) -> usize {
         self.store.num_scalars()
     }
 
@@ -236,7 +238,7 @@ impl CompletionModel {
     }
 
     /// Attr range holding the columns of path table `idx`.
-    pub fn table_attr_range(&self, idx: usize) -> Range<usize> {
+    pub(crate) fn table_attr_range(&self, idx: usize) -> Range<usize> {
         self.table_ranges[idx].clone()
     }
 
@@ -402,7 +404,7 @@ impl CompletionModel {
             let table = db.table(tname)?;
             let start = attrs.len();
             for col in modeled_columns(table) {
-                let encoder = AttrEncoder::fit(table.column_by_name(&col)?, cfg.max_bins);
+                let encoder = AttrEncoder::fit(table.column_by_name(&col)?, MAX_BINS);
                 attrs.push(ModelAttr {
                     kind: AttrKind::Column {
                         table: tname.clone(),
@@ -418,7 +420,7 @@ impl CompletionModel {
                     // Tuple factor of this step, fit on known factors.
                     let parent = db.table(&step.fk.parent)?;
                     let known = Self::known_tf_values(db, parent, step)?;
-                    let encoder = AttrEncoder::fit_tuple_factor(known, cfg.tf_cap);
+                    let encoder = AttrEncoder::fit_tuple_factor(known, TF_CAP);
                     tf_attrs[i] = Some(attrs.len());
                     attrs.push(ModelAttr {
                         kind: AttrKind::TupleFactor { step: i },
@@ -437,7 +439,7 @@ impl CompletionModel {
         // ---- SSAR context (decided before the network: a path without
         // fan-out evidence degrades to a plain AR model) -------------------
         let ctx = if cfg.is_ssar() {
-            build_ctx_tables(db, annotation, path, cfg)?
+            build_ctx_tables(db, annotation, path)?
         } else {
             Vec::new()
         };
@@ -524,12 +526,11 @@ impl CompletionModel {
             order.swap(i, rng.random_range(0..=i));
         }
         order.truncate(self.cfg.max_train_rows.max(16));
-        let n_val =
-            ((order.len() as f64 * self.cfg.val_fraction) as usize).clamp(1, order.len() / 2 + 1);
+        let n_val = ((order.len() as f64 * VAL_FRACTION) as usize).clamp(1, order.len() / 2 + 1);
         let val_rows: Vec<usize> = order.split_off(order.len() - n_val);
         let train_rows = order;
 
-        let mut adam = Adam::new(&self.store, self.cfg.lr);
+        let mut adam = Adam::new(&self.store, LR);
         // The engine's tapes and gradient-buffer pool live for the whole
         // training run: after the first epoch every step reuses its arenas.
         let mut engine = TrainEngine::new(workers);
@@ -569,7 +570,7 @@ impl CompletionModel {
                 stale = 0;
             } else {
                 stale += 1;
-                if stale >= self.cfg.patience {
+                if stale >= PATIENCE {
                     break;
                 }
             }
@@ -633,7 +634,6 @@ impl CompletionModel {
         let made = &self.made;
         let deepsets = self.deepsets.as_ref();
         let ctx_tables = &self.ctx;
-        let max_set_size = self.cfg.max_set_size;
 
         let loss_sum = engine.step(
             &mut self.store,
@@ -643,13 +643,7 @@ impl CompletionModel {
                 let (btoks, bweights) = gather_batch(tokens, weights, chunk);
                 let arc_toks: Vec<Arc<Vec<u32>>> = btoks.iter().cloned().map(Arc::new).collect();
                 let set_batch = match deepsets {
-                    Some(_) => Some(assemble_set_batch(
-                        ctx_tables,
-                        max_set_size,
-                        join,
-                        chunk,
-                        true,
-                    )?),
+                    Some(_) => Some(assemble_set_batch(ctx_tables, join, chunk, true)?),
                     None => None,
                 };
                 let mut f = tape.ctx(store);
@@ -669,7 +663,7 @@ impl CompletionModel {
                 Ok(sums.loss_sum)
             },
         )?;
-        self.store.clip_grad_norm(self.cfg.clip_norm);
+        self.store.clip_grad_norm(CLIP_NORM);
         adam.step(&mut self.store);
         Ok((loss_sum / w_total) as f32)
     }
@@ -711,7 +705,7 @@ impl CompletionModel {
         rows: &[usize],
         exclude_self: bool,
     ) -> CoreResult<SetBatch> {
-        assemble_set_batch(&self.ctx, self.cfg.max_set_size, join, rows, exclude_self)
+        assemble_set_batch(&self.ctx, join, rows, exclude_self)
     }
 
     /// Encodes the columns of a (partial) completed join into model tokens.
@@ -729,7 +723,7 @@ impl CompletionModel {
     /// encoding cache, which re-encodes only the attributes a synthesis step
     /// actually changed, and of the §6 conditionals, which encode only the
     /// rows they evaluate.
-    pub fn encode_attr_column(
+    pub(crate) fn encode_attr_column(
         &self,
         join: &Table,
         tf_values: &[Vec<Option<i64>>],
@@ -843,7 +837,7 @@ impl CompletionModel {
     /// [`CompletionModel::sample_table_columns_encoded`] over a
     /// caller-owned session (see
     /// [`CompletionModel::tf_expectations_encoded_in`]): the decoding
-    /// wrapper of [`CompletionModel::sample_table_tokens_in`].
+    /// wrapper of `CompletionModel::sample_table_tokens_in`.
     pub fn sample_table_columns_encoded_in(
         &self,
         session: &mut InferenceSession,
@@ -927,7 +921,7 @@ impl CompletionModel {
     /// chunk's distributions handed over before the next is evaluated. A
     /// row's distribution is a function of that row's tokens and evidence
     /// sets and nothing else, so the chunking cannot change a bit of it.
-    pub fn conditional_dists(
+    pub(crate) fn conditional_dists(
         &self,
         join: &Table,
         tf_values: &[Vec<Option<i64>>],
@@ -1007,7 +1001,7 @@ impl CompletionModel {
 
     /// Marginal (training-data) distribution of an attribute — the
     /// `P_incomplete` of the §6 certainty computation.
-    pub fn training_marginal(&self, db: &Database, attr_idx: usize) -> CoreResult<Vec<f32>> {
+    pub(crate) fn training_marginal(&self, db: &Database, attr_idx: usize) -> CoreResult<Vec<f32>> {
         let attr = &self.attrs[attr_idx];
         let AttrKind::Column { table, column } = &attr.kind else {
             return Err(CoreError::Invalid(
@@ -1046,7 +1040,6 @@ impl CompletionModel {
 /// disjointly from the parameter store.
 fn assemble_set_batch(
     ctx: &[CtxTable],
-    max_set_size: usize,
     join: &Table,
     rows: &[usize],
     exclude_self: bool,
@@ -1076,7 +1069,7 @@ fn assemble_set_batch(
                 let self_id = self_id_idx.map(|i| join.value(r, i));
                 let mut taken = 0usize;
                 for &m in members {
-                    if taken >= max_set_size {
+                    if taken >= MAX_SET_SIZE {
                         break;
                     }
                     if let (Some(sid), Some(ids)) = (&self_id, &ct.row_ids) {
@@ -1219,7 +1212,6 @@ fn build_ctx_tables(
     db: &Database,
     annotation: &SchemaAnnotation,
     path: &CompletionPath,
-    cfg: &TrainConfig,
 ) -> CoreResult<Vec<CtxTable>> {
     let mut out = Vec::new();
     let mut candidates: Vec<(String, String, restore_db::PathStep, bool)> = Vec::new();
@@ -1259,7 +1251,7 @@ fn build_ctx_tables(
         }
         let encoders: Vec<AttrEncoder> = columns
             .iter()
-            .map(|c| Ok(AttrEncoder::fit(table.column_by_name(c)?, cfg.max_bins)))
+            .map(|c| Ok(AttrEncoder::fit(table.column_by_name(c)?, MAX_BINS)))
             .collect::<CoreResult<_>>()?;
         // Pre-encode all rows.
         let tokens: Vec<Vec<u32>> = (columns.iter().zip(&encoders))

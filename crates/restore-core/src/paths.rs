@@ -41,21 +41,17 @@ impl CompletionPath {
         &self.steps
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.tables.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
-    }
-
     /// The evidence root `T1`.
-    pub fn root(&self) -> &str {
+    pub(crate) fn root(&self) -> &str {
         &self.tables[0]
     }
 
     /// The completed table `Tm`.
-    pub fn target(&self) -> &str {
+    pub(crate) fn target(&self) -> &str {
         self.tables.last().unwrap()
     }
 
@@ -63,13 +59,6 @@ impl CompletionPath {
     /// `neighborhood→apartment`.
     pub fn describe(&self) -> String {
         self.tables.join("→")
-    }
-
-    /// Extends the path by appending `table` (must connect to the last).
-    pub fn extend(&self, db: &Database, table: &str) -> DbResult<Self> {
-        let mut tables = self.tables.clone();
-        tables.push(table.to_string());
-        Self::from_tables(db, &tables)
     }
 }
 
@@ -222,15 +211,5 @@ mod tests {
         let ann = SchemaAnnotation::with_incomplete(["director"]);
         let paths = enumerate_paths(&db, &ann, "director", 3);
         assert!(paths.iter().all(|p| p.len() <= 3));
-    }
-
-    #[test]
-    fn extend_appends_connected_table() {
-        let db = movie_like_db();
-        let p =
-            CompletionPath::from_tables(&db, &["company".into(), "movie_company".into()]).unwrap();
-        let q = p.extend(&db, "movie").unwrap();
-        assert_eq!(q.target(), "movie");
-        assert!(p.extend(&db, "director").is_err());
     }
 }

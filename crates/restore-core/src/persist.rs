@@ -44,16 +44,21 @@ use restore_util::{fnv1a64, write_atomic};
 
 use crate::annotation::SchemaAnnotation;
 use crate::cache::JoinCache;
-use crate::completion::{CompleterConfig, ReplacementMode};
+use crate::completion::{
+    CompleterConfig, ReplacementMode, ANN_BITS, ANN_TABLES, MAX_MISSING_PER_ROW,
+};
 use crate::error::CoreError;
-use crate::model::{CompletionModel, RehydratedStats, TrainConfig};
+use crate::model::{
+    CompletionModel, RehydratedStats, TrainConfig, CLIP_NORM, LR, MAX_BINS, MAX_SET_SIZE, PATIENCE,
+    TF_CAP, VAL_FRACTION,
+};
 use crate::paths::CompletionPath;
 use crate::restore::RestoreConfig;
 use crate::selection::{BiasDirection, SelectionStrategy, SuspectedBias};
-use crate::snapshot::Snapshot;
+use crate::snapshot::{Snapshot, MAX_PATH_LEN};
 
 /// File magic of snapshot files.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"RSTRSNAP";
+pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"RSTRSNAP";
 /// Current format version. Bump on ANY layout change — the loader refuses
 /// other versions rather than misreading them.
 pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
@@ -736,25 +741,54 @@ fn suspected_from_json(meta: &JsonValue) -> Result<Vec<SuspectedBias>, PersistEr
         .collect()
 }
 
+// Options that became constants. v1 files written before carry them as
+// keys: the writer no longer emits them, and the reader accepts each only
+// at its constant's value, so such a file still serves what it was built
+// to serve.
+const RETIRED_TRAIN_KEYS: [(&str, f64); 7] = [
+    ("lr", LR as f64),
+    ("max_bins", MAX_BINS as f64),
+    ("val_fraction", VAL_FRACTION),
+    ("clip_norm", CLIP_NORM as f64),
+    ("tf_cap", TF_CAP as f64),
+    ("max_set_size", MAX_SET_SIZE as f64),
+    ("patience", PATIENCE as f64),
+];
+const RETIRED_COMPLETER_KEYS: [(&str, f64); 3] = [
+    ("ann_bits", ANN_BITS as f64),
+    ("ann_tables", ANN_TABLES as f64),
+    ("max_missing_per_row", MAX_MISSING_PER_ROW as f64),
+];
+const RETIRED_CONFIG_KEYS: [(&str, f64); 1] = [("max_path_len", MAX_PATH_LEN as f64)];
+
+/// Refuses a meta object whose retired key holds anything but the constant
+/// that replaced it; an absent key is what this build writes.
+fn check_retired(v: &JsonValue, retired: &[(&str, f64)]) -> Result<(), PersistError> {
+    for &(key, value) in retired {
+        if let Some(x) = v.get(key) {
+            if x.as_f64() != Some(value) {
+                return Err(corrupt(format!(
+                    "meta field {key:?} is {}, but this build only runs with {value}",
+                    x.to_json()
+                )));
+            }
+        }
+    }
+    Ok(())
+}
+
 fn train_to_json(t: &TrainConfig) -> JsonValue {
     obj(vec![
         ("epochs", jus(t.epochs)),
         ("batch_size", jus(t.batch_size)),
-        ("lr", jnum(t.lr as f64)),
         (
             "hidden",
             JsonValue::Arr(t.hidden.iter().map(|&h| jus(h)).collect()),
         ),
         ("embed_dim", jus(t.embed_dim)),
-        ("max_bins", jus(t.max_bins)),
-        ("val_fraction", jnum(t.val_fraction)),
-        ("clip_norm", jnum(t.clip_norm as f64)),
         ("max_train_rows", jus(t.max_train_rows)),
-        ("tf_cap", jnum(t.tf_cap as f64)),
         ("ctx_dim", jus(t.ctx_dim)),
-        ("max_set_size", jus(t.max_set_size)),
         ("min_steps", jus(t.min_steps)),
-        ("patience", jus(t.patience)),
         ("workers", jus(t.workers)),
         ("microbatch", jus(t.microbatch)),
     ])
@@ -764,24 +798,18 @@ fn train_to_json(t: &TrainConfig) -> JsonValue {
 // `incremental_sweep` / `incremental_encoding` options still existed load
 // unchanged: nothing reads those two keys any more.
 fn train_from_json(v: &JsonValue) -> Result<TrainConfig, PersistError> {
+    check_retired(v, &RETIRED_TRAIN_KEYS)?;
     Ok(TrainConfig {
         epochs: usize_field(v, "epochs")?,
         batch_size: usize_field(v, "batch_size")?,
-        lr: num_field(v, "lr")? as f32,
         hidden: arr(v, "hidden")?
             .iter()
             .map(|h| json_usize(h, "hidden layer width"))
             .collect::<Result<_, _>>()?,
         embed_dim: usize_field(v, "embed_dim")?,
-        max_bins: usize_field(v, "max_bins")?,
-        val_fraction: num_field(v, "val_fraction")?,
-        clip_norm: num_field(v, "clip_norm")? as f32,
         max_train_rows: usize_field(v, "max_train_rows")?,
-        tf_cap: num_field(v, "tf_cap")? as i64,
         ctx_dim: usize_field(v, "ctx_dim")?,
-        max_set_size: usize_field(v, "max_set_size")?,
         min_steps: usize_field(v, "min_steps")?,
-        patience: usize_field(v, "patience")?,
         workers: usize_field(v, "workers")?,
         microbatch: usize_field(v, "microbatch")?,
     })
@@ -789,9 +817,6 @@ fn train_from_json(v: &JsonValue) -> Result<TrainConfig, PersistError> {
 
 fn completer_to_json(c: &CompleterConfig) -> JsonValue {
     obj(vec![
-        ("ann_bits", jus(c.ann_bits)),
-        ("ann_tables", jus(c.ann_tables)),
-        ("max_missing_per_row", jnum(c.max_missing_per_row as f64)),
         (
             "replacement",
             jstr(match c.replacement {
@@ -806,10 +831,8 @@ fn completer_to_json(c: &CompleterConfig) -> JsonValue {
 }
 
 fn completer_from_json(v: &JsonValue) -> Result<CompleterConfig, PersistError> {
+    check_retired(v, &RETIRED_COMPLETER_KEYS)?;
     Ok(CompleterConfig {
-        ann_bits: usize_field(v, "ann_bits")?,
-        ann_tables: usize_field(v, "ann_tables")?,
-        max_missing_per_row: num_field(v, "max_missing_per_row")? as i64,
         replacement: match str_field(v, "replacement")? {
             "auto" => ReplacementMode::Auto,
             "always" => ReplacementMode::Always,
@@ -825,7 +848,6 @@ fn config_to_json(c: &RestoreConfig) -> JsonValue {
     obj(vec![
         ("train", train_to_json(&c.train)),
         ("completer", completer_to_json(&c.completer)),
-        ("max_path_len", jus(c.max_path_len)),
         ("max_candidates", jus(c.max_candidates)),
         (
             "strategy",
@@ -839,10 +861,10 @@ fn config_to_json(c: &RestoreConfig) -> JsonValue {
 }
 
 fn config_from_json(v: &JsonValue) -> Result<RestoreConfig, PersistError> {
+    check_retired(v, &RETIRED_CONFIG_KEYS)?;
     Ok(RestoreConfig {
         train: train_from_json(field(v, "train")?)?,
         completer: completer_from_json(field(v, "completer")?)?,
-        max_path_len: usize_field(v, "max_path_len")?,
         max_candidates: usize_field(v, "max_candidates")?,
         strategy: match str_field(v, "strategy")? {
             // Retired name, read only. Serving never honoured it, so the
@@ -864,7 +886,6 @@ mod tests {
         let cfg = RestoreConfig::default();
         let back = config_from_json(&config_to_json(&cfg)).unwrap();
         assert_eq!(back.train.epochs, cfg.train.epochs);
-        assert_eq!(back.train.lr.to_bits(), cfg.train.lr.to_bits());
         assert_eq!(back.train.hidden, cfg.train.hidden);
         assert_eq!(back.completer.batch_size, cfg.completer.batch_size);
         assert_eq!(back.cache_budget_bytes, cfg.cache_budget_bytes);
@@ -876,19 +897,6 @@ mod tests {
         let back = config_from_json(&parse(&old).unwrap()).unwrap();
         assert_eq!(back.strategy, SelectionStrategy::BestValLoss);
         assert_eq!(back.max_candidates, cfg.max_candidates);
-    }
-
-    #[test]
-    fn train_json_preserves_f32_bits() {
-        let t = TrainConfig {
-            lr: 5.1234e-3,
-            clip_norm: 3.333,
-            ..TrainConfig::default()
-        };
-        let doc = train_to_json(&t).to_json();
-        let back = train_from_json(&parse(&doc).unwrap()).unwrap();
-        assert_eq!(back.lr.to_bits(), t.lr.to_bits());
-        assert_eq!(back.clip_norm.to_bits(), t.clip_norm.to_bits());
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::sync::{Arc, RwLock};
 use crate::snapshot::Snapshot;
 
 /// The immutable registry generation a request resolves against.
-pub type RegistryView = Arc<HashMap<String, Arc<Snapshot>>>;
+pub(crate) type RegistryView = Arc<HashMap<String, Arc<Snapshot>>>;
 
 /// A swappable map of tenant → sealed snapshot. All methods take `&self`;
 /// share the registry itself behind an `Arc` across server threads.
@@ -89,14 +89,6 @@ impl SnapshotRegistry {
         names.sort();
         names
     }
-
-    pub fn len(&self) -> usize {
-        self.read().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.read().is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -112,12 +104,12 @@ mod tests {
     #[test]
     fn publish_get_retire_lifecycle() {
         let reg = SnapshotRegistry::new();
-        assert!(reg.is_empty());
+        assert!(reg.tenants().is_empty());
         assert!(reg.get("a").is_none());
 
         let v1 = empty_snapshot(1);
         assert!(reg.publish("a", Arc::clone(&v1)).is_none());
-        assert_eq!(reg.len(), 1);
+        assert_eq!(reg.tenants(), ["a"]);
         assert!(Arc::ptr_eq(&reg.get("a").unwrap(), &v1));
 
         let v2 = empty_snapshot(2);

@@ -44,8 +44,6 @@ use crate::snapshot::{candidate_chains, candidate_paths, Snapshot};
 pub struct RestoreConfig {
     pub train: TrainConfig,
     pub completer: CompleterConfig,
-    /// Maximum completion-path length (tables); the movie setups need 5.
-    pub max_path_len: usize,
     /// Candidate completion paths per incomplete table, shortest first (at
     /// least one): what [`ReStore::train`] trains and ranks and what a
     /// snapshot picks among per query. `1` is "the shortest path only".
@@ -65,7 +63,6 @@ impl Default for RestoreConfig {
         Self {
             train: TrainConfig::default(),
             completer: CompleterConfig::default(),
-            max_path_len: 5,
             max_candidates: 3,
             strategy: SelectionStrategy::default(),
             cache_budget_bytes: 1 << 30,
@@ -126,10 +123,6 @@ impl ReStore {
 
     pub fn db(&self) -> &Database {
         &self.db
-    }
-
-    pub fn annotation(&self) -> &SchemaAnnotation {
-        &self.annotation
     }
 
     /// Annotates a table as incomplete (§2.2, step 1). A model is a
@@ -267,7 +260,7 @@ impl ReStore {
 
     /// Returns (training on demand) the model for an exact path: the one
     /// trainer, `models_for_paths`, asked for one chain.
-    pub fn model_for_path(
+    pub(crate) fn model_for_path(
         &mut self,
         tables: &[String],
         seed: u64,
@@ -344,33 +337,6 @@ impl ReStore {
     /// Candidate completion paths for an incomplete table.
     pub fn candidate_paths(&self, table: &str) -> Vec<CompletionPath> {
         candidate_paths(&self.db, &self.annotation, &self.config, table)
-    }
-
-    /// The build half of §4.5 offline completion: without workload
-    /// knowledge, trains the model of every joinable (complete evidence,
-    /// incomplete target) pair, so any single-table or two-table query is
-    /// servable, and returns the pairs' chains. Completing them ahead of
-    /// the first query is [`Snapshot::complete_join`] per chain on the
-    /// sealed snapshot. Pairs whose model fails to train are left out.
-    pub fn train_pair_models(&mut self, seed: u64) -> CoreResult<Vec<Vec<String>>> {
-        let mut chains = Vec::new();
-        for target in self.annotation.incomplete_tables() {
-            if modeled_columns(self.db.table(target)?).is_empty() {
-                continue;
-            }
-            for step in self.db.neighbors(target) {
-                // The evidence side is the FK neighbor; it must be complete.
-                if self.annotation.is_complete(step.to_table()) {
-                    chains.push(vec![step.to_table().to_string(), target.to_string()]);
-                }
-            }
-        }
-        let trained = self.models_for_paths(&chains, seed);
-        let kept = chains
-            .into_iter()
-            .zip(trained)
-            .filter(|(_, model)| model.is_ok());
-        Ok(kept.map(|(chain, _)| chain).collect())
     }
 
     /// Trains (on demand) the models for every candidate execution chain
@@ -508,25 +474,6 @@ mod tests {
         let h1 = snap.full_cache_stats().hits;
         assert_eq!(a, b, "cached completion must give identical answers");
         assert!(h1 > h0, "second query must hit the cache");
-    }
-
-    #[test]
-    fn precompute_pairs_fills_the_cache() {
-        let (_, mut rs) = restore_on_synthetic(56);
-        let chains = rs.train_pair_models(56).unwrap();
-        let pair = vec!["ta".to_string(), "tb".to_string()];
-        assert_eq!(chains, [pair], "the only (complete, incomplete) pair");
-        let snap = rs.seal(56);
-        for chain in &chains {
-            snap.complete_join(chain).unwrap();
-        }
-        // The subsequent query hits the cache instead of re-completing.
-        let before = snap.full_cache_stats();
-        let q = Query::new(["ta", "tb"]).aggregate(Agg::CountStar);
-        snap.execute(&q, 56).unwrap();
-        let after = snap.full_cache_stats();
-        assert!(after.hits > before.hits, "must hit the cache");
-        assert_eq!(after.misses, before.misses, "must not synthesize");
     }
 
     #[test]

@@ -96,11 +96,6 @@ impl Snapshot {
         self.serve_seed
     }
 
-    /// Suspected-bias hints frozen into this snapshot at build time.
-    pub fn suspected_biases(&self) -> &[SuspectedBias] {
-        &self.suspected
-    }
-
     /// Cache counters (§4.5 instrumentation), single-flight waits and
     /// evictions included.
     pub fn full_cache_stats(&self) -> CacheStats {
@@ -301,6 +296,11 @@ impl Snapshot {
     }
 }
 
+/// Maximum completion-path length in tables; the movie setups need 5.
+/// Snapshot files written while it was a `RestoreConfig` field still carry
+/// it as a key; the loader accepts the key only at this value.
+pub(crate) const MAX_PATH_LEN: usize = 5;
+
 /// The candidate completion paths of an incomplete table: the one list
 /// behind what [`ReStore::train`](crate::ReStore::train) trains and ranks
 /// and what [`candidate_chains`] extends.
@@ -310,7 +310,7 @@ pub(crate) fn candidate_paths(
     config: &RestoreConfig,
     target: &str,
 ) -> Vec<CompletionPath> {
-    let mut paths = enumerate_paths(db, annotation, target, config.max_path_len);
+    let mut paths = enumerate_paths(db, annotation, target, MAX_PATH_LEN);
     paths.truncate(config.max_candidates.max(1));
     paths
 }

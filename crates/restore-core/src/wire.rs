@@ -227,7 +227,7 @@ fn arith_op_from(name: &str) -> Result<ArithOp, WireError> {
 }
 
 /// Renders a filter expression tree.
-pub fn expr_to_wire(e: &Expr) -> String {
+pub(crate) fn expr_to_wire(e: &Expr) -> String {
     match e {
         Expr::Col(name) => format!("{{\"col\":\"{}\"}}", escape(name)),
         Expr::Lit(v) => format!("{{\"lit\":{}}}", value_to_wire(v)),
@@ -262,7 +262,7 @@ fn binary_pair(v: &JsonValue, what: &str) -> Result<(Expr, Expr), WireError> {
 
 /// Parses a filter expression tree. One call per JSON level, so the
 /// parser's nesting bound bounds this recursion too.
-pub fn expr_from_wire(v: &JsonValue) -> Result<Expr, WireError> {
+pub(crate) fn expr_from_wire(v: &JsonValue) -> Result<Expr, WireError> {
     let fields = v.fields();
     if fields.len() != 1 {
         return err("expressions are single-key objects like {\"col\": …}");
@@ -309,7 +309,7 @@ pub fn expr_from_wire(v: &JsonValue) -> Result<Expr, WireError> {
 }
 
 /// Renders an aggregate spec.
-pub fn agg_to_wire(agg: &Agg) -> String {
+pub(crate) fn agg_to_wire(agg: &Agg) -> String {
     match agg {
         Agg::CountStar => "{\"fn\":\"count_star\"}".to_string(),
         Agg::Count(c) => format!("{{\"fn\":\"count\",\"col\":\"{}\"}}", escape(c)),
@@ -321,7 +321,7 @@ pub fn agg_to_wire(agg: &Agg) -> String {
 }
 
 /// Parses an aggregate spec.
-pub fn agg_from_wire(v: &JsonValue) -> Result<Agg, WireError> {
+pub(crate) fn agg_from_wire(v: &JsonValue) -> Result<Agg, WireError> {
     let Some(name) = v.get("fn").and_then(JsonValue::as_str) else {
         return err("aggregates look like {\"fn\": \"avg\", \"col\": …}");
     };
@@ -433,7 +433,7 @@ pub fn query_response_json(result: &QueryResult, ci: Option<&ConfidenceInterval>
 }
 
 /// Renders a [`ConfidenceInterval`].
-pub fn confidence_interval_json(ci: &ConfidenceInterval) -> String {
+pub(crate) fn confidence_interval_json(ci: &ConfidenceInterval) -> String {
     let theoretical = match ci.theoretical {
         Some((lo, hi)) => format!("[{},{}]", lo.to_json(), hi.to_json()),
         None => "null".to_string(),

@@ -7,27 +7,28 @@
 //! cross-table correlations (documented per generator), plus the machinery
 //! that derives incomplete databases from them:
 //!
-//! * [`synthetic`] — the Exp. 1 dataset with controllable predictability,
-//!   skew, and fan-out predictability;
-//! * [`housing`] / [`movies`] — the two "real-world" schemas;
-//! * [`removal`] — systematic biased removal (keep rate, removal
+//! * [`generate_synthetic`] — the Exp. 1 dataset with controllable
+//!   predictability, skew, and fan-out predictability;
+//! * [`housing::generate_housing`] / [`generate_movies`] — the two
+//!   "real-world" schemas;
+//! * [`apply_removal`] — systematic biased removal (keep rate, removal
 //!   correlation, tuple-factor keep rate, cascades);
-//! * [`setups`] — the ten completion setups H1–H5 / M1–M5 of Fig. 4c.
+//! * [`all_setups`] — the ten completion setups H1–H5 / M1–M5 of Fig. 4c.
+//!
+//! Every item here is exported from the crate root, except `housing`,
+//! whose module path callers name.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod housing;
-pub mod movies;
-pub mod removal;
-pub mod setups;
-pub mod synthetic;
-pub mod zipf;
+mod movies;
+mod removal;
+mod setups;
+mod synthetic;
+mod zipf;
 
-pub use removal::{
-    apply_removal, most_frequent_value, tf_column_name, BiasKind, BiasSpec, RemovalConfig, Scenario,
-};
-pub use setups::{
-    all_setups, build_scenario, housing_setups, movie_setups, setup_by_id, DatasetKind, Setup,
-};
+pub use movies::{generate_movies, MoviesConfig};
+pub use removal::{apply_removal, most_frequent_value, BiasSpec, RemovalConfig, Scenario};
+pub use setups::{all_setups, build_scenario, setup_by_id, Setup};
 pub use synthetic::{generate_synthetic, SyntheticConfig};
-pub use zipf::Zipf;

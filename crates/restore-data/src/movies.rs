@@ -33,7 +33,7 @@ pub struct MoviesConfig {
 }
 
 impl MoviesConfig {
-    pub fn small() -> Self {
+    pub(crate) fn small() -> Self {
         Self {
             n_movies: 2000,
             n_directors: 500,

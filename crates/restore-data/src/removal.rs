@@ -102,7 +102,7 @@ pub struct Scenario {
 
 /// Name of the tuple-factor metadata column a parent table carries for an
 /// incomplete child (`TFApartments` in Fig. 1a).
-pub fn tf_column_name(child_table: &str) -> String {
+pub(crate) fn tf_column_name(child_table: &str) -> String {
     format!("__tf_{child_table}")
 }
 

@@ -31,7 +31,7 @@ pub struct Setup {
 const MOVIE_LINKS: [&str; 3] = ["movie_company", "movie_actor", "movie_director"];
 
 /// The five housing setups H1–H5 (Fig. 4c, upper block).
-pub fn housing_setups() -> Vec<Setup> {
+pub(crate) fn housing_setups() -> Vec<Setup> {
     let mk = |id, bias| Setup {
         id,
         dataset: DatasetKind::Housing,
@@ -53,7 +53,7 @@ pub fn housing_setups() -> Vec<Setup> {
 }
 
 /// The five movies setups M1–M5 (Fig. 4c, lower block).
-pub fn movie_setups() -> Vec<Setup> {
+pub(crate) fn movie_setups() -> Vec<Setup> {
     let mk = |id, bias, extra: Vec<(&'static str, f64)>| Setup {
         id,
         dataset: DatasetKind::Movies,

@@ -8,12 +8,12 @@ use rand::Rng;
 /// `s = 0` degenerates to the uniform distribution; larger `s` concentrates
 /// mass on small indices (the paper sweeps `zipf(1.0)`–`zipf(3.0)`).
 #[derive(Clone, Debug)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     cdf: Vec<f64>,
 }
 
 impl Zipf {
-    pub fn new(n: usize, s: f64) -> Self {
+    pub(crate) fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "zipf needs a non-empty domain");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
@@ -28,16 +28,10 @@ impl Zipf {
         Self { cdf }
     }
 
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
-    /// Probability of index `k`.
-    pub fn pmf(&self, k: usize) -> f64 {
+    /// Probability of index `k` — the reference the sampling tests compare
+    /// against.
+    #[cfg(test)]
+    fn pmf(&self, k: usize) -> f64 {
         if k == 0 {
             self.cdf[0]
         } else {
@@ -45,7 +39,7 @@ impl Zipf {
         }
     }
 
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.random();
         // Binary search the CDF.
         match self.cdf.binary_search_by(|p| p.partial_cmp(&u).unwrap()) {

@@ -31,7 +31,7 @@ impl Dictionary {
         code
     }
 
-    pub fn lookup(&self, s: &str) -> Option<u32> {
+    pub(crate) fn lookup(&self, s: &str) -> Option<u32> {
         self.index.get(s).copied()
     }
 

@@ -84,10 +84,6 @@ impl Expr {
         Expr::Cmp(Box::new(self), CmpOp::Lt, Box::new(rhs))
     }
 
-    pub fn le(self, rhs: Expr) -> Expr {
-        Expr::Cmp(Box::new(self), CmpOp::Le, Box::new(rhs))
-    }
-
     pub fn gt(self, rhs: Expr) -> Expr {
         Expr::Cmp(Box::new(self), CmpOp::Gt, Box::new(rhs))
     }
@@ -113,7 +109,7 @@ impl Expr {
     /// under a view (names then resolve among its visible columns): the
     /// `Value` interpreter, which is the semantics of record —
     /// [`Expr::select`] is tested against it.
-    pub fn eval<'a>(&self, view: impl Into<TableView<'a>>, row: usize) -> DbResult<Value> {
+    pub(crate) fn eval<'a>(&self, view: impl Into<TableView<'a>>, row: usize) -> DbResult<Value> {
         let view = view.into();
         Ok(match self {
             Expr::Col(name) => view.table.value(row, view.resolve(name)?),

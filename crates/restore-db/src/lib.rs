@@ -3,33 +3,36 @@
 //! An in-memory relational engine purpose-built for the ReStore
 //! reproduction:
 //!
-//! * typed, nullable, dictionary-encoded columnar storage
-//!   ([`column::Column`], [`table::Table`]);
-//! * a catalog with a foreign-key **schema graph** ([`schema::Database`]) —
+//! * typed, nullable, dictionary-encoded columnar storage ([`Column`],
+//!   [`Table`]);
+//! * a catalog with a foreign-key **schema graph** ([`Database`]) —
 //!   completion paths and acyclic walks are paths in this graph;
-//! * scalar expressions for filter predicates ([`expr::Expr`]);
-//! * hash equi-joins with row provenance ([`query::join`]) — the
+//! * scalar expressions for filter predicates ([`Expr`]);
+//! * hash equi-joins with row provenance ([`hash_join`]) — the
 //!   incompleteness join needs to know which evidence rows lack partners;
-//! * grouped aggregation and an SPJA executor ([`query`]), including
-//!   [`query::execute_on_join`] for running a query tail over a *completed*
-//!   join produced by ReStore.
+//! * grouped aggregation and an SPJA executor ([`execute`]), including
+//!   [`execute_on_join`] for running a query tail over a *completed* join
+//!   produced by ReStore.
+//!
+//! Items are exported from the crate root; `query::executor` stays a
+//! public module path because callers name `join_tables` through it.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod column;
-pub mod error;
-pub mod expr;
+mod column;
+mod error;
+mod expr;
 pub mod query;
-pub mod schema;
-pub mod table;
-pub mod value;
+mod schema;
+mod table;
+mod value;
 
 pub use column::{Column, Dictionary};
 pub use error::{DbError, DbResult};
 pub use expr::{ArithOp, CmpOp, Expr};
 pub use query::{
-    aggregate, execute, execute_on_join, hash_join, partner_counts, Agg, JoinOutput, Query,
-    QueryResult,
+    aggregate, execute, execute_on_join, hash_join, partner_counts, Agg, Query, QueryResult,
 };
 pub use schema::{Database, ForeignKey, PathStep};
 pub use table::{Field, Table, TableView};

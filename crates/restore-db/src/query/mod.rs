@@ -8,13 +8,13 @@
 //! provided (e.g. *completed*) join — which is how ReStore answers queries
 //! after an incompleteness join.
 
-pub mod aggregate;
+mod aggregate;
 pub mod executor;
-pub mod join;
+mod join;
 
 pub use aggregate::{aggregate, Agg};
 pub use executor::{execute, execute_on_join, QueryResult};
-pub use join::{hash_join, partner_counts, JoinOutput};
+pub use join::{hash_join, partner_counts};
 
 use crate::expr::Expr;
 

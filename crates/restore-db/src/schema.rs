@@ -1,9 +1,9 @@
 //! The database catalog: tables plus the foreign-key schema graph.
 //!
 //! ReStore's completion paths and acyclic walks (§3.3, §4) are paths in this
-//! graph, so the catalog exposes BFS path finding and neighbor enumeration.
+//! graph, so the catalog exposes FK edges and neighbor enumeration.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::BTreeMap;
 
 use crate::error::{DbError, DbResult};
 use crate::table::Table;
@@ -53,15 +53,6 @@ impl PathStep {
             &self.fk.parent
         }
     }
-
-    /// Table this step departs from.
-    pub fn from_table(&self) -> &str {
-        if self.fan_out {
-            &self.fk.parent
-        } else {
-            &self.fk.child
-        }
-    }
 }
 
 /// An in-memory database: named tables + foreign keys.
@@ -93,12 +84,6 @@ impl Database {
     pub fn table(&self, name: &str) -> DbResult<&Table> {
         self.tables
             .get(name)
-            .ok_or_else(|| DbError::UnknownTable(name.to_string()))
-    }
-
-    pub fn table_mut(&mut self, name: &str) -> DbResult<&mut Table> {
-        self.tables
-            .get_mut(name)
             .ok_or_else(|| DbError::UnknownTable(name.to_string()))
     }
 
@@ -154,51 +139,13 @@ impl Database {
         out
     }
 
-    /// Shortest FK path from `from` to `to` (BFS over the undirected schema
-    /// graph). Returns the steps to take, or an error when disconnected.
-    pub fn find_path(&self, from: &str, to: &str) -> DbResult<Vec<PathStep>> {
-        self.table(from)?;
-        self.table(to)?;
-        if from == to {
-            return Ok(Vec::new());
-        }
-        let mut prev: HashMap<String, PathStep> = HashMap::new();
-        let mut queue = VecDeque::new();
-        queue.push_back(from.to_string());
-        let mut seen: HashMap<String, bool> = HashMap::new();
-        seen.insert(from.to_string(), true);
-        while let Some(cur) = queue.pop_front() {
-            for step in self.neighbors(&cur) {
-                let nxt = step.to_table().to_string();
-                if seen.contains_key(&nxt) {
-                    continue;
-                }
-                seen.insert(nxt.clone(), true);
-                prev.insert(nxt.clone(), step);
-                if nxt == to {
-                    // Reconstruct.
-                    let mut path = Vec::new();
-                    let mut cur = to.to_string();
-                    while cur != from {
-                        let step = prev[&cur].clone();
-                        cur = step.from_table().to_string();
-                        path.push(step);
-                    }
-                    path.reverse();
-                    return Ok(path);
-                }
-                queue.push_back(nxt);
-            }
-        }
-        Err(DbError::InvalidJoin(format!(
-            "no FK path from {from} to {to}"
-        )))
-    }
-
     /// Orders `tables` into a connected join sequence: the first table, then
     /// each next table connected by an FK edge to some earlier table.
     /// Errors when the requested set is not connected in the schema graph.
-    pub fn join_order(&self, tables: &[String]) -> DbResult<Vec<(String, Option<PathStep>)>> {
+    pub(crate) fn join_order(
+        &self,
+        tables: &[String],
+    ) -> DbResult<Vec<(String, Option<PathStep>)>> {
         if tables.is_empty() {
             return Err(DbError::InvalidQuery("empty table list".into()));
         }
@@ -298,26 +245,12 @@ mod tests {
     #[test]
     fn path_direction_is_tracked() {
         let db = housing_db();
-        let path = db.find_path("neighborhood", "apartment").unwrap();
-        assert_eq!(path.len(), 1);
-        assert!(path[0].fan_out, "neighborhood->apartment is 1:n");
-        let back = db.find_path("apartment", "neighborhood").unwrap();
-        assert!(!back[0].fan_out, "apartment->neighborhood is n:1");
-    }
-
-    #[test]
-    fn multi_hop_path() {
-        let db = housing_db();
-        let path = db.find_path("landlord", "school").unwrap();
-        let tables: Vec<&str> = path.iter().map(|s| s.to_table()).collect();
-        assert_eq!(tables, vec!["apartment", "neighborhood", "school"]);
-    }
-
-    #[test]
-    fn disconnected_tables_error() {
-        let mut db = housing_db();
-        db.add_table(Table::new("island", vec![Field::new("id", DataType::Int)]));
-        assert!(db.find_path("island", "apartment").is_err());
+        let step = db.edge_between("neighborhood", "apartment").unwrap();
+        assert!(step.fan_out, "neighborhood->apartment is 1:n");
+        assert_eq!(step.to_table(), "apartment");
+        let back = db.edge_between("apartment", "neighborhood").unwrap();
+        assert!(!back.fan_out, "apartment->neighborhood is n:1");
+        assert!(db.edge_between("landlord", "school").is_none());
     }
 
     #[test]
@@ -339,11 +272,5 @@ mod tests {
             .join_order(&["landlord".into(), "school".into()])
             .is_err());
         // (landlord and school only connect through apartment+neighborhood)
-    }
-
-    #[test]
-    fn same_table_path_is_empty() {
-        let db = housing_db();
-        assert!(db.find_path("apartment", "apartment").unwrap().is_empty());
     }
 }

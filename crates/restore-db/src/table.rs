@@ -108,10 +108,6 @@ impl Table {
         &self.name
     }
 
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     pub fn fields(&self) -> &[Field] {
         &self.fields
     }
@@ -130,10 +126,6 @@ impl Table {
 
     pub fn n_cols(&self) -> usize {
         self.fields.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.n_rows == 0
     }
 
     /// Resolves a possibly qualified column reference.

@@ -41,15 +41,6 @@ impl Value {
         matches!(self, Value::Null)
     }
 
-    pub fn dtype(&self) -> Option<DataType> {
-        match self {
-            Value::Null => None,
-            Value::Int(_) => Some(DataType::Int),
-            Value::Float(_) => Some(DataType::Float),
-            Value::Str(_) => Some(DataType::Str),
-        }
-    }
-
     /// Numeric view: ints widen to floats; strings and nulls are `None`.
     pub fn as_f64(&self) -> Option<f64> {
         match self {

@@ -2,9 +2,7 @@
 //! predictability panels, lower row: skew panels) and **Fig. 5b** (training
 //! loss vs predictability).
 
-use restore_eval::experiments::exp1::{run_exp1, Exp1Config};
-use restore_eval::report::{pct, print_table, save_json};
-use restore_eval::{mean, parse_args};
+use restore_eval::{mean, parse_args, pct, print_table, run_exp1, save_json, Exp1Config};
 
 fn main() {
     let args = parse_args();

@@ -1,9 +1,7 @@
 //! Regenerates **Fig. 6** (synthetic confidence intervals at removal
 //! correlation 40%) and **Fig. 13** (appendix: all correlations).
 
-use restore_eval::experiments::confidence::run_confidence_synthetic;
-use restore_eval::parse_args;
-use restore_eval::report::{pct, print_table, save_json};
+use restore_eval::{parse_args, pct, print_table, run_confidence_synthetic, save_json};
 
 fn main() {
     let args = parse_args();

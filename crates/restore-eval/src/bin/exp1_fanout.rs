@@ -1,9 +1,7 @@
 //! Regenerates **Fig. 5c**: SSAR vs AR bias-reduction improvement as the
 //! fan-out predictability (self-evidence coherence) grows.
 
-use restore_eval::experiments::exp1::run_exp1_fanout;
-use restore_eval::parse_args;
-use restore_eval::report::{pct, print_table, save_json};
+use restore_eval::{parse_args, pct, print_table, run_exp1_fanout, save_json};
 
 fn main() {
     let args = parse_args();

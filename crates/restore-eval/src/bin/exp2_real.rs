@@ -2,9 +2,7 @@
 //! corrections) for the ten real-world completion setups H1–H5 / M1–M5.
 
 use restore_data::all_setups;
-use restore_eval::experiments::exp2::run_exp2;
-use restore_eval::parse_args;
-use restore_eval::report::{pct, print_table, save_json};
+use restore_eval::{parse_args, pct, print_table, run_exp2, save_json};
 
 fn main() {
     let args = parse_args();

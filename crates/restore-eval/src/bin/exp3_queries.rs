@@ -2,9 +2,7 @@
 //! error improvements per query over the sweep grid).
 
 use restore_data::all_setups;
-use restore_eval::experiments::exp3::run_exp3;
-use restore_eval::parse_args;
-use restore_eval::report::{pct, print_table, save_json};
+use restore_eval::{parse_args, pct, print_table, run_exp3, save_json};
 
 fn main() {
     let args = parse_args();

@@ -3,9 +3,7 @@
 //! selection.
 
 use restore_data::all_setups;
-use restore_eval::experiments::exp4::run_fig9;
-use restore_eval::report::{pct, print_table, save_json};
-use restore_eval::{mean, median, parse_args};
+use restore_eval::{mean, median, parse_args, pct, print_table, run_fig9, save_json};
 
 fn main() {
     let args = parse_args();

@@ -2,9 +2,7 @@
 //! (completion time per path, with and without NN replacement).
 
 use restore_data::all_setups;
-use restore_eval::experiments::exp4::run_timings;
-use restore_eval::report::{print_table, save_json, secs};
-use restore_eval::{mean, parse_args};
+use restore_eval::{mean, parse_args, print_table, run_timings, save_json, secs};
 
 fn main() {
     let args = parse_args();

@@ -1,9 +1,7 @@
 //! Regenerates **Fig. 14** (appendix): confidence intervals for the
 //! categorical attributes of the real-world setups H2, H3, M2, M3, M5.
 
-use restore_eval::experiments::confidence::run_confidence_real;
-use restore_eval::parse_args;
-use restore_eval::report::{pct, print_table, save_json};
+use restore_eval::{parse_args, pct, print_table, run_confidence_real, save_json};
 
 fn main() {
     let args = parse_args();

@@ -5,9 +5,7 @@
 
 use restore_core::{ReStore, RestoreConfig, SelectionStrategy};
 use restore_data::{build_scenario, setup_by_id};
-use restore_eval::experiments::exp3::query_error;
-use restore_eval::harness::eval_train_config;
-use restore_eval::queries::queries_for_setup;
+use restore_eval::{eval_train_config, queries_for_setup, query_error};
 
 fn main() {
     let mut setup_id = "H1".to_string();

@@ -13,7 +13,7 @@ use crate::harness::{
     complete_synthetic, eval_completer_config, eval_train_config, scenario_stat,
     synthetic_scenario, train_synthetic_model,
 };
-use crate::parallel::parallel_map;
+use restore_util::parallel_map;
 
 /// One confidence cell: predicted bounds vs the true fraction.
 #[derive(Clone, Debug)]

@@ -9,7 +9,7 @@ use crate::harness::{
     scenario_stat, synthetic_scenario, train_synthetic_model,
 };
 use crate::metrics::bias_reduction;
-use crate::parallel::parallel_map;
+use restore_util::parallel_map;
 
 /// One cell of Fig. 5a / 5b.
 #[derive(Clone, Debug)]

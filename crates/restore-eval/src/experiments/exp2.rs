@@ -13,7 +13,7 @@ use restore_data::{build_scenario, Setup};
 
 use crate::harness::{eval_completer_config, eval_train_config, stat_of};
 use crate::metrics::{bias_reduction, cardinality_correction};
-use crate::parallel::parallel_map;
+use restore_util::parallel_map;
 
 /// One cell of Fig. 7a/7b.
 #[derive(Clone, Debug)]
@@ -74,7 +74,7 @@ pub fn run_exp2(
 
 /// Runs one (setup, keep rate, removal correlation) cell, trying up to
 /// three candidate paths and keeping the best completion.
-pub fn run_exp2_cell(
+pub(crate) fn run_exp2_cell(
     setup: &Setup,
     keep: f64,
     corr: f64,

@@ -9,8 +9,8 @@ use restore_db::QueryResult;
 
 use crate::harness::{eval_completer_config, eval_train_config};
 use crate::metrics::{group_relative_error, relative_error};
-use crate::parallel::parallel_map;
 use crate::queries::queries_for_setup;
+use restore_util::parallel_map;
 
 /// One (query, keep rate, removal correlation) cell of Fig. 8.
 #[derive(Clone, Debug)]
@@ -87,7 +87,13 @@ pub fn run_exp3(
 }
 
 /// Runs both Table 1 queries of one setup on one scenario.
-pub fn run_exp3_cell(setup: &Setup, keep: f64, corr: f64, scale: f64, seed: u64) -> Vec<Exp3Cell> {
+pub(crate) fn run_exp3_cell(
+    setup: &Setup,
+    keep: f64,
+    corr: f64,
+    scale: f64,
+    seed: u64,
+) -> Vec<Exp3Cell> {
     let sc = build_scenario(setup, keep, corr, scale, seed);
     let dataset = if setup.id.starts_with('H') {
         "Housing"

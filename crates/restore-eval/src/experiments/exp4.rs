@@ -15,7 +15,7 @@ use restore_data::{build_scenario, Scenario, Setup};
 
 use crate::harness::{eval_completer_config, eval_train_config, stat_of};
 use crate::metrics::bias_reduction;
-use crate::parallel::parallel_map;
+use restore_util::parallel_map;
 
 /// One completed candidate: setup × model class × correlation → bias red.
 #[derive(Clone, Debug)]

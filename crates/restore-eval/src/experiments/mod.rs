@@ -1,7 +1,7 @@
 //! Experiment runners, one module per paper experiment.
 
-pub mod confidence;
-pub mod exp1;
-pub mod exp2;
-pub mod exp3;
-pub mod exp4;
+pub(crate) mod confidence;
+pub(crate) mod exp1;
+pub(crate) mod exp2;
+pub(crate) mod exp3;
+pub(crate) mod exp4;

@@ -22,12 +22,12 @@ static TRAIN_WORKERS: AtomicUsize = AtomicUsize::new(1);
 
 /// Sets the per-training-run worker count used by [`eval_train_config`]
 /// (`0` = one per hardware thread).
-pub fn set_train_workers(workers: usize) {
+pub(crate) fn set_train_workers(workers: usize) {
     TRAIN_WORKERS.store(workers, Ordering::Relaxed);
 }
 
 /// The current per-training-run worker count.
-pub fn train_workers() -> usize {
+pub(crate) fn train_workers() -> usize {
     TRAIN_WORKERS.load(Ordering::Relaxed)
 }
 
@@ -46,13 +46,13 @@ pub fn eval_train_config() -> TrainConfig {
 }
 
 /// SSAR variant of [`eval_train_config`].
-pub fn eval_train_config_ssar() -> TrainConfig {
+pub(crate) fn eval_train_config_ssar() -> TrainConfig {
     eval_train_config().ssar()
 }
 
 /// Builds the Exp. 1 synthetic scenario: two tables, biased removal on the
 /// most frequent `b` value.
-pub fn synthetic_scenario(
+pub(crate) fn synthetic_scenario(
     predictability: f64,
     zipf: Option<f64>,
     coherence: Option<f64>,
@@ -78,7 +78,7 @@ pub fn synthetic_scenario(
 }
 
 /// Trains the `ta → tb` completion model on a synthetic scenario.
-pub fn train_synthetic_model(
+pub(crate) fn train_synthetic_model(
     sc: &Scenario,
     train: &TrainConfig,
     seed: u64,
@@ -92,7 +92,7 @@ pub fn train_synthetic_model(
 /// fans cells out over the worker pool (`parallel_map`), so the inner
 /// sampling stays single-threaded to avoid a nested ncpu² thread blowup.
 /// Results are identical either way (worker-count invariance).
-pub fn eval_completer_config() -> CompleterConfig {
+pub(crate) fn eval_completer_config() -> CompleterConfig {
     CompleterConfig {
         workers: 1,
         ..CompleterConfig::default()
@@ -100,7 +100,7 @@ pub fn eval_completer_config() -> CompleterConfig {
 }
 
 /// Runs Algorithm 1 for a synthetic model.
-pub fn complete_synthetic(
+pub(crate) fn complete_synthetic(
     sc: &Scenario,
     model: &CompletionModel,
     completer_cfg: CompleterConfig,
@@ -113,7 +113,7 @@ pub fn complete_synthetic(
 
 /// Fraction of rows where `column == value`, or the mean of `column` when
 /// `value` is `None` — the statistic the bias-reduction metric tracks.
-pub fn stat_of(table: &Table, column: &str, value: Option<&str>) -> f64 {
+pub(crate) fn stat_of(table: &Table, column: &str, value: Option<&str>) -> f64 {
     let Ok(idx) = table.resolve(column) else {
         return f64::NAN;
     };
@@ -144,7 +144,7 @@ pub fn stat_of(table: &Table, column: &str, value: Option<&str>) -> f64 {
 /// Bias statistic of a scenario's biased attribute on an arbitrary table
 /// (complete table, incomplete table, or a completed join using qualified
 /// column names).
-pub fn scenario_stat(sc: &Scenario, table: &Table, qualified: bool) -> f64 {
+pub(crate) fn scenario_stat(sc: &Scenario, table: &Table, qualified: bool) -> f64 {
     let col = if qualified {
         format!("{}.{}", sc.bias.table, sc.bias.column)
     } else {

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 /// Relative error `|estimate − truth| / |truth|`; when the truth is zero
 /// the absolute error is returned (the paper's plots never divide by zero
 /// because true aggregates are positive).
-pub fn relative_error(estimate: f64, truth: f64) -> f64 {
+pub(crate) fn relative_error(estimate: f64, truth: f64) -> f64 {
     if truth.abs() < 1e-12 {
         (estimate - truth).abs()
     } else {
@@ -16,7 +16,7 @@ pub fn relative_error(estimate: f64, truth: f64) -> f64 {
 /// Average relative error over the groups of a group-by result (following
 /// DeepDB \[17\], as the paper does): averaged over the *true* groups; a
 /// group missing from the estimate counts as 100% error.
-pub fn group_relative_error(
+pub(crate) fn group_relative_error(
     truth: &BTreeMap<Vec<String>, Vec<f64>>,
     estimate: &BTreeMap<Vec<String>, Vec<f64>>,
     agg_idx: usize,
@@ -33,12 +33,6 @@ pub fn group_relative_error(
         }
     }
     total / truth.len() as f64
-}
-
-/// Relative-error improvement (Eq. 1): how much completion reduced the
-/// error versus querying the incomplete data directly. Positive = better.
-pub fn error_improvement(err_incomplete: f64, err_completed: f64) -> f64 {
-    err_incomplete - err_completed
 }
 
 /// Bias reduction (Eq. 2) on an aggregate statistic (mean of a continuous

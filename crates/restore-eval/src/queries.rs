@@ -17,7 +17,7 @@ pub struct WorkloadQuery {
 }
 
 /// The ten housing queries of Table 1.
-pub fn housing_queries() -> Vec<WorkloadQuery> {
+pub(crate) fn housing_queries() -> Vec<WorkloadQuery> {
     let entire = || Expr::col("room_type").eq(Expr::lit("Entire home/apt"));
     vec![
         WorkloadQuery {
@@ -106,7 +106,7 @@ pub fn housing_queries() -> Vec<WorkloadQuery> {
 }
 
 /// The ten movie queries of Table 1.
-pub fn movie_queries() -> Vec<WorkloadQuery> {
+pub(crate) fn movie_queries() -> Vec<WorkloadQuery> {
     vec![
         WorkloadQuery {
             id: "Q1",
@@ -235,10 +235,7 @@ mod tests {
 
     #[test]
     fn movie_queries_execute_on_complete_data() {
-        let db = restore_data::movies::generate_movies(
-            &restore_data::movies::MoviesConfig::scaled(0.2),
-            1,
-        );
+        let db = restore_data::generate_movies(&restore_data::MoviesConfig::scaled(0.2), 1);
         for wq in movie_queries() {
             let res = restore_db::execute(&db, &wq.query);
             assert!(res.is_ok(), "{} failed: {:?}", wq.id, res.err());

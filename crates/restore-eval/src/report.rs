@@ -52,7 +52,7 @@ pub fn secs(x: f64) -> String {
 }
 
 /// Directory where experiment artifacts are written.
-pub fn results_dir() -> PathBuf {
+pub(crate) fn results_dir() -> PathBuf {
     let dir = std::env::var("RESTORE_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
     PathBuf::from(dir)
 }

@@ -56,7 +56,6 @@ struct TableEncoder {
 pub struct DeepSets {
     encoders: Vec<TableEncoder>,
     post: Mlp,
-    ctx_dim: usize,
 }
 
 /// The fan-out tuples of one table for a batch of evidence rows.
@@ -95,15 +94,7 @@ impl DeepSets {
             .collect::<Vec<_>>();
         let pooled_dim: usize = cfg.tables.iter().map(|t| t.tuple_dim).sum();
         let post = Mlp::new(store, &[pooled_dim, cfg.post_hidden, cfg.ctx_dim], rng);
-        Self {
-            encoders,
-            post,
-            ctx_dim: cfg.ctx_dim,
-        }
-    }
-
-    pub fn ctx_dim(&self) -> usize {
-        self.ctx_dim
+        Self { encoders, post }
     }
 
     /// Encodes the fan-out evidence of `n_rows` evidence tuples into an

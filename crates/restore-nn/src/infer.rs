@@ -26,7 +26,7 @@ use crate::params::{ParamId, ParamStore};
 use crate::tensor::Matrix;
 
 /// The forward-pass op vocabulary. Implemented by the recording
-/// [`Tape`](crate::tape::Tape) (training) and by [`InferCtx`] (no-grad
+/// [`Tape`](crate::tape::Tape) (training) and by `InferCtx` (no-grad
 /// inference), so one set of layer definitions drives both paths.
 pub trait Forward {
     /// Handle to a value produced during this forward pass.
@@ -73,7 +73,7 @@ pub trait Forward {
 /// Handle to a value inside an [`InferCtx`]: either a parameter (resolved
 /// in the store, zero-copy) or an activation buffer of the session.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InferRef {
+pub(crate) enum InferRef {
     Param(ParamId),
     Buf(usize),
 }
@@ -128,11 +128,6 @@ impl InferenceSession {
         (&mut self.sweep, &mut self.masked)
     }
 
-    /// Number of layers with a degree-banded sweep cache (diagnostics).
-    pub fn sweep_layers_cached(&self) -> usize {
-        self.sweep.banded_layers()
-    }
-
     /// Takes the session's per-row conditional-distribution scratch — the
     /// buffer [`Made::conditional_dists_in`](crate::made::Made::conditional_dists_in)
     /// fills. Taken by value (and returned via
@@ -153,7 +148,7 @@ impl InferenceSession {
     ///
     /// Sessions assume **frozen parameters**: masked weights are cached on
     /// first use, so create a fresh session after any optimizer step.
-    pub fn ctx<'a>(&'a mut self, store: &'a ParamStore) -> InferCtx<'a> {
+    pub(crate) fn ctx<'a>(&'a mut self, store: &'a ParamStore) -> InferCtx<'a> {
         InferCtx {
             store,
             bufs: &mut self.bufs,
@@ -163,7 +158,7 @@ impl InferenceSession {
     }
 
     /// Resolves a handle produced by a context of this session.
-    pub fn value<'a>(&'a self, store: &'a ParamStore, id: InferRef) -> &'a Matrix {
+    pub(crate) fn value<'a>(&'a self, store: &'a ParamStore, id: InferRef) -> &'a Matrix {
         match id {
             InferRef::Param(p) => store.value(p),
             InferRef::Buf(i) => &self.bufs[i],
@@ -194,7 +189,7 @@ pub(crate) fn masked_weight<'m>(
 }
 
 /// One in-flight no-grad forward pass over an [`InferenceSession`].
-pub struct InferCtx<'a> {
+pub(crate) struct InferCtx<'a> {
     store: &'a ParamStore,
     bufs: &'a mut Vec<Matrix>,
     masked: &'a mut std::collections::HashMap<ParamId, (usize, Matrix)>,
@@ -237,7 +232,7 @@ impl InferCtx<'_> {
     /// of `x · (w ⊙ mask) + b` — the batched sampler evaluates just the
     /// logit block of the attribute it is filling. Values are bit-identical
     /// to the corresponding slice of the full layer output.
-    pub fn masked_linear_cols(
+    pub(crate) fn masked_linear_cols(
         &mut self,
         x: InferRef,
         w: ParamId,

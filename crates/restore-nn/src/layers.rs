@@ -10,34 +10,24 @@ use crate::tensor::Matrix;
 
 /// Dense affine layer `y = x·W + b`.
 #[derive(Clone, Debug)]
-pub struct Linear {
+pub(crate) struct Linear {
     w: ParamId,
     b: ParamId,
-    in_dim: usize,
-    out_dim: usize,
 }
 
 impl Linear {
-    pub fn new<R: Rng>(store: &mut ParamStore, in_dim: usize, out_dim: usize, rng: &mut R) -> Self {
+    pub(crate) fn new<R: Rng>(
+        store: &mut ParamStore,
+        in_dim: usize,
+        out_dim: usize,
+        rng: &mut R,
+    ) -> Self {
         let w = store.register(Matrix::glorot(in_dim, out_dim, rng));
         let b = store.register(Matrix::zeros(1, out_dim));
-        Self {
-            w,
-            b,
-            in_dim,
-            out_dim,
-        }
+        Self { w, b }
     }
 
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
-    }
-
-    pub fn forward<F: Forward>(&self, f: &mut F, store: &ParamStore, x: F::Id) -> F::Id {
+    pub(crate) fn forward<F: Forward>(&self, f: &mut F, store: &ParamStore, x: F::Id) -> F::Id {
         let w = f.param(store, self.w);
         let b = f.param(store, self.b);
         let h = f.matmul(x, w);
@@ -48,7 +38,7 @@ impl Linear {
 /// Affine layer whose weight is element-wise gated by a fixed binary mask —
 /// the building block of MADE.
 #[derive(Clone, Debug)]
-pub struct MaskedLinear {
+pub(crate) struct MaskedLinear {
     w: ParamId,
     b: ParamId,
     mask: Arc<Matrix>,
@@ -58,7 +48,7 @@ impl MaskedLinear {
     /// # Panics
     /// Panics unless `mask` holds only `0.0` and `1.0`: the weight-gradient
     /// kernel ([`Matrix::t_matmul_masked_acc`]) applies it as a select.
-    pub fn new<R: Rng>(store: &mut ParamStore, mask: Arc<Matrix>, rng: &mut R) -> Self {
+    pub(crate) fn new<R: Rng>(store: &mut ParamStore, mask: Arc<Matrix>, rng: &mut R) -> Self {
         assert!(
             mask.data().iter().all(|&m| m == 0.0 || m == 1.0),
             "a MADE mask is binary"
@@ -69,17 +59,17 @@ impl MaskedLinear {
         Self { w, b, mask }
     }
 
-    pub fn mask(&self) -> &Arc<Matrix> {
+    pub(crate) fn mask(&self) -> &Arc<Matrix> {
         &self.mask
     }
 
     /// `(weight, bias)` parameter ids — the inference engine's
     /// block-restricted output evaluation reads these directly.
-    pub fn param_ids(&self) -> (ParamId, ParamId) {
+    pub(crate) fn param_ids(&self) -> (ParamId, ParamId) {
         (self.w, self.b)
     }
 
-    pub fn forward<F: Forward>(&self, f: &mut F, store: &ParamStore, x: F::Id) -> F::Id {
+    pub(crate) fn forward<F: Forward>(&self, f: &mut F, store: &ParamStore, x: F::Id) -> F::Id {
         let w = f.param(store, self.w);
         let b = f.param(store, self.b);
         let h = f.masked_matmul(x, w, &self.mask);
@@ -89,14 +79,12 @@ impl MaskedLinear {
 
 /// Token embedding table.
 #[derive(Clone, Debug)]
-pub struct Embedding {
+pub(crate) struct Embedding {
     table: ParamId,
-    cardinality: usize,
-    dim: usize,
 }
 
 impl Embedding {
-    pub fn new<R: Rng>(
+    pub(crate) fn new<R: Rng>(
         store: &mut ParamStore,
         cardinality: usize,
         dim: usize,
@@ -109,28 +97,16 @@ impl Embedding {
             0.1,
             rng,
         ));
-        Self {
-            table,
-            cardinality,
-            dim,
-        }
-    }
-
-    pub fn cardinality(&self) -> usize {
-        self.cardinality
-    }
-
-    pub fn dim(&self) -> usize {
-        self.dim
+        Self { table }
     }
 
     /// The embedding table's parameter id — the incremental AR sweep
     /// gathers token rows straight out of the store with it.
-    pub fn param_id(&self) -> ParamId {
+    pub(crate) fn param_id(&self) -> ParamId {
         self.table
     }
 
-    pub fn forward<F: Forward>(
+    pub(crate) fn forward<F: Forward>(
         &self,
         f: &mut F,
         store: &ParamStore,
@@ -143,13 +119,13 @@ impl Embedding {
 
 /// Fully connected network with ReLU activations between layers.
 #[derive(Clone, Debug)]
-pub struct Mlp {
+pub(crate) struct Mlp {
     layers: Vec<Linear>,
 }
 
 impl Mlp {
     /// `dims = [in, h1, ..., out]`; ReLU after every layer except the last.
-    pub fn new<R: Rng>(store: &mut ParamStore, dims: &[usize], rng: &mut R) -> Self {
+    pub(crate) fn new<R: Rng>(store: &mut ParamStore, dims: &[usize], rng: &mut R) -> Self {
         assert!(
             dims.len() >= 2,
             "an MLP needs at least input and output dims"
@@ -161,15 +137,7 @@ impl Mlp {
         Self { layers }
     }
 
-    pub fn out_dim(&self) -> usize {
-        self.layers.last().unwrap().out_dim()
-    }
-
-    pub fn in_dim(&self) -> usize {
-        self.layers.first().unwrap().in_dim()
-    }
-
-    pub fn forward<F: Forward>(&self, f: &mut F, store: &ParamStore, mut x: F::Id) -> F::Id {
+    pub(crate) fn forward<F: Forward>(&self, f: &mut F, store: &ParamStore, mut x: F::Id) -> F::Id {
         for (i, layer) in self.layers.iter().enumerate() {
             x = layer.forward(f, store, x);
             if i + 1 < self.layers.len() {

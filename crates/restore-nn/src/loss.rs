@@ -25,7 +25,7 @@ pub fn softmax_into(logits: &[f32], out: &mut [f32]) {
 }
 
 /// Convenience allocating version of [`softmax_into`].
-pub fn softmax(logits: &[f32]) -> Vec<f32> {
+pub(crate) fn softmax(logits: &[f32]) -> Vec<f32> {
     let mut out = vec![0.0; logits.len()];
     softmax_into(logits, &mut out);
     out
@@ -41,7 +41,7 @@ pub struct BlockLayout {
 
 impl BlockLayout {
     /// Builds a layout from per-attribute cardinalities.
-    pub fn new(cards: &[usize]) -> Self {
+    pub(crate) fn new(cards: &[usize]) -> Self {
         let mut offsets = Vec::with_capacity(cards.len());
         let mut total = 0;
         for &c in cards {
@@ -55,11 +55,11 @@ impl BlockLayout {
         }
     }
 
-    pub fn num_blocks(&self) -> usize {
+    pub(crate) fn num_blocks(&self) -> usize {
         self.cards.len()
     }
 
-    pub fn total_width(&self) -> usize {
+    pub(crate) fn total_width(&self) -> usize {
         self.total
     }
 
@@ -74,7 +74,7 @@ impl BlockLayout {
     }
 }
 
-/// Result of [`block_cross_entropy`].
+/// Result of `block_cross_entropy`.
 pub struct BlockLoss {
     /// Mean negative log-likelihood per weighted target.
     pub loss: f32,
@@ -174,7 +174,7 @@ pub fn block_cross_entropy_sums<T: AsRef<[u32]>>(
 
 /// Softmax cross-entropy over attribute blocks — the mean-normalized
 /// convenience form of [`block_cross_entropy_sums`].
-pub fn block_cross_entropy<T: AsRef<[u32]>>(
+pub(crate) fn block_cross_entropy<T: AsRef<[u32]>>(
     logits: &Matrix,
     layout: &BlockLayout,
     targets: &[T],

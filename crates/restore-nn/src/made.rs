@@ -132,7 +132,7 @@ impl Made {
 
     /// Builds the lane-padded banded trunk caches once and freezes them
     /// for sharing across all inference sessions (`Arc` adoption in
-    /// [`ArSweep::begin`]) — the snapshot loader calls this right after
+    /// `ArSweep::begin`) — the snapshot loader calls this right after
     /// streaming the persisted weights in, so no session ever pays the
     /// degree-sort-and-pad copy again. Must only be called once the
     /// weights are final: the caches snapshot `w ⊙ mask`.
@@ -146,20 +146,12 @@ impl Made {
         self.banded.is_some()
     }
 
-    pub fn num_attrs(&self) -> usize {
+    pub(crate) fn num_attrs(&self) -> usize {
         self.cfg.attrs.len()
     }
 
     pub fn layout(&self) -> &BlockLayout {
         &self.layout
-    }
-
-    pub fn ctx_dim(&self) -> usize {
-        self.cfg.ctx_dim
-    }
-
-    pub fn cardinality(&self, attr: usize) -> usize {
-        self.cfg.attrs[attr].cardinality
     }
 
     /// Validates a batch against the model shape — column count, ragged
@@ -219,7 +211,7 @@ impl Made {
 
     /// Forward pass through any [`Forward`] executor — a recording
     /// [`Tape`](crate::tape::Tape) during training, a no-grad
-    /// [`InferCtx`](crate::infer::InferCtx) during inference. `tokens[a]`
+    /// `InferCtx` during inference. `tokens[a]`
     /// holds the token of attribute `a` for every batch row; `ctx` must be
     /// provided iff `ctx_dim > 0`.
     pub fn forward<F: Forward>(
@@ -373,22 +365,8 @@ impl Made {
 
     /// Conditional distribution of attribute `attr` for every batch row,
     /// given the tokens of attributes `< attr` (later columns are ignored by
-    /// construction — pass placeholders).
-    pub fn conditional_dists(
-        &self,
-        store: &ParamStore,
-        tokens: &[Arc<Vec<u32>>],
-        ctx: Option<&Matrix>,
-        attr: usize,
-    ) -> Vec<Vec<f32>> {
-        let mut session = InferenceSession::new();
-        let mut out = Vec::new();
-        self.conditional_dists_in(&mut session, store, tokens, ctx, attr, &mut out);
-        out
-    }
-
-    /// [`Made::conditional_dists`] over a caller-owned session *and* output
-    /// buffer — the completion engine keeps one session per worker warm
+    /// construction — pass placeholders), over a caller-owned session *and*
+    /// output buffer — the completion engine keeps one session per worker warm
     /// across batches, and `out` is resized and refilled in place (inner
     /// vectors reused) instead of allocating per-row softmax results on
     /// every call. Rows that share an evidence prefix share one evaluation.
@@ -417,58 +395,6 @@ impl Made {
                     softmax_into(sweep.logits.row(g as usize), &mut rest[0]);
                 }
             }
-        }
-    }
-
-    /// Iterative forward sampling (§3.1): fills token columns
-    /// `start..num_attrs` by repeatedly predicting `p(x_i | x_{<i})` and
-    /// sampling. `excluded[a]` optionally names a token whose probability is
-    /// zeroed before sampling (used to forbid the MASK token of tuple
-    /// factors at generation time).
-    pub fn sample_suffix<R: Rng>(
-        &self,
-        store: &ParamStore,
-        tokens: &mut [Vec<u32>],
-        ctx: Option<&Matrix>,
-        start: usize,
-        excluded: &[Option<u32>],
-        rng: &mut R,
-    ) {
-        self.sample_range(store, tokens, ctx, start, self.num_attrs(), excluded, rng)
-    }
-
-    /// Like [`Made::sample_suffix`] but stops after attribute `end − 1` —
-    /// used by Algorithm 1 to sample one table's attribute block (or a
-    /// single tuple factor) at a time. Convenience wrapper over
-    /// [`Made::sample_range_in`] with a throwaway session.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_range<R: Rng>(
-        &self,
-        store: &ParamStore,
-        tokens: &mut [Vec<u32>],
-        ctx: Option<&Matrix>,
-        start: usize,
-        end: usize,
-        excluded: &[Option<u32>],
-        rng: &mut R,
-    ) {
-        let mut session = InferenceSession::new();
-        let mut cols: Vec<Arc<Vec<u32>>> = tokens
-            .iter_mut()
-            .map(|t| Arc::new(std::mem::take(t)))
-            .collect();
-        self.sample_range_in(
-            &mut session,
-            store,
-            &mut cols,
-            ctx,
-            start,
-            end,
-            excluded,
-            rng,
-        );
-        for (t, c) in tokens.iter_mut().zip(cols) {
-            *t = Arc::try_unwrap(c).unwrap_or_else(|a| (*a).clone());
         }
     }
 
@@ -755,9 +681,11 @@ mod tests {
             adam.step(&mut store);
         }
         // Check the learned conditional.
+        let mut session = InferenceSession::new();
         for v in 0..4u32 {
             let toks = vec![Arc::new(vec![v]), Arc::new(vec![0])];
-            let dist = made.conditional_dists(&store, &toks, None, 1);
+            let mut dist = Vec::new();
+            made.conditional_dists_in(&mut session, &store, &toks, None, 1, &mut dist);
             let argmax = dist[0]
                 .iter()
                 .enumerate()
@@ -767,8 +695,8 @@ mod tests {
             assert_eq!(argmax, (v + 1) % 4, "p(x1|x0={v}) put mass on {argmax}");
         }
         // And sampling follows it.
-        let mut toks = vec![vec![2u32; 64], vec![0u32; 64]];
-        made.sample_suffix(&store, &mut toks, None, 1, &[], &mut rng);
+        let mut toks = vec![Arc::new(vec![2u32; 64]), Arc::new(vec![0u32; 64])];
+        made.sample_range_in(&mut session, &store, &mut toks, None, 1, 2, &[], &mut rng);
         let right = toks[1].iter().filter(|&&t| t == 3).count();
         assert!(
             right > 48,
@@ -780,8 +708,19 @@ mod tests {
     fn excluded_token_is_never_sampled() {
         let (made, store) = make_model(&[3, 5], 0, 10);
         let mut rng = StdRng::seed_from_u64(11);
-        let mut toks = vec![vec![0u32; 200], vec![0u32; 200]];
-        made.sample_suffix(&store, &mut toks, None, 1, &[None, Some(4)], &mut rng);
+        let mut toks = vec![Arc::new(vec![0u32; 200]), Arc::new(vec![0u32; 200])];
+        let mut session = InferenceSession::new();
+        let excluded = [None, Some(4)];
+        made.sample_range_in(
+            &mut session,
+            &store,
+            &mut toks,
+            None,
+            1,
+            2,
+            &excluded,
+            &mut rng,
+        );
         assert!(
             toks[1].iter().all(|&t| t != 4),
             "excluded token was sampled"
@@ -792,8 +731,9 @@ mod tests {
     fn empty_batch_is_a_noop() {
         let (made, store) = make_model(&[3, 3], 0, 12);
         let mut rng = StdRng::seed_from_u64(13);
-        let mut toks = vec![vec![], vec![]];
-        made.sample_suffix(&store, &mut toks, None, 0, &[], &mut rng);
+        let mut toks = vec![Arc::new(vec![]), Arc::new(vec![])];
+        let mut session = InferenceSession::new();
+        made.sample_range_in(&mut session, &store, &mut toks, None, 0, 2, &[], &mut rng);
         assert!(toks[0].is_empty());
         let loss = made.evaluate(&store, &[Arc::new(vec![]), Arc::new(vec![])], None, None);
         assert_eq!(loss.loss, 0.0);

@@ -21,7 +21,7 @@ use crate::tensor::Matrix;
 
 /// The set of masks for a MADE network.
 #[derive(Clone, Debug)]
-pub struct MadeMasks {
+pub(crate) struct MadeMasks {
     /// Mask for the input → first hidden layer.
     pub input: Arc<Matrix>,
     /// Masks for hidden → hidden layers (one per extra hidden layer).
@@ -38,7 +38,7 @@ pub struct MadeMasks {
 /// * `attr_cards[i]` — cardinality (output block width) of attribute `i`.
 /// * `ctx_dim` — width of the conditioning context block (0 for plain AR).
 /// * `hidden_sizes` — widths of the hidden layers (must be non-empty).
-pub fn build_masks(
+pub(crate) fn build_masks(
     attr_embed_dims: &[usize],
     attr_cards: &[usize],
     ctx_dim: usize,

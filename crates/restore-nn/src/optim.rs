@@ -3,13 +3,12 @@
 use crate::params::ParamStore;
 use crate::tensor::Matrix;
 
-/// Adam optimizer (Kingma & Ba) with optional decoupled weight decay.
+/// Adam optimizer (Kingma & Ba).
 pub struct Adam {
     lr: f32,
     beta1: f32,
     beta2: f32,
     eps: f32,
-    weight_decay: f32,
     t: u64,
     m: Vec<Matrix>,
     v: Vec<Matrix>,
@@ -30,25 +29,10 @@ impl Adam {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            weight_decay: 0.0,
             t: 0,
             m,
             v,
         }
-    }
-
-    /// Builder-style decoupled weight decay (AdamW).
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    pub fn lr(&self) -> f32 {
-        self.lr
     }
 
     /// Applies one update using the gradients accumulated in `store`, then
@@ -58,7 +42,7 @@ impl Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let (lr, b1, b2, eps, wd) = (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
+        let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
         for (id, value, grad) in store.iter_mut() {
             // Four equal-length slices zipped, so the loop vectorises
             // (`sqrt` and `/` round correctly in every lane).
@@ -68,28 +52,7 @@ impl Adam {
                 *v = b2 * *v + (1.0 - b2) * g * g;
                 let mhat = *m / bc1;
                 let vhat = *v / bc2;
-                *w -= lr * (mhat / (vhat.sqrt() + eps) + wd * *w);
-            }
-        }
-        store.zero_grads();
-    }
-}
-
-/// Plain SGD — kept as a baseline / for tests that need a predictable rule.
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    pub fn new(lr: f32) -> Self {
-        Self { lr }
-    }
-
-    pub fn step(&mut self, store: &mut ParamStore) {
-        let lr = self.lr;
-        for (_, value, grad) in store.iter_mut() {
-            for (w, &g) in value.data_mut().iter_mut().zip(grad.data()) {
-                *w -= lr * g;
+                *w -= lr * (mhat / (vhat.sqrt() + eps));
             }
         }
         store.zero_grads();
@@ -106,7 +69,9 @@ mod tests {
         let id = store.register(Matrix::zeros(1, 1));
         for _ in 0..500 {
             let w = store.value(id).get(0, 0);
-            store.accumulate_grad(id, &Matrix::from_rows(&[&[2.0 * (w - 3.0)]]));
+            let mut g = store.take_grads();
+            g.accumulate(id, &Matrix::from_rows(&[&[2.0 * (w - 3.0)]]));
+            store.put_grads(g);
             step(&mut store);
         }
         store.value(id).get(0, 0)
@@ -122,31 +87,14 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut sgd = Sgd::new(0.1);
-        let w = quadratic_descent(|s| sgd.step(s));
-        assert!((w - 3.0).abs() < 1e-3, "sgd converged to {w}");
-    }
-
-    #[test]
     fn step_clears_gradients() {
         let mut store = ParamStore::new();
         let id = store.register(Matrix::zeros(1, 1));
         let mut adam = Adam::new(&store, 0.01);
-        store.accumulate_grad(id, &Matrix::filled(1, 1, 1.0));
+        let mut g = store.take_grads();
+        g.accumulate(id, &Matrix::filled(1, 1, 1.0));
+        store.put_grads(g);
         adam.step(&mut store);
         assert_eq!(store.grad(id).get(0, 0), 0.0);
-    }
-
-    #[test]
-    fn weight_decay_pulls_towards_zero() {
-        let mut store = ParamStore::new();
-        let id = store.register(Matrix::filled(1, 1, 5.0));
-        let mut adam = Adam::new(&store, 0.1).with_weight_decay(0.1);
-        for _ in 0..200 {
-            // zero task gradient; only decay acts
-            adam.step(&mut store);
-        }
-        assert!(store.value(id).get(0, 0).abs() < 2.0);
     }
 }

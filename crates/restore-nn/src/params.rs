@@ -10,11 +10,11 @@
 use crate::tensor::Matrix;
 
 /// Index of a parameter inside a [`ParamStore`].
-pub type ParamId = usize;
+pub(crate) type ParamId = usize;
 
 /// A gradient accumulator shaped like a [`ParamStore`]'s parameters.
 ///
-/// Buffers are cheap to reuse: [`GradBuffer::zero`] keeps every allocation.
+/// Buffers are cheap to reuse: zeroing one keeps every allocation.
 /// The training engine holds a pool of them, one in flight per microbatch.
 #[derive(Clone, Debug, Default)]
 pub struct GradBuffer {
@@ -23,7 +23,7 @@ pub struct GradBuffer {
 
 impl GradBuffer {
     /// A zeroed buffer matching `store`'s parameter shapes.
-    pub fn new(store: &ParamStore) -> Self {
+    pub(crate) fn new(store: &ParamStore) -> Self {
         Self {
             grads: store
                 .values
@@ -33,30 +33,21 @@ impl GradBuffer {
         }
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.grads.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.grads.is_empty()
-    }
-
-    pub fn grad(&self, id: ParamId) -> &Matrix {
+    pub(crate) fn grad(&self, id: ParamId) -> &Matrix {
         &self.grads[id]
     }
 
     /// Accumulates `delta` into the gradient of `id`.
-    pub fn accumulate(&mut self, id: ParamId, delta: &Matrix) {
+    pub(crate) fn accumulate(&mut self, id: ParamId, delta: &Matrix) {
         self.grads[id].add_assign(delta);
     }
 
-    /// Mutable access for in-place accumulation kernels.
-    pub fn grad_mut(&mut self, id: ParamId) -> &mut Matrix {
-        &mut self.grads[id]
-    }
-
     /// Element-wise `self += other` over all gradients.
-    pub fn add_from(&mut self, other: &GradBuffer) {
+    pub(crate) fn add_from(&mut self, other: &GradBuffer) {
         assert_eq!(self.grads.len(), other.grads.len(), "buffer size mismatch");
         for (a, b) in self.grads.iter_mut().zip(&other.grads) {
             a.add_assign(b);
@@ -64,14 +55,14 @@ impl GradBuffer {
     }
 
     /// Clears all accumulators, keeping allocations.
-    pub fn zero(&mut self) {
+    pub(crate) fn zero(&mut self) {
         for g in &mut self.grads {
             g.fill_zero();
         }
     }
 
     /// Global L2 norm over all gradients.
-    pub fn norm(&self) -> f32 {
+    pub(crate) fn norm(&self) -> f32 {
         self.grads
             .iter()
             .map(|g| g.data().iter().map(|v| v * v).sum::<f32>())
@@ -126,39 +117,34 @@ impl ParamStore {
         self.grads.grad(id)
     }
 
-    /// Accumulates `delta` into the resident gradient of `id`.
-    pub fn accumulate_grad(&mut self, id: ParamId, delta: &Matrix) {
-        self.grads.accumulate(id, delta);
-    }
-
     /// Reduces a detached buffer into the resident gradients. The training
     /// engine calls this once per microbatch, in ascending microbatch
     /// order, which pins the floating-point reduction tree independently of
     /// the worker count.
-    pub fn accumulate_from(&mut self, other: &GradBuffer) {
+    pub(crate) fn accumulate_from(&mut self, other: &GradBuffer) {
         self.grads.add_from(other);
     }
 
     /// Detaches the resident gradient buffer (leaving an empty one) — used
     /// by [`Tape::backward`](crate::tape::Tape::backward) to flush into the
     /// store while reading parameter values from it.
-    pub fn take_grads(&mut self) -> GradBuffer {
+    pub(crate) fn take_grads(&mut self) -> GradBuffer {
         std::mem::take(&mut self.grads)
     }
 
     /// Re-attaches a buffer detached with [`ParamStore::take_grads`].
-    pub fn put_grads(&mut self, grads: GradBuffer) {
+    pub(crate) fn put_grads(&mut self, grads: GradBuffer) {
         debug_assert_eq!(grads.len(), self.values.len(), "buffer size mismatch");
         self.grads = grads;
     }
 
     /// Clears all gradient accumulators (keeping allocations).
-    pub fn zero_grads(&mut self) {
+    pub(crate) fn zero_grads(&mut self) {
         self.grads.zero();
     }
 
     /// Global L2 norm over all gradients.
-    pub fn grad_norm(&self) -> f32 {
+    pub(crate) fn grad_norm(&self) -> f32 {
         self.grads.norm()
     }
 
@@ -191,34 +177,6 @@ impl ParamStore {
         &self.values
     }
 
-    /// Overwrites every parameter value from `blocks`, which must match
-    /// this store's registration order and shapes exactly. Used by the
-    /// snapshot loader: the model is rebuilt structurally (registering
-    /// freshly initialized parameters), then its weights are replaced with
-    /// the persisted blocks.
-    pub fn import_values(&mut self, blocks: &[Matrix]) -> Result<(), String> {
-        if blocks.len() != self.values.len() {
-            return Err(format!(
-                "parameter count mismatch: store has {}, import has {}",
-                self.values.len(),
-                blocks.len()
-            ));
-        }
-        for (id, (dst, src)) in self.values.iter().zip(blocks).enumerate() {
-            if dst.shape() != src.shape() {
-                return Err(format!(
-                    "parameter {id} shape mismatch: store {:?}, import {:?}",
-                    dst.shape(),
-                    src.shape()
-                ));
-            }
-        }
-        for (dst, src) in self.values.iter_mut().zip(blocks) {
-            dst.copy_from(src);
-        }
-        Ok(())
-    }
-
     /// Overwrites every parameter value from one contiguous little-endian
     /// f32 byte stream in registration order — the snapshot loader's
     /// single-copy path: weight bytes stream straight from the file
@@ -243,7 +201,7 @@ impl ParamStore {
 
     /// Iterates over `(id, value, grad)` triples, mutably — used by
     /// optimizers.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (ParamId, &mut Matrix, &Matrix)> {
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (ParamId, &mut Matrix, &Matrix)> {
         self.values
             .iter_mut()
             .zip(self.grads.grads.iter())
@@ -256,14 +214,21 @@ impl ParamStore {
 mod tests {
     use super::*;
 
+    /// Adds `delta` into the store's resident gradient of `id`.
+    fn accumulate(store: &mut ParamStore, id: ParamId, delta: &Matrix) {
+        let mut g = store.take_grads();
+        g.accumulate(id, delta);
+        store.put_grads(g);
+    }
+
     #[test]
     fn register_and_accumulate() {
         let mut store = ParamStore::new();
         let id = store.register(Matrix::filled(2, 2, 1.0));
         assert_eq!(store.len(), 1);
         assert_eq!(store.num_scalars(), 4);
-        store.accumulate_grad(id, &Matrix::filled(2, 2, 0.5));
-        store.accumulate_grad(id, &Matrix::filled(2, 2, 0.25));
+        accumulate(&mut store, id, &Matrix::filled(2, 2, 0.5));
+        accumulate(&mut store, id, &Matrix::filled(2, 2, 0.25));
         assert_eq!(store.grad(id).get(0, 0), 0.75);
         store.zero_grads();
         assert_eq!(store.grad(id).get(1, 1), 0.0);
@@ -273,10 +238,10 @@ mod tests {
     fn clip_grad_norm_scales_down() {
         let mut store = ParamStore::new();
         let id = store.register(Matrix::zeros(1, 2));
-        store.accumulate_grad(id, &Matrix::from_rows(&[&[3.0, 4.0]]));
+        accumulate(&mut store, id, &Matrix::from_rows(&[&[3.0, 4.0]]));
         store.clip_grad_norm(1.0);
+        assert!((store.grad_norm() - 1.0).abs() < 1e-6);
         let g = store.grad(id);
-        assert!((g.norm() - 1.0).abs() < 1e-6);
         assert!((g.get(0, 0) - 0.6).abs() < 1e-6);
     }
 
@@ -284,7 +249,7 @@ mod tests {
     fn clip_grad_norm_leaves_small_grads() {
         let mut store = ParamStore::new();
         let id = store.register(Matrix::zeros(1, 2));
-        store.accumulate_grad(id, &Matrix::from_rows(&[&[0.3, 0.4]]));
+        accumulate(&mut store, id, &Matrix::from_rows(&[&[0.3, 0.4]]));
         store.clip_grad_norm(1.0);
         assert!((store.grad(id).get(0, 1) - 0.4).abs() < 1e-7);
     }

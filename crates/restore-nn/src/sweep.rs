@@ -198,7 +198,7 @@ impl BandedLayer {
 /// be frozen when this is built; a model that keeps training must not
 /// freeze.
 #[derive(Debug, Default)]
-pub struct BandedCache {
+pub(crate) struct BandedCache {
     layers: HashMap<ParamId, Arc<BandedLayer>>,
 }
 
@@ -226,15 +226,6 @@ impl BandedCache {
     fn get(&self, w: ParamId) -> Option<Arc<BandedLayer>> {
         self.layers.get(&w).cloned()
     }
-
-    /// Number of trunk layers with a frozen banded cache (diagnostics).
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
 }
 
 /// Persistent state of one band-incremental sweep executor: frozen
@@ -246,7 +237,7 @@ impl BandedCache {
 /// the session's masked-weight cache). Activation matrices are recycled
 /// buffers — their *values* are per-sweep, their allocations persist.
 #[derive(Default)]
-pub struct ArSweep {
+pub(crate) struct ArSweep {
     /// Degree-banded caches of the input + hidden layers, by weight id —
     /// adopted from the model's shared [`BandedCache`] when it froze one,
     /// otherwise built on first use.
@@ -279,11 +270,6 @@ pub struct ArSweep {
 const EMPTY: u32 = u32::MAX;
 
 impl ArSweep {
-    /// Number of layers with a degree-banded weight cache (diagnostics).
-    pub fn banded_layers(&self) -> usize {
-        self.banded.len()
-    }
-
     /// Finds the distinct evidence prefixes of an `m`-row batch into
     /// `reps` / `group`. Two rows share a prefix iff their `prefix` tokens
     /// are equal and their context rows are equal by `f32::to_bits` —

@@ -69,7 +69,7 @@ enum Op {
 }
 
 /// Records a forward pass; consumed by [`Tape::backward`]. Reusable via
-/// [`Tape::reset`] / [`Tape::ctx`] — the node, gradient, parts, and
+/// `Tape::reset` / [`Tape::ctx`] — the node, gradient, parts, and
 /// masked-weight arenas all keep their capacity across passes.
 #[derive(Default)]
 pub struct Tape {
@@ -94,22 +94,8 @@ impl Tape {
         Self::default()
     }
 
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Arena capacity in nodes (diagnostics: stays flat across reused
-    /// passes of the same shape).
-    pub fn node_capacity(&self) -> usize {
-        self.values.len()
-    }
-
     /// Rewinds the tape for a fresh pass, keeping every arena allocation.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.len = 0;
         self.ops.clear();
         self.parts.clear();
@@ -132,11 +118,6 @@ impl Tape {
     /// are resolved in the store, not materialized here).
     pub fn value(&self, v: VarId) -> &Matrix {
         self.val(None, v)
-    }
-
-    /// Gradient of `v` after [`Tape::backward`], if any reached it.
-    pub fn grad(&self, v: VarId) -> Option<&Matrix> {
-        self.has_grad[v.0].then(|| &self.grads[v.0])
     }
 
     fn val<'a>(&'a self, store: Option<&'a ParamStore>, v: VarId) -> &'a Matrix {
@@ -394,11 +375,11 @@ impl Tape {
 
     /// Masked matmul `x · (w ⊙ mask)`; the mask is applied on the fly so the
     /// stored parameter stays dense and the optimizer never sees the mask.
-    pub fn masked_matmul(&mut self, x: VarId, w: VarId, mask: Arc<Matrix>) -> VarId {
+    pub(crate) fn masked_matmul(&mut self, x: VarId, w: VarId, mask: Arc<Matrix>) -> VarId {
         self.do_masked_matmul(None, x, w, mask)
     }
 
-    pub fn add_row(&mut self, x: VarId, bias: VarId) -> VarId {
+    pub(crate) fn add_row(&mut self, x: VarId, bias: VarId) -> VarId {
         self.do_add_row(None, x, bias)
     }
 
@@ -406,7 +387,7 @@ impl Tape {
         self.do_add(None, a, b)
     }
 
-    pub fn relu(&mut self, x: VarId) -> VarId {
+    pub(crate) fn relu(&mut self, x: VarId) -> VarId {
         self.do_relu(None, x)
     }
 
@@ -415,19 +396,19 @@ impl Tape {
     }
 
     /// Concatenates values column-wise. All parts must share the row count.
-    pub fn concat_cols(&mut self, parts: &[VarId]) -> VarId {
+    pub(crate) fn concat_cols(&mut self, parts: &[VarId]) -> VarId {
         self.do_concat_cols(None, parts)
     }
 
     /// Embedding lookup: row `i` of the output is row `idx[i]` of `table`.
-    pub fn gather(&mut self, table: VarId, idx: Arc<Vec<u32>>) -> VarId {
+    pub(crate) fn gather(&mut self, table: VarId, idx: Arc<Vec<u32>>) -> VarId {
         self.do_gather(None, table, idx)
     }
 
     /// Sum-pooling by segment: output row `s` is the sum of input rows `i`
     /// with `seg[i] == s`. Segments with no members stay zero — exactly the
     /// behaviour DeepSets needs for empty evidence sets.
-    pub fn segment_sum(&mut self, x: VarId, seg: Arc<Vec<u32>>, n_segments: usize) -> VarId {
+    pub(crate) fn segment_sum(&mut self, x: VarId, seg: Arc<Vec<u32>>, n_segments: usize) -> VarId {
         self.do_segment_sum(None, x, seg, n_segments)
     }
 
@@ -613,8 +594,7 @@ impl Tape {
 }
 
 /// One recorded forward pass over a reusable [`Tape`] with parameters
-/// resolved in place — the training-path mirror of
-/// [`InferCtx`](crate::infer::InferCtx).
+/// resolved in place — the training-path mirror of `InferCtx`.
 pub struct TapeCtx<'a> {
     tape: &'a mut Tape,
     store: &'a ParamStore,
@@ -682,7 +662,7 @@ impl Forward for TapeCtx<'_> {
 /// The tape records ops instead of just evaluating them; layer definitions
 /// written against [`Forward`] drive training through this impl (parameter
 /// values copied into leaves — see [`Tape::ctx`] for the zero-copy path)
-/// and inference through [`crate::infer::InferCtx`].
+/// and inference through `InferCtx`.
 impl Forward for Tape {
     type Id = VarId;
 
@@ -809,10 +789,12 @@ mod tests {
         let w_val = Matrix::rand_uniform(6, 11, -1.0, 1.0, &mut rng);
         let seed_grad = Matrix::rand_uniform(9, 11, -1.0, 1.0, &mut rng);
 
+        // `x` is a parameter too, so its gradient lands in the store.
         let mut store = ParamStore::new();
         let pid = store.register(w_val.clone());
+        let xid = store.register(x.clone());
         let mut tape = Tape::new();
-        let xi = tape.input(x.clone());
+        let xi = tape.param(&store, xid);
         let w = tape.param(&store, pid);
         let out = tape.matmul(xi, w);
         store.zero_grads();
@@ -827,8 +809,7 @@ mod tests {
         for (a, b) in store.grad(pid).data().iter().zip(dw.data()) {
             assert_eq!(a.to_bits(), b.to_bits(), "dW diverged from naive");
         }
-        let got_dx = tape.grad(xi).expect("input grad");
-        for (a, b) in got_dx.data().iter().zip(dx.data()) {
+        for (a, b) in store.grad(xid).data().iter().zip(dx.data()) {
             assert_eq!(a.to_bits(), b.to_bits(), "dx diverged from naive");
         }
     }
@@ -869,10 +850,11 @@ mod tests {
         let mask = Arc::new(mask);
         let mut store = ParamStore::new();
         let pid = store.register(w_val);
+        let xid = store.register(x.clone());
         let mut tape = Tape::new();
         for pass in ["fresh", "reused"] {
             tape.reset();
-            let xi = tape.input(x.clone());
+            let xi = tape.param(&store, xid);
             let w = tape.param(&store, pid);
             let y = tape.masked_matmul(xi, w, Arc::clone(&mask));
             store.zero_grads();
@@ -880,13 +862,7 @@ mod tests {
             for (a, b) in store.grad(pid).data().iter().zip(dw.data()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "dW diverged ({pass} tape)");
             }
-            for (a, b) in tape
-                .grad(xi)
-                .expect("input grad")
-                .data()
-                .iter()
-                .zip(dx.data())
-            {
+            for (a, b) in store.grad(xid).data().iter().zip(dx.data()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "dx diverged ({pass} tape)");
             }
         }
@@ -966,8 +942,9 @@ mod tests {
     #[test]
     fn segment_sum_pools_and_backprops() {
         let mut store = ParamStore::new();
+        let xid = store.register(Matrix::from_rows(&[&[1.0], &[2.0], &[4.0]]));
         let mut tape = Tape::new();
-        let x = tape.input(Matrix::from_rows(&[&[1.0], &[2.0], &[4.0]]));
+        let x = tape.param(&store, xid);
         let out = tape.segment_sum(x, Arc::new(vec![1, 1, 0]), 3);
         assert_eq!(tape.value(out).row(0), &[4.0]);
         assert_eq!(tape.value(out).row(1), &[3.0]);
@@ -975,35 +952,37 @@ mod tests {
         let mut seed = Matrix::zeros(3, 1);
         seed.set(1, 0, 1.0);
         tape.backward(out, seed, &mut store);
-        let gx = tape.grad(x).unwrap();
-        assert_eq!(gx.data(), &[1.0, 1.0, 0.0]);
+        assert_eq!(store.grad(xid).data(), &[1.0, 1.0, 0.0]);
     }
 
     #[test]
     fn concat_splits_gradient() {
         let mut store = ParamStore::new();
+        let aid = store.register(Matrix::from_rows(&[&[1.0, 2.0]]));
+        let bid = store.register(Matrix::from_rows(&[&[3.0]]));
         let mut tape = Tape::new();
-        let a = tape.input(Matrix::from_rows(&[&[1.0, 2.0]]));
-        let b = tape.input(Matrix::from_rows(&[&[3.0]]));
+        let a = tape.param(&store, aid);
+        let b = tape.param(&store, bid);
         let out = tape.concat_cols(&[a, b]);
         assert_eq!(tape.value(out).row(0), &[1.0, 2.0, 3.0]);
         tape.backward(out, Matrix::from_rows(&[&[10.0, 20.0, 30.0]]), &mut store);
-        assert_eq!(tape.grad(a).unwrap().row(0), &[10.0, 20.0]);
-        assert_eq!(tape.grad(b).unwrap().row(0), &[30.0]);
+        assert_eq!(store.grad(aid).row(0), &[10.0, 20.0]);
+        assert_eq!(store.grad(bid).row(0), &[30.0]);
     }
 
     #[test]
     fn residual_add_gradient_flows_both_ways() {
         let mut store = ParamStore::new();
         let pid = store.register(Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]));
+        let xid = store.register(Matrix::from_rows(&[&[1.0, 2.0]]));
         let mut tape = Tape::new();
-        let x = tape.input(Matrix::from_rows(&[&[1.0, 2.0]]));
+        let x = tape.param(&store, xid);
         let w = tape.param(&store, pid);
         let h = tape.matmul(x, w);
         let out = tape.add(h, x);
         tape.backward(out, Matrix::filled(1, 2, 1.0), &mut store);
         // dx = dy·Wᵀ + dy = [1,1]·I + [1,1] = [2,2]
-        assert_eq!(tape.grad(x).unwrap().row(0), &[2.0, 2.0]);
+        assert_eq!(store.grad(xid).row(0), &[2.0, 2.0]);
     }
 
     /// One chained pass through every op, used by the reuse tests below.
@@ -1048,8 +1027,7 @@ mod tests {
     }
 
     /// Tape reuse across resets — and the zero-copy parameter path — must
-    /// reproduce the fresh-tape pass bit for bit, values and gradients,
-    /// while the node arena stops growing after the first pass.
+    /// reproduce the fresh-tape pass bit for bit, values and gradients.
     #[test]
     fn reused_and_zero_copy_passes_match_fresh_tapes_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(77);
@@ -1094,11 +1072,12 @@ mod tests {
                     );
                 }
             }
+            // The node arena stays flat across reused passes.
             if pass == 0 {
-                capacity_after_first = reused.node_capacity();
+                capacity_after_first = reused.values.len();
             } else {
                 assert_eq!(
-                    reused.node_capacity(),
+                    reused.values.len(),
                     capacity_after_first,
                     "arena grew after warm-up"
                 );

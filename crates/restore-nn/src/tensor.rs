@@ -101,7 +101,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
+    pub(crate) fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
         assert_eq!(
             data.len(),
             rows * cols,
@@ -139,7 +139,7 @@ impl Matrix {
     /// Kaiming), which was too hot for the layers that do *not* feed a
     /// ReLU — MADE's logit output layer and the DeepSets context head —
     /// so the symmetric fan-in + fan-out bound is used for every layer.
-    pub fn glorot<R: Rng>(fan_in: usize, fan_out: usize, rng: &mut R) -> Self {
+    pub(crate) fn glorot<R: Rng>(fan_in: usize, fan_out: usize, rng: &mut R) -> Self {
         let bound = (6.0 / (fan_in + fan_out).max(1) as f32).sqrt();
         Self::rand_uniform(fan_in, fan_out, -bound, bound, rng)
     }
@@ -156,19 +156,15 @@ impl Matrix {
         (self.rows, self.cols)
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     pub fn data(&self) -> &[f32] {
         &self.data
     }
 
-    pub fn data_mut(&mut self) -> &mut [f32] {
+    pub(crate) fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
     }
 
@@ -192,7 +188,7 @@ impl Matrix {
 
     /// Borrow row `r` mutably.
     #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [f32] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
@@ -295,7 +291,7 @@ impl Matrix {
     /// corresponding entry of the full product. This is the band-restricted
     /// GEMM of the incremental AR sweep: each degree band of hidden units
     /// is a contiguous column range of the degree-sorted masked weight.
-    pub fn matmul_col_band_into(
+    pub(crate) fn matmul_col_band_into(
         &self,
         other: &Matrix,
         cols: std::ops::Range<usize>,
@@ -304,7 +300,7 @@ impl Matrix {
         self.matmul_col_band_limited_into(other, cols, self.cols, out)
     }
 
-    /// [`Matrix::matmul_col_band_into`] contracting only `k < k_limit`
+    /// The band GEMM (`Matrix::matmul_col_band_into`) contracting only `k < k_limit`
     /// instead of the full inner dimension. The caller guarantees every
     /// skipped `other` row is zero over `cols`; each skipped naive-loop
     /// term is then an exact `a · 0.0 = ±0.0` whose addition cannot change
@@ -372,12 +368,17 @@ impl Matrix {
     /// the corresponding slice of the full product. The batched sampler
     /// uses this to evaluate just the logit block of the attribute being
     /// sampled.
-    pub fn matmul_cols_into(&self, other: &Matrix, cols: std::ops::Range<usize>, out: &mut Matrix) {
+    pub(crate) fn matmul_cols_into(
+        &self,
+        other: &Matrix,
+        cols: std::ops::Range<usize>,
+        out: &mut Matrix,
+    ) {
         self.matmul_col_band_into(other, cols, out)
     }
 
-    /// `out += self · otherᵀ` — the gradient-accumulation form of
-    /// [`Matrix::matmul_t`], writing into a caller-owned accumulator.
+    /// `out += self · otherᵀ` without materializing the transpose, into a
+    /// caller-owned accumulator — the input gradient.
     ///
     /// All three accumulate kernels share one contract, `out += P`: `P` is
     /// the product as the forward GEMM computes it (per element a
@@ -422,10 +423,10 @@ impl Matrix {
         }
     }
 
-    /// `out += selfᵀ · other` — accumulation form of [`Matrix::t_matmul`],
-    /// under the contract of [`Matrix::matmul_t_acc`]: `self` (a microbatch
-    /// of activations) is transposed and the product runs on the forward
-    /// GEMM, each element summed from zero in ascending row order.
+    /// `out += selfᵀ · other` — the weight gradient, under the contract of
+    /// [`Matrix::matmul_t_acc`]: `self` (a microbatch of activations) is
+    /// transposed and the product runs on the forward GEMM, each element
+    /// summed from zero in ascending row order.
     pub fn t_matmul_acc(&self, other: &Matrix, out: &mut Matrix) {
         self.t_matmul_acc_gated(other, None, out);
     }
@@ -444,7 +445,7 @@ impl Matrix {
     /// **binary** mask as a select (`mask == 0` adds `+0.0`, anything else
     /// adds the product) — [`MaskedLinear`](crate::layers::MaskedLinear)
     /// asserts its masks hold only `0.0` and `1.0`.
-    pub fn t_matmul_masked_acc(&self, other: &Matrix, mask: &Matrix, out: &mut Matrix) {
+    pub(crate) fn t_matmul_masked_acc(&self, other: &Matrix, mask: &Matrix, out: &mut Matrix) {
         assert_eq!(mask.shape(), out.shape(), "mask shape mismatch");
         self.t_matmul_acc_gated(other, Some(&mask.data), out);
     }
@@ -492,7 +493,7 @@ impl Matrix {
 
     /// `out += column sums of self` (`out` is `1 × cols`) — the bias
     /// gradient, in accumulation form.
-    pub fn col_sums_acc(&self, out: &mut Matrix) {
+    pub(crate) fn col_sums_acc(&self, out: &mut Matrix) {
         assert_eq!(out.shape(), (1, self.cols), "accumulator shape mismatch");
         for r in 0..self.rows {
             let row = self.row(r);
@@ -502,33 +503,8 @@ impl Matrix {
         }
     }
 
-    /// `selfᵀ · other` without materializing the transpose — delegates to
-    /// [`Matrix::t_matmul_acc`] over a zeroed accumulator, so there is
-    /// exactly one implementation of this kernel shape. Accumulating into
-    /// `+0.0` is the same add sequence the old allocating loop ran, so the
-    /// delegation is bit-preserving.
-    pub fn t_matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        self.t_matmul_acc(other, &mut out);
-        out
-    }
-
-    /// `self · otherᵀ` without materializing the transpose — delegates to
-    /// [`Matrix::matmul_t_acc`] over a zeroed accumulator, so there is
-    /// exactly one implementation of this kernel shape. Bit-preserving:
-    /// each element is a zero-init ascending-`k` dot product `acc` landing
-    /// via `0.0 + acc`, and an accumulation started from `+0.0` can never
-    /// produce `-0.0`, so the final add is exact.
-    pub fn matmul_t(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        self.matmul_t_acc(other, &mut out);
-        out
-    }
-
     /// Element-wise in-place addition.
-    pub fn add_assign(&mut self, other: &Matrix) {
+    pub(crate) fn add_assign(&mut self, other: &Matrix) {
         assert_eq!(self.shape(), other.shape(), "add shape mismatch");
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += b;
@@ -536,7 +512,7 @@ impl Matrix {
     }
 
     /// Element-wise in-place `self += scale * other`.
-    pub fn add_scaled(&mut self, other: &Matrix, scale: f32) {
+    pub(crate) fn add_scaled(&mut self, other: &Matrix, scale: f32) {
         assert_eq!(self.shape(), other.shape(), "add_scaled shape mismatch");
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += scale * b;
@@ -562,29 +538,15 @@ impl Matrix {
         }
     }
 
-    /// Sum of each column as a `1 × cols` matrix — delegates to
-    /// [`Matrix::col_sums_acc`] over a zeroed accumulator (one
-    /// implementation per kernel shape).
-    pub fn col_sums(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
-        self.col_sums_acc(&mut out);
-        out
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
     /// Fills with zeros, keeping the allocation.
-    pub fn fill_zero(&mut self) {
+    pub(crate) fn fill_zero(&mut self) {
         self.data.fill(0.0);
     }
 
     /// Reshapes in place to `rows × cols`, keeping the allocation when the
     /// new size fits. Newly exposed elements are zero; retained elements
     /// keep whatever they held (callers overwrite).
-    pub fn resize(&mut self, rows: usize, cols: usize) {
+    pub(crate) fn resize(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
         self.data.resize(rows * cols, 0.0);
@@ -614,7 +576,7 @@ impl Matrix {
     }
 
     /// Becomes an element-wise copy of `other`, reusing the allocation.
-    pub fn copy_from(&mut self, other: &Matrix) {
+    pub(crate) fn copy_from(&mut self, other: &Matrix) {
         self.rows = other.rows;
         self.cols = other.cols;
         self.data.clear();
@@ -834,7 +796,8 @@ mod tests {
             }
         }
         let expect = at.matmul(&b);
-        let got = a.t_matmul(&b);
+        let mut got = Matrix::zeros(3, 5);
+        a.t_matmul_acc(&b, &mut got);
         for (x, y) in expect.data().iter().zip(got.data()) {
             assert!((x - y).abs() < 1e-5);
         }
@@ -852,33 +815,29 @@ mod tests {
             }
         }
         let expect = a.matmul(&bt);
-        let got = a.matmul_t(&b);
+        let mut got = Matrix::zeros(4, 5);
+        a.matmul_t_acc(&b, &mut got);
         for (x, y) in expect.data().iter().zip(got.data()) {
             assert!((x - y).abs() < 1e-5);
         }
     }
 
     #[test]
-    fn acc_kernels_match_allocating_forms() {
+    fn acc_kernels_accumulate_and_gate() {
         let mut rng = StdRng::seed_from_u64(9);
         let a = Matrix::rand_uniform(5, 3, -1.0, 1.0, &mut rng);
         let b = Matrix::rand_uniform(5, 4, -1.0, 1.0, &mut rng);
-        let g = Matrix::rand_uniform(5, 4, -1.0, 1.0, &mut rng);
 
-        let mut acc = Matrix::zeros(3, 4);
-        a.t_matmul_acc(&b, &mut acc);
-        assert_eq!(acc, a.t_matmul(&b));
+        let mut once = Matrix::zeros(3, 4);
+        a.t_matmul_acc(&b, &mut once);
         // Accumulates rather than overwrites.
+        let mut acc = once.clone();
         a.t_matmul_acc(&b, &mut acc);
-        let mut twice = a.t_matmul(&b);
-        twice.add_assign(&a.t_matmul(&b));
+        let mut twice = once.clone();
+        twice.add_assign(&once);
         for (x, y) in acc.data().iter().zip(twice.data()) {
             assert!((x - y).abs() < 1e-5);
         }
-
-        let mut acc = Matrix::zeros(5, 5);
-        g.matmul_t_acc(&b, &mut acc);
-        assert_eq!(acc, g.matmul_t(&b));
 
         let mut mask = Matrix::zeros(3, 4);
         for r in 0..3 {
@@ -888,11 +847,7 @@ mod tests {
         }
         let mut acc = Matrix::zeros(3, 4);
         a.t_matmul_masked_acc(&b, &mask, &mut acc);
-        assert_eq!(acc, a.t_matmul(&b).hadamard(&mask));
-
-        let mut acc = Matrix::zeros(1, 4);
-        b.col_sums_acc(&mut acc);
-        assert_eq!(acc, b.col_sums());
+        assert_eq!(acc, once.hadamard(&mask));
     }
 
     /// Random matrix with planted exact zeros and negative zeros, so the
@@ -1147,7 +1102,9 @@ mod tests {
     #[test]
     fn col_sums_sums_columns() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        assert_eq!(a.col_sums(), Matrix::from_rows(&[&[9.0, 12.0]]));
+        let mut sums = Matrix::zeros(1, 2);
+        a.col_sums_acc(&mut sums);
+        assert_eq!(sums, Matrix::from_rows(&[&[9.0, 12.0]]));
     }
 
     #[test]

@@ -37,10 +37,6 @@ impl TrainEngine {
         }
     }
 
-    pub fn workers(&self) -> usize {
-        self.tapes.len()
-    }
-
     /// Runs one data-parallel gradient step over `rows`, split into
     /// microbatches of `micro` rows.
     ///

@@ -15,6 +15,8 @@ use std::time::{Duration, Instant};
 
 use restore_util::{BackoffConfig, HealthState, ObjectPool, PoolStats};
 
+use crate::http::content_length;
+
 /// How [`HttpClient::request_with_retry`] behaves.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
@@ -71,7 +73,7 @@ pub struct HttpResponse {
 }
 
 impl HttpResponse {
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         let name = name.to_ascii_lowercase();
         self.headers
             .iter()
@@ -125,13 +127,13 @@ impl HttpClient {
     }
 
     /// The peer this connection was dialed to.
-    pub fn peer(&self) -> SocketAddr {
+    pub(crate) fn peer(&self) -> SocketAddr {
         self.peer
     }
 
     /// Drops the current connection and dials the same peer again —
     /// what the retry layer does after a transport error.
-    pub fn reconnect(&mut self) -> std::io::Result<()> {
+    pub(crate) fn reconnect(&mut self) -> std::io::Result<()> {
         let stream = TcpStream::connect(self.peer)?;
         *self = Self::from_stream(stream, self.config)?;
         Ok(())
@@ -262,38 +264,34 @@ fn parse_response(buf: &[u8]) -> std::io::Result<Option<(HttpResponse, usize)>> 
         .nth(1)
         .and_then(|s| s.parse::<u16>().ok())
         .ok_or_else(|| bad(&format!("bad status line {status_line:?}")))?;
-    let mut content_length = 0usize;
-    let mut headers = Vec::new();
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            let (name, value) = (name.trim().to_ascii_lowercase(), value.trim().to_string());
-            if name == "content-length" {
-                content_length = value
-                    .parse()
-                    .map_err(|_| bad(&format!("bad content-length {value:?}")))?;
-            }
-            headers.push((name, value));
-        }
-    }
+    let headers: Vec<(String, String)> = lines
+        .filter_map(|line| line.split_once(':'))
+        .map(|(name, value)| (name.trim().to_ascii_lowercase(), value.trim().to_string()))
+        .collect();
+    let lengths = headers.iter().filter(|(k, _)| k == "content-length");
+    let length = content_length(lengths.map(|(_, v)| v.as_str())).map_err(|m| bad(&m))?;
     let body_start = head_end + 4;
-    if buf.len() < body_start + content_length {
+    let end = body_start
+        .checked_add(length)
+        .ok_or_else(|| bad("content-length overflows the address space"))?;
+    if buf.len() < end {
         return Ok(None);
     }
-    let body = String::from_utf8_lossy(&buf[body_start..body_start + content_length]).into_owned();
+    let body = String::from_utf8_lossy(&buf[body_start..end]).into_owned();
     Ok(Some((
         HttpResponse {
             status,
             headers,
             body,
         },
-        body_start + content_length,
+        end,
     )))
 }
 
 /// Counters of one [`ConnectionPool`]: pool-level reuse plus how often a
 /// fresh dial was needed, for the router's fleet `/metrics` view.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct ConnectionPoolStats {
+pub(crate) struct ConnectionPoolStats {
     /// Checkouts answered with a pooled keep-alive connection.
     pub reused: u64,
     /// Checkouts that dialed a fresh connection.
@@ -314,7 +312,7 @@ pub struct ConnectionPoolStats {
 /// The pool never speaks HTTP itself: callers check a connection out, run
 /// whatever requests they need, and check it back in if the exchange left
 /// it reusable (no transport error, no `Connection: close`).
-pub struct ConnectionPool {
+pub(crate) struct ConnectionPool {
     config: ClientConfig,
     peer: Mutex<Option<SocketAddr>>,
     idle: ObjectPool<HttpClient>,
@@ -327,7 +325,7 @@ impl ConnectionPool {
     /// A pool keeping at most `max_idle` idle connections; the peer is
     /// registered (and re-registered after moves) via
     /// [`ConnectionPool::set_peer`].
-    pub fn new(config: ClientConfig, max_idle: usize) -> Self {
+    pub(crate) fn new(config: ClientConfig, max_idle: usize) -> Self {
         Self {
             config,
             peer: Mutex::new(None),
@@ -338,21 +336,14 @@ impl ConnectionPool {
         }
     }
 
-    /// [`ConnectionPool::new`] with the peer already known.
-    pub fn with_peer(addr: SocketAddr, config: ClientConfig, max_idle: usize) -> Self {
-        let pool = Self::new(config, max_idle);
-        pool.set_peer(addr);
-        pool
-    }
-
     /// The current peer address, if registered.
-    pub fn peer(&self) -> Option<SocketAddr> {
+    pub(crate) fn peer(&self) -> Option<SocketAddr> {
         *self.peer.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Registers (or moves) the peer. A changed address drops every idle
     /// connection — they are dialed to the old one.
-    pub fn set_peer(&self, addr: SocketAddr) {
+    pub(crate) fn set_peer(&self, addr: SocketAddr) {
         let changed = {
             let mut peer = self.peer.lock().unwrap_or_else(|e| e.into_inner());
             let changed = *peer != Some(addr);
@@ -368,14 +359,14 @@ impl ConnectionPool {
     /// never writes health — callers record successes/failures from actual
     /// request outcomes (and monitors from probes), keeping one authority
     /// per signal.
-    pub fn health(&self) -> &HealthState {
+    pub(crate) fn health(&self) -> &HealthState {
         &self.health
     }
 
     /// Checks a connection out: a pooled keep-alive connection to the
     /// current peer when available, else a fresh dial. Fails fast with
     /// `NotConnected` while the peer is marked down or unregistered.
-    pub fn checkout(&self) -> std::io::Result<HttpClient> {
+    pub(crate) fn checkout(&self) -> std::io::Result<HttpClient> {
         let Some(peer) = self.peer() else {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::NotConnected,
@@ -403,14 +394,14 @@ impl ConnectionPool {
 
     /// Returns a still-healthy connection for reuse. Connections dialed to
     /// a stale address (the peer moved meanwhile) are dropped.
-    pub fn checkin(&self, client: HttpClient) {
+    pub(crate) fn checkin(&self, client: HttpClient) {
         if self.peer() == Some(client.peer()) {
             self.idle.put(client);
         }
         // else: dropped here — closing a stale socket is the right outcome.
     }
 
-    pub fn stats(&self) -> ConnectionPoolStats {
+    pub(crate) fn stats(&self) -> ConnectionPoolStats {
         let PoolStats {
             discarded, idle, ..
         } = self.idle.stats();
@@ -444,13 +435,35 @@ mod tests {
         assert!(parse_response(b"whatever\r\n\r\n").is_err());
     }
 
+    /// Whether framing a response cannot honour is refused as `InvalidData`.
+    fn refuses(length_headers: &str) -> bool {
+        let raw = format!("HTTP/1.1 200 OK\r\n{length_headers}\r\nbody");
+        parse_response(raw.as_bytes()).is_err_and(|e| e.kind() == std::io::ErrorKind::InvalidData)
+    }
+
+    #[test]
+    fn a_content_length_past_the_address_space_is_invalid_data() {
+        assert!(refuses("Content-Length: 18446744073709551615\r\n"));
+    }
+
+    #[test]
+    fn a_signed_content_length_is_invalid_data() {
+        assert!(refuses("Content-Length: +4\r\n"));
+    }
+
+    #[test]
+    fn disagreeing_content_lengths_are_invalid_data() {
+        assert!(refuses("Content-Length: 2\r\nContent-Length: 4\r\n"));
+    }
+
     #[test]
     fn connection_pool_reuses_moves_and_gates_on_health() {
         let listener_a = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a");
         let listener_b = std::net::TcpListener::bind("127.0.0.1:0").expect("bind b");
         let addr_a = listener_a.local_addr().expect("addr a");
         let addr_b = listener_b.local_addr().expect("addr b");
-        let pool = ConnectionPool::with_peer(addr_a, ClientConfig::default(), 4);
+        let pool = ConnectionPool::new(ClientConfig::default(), 4);
+        pool.set_peer(addr_a);
         let first = pool.checkout().expect("fresh dial");
         assert_eq!(first.peer(), addr_a);
         pool.checkin(first);

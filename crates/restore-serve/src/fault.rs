@@ -98,10 +98,6 @@ impl FaultPlan {
         Self { config }
     }
 
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
-    }
-
     /// The action for fault key `key` — pure in `(config, key)`.
     pub fn action(&self, key: u64) -> FaultAction {
         let c = &self.config;
@@ -139,7 +135,7 @@ impl FaultPlan {
 /// otherwise an FNV-1a hash of `method`, `path`, and `body` — a pure
 /// function of request content, so the same logical request always draws
 /// the same fault regardless of timing, connection, or worker count.
-pub fn fault_key(method: &str, path: &str, body: &str, pinned: Option<&str>) -> u64 {
+pub(crate) fn fault_key(method: &str, path: &str, body: &str, pinned: Option<&str>) -> u64 {
     if let Some(raw) = pinned {
         if let Ok(key) = raw.trim().parse::<u64>() {
             return key;

@@ -7,7 +7,7 @@
 //! Parsing is *incremental*: [`RequestParser`] accumulates whatever bytes
 //! the socket happens to deliver — a byte at a time, a pipelined burst of
 //! several requests, anything in between — and yields complete requests as
-//! they materialize. The event loop in [`crate::reactor`] feeds it from
+//! they materialize. The event loop (`reactor`) feeds it from
 //! nonblocking reads; nothing in this module touches a socket.
 
 /// Parse-time limits; oversized inputs answer 413 instead of buffering
@@ -39,7 +39,7 @@ pub struct Request {
 }
 
 impl Request {
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         let name = name.to_ascii_lowercase();
         self.headers
             .iter()
@@ -47,7 +47,7 @@ impl Request {
             .map(|(_, v)| v.as_str())
     }
 
-    pub fn query_param(&self, name: &str) -> Option<&str> {
+    pub(crate) fn query_param(&self, name: &str) -> Option<&str> {
         self.query
             .iter()
             .find(|(k, _)| k == name)
@@ -55,14 +55,14 @@ impl Request {
     }
 
     /// Did the client ask to close the connection after this exchange?
-    pub fn wants_close(&self) -> bool {
+    pub(crate) fn wants_close(&self) -> bool {
         self.header("connection")
             .is_some_and(|v| v.eq_ignore_ascii_case("close"))
     }
 
     /// Path segments with the leading slash stripped: `/v1/t/query` →
     /// `["v1", "t", "query"]`.
-    pub fn segments(&self) -> Vec<&str> {
+    pub(crate) fn segments(&self) -> Vec<&str> {
         self.path.split('/').filter(|s| !s.is_empty()).collect()
     }
 }
@@ -76,7 +76,27 @@ pub enum ParseError {
     Malformed(String),
 }
 
-/// Decodes `%XX` escapes (and `+` as space in query strings).
+/// The body length a message's `Content-Length` header values announce, 0
+/// without one. A value is ASCII digits only (Rust's integer parsers also
+/// take a leading `+`), and repeated headers must agree (RFC 9110 §8.6).
+pub(crate) fn content_length<'a>(values: impl Iterator<Item = &'a str>) -> Result<usize, String> {
+    let mut length = None;
+    for v in values {
+        let n = v
+            .parse()
+            .ok()
+            .filter(|_| v.bytes().all(|b| b.is_ascii_digit()))
+            .ok_or_else(|| format!("bad content-length {v:?}"))?;
+        if length.is_some_and(|l| l != n) {
+            return Err("conflicting content-length headers".into());
+        }
+        length = Some(n);
+    }
+    Ok(length.unwrap_or(0))
+}
+
+/// Decodes `%XX` escapes (and `+` as space in query strings). `XX` must be
+/// two hex digits; anything else leaves the `%` as it is.
 fn percent_decode(s: &str, plus_is_space: bool) -> String {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
@@ -84,11 +104,10 @@ fn percent_decode(s: &str, plus_is_space: bool) -> String {
     while i < bytes.len() {
         match bytes[i] {
             b'%' => {
-                let hex = bytes.get(i + 1..i + 3).and_then(|h| {
-                    std::str::from_utf8(h)
-                        .ok()
-                        .and_then(|h| u8::from_str_radix(h, 16).ok())
-                });
+                let hex = bytes
+                    .get(i + 1..i + 3)
+                    .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                    .and_then(|h| u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok());
                 match hex {
                     Some(b) => {
                         out.push(b);
@@ -188,19 +207,19 @@ impl RequestParser {
     }
 
     /// Bytes currently buffered (unconsumed carry).
-    pub fn buffered(&self) -> usize {
+    pub(crate) fn buffered(&self) -> usize {
         self.buf.len()
     }
 
     /// Is a request partially received (head bytes buffered or a complete
     /// head waiting for its body)?
-    pub fn has_partial(&self) -> bool {
+    pub(crate) fn has_partial(&self) -> bool {
         !self.buf.is_empty() || self.head.is_some()
     }
 
     /// Has the current request's head completed, leaving the parser
     /// waiting on body bytes?
-    pub fn reading_body(&self) -> bool {
+    pub(crate) fn reading_body(&self) -> bool {
         self.head.is_some()
     }
 
@@ -288,12 +307,9 @@ fn parse_head(head_bytes: &[u8]) -> Result<(Request, usize), ParseError> {
             "chunked transfer encoding is not supported".into(),
         ));
     }
-    let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
-        None => 0usize,
-        Some((_, v)) => v
-            .parse::<usize>()
-            .map_err(|_| ParseError::Malformed(format!("bad content-length {v:?}")))?,
-    };
+    let lengths = headers.iter().filter(|(k, _)| k == "content-length");
+    let content_length =
+        content_length(lengths.map(|(_, v)| v.as_str())).map_err(ParseError::Malformed)?;
     let (raw_path, raw_query) = match target.split_once('?') {
         Some((p, q)) => (p, Some(q)),
         None => (target, None),
@@ -317,19 +333,6 @@ fn parse_head(head_bytes: &[u8]) -> Result<(Request, usize), ParseError> {
         body: String::new(),
     };
     Ok((request, content_length))
-}
-
-/// Attempts to parse one complete request from the front of `buf` in one
-/// shot — the stateless reference form of [`RequestParser`], kept for tests
-/// and one-off callers. `Ok(Some((request, consumed)))` on success;
-/// `Ok(None)` when more bytes are needed; `Err` on protocol violations.
-pub fn try_parse(buf: &[u8], limits: &Limits) -> Result<Option<(Request, usize)>, ParseError> {
-    let mut parser = RequestParser::new();
-    parser.extend(buf);
-    match parser.next_request(limits)? {
-        Some(request) => Ok(Some((request, buf.len() - parser.buffered()))),
-        None => Ok(None),
-    }
 }
 
 /// Finds the `\r\n\r\n` head terminator, resuming the scan at `from`
@@ -361,19 +364,19 @@ impl Response {
     }
 
     /// A [`error_body`] response.
-    pub fn error(status: u16, message: &str) -> Self {
+    pub(crate) fn error(status: u16, message: &str) -> Self {
         Self::json(status, error_body(message))
     }
 
     /// Appends one extra response header.
-    pub fn with_header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
+    pub(crate) fn with_header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
         self.headers.push((name.into(), value.into()));
         self
     }
 
     /// A 429 with a computed `Retry-After` (integer seconds, per RFC 9110;
     /// always at least 1 so a client never busy-retries).
-    pub fn too_many_requests(message: &str, retry_after: std::time::Duration) -> Self {
+    pub(crate) fn too_many_requests(message: &str, retry_after: std::time::Duration) -> Self {
         let secs = retry_after.as_secs_f64().ceil().clamp(1.0, 3600.0) as u64;
         Self::error(429, message).with_header("Retry-After", secs.to_string())
     }
@@ -381,7 +384,7 @@ impl Response {
 
 /// The one `{"error": …}` envelope every error response uses, message
 /// JSON-escaped.
-pub fn error_body(message: &str) -> String {
+pub(crate) fn error_body(message: &str) -> String {
     format!("{{\"error\":\"{}\"}}", restore_util::json::escape(message))
 }
 
@@ -426,13 +429,22 @@ pub fn encode_response(response: &Response, close: bool) -> Vec<u8> {
 /// Fault-injection seam: how many bytes of an encoded response a torn
 /// write ships — the first half, at least one byte, never all of them, so
 /// the client is left with a response it must treat as a transport error.
-pub fn torn_prefix_len(encoded_len: usize) -> usize {
+pub(crate) fn torn_prefix_len(encoded_len: usize) -> usize {
     (encoded_len / 2).max(1).min(encoded_len.saturating_sub(1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One request parsed off the front of `buf`, with the bytes it took.
+    fn try_parse(buf: &[u8], limits: &Limits) -> Result<Option<(Request, usize)>, ParseError> {
+        let mut parser = RequestParser::new();
+        parser.extend(buf);
+        Ok(parser
+            .next_request(limits)?
+            .map(|r| (r, buf.len() - parser.buffered())))
+    }
 
     fn parse_ok(raw: &str) -> Request {
         let (req, consumed) = try_parse(raw.as_bytes(), &Limits::default())
@@ -574,30 +586,23 @@ mod tests {
             max_head_bytes: 64,
             max_body_bytes: 8,
         };
-        assert!(matches!(
-            try_parse(b"NOT A REQUEST\r\n\r\n", &limits),
-            Err(ParseError::Malformed(_))
-        ));
-        assert!(matches!(
-            try_parse(b"GET / FTP/1.0\r\n\r\n", &limits),
-            Err(ParseError::Malformed(_))
-        ));
-        assert!(matches!(
-            try_parse(b"POST / HTTP/1.1\r\nContent-Length: 99\r\n\r\n", &limits),
-            Err(ParseError::TooLarge)
-        ));
         let long_head = format!("GET /{} HTTP/1.1\r\n\r\n", "x".repeat(100));
-        assert!(matches!(
-            try_parse(long_head.as_bytes(), &limits),
-            Err(ParseError::TooLarge)
-        ));
-        assert!(matches!(
-            try_parse(
-                b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
-                &limits
+        for (raw, too_large) in [
+            ("NOT A REQUEST\r\n\r\n", false),
+            ("GET / FTP/1.0\r\n\r\n", false),
+            ("POST / HTTP/1.1\r\nContent-Length: 99\r\n\r\n", true),
+            (long_head.as_str(), true),
+            (
+                "POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+                false,
             ),
-            Err(ParseError::Malformed(_))
-        ));
+        ] {
+            match try_parse(raw.as_bytes(), &limits) {
+                Err(ParseError::TooLarge) => assert!(too_large, "{raw:?}"),
+                Err(ParseError::Malformed(_)) => assert!(!too_large, "{raw:?}"),
+                other => panic!("{raw:?} must be refused, got {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     #[test]
@@ -609,11 +614,32 @@ mod tests {
     }
 
     #[test]
+    fn a_percent_escape_takes_two_hex_digits_only() {
+        assert_eq!(percent_decode("%+1", false), "%+1");
+        assert_eq!(percent_decode("%-1x", false), "%-1x");
+        assert_eq!(percent_decode("%4a", false), "J");
+    }
+
+    #[test]
+    fn a_signed_content_length_is_malformed() {
+        let raw = b"POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello";
+        let parsed = try_parse(raw, &Limits::default());
+        assert!(matches!(parsed, Err(ParseError::Malformed(_))));
+    }
+
+    #[test]
+    fn content_length_headers_must_agree() {
+        let raw = "POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nhello";
+        let parsed = try_parse(raw.as_bytes(), &Limits::default());
+        assert!(matches!(parsed, Err(ParseError::Malformed(m)) if m.contains("conflicting")));
+        let agreeing = raw.replace("Length: 2", "Length: 5");
+        assert_eq!(parse_ok(&agreeing).body, "hello");
+    }
+
+    #[test]
     fn encode_target_round_trips_through_the_parser() {
         let raw = "POST /v1/my%20db/query?seed=7&x=a+b HTTP/1.1\r\nHost: x\r\n\r\n";
-        let (req, _) = try_parse(raw.as_bytes(), &Limits::default())
-            .expect("parse")
-            .expect("complete");
+        let req = parse_ok(raw);
         let target = encode_target(&req);
         let reparsed = parse_ok(&format!("GET {target} HTTP/1.1\r\n\r\n"));
         assert_eq!(reparsed.path, req.path);

@@ -4,7 +4,7 @@
 //! into a deployable service: a `std`-only TCP/HTTP 1.1 server (hand-rolled
 //! incremental request parsing, no external dependencies) over a
 //! hot-swappable, multi-tenant [`SnapshotRegistry`](restore_core::SnapshotRegistry).
-//! One epoll reactor thread ([`reactor`]) owns every socket and holds tens
+//! One epoll reactor thread (`reactor`) owns every socket and holds tens
 //! of thousands of idle keep-alive connections; request execution runs on
 //! a small worker pool behind an admission gate.
 //!
@@ -83,7 +83,7 @@
 //!   every response carries an accept-order `X-Request-Id` that `/metrics`
 //!   threads into the per-tenant error counters. See the "Resilience
 //!   plane" section of `ARCHITECTURE.md`.
-//! * **Deterministic chaos** — a seeded [`FaultPlan`](fault::FaultPlan)
+//! * **Deterministic chaos** — a seeded [`FaultPlan`]
 //!   ([`ServeConfig::fault`]) injects delays, read/write errors, torn
 //!   responses, and handler panics as a pure function of `(seed, fault
 //!   key)`, so the chaos soak in `tests/resilience.rs` reproduces
@@ -93,55 +93,32 @@
 //!   reconnects on transport errors, all inside a wall-clock
 //!   [`RetryPolicy::budget`].
 //!
-//! ## Fleet mode — the `shard_router` binary
+//! ## Fleet mode
 //!
-//! One process is one core budget. The [`router`] module (and the
-//! `shard_router` binary) scale out horizontally: a thin router process —
-//! the same `Server`, in fleet mode — maps each tenant to one of N worker
-//! processes by stable FNV-1a hash and forwards over pooled keep-alive
-//! connections, with health probes and snapshot-directory re-exec
-//! failover. Wire format and response bytes are identical to a direct
-//! worker connection.
-//!
-//! ```text
-//! # one router + 4 workers, all booted from the same snapshot directory
-//! shard_router --snapshot-dir /var/lib/restore/snapshots --shards 4 --addr 127.0.0.1:8080
-//! # → shard_router listening on 127.0.0.1:8080
-//!
-//! curl -s localhost:8080/v1/housing/query -d '{…}'   # forwarded to housing's shard
-//! curl -s localhost:8080/healthz            # {"status":"ok","fleet":{"shards":4,"up":4}}
-//! curl -s localhost:8080/metrics            # router metrics + "fleet" section
-//! curl -s localhost:8080/fleet/2/metrics    # worker 2's raw /metrics, passed through
-//! ```
-//!
-//! A standalone worker (what the router re-execs on failover — also handy
-//! for running workers under your own supervisor and pointing a fleet at
-//! them with fixed addresses):
-//!
-//! ```text
-//! shard_router --worker --snapshot-dir /var/lib/restore/snapshots
-//! # → shard_router worker listening on 127.0.0.1:PORT   (ephemeral port)
-//! ```
-//!
-//! In-process, the same plumbing is three calls: [`router::Fleet::start`]
-//! with a [`router::FleetConfig`], put the `Arc<Fleet>` into
-//! [`ServeConfig::fleet`], and `Server::bind` as usual. See the "Fleet
-//! path" section of `ARCHITECTURE.md` for the failover rules.
+//! One process is one core budget. The [`router`] module scales out
+//! horizontally: a router — the same `Server`, in fleet mode — maps each
+//! tenant to one of N worker processes by stable FNV-1a hash and forwards
+//! over pooled keep-alive connections, with health probes and
+//! snapshot-directory re-exec failover. Response bytes are identical to a
+//! direct worker connection. The `shard_router` binary runs a router and
+//! its workers from one snapshot directory (its doc lists the flags);
+//! in-process it is three calls: [`router::Fleet::start`] with a
+//! [`router::FleetConfig`], the `Arc<Fleet>` in [`ServeConfig::fleet`], and
+//! `Server::bind` as usual. The "Fleet path" section of `ARCHITECTURE.md`
+//! has the routes (`/fleet/{i}/metrics`) and the failover rules.
 
-pub mod client;
-pub mod fault;
+#![warn(unreachable_pub)]
+
+mod client;
+mod fault;
 pub mod http;
-pub mod reactor;
+mod reactor;
 pub mod router;
-pub mod server;
-pub mod store;
+mod server;
+mod store;
 
-pub use client::{
-    ClientConfig, ConnectionPool, ConnectionPoolStats, HttpClient, HttpResponse, RetryPolicy,
-};
+pub use client::{ClientConfig, HttpClient, HttpResponse, RetryPolicy};
 pub use fault::{FaultAction, FaultConfig, FaultPlan};
-pub use http::{Limits, Request, Response};
 pub use reactor::raise_fd_limit;
-pub use router::{Fleet, FleetConfig, ShardConfig, WorkerSpec};
 pub use server::{ServeConfig, Server};
-pub use store::{LoadedSnapshot, SkippedSnapshot, SnapshotStore};
+pub use store::SnapshotStore;

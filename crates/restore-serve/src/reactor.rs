@@ -47,49 +47,50 @@ use crate::server::{Completion, Decision, Metrics, Shared};
 mod sys {
     use std::ffi::c_int;
 
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLLRDHUP: u32 = 0x2000;
+    pub(super) const EPOLLIN: u32 = 0x001;
+    pub(super) const EPOLLOUT: u32 = 0x004;
+    pub(super) const EPOLLERR: u32 = 0x008;
+    pub(super) const EPOLLHUP: u32 = 0x010;
+    pub(super) const EPOLLRDHUP: u32 = 0x2000;
 
-    pub const EPOLL_CTL_ADD: c_int = 1;
-    pub const EPOLL_CTL_MOD: c_int = 3;
+    pub(super) const EPOLL_CTL_ADD: c_int = 1;
+    pub(super) const EPOLL_CTL_MOD: c_int = 3;
 
-    pub const EPOLL_CLOEXEC: c_int = 0o2000000;
-    pub const EFD_CLOEXEC: c_int = 0o2000000;
-    pub const EFD_NONBLOCK: c_int = 0o4000;
+    pub(super) const EPOLL_CLOEXEC: c_int = 0o2000000;
+    pub(super) const EFD_CLOEXEC: c_int = 0o2000000;
+    pub(super) const EFD_NONBLOCK: c_int = 0o4000;
 
-    pub const RLIMIT_NOFILE: c_int = 7;
+    pub(super) const RLIMIT_NOFILE: c_int = 7;
 
     #[repr(C)]
     #[cfg_attr(target_arch = "x86_64", repr(packed))]
     #[derive(Clone, Copy)]
-    pub struct EpollEvent {
+    pub(super) struct EpollEvent {
         pub events: u32,
         pub data: u64,
     }
 
     #[repr(C)]
-    pub struct RLimit {
+    pub(super) struct RLimit {
         pub cur: u64,
         pub max: u64,
     }
 
     extern "C" {
-        pub fn epoll_create1(flags: c_int) -> c_int;
-        pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        pub fn epoll_wait(
+        pub(super) fn epoll_create1(flags: c_int) -> c_int;
+        pub(super) fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent)
+            -> c_int;
+        pub(super) fn epoll_wait(
             epfd: c_int,
             events: *mut EpollEvent,
             maxevents: c_int,
             timeout_ms: c_int,
         ) -> c_int;
-        pub fn eventfd(initval: u32, flags: c_int) -> c_int;
-        pub fn read(fd: c_int, buf: *mut u8, count: usize) -> isize;
-        pub fn write(fd: c_int, buf: *const u8, count: usize) -> isize;
-        pub fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
-        pub fn setrlimit(resource: c_int, rlim: *const RLimit) -> c_int;
+        pub(super) fn eventfd(initval: u32, flags: c_int) -> c_int;
+        pub(super) fn read(fd: c_int, buf: *mut u8, count: usize) -> isize;
+        pub(super) fn write(fd: c_int, buf: *const u8, count: usize) -> isize;
+        pub(super) fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
+        pub(super) fn setrlimit(resource: c_int, rlim: *const RLimit) -> c_int;
     }
 }
 

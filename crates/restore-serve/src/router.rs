@@ -21,9 +21,8 @@
 //!   table, and the mapping survives worker restarts, so each tenant's
 //!   completion caches stay warm on exactly one worker.
 //! * **Forwarding** rides pooled keep-alive connections
-//!   ([`crate::client::ConnectionPool`]) with health-aware checkout; the
-//!   retry schedule reuses the client plane's
-//!   [`RetryPolicy`](crate::RetryPolicy) backoff/jitter machinery. Only
+//!   (`ConnectionPool`) with health-aware checkout; the retry schedule
+//!   reuses the client plane's [`RetryPolicy`] backoff/jitter machinery. Only
 //!   transport errors retry — worker status codes (including 429/503) pass
 //!   through byte-identically so end-to-end semantics match a direct
 //!   worker connection.
@@ -95,16 +94,17 @@ pub struct FleetConfig {
     /// Client config for forwarded requests; its [`RetryPolicy`] supplies
     /// the forward backoff schedule and wall-clock budget.
     pub client: ClientConfig,
-    /// Idle keep-alive connections pooled per shard.
-    pub max_idle_per_shard: usize,
     /// Health-probe cadence of the monitor thread.
     pub health_interval: Duration,
-    /// Consecutive failed probes before a shard is marked down.
-    pub down_after: u32,
-    /// How long one worker spawn may take to print its address and answer
-    /// `/healthz` before the attempt counts as failed.
-    pub spawn_timeout: Duration,
 }
+
+/// Idle keep-alive connections pooled per shard.
+const MAX_IDLE_PER_SHARD: usize = 16;
+/// Consecutive failed probes before a shard is marked down.
+const DOWN_AFTER: u32 = 2;
+/// How long one worker spawn may take to print its address and answer
+/// `/healthz` before the attempt counts as failed.
+const SPAWN_TIMEOUT: Duration = Duration::from_secs(30);
 
 impl Default for FleetConfig {
     fn default() -> Self {
@@ -120,10 +120,7 @@ impl Default for FleetConfig {
                     ..RetryPolicy::default()
                 },
             },
-            max_idle_per_shard: 16,
             health_interval: Duration::from_millis(200),
-            down_after: 2,
-            spawn_timeout: Duration::from_secs(30),
         }
     }
 }
@@ -221,7 +218,7 @@ impl Fleet {
     /// up healthy), registers fixed addresses, and starts the health
     /// monitor. Fails loudly if any shard has neither an address nor a
     /// spawn command, or if an initial spawn doesn't become healthy within
-    /// [`FleetConfig::spawn_timeout`].
+    /// 30 s.
     pub fn start(config: FleetConfig) -> io::Result<Arc<Self>> {
         if config.shards.is_empty() {
             return Err(io::Error::new(
@@ -239,7 +236,7 @@ impl Fleet {
             }
             let shard = Arc::new(Shard {
                 index,
-                pool: ConnectionPool::new(config.client, config.max_idle_per_shard),
+                pool: ConnectionPool::new(config.client, MAX_IDLE_PER_SHARD),
                 spec: shard_config.worker.clone(),
                 child: Mutex::new(None),
                 forwarded: AtomicU64::new(0),
@@ -252,10 +249,10 @@ impl Fleet {
             }
             if shard_config.addr.is_none() {
                 let spec = shard.spec.as_ref().expect("checked above");
-                let (child, addr) = spawn_worker(spec, config.spawn_timeout)?;
+                let (child, addr) = spawn_worker(spec)?;
                 *shard.child.lock().unwrap_or_else(|e| e.into_inner()) = Some(child);
                 shard.pool.set_peer(addr);
-                wait_healthy(addr, config.spawn_timeout).map_err(|e| {
+                wait_healthy(addr).map_err(|e| {
                     io::Error::new(
                         io::ErrorKind::TimedOut,
                         format!("shard {index} worker at {addr} never became healthy: {e}"),
@@ -299,7 +296,7 @@ impl Fleet {
             .is_some_and(|s| s.pool.health().is_up())
     }
 
-    pub fn up_count(&self) -> usize {
+    pub(crate) fn up_count(&self) -> usize {
         self.shards
             .iter()
             .filter(|s| s.pool.health().is_up())
@@ -421,7 +418,7 @@ impl Fleet {
             // A health-gate refusal (peer marked down / unregistered) is
             // not *new* evidence of failure; dial and request errors are.
             Err(e) if e.kind() != io::ErrorKind::NotConnected => {
-                shard.pool.health().record_failure(self.config.down_after);
+                shard.pool.health().record_failure(DOWN_AFTER);
             }
             Err(_) => {}
         }
@@ -543,7 +540,7 @@ fn passthrough(upstream: HttpResponse) -> Response {
 /// `timeout`, not forever. The child keeps a piped stdin for its lifetime;
 /// fleet teardown (or fleet process death) closes it, which a well-behaved
 /// worker treats as EOF-exit.
-fn spawn_worker(spec: &WorkerSpec, timeout: Duration) -> io::Result<(Child, SocketAddr)> {
+fn spawn_worker(spec: &WorkerSpec) -> io::Result<(Child, SocketAddr)> {
     let mut child = Command::new(&spec.program)
         .args(&spec.args)
         .stdin(Stdio::piped())
@@ -556,7 +553,7 @@ fn spawn_worker(spec: &WorkerSpec, timeout: Duration) -> io::Result<(Child, Sock
         let _ = BufReader::new(stdout).read_line(&mut line);
         let _ = tx.send(line);
     });
-    let line = match rx.recv_timeout(timeout) {
+    let line = match rx.recv_timeout(SPAWN_TIMEOUT) {
         Ok(line) => line,
         Err(_) => {
             let _ = child.kill();
@@ -564,7 +561,7 @@ fn spawn_worker(spec: &WorkerSpec, timeout: Duration) -> io::Result<(Child, Sock
             return Err(io::Error::new(
                 io::ErrorKind::TimedOut,
                 format!(
-                    "worker {} did not report an address within {timeout:?}",
+                    "worker {} did not report an address within {SPAWN_TIMEOUT:?}",
                     spec.program.display()
                 ),
             ));
@@ -587,9 +584,9 @@ fn spawn_worker(spec: &WorkerSpec, timeout: Duration) -> io::Result<(Child, Sock
     }
 }
 
-/// Polls `/healthz` until it answers 200 or `timeout` elapses.
-fn wait_healthy(addr: SocketAddr, timeout: Duration) -> io::Result<()> {
-    let deadline = Instant::now() + timeout;
+/// Polls `/healthz` until it answers 200 or [`SPAWN_TIMEOUT`] elapses.
+fn wait_healthy(addr: SocketAddr) -> io::Result<()> {
+    let deadline = Instant::now() + SPAWN_TIMEOUT;
     let mut last = String::from("never probed");
     while Instant::now() < deadline {
         match probe_get(addr, "/healthz") {
@@ -626,7 +623,7 @@ fn monitor_loop(fleet: Weak<Fleet>) {
 /// One monitor round for one shard: child exit is a definitive down
 /// signal; otherwise a `/healthz` probe decides. A shard that is down and
 /// owns a spawn spec is re-execed (synchronously — respawn latency is
-/// bounded by `spawn_timeout` and the fleet is small).
+/// bounded by `SPAWN_TIMEOUT` and the fleet is small).
 fn check_shard(fleet: &Fleet, shard: &Shard) {
     let exited = shard.child_exited();
     if !exited && shard.probe_ok() {
@@ -642,7 +639,7 @@ fn check_shard(fleet: &Fleet, shard: &Shard) {
     let went_down = if exited {
         shard.pool.health().force_down()
     } else {
-        shard.pool.health().record_failure(fleet.config.down_after)
+        shard.pool.health().record_failure(DOWN_AFTER)
     };
     if went_down {
         eprintln!(
@@ -662,9 +659,7 @@ fn check_shard(fleet: &Fleet, shard: &Shard) {
         return; // externally managed: wait for set_shard_addr
     };
     shard.kill_child();
-    match spawn_worker(spec, fleet.config.spawn_timeout).and_then(|(child, addr)| {
-        wait_healthy(addr, fleet.config.spawn_timeout).map(|()| (child, addr))
-    }) {
+    match spawn_worker(spec).and_then(|(child, addr)| wait_healthy(addr).map(|()| (child, addr))) {
         Ok((child, addr)) => {
             *shard.child.lock().unwrap_or_else(|e| e.into_inner()) = Some(child);
             shard.pool.set_peer(addr);

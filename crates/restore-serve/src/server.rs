@@ -616,10 +616,6 @@ impl Server {
         self.addr
     }
 
-    pub fn registry(&self) -> &Arc<SnapshotRegistry> {
-        &self.shared.registry
-    }
-
     /// Connections currently being served.
     pub fn connections_active(&self) -> usize {
         self.shared.shutdown.active()

@@ -22,7 +22,7 @@
 //! so one bad file cannot take a tenant (let alone the server) down.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 use restore_core::{PersistError, Snapshot};
@@ -62,10 +62,6 @@ impl SnapshotStore {
         Self { root: root.into() }
     }
 
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     /// The canonical path of `tenant`'s version `version`.
     pub fn version_path(&self, tenant: &str, version: u32) -> PathBuf {
         self.root
@@ -76,7 +72,7 @@ impl SnapshotStore {
     /// Tenants present in the store (sorted). A tenant with only temp or
     /// unparsable files still appears — the load step reports why nothing
     /// is servable.
-    pub fn tenants(&self) -> Vec<String> {
+    pub(crate) fn tenants(&self) -> Vec<String> {
         let mut names = Vec::new();
         if let Ok(entries) = fs::read_dir(&self.root) {
             for entry in entries.flatten() {
@@ -113,7 +109,7 @@ impl SnapshotStore {
     /// The highest version number present for `tenant` (valid or not).
     /// Rebuilds write `latest_version + 1` so a corrupt newest file is
     /// superseded, never overwritten in place.
-    pub fn latest_version(&self, tenant: &str) -> Option<u32> {
+    pub(crate) fn latest_version(&self, tenant: &str) -> Option<u32> {
         self.versions(tenant).last().copied()
     }
 

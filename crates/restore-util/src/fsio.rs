@@ -60,7 +60,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// The suffix marker of in-progress atomic writes; scanners must skip any
 /// file whose name contains it (a crash between write and rename leaves
 /// one behind).
-pub const TMP_MARKER: &str = ".tmp-";
+pub(crate) const TMP_MARKER: &str = ".tmp-";
 
 /// True when `name` is a leftover (or in-flight) atomic-write temp file.
 pub fn is_tmp_name(name: &str) -> bool {

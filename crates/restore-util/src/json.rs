@@ -309,8 +309,11 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
                     b'b' => out.push('\u{8}'),
                     b'f' => out.push('\u{c}'),
                     b'u' => {
-                        let hex = std::str::from_utf8(b.get(*pos + 1..*pos + 5)?).ok()?;
-                        let code = u32::from_str_radix(hex, 16).ok()?;
+                        let hex = b.get(*pos + 1..*pos + 5)?;
+                        if !hex.iter().all(u8::is_ascii_hexdigit) {
+                            return None;
+                        }
+                        let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
                         // Surrogate pairs are not rebuilt — the writer in
                         // this module never emits them.
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -490,6 +493,13 @@ mod tests {
         let bomb = std::thread::Builder::new().stack_size(256 << 10);
         let bomb = bomb.spawn(|| parse(&"[".repeat(1 << 20)));
         assert_eq!(bomb.unwrap().join().unwrap(), None);
+    }
+
+    #[test]
+    fn a_unicode_escape_takes_four_hex_digits_only() {
+        assert_eq!(parse(r#""\u0041""#), Some(JsonValue::Str("A".into())));
+        assert_eq!(parse(r#""\u+041""#), None);
+        assert_eq!(parse(r#""\u-041""#), None);
     }
 
     #[test]

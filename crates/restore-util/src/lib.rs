@@ -9,21 +9,22 @@
 //! seeds, never of scheduling.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod backoff;
-pub mod fsio;
+mod backoff;
+mod fsio;
 pub mod json;
-pub mod pool;
-pub mod ratelimit;
-pub mod shutdown;
-pub mod singleflight;
+mod pool;
+mod ratelimit;
+mod shutdown;
+mod singleflight;
 
 pub use backoff::BackoffConfig;
 pub use fsio::{fnv1a64, is_tmp_name, write_atomic, Fnv64};
 pub use pool::{HealthState, ObjectPool, PoolStats};
 pub use ratelimit::{RateLimitConfig, RateLimiter};
 pub use shutdown::{ConnectionGuard, Shutdown};
-pub use singleflight::{Flight, SingleFlight};
+pub use singleflight::SingleFlight;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -61,10 +61,6 @@ impl RateLimiter {
         }
     }
 
-    pub fn config(&self) -> RateLimitConfig {
-        self.config
-    }
-
     /// Takes one token from `key`'s bucket at the current wall-clock time.
     /// On refusal, returns the time until a token will be available.
     pub fn try_acquire(&self, key: &str) -> Result<(), Duration> {
@@ -75,7 +71,7 @@ impl RateLimiter {
     /// the deterministic form the unit tests drive. Timestamps must be
     /// monotone per key for the refill accounting to make sense; a stale
     /// timestamp simply refills nothing.
-    pub fn try_acquire_at(&self, key: &str, now_nanos: u64) -> Result<(), Duration> {
+    pub(crate) fn try_acquire_at(&self, key: &str, now_nanos: u64) -> Result<(), Duration> {
         let mut buckets = self.buckets.lock().unwrap_or_else(|e| e.into_inner());
         let bucket = buckets.entry(key.to_string()).or_insert(Bucket {
             tokens: self.config.burst,
@@ -91,16 +87,6 @@ impl RateLimiter {
             let deficit = 1.0 - bucket.tokens;
             Err(Duration::from_secs_f64(deficit / self.config.rate_per_s))
         }
-    }
-
-    /// Keys with live buckets (for introspection/metrics).
-    pub fn keys(&self) -> Vec<String> {
-        self.buckets
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .keys()
-            .cloned()
-            .collect()
     }
 }
 
@@ -151,7 +137,8 @@ mod tests {
             rl.try_acquire_at("cold", 0).is_ok(),
             "other keys unaffected"
         );
-        assert_eq!(rl.keys(), vec!["cold".to_string(), "hot".to_string()]);
+        let keys: Vec<String> = rl.buckets.lock().unwrap().keys().cloned().collect();
+        assert_eq!(keys, ["cold", "hot"]);
     }
 
     #[test]

@@ -19,7 +19,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// A write-once slot many threads can block on — a `Once`-style rendezvous
 /// carrying a value.
-pub struct Flight<T> {
+pub(crate) struct Flight<T> {
     state: Mutex<FlightState<T>>,
     ready: Condvar,
 }
@@ -32,7 +32,7 @@ enum FlightState<T> {
 }
 
 impl<T: Clone> Flight<T> {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             state: Mutex::new(FlightState::Pending),
             ready: Condvar::new(),
@@ -40,7 +40,7 @@ impl<T: Clone> Flight<T> {
     }
 
     /// Publishes the value and wakes every waiter. May be called once.
-    pub fn fill(&self, value: T) {
+    pub(crate) fn fill(&self, value: T) {
         let mut st = lock(&self.state);
         debug_assert!(matches!(*st, FlightState::Pending), "flight filled twice");
         *st = FlightState::Done(value);
@@ -56,7 +56,7 @@ impl<T: Clone> Flight<T> {
     }
 
     /// Blocks until the leader publishes, then returns a clone.
-    pub fn wait(&self) -> T {
+    pub(crate) fn wait(&self) -> T {
         let mut st = lock(&self.state);
         loop {
             match &*st {
@@ -90,15 +90,6 @@ impl<K: Eq + Hash + Clone, T: Clone> SingleFlight<K, T> {
         Self {
             inflight: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Number of computations currently in flight.
-    pub fn len(&self) -> usize {
-        lock(&self.inflight).len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        lock(&self.inflight).is_empty()
     }
 
     /// Runs `f` under single-flight semantics for `key`. Returns the value
@@ -164,7 +155,10 @@ mod tests {
         let (v, leader) = sf.run(&1, || 41 + 1);
         assert_eq!(v, 42);
         assert!(leader);
-        assert!(sf.is_empty(), "key must retire after the leader finishes");
+        assert!(
+            lock(&sf.inflight).is_empty(),
+            "key must retire after the leader finishes"
+        );
     }
 
     #[test]

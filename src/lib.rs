@@ -17,8 +17,7 @@
 //! * [`data`] — dataset generators and biased-removal machinery.
 //! * [`core`] — the ReStore system itself (completion models,
 //!   incompleteness joins, model selection, confidence intervals).
-//! * [`eval`] — metrics and experiment runners reproducing the paper's
-//!   evaluation.
+//! * [`eval`] — experiment runners reproducing the paper's evaluation.
 //! * [`serve`] — network serving front-end: multi-tenant HTTP server over
 //!   a hot-swappable snapshot registry.
 //!
@@ -43,6 +42,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub use restore_core as core;
 pub use restore_data as data;

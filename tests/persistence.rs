@@ -10,6 +10,9 @@
 //!   corrupt newest version falls back to the newest *valid* one;
 //! * **idempotence** — re-saving the same snapshot version is byte-equal,
 //!   and a server boots tenants straight from the snapshot directory;
+//! * **retired option keys** — options that became constants are no longer
+//!   written, load from older v1 files only at the constants' values, and
+//!   are refused by name otherwise;
 //! * **hot swap from disk** — a *loaded* v2 publishes over an in-memory
 //!   v1 under concurrent load torn-free (the `http_serving.rs` harness,
 //!   with the replacement snapshot coming off disk).
@@ -24,12 +27,14 @@ use restore_fixtures::{
 
 use restore::core::wire::{self, QueryRequest};
 use restore::core::{
-    CompleterConfig, ConfidenceQuery, ReStore, RestoreConfig, Snapshot, SnapshotRegistry,
-    TrainConfig,
+    CompleterConfig, ConfidenceQuery, PersistError, ReStore, RestoreConfig, Snapshot,
+    SnapshotRegistry, TrainConfig,
 };
 use restore::data::{apply_removal, generate_synthetic, BiasSpec, RemovalConfig, SyntheticConfig};
 use restore::db::{Agg, Query};
 use restore::serve::{HttpClient, ServeConfig, Server, SnapshotStore};
+use restore::util::fnv1a64;
+use restore::util::json::{parse, JsonValue};
 
 fn temp_dir(label: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -169,6 +174,86 @@ fn resave_of_same_version_is_byte_idempotent() {
     let loaded = Snapshot::load(&store.version_path("t", 1)).expect("load");
     assert_eq!(loaded.to_bytes(), first, "serialization is deterministic");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `file` with its meta JSON rewritten by `edit`, the meta length and the
+/// checksum fixed up: the same snapshot as another v1 writer would save it.
+fn edit_meta(file: &[u8], edit: impl FnOnce(&str) -> String) -> Vec<u8> {
+    let meta_len = u64::from_le_bytes(file[12..20].try_into().unwrap()) as usize;
+    let meta = edit(std::str::from_utf8(&file[20..20 + meta_len]).expect("UTF-8 meta"));
+    let mut out = file[..12].to_vec();
+    out.extend_from_slice(&(meta.len() as u64).to_le_bytes());
+    out.extend_from_slice(meta.as_bytes());
+    out.extend_from_slice(&file[20 + meta_len..file.len() - 8]);
+    let checksum = fnv1a64(&out);
+    out.extend_from_slice(&checksum.to_le_bytes());
+    out
+}
+
+#[test]
+fn retired_option_keys_are_not_written_and_load_only_at_their_constants() {
+    const RETIRED: [&str; 11] = [
+        "lr",
+        "max_bins",
+        "val_fraction",
+        "clip_norm",
+        "tf_cap",
+        "max_set_size",
+        "patience",
+        "ann_bits",
+        "ann_tables",
+        "max_missing_per_row",
+        "max_path_len",
+    ];
+    let bytes = sealed_synthetic_snapshot(29, 4).to_bytes();
+    let meta_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
+    let meta = parse(std::str::from_utf8(&bytes[20..20 + meta_len]).unwrap()).expect("meta");
+    let field = |v: &JsonValue, key: &str| v.get(key).cloned().expect(key);
+    let config = field(&meta, "config");
+    let mut blocks = vec![
+        config.clone(),
+        field(&config, "train"),
+        field(&config, "completer"),
+    ];
+    let models = field(&meta, "models");
+    let models = models.as_array().expect("models");
+    assert!(!models.is_empty());
+    blocks.extend(models.iter().map(|m| field(m, "train")));
+    for block in &blocks {
+        for key in RETIRED {
+            assert!(
+                block.get(key).is_none(),
+                "a saved file still writes {key:?}"
+            );
+        }
+    }
+
+    // Every earlier v1 writer emitted the keys at today's constants.
+    let old = edit_meta(&bytes, |m| {
+        m.replace(
+            r#""train":{"#,
+            r#""train":{"lr":0.004999999888241291,"max_bins":24,"val_fraction":0.1,"clip_norm":5,"tf_cap":64,"max_set_size":12,"patience":10,"#,
+        )
+        .replace(
+            r#""completer":{"#,
+            r#""completer":{"ann_bits":10,"ann_tables":4,"max_missing_per_row":64,"#,
+        )
+        .replace(r#""max_candidates""#, r#""max_path_len":5,"max_candidates""#)
+    });
+    let loaded = Snapshot::from_bytes(&old).expect("v1 keys at the constants load");
+    assert_eq!(loaded.to_bytes(), bytes, "the reader ignores them");
+
+    for (key, from, to) in [
+        ("max_bins", r#""max_bins":24"#, r#""max_bins":16"#),
+        ("ann_tables", r#""ann_tables":4"#, r#""ann_tables":5"#),
+        ("max_path_len", r#""max_path_len":5"#, r#""max_path_len":3"#),
+    ] {
+        let changed = edit_meta(&old, |m| m.replacen(from, to, 1));
+        match Snapshot::from_bytes(&changed) {
+            Err(PersistError::Corrupt(m)) => assert!(m.contains(key), "{m}"),
+            other => panic!("a different {key} must be refused, got {:?}", other.err()),
+        }
+    }
 }
 
 #[test]

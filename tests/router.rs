@@ -13,11 +13,15 @@
 //!   re-registering a replacement worker restores byte-identical service.
 //! * The router's `/metrics` carries a `fleet` section whose counters
 //!   track forwards and failures.
+//! * A shard whose response framing is malformed is a transport failure:
+//!   the forward retries and answers 503, and no handler panics.
 //!
 //! Process-level spawn/re-exec failover is covered by the `process_smoke`
 //! binary; these tests pin the routing semantics without process churn.
 
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -65,7 +69,6 @@ fn fixed_fleet(addrs: &[SocketAddr]) -> Arc<Fleet> {
             },
         },
         health_interval: Duration::from_millis(50),
-        ..FleetConfig::default()
     })
     .expect("fleet over fixed addrs")
 }
@@ -269,4 +272,65 @@ fn dead_shard_degrades_and_a_replacement_restores_byte_identical_service() {
     fleet.shutdown();
     assert!(replacement.shutdown());
     assert!(worker1.shutdown());
+}
+
+#[test]
+fn a_shard_announcing_an_impossible_content_length_answers_503_without_a_panic() {
+    // The "shard": reads a request, then answers with a Content-Length
+    // that `body_start + len` overflows.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake shard");
+    let addr = listener.local_addr().expect("fake shard addr");
+    let stop = Arc::new(AtomicBool::new(false));
+    let shard = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                let Ok(mut stream) = stream else { continue };
+                let mut buf = [0u8; 4096];
+                let _ = stream.read(&mut buf);
+                let _ = stream.write_all(
+                    b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\n{}",
+                );
+            }
+        })
+    };
+    let fleet = fixed_fleet(&[addr]);
+    let router = Server::bind(
+        "127.0.0.1:0",
+        Arc::new(SnapshotRegistry::new()),
+        ServeConfig {
+            fleet: Some(Arc::clone(&fleet)),
+            request_deadline: Duration::from_millis(300),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind router");
+    let via = router.local_addr();
+
+    let response = HttpClient::connect(via)
+        .expect("connect")
+        .request_full("POST", "/v1/t/query", Some(&plain_query()), &[])
+        .expect("router answers");
+    assert_eq!(response.status, 503, "{}", response.body);
+    assert!(response.retry_after().is_some(), "503 carries Retry-After");
+    let (_, metrics) = ask(via, "GET", "/metrics", None);
+    let root = parse(&metrics).expect("metrics parse");
+    let panics = root
+        .get("requests")
+        .and_then(|r| r.get("panics_caught"))
+        .and_then(|v| v.as_f64());
+    assert_eq!(
+        panics,
+        Some(0.0),
+        "malformed framing must not panic a handler"
+    );
+
+    assert!(router.shutdown());
+    fleet.shutdown();
+    stop.store(true, Ordering::Relaxed);
+    let _ = std::net::TcpStream::connect(addr);
+    shard.join().expect("fake shard thread");
 }

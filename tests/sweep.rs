@@ -14,10 +14,9 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use restore::nn::loss::softmax_into;
 use restore::nn::{
-    AttrSpec, DeepSets, DeepSetsConfig, InferenceSession, Made, MadeConfig, Matrix, ParamStore,
-    SetBatch, SetTableSpec, TableSet,
+    softmax_into, AttrSpec, DeepSets, DeepSetsConfig, InferenceSession, Made, MadeConfig, Matrix,
+    ParamStore, SetBatch, SetTableSpec, TableSet,
 };
 
 const CARDS: [usize; 4] = [7, 5, 9, 4];

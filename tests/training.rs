@@ -184,10 +184,7 @@ fn incremental_encoding_matches_full_reencoding() {
 /// and nearest-neighbor replacement of intermediate tables.
 #[test]
 fn incremental_encoding_matches_full_reencoding_multistep() {
-    let complete = restore::data::movies::generate_movies(
-        &restore::data::movies::MoviesConfig::scaled(0.08),
-        36,
-    );
+    let complete = restore::data::generate_movies(&restore::data::MoviesConfig::scaled(0.08), 36);
     let mut removal =
         RemovalConfig::new(BiasSpec::continuous("movie", "production_year"), 0.4, 0.4);
     removal.tf_keep_rate = 0.2;
