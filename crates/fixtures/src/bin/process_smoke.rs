@@ -33,7 +33,6 @@ use restore_fixtures::{
 };
 use restore_serve::router::{Fleet, FleetConfig, ShardConfig, WorkerSpec};
 use restore_serve::{HttpClient, ServeConfig, Server, SnapshotStore};
-use restore_util::json::parse;
 
 /// Child mode: a stock server whose whole startup story is the boot scan
 /// of `snapshot_dir`. Prints the address line the fleet spawner parses,
@@ -247,9 +246,9 @@ fn main() {
         &post_kill, pre_kill,
         "a re-execed worker must answer byte-identically from the same snapshot dir"
     );
-    let respawns = parse(&fleet.metrics_json())
-        .and_then(|m| m.get("respawns").and_then(|v| v.as_f64()))
-        .expect("fleet metrics carry respawns");
+    let fleet_metrics = fleet.metrics_json();
+    let respawns = fleet_metrics.get("respawns").and_then(|v| v.as_f64());
+    let respawns = respawns.expect("fleet metrics carry respawns");
     assert_eq!(respawns, 1.0, "exactly one recorded re-exec");
     println!(
         "failover: worker re-execed ({old_addr} -> {new_addr}), {completed} requests, 0 failures"

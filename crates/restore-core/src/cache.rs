@@ -350,6 +350,38 @@ mod tests {
         assert_eq!(cache.full_stats().misses, 1, "one synthesis for one path");
     }
 
+    /// The serving stack's only dedupe survives a panicking synthesis: each
+    /// follower waiting on the chain panics too or, arriving after the key
+    /// retired, leads a flight of its own — none hangs — and the cache
+    /// stays consistent for the next call.
+    #[test]
+    fn a_panicking_leader_neither_hangs_followers_nor_corrupts_the_cache() {
+        let (cache, ab) = (JoinCache::with_budget(0), key(&["a", "b"]));
+        let inside = std::sync::Barrier::new(4);
+        let compute = || Ok(sized_output(&["a", "b"], 100));
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| {
+                cache.get_or_compute(&ab, || {
+                    inside.wait();
+                    std::thread::sleep(std::time::Duration::from_millis(30));
+                    panic!("synthesis died")
+                })
+            });
+            let follow = || {
+                inside.wait();
+                cache.get_or_compute(&ab, compute)
+            };
+            let followers: Vec<_> = (0..3).map(|_| s.spawn(follow)).collect();
+            assert!(leader.join().is_err(), "the leader panics");
+            for led_its_own in followers.into_iter().filter_map(|f| f.join().ok()) {
+                assert_eq!(led_its_own.unwrap().tables, ab);
+            }
+        });
+        let out = cache.get_or_compute(&ab, compute).unwrap();
+        let stats = cache.full_stats();
+        assert_eq!((stats.entries, stats.bytes), (1, out.approx_bytes()));
+    }
+
     #[test]
     fn budget_evicts_least_recently_used() {
         let per_entry = sized_output(&["x"], 1000).approx_bytes();

@@ -538,6 +538,22 @@ mod tests {
         }
     }
 
+    /// A literal outside the BMP decodes the same whether it arrives as raw
+    /// UTF-8 or as the RFC 8259 escape pair Python's `json.dumps` sends; a
+    /// lone surrogate is a malformed body.
+    #[test]
+    fn an_escaped_surrogate_pair_literal_decodes_as_raw_utf8_does() {
+        let (high, low) = (r"\ud83d", r"\uDE00");
+        let body = |lit: &str| {
+            let filter = format!(r#"{{"cmp":["eq",{{"col":"c"}},{{"lit":"{lit}"}}]}}"#);
+            QueryRequest::from_json(&format!(r#"{{"tables":["t"],"filter":{filter}}}"#))
+        };
+        let raw = body("\u{1f600}").expect("raw UTF-8").to_json();
+        let escaped = body(&format!("{high}{low}")).expect("escaped pair");
+        assert_eq!(escaped.to_json(), raw);
+        assert!(raw.contains('\u{1f600}') && body(high).is_err());
+    }
+
     #[test]
     fn malformed_requests_are_rejected_with_messages() {
         for (body, needle) in [

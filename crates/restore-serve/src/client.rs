@@ -10,10 +10,11 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use restore_util::{BackoffConfig, HealthState, ObjectPool, PoolStats};
+use restore_util::json::JsonValue;
+use restore_util::{json_object, BackoffConfig, HealthState};
 
 use crate::http::content_length;
 
@@ -288,19 +289,8 @@ fn parse_response(buf: &[u8]) -> std::io::Result<Option<(HttpResponse, usize)>> 
     )))
 }
 
-/// Counters of one [`ConnectionPool`]: pool-level reuse plus how often a
-/// fresh dial was needed, for the router's fleet `/metrics` view.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct ConnectionPoolStats {
-    /// Checkouts answered with a pooled keep-alive connection.
-    pub reused: u64,
-    /// Checkouts that dialed a fresh connection.
-    pub dialed: u64,
-    /// Idle connections dropped (pool overflow, peer move, or clear).
-    pub discarded: u64,
-    /// Connections currently idle in the pool.
-    pub idle: usize,
-}
+/// Idle keep-alive connections one shard's [`ConnectionPool`] keeps.
+const MAX_IDLE_PER_SHARD: usize = 16;
 
 /// A health-aware pool of keep-alive [`HttpClient`] connections to one
 /// peer whose address may *move* (a re-execed worker binds a fresh
@@ -315,25 +305,32 @@ pub(crate) struct ConnectionPoolStats {
 pub(crate) struct ConnectionPool {
     config: ClientConfig,
     peer: Mutex<Option<SocketAddr>>,
-    idle: ObjectPool<HttpClient>,
+    /// At most [`MAX_IDLE_PER_SHARD`] idle connections, a stack: the most
+    /// recently checked-in (hottest) socket goes out first.
+    idle: Mutex<Vec<HttpClient>>,
     health: HealthState,
     dialed: AtomicU64,
     reused: AtomicU64,
+    discarded: AtomicU64,
 }
 
 impl ConnectionPool {
-    /// A pool keeping at most `max_idle` idle connections; the peer is
-    /// registered (and re-registered after moves) via
-    /// [`ConnectionPool::set_peer`].
-    pub(crate) fn new(config: ClientConfig, max_idle: usize) -> Self {
+    /// An empty pool; the peer is registered (and re-registered after
+    /// moves) via [`ConnectionPool::set_peer`].
+    pub(crate) fn new(config: ClientConfig) -> Self {
         Self {
             config,
             peer: Mutex::new(None),
-            idle: ObjectPool::new(max_idle),
+            idle: Mutex::new(Vec::new()),
             health: HealthState::new(),
             dialed: AtomicU64::new(0),
             reused: AtomicU64::new(0),
+            discarded: AtomicU64::new(0),
         }
+    }
+
+    fn idle(&self) -> MutexGuard<'_, Vec<HttpClient>> {
+        self.idle.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The current peer address, if registered.
@@ -351,7 +348,10 @@ impl ConnectionPool {
             changed
         };
         if changed {
-            self.idle.clear();
+            let stale = std::mem::take(&mut *self.idle());
+            self.discarded
+                .fetch_add(stale.len() as u64, Ordering::Relaxed);
+            // `stale` drops here: sockets close outside the lock.
         }
     }
 
@@ -380,8 +380,12 @@ impl ConnectionPool {
             ));
         }
         // Stale-address connections can linger if the peer moved while
-        // they were checked out; skip past them.
-        while let Some(client) = self.idle.take() {
+        // they were checked out; skip past them, each popped under its own
+        // short lock so its socket closes outside it.
+        loop {
+            let Some(client) = self.idle().pop() else {
+                break;
+            };
             if client.peer() == peer {
                 self.reused.fetch_add(1, Ordering::Relaxed);
                 return Ok(client);
@@ -393,23 +397,29 @@ impl ConnectionPool {
     }
 
     /// Returns a still-healthy connection for reuse. Connections dialed to
-    /// a stale address (the peer moved meanwhile) are dropped.
+    /// a stale address (the peer moved meanwhile) are dropped, and so is
+    /// one that finds the pool full.
     pub(crate) fn checkin(&self, client: HttpClient) {
-        if self.peer() == Some(client.peer()) {
-            self.idle.put(client);
+        if self.peer() != Some(client.peer()) {
+            return; // closing a stale socket is the right outcome
         }
-        // else: dropped here — closing a stale socket is the right outcome.
+        let mut idle = self.idle();
+        if idle.len() < MAX_IDLE_PER_SHARD {
+            idle.push(client);
+            return;
+        }
+        drop(idle);
+        self.discarded.fetch_add(1, Ordering::Relaxed);
+        // `client` drops here: the socket closes outside the lock.
     }
 
-    pub(crate) fn stats(&self) -> ConnectionPoolStats {
-        let PoolStats {
-            discarded, idle, ..
-        } = self.idle.stats();
-        ConnectionPoolStats {
-            reused: self.reused.load(Ordering::Relaxed),
-            dialed: self.dialed.load(Ordering::Relaxed),
-            discarded,
-            idle,
+    /// The pool's section of the fleet `/metrics`: checkouts answered from
+    /// the pool and by a dial, idle connections dropped and idle now.
+    pub(crate) fn metrics_json(&self) -> JsonValue {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        json_object! {
+            "idle": self.idle().len(), "reused": load(&self.reused),
+            "dialed": load(&self.dialed), "discarded": load(&self.discarded),
         }
     }
 }
@@ -456,26 +466,32 @@ mod tests {
         assert!(refuses("Content-Length: 2\r\nContent-Length: 4\r\n"));
     }
 
+    /// One counter of the pool's `/metrics` section.
+    fn count(pool: &ConnectionPool, key: &str) -> f64 {
+        let section = pool.metrics_json();
+        section.get(key).and_then(JsonValue::as_f64).unwrap()
+    }
+
     #[test]
     fn connection_pool_reuses_moves_and_gates_on_health() {
         let listener_a = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a");
         let listener_b = std::net::TcpListener::bind("127.0.0.1:0").expect("bind b");
         let addr_a = listener_a.local_addr().expect("addr a");
         let addr_b = listener_b.local_addr().expect("addr b");
-        let pool = ConnectionPool::new(ClientConfig::default(), 4);
+        let pool = ConnectionPool::new(ClientConfig::default());
         pool.set_peer(addr_a);
         let first = pool.checkout().expect("fresh dial");
         assert_eq!(first.peer(), addr_a);
         pool.checkin(first);
-        assert_eq!(pool.stats().idle, 1);
+        assert_eq!(count(&pool, "idle"), 1.0);
         let reused = pool.checkout().expect("pooled connection");
-        assert_eq!(pool.stats().reused, 1);
+        assert_eq!(count(&pool, "reused"), 1.0);
         // Peer moves: idle connections are cleared, checked-out ones are
         // dropped at checkin instead of poisoning the pool.
         pool.set_peer(addr_b);
-        assert_eq!(pool.stats().idle, 0, "peer move clears idle conns");
+        assert_eq!(count(&pool, "idle"), 0.0, "peer move clears idle conns");
         pool.checkin(reused);
-        assert_eq!(pool.stats().idle, 0, "stale-peer checkin is dropped");
+        assert_eq!(count(&pool, "idle"), 0.0, "stale-peer checkin is dropped");
         assert_eq!(pool.checkout().expect("dial b").peer(), addr_b);
         // Health gate: a down peer fails fast, recovery restores service.
         pool.health().force_down();
@@ -489,8 +505,32 @@ mod tests {
     }
 
     #[test]
+    fn connection_pool_is_a_bounded_stack_and_a_move_clears_it() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let pool = ConnectionPool::new(ClientConfig::default());
+        pool.set_peer(addr);
+        let clients: Vec<HttpClient> = (0..=MAX_IDLE_PER_SHARD)
+            .map(|_| pool.checkout().expect("dial"))
+            .collect();
+        let hottest = clients[MAX_IDLE_PER_SHARD - 1].stream.local_addr().unwrap();
+        clients.into_iter().for_each(|c| pool.checkin(c));
+        let full = MAX_IDLE_PER_SHARD as f64;
+        assert_eq!(
+            (count(&pool, "dialed"), count(&pool, "idle")),
+            (full + 1.0, full)
+        );
+        assert_eq!(count(&pool, "discarded"), 1.0, "one past capacity");
+        let out = pool.checkout().expect("pooled");
+        assert_eq!(out.stream.local_addr().unwrap(), hottest, "LIFO");
+        pool.set_peer("127.0.0.1:1".parse().unwrap());
+        assert_eq!(count(&pool, "idle"), 0.0);
+        assert_eq!(count(&pool, "discarded"), full);
+    }
+
+    #[test]
     fn empty_pool_has_no_peer() {
-        let pool = ConnectionPool::new(ClientConfig::default(), 2);
+        let pool = ConnectionPool::new(ClientConfig::default());
         assert!(pool.peer().is_none());
         assert!(pool.checkout().is_err());
     }

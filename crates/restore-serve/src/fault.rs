@@ -3,8 +3,8 @@
 //! A [`FaultPlan`] decides, per request, whether to inject a delay, cut the
 //! connection before handling (a simulated read error), drop the response
 //! (write error), write a torn response, or panic inside the handler — the
-//! generalization of the original test-only `/debug/panic/{key}` route into
-//! a full chaos layer the resilience tests (`tests/resilience.rs`) drive.
+//! server's one fault seam, which the chaos tests (`tests/resilience.rs`,
+//! and `tests/http_serving.rs`' panic containment) drive.
 //!
 //! **Reproducibility contract.** The action for a request is a pure
 //! function of `(plan seed, fault key)`, where the fault key is either the
@@ -19,6 +19,8 @@
 use std::time::Duration;
 
 use restore_util::{derive_seed, Fnv64};
+
+use crate::http::parse_digits;
 
 /// What the plan injects for one request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -136,10 +138,8 @@ impl FaultPlan {
 /// function of request content, so the same logical request always draws
 /// the same fault regardless of timing, connection, or worker count.
 pub(crate) fn fault_key(method: &str, path: &str, body: &str, pinned: Option<&str>) -> u64 {
-    if let Some(raw) = pinned {
-        if let Ok(key) = raw.trim().parse::<u64>() {
-            return key;
-        }
+    if let Some(key) = pinned.and_then(|raw| parse_digits(raw.trim())) {
+        return key;
     }
     let mut h = Fnv64::new();
     for part in [method, "\0", path, "\0", body] {
@@ -215,14 +215,14 @@ mod tests {
     fn fault_key_prefers_the_pinned_header() {
         assert_eq!(fault_key("POST", "/v1/t/query", "{}", Some("17")), 17);
         assert_eq!(fault_key("POST", "/v1/t/query", "{}", Some(" 17 ")), 17);
-        // Unparseable pins fall back to the content hash: FNV-1a over
-        // `method \0 path \0 body`. Every seeded chaos schedule hangs off it.
+        // Unparseable pins, a signed one included, fall back to the content
+        // hash: FNV-1a over `method \0 path \0 body`. Every seeded chaos
+        // schedule hangs off it.
         let content = fault_key("POST", "/v1/t/query", "{}", None);
         assert_eq!(content, 0xea49_e37f_a21f_37c1);
-        assert_eq!(
-            fault_key("POST", "/v1/t/query", "{}", Some("nope")),
-            content
-        );
+        for pin in ["nope", "+17", " +17 ", "-17"] {
+            assert_eq!(fault_key("POST", "/v1/t/query", "{}", Some(pin)), content);
+        }
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //! they materialize. The event loop (`reactor`) feeds it from
 //! nonblocking reads; nothing in this module touches a socket.
 
+use restore_util::json::ToJson;
+use restore_util::json_object;
+
 /// Parse-time limits; oversized inputs answer 413 instead of buffering
 /// without bound.
 #[derive(Clone, Copy, Debug)]
@@ -18,12 +21,15 @@ pub struct Limits {
     pub max_body_bytes: usize,
 }
 
+/// The limits the server parses every request under.
+pub(crate) const LIMITS: Limits = Limits {
+    max_head_bytes: 16 * 1024,
+    max_body_bytes: 1024 * 1024,
+};
+
 impl Default for Limits {
     fn default() -> Self {
-        Self {
-            max_head_bytes: 16 * 1024,
-            max_body_bytes: 1024 * 1024,
-        }
+        LIMITS
     }
 }
 
@@ -76,17 +82,20 @@ pub enum ParseError {
     Malformed(String),
 }
 
+/// `s` as an unsigned integer when it is ASCII digits only (Rust's integer
+/// parsers also take a leading `+`, which no number on the wire here may).
+pub(crate) fn parse_digits<T: std::str::FromStr>(s: &str) -> Option<T> {
+    let digits = s.bytes().all(|b| b.is_ascii_digit());
+    digits.then(|| s.parse().ok())?
+}
+
 /// The body length a message's `Content-Length` header values announce, 0
-/// without one. A value is ASCII digits only (Rust's integer parsers also
-/// take a leading `+`), and repeated headers must agree (RFC 9110 §8.6).
+/// without one. A value is digits only ([`parse_digits`]), and repeated
+/// headers must agree (RFC 9110 §8.6).
 pub(crate) fn content_length<'a>(values: impl Iterator<Item = &'a str>) -> Result<usize, String> {
     let mut length = None;
     for v in values {
-        let n = v
-            .parse()
-            .ok()
-            .filter(|_| v.bytes().all(|b| b.is_ascii_digit()))
-            .ok_or_else(|| format!("bad content-length {v:?}"))?;
+        let n = parse_digits(v).ok_or_else(|| format!("bad content-length {v:?}"))?;
         if length.is_some_and(|l| l != n) {
             return Err("conflicting content-length headers".into());
         }
@@ -363,9 +372,9 @@ impl Response {
         }
     }
 
-    /// A [`error_body`] response.
+    /// The one `{"error": …}` envelope every error response uses.
     pub(crate) fn error(status: u16, message: &str) -> Self {
-        Self::json(status, error_body(message))
+        Self::json(status, json_object! { "error": message }.to_json())
     }
 
     /// Appends one extra response header.
@@ -380,12 +389,6 @@ impl Response {
         let secs = retry_after.as_secs_f64().ceil().clamp(1.0, 3600.0) as u64;
         Self::error(429, message).with_header("Retry-After", secs.to_string())
     }
-}
-
-/// The one `{"error": …}` envelope every error response uses, message
-/// JSON-escaped.
-pub(crate) fn error_body(message: &str) -> String {
-    format!("{{\"error\":\"{}\"}}", restore_util::json::escape(message))
 }
 
 fn reason(status: u16) -> &'static str {

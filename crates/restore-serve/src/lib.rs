@@ -67,9 +67,9 @@
 //!   registry atomically; in-flight requests finish on v1 under their own
 //!   `Arc`, new requests see v2, and no request ever observes a torn
 //!   registry.
-//! * **Panic containment** — a panicking handler (including a poisoned
-//!   single-flight follower) answers 500 on its own connection and leaves
-//!   every other connection serving.
+//! * **Panic containment** — a panicking handler (including a follower of
+//!   a cache flight whose leader panicked) answers 500 on its own
+//!   connection and leaves every other connection serving.
 //! * **Graceful shutdown** — an eventfd wake pops the reactor out of
 //!   `epoll_wait`, the listener and idle keep-alive sockets close
 //!   immediately, and in-flight responses ride through the drain; built on

@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 use restore_util::ConnectionGuard;
 
 use crate::fault::FaultAction;
-use crate::http::{encode_response, torn_prefix_len, ParseError, RequestParser, Response};
+use crate::http::{encode_response, torn_prefix_len, ParseError, RequestParser, Response, LIMITS};
 use crate::server::{Completion, Decision, Metrics, Shared};
 
 /// Raw syscall surface. Constants match the Linux UAPI headers; the
@@ -267,6 +267,9 @@ pub(crate) const TOKEN_LISTENER: u64 = 0;
 pub(crate) const TOKEN_WAKE: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 const READ_CHUNK: usize = 16 * 1024;
+/// Upper bound on one park in `epoll_wait` while a connection carries a
+/// deadline; the park already ends at the nearest one.
+const READ_POLL: Duration = Duration::from_millis(100);
 
 /// Where a connection is in its request/response cycle. `/metrics` exposes
 /// the `KeepAliveIdle` population as `event_loop.keepalive_idle`.
@@ -390,7 +393,7 @@ impl Reactor {
     }
 
     /// Next `epoll_wait` timeout: indefinite unless some connection holds
-    /// a deadline, then the nearest one (capped at `read_poll` so a clock
+    /// a deadline, then the nearest one (capped at [`READ_POLL`] so a clock
     /// oddity can never park the loop past its tick).
     fn poll_timeout(&self) -> Option<Duration> {
         if self.deadlined.is_empty() {
@@ -413,7 +416,7 @@ impl Reactor {
         }
         let nearest = nearest?;
         let delta = nearest.saturating_duration_since(Instant::now());
-        Some(delta.min(self.shared.config.read_poll))
+        Some(delta.min(READ_POLL))
     }
 
     fn accept_burst(&mut self) {
@@ -502,9 +505,7 @@ impl Reactor {
             if conn.read_paused || conn.peer_eof {
                 return;
             }
-            let carry_bound = self.shared.config.limits.max_head_bytes
-                + self.shared.config.limits.max_body_bytes
-                + READ_CHUNK;
+            let carry_bound = LIMITS.max_head_bytes + LIMITS.max_body_bytes + READ_CHUNK;
             let mut chunk = [0u8; READ_CHUNK];
             let mut fatal = false;
             loop {
@@ -565,7 +566,7 @@ impl Reactor {
                 if matches!(conn.phase, Phase::Dispatched | Phase::Writing) {
                     return;
                 }
-                match conn.parser.next_request(&self.shared.config.limits) {
+                match conn.parser.next_request(&LIMITS) {
                     Err(ParseError::TooLarge) => {
                         Step::Respond(Response::error(413, "request too large"), true)
                     }

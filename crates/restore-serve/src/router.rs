@@ -57,11 +57,11 @@ use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use restore_util::json::ToJson;
-use restore_util::{fnv1a64, Shutdown};
+use restore_util::json::{JsonValue, ToJson};
+use restore_util::{fnv1a64, json_object, Shutdown};
 
 use crate::client::{ClientConfig, ConnectionPool, HttpResponse, RetryPolicy};
-use crate::http::{encode_target, Request, Response};
+use crate::http::{encode_target, parse_digits, Request, Response};
 use crate::server::{Budget, Shared};
 
 /// How to (re)spawn one worker process. The program must print a line
@@ -98,8 +98,6 @@ pub struct FleetConfig {
     pub health_interval: Duration,
 }
 
-/// Idle keep-alive connections pooled per shard.
-const MAX_IDLE_PER_SHARD: usize = 16;
 /// Consecutive failed probes before a shard is marked down.
 const DOWN_AFTER: u32 = 2;
 /// How long one worker spawn may take to print its address and answer
@@ -236,7 +234,7 @@ impl Fleet {
             }
             let shard = Arc::new(Shard {
                 index,
-                pool: ConnectionPool::new(config.client, MAX_IDLE_PER_SHARD),
+                pool: ConnectionPool::new(config.client),
                 spec: shard_config.worker.clone(),
                 child: Mutex::new(None),
                 forwarded: AtomicU64::new(0),
@@ -429,10 +427,10 @@ impl Fleet {
     /// states, forward counters, pool reuse, and each live worker's
     /// self-reported totals scraped from its own `/metrics` (best effort —
     /// a down worker reports `null`).
-    pub fn metrics_json(&self) -> String {
+    pub fn metrics_json(&self) -> JsonValue {
         let uptime = self.started.elapsed().as_secs_f64().max(1e-9);
         let (mut forwarded, mut failed, mut retried, mut respawns) = (0u64, 0u64, 0u64, 0u64);
-        let per_shard: Vec<String> = self
+        let per_shard: Vec<JsonValue> = self
             .shards
             .iter()
             .map(|shard| {
@@ -445,39 +443,23 @@ impl Fleet {
                 let shard_respawns = shard.respawns.load(Ordering::Relaxed);
                 respawns += shard_respawns;
                 let up = shard.pool.health().is_up();
-                let addr = shard
-                    .pool
-                    .peer()
-                    .map_or("null".to_string(), |a| format!("\"{a}\""));
-                let pool = shard.pool.stats();
-                let worker = match shard.pool.peer().filter(|_| up) {
-                    Some(addr) => scrape_worker_metrics(addr),
-                    None => "null".to_string(),
-                };
-                format!(
-                    "{{\"shard\":{},\"addr\":{addr},\"up\":{up},\"forwarded\":{f},\
-                     \"failed\":{shard_failed},\"retried\":{shard_retried},\
-                     \"respawns\":{shard_respawns},\"times_down\":{},\
-                     \"queries_per_s\":{},\
-                     \"pool\":{{\"idle\":{},\"reused\":{},\"dialed\":{},\"discarded\":{}}},\
-                     \"worker\":{worker}}}",
-                    shard.index,
-                    shard.pool.health().times_down(),
-                    (f as f64 / uptime).to_json(),
-                    pool.idle,
-                    pool.reused,
-                    pool.dialed,
-                    pool.discarded,
-                )
+                let worker = shard.pool.peer().filter(|_| up);
+                json_object! {
+                    "shard": shard.index, "addr": shard.pool.peer().map(|a| a.to_string()),
+                    "up": up, "forwarded": f, "failed": shard_failed,
+                    "retried": shard_retried, "respawns": shard_respawns,
+                    "times_down": shard.pool.health().times_down(),
+                    "queries_per_s": f as f64 / uptime,
+                    "pool": shard.pool.metrics_json(),
+                    "worker": worker.and_then(scrape_worker_metrics),
+                }
             })
             .collect();
-        format!(
-            "{{\"shards\":{},\"up\":{},\"forwarded\":{forwarded},\"failed\":{failed},\
-             \"retried\":{retried},\"respawns\":{respawns},\"per_shard\":[{}]}}",
-            self.shards.len(),
-            self.up_count(),
-            per_shard.join(",")
-        )
+        json_object! {
+            "shards": self.shards.len(), "up": self.up_count(),
+            "forwarded": forwarded, "failed": failed, "retried": retried, "respawns": respawns,
+            "per_shard": JsonValue::Arr(per_shard),
+        }
     }
 }
 
@@ -488,15 +470,12 @@ impl Drop for Fleet {
 }
 
 /// One worker's self-reported request totals, scraped from its `/metrics`
-/// with the short probe timeout. Returns a small JSON object (or `"null"`
-/// when the scrape fails or doesn't parse).
-fn scrape_worker_metrics(addr: SocketAddr) -> String {
+/// with the short probe timeout; `None` when the scrape fails.
+fn scrape_worker_metrics(addr: SocketAddr) -> Option<JsonValue> {
     let Ok((200, body)) = probe_get(addr, "/metrics") else {
-        return "null".to_string();
+        return None;
     };
-    let Some(root) = restore_util::json::parse(&body) else {
-        return "null".to_string();
-    };
+    let root = restore_util::json::parse(&body)?;
     let total = root
         .get("requests")
         .and_then(|r| r.get("total"))
@@ -507,12 +486,9 @@ fn scrape_worker_metrics(addr: SocketAddr) -> String {
         .and_then(|v| v.as_f64())
         .unwrap_or(0.0)
         .max(1e-9);
-    format!(
-        "{{\"requests_total\":{},\"uptime_s\":{},\"queries_per_s\":{}}}",
-        total.to_json(),
-        uptime.to_json(),
-        (total / uptime).to_json()
-    )
+    Some(json_object! {
+        "requests_total": total, "uptime_s": uptime, "queries_per_s": total / uptime,
+    })
 }
 
 /// Converts a worker's response into a router response for passthrough:
@@ -692,19 +668,16 @@ pub(crate) fn route_fleet(
     let segments = request.segments();
     match (request.method.as_str(), segments.as_slice()) {
         ("GET", ["healthz"]) => {
-            let up = fleet.up_count();
-            let shards = fleet.shard_count();
-            Response::json(
-                200,
-                format!(
-                    "{{\"status\":\"{}\",\"fleet\":{{\"shards\":{shards},\"up\":{up}}}}}",
-                    if up == shards { "ok" } else { "degraded" }
-                ),
-            )
+            let (up, shards) = (fleet.up_count(), fleet.shard_count());
+            let body = json_object! {
+                "status": if up == shards { "ok" } else { "degraded" },
+                "fleet": json_object! { "shards": shards, "up": up },
+            };
+            Response::json(200, body.to_json())
         }
         ("GET", ["metrics"]) => crate::server::metrics(shared, Some(fleet.metrics_json())),
         ("GET", ["fleet", index, "metrics"]) => {
-            let Ok(index) = index.parse::<usize>() else {
+            let Some(index) = parse_digits::<usize>(index) else {
                 return Response::error(400, &format!("bad shard index {index:?}"));
             };
             let Some(addr) = fleet
@@ -767,6 +740,30 @@ mod tests {
             ..FleetConfig::default()
         };
         assert!(Fleet::start(no_way_to_reach).is_err());
+    }
+
+    #[test]
+    fn a_shard_index_is_digits_only() {
+        let fleet = Fleet::start(FleetConfig {
+            shards: vec![ShardConfig {
+                addr: Some("127.0.0.1:1".parse().unwrap()),
+                worker: None,
+            }],
+            ..FleetConfig::default()
+        })
+        .expect("fleet with a fixed addr");
+        let config = crate::ServeConfig {
+            fleet: Some(Arc::clone(&fleet)),
+            ..crate::ServeConfig::default()
+        };
+        let registry = Arc::new(restore_core::SnapshotRegistry::new());
+        let router = crate::Server::bind("127.0.0.1:0", registry, config).expect("bind router");
+        let status = |path| probe_get(router.local_addr(), path).expect(path).0;
+        assert_eq!(status("/fleet/%2B0/metrics"), 400);
+        assert_eq!(status("/fleet/0/metrics"), 503, "nothing at :1");
+        assert_eq!(status("/fleet/1/metrics"), 404);
+        assert!(router.shutdown());
+        fleet.shutdown();
     }
 
     #[test]

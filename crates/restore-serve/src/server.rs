@@ -37,8 +37,8 @@
 //!
 //! **Deadline budget.** [`ServeConfig::request_deadline`] is a per-request
 //! wall-clock budget starting at the request's first byte, re-checked
-//! between parse, the single-flight wait, synthesis, and the confidence
-//! tail. An exhausted budget answers 503 with the stage reached and the
+//! at admission, before synthesis, and before the confidence tail. An
+//! exhausted budget answers 503 with the stage reached and the
 //! elapsed/budget milliseconds, releasing the connection instead of
 //! holding it. The reactor enforces the same budget on the wire: a request
 //! that stops arriving mid-parse is answered 400, and a client that stops
@@ -56,14 +56,9 @@
 //! for its whole lifetime; `publish(tenant, v2)` makes v2 visible to the
 //! *next* request while v1 drains under the in-flight `Arc` refs, and
 //! `retire(tenant)` 404s new requests without disturbing running ones.
-//!
-//! **Cold-path dedupe.** Identical concurrent `POST …/query` bodies for
-//! the same tenant *and the same snapshot version* share one execution via
-//! `restore-util`'s [`SingleFlight`] — the snapshot's own single-flight
-//! `JoinCache` already collapses concurrent synthesis of a chain; this
-//! outer layer also collapses the (cheaper) filter/aggregate tail. A
-//! leader panic poisons the flight: followers answer 500 instead of
-//! hanging, and the next request computes afresh.
+//! Concurrent requests needing the same cold chain share one synthesis
+//! through the snapshot's single-flight `JoinCache`; nothing above it
+//! dedupes.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -78,29 +73,25 @@ use std::time::{Duration, Instant};
 use restore_core::wire::{self, QueryRequest};
 use restore_core::{CoreError, ReStore, SnapshotRegistry};
 use restore_db::DbError;
-use restore_util::json::ToJson;
-use restore_util::{derive_seed, RateLimitConfig, RateLimiter, Shutdown, SingleFlight};
+use restore_util::json::{JsonValue, ToJson};
+use restore_util::{derive_seed, json_object, RateLimitConfig, RateLimiter, Shutdown};
 
 use crate::fault::{self, FaultAction, FaultConfig, FaultPlan};
-use crate::http::{error_body, Limits, Request, Response};
+use crate::http::{parse_digits, Request, Response};
 use crate::reactor::{Epoll, Reactor, WakeHandle, TOKEN_LISTENER, TOKEN_WAKE};
 use crate::store::SnapshotStore;
+
+/// How long [`Server::shutdown`] waits for in-flight connections.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Server knobs. Defaults are sized for tests and modest deployments.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    pub limits: Limits,
-    /// Upper bound on how long the reactor parks in `epoll_wait` while any
-    /// connection carries a deadline (partial request or stalled write) —
-    /// the staleness bound on deadline enforcement.
-    pub read_poll: Duration,
     /// Per-request deadline budget, started at the request's first byte:
     /// a request that has not finished arriving within it is cut, and one
     /// that has not *started each processing stage* within it answers 503
     /// with partial-progress detail instead of holding the connection.
     pub request_deadline: Duration,
-    /// How long [`Server::shutdown`] waits for in-flight connections.
-    pub drain_timeout: Duration,
     /// Admission gate: at most this many `/v1/*` requests hold a permit
     /// (queued for or executing on the worker pool) concurrently; excess
     /// answers 429 + `Retry-After` immediately.
@@ -112,12 +103,6 @@ pub struct ServeConfig {
     /// Seeded deterministic fault injection; `None` (the default) disables
     /// it. **Test/chaos only** — never enable in production configs.
     pub fault: Option<FaultConfig>,
-    /// Enables `GET /debug/panic/{key}`, a fault-injection route whose
-    /// handler panics inside the shared single-flight — **test only**; the
-    /// serving tests use it to prove a panicking handler cannot wedge
-    /// other connections. Subsumed by [`ServeConfig::fault`] for anything
-    /// beyond that one scenario.
-    pub panic_route: bool,
     /// Root of the versioned snapshot directory
     /// (`<dir>/<tenant>/v<NNNNN>.snap`). When set, [`Server::bind`] scans
     /// it and serves each tenant's newest *valid* version (corrupt or
@@ -138,10 +123,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
-            limits: Limits::default(),
-            read_poll: Duration::from_millis(100),
             request_deadline: Duration::from_secs(30),
-            drain_timeout: Duration::from_secs(10),
             max_in_flight: 256,
             // At least a few workers even on a 1-core box: handlers can
             // block on single-flight waits and injected delays, and panic
@@ -149,7 +131,6 @@ impl Default for ServeConfig {
             workers: restore_util::default_workers().max(4),
             rate_limit: None,
             fault: None,
-            panic_route: false,
             snapshot_dir: None,
             fleet: None,
         }
@@ -176,8 +157,8 @@ impl TenantCounters {
 }
 
 /// Serving counters surfaced by `GET /metrics`.
+#[derive(Default)]
 pub(crate) struct Metrics {
-    started: Instant,
     requests_total: AtomicU64,
     requests_in_flight: AtomicU64,
     panics_caught: AtomicU64,
@@ -217,34 +198,6 @@ pub(crate) struct Metrics {
 }
 
 impl Metrics {
-    fn new() -> Self {
-        Self {
-            started: Instant::now(),
-            requests_total: AtomicU64::new(0),
-            requests_in_flight: AtomicU64::new(0),
-            panics_caught: AtomicU64::new(0),
-            requests_shed: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            faults_injected: AtomicU64::new(0),
-            service_ewma_nanos: AtomicU64::new(0),
-            snapshots_loaded: AtomicU64::new(0),
-            snapshots_saved: AtomicU64::new(0),
-            snapshot_load_us: AtomicU64::new(0),
-            snapshot_loaded_bytes: AtomicU64::new(0),
-            snapshot_saved_bytes: AtomicU64::new(0),
-            rebuilds_started: AtomicU64::new(0),
-            rebuilds_completed: AtomicU64::new(0),
-            rebuilds_failed: AtomicU64::new(0),
-            per_tenant: Mutex::new(BTreeMap::new()),
-            open_connections: AtomicU64::new(0),
-            keepalive_idle: AtomicU64::new(0),
-            accepts: AtomicU64::new(0),
-            epoll_wakeups: AtomicU64::new(0),
-            read_would_block: AtomicU64::new(0),
-            write_would_block: AtomicU64::new(0),
-        }
-    }
-
     fn tenant(&self, name: &str) -> Arc<TenantCounters> {
         let mut map = self.per_tenant.lock().unwrap_or_else(|e| e.into_inner());
         Arc::clone(map.entry(name.to_string()).or_default())
@@ -313,15 +266,6 @@ impl Budget {
         self.limit.saturating_sub(self.arrived.elapsed())
     }
 }
-
-/// Single-flight key: tenant, snapshot generation (pointer identity), and
-/// the raw request body (`Arc<str>` so the leader's key clone into the
-/// in-flight map is a refcount bump, not a second body copy). Including
-/// the generation means a hot swap never lets a request share a result
-/// computed on the previous snapshot.
-type QueryKey = (String, usize, Arc<str>);
-/// Status + body, cheaply cloneable to every follower.
-type QueryOutcome = (u16, Arc<String>);
 
 /// A parsed request on its way from the reactor to a worker.
 pub(crate) struct Job {
@@ -418,7 +362,8 @@ pub(crate) struct Shared {
     pub(crate) config: ServeConfig,
     pub(crate) shutdown: Shutdown,
     pub(crate) metrics: Metrics,
-    queries: SingleFlight<QueryKey, QueryOutcome>,
+    /// When the server was bound: the start of `/metrics`' uptime.
+    started: Instant,
     /// Parse-order request id counter; ids start at 1.
     request_ids: AtomicU64,
     /// `/v1/*` permits outstanding (bounded by `max_in_flight`). Shared
@@ -466,15 +411,12 @@ impl Shared {
         self.metrics
             .deadline_exceeded
             .fetch_add(1, Ordering::Relaxed);
-        Response::json(
-            503,
-            format!(
-                "{{\"error\":\"deadline budget exhausted\",\"stage\":\"{stage}\",\
-                 \"elapsed_ms\":{},\"budget_ms\":{}}}",
-                elapsed.as_millis(),
-                budget.limit.as_millis()
-            ),
-        )
+        let body = json_object! {
+            "error": "deadline budget exhausted", "stage": stage,
+            "elapsed_ms": elapsed.as_millis() as u64,
+            "budget_ms": budget.limit.as_millis() as u64,
+        };
+        Response::json(503, body.to_json())
     }
 
     /// The reactor's per-request entry point: accounts the request,
@@ -571,7 +513,7 @@ impl Server {
         let limiter = config.rate_limit.map(RateLimiter::new);
         let fault = config.fault.map(FaultPlan::new);
         let workers = config.workers.max(1);
-        let metrics = Metrics::new();
+        let (metrics, started) = (Metrics::default(), Instant::now());
         let store = config.snapshot_dir.as_deref().map(SnapshotStore::new);
         if let Some(store) = &store {
             boot_scan(store, &registry, &metrics);
@@ -581,7 +523,7 @@ impl Server {
             config,
             shutdown: Shutdown::new(),
             metrics,
-            queries: SingleFlight::new(),
+            started,
             request_ids: AtomicU64::new(1),
             admitted: Arc::new(AtomicU64::new(0)),
             limiter,
@@ -639,7 +581,7 @@ impl Server {
         };
         self.shared.shutdown.trigger();
         self.shared.wake.wake();
-        let drained = self.shared.shutdown.drain(self.shared.config.drain_timeout);
+        let drained = self.shared.shutdown.drain(DRAIN_TIMEOUT);
         // Drain window over (or instantly drained): tell the reactor to
         // exit unconditionally, dropping whatever connections remain.
         self.shared.abandon.store(true, Ordering::Release);
@@ -710,18 +652,15 @@ fn execute_job(shared: &Arc<Shared>, job: &Job) -> Response {
     if job.action == FaultAction::Panic {
         panic!("injected fault panic (request {})", job.request_id);
     }
-    if !job.request.path.starts_with("/v1/") {
-        if let FaultAction::Delay(d) = job.action {
-            std::thread::sleep(d);
-        }
-        return route(shared, &job.request, job.request_id, &budget);
-    }
-    debug_assert!(job.permit.is_some(), "/v1/* dispatched without a permit");
-    // The injected delay runs *inside* the admitted section, so a chaos
-    // plan can hold permits and drive the gate into shedding.
+    // For `/v1/*` the injected delay runs *inside* the admitted section, so
+    // a chaos plan can hold permits and drive the gate into shedding.
     if let FaultAction::Delay(d) = job.action {
         std::thread::sleep(d);
     }
+    if !job.request.path.starts_with("/v1/") {
+        return route(shared, &job.request, job.request_id, &budget);
+    }
+    debug_assert!(job.permit.is_some(), "/v1/* dispatched without a permit");
     if let Err(elapsed) = budget.check() {
         return shared.deadline_response("admission", elapsed, &budget);
     }
@@ -739,19 +678,13 @@ fn route(shared: &Arc<Shared>, request: &Request, request_id: u64, budget: &Budg
     }
     let segments = request.segments();
     match (request.method.as_str(), segments.as_slice()) {
-        ("GET", ["healthz"]) => healthz(shared),
-        ("GET", ["metrics"]) => metrics(shared, None),
-        ("GET", ["debug", "panic", key]) if shared.config.panic_route => {
-            // Fault injection: panic inside the shared single-flight so
-            // tests can prove leader-panic poisoning surfaces as 500s, not
-            // hangs. The key namespace cannot collide with query keys
-            // (their middle element is a live Arc pointer, never 0).
-            let key: QueryKey = (format!("__panic__/{key}"), 0, Arc::from(""));
-            let ((status, body), _) = shared
-                .queries
-                .run(&key, || panic!("injected panic for {key:?}"));
-            Response::json(status, body.as_str())
+        ("GET", ["healthz"]) => {
+            let tenants = shared.registry.tenants().into_iter().map(JsonValue::from);
+            let body =
+                json_object! { "status": "ok", "tenants": JsonValue::Arr(tenants.collect()) };
+            Response::json(200, body.to_json())
         }
+        ("GET", ["metrics"]) => metrics(shared, None),
         ("POST", ["v1", tenant, "query"]) => {
             query(shared, tenant, &request.body, request_id, budget)
         }
@@ -767,16 +700,6 @@ fn route(shared: &Arc<Shared>, request: &Request, request_id: u64, budget: &Budg
         }
         _ => Response::error(404, &format!("no route for {}", request.path)),
     }
-}
-
-fn healthz(shared: &Shared) -> Response {
-    Response::json(
-        200,
-        format!(
-            "{{\"status\":\"ok\",\"tenants\":{}}}",
-            shared.registry.tenants().to_json()
-        ),
-    )
 }
 
 /// Per-tenant rate limit check — after tenant resolution (unknown tenants
@@ -816,64 +739,46 @@ fn query(shared: &Shared, tenant: &str, body: &str, request_id: u64, budget: &Bu
         return response;
     }
     counters.queries.fetch_add(1, Ordering::Relaxed);
-    // Budget check before committing to the single-flight wait.
-    if let Err(elapsed) = budget.check() {
-        counters.note_error(request_id);
-        return shared.deadline_response("singleflight", elapsed, budget);
-    }
-    let key: QueryKey = (
-        tenant.to_string(),
-        Arc::as_ptr(&snapshot) as usize,
-        Arc::from(body),
-    );
-    let ((status, response_body), _leader) = shared.queries.run(&key, || {
-        let (status, body) = execute_query(shared, &snapshot, body, budget);
-        (status, Arc::new(body))
-    });
-    if status >= 400 {
+    let response = execute_query(shared, &snapshot, body, budget);
+    if response.status >= 400 {
         counters.note_error(request_id);
     }
-    Response::json(status, response_body.as_str())
+    response
 }
 
 /// Parses and executes one query body against a snapshot, checking the
-/// deadline budget before each expensive stage. Safe to share its result
-/// across single-flight followers: a success is a pure function of
-/// `(snapshot, body)`, and a budget 503 means the shared work did not
-/// materialize for anyone piled onto this flight.
+/// deadline budget before each expensive stage.
 fn execute_query(
     shared: &Shared,
     snapshot: &restore_core::Snapshot,
     body: &str,
     budget: &Budget,
-) -> (u16, String) {
+) -> Response {
     let request = match QueryRequest::from_json(body) {
         Ok(r) => r,
-        Err(e) => return (400, error_body(&e.to_string())),
+        Err(e) => return Response::error(400, &e.to_string()),
     };
     if let Err(elapsed) = budget.check() {
-        let response = shared.deadline_response("synthesis", elapsed, budget);
-        return (response.status, response.body);
+        return shared.deadline_response("synthesis", elapsed, budget);
     }
     let result = match snapshot.execute(&request.query, request.seed) {
         Ok(r) => r,
-        Err(e) => return (core_error_status(&e), error_body(&e.to_string())),
+        Err(e) => return Response::error(core_error_status(&e), &e.to_string()),
     };
     let interval = match &request.confidence {
         None => None,
         Some(spec) => {
             if let Err(elapsed) = budget.check() {
-                let response = shared.deadline_response("confidence", elapsed, budget);
-                return (response.status, response.body);
+                return shared.deadline_response("confidence", elapsed, budget);
             }
             match snapshot.confidence(&request.query.tables, &spec.query, spec.level, request.seed)
             {
                 Ok(ci) => Some(ci),
-                Err(e) => return (core_error_status(&e), error_body(&e.to_string())),
+                Err(e) => return Response::error(core_error_status(&e), &e.to_string()),
             }
         }
     };
-    (200, wire::query_response_json(&result, interval.as_ref()))
+    Response::json(200, wire::query_response_json(&result, interval.as_ref()))
 }
 
 fn completed_table(
@@ -1013,23 +918,19 @@ fn rebuild(shared: &Arc<Shared>, tenant: &str, request: &Request) -> Response {
     std::thread::spawn(move || {
         run_rebuild(guard, store, snapshot, version, train_seed, serve_seed)
     });
-    Response::json(
-        202,
-        format!(
-            "{{\"status\":\"rebuilding\",\"tenant\":\"{}\",\"version\":{version},\
-             \"train_seed\":\"{train_seed}\",\"serve_seed\":\"{serve_seed}\"}}",
-            restore_util::json::escape(tenant)
-        ),
-    )
+    let body = json_object! {
+        "status": "rebuilding", "tenant": tenant, "version": version,
+        "train_seed": train_seed.to_string(), "serve_seed": serve_seed.to_string(),
+    };
+    Response::json(202, body.to_json())
 }
 
 fn seed_param(request: &Request, name: &str) -> Result<Option<u64>, Response> {
     match request.query_param(name) {
         None => Ok(None),
-        Some(raw) => raw
-            .parse::<u64>()
+        Some(raw) => parse_digits(raw)
             .map(Some)
-            .map_err(|_| Response::error(400, &format!("bad {name} {raw:?}"))),
+            .ok_or_else(|| Response::error(400, &format!("bad {name} {raw:?}"))),
     }
 }
 
@@ -1095,29 +996,24 @@ fn core_error_status(e: &CoreError) -> u16 {
     }
 }
 
-/// The `/metrics` document. `fleet` (router mode only) is a pre-rendered
-/// JSON object slotted in as a `fleet` section ahead of `tenants`.
-pub(crate) fn metrics(shared: &Shared, fleet: Option<String>) -> Response {
-    let uptime = shared.metrics.started.elapsed().as_secs_f64().max(1e-9);
-    let tenants: Vec<String> = {
-        let map = shared
-            .metrics
-            .per_tenant
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+/// The `/metrics` document. `fleet` (router mode only) is slotted in as a
+/// `fleet` section ahead of `tenants`.
+pub(crate) fn metrics(shared: &Shared, fleet: Option<JsonValue>) -> Response {
+    let uptime = shared.started.elapsed().as_secs_f64().max(1e-9);
+    let m = &shared.metrics;
+    let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+    let tenants: Vec<(String, JsonValue)> = {
+        let map = m.per_tenant.lock().unwrap_or_else(|e| e.into_inner());
         map.iter()
             .map(|(name, c)| {
-                let queries = c.queries.load(Ordering::Relaxed);
-                format!(
-                    "\"{}\":{{\"queries\":{},\"errors\":{},\"rate_limited\":{},\
-                     \"last_error_request_id\":{},\"queries_per_s\":{}}}",
-                    restore_util::json::escape(name),
-                    queries,
-                    c.errors.load(Ordering::Relaxed),
-                    c.rate_limited.load(Ordering::Relaxed),
-                    c.last_error_request_id.load(Ordering::Relaxed),
-                    (queries as f64 / uptime).to_json()
-                )
+                let queries = load(&c.queries);
+                let counters = json_object! {
+                    "queries": queries, "errors": load(&c.errors),
+                    "rate_limited": load(&c.rate_limited),
+                    "last_error_request_id": load(&c.last_error_request_id),
+                    "queries_per_s": queries as f64 / uptime,
+                };
+                (name.clone(), counters)
             })
             .collect()
     };
@@ -1135,48 +1031,68 @@ pub(crate) fn metrics(shared: &Shared, fleet: Option<String>) -> Response {
         bytes += stats.bytes;
         entries += stats.entries;
     }
-    let fleet = fleet.map_or(String::new(), |f| format!("\"fleet\":{f},"));
-    let body = format!(
-        "{{\"uptime_s\":{},\
-           \"connections\":{{\"total\":{},\"active\":{}}},\
-           \"event_loop\":{{\"open_connections\":{},\"keepalive_idle\":{},\
-                            \"accepts\":{},\"epoll_wakeups\":{},\
-                            \"read_would_block\":{},\"write_would_block\":{}}},\
-           \"requests\":{{\"total\":{},\"in_flight\":{},\"admitted\":{},\"shed\":{},\
-                          \"deadline_exceeded\":{},\"panics_caught\":{},\"faults_injected\":{},\
-                          \"service_ewma_ms\":{}}},\
-           \"cache\":{{\"hits\":{hits},\"misses\":{misses},\"waits\":{waits},\
-                       \"evictions\":{evictions},\"bytes\":{bytes},\"entries\":{entries}}},\
-           \"persistence\":{{\"snapshots_loaded\":{},\"snapshots_saved\":{},\
-                             \"load_ms\":{},\"loaded_bytes\":{},\"saved_bytes\":{},\
-                             \"rebuilds\":{{\"started\":{},\"completed\":{},\"failed\":{}}}}},\
-           {fleet}\"tenants\":{{{}}}}}",
-        uptime.to_json(),
-        shared.shutdown.total_started(),
-        shared.shutdown.active(),
-        shared.metrics.open_connections.load(Ordering::Relaxed),
-        shared.metrics.keepalive_idle.load(Ordering::Relaxed),
-        shared.metrics.accepts.load(Ordering::Relaxed),
-        shared.metrics.epoll_wakeups.load(Ordering::Relaxed),
-        shared.metrics.read_would_block.load(Ordering::Relaxed),
-        shared.metrics.write_would_block.load(Ordering::Relaxed),
-        shared.metrics.requests_total.load(Ordering::Relaxed),
-        shared.metrics.requests_in_flight.load(Ordering::Relaxed),
-        shared.admitted.load(Ordering::Acquire),
-        shared.metrics.requests_shed.load(Ordering::Relaxed),
-        shared.metrics.deadline_exceeded.load(Ordering::Relaxed),
-        shared.metrics.panics_caught.load(Ordering::Relaxed),
-        shared.metrics.faults_injected.load(Ordering::Relaxed),
-        (shared.metrics.service_ewma_nanos.load(Ordering::Relaxed) as f64 / 1e6).to_json(),
-        shared.metrics.snapshots_loaded.load(Ordering::Relaxed),
-        shared.metrics.snapshots_saved.load(Ordering::Relaxed),
-        (shared.metrics.snapshot_load_us.load(Ordering::Relaxed) as f64 / 1e3).to_json(),
-        shared.metrics.snapshot_loaded_bytes.load(Ordering::Relaxed),
-        shared.metrics.snapshot_saved_bytes.load(Ordering::Relaxed),
-        shared.metrics.rebuilds_started.load(Ordering::Relaxed),
-        shared.metrics.rebuilds_completed.load(Ordering::Relaxed),
-        shared.metrics.rebuilds_failed.load(Ordering::Relaxed),
-        tenants.join(",")
-    );
-    Response::json(200, body)
+    let doc = json_object! {
+        "uptime_s": uptime,
+        "connections": json_object! {
+            "total": shared.shutdown.total_started(), "active": shared.shutdown.active(),
+        },
+        "event_loop": json_object! {
+            "open_connections": load(&m.open_connections),
+            "keepalive_idle": load(&m.keepalive_idle),
+            "accepts": load(&m.accepts), "epoll_wakeups": load(&m.epoll_wakeups),
+            "read_would_block": load(&m.read_would_block),
+            "write_would_block": load(&m.write_would_block),
+        },
+        "requests": json_object! {
+            "total": load(&m.requests_total), "in_flight": load(&m.requests_in_flight),
+            "admitted": shared.admitted.load(Ordering::Acquire), "shed": load(&m.requests_shed),
+            "deadline_exceeded": load(&m.deadline_exceeded),
+            "panics_caught": load(&m.panics_caught),
+            "faults_injected": load(&m.faults_injected),
+            "service_ewma_ms": load(&m.service_ewma_nanos) as f64 / 1e6,
+        },
+        "cache": json_object! {
+            "hits": hits, "misses": misses, "waits": waits,
+            "evictions": evictions, "bytes": bytes, "entries": entries,
+        },
+        "persistence": json_object! {
+            "snapshots_loaded": load(&m.snapshots_loaded),
+            "snapshots_saved": load(&m.snapshots_saved),
+            "load_ms": load(&m.snapshot_load_us) as f64 / 1e3,
+            "loaded_bytes": load(&m.snapshot_loaded_bytes),
+            "saved_bytes": load(&m.snapshot_saved_bytes),
+            "rebuilds": json_object! {
+                "started": load(&m.rebuilds_started),
+                "completed": load(&m.rebuilds_completed),
+                "failed": load(&m.rebuilds_failed),
+            },
+        },
+    };
+    let JsonValue::Obj(mut fields) = doc else {
+        unreachable!("json_object! builds an object")
+    };
+    fields.extend(fleet.map(|fleet| ("fleet".to_string(), fleet)));
+    fields.push(("tenants".to_string(), JsonValue::Obj(tenants)));
+    Response::json(200, JsonValue::Obj(fields).to_json())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn with_query(query: &str) -> Request {
+        let mut parser = crate::http::RequestParser::new();
+        parser.extend(format!("GET /?{query} HTTP/1.1\r\n\r\n").as_bytes());
+        parser.next_request(&crate::http::LIMITS).unwrap().unwrap()
+    }
+
+    #[test]
+    fn a_seed_parameter_is_digits_only() {
+        let seed = seed_param(&with_query("seed=5"), "seed");
+        assert_eq!(seed.ok(), Some(Some(5)));
+        for raw in ["%2B5", "-5", "%205", ""] {
+            let refused = seed_param(&with_query(&format!("serve_seed={raw}")), "serve_seed");
+            assert_eq!(refused.map_err(|r| r.status).err(), Some(400), "{raw:?}");
+        }
+    }
 }

@@ -1,10 +1,10 @@
-//! Minimal JSON serialization for experiment artifacts.
+//! Minimal JSON reading and writing.
 //!
-//! The environment cannot pull serde, and the evaluation only ever needs to
-//! *write* flat result records, so this module provides a [`ToJson`] trait
-//! for primitives and containers plus the
+//! The environment cannot pull serde, so this module provides a [`ToJson`]
+//! trait for primitives and containers, the
 //! [`impl_to_json!`](crate::impl_to_json) macro that derives the object
-//! encoding for a named-field struct.
+//! encoding for a named-field struct, and the [`JsonValue`] tree that
+//! [`parse`] reads and [`json_object!`](crate::json_object) builds.
 
 /// Serializes a value to a JSON string.
 pub trait ToJson {
@@ -215,6 +215,59 @@ impl ToJson for JsonValue {
     }
 }
 
+/// Counters render through `f64`, which prints every integer below 2^53
+/// with the same digits as the integer itself.
+macro_rules! num_to_json_value {
+    ($($t:ty),*) => {$(
+        impl From<$t> for JsonValue {
+            fn from(v: $t) -> Self {
+                JsonValue::Num(v as f64)
+            }
+        }
+    )*};
+}
+
+num_to_json_value!(f64, u64, usize, u32);
+
+impl From<bool> for JsonValue {
+    fn from(v: bool) -> Self {
+        JsonValue::Bool(v)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(v: &str) -> Self {
+        JsonValue::Str(v.to_string())
+    }
+}
+
+impl From<String> for JsonValue {
+    fn from(v: String) -> Self {
+        JsonValue::Str(v)
+    }
+}
+
+impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(JsonValue::Null, Into::into)
+    }
+}
+
+/// Builds a [`JsonValue::Obj`] from `"key": value` pairs in document order;
+/// each value is anything with an `Into<JsonValue>`:
+///
+/// ```ignore
+/// json_object! { "status": "ok", "tenants": 3u64, "fleet": json_object! { "up": true } }
+/// ```
+#[macro_export]
+macro_rules! json_object {
+    ($($key:literal : $value:expr),* $(,)?) => {
+        $crate::json::JsonValue::Obj(vec![
+            $(($key.to_string(), $crate::json::JsonValue::from($value))),*
+        ])
+    };
+}
+
 /// Parses a JSON document. Returns `None` on any syntax error or trailing
 /// garbage — callers treat unreadable files as "no previous data".
 pub fn parse(input: &str) -> Option<JsonValue> {
@@ -276,16 +329,49 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: JsonValue) -> Option<JsonV
     }
 }
 
+/// A number of RFC 8259 §6's grammar,
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, that is finite as an
+/// `f64` (`1e999` is refused, not read as infinity).
 fn parse_number(b: &[u8], pos: &mut usize) -> Option<JsonValue> {
     let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
+    // Advances past a run of digits; `None` if there is none.
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        (*pos > from).then_some(())
+    };
+    if b.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()?
-        .parse::<f64>()
-        .ok()
-        .map(JsonValue::Num)
+    match b.get(*pos)? {
+        b'0' => *pos += 1,
+        b'1'..=b'9' => digits(pos)?,
+        _ => return None,
+    }
+    if b.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        digits(pos)?;
+    }
+    if matches!(b.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(b.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        digits(pos)?;
+    }
+    let v: f64 = std::str::from_utf8(&b[start..*pos]).ok()?.parse().ok()?;
+    v.is_finite().then_some(JsonValue::Num(v))
+}
+
+/// The four hex digits of a `\u` escape starting at `at`.
+fn hex4(b: &[u8], at: usize) -> Option<u32> {
+    let hex = b.get(at..at + 4)?;
+    if !hex.iter().all(u8::is_ascii_hexdigit) {
+        return None;
+    }
+    u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()
 }
 
 fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
@@ -309,15 +395,22 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
                     b'b' => out.push('\u{8}'),
                     b'f' => out.push('\u{c}'),
                     b'u' => {
-                        let hex = b.get(*pos + 1..*pos + 5)?;
-                        if !hex.iter().all(u8::is_ascii_hexdigit) {
-                            return None;
-                        }
-                        let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                        // Surrogate pairs are not rebuilt — the writer in
-                        // this module never emits them.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        let code = hex4(b, *pos + 1)?;
                         *pos += 4;
+                        // RFC 8259 §7: past the BMP, a high surrogate escape
+                        // then a low one; a lone surrogate is no character.
+                        let code = match code {
+                            0xd800..=0xdbff if b.get(*pos + 1..*pos + 3) == Some(b"\\u") => {
+                                let low = hex4(b, *pos + 3)?;
+                                if !(0xdc00..=0xdfff).contains(&low) {
+                                    return None;
+                                }
+                                *pos += 6;
+                                0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00)
+                            }
+                            _ => code,
+                        };
+                        out.push(char::from_u32(code)?);
                     }
                     _ => return None,
                 }
@@ -500,6 +593,43 @@ mod tests {
         assert_eq!(parse(r#""\u0041""#), Some(JsonValue::Str("A".into())));
         assert_eq!(parse(r#""\u+041""#), None);
         assert_eq!(parse(r#""\u-041""#), None);
+    }
+
+    /// U+1F600 as RFC 8259 §7 writes it (and Python's `json.dumps` sends
+    /// it): one character, not two replacement characters.
+    #[test]
+    fn a_surrogate_pair_escape_decodes_to_one_character() {
+        let (high, low) = (r"\ud83d", r"\uDE00");
+        let pair = parse(&format!("\"a{high}{low}b\""));
+        assert_eq!(pair, Some(JsonValue::Str("a\u{1f600}b".into())));
+    }
+
+    /// Each case is one whitespace-free document of the list.
+    #[test]
+    fn a_lone_or_reversed_surrogate_escape_is_a_parse_error() {
+        let cases = r#""\ud83d" "\ud83dx" "\ude00" "\ud83d\u0041" "\ude00\ud83d" "\ud83d\ud83d""#;
+        for lone in cases.split(' ') {
+            assert_eq!(parse(lone), None, "{lone}");
+        }
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_grammar() {
+        for ok in "0 -0 5 -12 0.5 1e5 1E+5 -1.5e-3 10".split(' ') {
+            assert!(parse(ok).is_some(), "{ok} is a JSON number");
+        }
+        for bad in "+5 05 -05 .5 5. - 1e 1e+ --1 0x1".split(' ') {
+            assert_eq!(parse(bad), None, "{bad} is not a JSON number");
+            assert_eq!(parse(&format!("[{bad}]")), None, "[{bad}]");
+        }
+    }
+
+    #[test]
+    fn a_number_that_overflows_to_infinity_is_refused() {
+        for inf in ["1e999", "-1e999", r#"{"lit":1e999}"#] {
+            assert_eq!(parse(inf), None, "{inf}");
+        }
+        assert_eq!(parse("1e308"), Some(JsonValue::Num(1e308)));
     }
 
     #[test]

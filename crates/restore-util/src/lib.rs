@@ -13,15 +13,15 @@
 
 mod backoff;
 mod fsio;
+mod health;
 pub mod json;
-mod pool;
 mod ratelimit;
 mod shutdown;
 mod singleflight;
 
 pub use backoff::BackoffConfig;
 pub use fsio::{fnv1a64, is_tmp_name, write_atomic, Fnv64};
-pub use pool::{HealthState, ObjectPool, PoolStats};
+pub use health::HealthState;
 pub use ratelimit::{RateLimitConfig, RateLimiter};
 pub use shutdown::{ConnectionGuard, Shutdown};
 pub use singleflight::SingleFlight;

@@ -5,7 +5,11 @@
 # `pub fn ` or `pub mod `, outside unit-test modules. A unit-test module is
 # everything from a `#[cfg(test)]` line directly followed by a `mod` line to
 # the end of its file, which is where this workspace puts them;
-# `pub(crate) fn` and `pub(crate) mod` do not count.
+# `pub(crate) fn` and `pub(crate) mod` do not count. Last, the crate's
+# options: the `pub` fields of every `pub struct` whose name ends in `Config`
+# or `Policy`, and of `Limits`, outside unit-test modules — the values a
+# caller can set independently, which the simplicity guide counts before and
+# after every change.
 # Run from anywhere inside the repo.
 cd "$(dirname "$0")/.." || exit 1
 files() { find "$1" -name '*.rs' -not -path '*/target/*'; }
@@ -19,12 +23,25 @@ pub_lines() {
         !test && $0 ~ pat { n++ }
         END { print n + 0 }'
 }
-total=0 total_fns=0 total_mods=0
-printf '%7s  %6s  %7s  %s\n' lines pub-fn pub-mod path
+# options DIR: the `pub` fields of DIR's option structs outside unit tests.
+options() {
+    files "$1" | xargs awk '
+        FNR == 1 { test = 0; cfg = -1; opt = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { cfg = FNR; next }
+        FNR == cfg + 1 && /^[[:space:]]*mod / { test = 1 }
+        test { next }
+        /^[[:space:]]*pub struct ([A-Za-z0-9_]*(Config|Policy)|Limits)[[:space:]]*\{/ { opt = 1; next }
+        opt && /^[[:space:]]*\}/ { opt = 0 }
+        opt && /^[[:space:]]*pub [a-z_0-9]+:/ { n++ }
+        END { print n + 0 }'
+}
+total=0 total_fns=0 total_mods=0 total_opts=0
+printf '%7s  %6s  %7s  %7s  %s\n' lines pub-fn pub-mod options path
 for dir in crates/* vendor/* src; do
-    n=$(count "$dir") fns=$(pub_lines "$dir" fn) mods=$(pub_lines "$dir" mod)
+    n=$(count "$dir") fns=$(pub_lines "$dir" fn) mods=$(pub_lines "$dir" mod) opts=$(options "$dir")
     total=$((total + n)) total_fns=$((total_fns + fns)) total_mods=$((total_mods + mods))
-    printf '%7d  %6d  %7d  %s\n' "$n" "$fns" "$mods" "$dir"
+    total_opts=$((total_opts + opts))
+    printf '%7d  %6d  %7d  %7d  %s\n' "$n" "$fns" "$mods" "$opts" "$dir"
 done
-printf '%7d  %6d  %7d  total (crates + src + vendor)\n' "$total" "$total_fns" "$total_mods"
-printf '%7d  %6s  %7s  tests\n%7d  %6s  %7s  benchmark\n' "$(count tests)" - - "$(count benchmark)" - -
+printf '%7d  %6d  %7d  %7d  total (crates + src + vendor)\n' "$total" "$total_fns" "$total_mods" "$total_opts"
+printf '%7d  %6s  %7s  %7s  tests\n%7d  %6s  %7s  %7s  benchmark\n' "$(count tests)" - - - "$(count benchmark)" - - -

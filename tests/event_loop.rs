@@ -256,7 +256,6 @@ fn torn_response_fault_truncates_and_closes_under_event_loop() {
 fn slow_loris_is_cut_by_deadline_under_event_loop() {
     let (server, _) = serve(ServeConfig {
         request_deadline: Duration::from_millis(150),
-        read_poll: Duration::from_millis(20),
         ..ServeConfig::default()
     });
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");

@@ -8,9 +8,10 @@
 //!   request errors while v1 drains under its `Arc` refs;
 //! * tenants are isolated: each answers from its own snapshot and
 //!   `retire` only 404s the retired one;
-//! * a panicking handler (single-flight leader *and* its poisoned
-//!   followers) answers 500 on its own connection without wedging the
-//!   server;
+//! * a handler the fault plan panics answers 500 on its own connection,
+//!   on every connection it hits at once, without wedging the server;
+//! * `/metrics` keeps its key paths, in order, and renders integer
+//!   counters as plain digits;
 //! * graceful shutdown drains idle keep-alive connections and stops
 //!   accepting.
 
@@ -22,7 +23,8 @@ use restore_fixtures::{sealed_synthetic_snapshot, serving_workload as workload};
 use restore::core::wire::{self, QueryRequest};
 use restore::core::{ConfidenceQuery, Snapshot, SnapshotRegistry};
 use restore::db::{Agg, Expr, Query};
-use restore::serve::{HttpClient, ServeConfig, Server};
+use restore::serve::{FaultConfig, HttpClient, ServeConfig, Server};
+use restore::util::json::{parse, JsonValue};
 
 /// Shared fixtures: the same data under two different serve seeds, so the
 /// two snapshots answer observably differently while each stays perfectly
@@ -329,47 +331,64 @@ fn tenants_are_isolated_and_retire_cleanly() {
 
 #[test]
 fn panicking_handler_does_not_wedge_other_connections() {
-    // Fault injection: /debug/panic/{key} panics inside the server's
-    // shared single-flight, exercising leader-panic poisoning end to end —
-    // the leader and every follower piled on the same cold key must each
-    // get a 500 on their own connection, promptly, and the server must
-    // keep serving everyone else.
+    // The fault plan panics every request pinned to key 7: four clients
+    // that hit it at once each get a 500 on their own connection, promptly,
+    // and the server keeps serving everyone else.
+    let snapshot = snap_a();
     let registry = Arc::new(SnapshotRegistry::new());
+    registry.publish("synthetic", Arc::clone(&snapshot));
+    let fault = FaultConfig {
+        window: (7, 8),
+        panic_prob: 1.0,
+        ..FaultConfig::default()
+    };
     let server = serve(
         &registry,
         ServeConfig {
-            panic_route: true,
+            fault: Some(fault),
             ..ServeConfig::default()
         },
     );
     let addr = server.local_addr();
+    let request = QueryRequest::new(workload()[0].clone(), 1);
+    let body = Arc::new(request.to_json());
+    let pinned = move |key: &str, body: &str| {
+        HttpClient::connect(addr)
+            .expect("connect")
+            .request_full(
+                "POST",
+                "/v1/synthetic/query",
+                Some(body),
+                &[("X-Fault-Key", key)],
+            )
+            .expect("response, not a hang")
+    };
 
     let barrier = Arc::new(Barrier::new(4));
     let mut handles = Vec::new();
     for _ in 0..4 {
-        let barrier = Arc::clone(&barrier);
+        let (barrier, body) = (Arc::clone(&barrier), Arc::clone(&body));
         handles.push(std::thread::spawn(move || {
-            let mut client = HttpClient::connect(addr).expect("connect");
             barrier.wait();
-            client
-                .get("/debug/panic/same-key")
-                .expect("response, not a hang")
+            pinned("7", &body)
         }));
     }
     for handle in handles {
-        let (status, body) = handle.join().expect("panic client");
-        assert_eq!(status, 500, "panic surfaces as 500: {body}");
-        assert!(body.contains("error"), "{body}");
+        let response = handle.join().expect("panic client");
+        assert_eq!(
+            response.status, 500,
+            "panic surfaces as 500: {}",
+            response.body
+        );
+        assert!(response.body.contains("error"), "{}", response.body);
     }
 
-    // The cold path is not wedged: the key retired with the panic, a fresh
-    // request on it still answers (500 again — it is a panic route), and
-    // unrelated routes serve normally.
-    let (status, _) = HttpClient::connect(addr)
-        .expect("connect")
-        .get("/debug/panic/same-key")
-        .expect("retried key answers");
-    assert_eq!(status, 500);
+    // A key outside the window is served, and so is the control plane.
+    let clean = pinned("8", &body);
+    assert_eq!(
+        (clean.status, clean.body),
+        (200, direct_body(&snapshot, &request))
+    );
     let (status, health) = HttpClient::connect(addr)
         .expect("connect")
         .get("/healthz")
@@ -378,8 +397,117 @@ fn panicking_handler_does_not_wedge_other_connections() {
     assert!(health.contains("\"ok\""));
     assert!(
         server.shutdown(),
-        "a panicked flight must not block draining"
+        "a panicked handler must not block draining"
     );
+}
+
+/// Every key path of a JSON document in document order, array elements by
+/// index; an empty object or array is a path of its own.
+fn key_paths(value: &JsonValue, prefix: &str, out: &mut Vec<String>) {
+    match value {
+        JsonValue::Obj(fields) if !fields.is_empty() => {
+            for (key, v) in fields {
+                key_paths(v, &format!("{prefix}{key}."), out);
+            }
+        }
+        JsonValue::Arr(items) if !items.is_empty() => {
+            for (i, v) in items.iter().enumerate() {
+                key_paths(v, &format!("{prefix}{i}."), out);
+            }
+        }
+        _ => out.push(prefix.trim_end_matches('.').to_string()),
+    }
+}
+
+/// Every number in `body` whose key is not a rate or a duration is written
+/// as plain digits: no `.0`, no exponent.
+fn assert_counters_are_plain_digits(body: &str) {
+    const FLOATS: [&str; 4] = ["uptime_s", "service_ewma_ms", "load_ms", "queries_per_s"];
+    for (at, _) in body.match_indices("\":") {
+        let key = &body[body[..at].rfind('"').expect("key opens") + 1..at];
+        let value = &body[at + 2..];
+        let value = &value[..value.find([',', '}', ']']).expect("value ends")];
+        if value.starts_with(|c: char| c.is_ascii_digit() || c == '-') && !FLOATS.contains(&key) {
+            assert!(value.bytes().all(|b| b.is_ascii_digit()), "{key}: {value}");
+        }
+    }
+}
+
+/// The key paths of a worker's `/metrics` before its first query.
+const WORKER_METRICS: [&str; 32] = [
+    "uptime_s",
+    "connections.total",
+    "connections.active",
+    "event_loop.open_connections",
+    "event_loop.keepalive_idle",
+    "event_loop.accepts",
+    "event_loop.epoll_wakeups",
+    "event_loop.read_would_block",
+    "event_loop.write_would_block",
+    "requests.total",
+    "requests.in_flight",
+    "requests.admitted",
+    "requests.shed",
+    "requests.deadline_exceeded",
+    "requests.panics_caught",
+    "requests.faults_injected",
+    "requests.service_ewma_ms",
+    "cache.hits",
+    "cache.misses",
+    "cache.waits",
+    "cache.evictions",
+    "cache.bytes",
+    "cache.entries",
+    "persistence.snapshots_loaded",
+    "persistence.snapshots_saved",
+    "persistence.load_ms",
+    "persistence.loaded_bytes",
+    "persistence.saved_bytes",
+    "persistence.rebuilds.started",
+    "persistence.rebuilds.completed",
+    "persistence.rebuilds.failed",
+    "tenants",
+];
+
+/// The keys of one tenant's object under `tenants`.
+const TENANT_METRICS: [&str; 5] = [
+    "queries",
+    "errors",
+    "rate_limited",
+    "last_error_request_id",
+    "queries_per_s",
+];
+
+#[test]
+fn worker_metrics_keep_their_key_paths_and_plain_digit_counters() {
+    let snapshot = snap_a();
+    let registry = Arc::new(SnapshotRegistry::new());
+    registry.publish("synthetic", Arc::clone(&snapshot));
+    let server = serve(&registry, ServeConfig::default());
+    let mut client = HttpClient::connect(server.local_addr()).expect("connect");
+    let read_paths = |client: &mut HttpClient| {
+        let (status, body) = client.get("/metrics").expect("metrics");
+        assert_eq!(status, 200);
+        assert_counters_are_plain_digits(&body);
+        let mut paths = Vec::new();
+        key_paths(&parse(&body).expect("metrics parse"), "", &mut paths);
+        paths
+    };
+    assert_eq!(read_paths(&mut client), WORKER_METRICS);
+
+    let request = QueryRequest::new(workload()[0].clone(), 1);
+    let (status, _) = client
+        .post("/v1/synthetic/query", &request.to_json())
+        .expect("query");
+    assert_eq!(status, 200);
+    let mut expected: Vec<String> = WORKER_METRICS[..31].iter().map(|p| p.to_string()).collect();
+    expected.extend(
+        TENANT_METRICS
+            .iter()
+            .map(|k| format!("tenants.synthetic.{k}")),
+    );
+    assert_eq!(read_paths(&mut client), expected);
+    assert!(server.shutdown(), "drain");
 }
 
 #[test]

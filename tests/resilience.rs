@@ -536,7 +536,6 @@ fn slow_loris_body_is_cut_under_the_deadline() {
         registry,
         ServeConfig {
             request_deadline: Duration::from_millis(120),
-            read_poll: Duration::from_millis(20),
             ..ServeConfig::default()
         },
     )

@@ -12,7 +12,8 @@
 //!   after the retry budget (without touching the healthy shard), and
 //!   re-registering a replacement worker restores byte-identical service.
 //! * The router's `/metrics` carries a `fleet` section whose counters
-//!   track forwards and failures.
+//!   track forwards and failures, keeps its key paths in order, and
+//!   renders integer counters as plain digits.
 //! * A shard whose response framing is malformed is a transport failure:
 //!   the forward retries and answers 503, and no handler panics.
 //!
@@ -32,7 +33,7 @@ use restore::core::{ConfidenceQuery, Snapshot, SnapshotRegistry};
 use restore::db::{Agg, Expr, Query};
 use restore::serve::router::{Fleet, FleetConfig, ShardConfig};
 use restore::serve::{ClientConfig, HttpClient, RetryPolicy, ServeConfig, Server};
-use restore::util::json::parse;
+use restore::util::json::{parse, JsonValue};
 
 fn snapshot() -> Arc<Snapshot> {
     static SNAP: OnceLock<Arc<Snapshot>> = OnceLock::new();
@@ -265,7 +266,7 @@ fn dead_shard_degrades_and_a_replacement_restores_byte_identical_service() {
     assert!(health.contains("\"status\":\"ok\"") && health.contains("\"up\":2"));
 
     // The outage is on the books.
-    let root = parse(&fleet.metrics_json()).expect("fleet metrics parse");
+    let root = fleet.metrics_json();
     assert!(root.get("failed").and_then(|v| v.as_f64()).unwrap_or(0.0) >= 1.0);
 
     assert!(router.shutdown());
@@ -333,4 +334,110 @@ fn a_shard_announcing_an_impossible_content_length_answers_503_without_a_panic()
     stop.store(true, Ordering::Relaxed);
     let _ = std::net::TcpStream::connect(addr);
     shard.join().expect("fake shard thread");
+}
+
+/// Every key path of a JSON document in document order, array elements by
+/// index; an empty object or array is a path of its own.
+fn key_paths(value: &JsonValue, prefix: &str, out: &mut Vec<String>) {
+    match value {
+        JsonValue::Obj(fields) if !fields.is_empty() => {
+            for (key, v) in fields {
+                key_paths(v, &format!("{prefix}{key}."), out);
+            }
+        }
+        JsonValue::Arr(items) if !items.is_empty() => {
+            for (i, v) in items.iter().enumerate() {
+                key_paths(v, &format!("{prefix}{i}."), out);
+            }
+        }
+        _ => out.push(prefix.trim_end_matches('.').to_string()),
+    }
+}
+
+/// Every number in `body` whose key is not a rate or a duration is written
+/// as plain digits: no `.0`, no exponent.
+fn assert_counters_are_plain_digits(body: &str) {
+    const FLOATS: [&str; 4] = ["uptime_s", "service_ewma_ms", "load_ms", "queries_per_s"];
+    for (at, _) in body.match_indices("\":") {
+        let key = &body[body[..at].rfind('"').expect("key opens") + 1..at];
+        let value = &body[at + 2..];
+        let value = &value[..value.find([',', '}', ']']).expect("value ends")];
+        if value.starts_with(|c: char| c.is_ascii_digit() || c == '-') && !FLOATS.contains(&key) {
+            assert!(value.bytes().all(|b| b.is_ascii_digit()), "{key}: {value}");
+        }
+    }
+}
+
+/// The key paths of a fresh router's `/metrics` over one live worker.
+const ROUTER_METRICS: [&str; 54] = [
+    "uptime_s",
+    "connections.total",
+    "connections.active",
+    "event_loop.open_connections",
+    "event_loop.keepalive_idle",
+    "event_loop.accepts",
+    "event_loop.epoll_wakeups",
+    "event_loop.read_would_block",
+    "event_loop.write_would_block",
+    "requests.total",
+    "requests.in_flight",
+    "requests.admitted",
+    "requests.shed",
+    "requests.deadline_exceeded",
+    "requests.panics_caught",
+    "requests.faults_injected",
+    "requests.service_ewma_ms",
+    "cache.hits",
+    "cache.misses",
+    "cache.waits",
+    "cache.evictions",
+    "cache.bytes",
+    "cache.entries",
+    "persistence.snapshots_loaded",
+    "persistence.snapshots_saved",
+    "persistence.load_ms",
+    "persistence.loaded_bytes",
+    "persistence.saved_bytes",
+    "persistence.rebuilds.started",
+    "persistence.rebuilds.completed",
+    "persistence.rebuilds.failed",
+    "fleet.shards",
+    "fleet.up",
+    "fleet.forwarded",
+    "fleet.failed",
+    "fleet.retried",
+    "fleet.respawns",
+    "fleet.per_shard.0.shard",
+    "fleet.per_shard.0.addr",
+    "fleet.per_shard.0.up",
+    "fleet.per_shard.0.forwarded",
+    "fleet.per_shard.0.failed",
+    "fleet.per_shard.0.retried",
+    "fleet.per_shard.0.respawns",
+    "fleet.per_shard.0.times_down",
+    "fleet.per_shard.0.queries_per_s",
+    "fleet.per_shard.0.pool.idle",
+    "fleet.per_shard.0.pool.reused",
+    "fleet.per_shard.0.pool.dialed",
+    "fleet.per_shard.0.pool.discarded",
+    "fleet.per_shard.0.worker.requests_total",
+    "fleet.per_shard.0.worker.uptime_s",
+    "fleet.per_shard.0.worker.queries_per_s",
+    "tenants",
+];
+
+#[test]
+fn router_metrics_keep_their_key_paths_and_plain_digit_counters() {
+    let worker = worker(&balanced_fleet_tenants(1, 1));
+    let fleet = fixed_fleet(&[worker.local_addr()]);
+    let router = router(&fleet);
+    let (status, body) = ask(router.local_addr(), "GET", "/metrics", None);
+    assert_eq!(status, 200);
+    assert_counters_are_plain_digits(&body);
+    let mut paths = Vec::new();
+    key_paths(&parse(&body).expect("metrics parse"), "", &mut paths);
+    assert_eq!(paths, ROUTER_METRICS);
+    assert!(router.shutdown());
+    fleet.shutdown();
+    assert!(worker.shutdown());
 }
