@@ -3,8 +3,8 @@
 //! Router mode (the default) boots N worker processes (re-execs of this
 //! same binary in `--worker` mode) from one versioned snapshot directory
 //! and serves the standard wire format in front of them, forwarding each
-//! `/v1/{tenant}/…` request to the tenant's shard over pooled keep-alive
-//! connections. Dead workers are re-execed from the same directory.
+//! `/v1/{tenant}/…` request to the tenant's shard over keep-alive upstream
+//! sockets. Dead workers are re-execed from the same directory.
 //!
 //! ```text
 //! shard_router --snapshot-dir DIR --shards N [--addr HOST:PORT] [--worker-threads W]

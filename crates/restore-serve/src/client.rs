@@ -9,14 +9,11 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use restore_util::json::JsonValue;
-use restore_util::{json_object, BackoffConfig, HealthState};
+use restore_util::BackoffConfig;
 
-use crate::http::content_length;
+use crate::http::{content_length, LIMITS};
 
 /// How [`HttpClient::request_with_retry`] behaves.
 #[derive(Clone, Copy, Debug)]
@@ -51,7 +48,7 @@ impl Default for RetryPolicy {
 /// behavior (30 s read timeout) with the default retry policy on top.
 #[derive(Clone, Copy, Debug)]
 pub struct ClientConfig {
-    /// Read timeout on the underlying socket.
+    /// Wall-clock bound on reading one whole response.
     pub read_timeout: Duration,
     pub retry: RetryPolicy,
 }
@@ -127,11 +124,6 @@ impl HttpClient {
         })
     }
 
-    /// The peer this connection was dialed to.
-    pub(crate) fn peer(&self) -> SocketAddr {
-        self.peer
-    }
-
     /// Drops the current connection and dials the same peer again —
     /// what the retry layer does after a transport error.
     pub(crate) fn reconnect(&mut self) -> std::io::Result<()> {
@@ -159,18 +151,8 @@ impl HttpClient {
         body: Option<&str>,
         extra_headers: &[(&str, &str)],
     ) -> std::io::Result<HttpResponse> {
-        let body = body.unwrap_or_default();
-        let mut head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: restore\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
-            body.len()
-        );
-        for (name, value) in extra_headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
-        }
-        head.push_str("\r\n");
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body.as_bytes())?;
-        self.stream.flush()?;
+        self.stream
+            .write_all(&encode_request(method, path, body, extra_headers))?;
         self.read_response()
     }
 
@@ -224,13 +206,24 @@ impl HttpClient {
         }
     }
 
+    /// Reads one response within [`ClientConfig::read_timeout`] of wall
+    /// clock, however the peer paces its bytes.
     fn read_response(&mut self) -> std::io::Result<HttpResponse> {
+        let deadline = Instant::now() + self.config.read_timeout;
         let mut chunk = [0u8; 8 * 1024];
         loop {
             if let Some((response, consumed)) = parse_response(&self.carry)? {
                 self.carry.drain(..consumed);
                 return Ok(response);
             }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::TimedOut,
+                    "no complete response within the read timeout",
+                ));
+            }
+            self.stream.set_read_timeout(Some(left))?;
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
                     return Err(std::io::Error::new(
@@ -240,45 +233,85 @@ impl HttpClient {
                 }
                 Ok(n) => self.carry.extend_from_slice(&chunk[..n]),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                // A socket timeout: the deadline check above decides.
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
                 Err(e) => return Err(e),
             }
         }
     }
 }
 
+/// One request's wire bytes: what [`HttpClient`] sends, and what the
+/// router writes to a shard.
+pub(crate) fn encode_request(
+    method: &str,
+    target: &str,
+    body: Option<&str>,
+    extra_headers: &[(&str, &str)],
+) -> Vec<u8> {
+    let body = body.unwrap_or_default();
+    let mut head = format!(
+        "{method} {target} HTTP/1.1\r\nHost: restore\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
+        body.len()
+    );
+    for (name, value) in extra_headers {
+        head.push_str(&format!("{name}: {value}\r\n"));
+    }
+    head.push_str("\r\n");
+    let mut bytes = head.into_bytes();
+    bytes.extend_from_slice(body.as_bytes());
+    bytes
+}
+
 fn bad(msg: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string())
 }
 
-/// Parses a complete `(response, consumed)` off the front of `buf`, or
-/// `Ok(None)` if more bytes are needed. Header names come out lowercased.
-fn parse_response(buf: &[u8]) -> std::io::Result<Option<(HttpResponse, usize)>> {
-    let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") else {
-        return Ok(None);
+/// The framing of the response at the front of `buf`: its head (the text
+/// before the blank line), its status, and the offset one past its body.
+/// `Ok(None)` while bytes are missing; `InvalidData` for a head longer than
+/// [`LIMITS`]`.max_head_bytes`, a bad status line, or a `Content-Length`
+/// that cannot be honoured.
+pub(crate) fn response_frame(buf: &[u8]) -> std::io::Result<Option<(&str, u16, usize)>> {
+    let head_end = match buf.windows(4).position(|w| w == b"\r\n\r\n") {
+        Some(end) if end <= LIMITS.max_head_bytes => end,
+        None if buf.len() <= LIMITS.max_head_bytes + 3 => return Ok(None),
+        _ => return Err(bad("response head exceeds the head limit")),
     };
     let head =
         std::str::from_utf8(&buf[..head_end]).map_err(|_| bad("response head is not UTF-8"))?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or_default();
+    let status_line = head.split("\r\n").next().unwrap_or_default();
     let status = status_line
         .split(' ')
         .nth(1)
         .and_then(|s| s.parse::<u16>().ok())
         .ok_or_else(|| bad(&format!("bad status line {status_line:?}")))?;
-    let headers: Vec<(String, String)> = lines
-        .filter_map(|line| line.split_once(':'))
-        .map(|(name, value)| (name.trim().to_ascii_lowercase(), value.trim().to_string()))
-        .collect();
-    let lengths = headers.iter().filter(|(k, _)| k == "content-length");
-    let length = content_length(lengths.map(|(_, v)| v.as_str())).map_err(|m| bad(&m))?;
-    let body_start = head_end + 4;
-    let end = body_start
+    let lengths = header_lines(head).filter(|(k, _)| k.eq_ignore_ascii_case("content-length"));
+    let length = content_length(lengths.map(|(_, v)| v)).map_err(|m| bad(&m))?;
+    let end = (head_end + 4)
         .checked_add(length)
         .ok_or_else(|| bad("content-length overflows the address space"))?;
-    if buf.len() < end {
+    Ok((buf.len() >= end).then_some((head, status, end)))
+}
+
+/// The `(name, value)` pairs of a message head's header lines, trimmed.
+pub(crate) fn header_lines(head: &str) -> impl Iterator<Item = (&str, &str)> + Clone {
+    head.split("\r\n")
+        .skip(1)
+        .filter_map(|line| line.split_once(':'))
+        .map(|(name, value)| (name.trim(), value.trim()))
+}
+
+/// Parses a complete `(response, consumed)` off the front of `buf`, or
+/// `Ok(None)` if more bytes are needed. Header names come out lowercased.
+fn parse_response(buf: &[u8]) -> std::io::Result<Option<(HttpResponse, usize)>> {
+    let Some((head, status, end)) = response_frame(buf)? else {
         return Ok(None);
-    }
-    let body = String::from_utf8_lossy(&buf[body_start..end]).into_owned();
+    };
+    let headers = header_lines(head)
+        .map(|(name, value)| (name.to_ascii_lowercase(), value.to_string()))
+        .collect();
+    let body = String::from_utf8_lossy(&buf[head.len() + 4..end]).into_owned();
     Ok(Some((
         HttpResponse {
             status,
@@ -287,141 +320,6 @@ fn parse_response(buf: &[u8]) -> std::io::Result<Option<(HttpResponse, usize)>> 
         },
         end,
     )))
-}
-
-/// Idle keep-alive connections one shard's [`ConnectionPool`] keeps.
-const MAX_IDLE_PER_SHARD: usize = 16;
-
-/// A health-aware pool of keep-alive [`HttpClient`] connections to one
-/// peer whose address may *move* (a re-execed worker binds a fresh
-/// ephemeral port). Checkout prefers an idle pooled connection, discards
-/// any dialed to a stale address, and refuses outright while the peer's
-/// [`HealthState`] says down — the caller backs off instead of burning a
-/// connect timeout per request against a dead peer.
-///
-/// The pool never speaks HTTP itself: callers check a connection out, run
-/// whatever requests they need, and check it back in if the exchange left
-/// it reusable (no transport error, no `Connection: close`).
-pub(crate) struct ConnectionPool {
-    config: ClientConfig,
-    peer: Mutex<Option<SocketAddr>>,
-    /// At most [`MAX_IDLE_PER_SHARD`] idle connections, a stack: the most
-    /// recently checked-in (hottest) socket goes out first.
-    idle: Mutex<Vec<HttpClient>>,
-    health: HealthState,
-    dialed: AtomicU64,
-    reused: AtomicU64,
-    discarded: AtomicU64,
-}
-
-impl ConnectionPool {
-    /// An empty pool; the peer is registered (and re-registered after
-    /// moves) via [`ConnectionPool::set_peer`].
-    pub(crate) fn new(config: ClientConfig) -> Self {
-        Self {
-            config,
-            peer: Mutex::new(None),
-            idle: Mutex::new(Vec::new()),
-            health: HealthState::new(),
-            dialed: AtomicU64::new(0),
-            reused: AtomicU64::new(0),
-            discarded: AtomicU64::new(0),
-        }
-    }
-
-    fn idle(&self) -> MutexGuard<'_, Vec<HttpClient>> {
-        self.idle.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The current peer address, if registered.
-    pub(crate) fn peer(&self) -> Option<SocketAddr> {
-        *self.peer.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Registers (or moves) the peer. A changed address drops every idle
-    /// connection — they are dialed to the old one.
-    pub(crate) fn set_peer(&self, addr: SocketAddr) {
-        let changed = {
-            let mut peer = self.peer.lock().unwrap_or_else(|e| e.into_inner());
-            let changed = *peer != Some(addr);
-            *peer = Some(addr);
-            changed
-        };
-        if changed {
-            let stale = std::mem::take(&mut *self.idle());
-            self.discarded
-                .fetch_add(stale.len() as u64, Ordering::Relaxed);
-            // `stale` drops here: sockets close outside the lock.
-        }
-    }
-
-    /// The peer's health, shared with whoever monitors it. The pool itself
-    /// never writes health — callers record successes/failures from actual
-    /// request outcomes (and monitors from probes), keeping one authority
-    /// per signal.
-    pub(crate) fn health(&self) -> &HealthState {
-        &self.health
-    }
-
-    /// Checks a connection out: a pooled keep-alive connection to the
-    /// current peer when available, else a fresh dial. Fails fast with
-    /// `NotConnected` while the peer is marked down or unregistered.
-    pub(crate) fn checkout(&self) -> std::io::Result<HttpClient> {
-        let Some(peer) = self.peer() else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::NotConnected,
-                "connection pool has no peer registered",
-            ));
-        };
-        if !self.health.is_up() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::NotConnected,
-                format!("peer {peer} is marked down"),
-            ));
-        }
-        // Stale-address connections can linger if the peer moved while
-        // they were checked out; skip past them, each popped under its own
-        // short lock so its socket closes outside it.
-        loop {
-            let Some(client) = self.idle().pop() else {
-                break;
-            };
-            if client.peer() == peer {
-                self.reused.fetch_add(1, Ordering::Relaxed);
-                return Ok(client);
-            }
-        }
-        let client = HttpClient::connect_with(peer, self.config)?;
-        self.dialed.fetch_add(1, Ordering::Relaxed);
-        Ok(client)
-    }
-
-    /// Returns a still-healthy connection for reuse. Connections dialed to
-    /// a stale address (the peer moved meanwhile) are dropped, and so is
-    /// one that finds the pool full.
-    pub(crate) fn checkin(&self, client: HttpClient) {
-        if self.peer() != Some(client.peer()) {
-            return; // closing a stale socket is the right outcome
-        }
-        let mut idle = self.idle();
-        if idle.len() < MAX_IDLE_PER_SHARD {
-            idle.push(client);
-            return;
-        }
-        drop(idle);
-        self.discarded.fetch_add(1, Ordering::Relaxed);
-        // `client` drops here: the socket closes outside the lock.
-    }
-
-    /// The pool's section of the fleet `/metrics`: checkouts answered from
-    /// the pool and by a dial, idle connections dropped and idle now.
-    pub(crate) fn metrics_json(&self) -> JsonValue {
-        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-        json_object! {
-            "idle": self.idle().len(), "reused": load(&self.reused),
-            "dialed": load(&self.dialed), "discarded": load(&self.discarded),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -464,75 +362,6 @@ mod tests {
     #[test]
     fn disagreeing_content_lengths_are_invalid_data() {
         assert!(refuses("Content-Length: 2\r\nContent-Length: 4\r\n"));
-    }
-
-    /// One counter of the pool's `/metrics` section.
-    fn count(pool: &ConnectionPool, key: &str) -> f64 {
-        let section = pool.metrics_json();
-        section.get(key).and_then(JsonValue::as_f64).unwrap()
-    }
-
-    #[test]
-    fn connection_pool_reuses_moves_and_gates_on_health() {
-        let listener_a = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a");
-        let listener_b = std::net::TcpListener::bind("127.0.0.1:0").expect("bind b");
-        let addr_a = listener_a.local_addr().expect("addr a");
-        let addr_b = listener_b.local_addr().expect("addr b");
-        let pool = ConnectionPool::new(ClientConfig::default());
-        pool.set_peer(addr_a);
-        let first = pool.checkout().expect("fresh dial");
-        assert_eq!(first.peer(), addr_a);
-        pool.checkin(first);
-        assert_eq!(count(&pool, "idle"), 1.0);
-        let reused = pool.checkout().expect("pooled connection");
-        assert_eq!(count(&pool, "reused"), 1.0);
-        // Peer moves: idle connections are cleared, checked-out ones are
-        // dropped at checkin instead of poisoning the pool.
-        pool.set_peer(addr_b);
-        assert_eq!(count(&pool, "idle"), 0.0, "peer move clears idle conns");
-        pool.checkin(reused);
-        assert_eq!(count(&pool, "idle"), 0.0, "stale-peer checkin is dropped");
-        assert_eq!(pool.checkout().expect("dial b").peer(), addr_b);
-        // Health gate: a down peer fails fast, recovery restores service.
-        pool.health().force_down();
-        let err = match pool.checkout() {
-            Err(e) => e,
-            Ok(_) => panic!("down peer must fail fast"),
-        };
-        assert_eq!(err.kind(), std::io::ErrorKind::NotConnected);
-        pool.health().record_success();
-        assert!(pool.checkout().is_ok());
-    }
-
-    #[test]
-    fn connection_pool_is_a_bounded_stack_and_a_move_clears_it() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let pool = ConnectionPool::new(ClientConfig::default());
-        pool.set_peer(addr);
-        let clients: Vec<HttpClient> = (0..=MAX_IDLE_PER_SHARD)
-            .map(|_| pool.checkout().expect("dial"))
-            .collect();
-        let hottest = clients[MAX_IDLE_PER_SHARD - 1].stream.local_addr().unwrap();
-        clients.into_iter().for_each(|c| pool.checkin(c));
-        let full = MAX_IDLE_PER_SHARD as f64;
-        assert_eq!(
-            (count(&pool, "dialed"), count(&pool, "idle")),
-            (full + 1.0, full)
-        );
-        assert_eq!(count(&pool, "discarded"), 1.0, "one past capacity");
-        let out = pool.checkout().expect("pooled");
-        assert_eq!(out.stream.local_addr().unwrap(), hottest, "LIFO");
-        pool.set_peer("127.0.0.1:1".parse().unwrap());
-        assert_eq!(count(&pool, "idle"), 0.0);
-        assert_eq!(count(&pool, "discarded"), full);
-    }
-
-    #[test]
-    fn empty_pool_has_no_peer() {
-        let pool = ConnectionPool::new(ClientConfig::default());
-        assert!(pool.peer().is_none());
-        assert!(pool.checkout().is_err());
     }
 
     #[test]

@@ -38,6 +38,9 @@ impl Default for Limits {
 #[derive(Clone, Debug)]
 pub struct Request {
     pub method: String,
+    /// The request target as it arrived, still percent-encoded: what the
+    /// shard router forwards.
+    pub target: String,
     pub path: String,
     pub query: Vec<(String, String)>,
     pub headers: Vec<(String, String)>,
@@ -139,45 +142,6 @@ fn percent_decode(s: &str, plus_is_space: bool) -> String {
         }
     }
     String::from_utf8_lossy(&out).into_owned()
-}
-
-/// Percent-encodes one path segment or query component: unreserved
-/// characters (RFC 3986) pass through, everything else becomes `%XX`.
-/// Inverse of [`percent_decode`] over round-tripped components.
-fn percent_encode(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for &b in s.as_bytes() {
-        match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'.' | b'_' | b'~' => {
-                out.push(b as char)
-            }
-            _ => out.push_str(&format!("%{b:02X}")),
-        }
-    }
-    out
-}
-
-/// Re-encodes a parsed request's path + query back into a wire-safe
-/// request target — what the shard router sends upstream when forwarding.
-/// Parsing decodes `%XX` escapes, so a decoded path like `/v1/my db/query`
-/// must be re-escaped before it can appear in a request line again.
-pub(crate) fn encode_target(request: &Request) -> String {
-    let mut target: String = request
-        .path
-        .split('/')
-        .map(percent_encode)
-        .collect::<Vec<_>>()
-        .join("/");
-    if target.is_empty() {
-        target.push('/');
-    }
-    for (i, (k, v)) in request.query.iter().enumerate() {
-        target.push(if i == 0 { '?' } else { '&' });
-        target.push_str(&percent_encode(k));
-        target.push('=');
-        target.push_str(&percent_encode(v));
-    }
-    target
 }
 
 /// A fully-received head, waiting for its body bytes.
@@ -336,6 +300,7 @@ fn parse_head(head_bytes: &[u8]) -> Result<(Request, usize), ParseError> {
         .unwrap_or_default();
     let request = Request {
         method: method.to_string(),
+        target: target.to_string(),
         path: percent_decode(raw_path, false),
         query,
         headers,
@@ -462,6 +427,7 @@ mod tests {
         let raw = "POST /v1/my%20db/query?seed=7&x=a+b HTTP/1.1\r\nHost: x\r\nContent-Length: 11\r\nContent-Type: application/json\r\n\r\n{\"seed\":1}\n";
         let req = parse_ok(raw);
         assert_eq!(req.method, "POST");
+        assert_eq!(req.target, "/v1/my%20db/query?seed=7&x=a+b");
         assert_eq!(req.path, "/v1/my db/query");
         assert_eq!(req.segments(), vec!["v1", "my db", "query"]);
         assert_eq!(req.query_param("seed"), Some("7"));
@@ -637,19 +603,6 @@ mod tests {
         assert!(matches!(parsed, Err(ParseError::Malformed(m)) if m.contains("conflicting")));
         let agreeing = raw.replace("Length: 2", "Length: 5");
         assert_eq!(parse_ok(&agreeing).body, "hello");
-    }
-
-    #[test]
-    fn encode_target_round_trips_through_the_parser() {
-        let raw = "POST /v1/my%20db/query?seed=7&x=a+b HTTP/1.1\r\nHost: x\r\n\r\n";
-        let req = parse_ok(raw);
-        let target = encode_target(&req);
-        let reparsed = parse_ok(&format!("GET {target} HTTP/1.1\r\n\r\n"));
-        assert_eq!(reparsed.path, req.path);
-        assert_eq!(reparsed.query, req.query);
-        // A plain target is untouched.
-        let plain = parse_ok("GET /healthz HTTP/1.1\r\n\r\n");
-        assert_eq!(encode_target(&plain), "/healthz");
     }
 
     #[test]

@@ -98,9 +98,9 @@
 //! One process is one core budget. The [`router`] module scales out
 //! horizontally: a router — the same `Server`, in fleet mode — maps each
 //! tenant to one of N worker processes by stable FNV-1a hash and forwards
-//! over pooled keep-alive connections, with health probes and
-//! snapshot-directory re-exec failover. Response bytes are identical to a
-//! direct worker connection. The `shard_router` binary runs a router and
+//! from its reactor over keep-alive upstream sockets, with health probes
+//! and snapshot-directory re-exec failover. Status and body bytes are a
+//! direct worker connection's. The `shard_router` binary runs a router and
 //! its workers from one snapshot directory (its doc lists the flags);
 //! in-process it is three calls: [`router::Fleet::start`] with a
 //! [`router::FleetConfig`], the `Arc<Fleet>` in [`ServeConfig::fleet`], and

@@ -15,10 +15,18 @@
 //!        ▲                      │ (no body: skip)      │
 //!        │                      ▼                      ▼
 //!        │                  complete request ──► Dispatched (worker owns it)
-//!        │                                             │ completion
-//!        └────────── response flushed ◄── Writing ◄────┘
+//!        │                      │ fleet /v1/*          │ completion │ seam ran
+//!        │                      ▼                      │            ▼
+//!        │                AwaitingUpstream ◄───────────┼────────────┘
+//!        │                      │ response spliced     │
+//!        └── response flushed ◄─┴──── Writing ◄────────┘
 //!             (pipelined carry re-parsed immediately)
 //! ```
+//!
+//! In fleet mode the reactor is the router's forwarding transport too:
+//! shards' upstream sockets share its epoll set (tokens with [`UPSTREAM`]
+//! set), dials are nonblocking, responses are spliced back, and a retry
+//! waits on a timer in the deadline sweep — the reactor never blocks.
 //!
 //! Deadlines are reactor-enforced: a request that stops arriving mid-parse
 //! is answered 400 after [`ServeConfig::request_deadline`](crate::ServeConfig::request_deadline),
@@ -29,7 +37,7 @@
 use std::collections::{HashMap, HashSet};
 use std::ffi::c_int;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -37,9 +45,11 @@ use std::time::{Duration, Instant};
 
 use restore_util::ConnectionGuard;
 
+use crate::client::encode_request;
 use crate::fault::FaultAction;
 use crate::http::{encode_response, torn_prefix_len, ParseError, RequestParser, Response, LIMITS};
-use crate::server::{Completion, Decision, Metrics, Shared};
+use crate::router::{splice_response, Fleet, Shard, DOWN_AFTER};
+use crate::server::{Completion, Decision, Job, Metrics, Reply, Shared};
 
 /// Raw syscall surface. Constants match the Linux UAPI headers; the
 /// `epoll_event` layout is packed on x86_64 (and only there), exactly as
@@ -61,6 +71,13 @@ mod sys {
     pub(super) const EFD_NONBLOCK: c_int = 0o4000;
 
     pub(super) const RLIMIT_NOFILE: c_int = 7;
+
+    pub(super) const AF_INET: c_int = 2;
+    pub(super) const AF_INET6: c_int = 10;
+    pub(super) const SOCK_STREAM: c_int = 1;
+    pub(super) const SOCK_NONBLOCK: c_int = 0o4000;
+    pub(super) const SOCK_CLOEXEC: c_int = 0o2000000;
+    pub(super) const EINPROGRESS: i32 = 115;
 
     #[repr(C)]
     #[cfg_attr(target_arch = "x86_64", repr(packed))]
@@ -91,6 +108,49 @@ mod sys {
         pub(super) fn write(fd: c_int, buf: *const u8, count: usize) -> isize;
         pub(super) fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
         pub(super) fn setrlimit(resource: c_int, rlim: *const RLimit) -> c_int;
+        pub(super) fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
+        pub(super) fn connect(fd: c_int, addr: *const u8, len: u32) -> c_int;
+    }
+}
+
+/// Starts a nonblocking TCP connect. Until the handshake is done a write
+/// would block, and a failed handshake fails the write: the reactor never
+/// waits in `connect`.
+fn connect_nonblocking(addr: SocketAddr) -> io::Result<TcpStream> {
+    // A `sockaddr_in` or `sockaddr_in6`, laid out by hand.
+    let mut sa = [0u8; 28];
+    sa[2..4].copy_from_slice(&addr.port().to_be_bytes());
+    let (family, len) = match addr {
+        SocketAddr::V4(a) => {
+            sa[4..8].copy_from_slice(&a.ip().octets());
+            (sys::AF_INET, 16)
+        }
+        SocketAddr::V6(a) => {
+            sa[4..8].copy_from_slice(&a.flowinfo().to_be_bytes());
+            sa[8..24].copy_from_slice(&a.ip().octets());
+            sa[24..].copy_from_slice(&a.scope_id().to_ne_bytes());
+            (sys::AF_INET6, 28)
+        }
+    };
+    sa[..2].copy_from_slice(&(family as u16).to_ne_bytes());
+    let kind = sys::SOCK_STREAM | sys::SOCK_NONBLOCK | sys::SOCK_CLOEXEC;
+    // SAFETY: takes no pointer; the result is checked before use.
+    let fd = unsafe { sys::socket(family, kind, 0) };
+    if fd < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    // SAFETY: `fd` was just opened by this call and is owned by nothing
+    // else, so the stream is its only owner and closes it exactly once.
+    let stream = TcpStream::from(unsafe { OwnedFd::from_raw_fd(fd) });
+    // SAFETY: `sa` is a live buffer of at least `len` bytes, which the
+    // kernel only reads.
+    if unsafe { sys::connect(fd, sa.as_ptr(), len) } == 0 {
+        return Ok(stream);
+    }
+    let err = io::Error::last_os_error();
+    match err.raw_os_error() {
+        Some(sys::EINPROGRESS) => Ok(stream),
+        _ => Err(err),
     }
 }
 
@@ -266,6 +326,10 @@ impl WakeHandle {
 pub(crate) const TOKEN_LISTENER: u64 = 0;
 pub(crate) const TOKEN_WAKE: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
+/// Tokens of upstream (router → shard) sockets carry this bit.
+const UPSTREAM: u64 = 1 << 63;
+/// Idle keep-alive upstream sockets kept per shard.
+const MAX_IDLE_PER_SHARD: usize = 16;
 const READ_CHUNK: usize = 16 * 1024;
 /// Upper bound on one park in `epoll_wait` while a connection carries a
 /// deadline; the park already ends at the nearest one.
@@ -281,6 +345,9 @@ enum Phase {
     /// A worker owns the parsed request; the reactor keeps reading carry
     /// (bounded) but dispatches nothing else on this connection.
     Dispatched,
+    /// Fleet mode: the request is out to its shard, or waiting out a retry
+    /// backoff; carry is read as in `Dispatched`.
+    AwaitingUpstream,
     /// Encoded response bytes are waiting on socket writability.
     Writing,
     /// Between requests: parser empty, nothing in flight.
@@ -309,7 +376,95 @@ struct Conn {
     peer_eof: bool,
     /// Interest currently registered with epoll, to skip redundant MODs.
     registered: (bool, bool),
+    /// The forward of phase `AwaitingUpstream`.
+    forward: Option<Forward>,
     _guard: ConnectionGuard,
+}
+
+impl Conn {
+    /// The partial request's, the stalled write's and the forward's timer.
+    fn timers(&self) -> [Option<Instant>; 3] {
+        let forward = self.forward.as_ref().map(|f| f.timer);
+        [self.partial_deadline, self.write_deadline, forward]
+    }
+}
+
+impl Phase {
+    /// A request is out (to a worker or a shard) or its response is.
+    fn in_flight(&self) -> bool {
+        matches!(
+            self,
+            Self::Dispatched | Self::AwaitingUpstream | Self::Writing
+        )
+    }
+}
+
+/// A `/v1/*` request on its way to its shard; holds the job's admission
+/// permit until the response is staged for the client.
+struct Forward {
+    job: Job,
+    shard: usize,
+    attempt: u32,
+    /// `min(retry budget, the request's remaining deadline)` from the
+    /// start: no retry waits, and no response is awaited, past it.
+    deadline: Instant,
+    /// The upstream socket of the current attempt; `None` while backing off.
+    upstream: Option<u64>,
+    /// When the response wait, or the backoff before the next attempt, ends.
+    timer: Instant,
+}
+
+/// A keep-alive socket to one shard, owned by the reactor.
+struct Upstream {
+    stream: TcpStream,
+    shard: usize,
+    /// The address dialed; a shard that moved retires its old sockets.
+    peer: SocketAddr,
+    /// The client whose forward this socket carries; `None` while idle.
+    client: Option<u64>,
+    /// The request being written, and how much of it the kernel took.
+    out: Vec<u8>,
+    written: usize,
+    /// Response bytes read so far.
+    buf: Vec<u8>,
+    registered: (bool, bool),
+}
+
+impl Upstream {
+    /// Moves the rest of the request out and, when `readable`, the response
+    /// bytes in: `Ok(Some)` once the response is complete.
+    fn exchange(
+        &mut self,
+        job: &Job,
+        close: bool,
+        readable: bool,
+    ) -> io::Result<Option<(Vec<u8>, bool)>> {
+        // A nonblocking socket never parks in a syscall: no EINTR here.
+        let would_block = |e: &io::Error| e.kind() == io::ErrorKind::WouldBlock;
+        while self.written < self.out.len() {
+            match (&self.stream).write(&self.out[self.written..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => self.written += n,
+                Err(e) if would_block(&e) => return Ok(None),
+                Err(e) => return Err(e),
+            }
+        }
+        if !readable {
+            return Ok(None);
+        }
+        let mut chunk = [0u8; READ_CHUNK];
+        loop {
+            match (&self.stream).read(&mut chunk) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Err(e) if would_block(&e) => return Ok(None),
+                Err(e) => return Err(e),
+            }
+            if let Some(spliced) = splice_response(&self.buf, job.request_id, close)? {
+                return Ok(Some(spliced));
+            }
+        }
+    }
 }
 
 /// What one state-machine step decided, computed under the `Conn` borrow
@@ -344,10 +499,18 @@ pub(crate) struct Reactor {
     /// sockets don't cost a 10k-entry scan per wakeup.
     deadlined: HashSet<u64>,
     next_token: u64,
+    /// Fleet mode: the shards `/v1/*` requests forward to.
+    fleet: Option<Arc<Fleet>>,
+    upstreams: HashMap<u64, Upstream>,
+    /// Per shard, its idle upstream tokens: a stack, hottest on top.
+    idle: Vec<Vec<u64>>,
+    next_upstream: u64,
 }
 
 impl Reactor {
     pub(crate) fn new(listener: TcpListener, epoll: Epoll, shared: Arc<Shared>) -> Self {
+        let fleet = shared.config.fleet.clone();
+        let shards = fleet.as_ref().map_or(0, |f| f.shard_count());
         Self {
             shared,
             epoll,
@@ -355,6 +518,10 @@ impl Reactor {
             conns: HashMap::new(),
             deadlined: HashSet::new(),
             next_token: FIRST_CONN_TOKEN,
+            fleet,
+            upstreams: HashMap::new(),
+            idle: vec![Vec::new(); shards],
+            next_upstream: UPSTREAM,
         }
     }
 
@@ -375,6 +542,7 @@ impl Reactor {
                 match token {
                     TOKEN_LISTENER => self.accept_burst(),
                     TOKEN_WAKE => self.shared.wake.drain(),
+                    _ if token & UPSTREAM != 0 => self.upstream_event(token, mask),
                     _ => self.conn_event(token, mask),
                 }
             }
@@ -404,10 +572,7 @@ impl Reactor {
             let Some(conn) = self.conns.get(token) else {
                 continue;
             };
-            for deadline in [conn.partial_deadline, conn.write_deadline]
-                .into_iter()
-                .flatten()
-            {
+            for deadline in conn.timers().into_iter().flatten() {
                 nearest = Some(match nearest {
                     Some(n) => n.min(deadline),
                     None => deadline,
@@ -467,6 +632,7 @@ impl Reactor {
                             read_paused: false,
                             peer_eof: false,
                             registered: (true, false),
+                            forward: None,
                             _guard: guard,
                         },
                     );
@@ -520,9 +686,7 @@ impl Reactor {
                         if was_empty {
                             conn.partial_since = Some(Instant::now());
                         }
-                        if matches!(conn.phase, Phase::Dispatched | Phase::Writing)
-                            && conn.parser.buffered() > carry_bound
-                        {
+                        if conn.phase.in_flight() && conn.parser.buffered() > carry_bound {
                             // A pipelining client outran the in-flight
                             // request; stop reading until its response
                             // ships rather than buffering without bound.
@@ -563,7 +727,7 @@ impl Reactor {
                 let Some(conn) = self.conns.get_mut(&token) else {
                     return;
                 };
-                if matches!(conn.phase, Phase::Dispatched | Phase::Writing) {
+                if conn.phase.in_flight() {
                     return;
                 }
                 match conn.parser.next_request(&LIMITS) {
@@ -646,6 +810,8 @@ impl Reactor {
                             }
                             return;
                         }
+                        // The loop's top returns while it is in flight.
+                        Decision::Forward(job) => self.begin_forward(job),
                     }
                 }
             }
@@ -661,14 +827,23 @@ impl Reactor {
         close: bool,
         action: FaultAction,
     ) -> WriteOutcome {
+        self.stage(token, encode_response(&response, close), close, action)
+    }
+
+    /// [`Reactor::respond`] for response bytes already on hand.
+    fn stage(
+        &mut self,
+        token: u64,
+        mut bytes: Vec<u8>,
+        mut close: bool,
+        action: FaultAction,
+    ) -> WriteOutcome {
         if action == FaultAction::WriteError {
             // Injected write failure: the work happened, the response is
             // dropped on the floor.
             self.close_conn(token);
             return WriteOutcome::Closed;
         }
-        let mut close = close;
-        let mut bytes = encode_response(&response, close);
         if action == FaultAction::TornResponse {
             bytes.truncate(torn_prefix_len(bytes.len()));
             close = true;
@@ -764,11 +939,11 @@ impl Reactor {
         }
     }
 
-    /// Delivers finished worker responses to their connections.
+    /// Delivers finished worker responses to their connections, and starts
+    /// the forwards whose fault seam ran on a worker.
     fn drain_completions(&mut self) {
         let completions: Vec<Completion> = self.shared.take_completions();
-        for completion in completions {
-            let token = completion.token;
+        for Completion { token, reply } in completions {
             // The connection may have died (reset, abandon) while the
             // worker ran; its completion simply evaporates.
             let dispatched = matches!(
@@ -778,15 +953,202 @@ impl Reactor {
             if !dispatched {
                 continue;
             }
-            if let WriteOutcome::DoneKeepAlive = self.respond(
-                token,
-                completion.response,
-                completion.close,
-                completion.action,
-            ) {
-                self.advance(token);
+            match reply {
+                Reply::Respond(response, close, action) => {
+                    self.respond(token, response, close, action);
+                }
+                Reply::Forward(job) => self.begin_forward(job),
+            }
+            self.advance(token);
+        }
+    }
+
+    /// Starts forwarding `job` to its tenant's shard.
+    fn begin_forward(&mut self, job: Job) {
+        let (token, fleet) = (job.token, fleet(&self.fleet));
+        let shard = fleet.shard_for(tenant(&job));
+        let budget = self.shared.config.request_deadline;
+        let left = budget.saturating_sub(job.arrived.elapsed());
+        let now = Instant::now();
+        let deadline = now + left.min(fleet.config.client.retry.budget);
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        set_phase(&self.shared.metrics, conn, Phase::AwaitingUpstream);
+        conn.forward = Some(Forward {
+            job,
+            shard,
+            attempt: 0,
+            deadline,
+            upstream: None,
+            timer: now,
+        });
+        self.attempt(token, shard);
+    }
+
+    /// One forward attempt: the request goes out on an upstream socket of
+    /// `shard`, and the response wait (`read_timeout`, capped by the
+    /// deadline) starts.
+    fn attempt(&mut self, token: u64, shard: usize) {
+        let up = match self.checkout(shard) {
+            Ok(up) => up,
+            Err(e) => return self.retry_or_fail(token, e),
+        };
+        let wait = fleet(&self.fleet).config.client.read_timeout;
+        let fwd = self.conns.get_mut(&token).and_then(|c| c.forward.as_mut());
+        let fwd = fwd.expect("a forward attempts");
+        fwd.upstream = Some(up);
+        fwd.timer = (Instant::now() + wait).min(fwd.deadline);
+        let u = self.upstreams.get_mut(&up).expect("checked out");
+        let request = &fwd.job.request;
+        let body = (!request.body.is_empty()).then_some(request.body.as_str());
+        u.out = encode_request(&request.method, &request.target, body, &[]);
+        (u.client, u.written) = (Some(token), 0);
+        u.buf.clear();
+        let outcome = u.exchange(&fwd.job, closing(&self.shared, &fwd.job), false);
+        self.sync_deadline(token);
+        self.settle(up, token, outcome);
+    }
+
+    /// An upstream socket to `shard`: the hottest idle one dialed to its
+    /// current address, else a nonblocking dial. Fails fast with
+    /// `NotConnected` while the shard is down or has no address.
+    fn checkout(&mut self, shard: usize) -> io::Result<u64> {
+        let s = shard_of(&self.fleet, shard);
+        let Some(peer) = s.peer().filter(|_| s.health.is_up()) else {
+            let down = format!("shard {shard} is down or has no address");
+            return Err(io::Error::new(io::ErrorKind::NotConnected, down));
+        };
+        while let Some(up) = self.idle[shard].pop() {
+            s.idle.fetch_sub(1, Ordering::Relaxed);
+            if self.upstreams.get(&up).is_some_and(|u| u.peer == peer) {
+                s.reused.fetch_add(1, Ordering::Relaxed);
+                return Ok(up);
+            }
+            self.upstreams.remove(&up);
+            s.discarded.fetch_add(1, Ordering::Relaxed);
+        }
+        let stream = connect_nonblocking(peer)?;
+        stream.set_nodelay(true)?;
+        let up = self.next_upstream;
+        self.next_upstream += 1;
+        self.epoll.add(stream.as_raw_fd(), up, true, false)?;
+        s.dialed.fetch_add(1, Ordering::Relaxed);
+        let upstream = Upstream {
+            stream,
+            shard,
+            peer,
+            client: None,
+            out: Vec::new(),
+            written: 0,
+            buf: Vec::new(),
+            registered: (true, false),
+        };
+        self.upstreams.insert(up, upstream);
+        Ok(up)
+    }
+
+    fn upstream_event(&mut self, up: u64, mask: u32) {
+        let Some(u) = self.upstreams.get_mut(&up) else {
+            return;
+        };
+        let Some(client) = u.client else {
+            // An idle socket turns readable only when the worker closed it
+            // (or broke protocol): drop it.
+            let s = shard_of(&self.fleet, u.shard);
+            self.idle[u.shard].retain(|&t| t != up);
+            self.upstreams.remove(&up);
+            s.idle.fetch_sub(1, Ordering::Relaxed);
+            s.discarded.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        let fwd = self.conns[&client].forward.as_ref().expect("attached");
+        let close = closing(&self.shared, &fwd.job);
+        let outcome = u.exchange(&fwd.job, close, mask & !sys::EPOLLOUT != 0);
+        self.settle(up, client, outcome);
+        self.advance(client);
+    }
+
+    /// Acts on an exchange's outcome: a pending one re-arms the socket, a
+    /// transport error retries or fails the forward, and a complete
+    /// response finishes it, the socket going back on its shard's idle
+    /// stack unless the worker retired it, the shard moved, or the stack
+    /// is full.
+    fn settle(&mut self, up: u64, client: u64, outcome: io::Result<Option<(Vec<u8>, bool)>>) {
+        let u = self.upstreams.get_mut(&up).expect("in flight");
+        let s = shard_of(&self.fleet, u.shard);
+        match outcome {
+            Ok(None) => {
+                let want = (true, u.written < u.out.len());
+                let fd = u.stream.as_raw_fd();
+                if u.registered != want && self.epoll.modify(fd, up, true, want.1).is_ok() {
+                    u.registered = want;
+                }
+            }
+            Err(e) => {
+                self.upstreams.remove(&up);
+                self.retry_or_fail(client, e);
+            }
+            Ok(Some((bytes, reusable))) => {
+                s.health.record_success();
+                s.forwarded.fetch_add(1, Ordering::Relaxed);
+                u.client = None;
+                let idle = &mut self.idle[u.shard];
+                let keep = reusable && s.peer() == Some(u.peer);
+                if keep && idle.len() < MAX_IDLE_PER_SHARD {
+                    idle.push(up);
+                    s.idle.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    s.discarded.fetch_add(u64::from(keep), Ordering::Relaxed);
+                    self.upstreams.remove(&up);
+                }
+                self.finish_forward(client, bytes);
             }
         }
+    }
+
+    /// A failed attempt feeds the shard's health (a health-gate refusal is
+    /// not new evidence), then either backs off on a timer for the next
+    /// attempt or, when the wait would cross the deadline, answers 503.
+    fn retry_or_fail(&mut self, token: u64, error: io::Error) {
+        let policy = fleet(&self.fleet).config.client.retry;
+        let Some(fwd) = self.conns.get_mut(&token).and_then(|c| c.forward.as_mut()) else {
+            return;
+        };
+        let s = shard_of(&self.fleet, fwd.shard);
+        if error.kind() != io::ErrorKind::NotConnected {
+            s.health.record_failure(DOWN_AFTER);
+        }
+        fwd.upstream = None;
+        let wait = policy.backoff.delay(policy.seed, fwd.attempt);
+        let wait = wait.min(policy.retry_after_cap);
+        if Instant::now() + wait <= fwd.deadline {
+            s.retried.fetch_add(1, Ordering::Relaxed);
+            fwd.attempt += 1;
+            fwd.timer = Instant::now() + wait;
+            return self.sync_deadline(token);
+        }
+        s.failed.fetch_add(1, Ordering::Relaxed);
+        let (index, tenant) = (s.index, tenant(&fwd.job));
+        let message = format!("shard {index} unavailable for tenant {tenant:?}: {error}");
+        let refused = Response::error(503, &message)
+            .with_header("Retry-After", "1")
+            .with_header("X-Request-Id", fwd.job.request_id.to_string());
+        let bytes = encode_response(&refused, closing(&self.shared, &fwd.job));
+        self.finish_forward(token, bytes);
+    }
+
+    /// Ends a forward: its permit releases, and `bytes` are staged.
+    fn finish_forward(&mut self, token: u64, bytes: Vec<u8>) {
+        let Some(fwd) = self.conns.get_mut(&token).and_then(|c| c.forward.take()) else {
+            return;
+        };
+        let metrics = &self.shared.metrics;
+        metrics.record_service_time(fwd.job.arrived.elapsed());
+        let (close, action) = (closing(&self.shared, &fwd.job), fwd.job.action);
+        drop(fwd);
+        self.sync_deadline(token);
+        self.stage(token, bytes, close, action);
     }
 
     /// Cuts connections whose partial request or stalled response write
@@ -796,33 +1158,40 @@ impl Reactor {
             return;
         }
         let now = Instant::now();
-        let expired: Vec<(u64, bool)> = self
+        let expired: Vec<u64> = self
             .deadlined
             .iter()
-            .filter_map(|&token| {
-                let conn = self.conns.get(&token)?;
-                if conn.write_deadline.is_some_and(|d| d <= now) {
-                    Some((token, true))
-                } else if conn.partial_deadline.is_some_and(|d| d <= now) {
-                    Some((token, false))
-                } else {
-                    None
-                }
+            .copied()
+            .filter(|token| {
+                let timers = self.conns.get(token).map(Conn::timers).unwrap_or_default();
+                timers.into_iter().flatten().any(|d| d <= now)
             })
             .collect();
-        for (token, stalled_write) in expired {
-            if stalled_write {
+        for token in expired {
+            let Some(conn) = self.conns.get_mut(&token) else {
+                continue;
+            };
+            let [partial, write, _] = conn.timers().map(|d| d.is_some_and(|d| d <= now));
+            if write {
                 self.close_conn(token);
+            } else if partial {
+                conn.partial_deadline = None;
+                let late = Response::error(400, "request did not complete in time");
+                self.respond(token, late, true, FaultAction::None);
             } else {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.partial_deadline = None;
+                // The response wait fails the attempt, or the backoff
+                // before the next one is over.
+                let fwd = conn.forward.as_mut().expect("a forward timer");
+                match (fwd.upstream.take(), fwd.shard) {
+                    (Some(up), _) => {
+                        self.upstreams.remove(&up);
+                        let late = "shard did not answer within the response wait";
+                        let late = io::Error::new(io::ErrorKind::TimedOut, late);
+                        self.retry_or_fail(token, late);
+                    }
+                    (None, shard) => self.attempt(token, shard),
                 }
-                self.respond(
-                    token,
-                    Response::error(400, "request did not complete in time"),
-                    true,
-                    FaultAction::None,
-                );
+                self.advance(token);
             }
         }
     }
@@ -830,14 +1199,15 @@ impl Reactor {
     /// Shutdown sweep: close the listener (new connects are refused from
     /// here on) and every connection with no response in flight — a
     /// half-received request is not in-flight work, and graceful drain
-    /// must not wait on a stalled sender. `Dispatched`/`Writing`
-    /// connections ride through the drain and close with their response.
+    /// must not wait on a stalled sender. `Dispatched`, `AwaitingUpstream`
+    /// and `Writing` connections ride through the drain and close with
+    /// their response.
     fn on_shutdown(&mut self) {
         self.listener = None;
         let idle: Vec<u64> = self
             .conns
             .iter()
-            .filter(|(_, conn)| !matches!(conn.phase, Phase::Dispatched | Phase::Writing))
+            .filter(|(_, conn)| !conn.phase.in_flight())
             .map(|(&token, _)| token)
             .collect();
         for token in idle {
@@ -849,7 +1219,7 @@ impl Reactor {
         let has = self
             .conns
             .get(&token)
-            .is_some_and(|c| c.partial_deadline.is_some() || c.write_deadline.is_some());
+            .is_some_and(|c| c.timers().iter().any(Option::is_some));
         if has {
             self.deadlined.insert(token);
         } else {
@@ -889,10 +1259,33 @@ impl Reactor {
                     .keepalive_idle
                     .fetch_sub(1, Ordering::Relaxed);
             }
+            // A forward's socket is mid-exchange: it cannot be reused.
+            if let Some(up) = conn.forward.and_then(|f| f.upstream) {
+                self.upstreams.remove(&up);
+            }
             // Dropping `conn` closes the socket (auto-deregistering it
             // from epoll) and releases its ConnectionGuard.
         }
     }
+}
+
+fn fleet(fleet: &Option<Arc<Fleet>>) -> &Fleet {
+    fleet.as_deref().expect("only a fleet router forwards")
+}
+
+fn shard_of(shards: &Option<Arc<Fleet>>, index: usize) -> &Shard {
+    &fleet(shards).shards[index]
+}
+
+/// The tenant of a `/v1/{tenant}/…` job.
+fn tenant(job: &Job) -> &str {
+    let path = &job.request.path["/v1/".len()..];
+    path.split('/').next().unwrap_or_default()
+}
+
+/// Whether the client's connection closes after this job's response.
+fn closing(shared: &Shared, job: &Job) -> bool {
+    job.request.wants_close() || shared.shutdown.is_triggered()
 }
 
 fn set_phase(metrics: &Metrics, conn: &mut Conn, phase: Phase) {

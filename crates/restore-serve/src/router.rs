@@ -20,9 +20,10 @@
 //!   the shard count ([`Fleet::shard_for`]) — no coordination, no lookup
 //!   table, and the mapping survives worker restarts, so each tenant's
 //!   completion caches stay warm on exactly one worker.
-//! * **Forwarding** rides pooled keep-alive connections
-//!   (`ConnectionPool`) with health-aware checkout; the retry schedule
-//!   reuses the client plane's [`RetryPolicy`] backoff/jitter machinery. Only
+//! * **Forwarding** is a connection state of the router's epoll reactor:
+//!   keep-alive upstream sockets in its own epoll set, health-aware
+//!   checkout, the worker's response spliced back (`splice_response`),
+//!   and the client plane's [`RetryPolicy`] backoff on reactor timers. Only
 //!   transport errors retry — worker status codes (including 429/503) pass
 //!   through byte-identically so end-to-end semantics match a direct
 //!   worker connection.
@@ -47,7 +48,7 @@
 //! and graceful drain are all the same code paths a worker runs.
 
 use std::fmt;
-use std::io::{self, BufRead, BufReader};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -58,11 +59,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use restore_util::json::{JsonValue, ToJson};
-use restore_util::{fnv1a64, json_object, Shutdown};
+use restore_util::{fnv1a64, json_object, HealthState, Shutdown};
 
-use crate::client::{ClientConfig, ConnectionPool, HttpResponse, RetryPolicy};
-use crate::http::{encode_target, parse_digits, Request, Response};
-use crate::server::{Budget, Shared};
+use crate::client::{header_lines, response_frame, ClientConfig, RetryPolicy};
+use crate::http::{parse_digits, Request, Response};
+use crate::server::Shared;
 
 /// How to (re)spawn one worker process. The program must print a line
 /// ending in its listening address (`… listening on 127.0.0.1:PORT`) on
@@ -91,15 +92,16 @@ pub struct ShardConfig {
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     pub shards: Vec<ShardConfig>,
-    /// Client config for forwarded requests; its [`RetryPolicy`] supplies
-    /// the forward backoff schedule and wall-clock budget.
+    /// Client config for forwarded requests: its [`RetryPolicy`] supplies
+    /// the forward backoff schedule and wall-clock budget, and its
+    /// `read_timeout` is how long one attempt waits for its response.
     pub client: ClientConfig,
     /// Health-probe cadence of the monitor thread.
     pub health_interval: Duration,
 }
 
-/// Consecutive failed probes before a shard is marked down.
-const DOWN_AFTER: u32 = 2;
+/// Consecutive failed probes (or forwards) before a shard is marked down.
+pub(crate) const DOWN_AFTER: u32 = 2;
 /// How long one worker spawn may take to print its address and answer
 /// `/healthz` before the attempt counts as failed.
 const SPAWN_TIMEOUT: Duration = Duration::from_secs(30);
@@ -139,21 +141,40 @@ fn probe_get(addr: SocketAddr, path: &str) -> io::Result<(u16, String)> {
     crate::client::HttpClient::connect_with(addr, probe_config())?.get(path)
 }
 
-/// One worker slot's runtime state.
-struct Shard {
-    index: usize,
-    pool: ConnectionPool,
+/// One worker slot's runtime state. Its upstream sockets belong to the
+/// router's reactor; the slot keeps the counters that describe them.
+pub(crate) struct Shard {
+    pub(crate) index: usize,
+    /// The worker's address; a re-execed worker binds a fresh port.
+    peer: Mutex<Option<SocketAddr>>,
+    /// One health authority, fed by forward outcomes and monitor probes.
+    pub(crate) health: HealthState,
     spec: Option<WorkerSpec>,
     child: Mutex<Option<Child>>,
-    forwarded: AtomicU64,
-    failed: AtomicU64,
-    retried: AtomicU64,
+    pub(crate) forwarded: AtomicU64,
+    pub(crate) failed: AtomicU64,
+    pub(crate) retried: AtomicU64,
     respawns: AtomicU64,
+    /// Idle upstream sockets now, checkouts answered by an idle socket and
+    /// by a dial, and idle sockets dropped (stale address, closed by the
+    /// worker, or past the idle bound) — `/metrics`' `pool` section.
+    pub(crate) idle: AtomicU64,
+    pub(crate) reused: AtomicU64,
+    pub(crate) dialed: AtomicU64,
+    pub(crate) discarded: AtomicU64,
 }
 
 impl Shard {
+    pub(crate) fn peer(&self) -> Option<SocketAddr> {
+        *self.peer.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn set_peer(&self, addr: SocketAddr) {
+        *self.peer.lock().unwrap_or_else(|e| e.into_inner()) = Some(addr);
+    }
+
     fn probe_ok(&self) -> bool {
-        match self.pool.peer() {
+        match self.peer() {
             Some(addr) => matches!(probe_get(addr, "/healthz"), Ok((200, _))),
             None => false,
         }
@@ -188,8 +209,8 @@ impl Drop for Shard {
 /// [`ServeConfig::fleet`](crate::ServeConfig::fleet), and call
 /// [`Fleet::shutdown`] after the router server drains.
 pub struct Fleet {
-    shards: Vec<Arc<Shard>>,
-    config: FleetConfig,
+    pub(crate) shards: Vec<Arc<Shard>>,
+    pub(crate) config: FleetConfig,
     shutdown: Shutdown,
     monitor: Mutex<Option<JoinHandle<()>>>,
     started: Instant,
@@ -201,11 +222,7 @@ impl fmt::Debug for Fleet {
             .field("shards", &self.shards.len())
             .field(
                 "addrs",
-                &self
-                    .shards
-                    .iter()
-                    .map(|s| s.pool.peer())
-                    .collect::<Vec<_>>(),
+                &self.shards.iter().map(|s| s.peer()).collect::<Vec<_>>(),
             )
             .finish()
     }
@@ -234,22 +251,24 @@ impl Fleet {
             }
             let shard = Arc::new(Shard {
                 index,
-                pool: ConnectionPool::new(config.client),
+                peer: Mutex::new(shard_config.addr),
+                health: HealthState::new(),
                 spec: shard_config.worker.clone(),
                 child: Mutex::new(None),
                 forwarded: AtomicU64::new(0),
                 failed: AtomicU64::new(0),
                 retried: AtomicU64::new(0),
                 respawns: AtomicU64::new(0),
+                idle: AtomicU64::new(0),
+                reused: AtomicU64::new(0),
+                dialed: AtomicU64::new(0),
+                discarded: AtomicU64::new(0),
             });
-            if let Some(addr) = shard_config.addr {
-                shard.pool.set_peer(addr);
-            }
             if shard_config.addr.is_none() {
                 let spec = shard.spec.as_ref().expect("checked above");
                 let (child, addr) = spawn_worker(spec)?;
                 *shard.child.lock().unwrap_or_else(|e| e.into_inner()) = Some(child);
-                shard.pool.set_peer(addr);
+                shard.set_peer(addr);
                 wait_healthy(addr).map_err(|e| {
                     io::Error::new(
                         io::ErrorKind::TimedOut,
@@ -285,30 +304,25 @@ impl Fleet {
     }
 
     pub fn shard_addr(&self, shard: usize) -> Option<SocketAddr> {
-        self.shards.get(shard).and_then(|s| s.pool.peer())
+        self.shards.get(shard).and_then(|s| s.peer())
     }
 
     pub fn shard_is_up(&self, shard: usize) -> bool {
-        self.shards
-            .get(shard)
-            .is_some_and(|s| s.pool.health().is_up())
+        self.shards.get(shard).is_some_and(|s| s.health.is_up())
     }
 
     pub(crate) fn up_count(&self) -> usize {
-        self.shards
-            .iter()
-            .filter(|s| s.pool.health().is_up())
-            .count()
+        self.shards.iter().filter(|s| s.health.is_up()).count()
     }
 
     /// Re-registers a shard whose externally-managed worker moved (new
-    /// process, new ephemeral port). Clears the shard's pooled connections
-    /// and restores it to service immediately; the monitor keeps probing
-    /// the new address from here on.
+    /// process, new ephemeral port) and restores it to service
+    /// immediately; idle sockets to the old address are dropped at their
+    /// next checkout, and the monitor probes the new address from here on.
     pub fn set_shard_addr(&self, shard: usize, addr: SocketAddr) {
         if let Some(s) = self.shards.get(shard) {
-            s.pool.set_peer(addr);
-            s.pool.health().record_success();
+            s.set_peer(addr);
+            s.health.record_success();
         }
     }
 
@@ -343,86 +357,6 @@ impl Fleet {
         }
     }
 
-    /// Forwards one `/v1/*` request to its tenant's shard and adapts the
-    /// worker's response for passthrough. Transport errors retry on the
-    /// policy's backoff schedule until `remaining` (the request's leftover
-    /// deadline budget, capped by the policy budget) runs out — a request
-    /// arriving mid-failover waits out the respawn. Worker status codes,
-    /// including 429/503, pass through untouched: the worker owns request
-    /// semantics, the router owns transport.
-    pub(crate) fn forward(&self, tenant: &str, request: &Request, remaining: Duration) -> Response {
-        let shard = &self.shards[self.shard_for(tenant)];
-        let policy = self.config.client.retry;
-        let deadline = Instant::now() + remaining.min(policy.budget);
-        let target = encode_target(request);
-        let body = (!request.body.is_empty()).then_some(request.body.as_str());
-        let mut attempt = 0u32;
-        let last_error = loop {
-            let outcome = self.try_forward_once(shard, &request.method, &target, body);
-            let error = match outcome {
-                Ok(upstream) => {
-                    shard.forwarded.fetch_add(1, Ordering::Relaxed);
-                    return passthrough(upstream);
-                }
-                Err(e) => e,
-            };
-            let wait = policy
-                .backoff
-                .delay(policy.seed, attempt)
-                .min(policy.retry_after_cap);
-            if Instant::now() + wait > deadline {
-                break error;
-            }
-            shard.retried.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(wait);
-            attempt += 1;
-        };
-        shard.failed.fetch_add(1, Ordering::Relaxed);
-        Response::error(
-            503,
-            &format!(
-                "shard {} unavailable for tenant {tenant:?}: {last_error}",
-                shard.index
-            ),
-        )
-        .with_header("Retry-After", "1")
-    }
-
-    /// One forward attempt over a pooled connection. Success checks the
-    /// connection back in (unless the worker asked to close) and records
-    /// shard health; failure records it against the down threshold so the
-    /// forward path and the monitor share one health authority.
-    fn try_forward_once(
-        &self,
-        shard: &Shard,
-        method: &str,
-        target: &str,
-        body: Option<&str>,
-    ) -> io::Result<HttpResponse> {
-        let result = shard.pool.checkout().and_then(|mut client| {
-            let response = client.request_full(method, target, body, &[])?;
-            let keep = response
-                .header("connection")
-                .is_none_or(|v| !v.eq_ignore_ascii_case("close"));
-            if keep {
-                shard.pool.checkin(client);
-            }
-            Ok(response)
-        });
-        match &result {
-            Ok(_) => {
-                shard.pool.health().record_success();
-            }
-            // A health-gate refusal (peer marked down / unregistered) is
-            // not *new* evidence of failure; dial and request errors are.
-            Err(e) if e.kind() != io::ErrorKind::NotConnected => {
-                shard.pool.health().record_failure(DOWN_AFTER);
-            }
-            Err(_) => {}
-        }
-        result
-    }
-
     /// The `fleet` section of the router's `/metrics`: shard counts and
     /// states, forward counters, pool reuse, and each live worker's
     /// self-reported totals scraped from its own `/metrics` (best effort —
@@ -442,15 +376,19 @@ impl Fleet {
                 retried += shard_retried;
                 let shard_respawns = shard.respawns.load(Ordering::Relaxed);
                 respawns += shard_respawns;
-                let up = shard.pool.health().is_up();
-                let worker = shard.pool.peer().filter(|_| up);
+                let up = shard.health.is_up();
+                let worker = shard.peer().filter(|_| up);
+                let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
                 json_object! {
-                    "shard": shard.index, "addr": shard.pool.peer().map(|a| a.to_string()),
+                    "shard": shard.index, "addr": shard.peer().map(|a| a.to_string()),
                     "up": up, "forwarded": f, "failed": shard_failed,
                     "retried": shard_retried, "respawns": shard_respawns,
-                    "times_down": shard.pool.health().times_down(),
+                    "times_down": shard.health.times_down(),
                     "queries_per_s": f as f64 / uptime,
-                    "pool": shard.pool.metrics_json(),
+                    "pool": json_object! {
+                        "idle": load(&shard.idle), "reused": load(&shard.reused),
+                        "dialed": load(&shard.dialed), "discarded": load(&shard.discarded),
+                    },
                     "worker": worker.and_then(scrape_worker_metrics),
                 }
             })
@@ -491,23 +429,40 @@ fn scrape_worker_metrics(addr: SocketAddr) -> Option<JsonValue> {
     })
 }
 
-/// Converts a worker's response into a router response for passthrough:
-/// status and body verbatim; content/framing headers and the worker's
-/// request id dropped (the response encoder re-frames, and the router
-/// stamps its own `X-Request-Id`); everything else — notably
-/// `Retry-After` — carried through.
-fn passthrough(upstream: HttpResponse) -> Response {
-    let mut response = Response::json(upstream.status, upstream.body);
-    for (name, value) in upstream.headers {
-        if matches!(
-            name.as_str(),
-            "content-length" | "content-type" | "connection" | "x-request-id"
-        ) {
-            continue;
+/// Splices the worker's response at the front of `buf` for the client:
+/// the status line, every header but `Connection` and `X-Request-Id`, and
+/// the body pass as they came; the router's own `Connection` (`close`
+/// says which) and `X-Request-Id` replace the worker's. Returns the
+/// bytes and whether the upstream socket may carry another request (the
+/// worker did not answer `Connection: close` and sent nothing past the
+/// body); `Ok(None)` while bytes are missing; framing errors are
+/// [`response_frame`]'s.
+pub(crate) fn splice_response(
+    buf: &[u8],
+    request_id: u64,
+    close: bool,
+) -> io::Result<Option<(Vec<u8>, bool)>> {
+    let Some((head, _, end)) = response_frame(buf)? else {
+        return Ok(None);
+    };
+    let status_line = head.split("\r\n").next().unwrap_or_default();
+    let mut bytes = Vec::with_capacity(end + 64);
+    let _ = write!(bytes, "{status_line}\r\n");
+    let mut upstream_close = false;
+    for (name, value) in header_lines(head) {
+        if name.eq_ignore_ascii_case("connection") {
+            upstream_close = value.eq_ignore_ascii_case("close");
+        } else if !name.eq_ignore_ascii_case("x-request-id") {
+            let _ = write!(bytes, "{name}: {value}\r\n");
         }
-        response.headers.push((name, value));
     }
-    response
+    let connection = if close { "close" } else { "keep-alive" };
+    let _ = write!(
+        bytes,
+        "Connection: {connection}\r\nX-Request-Id: {request_id}\r\n\r\n"
+    );
+    bytes.extend_from_slice(&buf[head.len() + 4..end]);
+    Ok(Some((bytes, !upstream_close && end == buf.len())))
 }
 
 /// Spawns one worker process and reads its listening address: the first
@@ -603,19 +558,19 @@ fn monitor_loop(fleet: Weak<Fleet>) {
 fn check_shard(fleet: &Fleet, shard: &Shard) {
     let exited = shard.child_exited();
     if !exited && shard.probe_ok() {
-        if shard.pool.health().record_success() {
+        if shard.health.record_success() {
             eprintln!(
                 "restore-serve: fleet shard {} back up at {:?}",
                 shard.index,
-                shard.pool.peer()
+                shard.peer()
             );
         }
         return;
     }
     let went_down = if exited {
-        shard.pool.health().force_down()
+        shard.health.force_down()
     } else {
-        shard.pool.health().record_failure(DOWN_AFTER)
+        shard.health.record_failure(DOWN_AFTER)
     };
     if went_down {
         eprintln!(
@@ -628,7 +583,7 @@ fn check_shard(fleet: &Fleet, shard: &Shard) {
             }
         );
     }
-    if shard.pool.health().is_up() || fleet.shutdown.is_triggered() {
+    if shard.health.is_up() || fleet.shutdown.is_triggered() {
         return;
     }
     let Some(spec) = &shard.spec else {
@@ -638,9 +593,9 @@ fn check_shard(fleet: &Fleet, shard: &Shard) {
     match spawn_worker(spec).and_then(|(child, addr)| wait_healthy(addr).map(|()| (child, addr))) {
         Ok((child, addr)) => {
             *shard.child.lock().unwrap_or_else(|e| e.into_inner()) = Some(child);
-            shard.pool.set_peer(addr);
+            shard.set_peer(addr);
             shard.respawns.fetch_add(1, Ordering::Relaxed);
-            shard.pool.health().record_success();
+            shard.health.record_success();
             eprintln!(
                 "restore-serve: fleet shard {} re-execed, up at {addr}",
                 shard.index
@@ -656,15 +611,10 @@ fn check_shard(fleet: &Fleet, shard: &Shard) {
 }
 
 /// Routing for a server in fleet mode: control-plane routes answer from
-/// the router itself (health and metrics describe the *fleet*), a
-/// drill-down route passes one worker's metrics through raw, and every
-/// `/v1/{tenant}/…` request forwards to the tenant's shard.
-pub(crate) fn route_fleet(
-    shared: &Shared,
-    fleet: &Fleet,
-    request: &Request,
-    budget: &Budget,
-) -> Response {
+/// the router itself (health and metrics describe the *fleet*), and a
+/// drill-down route passes one worker's metrics through raw. `/v1/*`
+/// requests never get here: the reactor forwards them.
+pub(crate) fn route_fleet(shared: &Shared, fleet: &Fleet, request: &Request) -> Response {
     let segments = request.segments();
     match (request.method.as_str(), segments.as_slice()) {
         ("GET", ["healthz"]) => {
@@ -691,7 +641,6 @@ pub(crate) fn route_fleet(
                 Err(e) => Response::error(503, &format!("shard {index} metrics: {e}")),
             }
         }
-        (_, ["v1", tenant, ..]) => fleet.forward(tenant, request, budget.remaining()),
         (_, ["healthz" | "metrics"]) => {
             Response::error(405, &format!("method {} not allowed here", request.method))
         }
@@ -767,24 +716,27 @@ mod tests {
     }
 
     #[test]
-    fn passthrough_strips_framing_but_keeps_retry_after() {
-        let upstream = HttpResponse {
-            status: 429,
-            headers: vec![
-                ("content-type".into(), "application/json".into()),
-                ("content-length".into(), "2".into()),
-                ("connection".into(), "keep-alive".into()),
-                ("x-request-id".into(), "9".into()),
-                ("retry-after".into(), "3".into()),
-            ],
-            body: "{}".into(),
-        };
-        let response = passthrough(upstream);
-        assert_eq!(response.status, 429);
-        assert_eq!(response.body, "{}");
+    fn a_splice_rewrites_framing_but_keeps_retry_after_and_the_body() {
+        let upstream = b"HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\nContent-Length: 2\r\nconnection: keep-alive\r\nX-Request-Id: 9\r\nRetry-After: 3\r\n\r\n{}";
+        assert!(splice_response(&upstream[..upstream.len() - 1], 41, false)
+            .unwrap()
+            .is_none());
+        let (bytes, reusable) = splice_response(upstream, 41, false).unwrap().unwrap();
         assert_eq!(
-            response.headers,
-            vec![("retry-after".to_string(), "3".to_string())]
+            String::from_utf8(bytes).unwrap(),
+            "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\nContent-Length: 2\r\nRetry-After: 3\r\nConnection: keep-alive\r\nX-Request-Id: 41\r\n\r\n{}"
         );
+        assert!(reusable);
+        // A worker's `close`, or bytes past the body, retire the socket;
+        // the client's `close` is the router's own line.
+        let closing = String::from_utf8_lossy(upstream).replace("keep-alive", "close");
+        let (bytes, reusable) = splice_response(closing.as_bytes(), 1, true)
+            .unwrap()
+            .unwrap();
+        assert!(!reusable);
+        assert!(String::from_utf8_lossy(&bytes).contains("\r\nConnection: close\r\n"));
+        let trailing = [&upstream[..], b"HTTP"].concat();
+        let (_, reusable) = splice_response(&trailing, 1, false).unwrap().unwrap();
+        assert!(!reusable);
     }
 }

@@ -203,7 +203,7 @@ impl Metrics {
         Arc::clone(map.entry(name.to_string()).or_default())
     }
 
-    fn record_service_time(&self, elapsed: Duration) {
+    pub(crate) fn record_service_time(&self, elapsed: Duration) {
         let sample = elapsed.as_nanos().min(u64::MAX as u128) as u64;
         // Racy load/store is fine for a heuristic hint; no CAS needed.
         let old = self.service_ewma_nanos.load(Ordering::Relaxed);
@@ -259,31 +259,33 @@ impl Budget {
             Ok(())
         }
     }
-
-    /// Wall-clock budget left before the deadline (zero once blown). The
-    /// fleet forward loop spends this riding out a shard failover.
-    pub(crate) fn remaining(&self) -> Duration {
-        self.limit.saturating_sub(self.arrived.elapsed())
-    }
 }
 
-/// A parsed request on its way from the reactor to a worker.
+/// A parsed request on its way from the reactor to a worker — or, in
+/// fleet mode, to its shard, holding its admission permit until the
+/// forward ends.
 pub(crate) struct Job {
     pub(crate) token: u64,
-    request: Request,
-    request_id: u64,
-    arrived: Instant,
-    action: FaultAction,
+    pub(crate) request: Request,
+    pub(crate) request_id: u64,
+    pub(crate) arrived: Instant,
+    pub(crate) action: FaultAction,
     permit: Option<AdmitPermit>,
 }
 
-/// A finished response on its way from a worker back to the reactor,
-/// which owns the socket write (applying any write-side fault action).
+/// What a worker hands back to the reactor, which owns every socket.
 pub(crate) struct Completion {
     pub(crate) token: u64,
-    pub(crate) response: Response,
-    pub(crate) close: bool,
-    pub(crate) action: FaultAction,
+    pub(crate) reply: Reply,
+}
+
+pub(crate) enum Reply {
+    /// A finished response to write (applying any write-side fault
+    /// action), then close if the flag says so.
+    Respond(Response, bool, FaultAction),
+    /// A fleet `/v1/*` job whose router-side fault seam ran on the worker;
+    /// the reactor forwards it.
+    Forward(Job),
 }
 
 /// The reactor's dispatch decision for one parsed request.
@@ -296,6 +298,8 @@ pub(crate) enum Decision {
     /// The request was queued to the worker pool; a [`Completion`] will
     /// arrive via the wake handle.
     Dispatched,
+    /// Fleet mode: the reactor forwards this admitted `/v1/*` request.
+    Forward(Job),
 }
 
 struct JobQueueState {
@@ -459,14 +463,21 @@ impl Shared {
         } else {
             None
         };
-        self.jobs.push(Job {
+        let job = Job {
             token,
             request,
             request_id,
             arrived,
             action,
             permit,
-        });
+        };
+        // A fleet forward visits the worker pool only to run a delay or
+        // panic seam.
+        let seam = matches!(action, FaultAction::Delay(_) | FaultAction::Panic);
+        if self.config.fleet.is_some() && job.permit.is_some() && !seam {
+            return Decision::Forward(job);
+        }
+        self.jobs.push(job);
         Decision::Dispatched
     }
 
@@ -605,7 +616,15 @@ fn worker_loop(shared: Arc<Shared>) {
             catch_unwind(AssertUnwindSafe(|| execute_job(&shared, &job)))
         };
         let (mut response, close) = match handled {
-            Ok(response) => {
+            Ok(None) => {
+                let token = job.token;
+                shared.complete(Completion {
+                    token,
+                    reply: Reply::Forward(job),
+                });
+                continue;
+            }
+            Ok(Some(response)) => {
                 let close = job.request.wants_close() || shared.shutdown.is_triggered();
                 (response, close)
             }
@@ -623,15 +642,14 @@ fn worker_loop(shared: Arc<Shared>) {
         response
             .headers
             .push(("X-Request-Id".to_string(), job.request_id.to_string()));
+        // Write-side faults act at the reactor's socket seam.
+        let action = match job.action {
+            FaultAction::WriteError | FaultAction::TornResponse => job.action,
+            _ => FaultAction::None,
+        };
         let completion = Completion {
             token: job.token,
-            response,
-            close,
-            action: match job.action {
-                FaultAction::WriteError => FaultAction::WriteError,
-                FaultAction::TornResponse => FaultAction::TornResponse,
-                _ => FaultAction::None,
-            },
+            reply: Reply::Respond(response, close, action),
         };
         // Release the admission permit before the response ships, matching
         // the thread-per-connection server: the slot frees as soon as the
@@ -642,9 +660,10 @@ fn worker_loop(shared: Arc<Shared>) {
 }
 
 /// The ingress pipeline for one dispatched request: fault panic/delay
-/// seams, then routing under the deadline budget. The admission permit (if
-/// any) is already held by the surrounding [`Job`].
-fn execute_job(shared: &Arc<Shared>, job: &Job) -> Response {
+/// seams, then routing under the deadline budget — or `None` for a fleet
+/// `/v1/*` request, which goes back to the reactor to be forwarded. The
+/// admission permit (if any) is already held by the surrounding [`Job`].
+fn execute_job(shared: &Arc<Shared>, job: &Job) -> Option<Response> {
     let budget = Budget {
         arrived: job.arrived,
         limit: shared.config.request_deadline,
@@ -658,23 +677,27 @@ fn execute_job(shared: &Arc<Shared>, job: &Job) -> Response {
         std::thread::sleep(d);
     }
     if !job.request.path.starts_with("/v1/") {
-        return route(shared, &job.request, job.request_id, &budget);
+        return Some(route(shared, &job.request, job.request_id, &budget));
     }
     debug_assert!(job.permit.is_some(), "/v1/* dispatched without a permit");
     if let Err(elapsed) = budget.check() {
-        return shared.deadline_response("admission", elapsed, &budget);
+        return Some(shared.deadline_response("admission", elapsed, &budget));
+    }
+    if shared.config.fleet.is_some() {
+        return None;
     }
     let started = Instant::now();
     let response = route(shared, &job.request, job.request_id, &budget);
     shared.metrics.record_service_time(started.elapsed());
-    response
+    Some(response)
 }
 
 fn route(shared: &Arc<Shared>, request: &Request, request_id: u64, budget: &Budget) -> Response {
     // Fleet mode: this server is a shard router. Same reactor, parser,
-    // admission, and deadlines — routing just forwards instead of executes.
+    // admission, and deadlines; its `/v1/*` requests forward from the
+    // reactor and never reach a route.
     if let Some(fleet) = &shared.config.fleet {
-        return crate::router::route_fleet(shared, fleet, request, budget);
+        return crate::router::route_fleet(shared, fleet, request);
     }
     let segments = request.segments();
     match (request.method.as_str(), segments.as_slice()) {
