@@ -5,12 +5,13 @@
 use restore_util::impl_to_json;
 
 use restore_core::{
-    confidence_interval, ConfidenceQuery, ReStore, RestoreConfig, SelectionStrategy,
+    confidence_interval, ConfidenceInterval, ConfidenceQuery, ReStore, ReplacementMode,
+    RestoreConfig, SelectionStrategy,
 };
-use restore_data::{build_scenario, setup_by_id};
+use restore_data::{build_scenario, setup_by_id, Scenario};
 
 use crate::harness::{
-    complete_synthetic, eval_completer_config, eval_train_config, scenario_stat,
+    complete_scenario, eval_completer_config, eval_train_config, grid, scenario_stat,
     synthetic_scenario, train_synthetic_model,
 };
 use restore_util::parallel_map;
@@ -45,6 +46,46 @@ impl_to_json!(ConfidenceCell {
     covered
 });
 
+impl ConfidenceCell {
+    /// The cell for `truth` and the interval computed for it — or, when
+    /// there is none, the reason in the panel name.
+    fn new(
+        panel: &str,
+        predictability: f64,
+        keep_rate: f64,
+        removal_correlation: f64,
+        truth: f64,
+        ci: Result<ConfidenceInterval, String>,
+    ) -> Self {
+        let (panel, ci) = match ci {
+            Ok(ci) => (panel.to_string(), ci),
+            Err(msg) => {
+                let none = ConfidenceInterval {
+                    lo: f64::NAN,
+                    hi: f64::NAN,
+                    estimate: f64::NAN,
+                    theoretical: None,
+                };
+                (format!("{panel} failed: {msg}"), none)
+            }
+        };
+        let (theoretical_min, theoretical_max) = ci.theoretical.unwrap_or((f64::NAN, f64::NAN));
+        Self {
+            panel,
+            predictability,
+            keep_rate,
+            removal_correlation,
+            ci_lo: ci.lo,
+            ci_hi: ci.hi,
+            estimate: ci.estimate,
+            true_fraction: truth,
+            theoretical_min,
+            theoretical_max,
+            covered: ci.lo - 0.02 <= truth && truth <= ci.hi + 0.02,
+        }
+    }
+}
+
 /// Runs the synthetic confidence sweep (Figs. 6 and 13).
 pub fn run_confidence_synthetic(
     predictabilities: &[f64],
@@ -53,64 +94,28 @@ pub fn run_confidence_synthetic(
     n_parent: usize,
     seed: u64,
 ) -> Vec<ConfidenceCell> {
-    let mut jobs = Vec::new();
-    let mut id = 0u64;
-    for &p in predictabilities {
-        for &k in keeps {
-            for &c in corrs {
-                jobs.push((p, k, c, id));
-                id += 1;
-            }
-        }
-    }
-    parallel_map(jobs, |(p, k, c, id)| {
+    parallel_map(grid(predictabilities, keeps, corrs), |&(p, k, c, id)| {
         let s = seed.wrapping_add(id.wrapping_mul(0x517c_c1e5));
-        let sc = synthetic_scenario(*p, None, None, n_parent, *k, *c, s);
+        let sc = synthetic_scenario(p, None, None, n_parent, k, c, s);
         let truth = scenario_stat(&sc, sc.complete.table("tb").unwrap(), false);
-        let fail = |msg: &str| ConfidenceCell {
-            panel: format!("failed: {msg}"),
-            predictability: *p,
-            keep_rate: *k,
-            removal_correlation: *c,
-            ci_lo: f64::NAN,
-            ci_hi: f64::NAN,
-            estimate: f64::NAN,
-            true_fraction: truth,
-            theoretical_min: f64::NAN,
-            theoretical_max: f64::NAN,
-            covered: false,
-        };
-        let Ok(model) = train_synthetic_model(&sc, &eval_train_config(), s) else {
-            return fail("train");
-        };
-        let completer = eval_completer_config();
-        let batch_size = completer.batch_size;
-        let Ok(out) = complete_synthetic(&sc, &model, completer, s) else {
-            return fail("complete");
-        };
-        let q = ConfidenceQuery::CountFraction {
-            table: "tb".into(),
-            column: "b".into(),
-            value: sc.bias_value.clone().unwrap_or_default(),
-        };
-        let Ok(ci) = confidence_interval(&model, &sc.incomplete, &out, &q, 0.95, batch_size) else {
-            return fail("ci");
-        };
-        let (tmin, tmax) = ci.theoretical.unwrap_or((f64::NAN, f64::NAN));
-        ConfidenceCell {
-            panel: "synthetic".into(),
-            predictability: *p,
-            keep_rate: *k,
-            removal_correlation: *c,
-            ci_lo: ci.lo,
-            ci_hi: ci.hi,
-            estimate: ci.estimate,
-            true_fraction: truth,
-            theoretical_min: tmin,
-            theoretical_max: tmax,
-            covered: ci.lo - 0.02 <= truth && truth <= ci.hi + 0.02,
-        }
+        let ci = synthetic_interval(&sc, s).map_err(String::from);
+        ConfidenceCell::new("synthetic", p, k, c, truth, ci)
     })
+}
+
+/// Trains, completes and computes the §6 interval of one synthetic cell;
+/// the error names the stage that failed.
+fn synthetic_interval(sc: &Scenario, seed: u64) -> Result<ConfidenceInterval, &'static str> {
+    let model = train_synthetic_model(sc, &eval_train_config(), seed).map_err(|_| "train")?;
+    let out = complete_scenario(sc, &model, ReplacementMode::Auto, seed ^ 0xc0ffee)
+        .map_err(|_| "complete")?;
+    let q = ConfidenceQuery::CountFraction {
+        table: "tb".into(),
+        column: "b".into(),
+        value: sc.bias_value.clone().unwrap_or_default(),
+    };
+    let batch_size = eval_completer_config().batch_size;
+    confidence_interval(&model, &sc.incomplete, &out, &q, 0.95, batch_size).map_err(|_| "ci")
 }
 
 /// Runs the real-world confidence sweep (Fig. 14) over the categorical
@@ -122,35 +127,11 @@ pub fn run_confidence_real(
     scale: f64,
     seed: u64,
 ) -> Vec<ConfidenceCell> {
-    let mut jobs = Vec::new();
-    let mut id = 0u64;
-    for &s in setups {
-        for &k in keeps {
-            for &c in corrs {
-                jobs.push((s.to_string(), k, c, id));
-                id += 1;
-            }
-        }
-    }
-    parallel_map(jobs, |(setup_id, k, c, id)| {
+    parallel_map(grid(setups, keeps, corrs), |&(setup_id, k, c, id)| {
         let s = seed.wrapping_add(id.wrapping_mul(0xfa14_70e5));
         let setup = setup_by_id(setup_id).expect("known setup id");
-        let sc = build_scenario(&setup, *k, *c, scale, s);
-        let value = sc.bias_value.clone().unwrap_or_default();
+        let sc = build_scenario(&setup, k, c, scale, s);
         let truth = scenario_stat(&sc, sc.complete.table(&sc.bias.table).unwrap(), false);
-        let fail = |msg: &str| ConfidenceCell {
-            panel: format!("{setup_id} failed: {msg}"),
-            predictability: f64::NAN,
-            keep_rate: *k,
-            removal_correlation: *c,
-            ci_lo: f64::NAN,
-            ci_hi: f64::NAN,
-            estimate: f64::NAN,
-            true_fraction: truth,
-            theoretical_min: f64::NAN,
-            theoretical_max: f64::NAN,
-            covered: false,
-        };
         let cfg = RestoreConfig {
             train: eval_train_config(),
             strategy: SelectionStrategy::BestValLoss,
@@ -165,7 +146,7 @@ pub fn run_confidence_real(
         let q = ConfidenceQuery::CountFraction {
             table: sc.bias.table.clone(),
             column: sc.bias.column.clone(),
-            value: value.clone(),
+            value: sc.bias_value.clone().unwrap_or_default(),
         };
         // Sealed per cell: the serve seed is what resamples the synthesized
         // tuples. A cell that fails reports why training failed, if it did.
@@ -174,23 +155,7 @@ pub fn run_confidence_real(
             let ci = rs.seal(s).confidence(tables, &q, 0.95, s);
             ci.map_err(|e| train_err.unwrap_or(e))
         });
-        let ci = match ci {
-            Ok(ci) => ci,
-            Err(e) => return fail(&e.to_string()),
-        };
-        let (tmin, tmax) = ci.theoretical.unwrap_or((f64::NAN, f64::NAN));
-        ConfidenceCell {
-            panel: setup_id.clone(),
-            predictability: f64::NAN,
-            keep_rate: *k,
-            removal_correlation: *c,
-            ci_lo: ci.lo,
-            ci_hi: ci.hi,
-            estimate: ci.estimate,
-            true_fraction: truth,
-            theoretical_min: tmin,
-            theoretical_max: tmax,
-            covered: ci.lo - 0.02 <= truth && truth <= ci.hi + 0.02,
-        }
+        let ci = ci.map_err(|e| e.to_string());
+        ConfidenceCell::new(setup_id, f64::NAN, k, c, truth, ci)
     })
 }

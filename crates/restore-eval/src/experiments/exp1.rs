@@ -2,13 +2,13 @@
 //! reductions vs predictability / skew), Fig. 5b (training loss vs
 //! predictability), Fig. 5c (SSAR vs AR under fan-out predictability).
 
+use restore_core::ReplacementMode;
 use restore_util::impl_to_json;
 
 use crate::harness::{
-    complete_synthetic, eval_completer_config, eval_train_config, eval_train_config_ssar,
-    scenario_stat, synthetic_scenario, train_synthetic_model,
+    complete_scenario, eval_train_config, grid, scenario_bias_reduction, synthetic_scenario,
+    train_synthetic_model,
 };
-use crate::metrics::bias_reduction;
 use restore_util::parallel_map;
 
 /// One cell of Fig. 5a / 5b.
@@ -57,6 +57,7 @@ impl Default for Exp1Config {
     }
 }
 
+#[derive(Clone)]
 enum Panel {
     Predictability(f64),
     Zipf(f64),
@@ -64,34 +65,21 @@ enum Panel {
 
 /// Runs the Fig. 5a/5b sweep and returns one row per cell.
 pub fn run_exp1(cfg: &Exp1Config) -> Vec<Exp1Cell> {
-    let mut jobs: Vec<(Panel, f64, f64, u64)> = Vec::new();
-    let mut id = 0u64;
-    for &p in &cfg.predictabilities {
-        for &k in &cfg.keeps {
-            for &c in &cfg.corrs {
-                jobs.push((Panel::Predictability(p), k, c, id));
-                id += 1;
-            }
-        }
-    }
-    for &z in &cfg.zipfs {
-        for &k in &cfg.keeps {
-            for &c in &cfg.corrs {
-                jobs.push((Panel::Zipf(z), k, c, id));
-                id += 1;
-            }
-        }
-    }
-    let n_parent = cfg.n_parent;
-    let base_seed = cfg.seed;
+    let predictability = cfg
+        .predictabilities
+        .iter()
+        .map(|&p| Panel::Predictability(p));
+    let skew = cfg.zipfs.iter().map(|&z| Panel::Zipf(z));
+    let panels: Vec<Panel> = predictability.chain(skew).collect();
+    let jobs = grid(&panels, &cfg.keeps, &cfg.corrs);
     parallel_map(jobs, |(panel, keep, corr, id)| {
-        let seed = base_seed.wrapping_add(id.wrapping_mul(0x9e37_79b9));
+        let seed = cfg.seed.wrapping_add(id.wrapping_mul(0x9e37_79b9));
         let (pred, zipf, label) = match panel {
             Panel::Predictability(p) => (*p, None, format!("predictability={p}")),
             // The skew panels fix predictability at 80% (as in the paper).
             Panel::Zipf(z) => (0.8, Some(*z), format!("zipf={z}")),
         };
-        let sc = synthetic_scenario(pred, zipf, None, n_parent, *keep, *corr, seed);
+        let sc = synthetic_scenario(pred, zipf, None, cfg.n_parent, *keep, *corr, seed);
         let cell = |br: f64, val: f32, train: f32| Exp1Cell {
             panel: label.clone(),
             keep_rate: *keep,
@@ -104,15 +92,12 @@ pub fn run_exp1(cfg: &Exp1Config) -> Vec<Exp1Cell> {
             Ok(m) => m,
             Err(_) => return cell(f64::NAN, f32::NAN, f32::NAN),
         };
-        let out = match complete_synthetic(&sc, &model, eval_completer_config(), seed) {
+        let out = match complete_scenario(&sc, &model, ReplacementMode::Auto, seed ^ 0xc0ffee) {
             Ok(o) => o,
             Err(_) => return cell(f64::NAN, model.target_val_loss(), f32::NAN),
         };
-        let truth = scenario_stat(&sc, sc.complete.table("tb").unwrap(), false);
-        let inc = scenario_stat(&sc, sc.incomplete.table("tb").unwrap(), false);
-        let comp = scenario_stat(&sc, &out.join, true);
         cell(
-            bias_reduction(truth, inc, comp),
+            scenario_bias_reduction(&sc, &out.join, true),
             model.target_val_loss(),
             model.train_losses.last().copied().unwrap_or(f32::NAN),
         )
@@ -146,19 +131,18 @@ pub fn run_exp1_fanout(coherences: &[f64], n_parent: usize, seed: u64) -> Vec<Fa
         .collect();
     parallel_map(jobs, |(q, s)| {
         let sc = synthetic_scenario(0.0, None, Some(*q), n_parent, 0.5, 0.5, *s);
-        let truth = scenario_stat(&sc, sc.complete.table("tb").unwrap(), false);
-        let inc = scenario_stat(&sc, sc.incomplete.table("tb").unwrap(), false);
         let br_of = |train: &restore_core::TrainConfig| -> f64 {
             let Ok(model) = train_synthetic_model(&sc, train, *s) else {
                 return f64::NAN;
             };
-            let Ok(out) = complete_synthetic(&sc, &model, eval_completer_config(), *s) else {
+            let Ok(out) = complete_scenario(&sc, &model, ReplacementMode::Auto, *s ^ 0xc0ffee)
+            else {
                 return f64::NAN;
             };
-            bias_reduction(truth, inc, scenario_stat(&sc, &out.join, true))
+            scenario_bias_reduction(&sc, &out.join, true)
         };
         let ar = br_of(&eval_train_config());
-        let ssar = br_of(&eval_train_config_ssar());
+        let ssar = br_of(&eval_train_config().ssar());
         FanoutCell {
             fanout_predictability: *q,
             ar_bias_reduction: ar,

@@ -11,8 +11,8 @@ use restore_util::impl_to_json;
 use restore_core::{ReStore, RestoreConfig};
 use restore_data::{build_scenario, Setup};
 
-use crate::harness::{eval_completer_config, eval_train_config, stat_of};
-use crate::metrics::{bias_reduction, cardinality_correction};
+use crate::harness::{eval_completer_config, eval_train_config, grid, scenario_bias_reduction};
+use crate::metrics::cardinality_correction;
 use restore_util::parallel_map;
 
 /// One cell of Fig. 7a/7b.
@@ -50,107 +50,77 @@ pub fn run_exp2(
     seed: u64,
     ssar: bool,
 ) -> Vec<Exp2Cell> {
-    let mut jobs = Vec::new();
-    let mut id = 0u64;
-    for setup in setups {
-        for &k in keeps {
-            for &c in corrs {
-                jobs.push((setup.clone(), k, c, id));
-                id += 1;
+    parallel_map(
+        grid(setups, keeps, corrs),
+        |&(ref setup, keep, corr, id)| {
+            let seed = seed.wrapping_add(id.wrapping_mul(7919));
+            let sc = build_scenario(setup, keep, corr, scale, seed);
+            let mut cell = Exp2Cell {
+                setup: setup.id.to_string(),
+                keep_rate: keep,
+                removal_correlation: corr,
+                bias_reduction: f64::NAN,
+                cardinality_correction: f64::NAN,
+                path: String::new(),
+                per_path: Vec::new(),
+                error: None,
+            };
+
+            let cfg = RestoreConfig {
+                train: if ssar {
+                    eval_train_config().ssar()
+                } else {
+                    eval_train_config()
+                },
+                completer: eval_completer_config(),
+                ..RestoreConfig::default()
+            };
+            let mut rs = ReStore::new(sc.incomplete.clone(), cfg);
+            for t in &sc.incomplete_tables {
+                rs.mark_incomplete(t.clone());
             }
-        }
-    }
-    parallel_map(jobs, |(setup, keep, corr, id)| {
-        run_exp2_cell(
-            setup,
-            *keep,
-            *corr,
-            scale,
-            seed.wrapping_add(id.wrapping_mul(7919)),
-            ssar,
-        )
-    })
-}
 
-/// Runs one (setup, keep rate, removal correlation) cell, trying up to
-/// three candidate paths and keeping the best completion.
-pub(crate) fn run_exp2_cell(
-    setup: &Setup,
-    keep: f64,
-    corr: f64,
-    scale: f64,
-    seed: u64,
-    ssar: bool,
-) -> Exp2Cell {
-    let sc = build_scenario(setup, keep, corr, scale, seed);
-    let mut cell = Exp2Cell {
-        setup: setup.id.to_string(),
-        keep_rate: keep,
-        removal_correlation: corr,
-        bias_reduction: f64::NAN,
-        cardinality_correction: f64::NAN,
-        path: String::new(),
-        per_path: Vec::new(),
-        error: None,
-    };
+            let target = &sc.bias.table;
+            let n_complete = sc.complete.table(target).unwrap().n_rows();
+            let n_incomplete = sc.incomplete.table(target).unwrap().n_rows();
 
-    let cfg = RestoreConfig {
-        train: if ssar {
-            eval_train_config().ssar()
-        } else {
-            eval_train_config()
+            let candidates: Vec<Vec<String>> = rs
+                .candidate_paths(target)
+                .iter()
+                .map(|p| p.tables().to_vec())
+                .collect();
+            if candidates.is_empty() {
+                cell.error = Some("no completion path".into());
+                return cell;
+            }
+
+            let mut last_err = None;
+            for tables in candidates {
+                if let Err(e) = rs.set_selected_path(target, &tables, seed) {
+                    last_err = Some(e.to_string());
+                    continue;
+                }
+                // Sealed per candidate: the forced path above is what it serves.
+                let completed = match rs.seal(seed).completed_table(target, seed) {
+                    Ok(t) => t,
+                    Err(e) => {
+                        last_err = Some(e.to_string());
+                        continue;
+                    }
+                };
+                let br = scenario_bias_reduction(&sc, &completed, false);
+                let cc = cardinality_correction(n_complete, n_incomplete, completed.n_rows());
+                cell.per_path.push((tables.join("→"), br));
+                if cell.bias_reduction.is_nan() || br > cell.bias_reduction {
+                    cell.bias_reduction = br;
+                    cell.cardinality_correction = cc;
+                    cell.path = tables.join("→");
+                }
+            }
+            if cell.bias_reduction.is_nan() {
+                cell.error = last_err.or(Some("all candidate paths failed".into()));
+            }
+            cell
         },
-        completer: eval_completer_config(),
-        ..RestoreConfig::default()
-    };
-    let mut rs = ReStore::new(sc.incomplete.clone(), cfg);
-    for t in &sc.incomplete_tables {
-        rs.mark_incomplete(t.clone());
-    }
-
-    let target = &sc.bias.table;
-    let value = sc.bias_value.as_deref();
-    let truth = stat_of(sc.complete.table(target).unwrap(), &sc.bias.column, value);
-    let inc = stat_of(sc.incomplete.table(target).unwrap(), &sc.bias.column, value);
-    let n_complete = sc.complete.table(target).unwrap().n_rows();
-    let n_incomplete = sc.incomplete.table(target).unwrap().n_rows();
-
-    let candidates: Vec<Vec<String>> = rs
-        .candidate_paths(target)
-        .iter()
-        .map(|p| p.tables().to_vec())
-        .collect();
-    if candidates.is_empty() {
-        cell.error = Some("no completion path".into());
-        return cell;
-    }
-
-    let mut last_err = None;
-    for tables in candidates {
-        if let Err(e) = rs.set_selected_path(target, &tables, seed) {
-            last_err = Some(e.to_string());
-            continue;
-        }
-        // Sealed per candidate: the forced path above is what it serves.
-        let completed = match rs.seal(seed).completed_table(target, seed) {
-            Ok(t) => t,
-            Err(e) => {
-                last_err = Some(e.to_string());
-                continue;
-            }
-        };
-        let comp = stat_of(&completed, &sc.bias.column, value);
-        let br = bias_reduction(truth, inc, comp);
-        let cc = cardinality_correction(n_complete, n_incomplete, completed.n_rows());
-        cell.per_path.push((tables.join("→"), br));
-        if cell.bias_reduction.is_nan() || br > cell.bias_reduction {
-            cell.bias_reduction = br;
-            cell.cardinality_correction = cc;
-            cell.path = tables.join("→");
-        }
-    }
-    if cell.bias_reduction.is_nan() {
-        cell.error = last_err.or(Some("all candidate paths failed".into()));
-    }
-    cell
+    )
 }

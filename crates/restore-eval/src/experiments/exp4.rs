@@ -8,13 +8,12 @@ use std::time::Instant;
 use restore_util::impl_to_json;
 
 use restore_core::{
-    enumerate_paths, score_candidates, BiasDirection, Completer, CompleterConfig, CompletionModel,
-    ReplacementMode, SchemaAnnotation, SelectionStrategy, SuspectedBias, TrainConfig,
+    enumerate_paths, score_candidates, BiasDirection, CompletionModel, ReplacementMode,
+    SchemaAnnotation, SelectionStrategy, SuspectedBias, TrainConfig,
 };
 use restore_data::{build_scenario, Scenario, Setup};
 
-use crate::harness::{eval_completer_config, eval_train_config, stat_of};
-use crate::metrics::bias_reduction;
+use crate::harness::{complete_scenario, eval_train_config, grid, scenario_bias_reduction};
 use restore_util::parallel_map;
 
 /// One completed candidate: setup × model class × correlation → bias red.
@@ -32,39 +31,16 @@ impl_to_json!(Fig9Cell {
     bias_reduction
 });
 
-/// Trains a model on a scenario path and measures the bias reduction of
-/// the completed biased attribute. Returns `(bias_reduction, model)`.
-fn complete_and_score(
-    sc: &Scenario,
-    model: &CompletionModel,
-    seed: u64,
-    replacement: ReplacementMode,
-) -> f64 {
-    let ann = SchemaAnnotation::with_incomplete(sc.incomplete_tables.iter().map(String::as_str));
-    let cfg = CompleterConfig {
-        replacement,
-        ..eval_completer_config()
-    };
-    let completer = Completer::new(&sc.incomplete, &ann).with_config(cfg);
-    let Ok(out) = completer.complete(model, seed ^ 0xf19) else {
-        return f64::NAN;
-    };
-    let target = &sc.bias.table;
-    let value = sc.bias_value.as_deref();
-    let truth = stat_of(sc.complete.table(target).unwrap(), &sc.bias.column, value);
-    let inc = stat_of(sc.incomplete.table(target).unwrap(), &sc.bias.column, value);
-    let comp = stat_of(&out.join, &format!("{target}.{}", sc.bias.column), value);
-    bias_reduction(truth, inc, comp)
+/// The bias reduction of completing the biased attribute with `model`.
+fn complete_and_score(sc: &Scenario, model: &CompletionModel, seed: u64) -> f64 {
+    complete_scenario(sc, model, ReplacementMode::Auto, seed ^ 0xf19)
+        .map_or(f64::NAN, |out| scenario_bias_reduction(sc, &out.join, true))
 }
 
-fn first_path_model(
-    sc: &Scenario,
-    train: &TrainConfig,
-    max_len: usize,
-    seed: u64,
-) -> Option<CompletionModel> {
+/// The model of the first candidate path (of up to five tables) that trains.
+fn first_path_model(sc: &Scenario, train: &TrainConfig, seed: u64) -> Option<CompletionModel> {
     let ann = SchemaAnnotation::with_incomplete(sc.incomplete_tables.iter().map(String::as_str));
-    let paths = enumerate_paths(&sc.incomplete, &ann, &sc.bias.table, max_len);
+    let paths = enumerate_paths(&sc.incomplete, &ann, &sc.bias.table, 5);
     for p in paths {
         if let Ok(m) = CompletionModel::train(&sc.incomplete, &ann, p, train, seed) {
             return Some(m);
@@ -93,8 +69,8 @@ pub fn run_fig9(setups: &[Setup], corrs: &[f64], scale: f64, seed: u64) -> Vec<F
         } else {
             eval_train_config()
         };
-        let br = first_path_model(&sc, &train, 5, s)
-            .map(|m| complete_and_score(&sc, &m, s, ReplacementMode::Auto))
+        let br = first_path_model(&sc, &train, s)
+            .map(|m| complete_and_score(&sc, &m, s))
             .unwrap_or(f64::NAN);
         Fig9Cell {
             setup: setup.id.to_string(),
@@ -130,17 +106,9 @@ impl_to_json!(Fig10Cell {
 
 /// Runs the Fig. 10 selection-quality sweep (keep rate fixed at 40%).
 pub fn run_fig10(setups: &[Setup], corrs: &[f64], scale: f64, seed: u64) -> Vec<Fig10Cell> {
-    let mut jobs = Vec::new();
-    let mut id = 0u64;
-    for setup in setups {
-        for &c in corrs {
-            jobs.push((setup.clone(), c, id));
-            id += 1;
-        }
-    }
-    parallel_map(jobs, |(setup, corr, id)| {
+    parallel_map(grid(setups, &[0.4], corrs), |(setup, keep, corr, id)| {
         let s = seed.wrapping_add(id.wrapping_mul(12289));
-        let sc = build_scenario(setup, 0.4, *corr, scale, s);
+        let sc = build_scenario(setup, *keep, *corr, scale, s);
         let ann =
             SchemaAnnotation::with_incomplete(sc.incomplete_tables.iter().map(String::as_str));
         let paths = enumerate_paths(&sc.incomplete, &ann, &sc.bias.table, 5);
@@ -152,7 +120,7 @@ pub fn run_fig10(setups: &[Setup], corrs: &[f64], scale: f64, seed: u64) -> Vec<
             let Ok(m) = CompletionModel::train(&sc.incomplete, &ann, p, &train, s) else {
                 continue;
             };
-            let br = complete_and_score(&sc, &m, s, ReplacementMode::Auto);
+            let br = complete_and_score(&sc, &m, s);
             if br.is_nan() {
                 continue;
             }
@@ -224,11 +192,6 @@ pub fn run_timings(setups: &[Setup], scale: f64, seed: u64) -> Vec<TimingCell> {
         }
     }
     parallel_map(jobs, |(setup, ssar, s)| {
-        let dataset = if setup.id.starts_with('H') {
-            "Housing"
-        } else {
-            "Movies"
-        };
         let sc = build_scenario(setup, 0.4, 0.4, scale, *s);
         let train = if *ssar {
             eval_train_config().ssar()
@@ -236,7 +199,7 @@ pub fn run_timings(setups: &[Setup], scale: f64, seed: u64) -> Vec<TimingCell> {
             eval_train_config()
         };
         let mut cell = TimingCell {
-            dataset: dataset.to_string(),
+            dataset: format!("{:?}", setup.dataset),
             setup: setup.id.to_string(),
             model_class: if *ssar { "SSAR" } else { "AR" }.to_string(),
             path: String::new(),
@@ -245,32 +208,22 @@ pub fn run_timings(setups: &[Setup], scale: f64, seed: u64) -> Vec<TimingCell> {
             completion_nn_seconds: f64::NAN,
             synthesized_tuples: 0,
         };
-        let Some(model) = first_path_model(&sc, &train, 5, *s) else {
+        let Some(model) = first_path_model(&sc, &train, *s) else {
             return cell;
         };
         cell.path = model.path().describe();
         cell.train_seconds = model.train_seconds;
-        let ann =
-            SchemaAnnotation::with_incomplete(sc.incomplete_tables.iter().map(String::as_str));
-        for (mode, slot) in [
-            (ReplacementMode::Never, 0usize),
-            (ReplacementMode::Always, 1usize),
-        ] {
-            let cfg = CompleterConfig {
-                replacement: mode,
-                ..eval_completer_config()
-            };
-            let completer = Completer::new(&sc.incomplete, &ann).with_config(cfg);
+        let timed = |mode| {
             let started = Instant::now();
-            if let Ok(out) = completer.complete(&model, *s ^ 0x71e5) {
-                let elapsed = started.elapsed().as_secs_f64();
-                if slot == 0 {
-                    cell.completion_seconds = elapsed;
-                    cell.synthesized_tuples = out.n_synthesized();
-                } else {
-                    cell.completion_nn_seconds = elapsed;
-                }
-            }
+            let out = complete_scenario(&sc, &model, mode, *s ^ 0x71e5).ok()?;
+            Some((started.elapsed().as_secs_f64(), out.n_synthesized()))
+        };
+        if let Some((seconds, synthesized)) = timed(ReplacementMode::Never) {
+            cell.completion_seconds = seconds;
+            cell.synthesized_tuples = synthesized;
+        }
+        if let Some((seconds, _)) = timed(ReplacementMode::Always) {
+            cell.completion_nn_seconds = seconds;
         }
         cell
     })

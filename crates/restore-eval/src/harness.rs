@@ -2,37 +2,21 @@
 //! evaluation-sized defaults, and statistic extraction.
 
 use restore_core::{
-    Completer, CompleterConfig, CompletionModel, CompletionOutput, CompletionPath,
-    SchemaAnnotation, TrainConfig,
+    Completer, CompleterConfig, CompletionModel, CompletionOutput, CompletionPath, CoreResult,
+    ReplacementMode, SchemaAnnotation, TrainConfig,
 };
 use restore_data::{
     apply_removal, generate_synthetic, BiasSpec, RemovalConfig, Scenario, SyntheticConfig,
 };
 use restore_db::Table;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Worker threads each *training run* may use (the data-parallel gradient
-/// engine). Defaults to 1 because the harness already fans experiment
-/// cells out over the worker pool — same nested-ncpu² reasoning as
-/// [`eval_completer_config`] — and training results are worker-count
-/// invariant anyway. `--train-workers=N` raises it for single-model runs
-/// (timing sweeps, `exp4_timing`).
-static TRAIN_WORKERS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the per-training-run worker count used by [`eval_train_config`]
-/// (`0` = one per hardware thread).
-pub(crate) fn set_train_workers(workers: usize) {
-    TRAIN_WORKERS.store(workers, Ordering::Relaxed);
-}
-
-/// The current per-training-run worker count.
-pub(crate) fn train_workers() -> usize {
-    TRAIN_WORKERS.load(Ordering::Relaxed)
-}
+use crate::metrics::bias_reduction;
 
 /// Training configuration sized for the evaluation sweeps (hundreds of
-/// models on a laptop).
+/// models on a laptop). Each training runs on one worker thread: the
+/// harness already fans experiment cells out over the worker pool (same
+/// nested-ncpu² reasoning as the completer config), and trained
+/// weights never depend on the worker count.
 pub fn eval_train_config() -> TrainConfig {
     TrainConfig {
         epochs: 15,
@@ -40,14 +24,24 @@ pub fn eval_train_config() -> TrainConfig {
         hidden: vec![48, 48],
         embed_dim: 8,
         max_train_rows: 8_000,
-        workers: train_workers(),
+        workers: 1,
         ..TrainConfig::default()
     }
 }
 
-/// SSAR variant of [`eval_train_config`].
-pub(crate) fn eval_train_config_ssar() -> TrainConfig {
-    eval_train_config().ssar()
+/// The cells of a sweep: every `outer` value × keep rate × removal
+/// correlation, in that nesting order, each with its index — which the
+/// runners turn into the cell's seed.
+pub(crate) fn grid<T: Clone>(outer: &[T], keeps: &[f64], corrs: &[f64]) -> Vec<(T, f64, f64, u64)> {
+    let cells = outer.iter().flat_map(|o| {
+        keeps
+            .iter()
+            .flat_map(move |&k| corrs.iter().map(move |&c| (o.clone(), k, c)))
+    });
+    cells
+        .zip(0..)
+        .map(|((o, k, c), id)| (o, k, c, id))
+        .collect()
 }
 
 /// Builds the Exp. 1 synthetic scenario: two tables, biased removal on the
@@ -82,7 +76,7 @@ pub(crate) fn train_synthetic_model(
     sc: &Scenario,
     train: &TrainConfig,
     seed: u64,
-) -> restore_core::CoreResult<CompletionModel> {
+) -> CoreResult<CompletionModel> {
     let ann = SchemaAnnotation::with_incomplete(["tb"]);
     let path = CompletionPath::from_tables(&sc.incomplete, &["ta".into(), "tb".into()])?;
     CompletionModel::train(&sc.incomplete, &ann, path, train, seed)
@@ -99,16 +93,21 @@ pub(crate) fn eval_completer_config() -> CompleterConfig {
     }
 }
 
-/// Runs Algorithm 1 for a synthetic model.
-pub(crate) fn complete_synthetic(
+/// Runs Algorithm 1 for `model` on the scenario's incomplete database.
+pub(crate) fn complete_scenario(
     sc: &Scenario,
     model: &CompletionModel,
-    completer_cfg: CompleterConfig,
+    replacement: ReplacementMode,
     seed: u64,
-) -> restore_core::CoreResult<CompletionOutput> {
-    let ann = SchemaAnnotation::with_incomplete(["tb"]);
-    let completer = Completer::new(&sc.incomplete, &ann).with_config(completer_cfg);
-    completer.complete(model, seed ^ 0xc0ffee)
+) -> CoreResult<CompletionOutput> {
+    let ann = SchemaAnnotation::with_incomplete(sc.incomplete_tables.iter().map(String::as_str));
+    let cfg = CompleterConfig {
+        replacement,
+        ..eval_completer_config()
+    };
+    Completer::new(&sc.incomplete, &ann)
+        .with_config(cfg)
+        .complete(model, seed)
 }
 
 /// Fraction of rows where `column == value`, or the mean of `column` when
@@ -153,6 +152,15 @@ pub(crate) fn scenario_stat(sc: &Scenario, table: &Table, qualified: bool) -> f6
     stat_of(table, &col, sc.bias_value.as_deref())
 }
 
+/// Bias reduction (Eq. 2) of a scenario's biased attribute in `completed`:
+/// the completed table, or a completed join with qualified column names.
+pub(crate) fn scenario_bias_reduction(sc: &Scenario, completed: &Table, qualified: bool) -> f64 {
+    let target = &sc.bias.table;
+    let truth = scenario_stat(sc, sc.complete.table(target).unwrap(), false);
+    let inc = scenario_stat(sc, sc.incomplete.table(target).unwrap(), false);
+    bias_reduction(truth, inc, scenario_stat(sc, completed, qualified))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,7 +189,7 @@ mod tests {
         let mut cfg = eval_train_config();
         cfg.epochs = 4;
         let model = train_synthetic_model(&sc, &cfg, 3).unwrap();
-        let out = complete_synthetic(&sc, &model, CompleterConfig::default(), 3).unwrap();
+        let out = complete_scenario(&sc, &model, ReplacementMode::Auto, 3).unwrap();
         assert!(out.join.n_rows() > sc.incomplete.table("tb").unwrap().n_rows());
     }
 }

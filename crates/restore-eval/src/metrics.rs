@@ -42,7 +42,7 @@ pub(crate) fn group_relative_error(
 /// 1 = bias fully removed, 0 = no improvement, negative = made it worse.
 /// When the incomplete data was already unbiased the result is clamped to
 /// `[0, 1]` based on whether completion kept it unbiased.
-pub fn bias_reduction(stat_true: f64, stat_incomplete: f64, stat_completed: f64) -> f64 {
+pub(crate) fn bias_reduction(stat_true: f64, stat_incomplete: f64, stat_completed: f64) -> f64 {
     let before = (stat_true - stat_incomplete).abs();
     let after = (stat_true - stat_completed).abs();
     if before < 1e-12 {
@@ -53,7 +53,11 @@ pub fn bias_reduction(stat_true: f64, stat_incomplete: f64, stat_completed: f64)
 
 /// Cardinality correction (§7.3):
 /// `1 − |n_completed − n_complete| / |n_incomplete − n_complete|`.
-pub fn cardinality_correction(n_complete: usize, n_incomplete: usize, n_completed: usize) -> f64 {
+pub(crate) fn cardinality_correction(
+    n_complete: usize,
+    n_incomplete: usize,
+    n_completed: usize,
+) -> f64 {
     bias_reduction(n_complete as f64, n_incomplete as f64, n_completed as f64)
 }
 

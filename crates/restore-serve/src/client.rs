@@ -1,63 +1,26 @@
 //! A blocking HTTP/1.1 client for the serving API — keep-alive by default
 //! (one [`HttpClient`] issues many requests over one TCP connection, like a
-//! real dashboard client), with an opt-in retry layer that makes it a
-//! resilient building block for anything sitting in front of the server
-//! (the shard-router direction in the ROADMAP): capped exponential backoff
-//! with deterministic jitter ([`restore_util::BackoffConfig`]), honoring
-//! the server's `Retry-After` on 429/503, reconnecting on transport
-//! errors, all under a wall-clock [`RetryPolicy::budget`].
+//! real dashboard client). It is the fleet monitor's probe and drill-down
+//! client; the router's forwards retry on reactor timers under
+//! [`RetryPolicy`](crate::RetryPolicy).
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
-
-use restore_util::BackoffConfig;
 
 use crate::http::{content_length, LIMITS};
 
-/// How [`HttpClient::request_with_retry`] behaves.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first (so 1 disables retrying).
-    pub max_attempts: u32,
-    /// Backoff schedule between attempts.
-    pub backoff: BackoffConfig,
-    /// Wall-clock budget across all attempts *and* waits; when the next
-    /// wait would cross it, the client gives up with the last outcome.
-    pub budget: Duration,
-    /// Upper bound on any single wait, including server-requested
-    /// `Retry-After`s — a misbehaving server cannot park the client.
-    pub retry_after_cap: Duration,
-    /// Seed of the deterministic jitter stream.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 4,
-            backoff: BackoffConfig::default(),
-            budget: Duration::from_secs(60),
-            retry_after_cap: Duration::from_secs(30),
-            seed: 0,
-        }
-    }
-}
-
-/// Client knobs; [`ClientConfig::default`] matches the old hardcoded
-/// behavior (30 s read timeout) with the default retry policy on top.
+/// Client knobs; [`ClientConfig::default`] reads with a 30 s timeout.
 #[derive(Clone, Copy, Debug)]
 pub struct ClientConfig {
     /// Wall-clock bound on reading one whole response.
     pub read_timeout: Duration,
-    pub retry: RetryPolicy,
 }
 
 impl Default for ClientConfig {
     fn default() -> Self {
         Self {
             read_timeout: Duration::from_secs(30),
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -98,7 +61,6 @@ impl HttpResponse {
 pub struct HttpClient {
     stream: TcpStream,
     carry: Vec<u8>,
-    peer: SocketAddr,
     config: ClientConfig,
 }
 
@@ -109,27 +71,13 @@ impl HttpClient {
 
     pub fn connect_with(addr: impl ToSocketAddrs, config: ClientConfig) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
-        Self::from_stream(stream, config)
-    }
-
-    fn from_stream(stream: TcpStream, config: ClientConfig) -> std::io::Result<Self> {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(config.read_timeout))?;
-        let peer = stream.peer_addr()?;
         Ok(Self {
             stream,
             carry: Vec::new(),
-            peer,
             config,
         })
-    }
-
-    /// Drops the current connection and dials the same peer again —
-    /// what the retry layer does after a transport error.
-    pub(crate) fn reconnect(&mut self) -> std::io::Result<()> {
-        let stream = TcpStream::connect(self.peer)?;
-        *self = Self::from_stream(stream, self.config)?;
-        Ok(())
     }
 
     pub fn get(&mut self, path: &str) -> std::io::Result<(u16, String)> {
@@ -154,56 +102,6 @@ impl HttpClient {
         self.stream
             .write_all(&encode_request(method, path, body, extra_headers))?;
         self.read_response()
-    }
-
-    /// [`HttpClient::request_full`] under the configured [`RetryPolicy`]:
-    /// 429 and 503 responses retry after `max(backoff, Retry-After)`
-    /// (capped at `retry_after_cap`), transport errors reconnect and
-    /// retry, and the whole dance stays inside [`RetryPolicy::budget`] —
-    /// when attempts or budget run out, the last outcome (response or
-    /// error) is returned as-is.
-    pub fn request_with_retry(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-        extra_headers: &[(&str, &str)],
-    ) -> std::io::Result<HttpResponse> {
-        let policy = self.config.retry;
-        let deadline = Instant::now() + policy.budget;
-        let mut attempt = 0u32;
-        loop {
-            let outcome = self.request_full(method, path, body, extra_headers);
-            let retry_after = match &outcome {
-                Ok(response) if response.status == 429 || response.status == 503 => {
-                    response.retry_after()
-                }
-                Ok(_) => return outcome,
-                // Transport error: the connection state is unknown — only
-                // retryable through a reconnect below.
-                Err(_) => None,
-            };
-            if attempt + 1 >= policy.max_attempts.max(1) {
-                return outcome;
-            }
-            let mut wait = policy.backoff.delay(policy.seed, attempt);
-            if let Some(requested) = retry_after {
-                wait = wait.max(requested);
-            }
-            wait = wait.min(policy.retry_after_cap);
-            let now = Instant::now();
-            if now + wait > deadline {
-                return outcome;
-            }
-            std::thread::sleep(wait);
-            if outcome.is_err() && self.reconnect().is_err() {
-                // The peer refused the redial; count the attempt and keep
-                // backing off — it may be mid-restart.
-                attempt += 1;
-                continue;
-            }
-            attempt += 1;
-        }
     }
 
     /// Reads one response within [`ClientConfig::read_timeout`] of wall

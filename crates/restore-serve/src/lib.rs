@@ -88,10 +88,6 @@
 //!   responses, and handler panics as a pure function of `(seed, fault
 //!   key)`, so the chaos soak in `tests/resilience.rs` reproduces
 //!   bit-identically across runs and worker counts.
-//! * **A resilient client** — [`HttpClient::request_with_retry`] backs off
-//!   exponentially with deterministic jitter, honors `Retry-After`, and
-//!   reconnects on transport errors, all inside a wall-clock
-//!   [`RetryPolicy::budget`].
 //!
 //! ## Fleet mode
 //!
@@ -117,8 +113,9 @@ pub mod router;
 mod server;
 mod store;
 
-pub use client::{ClientConfig, HttpClient, HttpResponse, RetryPolicy};
+pub use client::{ClientConfig, HttpClient, HttpResponse};
 pub use fault::{FaultAction, FaultConfig, FaultPlan};
 pub use reactor::raise_fd_limit;
+pub use router::RetryPolicy;
 pub use server::{ServeConfig, Server};
 pub use store::SnapshotStore;

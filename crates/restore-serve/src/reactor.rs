@@ -970,7 +970,7 @@ impl Reactor {
         let budget = self.shared.config.request_deadline;
         let left = budget.saturating_sub(job.arrived.elapsed());
         let now = Instant::now();
-        let deadline = now + left.min(fleet.config.client.retry.budget);
+        let deadline = now + left.min(fleet.config.retry.budget);
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
@@ -1111,7 +1111,7 @@ impl Reactor {
     /// not new evidence), then either backs off on a timer for the next
     /// attempt or, when the wait would cross the deadline, answers 503.
     fn retry_or_fail(&mut self, token: u64, error: io::Error) {
-        let policy = fleet(&self.fleet).config.client.retry;
+        let policy = fleet(&self.fleet).config.retry;
         let Some(fwd) = self.conns.get_mut(&token).and_then(|c| c.forward.as_mut()) else {
             return;
         };

@@ -23,7 +23,7 @@
 //! * **Forwarding** is a connection state of the router's epoll reactor:
 //!   keep-alive upstream sockets in its own epoll set, health-aware
 //!   checkout, the worker's response spliced back (`splice_response`),
-//!   and the client plane's [`RetryPolicy`] backoff on reactor timers. Only
+//!   and the [`RetryPolicy`] backoff on reactor timers. Only
 //!   transport errors retry — worker status codes (including 429/503) pass
 //!   through byte-identically so end-to-end semantics match a direct
 //!   worker connection.
@@ -59,9 +59,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use restore_util::json::{JsonValue, ToJson};
-use restore_util::{fnv1a64, json_object, HealthState, Shutdown};
+use restore_util::{fnv1a64, json_object, BackoffConfig, HealthState, Shutdown};
 
-use crate::client::{header_lines, response_frame, ClientConfig, RetryPolicy};
+use crate::client::{header_lines, response_frame, ClientConfig};
 use crate::http::{parse_digits, Request, Response};
 use crate::server::Shared;
 
@@ -88,14 +88,40 @@ pub struct ShardConfig {
     pub worker: Option<WorkerSpec>,
 }
 
+/// How the router retries a forward after a transport error.
+#[derive(Clone, Copy, Debug)]
+pub struct RetryPolicy {
+    /// Backoff schedule between attempts.
+    pub backoff: BackoffConfig,
+    /// Wall-clock budget across all attempts *and* waits; when the next
+    /// wait would cross it, the forward gives up with the last error.
+    pub budget: Duration,
+    /// Upper bound on any single wait.
+    pub retry_after_cap: Duration,
+    /// Seed of the deterministic jitter stream.
+    pub seed: u64,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        Self {
+            backoff: BackoffConfig::default(),
+            budget: Duration::from_secs(60),
+            retry_after_cap: Duration::from_secs(30),
+            seed: 0,
+        }
+    }
+}
+
 /// Fleet knobs. Defaults are sized for loopback worker fleets.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     pub shards: Vec<ShardConfig>,
-    /// Client config for forwarded requests: its [`RetryPolicy`] supplies
-    /// the forward backoff schedule and wall-clock budget, and its
-    /// `read_timeout` is how long one attempt waits for its response.
+    /// Client config for forwarded requests: its `read_timeout` is how long
+    /// one attempt waits for its response.
     pub client: ClientConfig,
+    /// The forward backoff schedule and wall-clock budget.
+    pub retry: RetryPolicy,
     /// Health-probe cadence of the monitor thread.
     pub health_interval: Duration,
 }
@@ -110,15 +136,12 @@ impl Default for FleetConfig {
     fn default() -> Self {
         Self {
             shards: Vec::new(),
-            client: ClientConfig {
-                read_timeout: Duration::from_secs(30),
-                retry: RetryPolicy {
-                    // The forward retry loop is deadline-bounded (riding
-                    // out a failover window), so the budget — not an
-                    // attempt count — is the real knob.
-                    budget: Duration::from_secs(10),
-                    ..RetryPolicy::default()
-                },
+            client: ClientConfig::default(),
+            retry: RetryPolicy {
+                // The forward retry loop is deadline-bounded (riding out a
+                // failover window), so the budget is the real knob.
+                budget: Duration::from_secs(10),
+                ..RetryPolicy::default()
             },
             health_interval: Duration::from_millis(200),
         }
@@ -130,10 +153,6 @@ impl Default for FleetConfig {
 fn probe_config() -> ClientConfig {
     ClientConfig {
         read_timeout: Duration::from_secs(2),
-        retry: RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        },
     }
 }
 

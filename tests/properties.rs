@@ -1097,3 +1097,68 @@ fn typed_hash_join_matches_the_value_keyed_join() {
         assert_eq!(partner_counts(&l, "k", &r, "k").unwrap(), counts);
     }
 }
+
+/// `enumerate_paths` returns exactly the simple FK chains that end at the
+/// target, start at a complete table and have 2..=`max_len` tables — each
+/// once, shortest first, then by rendering. The oracle is brute force:
+/// every sequence of distinct tables, filtered, over random FK schemas of
+/// up to seven tables with parallel edges and random complete/incomplete
+/// marks.
+#[test]
+fn enumerate_paths_matches_a_brute_force_oracle() {
+    use restore::core::{enumerate_paths, SchemaAnnotation};
+    use restore::db::{DataType, Database, Field, ForeignKey, Table};
+    let mut meta = StdRng::seed_from_u64(0xaf);
+    for case in 0..4 * CASES {
+        let n = meta.random_range(1..=7usize);
+        let name = |t: usize| format!("t{t}");
+        // FK edges (child, parent): parallel edges allowed, no self-loops.
+        let fks: Vec<(usize, usize)> = (0..meta.random_range(0..=2 * n))
+            .map(|_| (meta.random_range(0..n), meta.random_range(0..n)))
+            .filter(|(c, p)| c != p)
+            .collect();
+        let mut db = Database::new();
+        for t in 0..n {
+            let mut fields = vec![Field::new("id", DataType::Int)];
+            for (k, _) in fks.iter().enumerate().filter(|(_, fk)| fk.0 == t) {
+                fields.push(Field::new(format!("fk{k}"), DataType::Int));
+            }
+            db.add_table(Table::new(name(t), fields));
+        }
+        for (k, &(c, p)) in fks.iter().enumerate() {
+            db.add_foreign_key(ForeignKey::new(name(c), format!("fk{k}"), name(p), "id"))
+                .unwrap();
+        }
+        let complete: Vec<bool> = (0..n).map(|_| meta.random_bool(0.5)).collect();
+        let ann = SchemaAnnotation::with_incomplete((0..n).filter(|&t| !complete[t]).map(name));
+        let target = meta.random_range(0..n);
+        let max_len = meta.random_range(1..=n + 1);
+
+        let linked = |a: usize, b: usize| fks.contains(&(a, b)) || fks.contains(&(b, a));
+        let mut sequences: Vec<Vec<usize>> = vec![Vec::new()];
+        let mut expected: Vec<Vec<String>> = Vec::new();
+        for _ in 0..max_len.min(n) {
+            sequences = (sequences.iter())
+                .flat_map(|s| {
+                    (0..n)
+                        .filter(|t| !s.contains(t))
+                        .map(|t| [&s[..], &[t]].concat())
+                })
+                .collect();
+            expected.extend(
+                (sequences.iter())
+                    .filter(|s| s.len() >= 2 && s[s.len() - 1] == target && complete[s[0]])
+                    .filter(|s| s.windows(2).all(|w| linked(w[0], w[1])))
+                    .map(|s| s.iter().map(|&t| name(t)).collect()),
+            );
+        }
+        expected.sort_by_key(|tables| (tables.len(), tables.join("→")));
+
+        let paths = enumerate_paths(&db, &ann, &name(target), max_len);
+        let got: Vec<Vec<String>> = paths.iter().map(|p| p.tables().to_vec()).collect();
+        assert_eq!(
+            got, expected,
+            "case {case}: fks {fks:?}, complete {complete:?}, target t{target}, max_len {max_len}"
+        );
+    }
+}

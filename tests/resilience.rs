@@ -13,8 +13,6 @@
 //! * **deterministic chaos** — a seeded `FaultPlan` produces bit-identical
 //!   per-request outcome classes across runs and client worker counts, the
 //!   server never wedges, and traffic outside the fault window is clean;
-//! * **retrying client** — backs off, honors `Retry-After`, recovers from
-//!   transient 429s, and gives up cleanly on persistent transport faults;
 //! * **drain edge cases** — slow-loris bodies are cut under the deadline,
 //!   half-open connections don't block the drain, and shedding during
 //!   shutdown still answers.
@@ -27,11 +25,9 @@ use restore_fixtures::sealed_synthetic_snapshot;
 use restore::core::wire::QueryRequest;
 use restore::core::{Snapshot, SnapshotRegistry};
 use restore::db::{Agg, Query};
-use restore::serve::{
-    ClientConfig, FaultAction, FaultConfig, FaultPlan, HttpClient, RetryPolicy, ServeConfig, Server,
-};
+use restore::serve::{FaultAction, FaultConfig, FaultPlan, HttpClient, ServeConfig, Server};
 use restore::util::json::parse;
-use restore::util::{BackoffConfig, RateLimitConfig};
+use restore::util::RateLimitConfig;
 
 fn snapshot() -> Arc<Snapshot> {
     static SNAP: OnceLock<Arc<Snapshot>> = OnceLock::new();
@@ -418,113 +414,6 @@ fn chaos_schedule_is_bit_reproducible_across_runs_and_worker_counts() {
             "every injected fault is counted, and only those: {route:?}"
         );
     }
-}
-
-#[test]
-fn retrying_client_honors_retry_after_through_transient_429s() {
-    let registry = registry_with(&["t"]);
-    let server = Server::bind(
-        "127.0.0.1:0",
-        Arc::clone(&registry),
-        ServeConfig {
-            // Burst of one; a token refills every 50 ms.
-            rate_limit: Some(RateLimitConfig::new(20.0, 1.0)),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind");
-    let mut client = HttpClient::connect_with(
-        server.local_addr(),
-        ClientConfig {
-            retry: RetryPolicy {
-                max_attempts: 6,
-                backoff: BackoffConfig {
-                    initial: Duration::from_millis(20),
-                    max: Duration::from_millis(80),
-                    multiplier: 2.0,
-                    jitter: 0.0,
-                },
-                budget: Duration::from_secs(5),
-                // The server rounds Retry-After up to 1 s; cap the honored
-                // wait so the test stays fast while still waiting longer
-                // than the backoff alone would.
-                retry_after_cap: Duration::from_millis(60),
-                seed: 7,
-            },
-            ..ClientConfig::default()
-        },
-    )
-    .expect("connect");
-    let body = query_body();
-
-    let first = client
-        .request_with_retry("POST", "/v1/t/query", Some(&body), &[])
-        .expect("first");
-    assert_eq!(first.status, 200, "{}", first.body);
-    // The bucket is empty now: the next request must ride retries through
-    // at least one 429 and come out 200 once the token refills.
-    let started = Instant::now();
-    let second = client
-        .request_with_retry("POST", "/v1/t/query", Some(&body), &[])
-        .expect("retried");
-    assert_eq!(second.status, 200, "{}", second.body);
-    assert!(
-        started.elapsed() >= Duration::from_millis(40),
-        "success must have come through a waited retry, not instantly"
-    );
-    assert!(
-        metric(&mut client, &["requests", "shed"]) >= 1.0,
-        "the transient 429 must be visible in /metrics"
-    );
-    assert!(server.shutdown(), "drain");
-}
-
-#[test]
-fn retrying_client_gives_up_cleanly_on_persistent_faults() {
-    // Every request draws a torn response: the retry layer reconnects and
-    // backs off, then surfaces the transport error after max_attempts.
-    let registry = registry_with(&[]);
-    let server = Server::bind(
-        "127.0.0.1:0",
-        registry,
-        ServeConfig {
-            fault: Some(FaultConfig {
-                seed: 3,
-                window: (0, u64::MAX),
-                torn_prob: 1.0,
-                ..FaultConfig::default()
-            }),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind");
-    let mut client = HttpClient::connect_with(
-        server.local_addr(),
-        ClientConfig {
-            retry: RetryPolicy {
-                max_attempts: 3,
-                backoff: BackoffConfig {
-                    initial: Duration::from_millis(5),
-                    max: Duration::from_millis(10),
-                    multiplier: 2.0,
-                    jitter: 0.5,
-                },
-                budget: Duration::from_secs(5),
-                retry_after_cap: Duration::from_millis(20),
-                seed: 0,
-            },
-            ..ClientConfig::default()
-        },
-    )
-    .expect("connect");
-    let started = Instant::now();
-    let outcome = client.request_with_retry("GET", "/healthz", None, &[("X-Fault-Key", "5")]);
-    assert!(outcome.is_err(), "persistent torn responses must surface");
-    assert!(
-        started.elapsed() < Duration::from_secs(2),
-        "give-up must be prompt, not a hang"
-    );
-    assert!(server.shutdown(), "drain");
 }
 
 #[test]

@@ -72,10 +72,10 @@ fn fixed_fleet(addrs: &[SocketAddr]) -> Arc<Fleet> {
             .collect(),
         client: ClientConfig {
             read_timeout: Duration::from_secs(5),
-            retry: RetryPolicy {
-                budget: Duration::from_secs(1),
-                ..RetryPolicy::default()
-            },
+        },
+        retry: RetryPolicy {
+            budget: Duration::from_secs(1),
+            ..RetryPolicy::default()
         },
         health_interval: Duration::from_millis(50),
     })
@@ -858,10 +858,6 @@ fn a_shard_trickling_an_endless_head_cannot_wedge_a_probe_or_the_monitor() {
     });
     let probe_config = ClientConfig {
         read_timeout: Duration::from_secs(2),
-        retry: RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        },
     };
     let started = Instant::now();
     let probed = HttpClient::connect_with(trickler.addr, probe_config)
