@@ -9,7 +9,9 @@
 //!   the FK schema graph;
 //! * [`model`] — AR and SSAR completion models (§3.2, §3.3):
 //!   [`CompletionModel`], trained under a [`TrainConfig`];
-//! * [`merge_tasks`] — model merging for complex schemata (§3.4);
+//!   Every chain trains its own model: §3.4's model merging is not
+//!   implemented (a build trains its 2-table chains before any query names
+//!   the 3-table chain that could absorb one);
 //! * [`Completer`] — the incompleteness join, Algorithm 1 (§4), with an
 //!   LSH nearest-neighbor index for the euclidean replacement of Fig. 3;
 //! * [`score_candidates`] / [`SelectionStrategy`] — model & path
@@ -38,7 +40,6 @@ mod completion;
 mod confidence;
 mod encoding;
 mod error;
-mod merge;
 pub mod model;
 mod paths;
 mod persist;
@@ -54,7 +55,6 @@ pub use completion::{Completer, CompleterConfig, CompletionOutput, ReplacementMo
 pub use confidence::{confidence_interval, ConfidenceInterval, ConfidenceQuery};
 pub use encoding::AttrEncoder;
 pub use error::{CoreError, CoreResult};
-pub use merge::{merge_tasks, CompletionTask, MergedModelSpec};
 pub use model::{CompletionModel, TrainConfig};
 pub use paths::{enumerate_paths, CompletionPath};
 pub use persist::{PersistError, SNAPSHOT_FORMAT_VERSION};

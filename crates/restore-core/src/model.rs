@@ -817,26 +817,14 @@ impl CompletionModel {
         rng: &mut StdRng,
     ) -> CoreResult<Vec<Vec<Value>>> {
         let encoded = self.encode_tokens(join, tf_values);
-        self.sample_table_columns_encoded(join, &encoded, table_idx, rows, rng)
-    }
-
-    /// [`CompletionModel::sample_table_columns`] over pre-encoded tokens —
-    /// one no-grad forward pass per attribute fills the whole row batch.
-    pub fn sample_table_columns_encoded(
-        &self,
-        join: &Table,
-        encoded: &[Vec<u32>],
-        table_idx: usize,
-        rows: &[usize],
-        rng: &mut StdRng,
-    ) -> CoreResult<Vec<Vec<Value>>> {
         let mut session = InferenceSession::new();
-        self.sample_table_columns_encoded_in(&mut session, join, encoded, table_idx, rows, rng)
+        self.sample_table_columns_encoded_in(&mut session, join, &encoded, table_idx, rows, rng)
     }
 
-    /// [`CompletionModel::sample_table_columns_encoded`] over a
-    /// caller-owned session (see
-    /// [`CompletionModel::tf_expectations_encoded_in`]): the decoding
+    /// [`CompletionModel::sample_table_columns`] over pre-encoded tokens and
+    /// a caller-owned session (see
+    /// [`CompletionModel::tf_expectations_encoded_in`]) — one no-grad
+    /// forward pass per attribute fills the whole row batch: the decoding
     /// wrapper of `CompletionModel::sample_table_tokens_in`.
     pub fn sample_table_columns_encoded_in(
         &self,

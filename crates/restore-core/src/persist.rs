@@ -203,7 +203,7 @@ impl Snapshot {
             for fmeta in arr(tmeta, "fields")? {
                 let dtype = parse_dtype(str_field(fmeta, "dtype")?)?;
                 fields.push(Field::new(str_field(fmeta, "name")?, dtype));
-                columns.push(read_column(&mut cur, dtype, n_rows)?);
+                columns.push(read_column(&mut cur, name, dtype, n_rows)?);
             }
             let table = Table::from_columns(name, fields, columns)
                 .map_err(|e| corrupt(format!("table {name}: {e}")))?;
@@ -447,8 +447,30 @@ fn write_column(out: &mut Vec<u8>, col: &Column) {
     }
 }
 
+/// Refuses `n_rows` values of `width` bytes, with their presence bitmap,
+/// that the rest of the payload cannot hold — before anything is allocated
+/// for them, so a declared row count costs no more memory than the file.
+fn ensure_rows(
+    cur: &Cursor<'_>,
+    table: &str,
+    n_rows: usize,
+    width: usize,
+) -> Result<(), PersistError> {
+    let remaining = cur.buf.len() - cur.pos;
+    let needed = n_rows
+        .checked_mul(width)
+        .and_then(|n| n.checked_add(n_rows.div_ceil(8)));
+    match needed {
+        Some(n) if n <= remaining => Ok(()),
+        _ => Err(corrupt(format!(
+            "table {table:?} declares {n_rows} rows, more than the {remaining} payload bytes left hold"
+        ))),
+    }
+}
+
 fn read_column(
     cur: &mut Cursor<'_>,
+    table: &str,
     dtype: DataType,
     n_rows: usize,
 ) -> Result<Column, PersistError> {
@@ -466,6 +488,7 @@ fn read_column(
     }
     match dtype {
         DataType::Int => {
+            ensure_rows(cur, table, n_rows, 8)?;
             let present = cur.bitmap(n_rows)?;
             let mut v = Vec::with_capacity(n_rows);
             for p in present {
@@ -475,6 +498,7 @@ fn read_column(
             Ok(Column::Int(v))
         }
         DataType::Float => {
+            ensure_rows(cur, table, n_rows, 8)?;
             let present = cur.bitmap(n_rows)?;
             let mut v = Vec::with_capacity(n_rows);
             for p in present {
@@ -495,6 +519,7 @@ fn read_column(
                     return Err(corrupt("duplicate dictionary entry"));
                 }
             }
+            ensure_rows(cur, table, n_rows, 4)?;
             let present = cur.bitmap(n_rows)?;
             let mut codes = Vec::with_capacity(n_rows);
             for p in present {

@@ -21,10 +21,10 @@ use crate::zipf::Zipf;
 /// Sizes of the generated housing database.
 #[derive(Clone, Debug)]
 pub struct HousingConfig {
-    pub n_neighborhoods: usize,
-    pub n_landlords: usize,
-    pub n_apartments: usize,
-    pub n_states: usize,
+    n_neighborhoods: usize,
+    n_landlords: usize,
+    n_apartments: usize,
+    n_states: usize,
 }
 
 impl HousingConfig {

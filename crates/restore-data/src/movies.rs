@@ -23,13 +23,13 @@ use crate::zipf::Zipf;
 /// Sizes of the generated movie database.
 #[derive(Clone, Debug)]
 pub struct MoviesConfig {
-    pub n_movies: usize,
-    pub n_directors: usize,
-    pub n_actors: usize,
-    pub n_companies: usize,
+    n_movies: usize,
+    n_directors: usize,
+    n_actors: usize,
+    n_companies: usize,
     /// Mean actors per movie (the paper's IMDB has a much larger fan-out;
     /// scaled down for laptop runtimes, ratios documented in DESIGN.md).
-    pub actors_per_movie: usize,
+    actors_per_movie: usize,
 }
 
 impl MoviesConfig {

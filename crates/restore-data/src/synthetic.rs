@@ -19,21 +19,22 @@ use restore_db::{Database, Field, ForeignKey, Table, Value};
 
 use crate::zipf::Zipf;
 
+/// Domain size of attribute `A`.
+const CARD_A: usize = 10;
+/// Domain size of attribute `B`.
+const CARD_B: usize = 10;
+/// Mean children per parent.
+const FANOUT_MEAN: usize = 5;
+
 /// Configuration of the synthetic dataset.
 #[derive(Clone, Debug)]
 pub struct SyntheticConfig {
     /// Number of parent (`ta`) tuples.
     pub n_parent: usize,
-    /// Domain size of attribute `A`.
-    pub card_a: usize,
-    /// Domain size of attribute `B`.
-    pub card_b: usize,
     /// `P(B = f(A))`; the paper sweeps 20%–100%.
     pub predictability: f64,
     /// Zipf exponent of `A` (`None` = uniform).
     pub zipf_a: Option<f64>,
-    /// Mean children per parent.
-    pub fanout_mean: usize,
     /// When `Some(q)`, `B` follows a latent per-parent group value with
     /// coherence `q` instead of `f(A)` — the fan-out predictability setting.
     pub group_coherence: Option<f64>,
@@ -43,11 +44,8 @@ impl Default for SyntheticConfig {
     fn default() -> Self {
         Self {
             n_parent: 400,
-            card_a: 10,
-            card_b: 10,
             predictability: 0.8,
             zipf_a: None,
-            fanout_mean: 5,
             group_coherence: None,
         }
     }
@@ -55,7 +53,6 @@ impl Default for SyntheticConfig {
 
 /// Generates the two-table synthetic database.
 pub fn generate_synthetic(cfg: &SyntheticConfig, seed: u64) -> Database {
-    assert!(cfg.card_a > 0 && cfg.card_b > 0);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut db = Database::new();
 
@@ -66,12 +63,12 @@ pub fn generate_synthetic(cfg: &SyntheticConfig, seed: u64) -> Database {
             Field::new("a", restore_db::DataType::Str),
         ],
     );
-    let zipf = cfg.zipf_a.map(|s| Zipf::new(cfg.card_a, s));
+    let zipf = cfg.zipf_a.map(|s| Zipf::new(CARD_A, s));
     let mut a_vals = Vec::with_capacity(cfg.n_parent);
     for id in 0..cfg.n_parent {
         let a = match &zipf {
             Some(z) => z.sample(&mut rng),
-            None => rng.random_range(0..cfg.card_a),
+            None => rng.random_range(0..CARD_A),
         };
         a_vals.push(a);
         ta.push_row(&[Value::Int(id as i64), Value::str(format!("a{a}"))])
@@ -90,25 +87,24 @@ pub fn generate_synthetic(cfg: &SyntheticConfig, seed: u64) -> Database {
     let mut next_id = 0i64;
     for (pid, &a) in a_vals.iter().enumerate() {
         // Fan-out mildly depends on A so tuple factors are learnable.
-        let base = cfg.fanout_mean.max(1);
-        let fanout = base + (a % 3);
+        let fanout = FANOUT_MEAN + (a % 3);
         // Latent group value for the fan-out-predictability experiments.
-        let group_b = rng.random_range(0..cfg.card_b);
+        let group_b = rng.random_range(0..CARD_B);
         for _ in 0..fanout {
             let b = match cfg.group_coherence {
                 Some(q) => {
                     if rng.random::<f64>() < q {
                         group_b
                     } else {
-                        rng.random_range(0..cfg.card_b)
+                        rng.random_range(0..CARD_B)
                     }
                 }
                 None => {
                     if rng.random::<f64>() < cfg.predictability {
                         // Deterministic dependency: f(A) = A mod |B|.
-                        a % cfg.card_b
+                        a % CARD_B
                     } else {
-                        rng.random_range(0..cfg.card_b)
+                        rng.random_range(0..CARD_B)
                     }
                 }
             };

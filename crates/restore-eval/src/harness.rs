@@ -61,7 +61,6 @@ pub(crate) fn synthetic_scenario(
             predictability,
             zipf_a: zipf,
             group_coherence: coherence,
-            ..SyntheticConfig::default()
         },
         seed,
     );

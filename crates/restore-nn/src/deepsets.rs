@@ -163,6 +163,7 @@ impl DeepSets {
 mod tests {
     use super::*;
     use crate::optim::Adam;
+    use crate::params::GradBuffer;
     use crate::tape::Tape;
     use crate::tensor::Matrix;
     use rand::rngs::StdRng;
@@ -194,8 +195,9 @@ mod tests {
                 segments: Arc::new(segments),
             }],
         };
-        let out = ds.forward(&mut tape, store, &batch, rows);
-        tape.value(out).clone()
+        let mut f = tape.ctx(store);
+        let out = ds.forward(&mut f, store, &batch, rows);
+        f.value(out).clone()
     }
 
     #[test]
@@ -247,9 +249,12 @@ mod tests {
                 segments: Arc::new(vec![0, 0, 1]),
             }],
         };
-        let out = ds.forward(&mut tape, &store, &batch, 2);
-        let (r, c) = tape.value(out).shape();
-        tape.backward(out, Matrix::filled(r, c, 1.0), &mut store);
+        let mut f = tape.ctx(&store);
+        let out = ds.forward(&mut f, &store, &batch, 2);
+        let (r, c) = f.value(out).shape();
+        let mut grads = GradBuffer::new(&store);
+        tape.backward_with(out, Matrix::filled(r, c, 1.0), &store, &mut grads);
+        store.accumulate_from(&grads);
         adam.step(&mut store);
         let after = store.value(0);
         assert!(

@@ -1,7 +1,7 @@
 //! The gradient-free inference engine.
 //!
-//! Training records every op on a [`Tape`](crate::tape::Tape) so gradients
-//! can flow backwards; inference — the autoregressive sampling loop that
+//! Training records every op on a [`Tape`](crate::tape::Tape) (through its
+//! [`TapeCtx`](crate::tape::TapeCtx)) so gradients can flow backwards; inference — the autoregressive sampling loop that
 //! dominates ReStore's runtime — needs none of that. This module provides:
 //!
 //! * [`Forward`] — the op vocabulary shared by both execution paths. Layer
@@ -26,7 +26,7 @@ use crate::params::{ParamId, ParamStore};
 use crate::tensor::Matrix;
 
 /// The forward-pass op vocabulary. Implemented by the recording
-/// [`Tape`](crate::tape::Tape) (training) and by `InferCtx` (no-grad
+/// [`TapeCtx`](crate::tape::TapeCtx) (training) and by `InferCtx` (no-grad
 /// inference), so one set of layer definitions drives both paths.
 pub trait Forward {
     /// Handle to a value produced during this forward pass.
@@ -475,7 +475,14 @@ mod tests {
         }
 
         let mut tape = Tape::new();
-        let want = chain(&mut tape, &store, (w, b, table), &mask, &idx, &seg);
+        let want = chain(
+            &mut tape.ctx(&store),
+            &store,
+            (w, b, table),
+            &mask,
+            &idx,
+            &seg,
+        );
 
         let mut session = InferenceSession::new();
         let got = chain(

@@ -152,6 +152,7 @@ impl Mlp {
 mod tests {
     use super::*;
     use crate::optim::Adam;
+    use crate::params::GradBuffer;
     use crate::tape::Tape;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -162,9 +163,10 @@ mod tests {
         let mut store = ParamStore::new();
         let lin = Linear::new(&mut store, 3, 5, &mut rng);
         let mut tape = Tape::new();
-        let x = tape.input(Matrix::zeros(4, 3));
-        let y = lin.forward(&mut tape, &store, x);
-        assert_eq!(tape.value(y).shape(), (4, 5));
+        let mut f = tape.ctx(&store);
+        let x = f.input(&Matrix::zeros(4, 3));
+        let y = lin.forward(&mut f, &store, x);
+        assert_eq!(f.value(y).shape(), (4, 5));
     }
 
     #[test]
@@ -173,8 +175,9 @@ mod tests {
         let mut store = ParamStore::new();
         let emb = Embedding::new(&mut store, 10, 4, &mut rng);
         let mut tape = Tape::new();
-        let y = emb.forward(&mut tape, &store, &Arc::new(vec![3, 3, 7]));
-        let v = tape.value(y);
+        let mut f = tape.ctx(&store);
+        let y = emb.forward(&mut f, &store, &Arc::new(vec![3, 3, 7]));
+        let v = f.value(y);
         assert_eq!(v.shape(), (3, 4));
         assert_eq!(v.row(0), v.row(1));
         assert_ne!(v.row(0), v.row(2));
@@ -194,13 +197,16 @@ mod tests {
         let mut last = f32::MAX;
         for _ in 0..400 {
             let mut tape = Tape::new();
-            let x = tape.input(x_mat.clone());
-            let pred = mlp.forward(&mut tape, &store, x);
-            let mut dloss = tape.value(pred).clone();
+            let mut f = tape.ctx(&store);
+            let x = f.input(&x_mat);
+            let pred = mlp.forward(&mut f, &store, x);
+            let mut dloss = f.value(pred).clone();
             dloss.add_scaled(&y_mat, -1.0);
             last = dloss.data().iter().map(|d| d * d).sum::<f32>() / 32.0;
             dloss.scale_assign(2.0 / 32.0);
-            tape.backward(pred, dloss, &mut store);
+            let mut grads = GradBuffer::new(&store);
+            tape.backward_with(pred, dloss, &store, &mut grads);
+            store.accumulate_from(&grads);
             adam.step(&mut store);
         }
         assert!(last < 1e-2, "MLP failed to fit a line, mse = {last}");
@@ -213,13 +219,14 @@ mod tests {
         let mask = Arc::new(Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 0.0]]));
         let ml = MaskedLinear::new(&mut store, Arc::clone(&mask), &mut rng);
         let mut tape = Tape::new();
+        let mut f = tape.ctx(&store);
         // Vary input column 1; output column 0 must not change, and output
         // column 1 (fully masked) must stay at its bias value.
-        let x1 = tape.input(Matrix::from_rows(&[&[1.0, 5.0]]));
-        let y1 = ml.forward(&mut tape, &store, x1);
-        let x2 = tape.input(Matrix::from_rows(&[&[1.0, -5.0]]));
-        let y2 = ml.forward(&mut tape, &store, x2);
-        assert_eq!(tape.value(y1).get(0, 0), tape.value(y2).get(0, 0));
-        assert_eq!(tape.value(y1).get(0, 1), tape.value(y2).get(0, 1));
+        let x1 = f.input(&Matrix::from_rows(&[&[1.0, 5.0]]));
+        let y1 = ml.forward(&mut f, &store, x1);
+        let x2 = f.input(&Matrix::from_rows(&[&[1.0, -5.0]]));
+        let y2 = ml.forward(&mut f, &store, x2);
+        assert_eq!(f.value(y1).get(0, 0), f.value(y2).get(0, 0));
+        assert_eq!(f.value(y1).get(0, 1), f.value(y2).get(0, 1));
     }
 }

@@ -5,7 +5,9 @@
 //! crate provides the minimal substrate the models need, built from scratch:
 //!
 //! * [`Matrix`] — dense row-major `f32` matrices;
-//! * [`Tape`] — reverse-mode automatic differentiation (training);
+//! * [`Tape`] — reverse-mode automatic differentiation (training): a pass
+//!   is recorded through [`Tape::ctx`]'s [`TapeCtx`] and differentiated by
+//!   [`Tape::backward_with`];
 //! * [`InferenceSession`] — the gradient-free batched inference engine
 //!   (completion): the [`Forward`] trait lets one set of layer definitions
 //!   drive both the recorded and the no-grad execution paths;

@@ -81,7 +81,7 @@ pub struct BlockLoss {
     /// Per-attribute mean NLL (unweighted rows excluded), useful as the
     /// model-selection "test loss" of the paper (§5, Fig. 5b).
     pub per_attr: Vec<f32>,
-    /// Gradient w.r.t. the logits, ready to seed `Tape::backward`.
+    /// Gradient w.r.t. the logits, ready to seed `Tape::backward_with`.
     pub dlogits: Matrix,
 }
 

@@ -210,7 +210,7 @@ impl Made {
     }
 
     /// Forward pass through any [`Forward`] executor — a recording
-    /// [`Tape`](crate::tape::Tape) during training, a no-grad
+    /// [`TapeCtx`](crate::tape::TapeCtx) during training, a no-grad
     /// `InferCtx` during inference. `tokens[a]`
     /// holds the token of attribute `a` for every batch row; `ctx` must be
     /// provided iff `ctx_dim > 0`.
@@ -607,6 +607,7 @@ pub fn sample_categorical<R: Rng>(dist: &[f32], rng: &mut R) -> u32 {
 mod tests {
     use super::*;
     use crate::optim::Adam;
+    use crate::params::GradBuffer;
     use crate::tape::Tape;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -673,10 +674,13 @@ mod tests {
         let cols = vec![Arc::new(x0.clone()), Arc::new(x1.clone())];
         for _ in 0..200 {
             let mut tape = Tape::new();
-            let out = made.forward(&mut tape, &store, &cols, None);
+            let mut f = tape.ctx(&store);
+            let out = made.forward(&mut f, &store, &cols, None);
             let targets = vec![x0.clone(), x1.clone()];
-            let loss = block_cross_entropy(tape.value(out), made.layout(), &targets, None);
-            tape.backward(out, loss.dlogits, &mut store);
+            let loss = block_cross_entropy(f.value(out), made.layout(), &targets, None);
+            let mut grads = GradBuffer::new(&store);
+            tape.backward_with(out, loss.dlogits, &store, &mut grads);
+            store.accumulate_from(&grads);
             store.clip_grad_norm(5.0);
             adam.step(&mut store);
         }

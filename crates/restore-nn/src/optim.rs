@@ -62,6 +62,7 @@ impl Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::GradBuffer;
 
     /// Minimizes f(w) = (w - 3)^2; gradient 2(w - 3).
     fn quadratic_descent<F: FnMut(&mut ParamStore)>(mut step: F) -> f32 {
@@ -69,9 +70,9 @@ mod tests {
         let id = store.register(Matrix::zeros(1, 1));
         for _ in 0..500 {
             let w = store.value(id).get(0, 0);
-            let mut g = store.take_grads();
+            let mut g = GradBuffer::new(&store);
             g.accumulate(id, &Matrix::from_rows(&[&[2.0 * (w - 3.0)]]));
-            store.put_grads(g);
+            store.accumulate_from(&g);
             step(&mut store);
         }
         store.value(id).get(0, 0)
@@ -91,9 +92,9 @@ mod tests {
         let mut store = ParamStore::new();
         let id = store.register(Matrix::zeros(1, 1));
         let mut adam = Adam::new(&store, 0.01);
-        let mut g = store.take_grads();
+        let mut g = GradBuffer::new(&store);
         g.accumulate(id, &Matrix::filled(1, 1, 1.0));
-        store.put_grads(g);
+        store.accumulate_from(&g);
         adam.step(&mut store);
         assert_eq!(store.grad(id).get(0, 0), 0.0);
     }

@@ -33,10 +33,6 @@ impl GradBuffer {
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.grads.len()
-    }
-
     pub(crate) fn grad(&self, id: ParamId) -> &Matrix {
         &self.grads[id]
     }
@@ -125,19 +121,6 @@ impl ParamStore {
         self.grads.add_from(other);
     }
 
-    /// Detaches the resident gradient buffer (leaving an empty one) — used
-    /// by [`Tape::backward`](crate::tape::Tape::backward) to flush into the
-    /// store while reading parameter values from it.
-    pub(crate) fn take_grads(&mut self) -> GradBuffer {
-        std::mem::take(&mut self.grads)
-    }
-
-    /// Re-attaches a buffer detached with [`ParamStore::take_grads`].
-    pub(crate) fn put_grads(&mut self, grads: GradBuffer) {
-        debug_assert_eq!(grads.len(), self.values.len(), "buffer size mismatch");
-        self.grads = grads;
-    }
-
     /// Clears all gradient accumulators (keeping allocations).
     pub(crate) fn zero_grads(&mut self) {
         self.grads.zero();
@@ -216,9 +199,9 @@ mod tests {
 
     /// Adds `delta` into the store's resident gradient of `id`.
     fn accumulate(store: &mut ParamStore, id: ParamId, delta: &Matrix) {
-        let mut g = store.take_grads();
+        let mut g = GradBuffer::new(store);
         g.accumulate(id, delta);
-        store.put_grads(g);
+        store.accumulate_from(&g);
     }
 
     #[test]
@@ -267,15 +250,5 @@ mod tests {
         assert_eq!(store.grad(id).get(0, 0), 3.0);
         a.zero();
         assert_eq!(a.grad(id).get(1, 1), 0.0);
-    }
-
-    #[test]
-    fn take_and_put_grads_round_trip() {
-        let mut store = ParamStore::new();
-        let id = store.register(Matrix::zeros(1, 1));
-        let mut g = store.take_grads();
-        g.accumulate(id, &Matrix::filled(1, 1, 5.0));
-        store.put_grads(g);
-        assert_eq!(store.grad(id).get(0, 0), 5.0);
     }
 }

@@ -1,24 +1,17 @@
 //! A small tape-based reverse-mode automatic differentiation engine,
 //! arena-backed so one tape can be reused across training steps.
 //!
-//! The tape records every operation of a forward pass as an op plus a value
-//! slot in a node *arena*; calling [`Tape::backward`] walks the ops in
-//! reverse and accumulates gradients into a matching gradient arena.
-//! [`Tape::reset`] rewinds the arenas without dropping their matrices, so
-//! after the first step of a training run every forward + backward pass of
-//! the same shape performs **no heap allocation** — mirroring what
+//! [`Tape::ctx`] borrows the tape together with a [`ParamStore`] and returns
+//! a [`TapeCtx`], whose [`Forward`] impl records every operation of a
+//! forward pass as an op plus a value slot in a node *arena*; parameter
+//! leaves resolve **in place** in the store (no copies).
+//! [`Tape::backward_with`] walks the ops in reverse and accumulates
+//! parameter gradients into a caller-owned [`GradBuffer`]. Starting a
+//! context rewinds the arenas without dropping their matrices, so after the
+//! first step of a training run every forward + backward pass of the same
+//! shape performs **no heap allocation** — mirroring what
 //! [`InferenceSession`](crate::infer::InferenceSession) does for the
 //! gradient-free completion path.
-//!
-//! Two ways to drive it:
-//!
-//! * the inherent op methods (and the legacy [`Forward`] impl on `Tape`
-//!   itself) *materialize* parameter leaves by copying the store's current
-//!   values into the arena — the original behaviour, kept for tests and
-//!   single-shot uses;
-//! * [`Tape::ctx`] borrows the tape together with a [`ParamStore`] and
-//!   returns a [`TapeCtx`], whose [`Forward`] impl resolves parameter
-//!   leaves **in place** (no copies) — the hot training path.
 //!
 //! Only the operations the ReStore models need are implemented: (masked)
 //! matrix multiplication, bias broadcast, element-wise add, ReLU, column
@@ -68,9 +61,10 @@ enum Op {
     Scale { x: VarId, s: f32 },
 }
 
-/// Records a forward pass; consumed by [`Tape::backward`]. Reusable via
-/// `Tape::reset` / [`Tape::ctx`] — the node, gradient, parts, and
-/// masked-weight arenas all keep their capacity across passes.
+/// Records a forward pass through [`Tape::ctx`]; consumed by
+/// [`Tape::backward_with`]. Every context rewinds the tape — the node,
+/// gradient, parts, and masked-weight arenas all keep their capacity across
+/// passes.
 #[derive(Default)]
 pub struct Tape {
     ops: Vec<Op>,
@@ -94,46 +88,32 @@ impl Tape {
         Self::default()
     }
 
-    /// Rewinds the tape for a fresh pass, keeping every arena allocation.
-    pub(crate) fn reset(&mut self) {
+    /// Starts a recorded forward pass whose parameter leaves resolve
+    /// straight into `store` (no copies). Rewinds the tape first, keeping
+    /// every arena allocation.
+    pub fn ctx<'a>(&'a mut self, store: &'a ParamStore) -> TapeCtx<'a> {
         self.len = 0;
         self.ops.clear();
         self.parts.clear();
         self.masked_len = 0;
         self.materialized.fill(false);
         self.has_grad.fill(false);
-    }
-
-    /// Starts a recorded forward pass whose parameter leaves resolve
-    /// straight into `store` (no copies). Resets the tape first.
-    pub fn ctx<'a>(&'a mut self, store: &'a ParamStore) -> TapeCtx<'a> {
-        self.reset();
         TapeCtx { tape: self, store }
     }
 
-    /// The current value of `v`.
-    ///
-    /// # Panics
-    /// Panics for parameter leaves recorded through a [`TapeCtx`] (they
-    /// are resolved in the store, not materialized here).
-    pub fn value(&self, v: VarId) -> &Matrix {
-        self.val(None, v)
-    }
-
-    fn val<'a>(&'a self, store: Option<&'a ParamStore>, v: VarId) -> &'a Matrix {
+    /// The value of `v`: materialized in the arena, or — for a parameter
+    /// leaf — resolved in `store`.
+    fn val<'a>(&'a self, store: &'a ParamStore, v: VarId) -> &'a Matrix {
         if self.materialized[v.0] {
             return &self.values[v.0];
         }
-        match (&self.ops[v.0], store) {
-            (Op::Leaf { param: Some(pid) }, Some(s)) => s.value(*pid),
-            (Op::Leaf { param: Some(_) }, None) => {
-                panic!("parameter leaf is not materialized; resolve it through the store")
-            }
+        match self.ops[v.0] {
+            Op::Leaf { param: Some(pid) } => store.value(pid),
             _ => unreachable!("only parameter leaves can be unmaterialized"),
         }
     }
 
-    fn val_shape(&self, store: Option<&ParamStore>, v: VarId) -> (usize, usize) {
+    fn val_shape(&self, store: &ParamStore, v: VarId) -> (usize, usize) {
         self.val(store, v).shape()
     }
 
@@ -168,7 +148,7 @@ impl Tape {
         (i, std::mem::take(&mut self.masked[i]))
     }
 
-    // ---- op recording (store = None → operands must be materialized) ----
+    // ---- op recording ----------------------------------------------------
 
     fn do_input(&mut self, value: &Matrix) -> VarId {
         let (i, mut out) = self.claim();
@@ -186,7 +166,7 @@ impl Tape {
         VarId(i)
     }
 
-    fn do_matmul(&mut self, store: Option<&ParamStore>, x: VarId, w: VarId) -> VarId {
+    fn do_matmul(&mut self, store: &ParamStore, x: VarId, w: VarId) -> VarId {
         let (i, mut out) = self.claim();
         {
             let xm = self.val(store, x);
@@ -198,7 +178,7 @@ impl Tape {
 
     fn do_masked_matmul(
         &mut self,
-        store: Option<&ParamStore>,
+        store: &ParamStore,
         x: VarId,
         w: VarId,
         mask: Arc<Matrix>,
@@ -230,7 +210,7 @@ impl Tape {
         )
     }
 
-    fn do_add_row(&mut self, store: Option<&ParamStore>, x: VarId, bias: VarId) -> VarId {
+    fn do_add_row(&mut self, store: &ParamStore, x: VarId, bias: VarId) -> VarId {
         let (i, mut out) = self.claim();
         {
             let xm = self.val(store, x);
@@ -249,7 +229,7 @@ impl Tape {
         self.put(i, Op::AddRow { x, bias }, out)
     }
 
-    fn do_add(&mut self, store: Option<&ParamStore>, a: VarId, b: VarId) -> VarId {
+    fn do_add(&mut self, store: &ParamStore, a: VarId, b: VarId) -> VarId {
         let (i, mut out) = self.claim();
         {
             let am = self.val(store, a);
@@ -263,7 +243,7 @@ impl Tape {
         self.put(i, Op::Add { a, b }, out)
     }
 
-    fn do_relu(&mut self, store: Option<&ParamStore>, x: VarId) -> VarId {
+    fn do_relu(&mut self, store: &ParamStore, x: VarId) -> VarId {
         let (i, mut out) = self.claim();
         {
             let xm = self.val(store, x);
@@ -275,7 +255,7 @@ impl Tape {
         self.put(i, Op::Relu { x }, out)
     }
 
-    fn do_scale(&mut self, store: Option<&ParamStore>, x: VarId, s: f32) -> VarId {
+    fn do_scale(&mut self, store: &ParamStore, x: VarId, s: f32) -> VarId {
         let (i, mut out) = self.claim();
         {
             let xm = self.val(store, x);
@@ -287,7 +267,7 @@ impl Tape {
         self.put(i, Op::Scale { x, s }, out)
     }
 
-    fn do_concat_cols(&mut self, store: Option<&ParamStore>, parts: &[VarId]) -> VarId {
+    fn do_concat_cols(&mut self, store: &ParamStore, parts: &[VarId]) -> VarId {
         assert!(!parts.is_empty(), "concat of zero parts");
         let start = self.parts.len();
         self.parts.extend_from_slice(parts);
@@ -312,7 +292,7 @@ impl Tape {
         self.put(i, Op::ConcatCols { parts: range }, out)
     }
 
-    fn do_gather(&mut self, store: Option<&ParamStore>, table: VarId, idx: Arc<Vec<u32>>) -> VarId {
+    fn do_gather(&mut self, store: &ParamStore, table: VarId, idx: Arc<Vec<u32>>) -> VarId {
         let (i, mut out) = self.claim();
         {
             let t = self.val(store, table);
@@ -329,7 +309,7 @@ impl Tape {
 
     fn do_segment_sum(
         &mut self,
-        store: Option<&ParamStore>,
+        store: &ParamStore,
         x: VarId,
         seg: Arc<Vec<u32>>,
         n_segments: usize,
@@ -353,65 +333,6 @@ impl Tape {
         self.put(i, Op::SegmentSum { x, seg, n_segments }, out)
     }
 
-    // ---- legacy inherent API (parameter leaves are materialized) --------
-
-    /// Records a non-trainable input leaf.
-    pub fn input(&mut self, value: Matrix) -> VarId {
-        self.do_input(&value)
-    }
-
-    /// Records a trainable parameter leaf with a *copy* of the store's
-    /// current value (the original tape behaviour). The training engine
-    /// avoids the copy by recording through [`Tape::ctx`] instead.
-    pub fn param(&mut self, store: &ParamStore, id: ParamId) -> VarId {
-        let (i, mut out) = self.claim();
-        out.copy_from(store.value(id));
-        self.put(i, Op::Leaf { param: Some(id) }, out)
-    }
-
-    pub fn matmul(&mut self, x: VarId, w: VarId) -> VarId {
-        self.do_matmul(None, x, w)
-    }
-
-    /// Masked matmul `x · (w ⊙ mask)`; the mask is applied on the fly so the
-    /// stored parameter stays dense and the optimizer never sees the mask.
-    pub(crate) fn masked_matmul(&mut self, x: VarId, w: VarId, mask: Arc<Matrix>) -> VarId {
-        self.do_masked_matmul(None, x, w, mask)
-    }
-
-    pub(crate) fn add_row(&mut self, x: VarId, bias: VarId) -> VarId {
-        self.do_add_row(None, x, bias)
-    }
-
-    pub fn add(&mut self, a: VarId, b: VarId) -> VarId {
-        self.do_add(None, a, b)
-    }
-
-    pub(crate) fn relu(&mut self, x: VarId) -> VarId {
-        self.do_relu(None, x)
-    }
-
-    pub fn scale(&mut self, x: VarId, s: f32) -> VarId {
-        self.do_scale(None, x, s)
-    }
-
-    /// Concatenates values column-wise. All parts must share the row count.
-    pub(crate) fn concat_cols(&mut self, parts: &[VarId]) -> VarId {
-        self.do_concat_cols(None, parts)
-    }
-
-    /// Embedding lookup: row `i` of the output is row `idx[i]` of `table`.
-    pub(crate) fn gather(&mut self, table: VarId, idx: Arc<Vec<u32>>) -> VarId {
-        self.do_gather(None, table, idx)
-    }
-
-    /// Sum-pooling by segment: output row `s` is the sum of input rows `i`
-    /// with `seg[i] == s`. Segments with no members stay zero — exactly the
-    /// behaviour DeepSets needs for empty evidence sets.
-    pub(crate) fn segment_sum(&mut self, x: VarId, seg: Arc<Vec<u32>>, n_segments: usize) -> VarId {
-        self.do_segment_sum(None, x, seg, n_segments)
-    }
-
     // ---- backward -------------------------------------------------------
 
     /// Claims the gradient slot of `v`, zero-initializing it to the given
@@ -431,18 +352,11 @@ impl Tape {
     }
 
     /// Runs reverse-mode differentiation seeding `root`'s gradient with
-    /// `seed` (same shape as `root`'s value), then flushes parameter
-    /// gradients into `store`'s resident gradient buffer.
-    pub fn backward(&mut self, root: VarId, seed: Matrix, store: &mut ParamStore) {
-        let mut grads = store.take_grads();
-        self.backward_with(root, seed, store, &mut grads);
-        store.put_grads(grads);
-    }
-
-    /// [`Tape::backward`] flushing into a caller-owned [`GradBuffer`] —
-    /// the data-parallel training engine gives every microbatch its own
-    /// buffer and reduces them in a fixed order afterwards. Parameter
-    /// values are only *read* from `store`.
+    /// `seed` (same shape as `root`'s value), flushing parameter gradients
+    /// into a caller-owned [`GradBuffer`] — the data-parallel training
+    /// engine gives every microbatch its own buffer and reduces them in a
+    /// fixed order afterwards. Parameter values are only *read* from
+    /// `store`, which must be the store the pass was recorded against.
     pub fn backward_with(
         &mut self,
         root: VarId,
@@ -451,7 +365,7 @@ impl Tape {
         out: &mut GradBuffer,
     ) {
         assert_eq!(
-            self.val_shape(Some(store), root),
+            self.val_shape(store, root),
             seed.shape(),
             "seed gradient shape mismatch"
         );
@@ -475,13 +389,13 @@ impl Tape {
                 }
                 Op::MatMul { x, w } => {
                     let (x, w) = (*x, *w);
-                    let (xr, xc) = self.val_shape(Some(store), x);
+                    let (xr, xc) = self.val_shape(store, x);
                     let mut gx = self.take_grad(x, xr, xc);
-                    gi.matmul_t_acc(self.val(Some(store), w), &mut gx);
+                    gi.matmul_t_acc(self.val(store, w), &mut gx);
                     self.put_grad(x, gx);
-                    let (wr, wc) = self.val_shape(Some(store), w);
+                    let (wr, wc) = self.val_shape(store, w);
                     let mut gw = self.take_grad(w, wr, wc);
-                    self.val(Some(store), x).t_matmul_acc(&gi, &mut gw);
+                    self.val(store, x).t_matmul_acc(&gi, &mut gw);
                     self.put_grad(w, gw);
                 }
                 Op::MaskedMatMul {
@@ -489,14 +403,13 @@ impl Tape {
                 } => {
                     let (x, w, mi) = (*x, *w, *masked);
                     let mask = Arc::clone(mask);
-                    let (xr, xc) = self.val_shape(Some(store), x);
+                    let (xr, xc) = self.val_shape(store, x);
                     let mut gx = self.take_grad(x, xr, xc);
                     gi.matmul_t_acc(&self.masked[mi], &mut gx);
                     self.put_grad(x, gx);
-                    let (wr, wc) = self.val_shape(Some(store), w);
+                    let (wr, wc) = self.val_shape(store, w);
                     let mut gw = self.take_grad(w, wr, wc);
-                    self.val(Some(store), x)
-                        .t_matmul_masked_acc(&gi, &mask, &mut gw);
+                    self.val(store, x).t_matmul_masked_acc(&gi, &mask, &mut gw);
                     self.put_grad(w, gw);
                 }
                 Op::AddRow { x, bias } => {
@@ -524,7 +437,7 @@ impl Tape {
                     let (r, c) = gi.shape();
                     let mut gx = self.take_grad(x, r, c);
                     {
-                        let xv = self.val(Some(store), x);
+                        let xv = self.val(store, x);
                         for ((o, &g), &v) in gx.data_mut().iter_mut().zip(gi.data()).zip(xv.data())
                         {
                             if v > 0.0 {
@@ -540,7 +453,7 @@ impl Tape {
                     let mut offset = 0;
                     for k in parts {
                         let p = self.parts[k];
-                        let (pr, pc) = self.val_shape(Some(store), p);
+                        let (pr, pc) = self.val_shape(store, p);
                         let mut gp = self.take_grad(p, pr, pc);
                         for r in 0..rows {
                             for (o, &g) in gp
@@ -557,7 +470,7 @@ impl Tape {
                 }
                 Op::Gather { table, idx } => {
                     let (table, idx) = (*table, Arc::clone(idx));
-                    let (tr, tc) = self.val_shape(Some(store), table);
+                    let (tr, tc) = self.val_shape(store, table);
                     let mut gt = self.take_grad(table, tr, tc);
                     for (r, &ix) in idx.iter().enumerate() {
                         let src = gi.row(r);
@@ -616,102 +529,45 @@ impl Forward for TapeCtx<'_> {
     }
 
     fn matmul(&mut self, x: VarId, w: VarId) -> VarId {
-        self.tape.do_matmul(Some(self.store), x, w)
+        self.tape.do_matmul(self.store, x, w)
     }
 
     fn masked_matmul(&mut self, x: VarId, w: VarId, mask: &Arc<Matrix>) -> VarId {
         self.tape
-            .do_masked_matmul(Some(self.store), x, w, Arc::clone(mask))
+            .do_masked_matmul(self.store, x, w, Arc::clone(mask))
     }
 
     fn add_row(&mut self, x: VarId, bias: VarId) -> VarId {
-        self.tape.do_add_row(Some(self.store), x, bias)
+        self.tape.do_add_row(self.store, x, bias)
     }
 
     fn add(&mut self, a: VarId, b: VarId) -> VarId {
-        self.tape.do_add(Some(self.store), a, b)
+        self.tape.do_add(self.store, a, b)
     }
 
     fn relu(&mut self, x: VarId) -> VarId {
-        self.tape.do_relu(Some(self.store), x)
+        self.tape.do_relu(self.store, x)
     }
 
     fn scale(&mut self, x: VarId, s: f32) -> VarId {
-        self.tape.do_scale(Some(self.store), x, s)
+        self.tape.do_scale(self.store, x, s)
     }
 
     fn concat_cols(&mut self, parts: &[VarId]) -> VarId {
-        self.tape.do_concat_cols(Some(self.store), parts)
+        self.tape.do_concat_cols(self.store, parts)
     }
 
     fn gather(&mut self, table: VarId, idx: &Arc<Vec<u32>>) -> VarId {
-        self.tape
-            .do_gather(Some(self.store), table, Arc::clone(idx))
+        self.tape.do_gather(self.store, table, Arc::clone(idx))
     }
 
     fn segment_sum(&mut self, x: VarId, seg: &Arc<Vec<u32>>, n_segments: usize) -> VarId {
         self.tape
-            .do_segment_sum(Some(self.store), x, Arc::clone(seg), n_segments)
+            .do_segment_sum(self.store, x, Arc::clone(seg), n_segments)
     }
 
     fn value(&self, id: VarId) -> &Matrix {
-        self.tape.val(Some(self.store), id)
-    }
-}
-
-/// The tape records ops instead of just evaluating them; layer definitions
-/// written against [`Forward`] drive training through this impl (parameter
-/// values copied into leaves — see [`Tape::ctx`] for the zero-copy path)
-/// and inference through `InferCtx`.
-impl Forward for Tape {
-    type Id = VarId;
-
-    fn input(&mut self, value: &Matrix) -> VarId {
-        self.do_input(value)
-    }
-
-    fn param(&mut self, store: &ParamStore, id: ParamId) -> VarId {
-        Tape::param(self, store, id)
-    }
-
-    fn matmul(&mut self, x: VarId, w: VarId) -> VarId {
-        Tape::matmul(self, x, w)
-    }
-
-    fn masked_matmul(&mut self, x: VarId, w: VarId, mask: &Arc<Matrix>) -> VarId {
-        Tape::masked_matmul(self, x, w, Arc::clone(mask))
-    }
-
-    fn add_row(&mut self, x: VarId, bias: VarId) -> VarId {
-        Tape::add_row(self, x, bias)
-    }
-
-    fn add(&mut self, a: VarId, b: VarId) -> VarId {
-        Tape::add(self, a, b)
-    }
-
-    fn relu(&mut self, x: VarId) -> VarId {
-        Tape::relu(self, x)
-    }
-
-    fn scale(&mut self, x: VarId, s: f32) -> VarId {
-        Tape::scale(self, x, s)
-    }
-
-    fn concat_cols(&mut self, parts: &[VarId]) -> VarId {
-        Tape::concat_cols(self, parts)
-    }
-
-    fn gather(&mut self, table: VarId, idx: &Arc<Vec<u32>>) -> VarId {
-        Tape::gather(self, table, Arc::clone(idx))
-    }
-
-    fn segment_sum(&mut self, x: VarId, seg: &Arc<Vec<u32>>, n_segments: usize) -> VarId {
-        Tape::segment_sum(self, x, Arc::clone(seg), n_segments)
-    }
-
-    fn value(&self, id: VarId) -> &Matrix {
-        Tape::value(self, id)
+        self.tape.val(self.store, id)
     }
 }
 
@@ -721,9 +577,32 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Records `pass` on a fresh tape, differentiates its root against a
+    /// seed gradient built from the root's value, and returns the root's
+    /// value with the parameter gradients.
+    fn run_pass<P, S>(store: &ParamStore, pass: P, seed: S) -> (Matrix, GradBuffer)
+    where
+        P: FnOnce(&mut TapeCtx<'_>) -> VarId,
+        S: FnOnce(&Matrix) -> Matrix,
+    {
+        let mut tape = Tape::new();
+        let (root, value) = {
+            let mut f = tape.ctx(store);
+            let root = pass(&mut f);
+            (root, f.value(root).clone())
+        };
+        let mut grads = GradBuffer::new(store);
+        tape.backward_with(root, seed(&value), store, &mut grads);
+        (value, grads)
+    }
+
+    fn ones(v: &Matrix) -> Matrix {
+        Matrix::filled(v.rows(), v.cols(), 1.0)
+    }
+
     fn finite_diff_check<F>(param_shape: (usize, usize), mut f: F, seed: u64)
     where
-        F: FnMut(&mut Tape, VarId) -> VarId,
+        F: FnMut(&mut TapeCtx<'_>, VarId) -> VarId,
     {
         // Scalar-output finite-difference gradient check for a single param.
         let mut rng = StdRng::seed_from_u64(seed);
@@ -737,13 +616,15 @@ mod tests {
         ));
 
         // Analytic gradient.
-        let mut tape = Tape::new();
-        let p = tape.param(&store, pid);
-        let out = f(&mut tape, p);
-        let (or, oc) = tape.value(out).shape();
-        store.zero_grads();
-        tape.backward(out, Matrix::filled(or, oc, 1.0), &mut store);
-        let analytic = store.grad(pid).clone();
+        let (_, grads) = run_pass(
+            &store,
+            |c| {
+                let p = c.param(&store, pid);
+                f(c, p)
+            },
+            ones,
+        );
+        let analytic = grads.grad(pid).clone();
 
         // Numeric gradient of sum(out).
         let eps = 1e-3f32;
@@ -752,9 +633,10 @@ mod tests {
                 let orig = store.value(pid).get(i, j);
                 let eval = |store: &ParamStore, f: &mut F| -> f32 {
                     let mut t = Tape::new();
-                    let p = t.param(store, pid);
-                    let o = f(&mut t, p);
-                    t.value(o).data().iter().sum()
+                    let mut c = t.ctx(store);
+                    let p = c.param(store, pid);
+                    let o = f(&mut c, p);
+                    c.value(o).data().iter().sum()
                 };
                 store.value_mut(pid).set(i, j, orig + eps);
                 let up = eval(&store, &mut f);
@@ -789,16 +671,19 @@ mod tests {
         let w_val = Matrix::rand_uniform(6, 11, -1.0, 1.0, &mut rng);
         let seed_grad = Matrix::rand_uniform(9, 11, -1.0, 1.0, &mut rng);
 
-        // `x` is a parameter too, so its gradient lands in the store.
+        // `x` is a parameter too, so its gradient lands in the buffer.
         let mut store = ParamStore::new();
         let pid = store.register(w_val.clone());
         let xid = store.register(x.clone());
-        let mut tape = Tape::new();
-        let xi = tape.param(&store, xid);
-        let w = tape.param(&store, pid);
-        let out = tape.matmul(xi, w);
-        store.zero_grads();
-        tape.backward(out, seed_grad.clone(), &mut store);
+        let (_, grads) = run_pass(
+            &store,
+            |f| {
+                let xi = f.param(&store, xid);
+                let w = f.param(&store, pid);
+                f.matmul(xi, w)
+            },
+            |_| seed_grad.clone(),
+        );
 
         // dW = xᵀ · g, dx = g · wᵀ — via the naive reference kernels.
         let mut dw = Matrix::zeros(6, 11);
@@ -806,10 +691,10 @@ mod tests {
         let mut dx = Matrix::zeros(9, 6);
         seed_grad.matmul_t_acc_naive(&w_val, &mut dx);
 
-        for (a, b) in store.grad(pid).data().iter().zip(dw.data()) {
+        for (a, b) in grads.grad(pid).data().iter().zip(dw.data()) {
             assert_eq!(a.to_bits(), b.to_bits(), "dW diverged from naive");
         }
-        for (a, b) in store.grad(xid).data().iter().zip(dx.data()) {
+        for (a, b) in grads.grad(xid).data().iter().zip(dx.data()) {
             assert_eq!(a.to_bits(), b.to_bits(), "dx diverged from naive");
         }
     }
@@ -853,16 +738,18 @@ mod tests {
         let xid = store.register(x.clone());
         let mut tape = Tape::new();
         for pass in ["fresh", "reused"] {
-            tape.reset();
-            let xi = tape.param(&store, xid);
-            let w = tape.param(&store, pid);
-            let y = tape.masked_matmul(xi, w, Arc::clone(&mask));
-            store.zero_grads();
-            tape.backward(y, seed_grad.clone(), &mut store);
-            for (a, b) in store.grad(pid).data().iter().zip(dw.data()) {
+            let y = {
+                let mut f = tape.ctx(&store);
+                let xi = f.param(&store, xid);
+                let w = f.param(&store, pid);
+                f.masked_matmul(xi, w, &mask)
+            };
+            let mut grads = GradBuffer::new(&store);
+            tape.backward_with(y, seed_grad.clone(), &store, &mut grads);
+            for (a, b) in grads.grad(pid).data().iter().zip(dw.data()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "dW diverged ({pass} tape)");
             }
-            for (a, b) in store.grad(xid).data().iter().zip(dx.data()) {
+            for (a, b) in grads.grad(xid).data().iter().zip(dx.data()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "dx diverged ({pass} tape)");
             }
         }
@@ -873,9 +760,9 @@ mod tests {
         let x = Matrix::from_rows(&[&[0.5, -1.0, 2.0], &[1.5, 0.25, -0.75]]);
         finite_diff_check(
             (3, 4),
-            move |tape, p| {
-                let xi = tape.input(x.clone());
-                tape.matmul(xi, p)
+            move |f, p| {
+                let xi = f.input(&x);
+                f.matmul(xi, p)
             },
             10,
         );
@@ -891,9 +778,9 @@ mod tests {
         ]));
         finite_diff_check(
             (3, 4),
-            move |tape, p| {
-                let xi = tape.input(x.clone());
-                tape.masked_matmul(xi, p, Arc::clone(&mask))
+            move |f, p| {
+                let xi = f.input(&x);
+                f.masked_matmul(xi, p, &mask)
             },
             11,
         );
@@ -904,10 +791,10 @@ mod tests {
         let x = Matrix::from_rows(&[&[0.5, -1.0], &[1.5, 0.25]]);
         finite_diff_check(
             (2, 3),
-            move |tape, p| {
-                let xi = tape.input(x.clone());
-                let h = tape.matmul(xi, p);
-                tape.relu(h)
+            move |f, p| {
+                let xi = f.input(&x);
+                let h = f.matmul(xi, p);
+                f.relu(h)
             },
             12,
         );
@@ -918,9 +805,9 @@ mod tests {
         let x = Matrix::from_rows(&[&[0.5, -1.0, 0.25], &[1.5, 0.25, -2.0]]);
         finite_diff_check(
             (1, 3),
-            move |tape, p| {
-                let xi = tape.input(x.clone());
-                tape.add_row(xi, p)
+            move |f, p| {
+                let xi = f.input(&x);
+                f.add_row(xi, p)
             },
             13,
         );
@@ -930,29 +817,39 @@ mod tests {
     fn gather_gradient_accumulates_duplicates() {
         let mut store = ParamStore::new();
         let pid = store.register(Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
-        let mut tape = Tape::new();
-        let table = tape.param(&store, pid);
-        let out = tape.gather(table, Arc::new(vec![0, 1, 0]));
-        tape.backward(out, Matrix::filled(3, 2, 1.0), &mut store);
+        let (_, grads) = run_pass(
+            &store,
+            |f| {
+                let table = f.param(&store, pid);
+                f.gather(table, &Arc::new(vec![0, 1, 0]))
+            },
+            ones,
+        );
         // Row 0 gathered twice -> grad 2, row 1 once -> grad 1.
-        assert_eq!(store.grad(pid).row(0), &[2.0, 2.0]);
-        assert_eq!(store.grad(pid).row(1), &[1.0, 1.0]);
+        assert_eq!(grads.grad(pid).row(0), &[2.0, 2.0]);
+        assert_eq!(grads.grad(pid).row(1), &[1.0, 1.0]);
     }
 
     #[test]
     fn segment_sum_pools_and_backprops() {
         let mut store = ParamStore::new();
         let xid = store.register(Matrix::from_rows(&[&[1.0], &[2.0], &[4.0]]));
-        let mut tape = Tape::new();
-        let x = tape.param(&store, xid);
-        let out = tape.segment_sum(x, Arc::new(vec![1, 1, 0]), 3);
-        assert_eq!(tape.value(out).row(0), &[4.0]);
-        assert_eq!(tape.value(out).row(1), &[3.0]);
-        assert_eq!(tape.value(out).row(2), &[0.0]); // empty segment
-        let mut seed = Matrix::zeros(3, 1);
-        seed.set(1, 0, 1.0);
-        tape.backward(out, seed, &mut store);
-        assert_eq!(store.grad(xid).data(), &[1.0, 1.0, 0.0]);
+        let (out, grads) = run_pass(
+            &store,
+            |f| {
+                let x = f.param(&store, xid);
+                f.segment_sum(x, &Arc::new(vec![1, 1, 0]), 3)
+            },
+            |_| {
+                let mut seed = Matrix::zeros(3, 1);
+                seed.set(1, 0, 1.0);
+                seed
+            },
+        );
+        assert_eq!(out.row(0), &[4.0]);
+        assert_eq!(out.row(1), &[3.0]);
+        assert_eq!(out.row(2), &[0.0]); // empty segment
+        assert_eq!(grads.grad(xid).data(), &[1.0, 1.0, 0.0]);
     }
 
     #[test]
@@ -960,14 +857,18 @@ mod tests {
         let mut store = ParamStore::new();
         let aid = store.register(Matrix::from_rows(&[&[1.0, 2.0]]));
         let bid = store.register(Matrix::from_rows(&[&[3.0]]));
-        let mut tape = Tape::new();
-        let a = tape.param(&store, aid);
-        let b = tape.param(&store, bid);
-        let out = tape.concat_cols(&[a, b]);
-        assert_eq!(tape.value(out).row(0), &[1.0, 2.0, 3.0]);
-        tape.backward(out, Matrix::from_rows(&[&[10.0, 20.0, 30.0]]), &mut store);
-        assert_eq!(store.grad(aid).row(0), &[10.0, 20.0]);
-        assert_eq!(store.grad(bid).row(0), &[30.0]);
+        let (out, grads) = run_pass(
+            &store,
+            |f| {
+                let a = f.param(&store, aid);
+                let b = f.param(&store, bid);
+                f.concat_cols(&[a, b])
+            },
+            |_| Matrix::from_rows(&[&[10.0, 20.0, 30.0]]),
+        );
+        assert_eq!(out.row(0), &[1.0, 2.0, 3.0]);
+        assert_eq!(grads.grad(aid).row(0), &[10.0, 20.0]);
+        assert_eq!(grads.grad(bid).row(0), &[30.0]);
     }
 
     #[test]
@@ -975,17 +876,21 @@ mod tests {
         let mut store = ParamStore::new();
         let pid = store.register(Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]));
         let xid = store.register(Matrix::from_rows(&[&[1.0, 2.0]]));
-        let mut tape = Tape::new();
-        let x = tape.param(&store, xid);
-        let w = tape.param(&store, pid);
-        let h = tape.matmul(x, w);
-        let out = tape.add(h, x);
-        tape.backward(out, Matrix::filled(1, 2, 1.0), &mut store);
+        let (_, grads) = run_pass(
+            &store,
+            |f| {
+                let x = f.param(&store, xid);
+                let w = f.param(&store, pid);
+                let h = f.matmul(x, w);
+                f.add(h, x)
+            },
+            ones,
+        );
         // dx = dy·Wᵀ + dy = [1,1]·I + [1,1] = [2,2]
-        assert_eq!(store.grad(xid).row(0), &[2.0, 2.0]);
+        assert_eq!(grads.grad(xid).row(0), &[2.0, 2.0]);
     }
 
-    /// One chained pass through every op, used by the reuse tests below.
+    /// One chained pass through every op, used by the reuse test below.
     fn chain_pass(
         tape: &mut Tape,
         store: &ParamStore,
@@ -993,43 +898,27 @@ mod tests {
         mask: &Arc<Matrix>,
         idx: &Arc<Vec<u32>>,
         seg: &Arc<Vec<u32>>,
-        zero_copy: bool,
     ) -> (VarId, Matrix) {
-        fn chain<F: Forward>(
-            f: &mut F,
-            store: &ParamStore,
-            (w, b, table): (ParamId, ParamId, ParamId),
-            mask: &Arc<Matrix>,
-            idx: &Arc<Vec<u32>>,
-            seg: &Arc<Vec<u32>>,
-        ) -> (F::Id, Matrix) {
-            let t = f.param(store, table);
-            let x = f.gather(t, idx);
-            let wv = f.param(store, w);
-            let bv = f.param(store, b);
-            let h = f.masked_matmul(x, wv, mask);
-            let h = f.add_row(h, bv);
-            let h = f.relu(h);
-            let h2 = f.scale(h, 0.5);
-            let h = f.add(h, h2);
-            let cat = f.concat_cols(&[h, h]);
-            let pooled = f.segment_sum(cat, seg, 2);
-            let v = f.value(pooled).clone();
-            (pooled, v)
-        }
-        if zero_copy {
-            let mut f = tape.ctx(store);
-            chain(&mut f, store, (w, b, table), mask, idx, seg)
-        } else {
-            tape.reset();
-            chain(tape, store, (w, b, table), mask, idx, seg)
-        }
+        let mut f = tape.ctx(store);
+        let t = f.param(store, table);
+        let x = f.gather(t, idx);
+        let wv = f.param(store, w);
+        let bv = f.param(store, b);
+        let h = f.masked_matmul(x, wv, mask);
+        let h = f.add_row(h, bv);
+        let h = f.relu(h);
+        let h2 = f.scale(h, 0.5);
+        let h = f.add(h, h2);
+        let cat = f.concat_cols(&[h, h]);
+        let pooled = f.segment_sum(cat, seg, 2);
+        let v = f.value(pooled).clone();
+        (pooled, v)
     }
 
-    /// Tape reuse across resets — and the zero-copy parameter path — must
-    /// reproduce the fresh-tape pass bit for bit, values and gradients.
+    /// Tape reuse across passes must reproduce the fresh-tape pass bit for
+    /// bit, values and gradients.
     #[test]
-    fn reused_and_zero_copy_passes_match_fresh_tapes_bit_for_bit() {
+    fn reused_passes_match_fresh_tapes_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(77);
         let mut store = ParamStore::new();
         let w = store.register(Matrix::rand_uniform(3, 4, -1.0, 1.0, &mut rng));
@@ -1052,23 +941,25 @@ mod tests {
         let mut reused = Tape::new();
         let mut capacity_after_first = 0;
         for (pass, (idx, seg)) in shapes.iter().enumerate() {
-            // Reference: fresh tape, materialized params.
+            // Reference: a fresh tape.
             let mut fresh = Tape::new();
-            let (root_f, val_f) = chain_pass(&mut fresh, &store, ids, &mask, idx, seg, false);
+            let (root_f, val_f) = chain_pass(&mut fresh, &store, ids, &mask, idx, seg);
             let (fr, fc) = val_f.shape();
             let mut gf = GradBuffer::new(&store);
             fresh.backward_with(root_f, Matrix::filled(fr, fc, 1.0), &store, &mut gf);
 
-            for zero_copy in [false, true] {
-                let (root, val) = chain_pass(&mut reused, &store, ids, &mask, idx, seg, zero_copy);
-                assert_eq!(val, val_f, "pass {pass} value diverged (zc={zero_copy})");
+            // Twice per shape: once after a differently shaped pass, once
+            // right after the same shape.
+            for repeat in 0..2 {
+                let (root, val) = chain_pass(&mut reused, &store, ids, &mask, idx, seg);
+                assert_eq!(val, val_f, "pass {pass} value diverged (repeat {repeat})");
                 let mut g = GradBuffer::new(&store);
                 reused.backward_with(root, Matrix::filled(fr, fc, 1.0), &store, &mut g);
                 for pid in [w, b, table] {
                     assert_eq!(
                         g.grad(pid),
                         gf.grad(pid),
-                        "pass {pass} grad of {pid} diverged (zc={zero_copy})"
+                        "pass {pass} grad of {pid} diverged (repeat {repeat})"
                     );
                 }
             }

@@ -10,9 +10,9 @@
 //! same contract the batched completion sampler already honours.
 //!
 //! Steady-state allocation behaviour: tapes keep their node/value/grad
-//! arenas across steps ([`Tape::reset`]), and gradient buffers cycle
-//! through a pool, so after warm-up a step of an unchanged shape performs
-//! no heap allocation in the engine itself.
+//! arenas across steps (every [`Tape::ctx`] rewinds them), and gradient
+//! buffers cycle through a pool, so after warm-up a step of an unchanged
+//! shape performs no heap allocation in the engine itself.
 
 use std::sync::Mutex;
 
@@ -41,7 +41,7 @@ impl TrainEngine {
     /// microbatches of `micro` rows.
     ///
     /// `f(tape, store, chunk, grads)` computes one microbatch's forward and
-    /// backward pass — recording on `tape` (already reset), reading
+    /// backward pass — recording on `tape` through [`Tape::ctx`], reading
     /// parameters from `store`, accumulating parameter gradients into
     /// `grads` — and returns the microbatch's *summed* (unnormalized) loss.
     /// The engine reduces all gradient buffers into `store`'s resident
@@ -72,7 +72,6 @@ impl TrainEngine {
                     pool.pop().unwrap_or_else(|| GradBuffer::new(store))
                 };
                 grads.zero();
-                tape.reset();
                 f(tape, store, chunk, &mut grads).map(|loss_sum| (loss_sum, grads))
             })
         };

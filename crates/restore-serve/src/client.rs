@@ -1,8 +1,8 @@
 //! A blocking HTTP/1.1 client for the serving API — keep-alive by default
 //! (one [`HttpClient`] issues many requests over one TCP connection, like a
 //! real dashboard client). It is the fleet monitor's probe and drill-down
-//! client; the router's forwards retry on reactor timers under
-//! [`RetryPolicy`](crate::RetryPolicy).
+//! client; the router's forwards retry on reactor timers within
+//! [`FleetConfig::retry_budget`](crate::router::FleetConfig::retry_budget).
 
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};

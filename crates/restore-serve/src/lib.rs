@@ -116,6 +116,5 @@ mod store;
 pub use client::{ClientConfig, HttpClient, HttpResponse};
 pub use fault::{FaultAction, FaultConfig, FaultPlan};
 pub use reactor::raise_fd_limit;
-pub use router::RetryPolicy;
 pub use server::{ServeConfig, Server};
 pub use store::SnapshotStore;

@@ -43,7 +43,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use restore_util::ConnectionGuard;
+use restore_util::{retry_wait, ConnectionGuard};
 
 use crate::client::encode_request;
 use crate::fault::FaultAction;
@@ -970,7 +970,7 @@ impl Reactor {
         let budget = self.shared.config.request_deadline;
         let left = budget.saturating_sub(job.arrived.elapsed());
         let now = Instant::now();
-        let deadline = now + left.min(fleet.config.retry.budget);
+        let deadline = now + left.min(fleet.config.retry_budget);
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
@@ -1111,7 +1111,6 @@ impl Reactor {
     /// not new evidence), then either backs off on a timer for the next
     /// attempt or, when the wait would cross the deadline, answers 503.
     fn retry_or_fail(&mut self, token: u64, error: io::Error) {
-        let policy = fleet(&self.fleet).config.retry;
         let Some(fwd) = self.conns.get_mut(&token).and_then(|c| c.forward.as_mut()) else {
             return;
         };
@@ -1120,8 +1119,7 @@ impl Reactor {
             s.health.record_failure(DOWN_AFTER);
         }
         fwd.upstream = None;
-        let wait = policy.backoff.delay(policy.seed, fwd.attempt);
-        let wait = wait.min(policy.retry_after_cap);
+        let wait = retry_wait(fwd.job.request_id, fwd.attempt);
         if Instant::now() + wait <= fwd.deadline {
             s.retried.fetch_add(1, Ordering::Relaxed);
             fwd.attempt += 1;

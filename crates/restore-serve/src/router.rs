@@ -23,7 +23,8 @@
 //! * **Forwarding** is a connection state of the router's epoll reactor:
 //!   keep-alive upstream sockets in its own epoll set, health-aware
 //!   checkout, the worker's response spliced back (`splice_response`),
-//!   and the [`RetryPolicy`] backoff on reactor timers. Only
+//!   and the [`retry_wait`](restore_util::retry_wait) backoff on reactor
+//!   timers, jittered per request id. Only
 //!   transport errors retry — worker status codes (including 429/503) pass
 //!   through byte-identically so end-to-end semantics match a direct
 //!   worker connection.
@@ -59,7 +60,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use restore_util::json::{JsonValue, ToJson};
-use restore_util::{fnv1a64, json_object, BackoffConfig, HealthState, Shutdown};
+use restore_util::{fnv1a64, json_object, HealthState, Shutdown};
 
 use crate::client::{header_lines, response_frame, ClientConfig};
 use crate::http::{parse_digits, Request, Response};
@@ -88,31 +89,6 @@ pub struct ShardConfig {
     pub worker: Option<WorkerSpec>,
 }
 
-/// How the router retries a forward after a transport error.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Backoff schedule between attempts.
-    pub backoff: BackoffConfig,
-    /// Wall-clock budget across all attempts *and* waits; when the next
-    /// wait would cross it, the forward gives up with the last error.
-    pub budget: Duration,
-    /// Upper bound on any single wait.
-    pub retry_after_cap: Duration,
-    /// Seed of the deterministic jitter stream.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            backoff: BackoffConfig::default(),
-            budget: Duration::from_secs(60),
-            retry_after_cap: Duration::from_secs(30),
-            seed: 0,
-        }
-    }
-}
-
 /// Fleet knobs. Defaults are sized for loopback worker fleets.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
@@ -120,8 +96,10 @@ pub struct FleetConfig {
     /// Client config for forwarded requests: its `read_timeout` is how long
     /// one attempt waits for its response.
     pub client: ClientConfig,
-    /// The forward backoff schedule and wall-clock budget.
-    pub retry: RetryPolicy,
+    /// Wall-clock budget of one forward across all attempts *and* the
+    /// backoff waits between them ([`restore_util::retry_wait`]); when the
+    /// next wait would cross it, the forward answers 503.
+    pub retry_budget: Duration,
     /// Health-probe cadence of the monitor thread.
     pub health_interval: Duration,
 }
@@ -137,12 +115,8 @@ impl Default for FleetConfig {
         Self {
             shards: Vec::new(),
             client: ClientConfig::default(),
-            retry: RetryPolicy {
-                // The forward retry loop is deadline-bounded (riding out a
-                // failover window), so the budget is the real knob.
-                budget: Duration::from_secs(10),
-                ..RetryPolicy::default()
-            },
+            // Long enough to ride out a failover window.
+            retry_budget: Duration::from_secs(10),
             health_interval: Duration::from_millis(200),
         }
     }

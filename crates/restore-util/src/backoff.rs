@@ -1,55 +1,36 @@
-//! Capped exponential backoff with deterministic jitter — the client half
-//! of the ingress resilience plane.
+//! Capped exponential backoff with deterministic jitter — the router's
+//! wait between forward attempts.
 //!
-//! A retrying caller asks for the delay before attempt `n`; the answer is
-//! `initial · multiplier^n`, capped at `max`, then scaled by a jitter
-//! factor in `[1 - jitter, 1]` derived from [`derive_seed`](crate::derive_seed)
-//! over `(seed, attempt)`. Jitter de-synchronizes a thundering herd of
-//! retriers, and deriving it from a seed instead of a global RNG keeps the
-//! whole retry schedule a pure function of `(config, seed)` — reproducible
-//! in tests and across worker counts, like every other randomized schedule
-//! in this workspace.
+//! The wait before retry `n` of a request is `INITIAL · MULTIPLIER^n`,
+//! capped at `MAX`, then scaled by a jitter factor in `(1 - JITTER, 1]`
+//! derived from [`derive_seed`](crate::derive_seed) over `(request id,
+//! attempt)`. Seeding the jitter with the request id de-synchronizes the
+//! forwards that fail together when a shard goes down, and deriving it
+//! instead of drawing from a global RNG keeps every schedule a pure
+//! function of `(request id, attempt)` — reproducible in tests and across
+//! worker counts, like every other randomized schedule in this workspace.
 
 use std::time::Duration;
 
 use crate::derive_seed;
 
-/// Exponential backoff knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct BackoffConfig {
-    /// Delay before the first retry (attempt 0), pre-jitter.
-    pub initial: Duration,
-    /// Upper bound every delay is capped at, pre-jitter.
-    pub max: Duration,
-    /// Growth factor between consecutive attempts.
-    pub multiplier: f64,
-    /// Jitter fraction in `[0, 1]`: each delay is scaled by a deterministic
-    /// factor in `[1 - jitter, 1]`. Zero disables jitter.
-    pub jitter: f64,
-}
+/// Wait before the first retry (attempt 0), pre-jitter.
+const INITIAL: Duration = Duration::from_millis(50);
+/// Upper bound every wait is capped at, pre-jitter.
+const MAX: Duration = Duration::from_secs(5);
+/// Growth factor between consecutive attempts.
+const MULTIPLIER: f64 = 2.0;
+/// Jitter fraction: each wait is scaled by a factor in `(1 - JITTER, 1]`.
+const JITTER: f64 = 0.5;
 
-impl Default for BackoffConfig {
-    fn default() -> Self {
-        Self {
-            initial: Duration::from_millis(50),
-            max: Duration::from_secs(5),
-            multiplier: 2.0,
-            jitter: 0.5,
-        }
-    }
-}
-
-impl BackoffConfig {
-    /// The delay before retry `attempt` (0-based) of the schedule seeded
-    /// with `seed`. Pure: same `(config, seed, attempt)`, same delay.
-    pub fn delay(&self, seed: u64, attempt: u32) -> Duration {
-        let raw = self.initial.as_secs_f64() * self.multiplier.powi(attempt as i32);
-        let capped = raw.min(self.max.as_secs_f64());
-        // 53 uniform mantissa bits → `u` in [0, 1).
-        let u = (derive_seed(seed, attempt as u64) >> 11) as f64 / (1u64 << 53) as f64;
-        let factor = 1.0 - self.jitter.clamp(0.0, 1.0) * u;
-        Duration::from_secs_f64(capped * factor)
-    }
+/// The wait before retry `attempt` (0-based) of request `request_id`.
+/// Pure: same `(request_id, attempt)`, same wait.
+pub fn retry_wait(request_id: u64, attempt: u32) -> Duration {
+    let raw = INITIAL.as_secs_f64() * MULTIPLIER.powi(attempt as i32);
+    let capped = raw.min(MAX.as_secs_f64());
+    // 53 uniform mantissa bits → `u` in [0, 1).
+    let u = (derive_seed(request_id, attempt as u64) >> 11) as f64 / (1u64 << 53) as f64;
+    Duration::from_secs_f64(capped * (1.0 - JITTER * u))
 }
 
 #[cfg(test)]
@@ -57,58 +38,50 @@ mod tests {
     use super::*;
 
     #[test]
-    fn schedule_is_deterministic_per_seed() {
-        let cfg = BackoffConfig::default();
-        let schedule =
-            |seed: u64| -> Vec<Duration> { (0..8).map(|a| cfg.delay(seed, a)).collect() };
-        assert_eq!(schedule(7), schedule(7), "same seed, same schedule");
-        assert_ne!(schedule(7), schedule(8), "seeds de-synchronize retriers");
+    fn schedule_is_deterministic_per_request() {
+        let schedule = |id: u64| -> Vec<Duration> { (0..8).map(|a| retry_wait(id, a)).collect() };
+        assert_eq!(schedule(7), schedule(7), "same id, same schedule");
+        assert_ne!(schedule(7), schedule(8), "ids de-synchronize retriers");
+    }
+
+    /// Forwards that fail together (a shard went down under them) must not
+    /// retry in lockstep: their first waits all differ.
+    #[test]
+    fn distinct_requests_wait_distinct_delays() {
+        let mut first: Vec<Duration> = (1..=8u64).map(|id| retry_wait(id, 0)).collect();
+        first.sort();
+        first.dedup();
+        assert_eq!(first.len(), 8, "attempt-0 waits collide: {first:?}");
+        for id in 1..=8u64 {
+            for attempt in 0..12 {
+                assert!(retry_wait(id, attempt) <= MAX, "wait above the cap");
+            }
+        }
     }
 
     #[test]
-    fn delays_grow_exponentially_within_the_jitter_band() {
-        let cfg = BackoffConfig {
-            initial: Duration::from_millis(10),
-            max: Duration::from_secs(60),
-            multiplier: 2.0,
-            jitter: 0.25,
-        };
-        for attempt in 0..6u32 {
-            let nominal = 0.010 * 2f64.powi(attempt as i32);
-            let d = cfg.delay(3, attempt).as_secs_f64();
+    fn waits_grow_exponentially_within_the_jitter_band() {
+        for attempt in 0..7u32 {
+            let nominal = 0.050 * 2f64.powi(attempt as i32);
+            assert!(nominal < MAX.as_secs_f64(), "attempt {attempt} is capped");
+            let d = retry_wait(3, attempt).as_secs_f64();
             assert!(
-                d <= nominal + 1e-12 && d >= nominal * 0.75 - 1e-12,
-                "attempt {attempt}: {d}s outside [{}, {nominal}]s",
-                nominal * 0.75
+                d <= nominal + 1e-12 && d > nominal * (1.0 - JITTER) - 1e-12,
+                "attempt {attempt}: {d}s outside ({}, {nominal}]s",
+                nominal * (1.0 - JITTER)
             );
         }
     }
 
     #[test]
-    fn delays_cap_at_max() {
-        let cfg = BackoffConfig {
-            initial: Duration::from_millis(100),
-            max: Duration::from_millis(350),
-            multiplier: 2.0,
-            jitter: 0.0,
-        };
-        let delays: Vec<f64> = (0..6).map(|a| cfg.delay(0, a).as_secs_f64()).collect();
-        assert_eq!(delays[0], 0.1);
-        assert_eq!(delays[1], 0.2);
-        assert!(delays[2..].iter().all(|&d| (d - 0.35).abs() < 1e-12));
-    }
-
-    #[test]
-    fn zero_jitter_is_exact() {
-        let cfg = BackoffConfig {
-            jitter: 0.0,
-            ..BackoffConfig::default()
-        };
-        assert_eq!(
-            cfg.delay(1, 0),
-            cfg.delay(2, 0),
-            "no jitter, no seed effect"
-        );
-        assert_eq!(cfg.delay(1, 0), cfg.initial);
+    fn waits_cap_at_max() {
+        let max = MAX.as_secs_f64();
+        for attempt in 7..12u32 {
+            let d = retry_wait(3, attempt).as_secs_f64();
+            assert!(
+                d <= max + 1e-12 && d > max * (1.0 - JITTER) - 1e-12,
+                "attempt {attempt}: {d}s outside the capped band"
+            );
+        }
     }
 }

@@ -19,7 +19,7 @@ mod ratelimit;
 mod shutdown;
 mod singleflight;
 
-pub use backoff::BackoffConfig;
+pub use backoff::retry_wait;
 pub use fsio::{fnv1a64, is_tmp_name, write_atomic, Fnv64};
 pub use health::HealthState;
 pub use ratelimit::{RateLimitConfig, RateLimiter};

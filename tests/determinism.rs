@@ -142,7 +142,7 @@ fn batched_sampler_reproduces_tape_driven_sampling() {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use restore::nn::{
-        sample_categorical, AttrSpec, InferenceSession, Made, MadeConfig, ParamStore, Tape,
+        sample_categorical, AttrSpec, Forward, InferenceSession, Made, MadeConfig, ParamStore, Tape,
     };
     use std::sync::Arc;
 
@@ -169,8 +169,9 @@ fn batched_sampler_reproduces_tape_driven_sampling() {
         let mut rng_a = StdRng::seed_from_u64(77);
         for attr in 1..3 {
             let mut tape = Tape::new();
-            let out = made.forward(&mut tape, &store, &tape_cols, None);
-            let logits = tape.value(out);
+            let mut f = tape.ctx(&store);
+            let out = made.forward(&mut f, &store, &tape_cols, None);
+            let logits = f.value(out);
             let sampled: Vec<u32> = (0..n)
                 .map(|r| {
                     let dist = made.layout().dist(logits.row(r), attr);
@@ -213,6 +214,7 @@ fn batch_of_one_reproduces_single_row_sampling() {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use restore::core::{CompletionModel, CompletionPath, SchemaAnnotation};
+    use restore::nn::InferenceSession;
     use restore::util::derive_seed;
 
     let db = generate_synthetic(
@@ -244,7 +246,14 @@ fn batch_of_one_reproduces_single_row_sampling() {
         // Batched engine, batch of exactly one row.
         let mut rng_a = StdRng::seed_from_u64(seed);
         let batched = model
-            .sample_table_columns_encoded(&ta, &encoded, 1, &[r], &mut rng_a)
+            .sample_table_columns_encoded_in(
+                &mut InferenceSession::new(),
+                &ta,
+                &encoded,
+                1,
+                &[r],
+                &mut rng_a,
+            )
             .unwrap();
         // Single-row API (re-encodes internally).
         let mut rng_b = StdRng::seed_from_u64(seed);

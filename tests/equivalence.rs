@@ -1,5 +1,5 @@
 //! Equivalence contract between the two execution paths: the recording
-//! tape (training) and the gradient-free inference engine must produce
+//! tape context (training) and the gradient-free inference engine must produce
 //! **bit-identical** forward outputs from the same weights — the layer
 //! definitions are shared, and the no-grad kernels replicate the tape ops'
 //! loop order exactly.
@@ -10,8 +10,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use restore::nn::{
-    AttrSpec, DeepSets, DeepSetsConfig, InferenceSession, Made, MadeConfig, Matrix, ParamStore,
-    SetBatch, SetTableSpec, TableSet, Tape,
+    AttrSpec, DeepSets, DeepSetsConfig, Forward, InferenceSession, Made, MadeConfig, Matrix,
+    ParamStore, SetBatch, SetTableSpec, TableSet, Tape,
 };
 
 fn made_with_ctx(ctx_dim: usize, seed: u64) -> (Made, ParamStore) {
@@ -45,8 +45,9 @@ fn nograd_forward_matches_tape_bit_for_bit() {
     let toks = tokens(33);
 
     let mut tape = Tape::new();
-    let out = made.forward(&mut tape, &store, &toks, None);
-    let want = tape.value(out);
+    let mut f = tape.ctx(&store);
+    let out = made.forward(&mut f, &store, &toks, None);
+    let want = f.value(out);
 
     let mut session = InferenceSession::new();
     let got = made.logits_in(&mut session, &store, &toks, None);
@@ -89,10 +90,11 @@ fn nograd_ssar_forward_matches_tape_bit_for_bit() {
 
     // Tape path: context encoded on the tape, then MADE on the tape.
     let mut tape = Tape::new();
-    let ctx_var = ds.forward(&mut tape, &store, &batch, n);
-    let ctx_tape = tape.value(ctx_var).clone();
-    let out = made.forward(&mut tape, &store, &toks, Some(ctx_var));
-    let want = tape.value(out).clone();
+    let mut f = tape.ctx(&store);
+    let ctx_var = ds.forward(&mut f, &store, &batch, n);
+    let ctx_tape = f.value(ctx_var).clone();
+    let out = made.forward(&mut f, &store, &toks, Some(ctx_var));
+    let want = f.value(out).clone();
 
     // No-grad path.
     let mut session = InferenceSession::new();
@@ -112,8 +114,9 @@ fn session_reuse_across_batch_shapes_is_exact() {
         let toks = tokens(n);
         let want = {
             let mut tape = Tape::new();
-            let out = made.forward(&mut tape, &store, &toks, None);
-            tape.value(out).clone()
+            let mut f = tape.ctx(&store);
+            let out = made.forward(&mut f, &store, &toks, None);
+            f.value(out).clone()
         };
         let got = made.logits_in(&mut session, &store, &toks, None);
         assert_eq!(&want, got, "batch of {n} rows diverged after reuse");

@@ -256,6 +256,27 @@ fn retired_option_keys_are_not_written_and_load_only_at_their_constants() {
     }
 }
 
+/// A file that declares more rows than its payload holds is refused by
+/// table and count before the loader allocates for the declared rows.
+#[test]
+fn a_declared_row_count_beyond_the_payload_is_refused_before_allocating() {
+    let bytes = sealed_synthetic_snapshot(29, 4).to_bytes();
+    let declared = 8 * bytes.len();
+    let inflated = edit_meta(&bytes, |m| {
+        let key = r#""name":"tb","n_rows":"#;
+        let start = m.find(key).expect("tb's meta") + key.len();
+        let end = start + m[start..].find(',').expect("n_rows ends");
+        format!("{}{declared}{}", &m[..start], &m[end..])
+    });
+    match Snapshot::from_bytes(&inflated) {
+        Err(PersistError::Corrupt(m)) => {
+            assert!(m.contains(r#""tb""#), "names the table: {m}");
+            assert!(m.contains(&declared.to_string()), "names the count: {m}");
+        }
+        other => panic!("an inflated n_rows must be refused, got {:?}", other.err()),
+    }
+}
+
 #[test]
 fn boot_scan_ignores_crash_window_temp_files_and_corrupt_versions() {
     let dir = temp_dir("bootscan");

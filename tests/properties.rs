@@ -6,12 +6,13 @@
 //! environment): each property is checked over a fixed number of random
 //! cases drawn from a seeded generator, so failures are reproducible.
 
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use restore::nn::{AttrSpec, Made, MadeConfig, Matrix, ParamStore, Tape};
+use restore::nn::{AttrSpec, Forward, Made, MadeConfig, Matrix, ParamStore, Tape, TrainEngine};
 
 const CASES: usize = 24;
 
@@ -31,24 +32,31 @@ fn autograd_matches_finite_differences() {
         let mut store = ParamStore::new();
         let w = store.register(Matrix::rand_uniform(inner, cols, -1.0, 1.0, &mut rng));
 
+        // sum((x·W)·2 + x·W), recorded on a tape.
+        fn pass<F: Forward>(f: &mut F, store: &ParamStore, x: &Matrix, w: usize) -> F::Id {
+            let xi = f.input(x);
+            let wi = f.param(store, w);
+            let h = f.matmul(xi, wi);
+            let s = f.scale(h, 2.0);
+            f.add(s, h)
+        }
         let forward = |store: &ParamStore| -> f32 {
             let mut tape = Tape::new();
-            let xi = tape.input(x.clone());
-            let wi = tape.param(store, w);
-            let h = tape.matmul(xi, wi);
-            let s = tape.scale(h, 2.0);
-            let y = tape.add(s, h);
-            tape.value(y).data().iter().sum()
+            let mut f = tape.ctx(store);
+            let y = pass(&mut f, store, &x, w);
+            f.value(y).data().iter().sum()
         };
 
-        let mut tape = Tape::new();
-        let xi = tape.input(x.clone());
-        let wi = tape.param(&store, w);
-        let h = tape.matmul(xi, wi);
-        let s = tape.scale(h, 2.0);
-        let y = tape.add(s, h);
-        let (r, c) = tape.value(y).shape();
-        tape.backward(y, Matrix::filled(r, c, 1.0), &mut store);
+        let mut engine = TrainEngine::new(1);
+        engine
+            .step(&mut store, &[0], 1, |tape, store, _, grads| {
+                let mut f = tape.ctx(store);
+                let y = pass(&mut f, store, &x, w);
+                let (r, c) = f.value(y).shape();
+                tape.backward_with(y, Matrix::filled(r, c, 1.0), store, grads);
+                Ok::<f64, Infallible>(0.0)
+            })
+            .unwrap();
         let analytic = store.grad(w).clone();
 
         let eps = 1e-2f32;

@@ -40,7 +40,7 @@ use restore::core::wire::QueryRequest;
 use restore::core::{ConfidenceQuery, Snapshot, SnapshotRegistry};
 use restore::db::{Agg, Expr, Query};
 use restore::serve::router::{Fleet, FleetConfig, ShardConfig};
-use restore::serve::{ClientConfig, FaultConfig, HttpClient, RetryPolicy, ServeConfig, Server};
+use restore::serve::{ClientConfig, FaultConfig, HttpClient, ServeConfig, Server};
 use restore::util::json::{parse, JsonValue};
 
 fn snapshot() -> Arc<Snapshot> {
@@ -73,10 +73,7 @@ fn fixed_fleet(addrs: &[SocketAddr]) -> Arc<Fleet> {
         client: ClientConfig {
             read_timeout: Duration::from_secs(5),
         },
-        retry: RetryPolicy {
-            budget: Duration::from_secs(1),
-            ..RetryPolicy::default()
-        },
+        retry_budget: Duration::from_secs(1),
         health_interval: Duration::from_millis(50),
     })
     .expect("fleet over fixed addrs")
