@@ -39,8 +39,8 @@ use std::path::Path;
 use std::sync::Arc;
 
 use restore_db::{Column, DataType, Database, Dictionary, Field, ForeignKey, Table};
-use restore_util::json::{parse, JsonValue, ToJson};
-use restore_util::{fnv1a64, write_atomic};
+use restore_util::json::{parse, JsonValue};
+use restore_util::{fnv1a64, json_object, write_atomic};
 
 use crate::annotation::SchemaAnnotation;
 use crate::cache::JoinCache;
@@ -56,6 +56,7 @@ use crate::paths::CompletionPath;
 use crate::restore::RestoreConfig;
 use crate::selection::{BiasDirection, SelectionStrategy, SuspectedBias};
 use crate::snapshot::{Snapshot, MAX_PATH_LEN};
+use crate::wire::{name_of, named};
 
 /// File magic of snapshot files.
 pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"RSTRSNAP";
@@ -201,7 +202,9 @@ impl Snapshot {
             let mut fields = Vec::new();
             let mut columns = Vec::new();
             for fmeta in arr(tmeta, "fields")? {
-                let dtype = parse_dtype(str_field(fmeta, "dtype")?)?;
+                let dtype = str_field(fmeta, "dtype")?;
+                let dtype = named(&DTYPES, dtype)
+                    .ok_or_else(|| corrupt(format!("unknown dtype {dtype:?}")))?;
                 fields.push(Field::new(str_field(fmeta, "name")?, dtype));
                 columns.push(read_column(&mut cur, name, dtype, n_rows)?);
             }
@@ -317,17 +320,11 @@ impl Snapshot {
                     .fields()
                     .iter()
                     .map(|f| {
-                        obj(vec![
-                            ("name", jstr(&f.name)),
-                            ("dtype", jstr(dtype_name(f.dtype))),
-                        ])
+                        let dtype = name_of(&DTYPES, &f.dtype);
+                        json_object! { "name": f.name.as_str(), "dtype": dtype }
                     })
                     .collect();
-                obj(vec![
-                    ("name", jstr(name)),
-                    ("n_rows", jus(t.n_rows())),
-                    ("fields", JsonValue::Arr(fields)),
-                ])
+                json_object! { "name": name, "n_rows": t.n_rows(), "fields": fields }
             })
             .collect();
         let foreign_keys: Vec<JsonValue> = self
@@ -335,12 +332,12 @@ impl Snapshot {
             .foreign_keys()
             .iter()
             .map(|fk| {
-                obj(vec![
-                    ("child", jstr(&fk.child)),
-                    ("child_col", jstr(&fk.child_col)),
-                    ("parent", jstr(&fk.parent)),
-                    ("parent_col", jstr(&fk.parent_col)),
-                ])
+                json_object! {
+                    "child": fk.child.as_str(),
+                    "child_col": fk.child_col.as_str(),
+                    "parent": fk.parent.as_str(),
+                    "parent_col": fk.parent_col.as_str(),
+                }
             })
             .collect();
         let models: Vec<JsonValue> = model_keys
@@ -351,48 +348,38 @@ impl Snapshot {
                     .params()
                     .values()
                     .iter()
-                    .map(|mat| {
-                        let (r, c) = mat.shape();
-                        JsonValue::Arr(vec![jus(r), jus(c)])
-                    })
+                    .map(|mat| mat.shape().into())
                     .collect();
-                obj(vec![
-                    ("tables", jstr_arr(key)),
-                    ("train", train_to_json(m.train_config())),
-                    ("train_losses", jf32_arr(&m.train_losses)),
-                    ("val_per_attr", jf32_arr(&m.val_per_attr)),
-                    ("val_loss", jnum(m.val_loss as f64)),
-                    ("train_seconds", jnum(m.train_seconds)),
-                    ("shapes", JsonValue::Arr(shapes)),
-                ])
+                json_object! {
+                    "tables": key.clone(),
+                    "train": train_to_json(m.train_config()),
+                    "train_losses": m.train_losses.clone(),
+                    "val_per_attr": m.val_per_attr.clone(),
+                    "val_loss": m.val_loss,
+                    "train_seconds": m.train_seconds,
+                    "shapes": shapes,
+                }
             })
             .collect();
-        let mut fields = vec![
-            ("format", jstr("restore-snapshot")),
-            ("serve_seed", jstr(&self.serve_seed.to_string())),
-            (
-                "incomplete",
-                JsonValue::Arr(
-                    self.annotation
-                        .incomplete_tables()
-                        .map(jstr)
-                        .collect::<Vec<_>>(),
-                ),
-            ),
-            ("config", config_to_json(&self.config)),
-            ("tables", JsonValue::Arr(tables)),
-            ("foreign_keys", JsonValue::Arr(foreign_keys)),
-            ("models", JsonValue::Arr(models)),
-            ("selected", chains_to_json(&self.selected)),
-            ("forced", chains_to_json(&self.forced)),
-        ];
+        let incomplete: Vec<&str> = self.annotation.incomplete_tables().collect();
+        let mut meta = json_object! {
+            "format": "restore-snapshot",
+            "serve_seed": self.serve_seed.to_string(),
+            "incomplete": incomplete,
+            "config": config_to_json(&self.config),
+            "tables": tables,
+            "foreign_keys": foreign_keys,
+            "models": models,
+            "selected": chains_to_json(&self.selected),
+            "forced": chains_to_json(&self.forced),
+        };
         // Optional key: suspected-bias hints. Emitted only when present so
         // hint-free snapshots keep their pre-existing byte layout (and the
         // golden fixture stays valid); old files simply lack the key.
         if !self.suspected.is_empty() {
-            fields.push(("suspected", suspected_to_json(&self.suspected)));
+            meta.push("suspected", suspected_to_json(&self.suspected));
         }
-        obj(fields)
+        meta
     }
 }
 
@@ -483,7 +470,7 @@ fn read_column(
     if tag != expected {
         return Err(corrupt(format!(
             "column tag {tag} does not match declared dtype {}",
-            dtype_name(dtype)
+            name_of(&DTYPES, &dtype)
         )));
     }
     match dtype {
@@ -579,37 +566,6 @@ impl<'a> Cursor<'a> {
 
 // ---- meta JSON helpers ---------------------------------------------------
 
-fn jnum(v: f64) -> JsonValue {
-    JsonValue::Num(v)
-}
-
-fn jus(v: usize) -> JsonValue {
-    JsonValue::Num(v as f64)
-}
-
-fn jstr(s: &str) -> JsonValue {
-    JsonValue::Str(s.to_string())
-}
-
-fn jstr_arr(items: &[String]) -> JsonValue {
-    JsonValue::Arr(items.iter().map(|s| jstr(s)).collect())
-}
-
-/// f32 values promote to f64 exactly; the shortest-round-trip printer plus
-/// correctly rounded parsing makes the f32 round trip lossless.
-fn jf32_arr(items: &[f32]) -> JsonValue {
-    JsonValue::Arr(items.iter().map(|&v| jnum(v as f64)).collect())
-}
-
-fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 fn field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, PersistError> {
     v.get(key)
         .ok_or_else(|| corrupt(format!("missing meta field {key:?}")))
@@ -655,22 +611,12 @@ fn f32_list(v: &JsonValue, key: &str) -> Result<Vec<f32>, PersistError> {
         .collect()
 }
 
-fn dtype_name(d: DataType) -> &'static str {
-    match d {
-        DataType::Int => "int",
-        DataType::Float => "float",
-        DataType::Str => "str",
-    }
-}
-
-fn parse_dtype(s: &str) -> Result<DataType, PersistError> {
-    match s {
-        "int" => Ok(DataType::Int),
-        "float" => Ok(DataType::Float),
-        "str" => Ok(DataType::Str),
-        other => Err(corrupt(format!("unknown dtype {other:?}"))),
-    }
-}
+/// Each dtype's meta name, read in both directions.
+const DTYPES: [(DataType, &str); 3] = [
+    (DataType::Int, "int"),
+    (DataType::Float, "float"),
+    (DataType::Str, "str"),
+];
 
 fn chains_to_json(map: &HashMap<String, Vec<String>>) -> JsonValue {
     let mut entries: Vec<(&String, &Vec<String>)> = map.iter().collect();
@@ -678,7 +624,7 @@ fn chains_to_json(map: &HashMap<String, Vec<String>>) -> JsonValue {
     JsonValue::Arr(
         entries
             .into_iter()
-            .map(|(k, chain)| JsonValue::Arr(vec![jstr(k), jstr_arr(chain)]))
+            .map(|(k, chain)| (k.as_str(), chain.clone()).into())
             .collect(),
     )
 }
@@ -708,32 +654,22 @@ fn chains_from_json(
     Ok(out)
 }
 
+/// Each bias direction's meta name, read in both directions.
+const BIAS_DIRECTIONS: [(BiasDirection, &str); 2] = [
+    (BiasDirection::Overestimated, "overestimated"),
+    (BiasDirection::Underestimated, "underestimated"),
+];
+
 fn suspected_to_json(hints: &[SuspectedBias]) -> JsonValue {
-    JsonValue::Arr(
-        hints
-            .iter()
-            .map(|s| {
-                obj(vec![
-                    ("table", jstr(&s.table)),
-                    ("column", jstr(&s.column)),
-                    (
-                        "direction",
-                        jstr(match s.direction {
-                            BiasDirection::Overestimated => "overestimated",
-                            BiasDirection::Underestimated => "underestimated",
-                        }),
-                    ),
-                    (
-                        "value",
-                        match &s.value {
-                            Some(v) => jstr(v),
-                            None => JsonValue::Null,
-                        },
-                    ),
-                ])
-            })
-            .collect(),
-    )
+    let hint = |s: &SuspectedBias| {
+        json_object! {
+            "table": s.table.as_str(),
+            "column": s.column.as_str(),
+            "direction": name_of(&BIAS_DIRECTIONS, &s.direction),
+            "value": s.value.as_deref(),
+        }
+    };
+    JsonValue::Arr(hints.iter().map(hint).collect())
 }
 
 /// Tolerant reader for the optional `"suspected"` meta key: files written
@@ -751,10 +687,10 @@ fn suspected_from_json(meta: &JsonValue) -> Result<Vec<SuspectedBias>, PersistEr
             Ok(SuspectedBias {
                 table: str_field(e, "table")?.to_string(),
                 column: str_field(e, "column")?.to_string(),
-                direction: match str_field(e, "direction")? {
-                    "overestimated" => BiasDirection::Overestimated,
-                    "underestimated" => BiasDirection::Underestimated,
-                    other => return Err(corrupt(format!("unknown bias direction {other:?}"))),
+                direction: {
+                    let name = str_field(e, "direction")?;
+                    named(&BIAS_DIRECTIONS, name)
+                        .ok_or_else(|| corrupt(format!("unknown bias direction {name:?}")))?
                 },
                 value: match field(e, "value")? {
                     JsonValue::Null => None,
@@ -803,20 +739,17 @@ fn check_retired(v: &JsonValue, retired: &[(&str, f64)]) -> Result<(), PersistEr
 }
 
 fn train_to_json(t: &TrainConfig) -> JsonValue {
-    obj(vec![
-        ("epochs", jus(t.epochs)),
-        ("batch_size", jus(t.batch_size)),
-        (
-            "hidden",
-            JsonValue::Arr(t.hidden.iter().map(|&h| jus(h)).collect()),
-        ),
-        ("embed_dim", jus(t.embed_dim)),
-        ("max_train_rows", jus(t.max_train_rows)),
-        ("ctx_dim", jus(t.ctx_dim)),
-        ("min_steps", jus(t.min_steps)),
-        ("workers", jus(t.workers)),
-        ("microbatch", jus(t.microbatch)),
-    ])
+    json_object! {
+        "epochs": t.epochs,
+        "batch_size": t.batch_size,
+        "hidden": t.hidden.clone(),
+        "embed_dim": t.embed_dim,
+        "max_train_rows": t.max_train_rows,
+        "ctx_dim": t.ctx_dim,
+        "min_steps": t.min_steps,
+        "workers": t.workers,
+        "microbatch": t.microbatch,
+    }
 }
 
 // Meta lookups are by name, so v1 files written while the
@@ -840,49 +773,49 @@ fn train_from_json(v: &JsonValue) -> Result<TrainConfig, PersistError> {
     })
 }
 
+/// Each replacement mode's meta name, read in both directions.
+const REPLACEMENT_MODES: [(ReplacementMode, &str); 3] = [
+    (ReplacementMode::Auto, "auto"),
+    (ReplacementMode::Always, "always"),
+    (ReplacementMode::Never, "never"),
+];
+
 fn completer_to_json(c: &CompleterConfig) -> JsonValue {
-    obj(vec![
-        (
-            "replacement",
-            jstr(match c.replacement {
-                ReplacementMode::Auto => "auto",
-                ReplacementMode::Always => "always",
-                ReplacementMode::Never => "never",
-            }),
-        ),
-        ("batch_size", jus(c.batch_size)),
-        ("workers", jus(c.workers)),
-    ])
+    json_object! {
+        "replacement": name_of(&REPLACEMENT_MODES, &c.replacement),
+        "batch_size": c.batch_size,
+        "workers": c.workers,
+    }
 }
 
 fn completer_from_json(v: &JsonValue) -> Result<CompleterConfig, PersistError> {
     check_retired(v, &RETIRED_COMPLETER_KEYS)?;
+    let replacement = str_field(v, "replacement")?;
     Ok(CompleterConfig {
-        replacement: match str_field(v, "replacement")? {
-            "auto" => ReplacementMode::Auto,
-            "always" => ReplacementMode::Always,
-            "never" => ReplacementMode::Never,
-            other => return Err(corrupt(format!("unknown replacement mode {other:?}"))),
-        },
+        replacement: named(&REPLACEMENT_MODES, replacement)
+            .ok_or_else(|| corrupt(format!("unknown replacement mode {replacement:?}")))?,
         batch_size: usize_field(v, "batch_size")?,
         workers: usize_field(v, "workers")?,
     })
 }
 
+/// Each selection strategy's meta name, read in both directions.
+const STRATEGIES: [(SelectionStrategy, &str); 2] = [
+    (SelectionStrategy::BestValLoss, "best_val_loss"),
+    (
+        SelectionStrategy::SuspectedBiasRanking,
+        "suspected_bias_ranking",
+    ),
+];
+
 fn config_to_json(c: &RestoreConfig) -> JsonValue {
-    obj(vec![
-        ("train", train_to_json(&c.train)),
-        ("completer", completer_to_json(&c.completer)),
-        ("max_candidates", jus(c.max_candidates)),
-        (
-            "strategy",
-            jstr(match c.strategy {
-                SelectionStrategy::BestValLoss => "best_val_loss",
-                SelectionStrategy::SuspectedBiasRanking => "suspected_bias_ranking",
-            }),
-        ),
-        ("cache_budget_bytes", jus(c.cache_budget_bytes)),
-    ])
+    json_object! {
+        "train": train_to_json(&c.train),
+        "completer": completer_to_json(&c.completer),
+        "max_candidates": c.max_candidates,
+        "strategy": name_of(&STRATEGIES, &c.strategy),
+        "cache_budget_bytes": c.cache_budget_bytes,
+    }
 }
 
 fn config_from_json(v: &JsonValue) -> Result<RestoreConfig, PersistError> {
@@ -894,9 +827,9 @@ fn config_from_json(v: &JsonValue) -> Result<RestoreConfig, PersistError> {
         strategy: match str_field(v, "strategy")? {
             // Retired name, read only. Serving never honoured it, so the
             // file keeps its candidate count.
-            "shortest" | "best_val_loss" => SelectionStrategy::BestValLoss,
-            "suspected_bias_ranking" => SelectionStrategy::SuspectedBiasRanking,
-            other => return Err(corrupt(format!("unknown selection strategy {other:?}"))),
+            "shortest" => SelectionStrategy::BestValLoss,
+            name => named(&STRATEGIES, name)
+                .ok_or_else(|| corrupt(format!("unknown selection strategy {name:?}")))?,
         },
         cache_budget_bytes: usize_field(v, "cache_budget_bytes")?,
     })

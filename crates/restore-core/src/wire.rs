@@ -26,7 +26,8 @@
 //! a response carries the *exact* bits of the aggregate it reports.
 
 use restore_db::{Agg, ArithOp, CmpOp, Expr, Query, QueryResult, Table, Value};
-use restore_util::json::{escape, parse, JsonValue, ToJson};
+use restore_util::json::{parse, JsonValue};
+use restore_util::json_object;
 
 use crate::confidence::{ConfidenceInterval, ConfidenceQuery};
 
@@ -141,31 +142,32 @@ impl QueryRequest {
 
     /// Renders the request body (the client side of the wire).
     pub fn to_json(&self) -> String {
-        let mut parts = vec![format!("\"tables\":{}", self.query.tables.to_json())];
-        if let Some(f) = &self.query.filter {
-            parts.push(format!("\"filter\":{}", expr_to_wire(f)));
+        let query = &self.query;
+        let mut doc = json_object! { "tables": query.tables.clone() };
+        if let Some(f) = &query.filter {
+            doc.push("filter", expr_to_wire(f));
         }
-        if !self.query.group_by.is_empty() {
-            parts.push(format!("\"group_by\":{}", self.query.group_by.to_json()));
+        if !query.group_by.is_empty() {
+            doc.push("group_by", query.group_by.clone());
         }
-        if !self.query.aggregates.is_empty() {
-            let aggs: Vec<String> = self.query.aggregates.iter().map(agg_to_wire).collect();
-            parts.push(format!("\"aggregates\":[{}]", aggs.join(",")));
+        if !query.aggregates.is_empty() {
+            let aggs: Vec<JsonValue> = query.aggregates.iter().map(agg_to_wire).collect();
+            doc.push("aggregates", aggs);
         }
-        parts.push(format!("\"seed\":{}", self.seed));
+        doc.push("seed", self.seed);
         if let Some(c) = &self.confidence {
-            parts.push(format!("\"confidence\":{}", confidence_to_wire(c)));
+            doc.push("confidence", confidence_to_wire(c));
         }
-        format!("{{{}}}", parts.join(","))
+        doc.to_json()
     }
 }
 
-fn value_to_wire(v: &Value) -> String {
+fn value_to_wire(v: &Value) -> JsonValue {
     match v {
-        Value::Null => "null".to_string(),
-        Value::Int(i) => format!("{i}"),
-        Value::Float(f) => f.to_json(),
-        Value::Str(s) => format!("\"{}\"", escape(s)),
+        Value::Null => JsonValue::Null,
+        Value::Int(i) => (*i).into(),
+        Value::Float(f) => (*f).into(),
+        Value::Str(s) => (**s).into(),
     }
 }
 
@@ -173,80 +175,63 @@ fn value_from_wire(v: &JsonValue) -> Result<Value, WireError> {
     match v {
         JsonValue::Null => Ok(Value::Null),
         JsonValue::Str(s) => Ok(Value::str(s)),
-        JsonValue::Num(n) => {
-            if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 {
-                Ok(Value::Int(*n as i64))
-            } else {
-                Ok(Value::Float(*n))
+        _ => match v.as_f64() {
+            Some(n) if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 => {
+                Ok(Value::Int(n as i64))
             }
-        }
-        _ => err("literals must be null, a number, or a string"),
+            Some(n) => Ok(Value::Float(n)),
+            None => err("literals must be null, a number, or a string"),
+        },
     }
 }
 
-fn cmp_op_name(op: CmpOp) -> &'static str {
-    match op {
-        CmpOp::Eq => "eq",
-        CmpOp::Ne => "ne",
-        CmpOp::Lt => "lt",
-        CmpOp::Le => "le",
-        CmpOp::Gt => "gt",
-        CmpOp::Ge => "ge",
-    }
+/// Each comparison operator's wire name, read in both directions.
+const CMP_OPS: [(CmpOp, &str); 6] = [
+    (CmpOp::Eq, "eq"),
+    (CmpOp::Ne, "ne"),
+    (CmpOp::Lt, "lt"),
+    (CmpOp::Le, "le"),
+    (CmpOp::Gt, "gt"),
+    (CmpOp::Ge, "ge"),
+];
+
+/// Each arithmetic operator's wire name, read in both directions.
+const ARITH_OPS: [(ArithOp, &str); 4] = [
+    (ArithOp::Add, "add"),
+    (ArithOp::Sub, "sub"),
+    (ArithOp::Mul, "mul"),
+    (ArithOp::Div, "div"),
+];
+
+/// The name `names` gives `v`: the encode direction of a name table.
+pub(crate) fn name_of<T: PartialEq>(names: &[(T, &'static str)], v: &T) -> &'static str {
+    let named = names.iter().find(|(t, _)| t == v);
+    named.expect("a name table lists every variant").1
 }
 
-fn cmp_op_from(name: &str) -> Result<CmpOp, WireError> {
-    Ok(match name {
-        "eq" => CmpOp::Eq,
-        "ne" => CmpOp::Ne,
-        "lt" => CmpOp::Lt,
-        "le" => CmpOp::Le,
-        "gt" => CmpOp::Gt,
-        "ge" => CmpOp::Ge,
-        other => return err(format!("unknown comparison operator {other:?}")),
-    })
-}
-
-fn arith_op_name(op: ArithOp) -> &'static str {
-    match op {
-        ArithOp::Add => "add",
-        ArithOp::Sub => "sub",
-        ArithOp::Mul => "mul",
-        ArithOp::Div => "div",
-    }
-}
-
-fn arith_op_from(name: &str) -> Result<ArithOp, WireError> {
-    Ok(match name {
-        "add" => ArithOp::Add,
-        "sub" => ArithOp::Sub,
-        "mul" => ArithOp::Mul,
-        "div" => ArithOp::Div,
-        other => return err(format!("unknown arithmetic operator {other:?}")),
-    })
+/// The variant `names` calls `name`: the decode direction of a name table.
+pub(crate) fn named<T: Clone>(names: &[(T, &str)], name: &str) -> Option<T> {
+    names
+        .iter()
+        .find(|(_, n)| *n == name)
+        .map(|(t, _)| t.clone())
 }
 
 /// Renders a filter expression tree.
-pub(crate) fn expr_to_wire(e: &Expr) -> String {
+fn expr_to_wire(e: &Expr) -> JsonValue {
+    let pair = |a: &Expr, b: &Expr| JsonValue::Arr(vec![expr_to_wire(a), expr_to_wire(b)]);
+    let op = |name: &str, a: &Expr, b: &Expr| {
+        JsonValue::Arr(vec![name.into(), expr_to_wire(a), expr_to_wire(b)])
+    };
     match e {
-        Expr::Col(name) => format!("{{\"col\":\"{}\"}}", escape(name)),
-        Expr::Lit(v) => format!("{{\"lit\":{}}}", value_to_wire(v)),
-        Expr::Cmp(a, op, b) => format!(
-            "{{\"cmp\":[\"{}\",{},{}]}}",
-            cmp_op_name(*op),
-            expr_to_wire(a),
-            expr_to_wire(b)
-        ),
-        Expr::And(a, b) => format!("{{\"and\":[{},{}]}}", expr_to_wire(a), expr_to_wire(b)),
-        Expr::Or(a, b) => format!("{{\"or\":[{},{}]}}", expr_to_wire(a), expr_to_wire(b)),
-        Expr::Not(a) => format!("{{\"not\":{}}}", expr_to_wire(a)),
-        Expr::Arith(a, op, b) => format!(
-            "{{\"arith\":[\"{}\",{},{}]}}",
-            arith_op_name(*op),
-            expr_to_wire(a),
-            expr_to_wire(b)
-        ),
-        Expr::IsNull(a) => format!("{{\"is_null\":{}}}", expr_to_wire(a)),
+        Expr::Col(name) => json_object! { "col": name.as_str() },
+        Expr::Lit(v) => json_object! { "lit": value_to_wire(v) },
+        Expr::Cmp(a, o, b) => json_object! { "cmp": op(name_of(&CMP_OPS, o), a, b) },
+        Expr::And(a, b) => json_object! { "and": pair(a, b) },
+        Expr::Or(a, b) => json_object! { "or": pair(a, b) },
+        Expr::Not(a) => json_object! { "not": expr_to_wire(a) },
+        Expr::Arith(a, o, b) => json_object! { "arith": op(name_of(&ARITH_OPS, o), a, b) },
+        Expr::IsNull(a) => json_object! { "is_null": expr_to_wire(a) },
     }
 }
 
@@ -262,7 +247,7 @@ fn binary_pair(v: &JsonValue, what: &str) -> Result<(Expr, Expr), WireError> {
 
 /// Parses a filter expression tree. One call per JSON level, so the
 /// parser's nesting bound bounds this recursion too.
-pub(crate) fn expr_from_wire(v: &JsonValue) -> Result<Expr, WireError> {
+fn expr_from_wire(v: &JsonValue) -> Result<Expr, WireError> {
     let fields = v.fields();
     if fields.len() != 1 {
         return err("expressions are single-key objects like {\"col\": …}");
@@ -289,9 +274,15 @@ pub(crate) fn expr_from_wire(v: &JsonValue) -> Result<Expr, WireError> {
                 Box::new(expr_from_wire(&parts[2])?),
             );
             if key == "cmp" {
-                Expr::Cmp(a, cmp_op_from(op)?, b)
+                let Some(op) = named(&CMP_OPS, op) else {
+                    return err(format!("unknown comparison operator {op:?}"));
+                };
+                Expr::Cmp(a, op, b)
             } else {
-                Expr::Arith(a, arith_op_from(op)?, b)
+                let Some(op) = named(&ARITH_OPS, op) else {
+                    return err(format!("unknown arithmetic operator {op:?}"));
+                };
+                Expr::Arith(a, op, b)
             }
         }
         "and" => {
@@ -309,19 +300,20 @@ pub(crate) fn expr_from_wire(v: &JsonValue) -> Result<Expr, WireError> {
 }
 
 /// Renders an aggregate spec.
-pub(crate) fn agg_to_wire(agg: &Agg) -> String {
-    match agg {
-        Agg::CountStar => "{\"fn\":\"count_star\"}".to_string(),
-        Agg::Count(c) => format!("{{\"fn\":\"count\",\"col\":\"{}\"}}", escape(c)),
-        Agg::Sum(c) => format!("{{\"fn\":\"sum\",\"col\":\"{}\"}}", escape(c)),
-        Agg::Avg(c) => format!("{{\"fn\":\"avg\",\"col\":\"{}\"}}", escape(c)),
-        Agg::Min(c) => format!("{{\"fn\":\"min\",\"col\":\"{}\"}}", escape(c)),
-        Agg::Max(c) => format!("{{\"fn\":\"max\",\"col\":\"{}\"}}", escape(c)),
-    }
+fn agg_to_wire(agg: &Agg) -> JsonValue {
+    let (name, col) = match agg {
+        Agg::CountStar => return json_object! { "fn": "count_star" },
+        Agg::Count(c) => ("count", c),
+        Agg::Sum(c) => ("sum", c),
+        Agg::Avg(c) => ("avg", c),
+        Agg::Min(c) => ("min", c),
+        Agg::Max(c) => ("max", c),
+    };
+    json_object! { "fn": name, "col": col.as_str() }
 }
 
 /// Parses an aggregate spec.
-pub(crate) fn agg_from_wire(v: &JsonValue) -> Result<Agg, WireError> {
+fn agg_from_wire(v: &JsonValue) -> Result<Agg, WireError> {
     let Some(name) = v.get("fn").and_then(JsonValue::as_str) else {
         return err("aggregates look like {\"fn\": \"avg\", \"col\": …}");
     };
@@ -342,7 +334,7 @@ pub(crate) fn agg_from_wire(v: &JsonValue) -> Result<Agg, WireError> {
     })
 }
 
-fn confidence_to_wire(spec: &ConfidenceSpec) -> String {
+fn confidence_to_wire(spec: &ConfidenceSpec) -> JsonValue {
     let (kind, table, column, value) = match &spec.query {
         ConfidenceQuery::CountFraction {
             table,
@@ -352,16 +344,14 @@ fn confidence_to_wire(spec: &ConfidenceSpec) -> String {
         ConfidenceQuery::Avg { table, column } => ("avg", table, column, None),
         ConfidenceQuery::Sum { table, column } => ("sum", table, column, None),
     };
-    let mut parts = vec![
-        format!("\"kind\":\"{kind}\""),
-        format!("\"table\":\"{}\"", escape(table)),
-        format!("\"column\":\"{}\"", escape(column)),
-    ];
+    let mut doc = json_object! {
+        "kind": kind, "table": table.as_str(), "column": column.as_str(),
+    };
     if let Some(v) = value {
-        parts.push(format!("\"value\":\"{}\"", escape(v)));
+        doc.push("value", v.as_str());
     }
-    parts.push(format!("\"level\":{}", spec.level.to_json()));
-    format!("{{{}}}", parts.join(","))
+    doc.push("level", spec.level);
+    doc
 }
 
 fn confidence_from_wire(v: &JsonValue) -> Result<ConfidenceSpec, WireError> {
@@ -393,18 +383,15 @@ fn confidence_from_wire(v: &JsonValue) -> Result<ConfidenceSpec, WireError> {
     Ok(ConfidenceSpec { query, level })
 }
 
-/// Renders a table's rows as a comma-joined list of JSON arrays — the one
-/// row encoding both response surfaces share, so their byte-stability
+/// Renders a table's rows as an array of JSON arrays — the one row
+/// encoding both response surfaces share, so their byte-stability
 /// contracts cannot drift apart.
-fn rows_json(table: &Table) -> String {
-    let mut rows = Vec::with_capacity(table.n_rows());
-    for r in 0..table.n_rows() {
-        let cells: Vec<String> = (0..table.n_cols())
-            .map(|c| value_to_wire(&table.value(r, c)))
-            .collect();
-        rows.push(format!("[{}]", cells.join(",")));
-    }
-    rows.join(",")
+fn rows_to_wire(table: &Table) -> JsonValue {
+    let rows = (0..table.n_rows()).map(|r| {
+        let cells = (0..table.n_cols()).map(|c| value_to_wire(&table.value(r, c)));
+        JsonValue::Arr(cells.collect())
+    });
+    JsonValue::Arr(rows.collect())
 }
 
 /// Renders a [`QueryResult`] (plus an optional confidence interval) as the
@@ -413,61 +400,43 @@ fn rows_json(table: &Table) -> String {
 /// serving tests' bit-equality contract rides on this.
 pub fn query_response_json(result: &QueryResult, ci: Option<&ConfidenceInterval>) -> String {
     let table = &result.table;
-    let columns: Vec<String> = table.fields().iter().map(|f| f.name.clone()).collect();
-    let scalar = match result.scalar() {
-        Some(s) => s.to_json(),
-        None => "null".to_string(),
+    let columns: Vec<JsonValue> = table
+        .fields()
+        .iter()
+        .map(|f| f.name.as_str().into())
+        .collect();
+    let doc = json_object! {
+        "group_cols": result.group_cols,
+        "columns": columns,
+        "rows": rows_to_wire(table),
+        "scalar": result.scalar(),
+        "confidence": ci.map(confidence_interval_to_wire),
     };
-    let confidence = match ci {
-        Some(ci) => confidence_interval_json(ci),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"group_cols\":{},\"columns\":{},\"rows\":[{}],\"scalar\":{},\"confidence\":{}}}",
-        result.group_cols,
-        columns.to_json(),
-        rows_json(table),
-        scalar,
-        confidence
-    )
+    doc.to_json()
 }
 
 /// Renders a [`ConfidenceInterval`].
-pub(crate) fn confidence_interval_json(ci: &ConfidenceInterval) -> String {
-    let theoretical = match ci.theoretical {
-        Some((lo, hi)) => format!("[{},{}]", lo.to_json(), hi.to_json()),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"lo\":{},\"hi\":{},\"estimate\":{},\"theoretical\":{}}}",
-        ci.lo.to_json(),
-        ci.hi.to_json(),
-        ci.estimate.to_json(),
-        theoretical
-    )
+fn confidence_interval_to_wire(ci: &ConfidenceInterval) -> JsonValue {
+    json_object! {
+        "lo": ci.lo, "hi": ci.hi, "estimate": ci.estimate, "theoretical": ci.theoretical,
+    }
 }
 
 /// Renders a full table (the `GET /v1/{tenant}/tables/{name}` response):
 /// schema plus every row, in the table's own column order.
 pub fn table_json(table: &Table) -> String {
-    let columns: Vec<String> = table
+    let columns: Vec<JsonValue> = table
         .fields()
         .iter()
-        .map(|f| {
-            format!(
-                "{{\"name\":\"{}\",\"dtype\":\"{}\"}}",
-                escape(&f.name),
-                f.dtype
-            )
-        })
+        .map(|f| json_object! { "name": f.name.as_str(), "dtype": f.dtype.to_string() })
         .collect();
-    format!(
-        "{{\"name\":\"{}\",\"n_rows\":{},\"columns\":[{}],\"rows\":[{}]}}",
-        escape(table.name()),
-        table.n_rows(),
-        columns.join(","),
-        rows_json(table)
-    )
+    let doc = json_object! {
+        "name": table.name(),
+        "n_rows": table.n_rows(),
+        "columns": columns,
+        "rows": rows_to_wire(table),
+    };
+    doc.to_json()
 }
 
 #[cfg(test)]
@@ -496,6 +465,16 @@ mod tests {
         )
     }
 
+    /// `demo_request`'s body, byte for byte.
+    const PINNED_REQUEST: &str = concat!(
+        r#"{"tables":["neighborhood","apartment"],"#,
+        r#""filter":{"or":[{"and":[{"cmp":["ge",{"col":"rent"},{"lit":2000}]},"#,
+        r#"{"not":{"cmp":["eq",{"col":"state"},{"lit":"CA"}]}}]},{"is_null":{"col":"rent"}}]},"#,
+        r#""group_by":["state"],"aggregates":[{"fn":"avg","col":"rent"},{"fn":"count_star"}],"#,
+        r#""seed":7,"confidence":{"kind":"count_fraction","table":"apartment","#,
+        r#""column":"room_type","value":"Private room","level":0.9}}"#
+    );
+
     #[test]
     fn request_round_trips_through_json() {
         let req = demo_request();
@@ -503,6 +482,7 @@ mod tests {
         let parsed = QueryRequest::from_json(&body).expect("parse");
         // Query/Expr have no PartialEq; canonical JSON is the identity.
         assert_eq!(parsed.to_json(), body);
+        assert_eq!(body, PINNED_REQUEST);
         assert_eq!(parsed.seed, 7);
         assert_eq!(parsed.query.tables, req.query.tables);
         assert_eq!(parsed.query.group_by, req.query.group_by);
@@ -529,12 +509,14 @@ mod tests {
             Box::new(Expr::lit(3i64)),
         );
         for op in ["eq", "ne", "lt", "le", "gt", "ge"] {
-            let body = format!(
-                "{{\"cmp\":[\"{op}\",{},{{\"lit\":null}}]}}",
-                expr_to_wire(&e)
-            );
+            let operands = vec![
+                op.into(),
+                expr_to_wire(&e),
+                json_object! { "lit": JsonValue::Null },
+            ];
+            let body = json_object! { "cmp": operands }.to_json();
             let parsed = expr_from_wire(&parse(&body).unwrap()).expect("parse");
-            assert_eq!(expr_to_wire(&parsed), body);
+            assert_eq!(expr_to_wire(&parsed).to_json(), body);
         }
     }
 
@@ -606,6 +588,13 @@ mod tests {
         assert!(body.contains("[null,null]"), "NaN and Null encode as null");
         assert!(body.contains("\"group_cols\":1"));
         assert!(body.contains("\"scalar\":null"));
+        assert_eq!(
+            body,
+            concat!(
+                r#"{"group_cols":1,"columns":["state","avg_rent"],"#,
+                r#""rows":[["CA",0.30000000000000004],[null,null]],"scalar":null,"confidence":null}"#
+            )
+        );
         let reparsed = parse(&body).expect("response is valid JSON");
         assert_eq!(
             reparsed.get("columns").unwrap().as_array().unwrap()[0].as_str(),
@@ -631,6 +620,13 @@ mod tests {
         assert!(body.contains("\"scalar\":42"), "{body}");
         assert!(body.contains("\"lo\":40"), "{body}");
         assert!(body.contains("\"theoretical\":[0,100]"), "{body}");
+        assert_eq!(
+            body,
+            concat!(
+                r#"{"group_cols":0,"columns":["count"],"rows":[[42]],"scalar":42,"#,
+                r#""confidence":{"lo":40,"hi":44.5,"estimate":42,"theoretical":[0,100]}}"#
+            )
+        );
     }
 
     #[test]
@@ -648,5 +644,31 @@ mod tests {
         assert!(body.contains("\"dtype\":\"INT\""));
         assert!(body.contains("[1,\"b\\\"1\"]"), "{body}");
         assert!(parse(&body).is_some(), "valid JSON: {body}");
+        assert_eq!(
+            body,
+            concat!(
+                r#"{"name":"tb","n_rows":1,"columns":[{"name":"id","dtype":"INT"},"#,
+                r#"{"name":"b","dtype":"STR"}],"rows":[[1,"b\"1"]]}"#
+            )
+        );
+        // Integers travel exactly, past 2^53 and down to `i64::MIN`. The row
+        // needs two INT columns, so it gets a table of its own.
+        let mut wide = Table::new(
+            "wide",
+            vec![
+                Field::new("id", DataType::Int),
+                Field::new("n", DataType::Int),
+            ],
+        );
+        wide.push_row(&[Value::Int((1 << 53) + 1), Value::Int(i64::MIN)])
+            .unwrap();
+        assert_eq!(
+            table_json(&wide),
+            concat!(
+                r#"{"name":"wide","n_rows":1,"columns":[{"name":"id","dtype":"INT"},"#,
+                r#"{"name":"n","dtype":"INT"}],"#,
+                r#""rows":[[9007199254740993,-9223372036854775808]]}"#
+            )
+        );
     }
 }

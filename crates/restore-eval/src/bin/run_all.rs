@@ -17,10 +17,10 @@ use restore_eval::{
     mean, median, parse_args, run_confidence_real, run_confidence_synthetic, run_exp1,
     run_exp1_fanout, run_exp2, run_exp3, run_fig10, run_fig9, run_timings, Exp1Config,
 };
-use restore_util::json::ToJson;
+use restore_util::json::JsonValue;
 
 /// Writes `cells` to `<results dir>/<name>.json`.
-fn save_json<C: ToJson>(name: &str, cells: &[C]) -> std::io::Result<PathBuf> {
+fn save_json(name: &str, cells: JsonValue) -> std::io::Result<PathBuf> {
     let dir = std::env::var("RESTORE_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
     std::fs::create_dir_all(&dir)?;
     let path = PathBuf::from(dir).join(format!("{name}.json"));
@@ -30,18 +30,21 @@ fn save_json<C: ToJson>(name: &str, cells: &[C]) -> std::io::Result<PathBuf> {
 
 /// Runs one experiment, saves its artifact and prints its verdict line.
 /// Returns whether the artifact was written.
-fn step<C: ToJson>(
+fn step<C>(
     name: &str,
     run: impl FnOnce() -> Vec<C>,
     errored: impl Fn(&C) -> bool,
     headline: impl FnOnce(&[C]) -> String,
-) -> bool {
+) -> bool
+where
+    for<'c> &'c C: Into<JsonValue>,
+{
     let started = Instant::now();
     let cells = run();
     let errored = cells.iter().filter(|c| errored(c)).count();
     let (n, headline) = (cells.len(), headline(&cells));
     let secs = started.elapsed().as_secs_f64();
-    match save_json(name, &cells) {
+    match save_json(name, JsonValue::Arr(cells.iter().map(Into::into).collect())) {
         Ok(path) => {
             println!("{name}: {n} cells, {errored} errored, {headline} [{path:?}, {secs:.1}s]");
             true

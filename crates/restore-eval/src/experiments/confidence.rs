@@ -2,7 +2,7 @@
 //! 40%), Fig. 13 (synthetic, all correlations) and Fig. 14 (real-world
 //! categorical setups).
 
-use restore_util::impl_to_json;
+use restore_util::json_fields;
 
 use restore_core::{
     confidence_interval, ConfidenceInterval, ConfidenceQuery, ReStore, ReplacementMode,
@@ -32,7 +32,7 @@ pub struct ConfidenceCell {
     /// Whether the true fraction falls inside the predicted interval.
     pub covered: bool,
 }
-impl_to_json!(ConfidenceCell {
+json_fields!(ConfidenceCell {
     panel,
     predictability,
     keep_rate,

@@ -3,7 +3,7 @@
 //! predictability), Fig. 5c (SSAR vs AR under fan-out predictability).
 
 use restore_core::ReplacementMode;
-use restore_util::impl_to_json;
+use restore_util::json_fields;
 
 use crate::harness::{
     complete_scenario, eval_train_config, grid, scenario_bias_reduction, synthetic_scenario,
@@ -24,7 +24,7 @@ pub struct Exp1Cell {
     /// Final training loss.
     pub train_loss: f32,
 }
-impl_to_json!(Exp1Cell {
+json_fields!(Exp1Cell {
     panel,
     keep_rate,
     removal_correlation,
@@ -113,7 +113,7 @@ pub struct FanoutCell {
     /// `ssar − ar` — the y-axis of Fig. 5c.
     pub improvement: f64,
 }
-impl_to_json!(FanoutCell {
+json_fields!(FanoutCell {
     fanout_predictability,
     ar_bias_reduction,
     ssar_bias_reduction,

@@ -6,7 +6,7 @@
 //! completion paths and reports the best completion; the test-loss
 //! selection is evaluated separately in Fig. 10.
 
-use restore_util::impl_to_json;
+use restore_util::json_fields;
 
 use restore_core::{ReStore, RestoreConfig};
 use restore_data::{build_scenario, Setup};
@@ -30,7 +30,7 @@ pub struct Exp2Cell {
     pub per_path: Vec<(String, f64)>,
     pub error: Option<String>,
 }
-impl_to_json!(Exp2Cell {
+json_fields!(Exp2Cell {
     setup,
     keep_rate,
     removal_correlation,

@@ -1,7 +1,7 @@
 //! Exp. 3 — end-to-end query processing (§7.4): the Table 1 workload and
 //! the Fig. 8 relative-error improvements.
 
-use restore_util::impl_to_json;
+use restore_util::json_fields;
 
 use restore_core::{ReStore, RestoreConfig, SelectionStrategy};
 use restore_data::{build_scenario, Setup};
@@ -29,7 +29,7 @@ pub struct Exp3Cell {
     pub improvement: f64,
     pub error: Option<String>,
 }
-impl_to_json!(Exp3Cell {
+json_fields!(Exp3Cell {
     dataset,
     setup,
     query,

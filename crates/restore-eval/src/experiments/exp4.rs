@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use restore_util::impl_to_json;
+use restore_util::json_fields;
 
 use restore_core::{
     enumerate_paths, score_candidates, BiasDirection, CompletionModel, ReplacementMode,
@@ -24,7 +24,7 @@ pub struct Fig9Cell {
     pub removal_correlation: f64,
     pub bias_reduction: f64,
 }
-impl_to_json!(Fig9Cell {
+json_fields!(Fig9Cell {
     setup,
     model_class,
     removal_correlation,
@@ -95,7 +95,7 @@ pub struct Fig10Cell {
     /// The best candidate in hindsight (oracle).
     pub best: f64,
 }
-impl_to_json!(Fig10Cell {
+json_fields!(Fig10Cell {
     setup,
     removal_correlation,
     all_models,
@@ -170,7 +170,7 @@ pub struct TimingCell {
     pub completion_nn_seconds: f64,
     pub synthesized_tuples: usize,
 }
-impl_to_json!(TimingCell {
+json_fields!(TimingCell {
     dataset,
     setup,
     model_class,

@@ -10,7 +10,6 @@
 //! they materialize. The event loop (`reactor`) feeds it from
 //! nonblocking reads; nothing in this module touches a socket.
 
-use restore_util::json::ToJson;
 use restore_util::json_object;
 
 /// Parse-time limits; oversized inputs answer 413 instead of buffering

@@ -59,7 +59,7 @@ use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use restore_util::json::{JsonValue, ToJson};
+use restore_util::json::JsonValue;
 use restore_util::{fnv1a64, json_object, HealthState, Shutdown};
 
 use crate::client::{header_lines, response_frame, ClientConfig};

@@ -73,7 +73,7 @@ use std::time::{Duration, Instant};
 use restore_core::wire::{self, QueryRequest};
 use restore_core::{CoreError, ReStore, SnapshotRegistry};
 use restore_db::DbError;
-use restore_util::json::{JsonValue, ToJson};
+use restore_util::json::JsonValue;
 use restore_util::{derive_seed, json_object, RateLimitConfig, RateLimiter, Shutdown};
 
 use crate::fault::{self, FaultAction, FaultConfig, FaultPlan};
@@ -708,11 +708,13 @@ fn route(shared: &Arc<Shared>, request: &Request, request_id: u64, budget: &Budg
             Response::json(200, body.to_json())
         }
         ("GET", ["metrics"]) => metrics(shared, None),
-        ("POST", ["v1", tenant, "query"]) => {
-            query(shared, tenant, &request.body, request_id, budget)
-        }
+        ("POST", ["v1", tenant, "query"]) => tenant_request(shared, tenant, request_id, |snap| {
+            execute_query(shared, snap, &request.body, budget)
+        }),
         ("GET", ["v1", tenant, "tables", table]) => {
-            completed_table(shared, tenant, table, request, request_id, budget)
+            tenant_request(shared, tenant, request_id, |snap| {
+                completed_table(shared, snap, table, request, budget)
+            })
         }
         ("POST", ["v1", tenant, "rebuild"]) => rebuild(shared, tenant, request),
         (_, ["v1", _, "query"])
@@ -753,7 +755,15 @@ fn rate_limit_check(
     }
 }
 
-fn query(shared: &Shared, tenant: &str, body: &str, request_id: u64, budget: &Budget) -> Response {
+/// What every tenant route does around its handler: resolve the tenant
+/// (404 if unknown), apply its rate limit, count the query, run `handle`
+/// on its snapshot, and count any status ≥ 400 as the tenant's error.
+fn tenant_request(
+    shared: &Shared,
+    tenant: &str,
+    request_id: u64,
+    handle: impl FnOnce(&restore_core::Snapshot) -> Response,
+) -> Response {
     let Some(snapshot) = shared.registry.view().get(tenant).cloned() else {
         return Response::error(404, &format!("unknown tenant {tenant:?}"));
     };
@@ -762,7 +772,7 @@ fn query(shared: &Shared, tenant: &str, body: &str, request_id: u64, budget: &Bu
         return response;
     }
     counters.queries.fetch_add(1, Ordering::Relaxed);
-    let response = execute_query(shared, &snapshot, body, budget);
+    let response = handle(&snapshot);
     if response.status >= 400 {
         counters.note_error(request_id);
     }
@@ -806,37 +816,21 @@ fn execute_query(
 
 fn completed_table(
     shared: &Shared,
-    tenant: &str,
+    snapshot: &restore_core::Snapshot,
     table: &str,
     request: &Request,
-    request_id: u64,
     budget: &Budget,
 ) -> Response {
-    let Some(snapshot) = shared.registry.view().get(tenant).cloned() else {
-        return Response::error(404, &format!("unknown tenant {tenant:?}"));
-    };
-    let counters = shared.metrics.tenant(tenant);
-    if let Err(response) = rate_limit_check(shared, tenant, &counters, request_id) {
-        return response;
-    }
-    counters.queries.fetch_add(1, Ordering::Relaxed);
     let seed = match seed_param(request, "seed") {
         Ok(seed) => seed.unwrap_or(0),
-        Err(response) => {
-            counters.note_error(request_id);
-            return response;
-        }
+        Err(response) => return response,
     };
     if let Err(elapsed) = budget.check() {
-        counters.note_error(request_id);
         return shared.deadline_response("synthesis", elapsed, budget);
     }
     match snapshot.completed_table(table, seed) {
         Ok(completed) => Response::json(200, wire::table_json(&completed)),
-        Err(e) => {
-            counters.note_error(request_id);
-            Response::error(core_error_status(&e), &e.to_string())
-        }
+        Err(e) => Response::error(core_error_status(&e), &e.to_string()),
     }
 }
 
@@ -1054,7 +1048,7 @@ pub(crate) fn metrics(shared: &Shared, fleet: Option<JsonValue>) -> Response {
         bytes += stats.bytes;
         entries += stats.entries;
     }
-    let doc = json_object! {
+    let mut doc = json_object! {
         "uptime_s": uptime,
         "connections": json_object! {
             "total": shared.shutdown.total_started(), "active": shared.shutdown.active(),
@@ -1091,12 +1085,11 @@ pub(crate) fn metrics(shared: &Shared, fleet: Option<JsonValue>) -> Response {
             },
         },
     };
-    let JsonValue::Obj(mut fields) = doc else {
-        unreachable!("json_object! builds an object")
-    };
-    fields.extend(fleet.map(|fleet| ("fleet".to_string(), fleet)));
-    fields.push(("tenants".to_string(), JsonValue::Obj(tenants)));
-    Response::json(200, JsonValue::Obj(fields).to_json())
+    if let Some(fleet) = fleet {
+        doc.push("fleet", fleet);
+    }
+    doc.push("tenants", JsonValue::Obj(tenants));
+    Response::json(200, doc.to_json())
 }
 
 #[cfg(test)]

@@ -1,149 +1,25 @@
-//! Minimal JSON reading and writing.
+//! Minimal JSON reading and writing: the workspace's one JSON document
+//! model.
 //!
-//! The environment cannot pull serde, so this module provides a [`ToJson`]
-//! trait for primitives and containers, the
-//! [`impl_to_json!`](crate::impl_to_json) macro that derives the object
-//! encoding for a named-field struct, and the [`JsonValue`] tree that
-//! [`parse`] reads and [`json_object!`](crate::json_object) builds.
+//! The environment cannot pull serde. Every document is a [`JsonValue`]
+//! tree: [`parse`] reads one, and [`JsonValue::to_json`] writes one back.
+//! Documents are built with [`json_object!`](crate::json_object), `From`
+//! and [`JsonValue::Arr`]; [`json_fields!`](crate::json_fields) lists a
+//! named-field struct's fields as an object.
 
-/// Serializes a value to a JSON string.
-pub trait ToJson {
-    fn to_json(&self) -> String;
-}
+use std::fmt::Write;
 
-/// Escapes a string per RFC 8259.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn float_to_json(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        // JSON has no Inf/NaN; null is the conventional stand-in.
-        "null".to_string()
-    }
-}
-
-impl ToJson for f64 {
-    fn to_json(&self) -> String {
-        float_to_json(*self)
-    }
-}
-
-impl ToJson for f32 {
-    fn to_json(&self) -> String {
-        float_to_json(*self as f64)
-    }
-}
-
-macro_rules! int_to_json {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> String {
-                format!("{self}")
-            }
-        }
-    )*};
-}
-
-int_to_json!(usize, u64, u32, i64, i32);
-
-impl ToJson for bool {
-    fn to_json(&self) -> String {
-        format!("{self}")
-    }
-}
-
-impl ToJson for String {
-    fn to_json(&self) -> String {
-        format!("\"{}\"", escape(self))
-    }
-}
-
-impl ToJson for &str {
-    fn to_json(&self) -> String {
-        format!("\"{}\"", escape(self))
-    }
-}
-
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> String {
-        match self {
-            Some(v) => v.to_json(),
-            None => "null".to_string(),
-        }
-    }
-}
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> String {
-        let items: Vec<String> = self.iter().map(ToJson::to_json).collect();
-        format!("[{}]", items.join(","))
-    }
-}
-
-impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> String {
-        let items: Vec<String> = self.iter().map(ToJson::to_json).collect();
-        format!("[{}]", items.join(","))
-    }
-}
-
-impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> String {
-        format!("[{},{}]", self.0.to_json(), self.1.to_json())
-    }
-}
-
-impl<T: ToJson + ?Sized> ToJson for &T {
-    fn to_json(&self) -> String {
-        (**self).to_json()
-    }
-}
-
-/// Implements [`ToJson`] for a named-field struct by listing its fields:
-///
-/// ```ignore
-/// impl_to_json!(Cell { name, score, errors });
-/// ```
-#[macro_export]
-macro_rules! impl_to_json {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
-        impl $crate::json::ToJson for $ty {
-            fn to_json(&self) -> String {
-                let mut parts: Vec<String> = Vec::new();
-                $(
-                    parts.push(format!(
-                        "\"{}\":{}",
-                        stringify!($field),
-                        $crate::json::ToJson::to_json(&self.$field)
-                    ));
-                )+
-                format!("{{{}}}", parts.join(","))
-            }
-        }
-    };
-}
-
-/// A parsed JSON value — the read side of this module: the wire decoder,
-/// snapshot meta, and every `/metrics` reader go through it.
+/// A JSON document: what [`parse`] reads and [`JsonValue::to_json`] writes.
+/// The wire codec, snapshot meta, `/metrics` and the evaluation's
+/// artifacts all go through it.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JsonValue {
     Null,
     Bool(bool),
+    /// An exact integer, wide enough for every `i64` cell value and `u64`
+    /// seed. Built from Rust integers only: [`parse`] reads every number
+    /// as [`JsonValue::Num`].
+    Int(i128),
     Num(f64),
     Str(String),
     Arr(Vec<JsonValue>),
@@ -153,6 +29,7 @@ pub enum JsonValue {
 impl JsonValue {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            JsonValue::Int(v) => Some(*v as f64),
             JsonValue::Num(v) => Some(*v),
             _ => None,
         }
@@ -187,47 +64,119 @@ impl JsonValue {
             _ => &[],
         }
     }
-}
 
-/// The write side of [`JsonValue`]: renders the tree back to a compact
-/// document, inverse of [`parse`]. Handy for canonicalizing bodies in
-/// tests and for building dynamic documents (the HTTP wire surface builds
-/// responses this way).
-impl ToJson for JsonValue {
-    fn to_json(&self) -> String {
+    /// Appends `key: value` to an object, for the keys a document carries
+    /// only sometimes.
+    ///
+    /// # Panics
+    ///
+    /// If `self` is not an object.
+    pub fn push(&mut self, key: &str, value: impl Into<JsonValue>) {
+        let JsonValue::Obj(fields) = self else {
+            panic!("JSON field {key:?} pushed onto a non-object");
+        };
+        fields.push((key.to_string(), value.into()));
+    }
+
+    /// Writes the tree as a compact document, the inverse of [`parse`].
+    /// Finite numbers print with Rust's shortest round-trip `Display`, so
+    /// a reader gets the exact bits back; JSON has no NaN or infinity, so
+    /// those write `null`.
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out);
+        out
+    }
+
+    fn write(&self, out: &mut String) {
         match self {
-            JsonValue::Null => "null".to_string(),
-            JsonValue::Bool(b) => b.to_json(),
-            JsonValue::Num(v) => v.to_json(),
-            JsonValue::Str(s) => s.to_json(),
+            JsonValue::Null => out.push_str("null"),
+            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Int(v) => {
+                let _ = write!(out, "{v}");
+            }
+            JsonValue::Num(v) if v.is_finite() => {
+                let _ = write!(out, "{v}");
+            }
+            JsonValue::Num(_) => out.push_str("null"),
+            JsonValue::Str(s) => write_str(out, s),
             JsonValue::Arr(items) => {
-                let parts: Vec<String> = items.iter().map(ToJson::to_json).collect();
-                format!("[{}]", parts.join(","))
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write(out);
+                }
+                out.push(']');
             }
             JsonValue::Obj(fields) => {
-                let parts: Vec<String> = fields
-                    .iter()
-                    .map(|(k, v)| format!("\"{}\":{}", escape(k), v.to_json()))
-                    .collect();
-                format!("{{{}}}", parts.join(","))
+                out.push('{');
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_str(out, key);
+                    out.push(':');
+                    value.write(out);
+                }
+                out.push('}');
             }
         }
     }
 }
 
-/// Counters render through `f64`, which prints every integer below 2^53
-/// with the same digits as the integer itself.
-macro_rules! num_to_json_value {
+/// Writes `s` as a JSON string, escaped per RFC 8259. Everything to escape
+/// is ASCII, so the runs between escapes are copied whole.
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+impl From<f64> for JsonValue {
+    fn from(v: f64) -> Self {
+        JsonValue::Num(v)
+    }
+}
+
+/// `f32` promotes to `f64` exactly, and the shortest round-trip printer
+/// plus correctly rounded parsing brings the same `f32` back.
+impl From<f32> for JsonValue {
+    fn from(v: f32) -> Self {
+        JsonValue::Num(v as f64)
+    }
+}
+
+macro_rules! int_to_json_value {
     ($($t:ty),*) => {$(
         impl From<$t> for JsonValue {
             fn from(v: $t) -> Self {
-                JsonValue::Num(v as f64)
+                JsonValue::Int(v as i128)
             }
         }
     )*};
 }
 
-num_to_json_value!(f64, u64, usize, u32);
+int_to_json_value!(u64, usize, u32, i64);
 
 impl From<bool> for JsonValue {
     fn from(v: bool) -> Self {
@@ -253,6 +202,19 @@ impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
     }
 }
 
+impl<T: Into<JsonValue>> From<Vec<T>> for JsonValue {
+    fn from(v: Vec<T>) -> Self {
+        JsonValue::Arr(v.into_iter().map(Into::into).collect())
+    }
+}
+
+/// A pair is a two-element array.
+impl<A: Into<JsonValue>, B: Into<JsonValue>> From<(A, B)> for JsonValue {
+    fn from((a, b): (A, B)) -> Self {
+        JsonValue::Arr(vec![a.into(), b.into()])
+    }
+}
+
 /// Builds a [`JsonValue::Obj`] from `"key": value` pairs in document order;
 /// each value is anything with an `Into<JsonValue>`:
 ///
@@ -265,6 +227,27 @@ macro_rules! json_object {
         $crate::json::JsonValue::Obj(vec![
             $(($key.to_string(), $crate::json::JsonValue::from($value))),*
         ])
+    };
+}
+
+/// Implements `From<&T> for JsonValue` for a named-field struct by listing
+/// its fields: the object [`json_object!`](crate::json_object) builds, with
+/// each field's name as its key and a clone of its value.
+///
+/// ```ignore
+/// json_fields!(Cell { name, score, errors });
+/// ```
+#[macro_export]
+macro_rules! json_fields {
+    ($ty:ty { $($field:ident),+ $(,)? }) => {
+        impl From<&$ty> for $crate::json::JsonValue {
+            fn from(v: &$ty) -> Self {
+                $crate::json::JsonValue::Obj(vec![$((
+                    stringify!($field).to_string(),
+                    $crate::json::JsonValue::from(::std::clone::Clone::clone(&v.$field)),
+                )),+])
+            }
+        }
     };
 }
 
@@ -487,7 +470,7 @@ mod tests {
         tags: Vec<(String, f64)>,
         err: Option<String>,
     }
-    crate::impl_to_json!(Demo {
+    crate::json_fields!(Demo {
         name,
         score,
         tags,
@@ -503,15 +486,41 @@ mod tests {
             err: None,
         };
         assert_eq!(
-            d.to_json(),
+            JsonValue::from(&d).to_json(),
             r#"{"name":"a\"b","score":0.5,"tags":[["x",1]],"err":null}"#
         );
     }
 
     #[test]
     fn non_finite_floats_become_null() {
-        assert_eq!(f64::NAN.to_json(), "null");
-        assert_eq!(f64::INFINITY.to_json(), "null");
+        assert_eq!(JsonValue::from(f64::NAN).to_json(), "null");
+        assert_eq!(JsonValue::from(f64::INFINITY).to_json(), "null");
+    }
+
+    /// Integers take the exact arm: every digit of an `i64` or a `u64`,
+    /// where an `f64` would round past 2^53. `parse` reads them back as
+    /// `Num`, and `as_f64` reads both arms.
+    #[test]
+    fn integers_write_every_digit() {
+        let doc = crate::json_object! {
+            "min": i64::MIN, "max": u64::MAX, "odd": (1u64 << 53) + 1,
+        };
+        let text = doc.to_json();
+        assert_eq!(
+            text,
+            r#"{"min":-9223372036854775808,"max":18446744073709551615,"odd":9007199254740993}"#
+        );
+        let odd = doc.get("odd").and_then(JsonValue::as_f64);
+        assert_eq!(odd, Some(9_007_199_254_740_992.0));
+        let min = parse(&text).unwrap().get("min").cloned();
+        assert_eq!(min, Some(JsonValue::Num(i64::MIN as f64)));
+    }
+
+    #[test]
+    fn control_characters_escape_as_unicode() {
+        let escaped = JsonValue::from("a\u{1}b\u{1f}\t\"").to_json();
+        assert_eq!(escaped, r#""a\u0001b\u001f\t\"""#);
+        assert_eq!(parse(&escaped), Some("a\u{1}b\u{1f}\t\"".into()));
     }
 
     #[test]
@@ -522,7 +531,7 @@ mod tests {
             tags: vec![("x".into(), 1.0), ("y".into(), 0.5)],
             err: None,
         };
-        let parsed = parse(&d.to_json()).expect("parse");
+        let parsed = parse(&JsonValue::from(&d).to_json()).expect("parse");
         assert_eq!(
             parsed.get("name").and_then(JsonValue::as_str),
             Some("a\"b\\c\nd")
@@ -568,7 +577,7 @@ mod tests {
         let text = format!("{run}\"quoted\" and \\ backslashed\n{run}");
         assert!(text.len() > 1 << 20);
         let started = std::time::Instant::now();
-        let parsed = parse(&text.as_str().to_json()).expect("parse");
+        let parsed = parse(&JsonValue::from(text.as_str()).to_json()).expect("parse");
         assert!(started.elapsed() < std::time::Duration::from_secs(1));
         assert_eq!(parsed.as_str(), Some(text.as_str()));
     }

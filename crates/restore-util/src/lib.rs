@@ -1,6 +1,8 @@
 //! Shared utilities: a deterministic, order-preserving parallel map over a
-//! small worker pool, stable seed derivation for per-batch RNGs, and a tiny
-//! JSON writer for experiment artifacts.
+//! small worker pool, stable seed derivation for per-batch RNGs, and the
+//! workspace's one JSON document model ([`json::JsonValue`]: a reader and a
+//! writer), plus the file, health, rate-limit, shutdown and single-flight
+//! primitives the serving layer shares.
 //!
 //! Both the evaluation harness (independent experiment cells) and the core
 //! completion engine (batched autoregressive sampling) fan work out over

@@ -15,6 +15,7 @@ use restore::core::{
     SNAPSHOT_FORMAT_VERSION,
 };
 use restore::data::{apply_removal, generate_synthetic, BiasSpec, RemovalConfig, SyntheticConfig};
+use restore::util::fnv1a64;
 
 fn fixture_dir() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures"))
@@ -118,6 +119,19 @@ fn golden_fixture_loads_and_serves_pinned_results() {
     );
 }
 
+/// What the writer makes of the fixture, pinned: its length and
+/// checksum, and a reload that saves the same bytes again. The re-save is
+/// not the committed file's 10,059 bytes, because keys of options that
+/// became constants are read but not written back.
+#[test]
+fn golden_fixture_resaves_to_pinned_bytes() {
+    let bytes = Snapshot::load(&fixture_path()).expect("load").to_bytes();
+    assert_eq!(bytes.len(), 9_676);
+    assert_eq!(fnv1a64(&bytes), 0xaa8d_f0a2_ec86_7c9b);
+    let again = Snapshot::from_bytes(&bytes).expect("reload").to_bytes();
+    assert_eq!(again, bytes, "re-saving a loaded snapshot is idempotent");
+}
+
 /// Regenerates the committed fixture + expected transcript. Run manually
 /// after an intentional format bump:
 /// `cargo test --test golden_snapshot -- --ignored`
@@ -130,9 +144,13 @@ fn regenerate_golden_fixture() {
     let mut expected = transcript(&snapshot).join("\n");
     expected.push('\n');
     std::fs::write(expected_path(), expected).expect("write expected");
+    let resaved = Snapshot::load(&fixture_path()).expect("load").to_bytes();
     println!(
-        "regenerated {} ({bytes} bytes) and {}",
+        "regenerated {} ({bytes} bytes) and {}; its re-save, for \
+         golden_fixture_resaves_to_pinned_bytes: {} bytes, fnv1a64 {:#018x}",
         fixture_path().display(),
-        expected_path().display()
+        expected_path().display(),
+        resaved.len(),
+        fnv1a64(&resaved)
     );
 }
