@@ -229,7 +229,7 @@ impl CompletionModel {
         &self.store
     }
 
-    /// Whether the lane-padded banded trunk caches were frozen for
+    /// Whether the degree-banded weight caches of the sweep were frozen for
     /// cross-session sharing — true for trained and snapshot-rehydrated
     /// models alike, which build them once the weights are final instead of
     /// once per inference session.
@@ -317,7 +317,7 @@ impl CompletionModel {
     /// initialized parameters — one copy, no intermediate matrices. The
     /// seed fed to weight init is irrelevant — every value it produces is
     /// replaced — so the result serves byte-identically to the original.
-    /// The lane-padded band matrices the synthesis sweep reads are built
+    /// The degree-banded weight matrices the synthesis sweep reads are built
     /// once here and shared across all inference sessions, instead of
     /// being re-derived (a second copy) per session.
     pub(crate) fn rehydrate(

@@ -98,7 +98,7 @@ pub struct InferenceSession {
     /// masked-weight caches plus per-layer activation buffers, persistent
     /// across batches like the pooled buffers above (see
     /// [`crate::sweep::ArSweep`]).
-    sweep: crate::sweep::ArSweep,
+    pub(crate) sweep: crate::sweep::ArSweep,
     /// Per-row conditional-distribution scratch (see
     /// [`InferenceSession::take_dists`]).
     dists: Vec<Vec<f32>>,
@@ -112,20 +112,6 @@ impl InferenceSession {
     /// Number of pooled buffers (diagnostics).
     pub fn pooled_buffers(&self) -> usize {
         self.bufs.len()
-    }
-
-    /// The session's band-incremental sweep state plus the shared
-    /// masked-weight cache, borrowed disjointly — the sweep's output-block
-    /// evaluation reuses the same `w ⊙ mask` products as the full forward
-    /// path instead of materializing its own copies.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn sweep_parts(
-        &mut self,
-    ) -> (
-        &mut crate::sweep::ArSweep,
-        &mut std::collections::HashMap<ParamId, (usize, Matrix)>,
-    ) {
-        (&mut self.sweep, &mut self.masked)
     }
 
     /// Takes the session's per-row conditional-distribution scratch — the
@@ -166,28 +152,6 @@ impl InferenceSession {
     }
 }
 
-/// Ensures a session masked-weight cache holds `w ⊙ mask` for `pid`,
-/// materializing it on first use, and returns it. One weight must always
-/// pair with the same mask within a session (true for every layer type).
-/// Shared by [`InferCtx`] and the sweep's output-block evaluation, so both
-/// engines read the same cached product.
-pub(crate) fn masked_weight<'m>(
-    masked: &'m mut std::collections::HashMap<ParamId, (usize, Matrix)>,
-    store: &ParamStore,
-    pid: ParamId,
-    mask: &Arc<Matrix>,
-) -> &'m Matrix {
-    let entry = masked
-        .entry(pid)
-        .or_insert_with(|| (Arc::as_ptr(mask) as usize, store.value(pid).hadamard(mask)));
-    debug_assert_eq!(
-        entry.0,
-        Arc::as_ptr(mask) as usize,
-        "weight {pid} used with two different masks in one session"
-    );
-    &entry.1
-}
-
 /// One in-flight no-grad forward pass over an [`InferenceSession`].
 pub(crate) struct InferCtx<'a> {
     store: &'a ParamStore,
@@ -225,7 +189,14 @@ impl InferCtx<'_> {
     /// materializing it on first use. One weight must always pair with the
     /// same mask within a session (true for every layer type).
     fn masked_weight(&mut self, pid: ParamId, mask: &Arc<Matrix>) {
-        masked_weight(self.masked, self.store, pid, mask);
+        let store = self.store;
+        let entry = (self.masked.entry(pid))
+            .or_insert_with(|| (Arc::as_ptr(mask) as usize, store.value(pid).hadamard(mask)));
+        debug_assert_eq!(
+            entry.0,
+            Arc::as_ptr(mask) as usize,
+            "weight {pid} used with two different masks in one session"
+        );
     }
 
     /// Block-restricted masked-linear output: computes only columns `cols`

@@ -3,7 +3,6 @@
 //! (§3.1–§3.2 of the paper), with learned per-attribute embeddings and
 //! residual connections as in naru (Yang et al., VLDB 2019).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::Rng;
@@ -12,7 +11,7 @@ use crate::infer::{Forward, InferenceSession};
 use crate::layers::{Embedding, MaskedLinear};
 use crate::loss::{block_cross_entropy, softmax_into, BlockLayout, BlockLoss};
 use crate::masks::build_masks;
-use crate::params::{ParamId, ParamStore};
+use crate::params::ParamStore;
 use crate::sweep::{ArSweep, BandedCache, SweepNet};
 use crate::tensor::Matrix;
 
@@ -78,6 +77,9 @@ pub struct Made {
     /// Shared hidden-unit degrees (from mask construction) — the band
     /// boundaries of the incremental sweep.
     hidden_degrees: Vec<usize>,
+    /// The attribute each logit column belongs to — the output layer's
+    /// bands.
+    output_degrees: Vec<usize>,
     /// Column offset of each attribute's embedding block inside the trunk
     /// input (after the `ctx_dim`-wide context block).
     embed_offsets: Vec<usize>,
@@ -125,17 +127,21 @@ impl Made {
             output_layer,
             layout: BlockLayout::new(&cards),
             hidden_degrees: masks.hidden_degrees,
+            output_degrees: (cards.iter().enumerate())
+                .flat_map(|(a, &card)| std::iter::repeat_n(a, card))
+                .collect(),
             embed_offsets,
             banded: None,
         }
     }
 
-    /// Builds the lane-padded banded trunk caches once and freezes them
-    /// for sharing across all inference sessions (`Arc` adoption in
-    /// `ArSweep::begin`) — the snapshot loader calls this right after
-    /// streaming the persisted weights in, so no session ever pays the
-    /// degree-sort-and-pad copy again. Must only be called once the
-    /// weights are final: the caches snapshot `w ⊙ mask`.
+    /// Builds the degree-sorted, transposed caches of the trunk and output
+    /// layers once and freezes them for sharing across all inference
+    /// sessions (`Arc` adoption in `ArSweep::begin`) — the snapshot loader
+    /// calls this right after streaming the persisted weights in, so no
+    /// session ever pays the degree-sort-and-transpose copy again. Must
+    /// only be called once the weights are final: the caches snapshot
+    /// `w ⊙ mask`.
     pub fn freeze_banded(&mut self, store: &ParamStore) {
         let cache = BandedCache::build(store, &self.sweep_net());
         self.banded = Some(Arc::new(cache));
@@ -241,8 +247,8 @@ impl Made {
         attr: usize,
     ) -> &'s Matrix {
         let net = self.sweep_net();
-        let (sweep, masked) = session.sweep_parts();
-        self.sweep_begin(&net, sweep, masked, store, tokens, ctx, attr);
+        let sweep = &mut session.sweep;
+        self.sweep_begin(&net, sweep, store, tokens, ctx, attr);
         sweep.logits.expand_rows(&sweep.group);
         &sweep.logits
     }
@@ -276,6 +282,8 @@ impl Made {
         SweepNet {
             layers,
             degrees: &self.hidden_degrees,
+            output: &self.output_layer,
+            output_degrees: &self.output_degrees,
             n_attrs: self.num_attrs(),
             residual: self.cfg.residual,
             banded: self.banded.as_deref(),
@@ -288,12 +296,10 @@ impl Made {
     /// input, of the hidden bands of degree `≤ upto` computed here and of
     /// `sweep.logits` stands for every batch row `r` with
     /// `sweep.group[r] == i`.
-    #[allow(clippy::too_many_arguments)]
     fn sweep_begin(
         &self,
         net: &SweepNet,
         sweep: &mut ArSweep,
-        masked: &mut HashMap<ParamId, (usize, Matrix)>,
         store: &ParamStore,
         tokens: &[Arc<Vec<u32>>],
         ctx: Option<&Matrix>,
@@ -316,8 +322,7 @@ impl Made {
             sweep.gather_x_block_reps(self.embed_offsets[a], store.value(emb.param_id()), toks);
         }
         sweep.compute(net, 0..upto + 1);
-        let (off, card) = self.layout.block(upto);
-        sweep.output_block(masked, store, &self.output_layer, off..off + card);
+        sweep.output_block(net, upto);
     }
 
     /// Inference-only forward returning an owned logits matrix (convenience
@@ -381,8 +386,8 @@ impl Made {
         out: &mut Vec<Vec<f32>>,
     ) {
         let net = self.sweep_net();
-        let (sweep, masked) = session.sweep_parts();
-        self.sweep_begin(&net, sweep, masked, store, tokens, ctx, attr);
+        let sweep = &mut session.sweep;
+        self.sweep_begin(&net, sweep, store, tokens, ctx, attr);
         // One softmax per prefix, at the first row that carries it; the
         // prefix's later rows copy that row's result.
         out.resize_with(sweep.group.len(), Vec::new);
@@ -431,8 +436,8 @@ impl Made {
             return;
         }
         let net = self.sweep_net();
-        let (sweep, masked) = session.sweep_parts();
-        self.sweep_begin(&net, sweep, masked, store, tokens, ctx, start);
+        let sweep = &mut session.sweep;
+        self.sweep_begin(&net, sweep, store, tokens, ctx, start);
         let exclude = |attr: usize| excluded.get(attr).copied().flatten();
         let ArSweep {
             logits,
@@ -444,7 +449,7 @@ impl Made {
         sample_block_groups(logits, exclude(start), group, dist, sampled, rng);
         Arc::make_mut(&mut tokens[start]).copy_from_slice(sampled);
         if start + 1 < end {
-            sweep.expand_rows();
+            sweep.expand_rows(&net, self.embed_offsets[start], start);
         }
         for attr in start + 1..end {
             let prev = attr - 1;
@@ -454,8 +459,7 @@ impl Made {
                 &tokens[prev],
             );
             sweep.compute(&net, attr..attr + 1);
-            let (off, card) = self.layout.block(attr);
-            sweep.output_block(masked, store, &self.output_layer, off..off + card);
+            sweep.output_block(&net, attr);
             let ArSweep {
                 logits,
                 dist,

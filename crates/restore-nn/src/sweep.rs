@@ -18,24 +18,24 @@
 //! Bit-identity with the full-recompute path: hidden units are kept in
 //! their **original order** inside the cached activation matrices (so
 //! every downstream dot product visits `k` in the original ascending
-//! order), while each layer's frozen `w ⊙ mask` cache has its *columns*
-//! stably sorted by degree so a band is one contiguous column range for
-//! the band GEMM ([`Matrix::matmul_col_band_into`], zero-initialized
+//! order), while each layer's frozen `(w ⊙ mask)ᵀ` cache has its unit rows
+//! stably sorted by degree so a band is one contiguous row range for the
+//! band GEMM ([`Matrix::matmul_t_band_into`], zero-initialized
 //! ascending-`k` accumulation — the exact add sequence of the full tiled
-//! GEMM). Band results scatter back through the permutation. Every
-//! computed value is therefore the same full ascending-`k` dot product the
-//! naive path computes, just computed once; units of degree `> a` are
-//! masked out of everything evaluated so far and stay at their zeroed
-//! placeholder.
+//! GEMM). Band results land back in their units' rows through the
+//! permutation. Every computed value is therefore the same full
+//! ascending-`k` dot product the naive path computes, just computed once;
+//! units of degree `> a` are masked out of everything evaluated so far and
+//! stay at their zeroed placeholder.
 //!
-//! Lane alignment: every nonzero degree band in the frozen cache is padded
-//! to a multiple of [`lane::WIDTH`] with zero-weight, zero-bias columns
-//! (the real units' sort permutation is unchanged), so each band GEMM is
-//! lane-aligned and runs full-width tiles with no ragged tail. A padding
-//! column's dot product lands in the band scratch and is discarded — it
-//! never touches a real unit's value, keeping the bit-identity contract
-//! intact. The output layer is unaffected: [`ArSweep::output_block`] goes
-//! through the session's shared *unpadded* masked-weight cache.
+//! Rows in lanes: the trunk input, every activation matrix and the logit
+//! block are **feature-major** — row `f` holds feature `f` of every batch
+//! row — so the band GEMM vectorizes over batch rows, and a band of 6–10
+//! units costs 6–10 units' work, with no padding to a lane multiple. The
+//! output layer is frozen the same way (its column degrees are the
+//! attributes the logit blocks belong to, already ascending), and each
+//! logit block is transposed back to one row per batch row, bias added,
+//! for the sampler.
 //!
 //! Distinct prefixes: until the first draw of a sweep, a row's trunk input,
 //! its hidden bands of degree `≤ start`, attribute `start`'s logit block and
@@ -45,26 +45,21 @@
 //! runs over one row per distinct prefix ([`ArSweep::group_prefixes`]);
 //! every batch row then takes its own draw, and [`ArSweep::expand_rows`]
 //! copies the per-prefix state out for the incremental steps. Every kernel
-//! computes an output row from that input row alone, so no value depends on
-//! which rows are evaluated beside it.
+//! computes a batch row's outputs from that row's inputs alone, so no value
+//! depends on which rows are evaluated beside it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::layers::MaskedLinear;
 use crate::params::{ParamId, ParamStore};
-use crate::tensor::{lane, Matrix};
+use crate::tensor::Matrix;
 
-/// Sentinel in [`BandedLayer::perm`] marking a zero-weight padding column
-/// appended to a degree band to round its width up to a lane multiple. A
-/// padding column has all-zero weight and zero bias, so it never changes a
-/// real unit's dot product; the compute epilogue skips it on scatter-back.
-const PAD: usize = usize::MAX;
-
-/// The masked trunk of a MADE network, as the sweep sees it: the input
+/// The masked layers of a MADE network, as the sweep sees them: the input
 /// layer followed by the hidden layers, the shared hidden-unit degree
-/// vector, and the residual policy. Assembled per call by
-/// [`Made`](crate::made::Made) — it only borrows the model.
+/// vector, the output layer and its column degrees, and the residual
+/// policy. Assembled per call by [`Made`](crate::made::Made) — it only
+/// borrows the model.
 pub(crate) struct SweepNet<'a> {
     /// Input layer then hidden layers, in trunk order.
     pub layers: Vec<&'a MaskedLinear>,
@@ -72,41 +67,56 @@ pub(crate) struct SweepNet<'a> {
     /// uses the first `width(l)` entries, exactly as mask construction
     /// does).
     pub degrees: &'a [usize],
+    /// The logit layer.
+    pub output: &'a MaskedLinear,
+    /// The attribute each logit column belongs to: the output layer's
+    /// degrees, ascending.
+    pub output_degrees: &'a [usize],
     /// Number of model attributes; degrees lie in `0..n_attrs`.
     pub n_attrs: usize,
     /// Identity skips between equal-width hidden layers.
     pub residual: bool,
     /// Prebuilt frozen banded caches shared across sessions, if the model
     /// froze them (snapshot rehydration does). Sessions adopt these via
-    /// `Arc` instead of re-deriving their own padded copies.
+    /// `Arc` instead of re-deriving their own copies.
     pub banded: Option<&'a BandedCache>,
 }
 
-/// Frozen per-layer cache: the masked weight with columns stably sorted by
-/// hidden-unit degree, so each degree band is a contiguous column range.
+impl<'a> SweepNet<'a> {
+    /// Every layer the sweep multiplies, with its units' degrees: the
+    /// trunk, then the output layer.
+    fn each_layer(&self) -> impl Iterator<Item = (&'a MaskedLinear, &'a [usize])> + '_ {
+        let trunk = self
+            .layers
+            .iter()
+            .map(|l| (*l, &self.degrees[..l.mask().cols()]));
+        trunk.chain([(self.output, self.output_degrees)])
+    }
+}
+
+/// Frozen per-layer cache: the transposed masked weight, one row per unit,
+/// with the unit rows stably sorted by degree so each degree band is a
+/// contiguous row range.
 #[derive(Debug)]
 struct BandedLayer {
     /// `Arc` pointer of the mask this cache was built against (to catch a
     /// weight being reused under a different mask, like the session's
     /// masked-weight cache).
     mask_ptr: usize,
-    /// `w ⊙ mask`, columns permuted by `perm`; padding columns are all
-    /// zero.
-    wm: Matrix,
-    /// Bias entries permuted identically; padding entries are zero.
+    /// `(w ⊙ mask)ᵀ`, rows permuted by `perm`: row `js` holds unit
+    /// `perm[js]`'s weights over the inputs, in ascending input order.
+    wmt: Matrix,
+    /// Bias entries permuted identically.
     bias: Vec<f32>,
-    /// Sorted position → original unit index, or [`PAD`] for a zero
-    /// padding column.
+    /// Sorted position → original unit index.
     perm: Vec<usize>,
-    /// `starts[d]..starts[d + 1]` is the sorted-column range of the
-    /// degree-`d` band; units of degree `≤ d` occupy `0..starts[d + 1]`.
-    /// Every nonzero band's width is rounded up to a multiple of
-    /// [`lane::WIDTH`] with zero-weight padding columns, so band GEMMs
-    /// start aligned and run full lane tiles. Length `n_attrs + 1`.
+    /// `starts[d]..starts[d + 1]` is the sorted-row range of the degree-`d`
+    /// band; units of degree `≤ d` occupy `0..starts[d + 1]`, and
+    /// `starts[n_attrs]` is the layer width. Length `n_attrs + 1`.
     starts: Vec<usize>,
     /// `k_hi[d]` is one past the highest input row with a nonzero mask
-    /// entry over the degree-`d` band's columns (0 for an empty band).
-    /// Rows `≥ k_hi[d]` contribute exact zero weights, so the band GEMM
+    /// entry over the degree-`d` band's units (0 for an empty band).
+    /// Inputs `≥ k_hi[d]` contribute exact zero weights, so the band GEMM
     /// contracts only `k < k_hi[d]` — for the first masked layer, whose
     /// input degrees ascend with the attribute layout, this skips the
     /// embedding blocks of attributes the band cannot read. Length
@@ -115,42 +125,19 @@ struct BandedLayer {
 }
 
 impl BandedLayer {
-    fn build(
-        store: &ParamStore,
-        w: ParamId,
-        b: ParamId,
-        mask: &Arc<Matrix>,
-        degrees: &[usize],
-        n_attrs: usize,
-    ) -> Self {
+    fn build(store: &ParamStore, layer: &MaskedLinear, degrees: &[usize], n_attrs: usize) -> Self {
+        let (w, b) = layer.param_ids();
+        let mask = layer.mask();
         let (k, width) = mask.shape();
         debug_assert_eq!(degrees.len(), width, "degree vector width mismatch");
-        let mut sorted: Vec<usize> = (0..width).collect();
-        sorted.sort_by_key(|&j| degrees[j]); // stable: within a band, original order
-        let mut counts = vec![0usize; n_attrs];
-        for &j in &sorted {
-            counts[degrees[j]] += 1;
-        }
-        // Pad every nonzero band to a lane multiple; empty bands stay
-        // zero-width. The sort permutation of the real units is unchanged
-        // — padding only shifts where the next band starts.
-        const L: usize = lane::WIDTH;
+        let mut perm: Vec<usize> = (0..width).collect();
+        perm.sort_by_key(|&j| degrees[j]); // stable: within a band, original order
         let mut starts = vec![0usize; n_attrs + 1];
-        for d in 0..n_attrs {
-            let padded = if counts[d] == 0 {
-                0
-            } else {
-                counts[d].div_ceil(L) * L
-            };
-            starts[d + 1] = starts[d] + padded;
+        for &d in degrees {
+            starts[d + 1] += 1;
         }
-        let mut perm = vec![PAD; starts[n_attrs]];
-        let mut next = 0;
         for d in 0..n_attrs {
-            for slot in 0..counts[d] {
-                perm[starts[d] + slot] = sorted[next];
-                next += 1;
-            }
+            starts[d + 1] += starts[d];
         }
         // One past the highest mask-visible input row per band: the band
         // GEMM skips the all-zero-weight rows above it.
@@ -163,40 +150,48 @@ impl BandedLayer {
                 }
             }
         }
-        let wv = store.value(w);
-        let bv = store.value(b);
+        let (wv, bv) = (store.value(w), store.value(b));
         debug_assert_eq!(wv.shape(), (k, width), "weight/mask shape mismatch");
-        let mut wm = Matrix::zeros(k, starts[n_attrs]);
-        let mut bias = vec![0f32; starts[n_attrs]];
+        let mut wmt = Matrix::zeros(width, k);
         for (js, &orig) in perm.iter().enumerate() {
-            if orig == PAD {
-                continue;
-            }
             for r in 0..k {
                 // Same element order as `Matrix::hadamard` (w * mask), so
                 // cached values match the session's masked-weight cache.
-                wm.set(r, js, wv.get(r, orig) * mask.get(r, orig));
+                wmt.set(js, r, wv.get(r, orig) * mask.get(r, orig));
             }
-            bias[js] = bv.get(0, orig);
         }
         Self {
             mask_ptr: Arc::as_ptr(mask) as usize,
-            wm,
-            bias,
+            wmt,
+            bias: perm.iter().map(|&j| bv.get(0, j)).collect(),
             perm,
             starts,
             k_hi,
         }
     }
+
+    /// The units of degree bands `degrees` over the feature-major input
+    /// `x`, into `out` (one row per unit, in sorted order), contracting only
+    /// the inputs the bands' masks can see. Returns the sorted unit range.
+    fn band_into(
+        &self,
+        x: &Matrix,
+        degrees: std::ops::Range<usize>,
+        out: &mut Matrix,
+    ) -> std::ops::Range<usize> {
+        let units = self.starts[degrees.start]..self.starts[degrees.end];
+        let klim = self.k_hi[degrees].iter().copied().max().unwrap_or(0);
+        x.matmul_t_band_into(&self.wmt, units.clone(), klim, out);
+        units
+    }
 }
 
-/// Frozen, `Arc`-shareable set of banded trunk caches for one model —
-/// built once by [`Made::freeze_banded`](crate::made::Made::freeze_banded)
-/// (snapshot rehydration does this right after streaming the weights in)
-/// and adopted by every inference session, so sessions skip the
-/// per-session degree-sort-and-pad copy of every trunk layer. Weights must
-/// be frozen when this is built; a model that keeps training must not
-/// freeze.
+/// Frozen, `Arc`-shareable set of banded caches for one model — built once
+/// by [`Made::freeze_banded`](crate::made::Made::freeze_banded) (snapshot
+/// rehydration does this right after streaming the weights in) and adopted
+/// by every inference session, so sessions skip the per-session
+/// degree-sort-and-transpose copy of every layer. Weights must be frozen
+/// when this is built; a model that keeps training must not freeze.
 #[derive(Debug, Default)]
 pub(crate) struct BandedCache {
     layers: HashMap<ParamId, Arc<BandedLayer>>,
@@ -204,23 +199,13 @@ pub(crate) struct BandedCache {
 
 impl BandedCache {
     pub(crate) fn build(store: &ParamStore, net: &SweepNet) -> Self {
-        let mut layers = HashMap::new();
-        for layer in &net.layers {
-            let (w, b) = layer.param_ids();
-            let width = layer.mask().cols();
-            layers.insert(
-                w,
-                Arc::new(BandedLayer::build(
-                    store,
-                    w,
-                    b,
-                    layer.mask(),
-                    &net.degrees[..width],
-                    net.n_attrs,
-                )),
-            );
+        let layers = net.each_layer().map(|(layer, degrees)| {
+            let band = BandedLayer::build(store, layer, degrees, net.n_attrs);
+            (layer.param_ids().0, Arc::new(band))
+        });
+        Self {
+            layers: layers.collect(),
         }
-        Self { layers }
     }
 
     fn get(&self, w: ParamId) -> Option<Arc<BandedLayer>> {
@@ -229,7 +214,7 @@ impl BandedCache {
 }
 
 /// Persistent state of one band-incremental sweep executor: frozen
-/// degree-sorted weight caches plus the per-layer activation matrices the
+/// degree-sorted weight caches plus the feature-major matrices the
 /// attribute loop maintains. Lives inside an
 /// [`InferenceSession`](crate::infer::InferenceSession), so the
 /// completion engine's per-worker warm sessions keep the caches across
@@ -238,19 +223,25 @@ impl BandedCache {
 /// buffers — their *values* are per-sweep, their allocations persist.
 #[derive(Default)]
 pub(crate) struct ArSweep {
-    /// Degree-banded caches of the input + hidden layers, by weight id —
-    /// adopted from the model's shared [`BandedCache`] when it froze one,
-    /// otherwise built on first use.
+    /// Degree-banded caches of every masked layer, by weight id — adopted
+    /// from the model's shared [`BandedCache`] when it froze one, otherwise
+    /// built on first use.
     banded: HashMap<ParamId, Arc<BandedLayer>>,
-    /// Current trunk input: context block + every attribute's embedding
-    /// block, refreshed in place as columns are sampled.
+    /// Current trunk input, feature-major: context block + every
+    /// attribute's embedding block, refreshed in place as columns are
+    /// sampled.
     x: Matrix,
-    /// One activation matrix per masked layer, full width, **original**
-    /// unit order; entries of degree bands not yet computed stay zeroed.
+    /// One activation matrix per masked trunk layer, feature-major, units
+    /// in **original** order; units of degree bands not yet computed stay
+    /// zeroed.
     acts: Vec<Matrix>,
-    /// Band pre-activation scratch.
+    /// Band scratch, feature-major: a band's pre-activations, or the logit
+    /// block before its bias.
     pre: Matrix,
-    /// Logit block of the attribute being evaluated.
+    /// The buffer [`ArSweep::expand_rows`] expands into, swapped with the
+    /// matrix it expanded.
+    spare: Matrix,
+    /// Logit block of the attribute being evaluated, one row per batch row.
     pub(crate) logits: Matrix,
     /// Softmax scratch, reused across attributes: every prefix's
     /// distribution for the first one of a sweep, then one row's at a time.
@@ -328,19 +319,11 @@ impl ArSweep {
     /// not-yet-computed bands contribute deterministic masked zeros to
     /// the full-length band dot products).
     pub(crate) fn begin(&mut self, store: &ParamStore, net: &SweepNet, m: usize) {
-        for layer in &net.layers {
-            let (w, b) = layer.param_ids();
-            let width = layer.mask().cols();
+        for (layer, degrees) in net.each_layer() {
+            let w = layer.param_ids().0;
             let entry = self.banded.entry(w).or_insert_with(|| {
                 net.banded.and_then(|c| c.get(w)).unwrap_or_else(|| {
-                    Arc::new(BandedLayer::build(
-                        store,
-                        w,
-                        b,
-                        layer.mask(),
-                        &net.degrees[..width],
-                        net.n_attrs,
-                    ))
+                    Arc::new(BandedLayer::build(store, layer, degrees, net.n_attrs))
                 })
             });
             debug_assert_eq!(
@@ -349,46 +332,55 @@ impl ArSweep {
                 "weight {w} used with two different masks in one session"
             );
         }
-        self.x.resize(m, net.layers[0].mask().rows());
+        self.x.resize(net.layers[0].mask().rows(), m);
         if self.acts.len() != net.layers.len() {
             self.acts = net.layers.iter().map(|_| Matrix::zeros(0, 0)).collect();
         }
         for (a, layer) in self.acts.iter_mut().zip(&net.layers) {
-            a.resize(m, layer.mask().cols());
+            a.resize(layer.mask().cols(), m);
             a.fill_zero();
         }
     }
 
     /// Setup: copies the representatives' rows of the batch context into
-    /// `x` at column 0.
+    /// `x`'s first features.
     pub(crate) fn set_x_context(&mut self, ctx: &Matrix) {
-        let dim = ctx.cols();
-        for (i, &r) in self.reps.iter().enumerate() {
-            self.x.row_mut(i)[..dim].copy_from_slice(ctx.row(r as usize));
-        }
+        let rows = self.reps.iter().map(|&r| ctx.row(r as usize));
+        put_cols(&mut self.x, 0, rows);
     }
 
     /// Setup: gathers the embedding rows of the representatives' tokens
-    /// into `x` at column `offset`.
+    /// into `x` from feature `offset` on.
     pub(crate) fn gather_x_block_reps(&mut self, offset: usize, table: &Matrix, tokens: &[u32]) {
         let reps = self.reps.iter().map(|&r| tokens[r as usize]);
         gather_block(&mut self.x, offset, table, reps);
     }
 
-    /// Gathers embedding rows for a token column into `x` at column
-    /// `offset` — the in-place refresh of one attribute's input block once
-    /// `x` holds a row per batch row ([`ArSweep::expand_rows`]).
+    /// Gathers embedding rows for a token column into `x` from feature
+    /// `offset` on — the in-place refresh of one attribute's input block
+    /// once `x` holds a column per batch row ([`ArSweep::expand_rows`]).
     pub(crate) fn gather_x_block(&mut self, offset: usize, table: &Matrix, tokens: &[u32]) {
         gather_block(&mut self.x, offset, table, tokens.iter().copied());
     }
 
     /// After the first draw the rows of a prefix part ways: the trunk input
-    /// and the activations become one row per batch row, each a copy of its
-    /// prefix's, for the incremental steps to continue from.
-    pub(crate) fn expand_rows(&mut self) {
-        self.x.expand_rows(&self.group);
-        for act in &mut self.acts {
-            act.expand_rows(&self.group);
+    /// and the activations become one column per batch row, each a copy of
+    /// its prefix's, for the incremental steps to continue from. Only what
+    /// a later step reads is copied: the input features below `x_keep` (the
+    /// context and the evidence's embedding blocks; every later block is
+    /// gathered before it is read) and the hidden units of degree `≤ start`
+    /// (the others are still zero).
+    pub(crate) fn expand_rows(&mut self, net: &SweepNet, x_keep: usize, start: usize) {
+        let ArSweep {
+            x,
+            acts,
+            spare,
+            group,
+            ..
+        } = self;
+        expand(x, spare, group, |f| f < x_keep);
+        for act in acts {
+            expand(act, spare, group, |u| net.degrees[u] <= start);
         }
     }
 
@@ -407,89 +399,95 @@ impl ArSweep {
             pre,
             ..
         } = self;
+        let relu = |v: f32| if v < 0.0 { 0.0 } else { v };
         for (l, layer) in net.layers.iter().enumerate() {
-            let (w, _) = layer.param_ids();
-            let band = &banded[&w];
-            let (j0, j1) = (band.starts[degrees.start], band.starts[degrees.end]);
-            if j0 == j1 {
-                continue;
-            }
+            let band = &banded[&layer.param_ids().0];
             let (prev, act): (&Matrix, &mut Matrix) = if l == 0 {
                 (&*x, &mut acts[0])
             } else {
                 let (head, tail) = acts.split_at_mut(l);
                 (&head[l - 1], &mut tail[0])
             };
-            // Highest mask-visible input row across the requested bands:
-            // all rows above it carry exact zero weights for every column
-            // in `j0..j1`, so the contraction skips them (bit-identical
-            // for the finite activations the trunk produces).
-            let klim = band.k_hi[degrees.clone()]
-                .iter()
-                .copied()
-                .max()
-                .unwrap_or(prev.cols());
-            prev.matmul_col_band_limited_into(&band.wm, j0..j1, klim, pre);
+            let units = band.band_into(prev, degrees.clone(), pre);
             // The trunk applies residual skips only between equally shaped
             // hidden layers; the input layer (l == 0) never has one.
-            let residual = l > 0 && net.residual && prev.cols() == act.cols();
-            for i in 0..act.rows() {
-                let pre_row = pre.row(i);
-                let prev_row = prev.row(i);
-                let act_row = act.row_mut(i);
-                for (jj, js) in (j0..j1).enumerate() {
-                    let orig = band.perm[js];
-                    if orig == PAD {
-                        continue;
+            let residual = l > 0 && net.residual && prev.rows() == act.rows();
+            for (jj, js) in units.enumerate() {
+                let (orig, b) = (band.perm[js], band.bias[js]);
+                let out = act.row_mut(orig).iter_mut().zip(pre.row(jj));
+                if residual {
+                    for ((a, &p), &s) in out.zip(prev.row(orig)) {
+                        *a = relu(p + b + s);
                     }
-                    let mut v = pre_row[jj] + band.bias[js];
-                    if residual {
-                        v += prev_row[orig];
-                    }
-                    act_row[orig] = if v < 0.0 { 0.0 } else { v };
+                } else {
+                    out.for_each(|(a, &p)| *a = relu(p + b));
                 }
             }
         }
     }
 
-    /// Evaluates output columns `cols` (one attribute's logit block) over
-    /// the cached last-hidden activations into `self.logits` — the same
-    /// kernel, bias add, and `w ⊙ mask` cache (`masked`, the session's —
-    /// shared with the full forward path, never duplicated) as the
-    /// session's block-restricted output path.
-    pub(crate) fn output_block(
-        &mut self,
-        masked: &mut HashMap<ParamId, (usize, Matrix)>,
-        store: &ParamStore,
-        output_layer: &MaskedLinear,
-        cols: std::ops::Range<usize>,
-    ) {
-        let (w, b) = output_layer.param_ids();
-        let wm = crate::infer::masked_weight(masked, store, w, output_layer.mask());
+    /// Evaluates attribute `attr`'s logit block over the cached last-hidden
+    /// activations into `self.logits`, one row per batch row: the band
+    /// kernel over the frozen output layer, then the bias — the op sequence
+    /// of the session's block-restricted output path.
+    pub(crate) fn output_block(&mut self, net: &SweepNet, attr: usize) {
+        let band = &self.banded[&net.output.param_ids().0];
         let h = self.acts.last().expect("begin() sized the activations");
-        h.matmul_cols_into(wm, cols.clone(), &mut self.logits);
-        let bv = store.value(b);
-        let b_slice = &bv.row(0)[cols];
-        for r in 0..self.logits.rows() {
-            for (v, bias) in self.logits.row_mut(r).iter_mut().zip(b_slice) {
-                *v += bias;
+        let units = band.band_into(h, attr..attr + 1, &mut self.pre);
+        let m = self.pre.cols();
+        self.logits.resize(m, units.len());
+        // Output columns ascend by degree already, so the sorted block is
+        // the block in column order.
+        for (jj, &b) in band.bias[units].iter().enumerate() {
+            for (i, &p) in self.pre.row(jj).iter().enumerate() {
+                self.logits.set(i, jj, p + b);
             }
         }
     }
 }
 
-/// Writes `table`'s row of each token into the next row of `x`, at column
-/// `offset`.
+/// Makes the feature-major `a` one column per batch row through `spare`:
+/// the rows `keep` selects become copies of each row's prefix column
+/// (`group`), the others zero.
+fn expand(a: &mut Matrix, spare: &mut Matrix, group: &[u32], keep: impl Fn(usize) -> bool) {
+    spare.resize(a.rows(), group.len());
+    for f in 0..a.rows() {
+        let (src, dst) = (a.row(f), spare.row_mut(f));
+        if keep(f) {
+            for (d, &g) in dst.iter_mut().zip(group) {
+                *d = src[g as usize];
+            }
+        } else {
+            dst.fill(0.0);
+        }
+    }
+    std::mem::swap(a, spare);
+}
+
+/// Writes `table`'s row of each token into the next column of `x`, from
+/// feature `offset` on.
 fn gather_block(x: &mut Matrix, offset: usize, table: &Matrix, tokens: impl Iterator<Item = u32>) {
-    let dim = table.cols();
-    for (r, t) in tokens.enumerate() {
+    let rows = tokens.map(|t| {
         let t = t as usize;
         assert!(
             t < table.rows(),
             "gather index {t} out of range {}",
             table.rows()
         );
-        x.row_mut(r)[offset..offset + dim].copy_from_slice(table.row(t));
+        table.row(t)
+    });
+    put_cols(x, offset, rows);
+}
+
+/// Writes the `i`-th of `rows` into column `i` of the feature-major `x`,
+/// from feature `offset` on.
+fn put_cols<'r>(x: &mut Matrix, offset: usize, rows: impl Iterator<Item = &'r [f32]>) {
+    let m = x.cols();
+    let data = x.data_mut();
+    for (i, row) in rows.enumerate() {
+        for (f, &v) in row.iter().enumerate() {
+            data[(offset + f) * m + i] = v;
+        }
     }
 }
 
@@ -506,8 +504,6 @@ mod tests {
         let mut store = ParamStore::new();
         let masks = build_masks(&[2, 2, 2, 2], &[3, 3, 3, 3], 0, &[10]);
         let degrees = &masks.hidden_degrees;
-        let w = store.register(Matrix::rand_uniform(10, 10, -1.0, 1.0, &mut rng));
-        let b = store.register(Matrix::rand_uniform(1, 10, -1.0, 1.0, &mut rng));
         // Reuse the hidden→hidden geometry: a square 10×10 mask over the
         // shared degree vector.
         let mask = Arc::new({
@@ -521,45 +517,37 @@ mod tests {
             }
             m
         });
-        let band = BandedLayer::build(&store, w, b, &mask, degrees, 4);
+        let layer = MaskedLinear::new(&mut store, Arc::clone(&mask), &mut rng);
+        let (w, b) = layer.param_ids();
+        *store.value_mut(b) = Matrix::rand_uniform(1, 10, -1.0, 1.0, &mut rng);
+        let band = BandedLayer::build(&store, &layer, &degrees[..10], 4);
+        // Bands are unpadded: band `d` is exactly the units of degree `d`,
+        // and the bands together are the layer.
         assert_eq!(band.starts[0], 0);
-        // Every nonzero band is padded to a lane multiple; empty bands
-        // stay zero-width.
+        assert_eq!(band.starts[4], 10);
         let mut counts = [0usize; 4];
         for &d in degrees.iter().take(10) {
             counts[d] += 1;
         }
         for (d, &cnt) in counts.iter().enumerate() {
-            let w = band.starts[d + 1] - band.starts[d];
-            let expect = if cnt == 0 {
-                0
-            } else {
-                cnt.div_ceil(lane::WIDTH) * lane::WIDTH
-            };
-            assert_eq!(w, expect, "band {d} not padded to a lane multiple");
+            assert_eq!(band.starts[d + 1] - band.starts[d], cnt, "band {d} width");
         }
-        assert_eq!(*band.starts.last().unwrap(), band.perm.len());
-        assert_eq!(band.wm.cols(), band.perm.len());
-        // perm is sorted by degree, stable within a band.
-        let real: Vec<usize> = band.perm.iter().copied().filter(|&o| o != PAD).collect();
-        assert_eq!(real.len(), 10, "all real units present exactly once");
-        for win in real.windows(2) {
+        assert_eq!(band.perm.len(), 10);
+        assert_eq!(band.wmt.shape(), (10, 10));
+        // perm is sorted by degree, stable within a band, and a permutation.
+        let mut seen = band.perm.clone();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..10).collect::<Vec<_>>(), "perm not a permutation");
+        for win in band.perm.windows(2) {
             let (a, b) = (win[0], win[1]);
             assert!(
                 degrees[a] < degrees[b] || (degrees[a] == degrees[b] && a < b),
                 "perm not a stable degree sort"
             );
         }
-        // Band d holds exactly the units of degree d, front-packed, then
-        // padding sentinels.
         for (d, &cnt) in counts.iter().enumerate() {
-            for (slot, js) in (band.starts[d]..band.starts[d + 1]).enumerate() {
-                let orig = band.perm[js];
-                if slot < cnt {
-                    assert_eq!(degrees[orig], d);
-                } else {
-                    assert_eq!(orig, PAD, "padding slot holds a real unit");
-                }
+            for js in band.starts[d]..band.starts[d] + cnt {
+                assert_eq!(degrees[band.perm[js]], d);
             }
         }
         // k_hi[d] is one past the highest input row with a nonzero mask
@@ -576,23 +564,13 @@ mod tests {
             }
             assert_eq!(got, expect, "k_hi wrong for band {d}");
         }
-        // Sorted columns carry the masked weight of their original unit;
-        // padding columns are all zero with zero bias.
+        // Sorted row `js` is the masked weight column of its original unit.
         for (js, &orig) in band.perm.iter().enumerate() {
             for r in 0..10 {
-                let expect = if orig == PAD {
-                    0.0
-                } else {
-                    store.value(w).get(r, orig) * mask.get(r, orig)
-                };
-                assert_eq!(band.wm.get(r, js).to_bits(), expect.to_bits());
+                let expect = store.value(w).get(r, orig) * mask.get(r, orig);
+                assert_eq!(band.wmt.get(js, r).to_bits(), expect.to_bits());
             }
-            let expect_b = if orig == PAD {
-                0.0
-            } else {
-                store.value(b).get(0, orig)
-            };
-            assert_eq!(band.bias[js], expect_b);
+            assert_eq!(band.bias[js], store.value(b).get(0, orig));
         }
     }
 }

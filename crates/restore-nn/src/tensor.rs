@@ -335,8 +335,30 @@ impl Matrix {
         );
     }
 
+    /// The band GEMM of the AR sweep, with batch rows in the SIMD lanes.
+    /// `self` is feature-major — `k × m`, row `k` holding input feature `k`
+    /// of every batch row — and row `j` of `wt` holds unit `j`'s weights
+    /// over the inputs (a column of the weight, contiguous). Writes
+    /// `out[jj][i] = Σ_{k < k_limit} self[k][i] · wt[units.start + jj][k]`
+    /// (`out` is `units.len() × m`): per element the zero-initialized
+    /// ascending-`k` sum of [`Matrix::matmul_col_band_limited_into`] on the
+    /// transposed operands, bit for bit, under the same zero-tail contract.
+    pub(crate) fn matmul_t_band_into(
+        &self,
+        wt: &Matrix,
+        units: std::ops::Range<usize>,
+        k_limit: usize,
+        out: &mut Matrix,
+    ) {
+        assert!(units.end <= wt.rows, "unit range out of bounds");
+        assert!(k_limit <= self.rows.min(wt.cols), "k_limit out of bounds");
+        out.resize(units.len(), self.cols);
+        let w = &wt.data[units.start * wt.cols..units.end * wt.cols];
+        gemm_rows_in_lanes(&self.data, w, &mut out.data, self.cols, wt.cols, k_limit);
+    }
+
     /// Reference (naive loop) form of [`Matrix::matmul_col_band_into`] —
-    /// the bit-equality oracle of the lane-tiled band GEMM.
+    /// the bit-equality oracle of the lane-tiled band GEMMs.
     #[cfg(test)]
     pub(crate) fn matmul_col_band_into_naive(
         &self,
@@ -769,6 +791,85 @@ fn mul_tile<const NR: usize>(
     }
 }
 
+/// Kernel of [`Matrix::matmul_t_band_into`]: `x` is feature-major with row
+/// stride `m`, `w` holds `out.len() / m` unit rows of stride `kw`, and
+/// `out` gets one row of `m` per unit. Batch rows sit in the lanes, in
+/// hierarchical row tiles — two lanes, one lane, then power-of-two tails —
+/// so the setup pass over a few dozen distinct prefixes runs no padded
+/// vector; within a row tile, units go four, two, then one at a time. (A
+/// tile width at or above `L` after the `L` tiles finds no rows left.)
+fn gemm_rows_in_lanes(x: &[f32], w: &[f32], out: &mut [f32], m: usize, kw: usize, klim: usize) {
+    const L: usize = lane::WIDTH;
+    let mut r0 = 0;
+    macro_rules! row_tiles {
+        ($($r:expr),*) => {$(
+            while m - r0 >= $r {
+                units_tile::<{ $r }>(x, w, out, m, kw, klim, r0);
+                r0 += $r;
+            }
+        )*};
+    }
+    row_tiles!(2 * L, L, 8, 4, 2, 1);
+}
+
+/// Every unit of [`gemm_rows_in_lanes`] over batch rows `r0..r0 + R`.
+#[inline(always)]
+fn units_tile<const R: usize>(
+    x: &[f32],
+    w: &[f32],
+    out: &mut [f32],
+    m: usize,
+    kw: usize,
+    klim: usize,
+    r0: usize,
+) {
+    let n = out.len() / m;
+    let mut j = 0;
+    while j + 4 <= n {
+        rows_tile::<4, R>(x, w, out, m, kw, klim, r0, j);
+        j += 4;
+    }
+    if j + 2 <= n {
+        rows_tile::<2, R>(x, w, out, m, kw, klim, r0, j);
+        j += 2;
+    }
+    if j < n {
+        rows_tile::<1, R>(x, w, out, m, kw, klim, r0, j);
+    }
+}
+
+/// One `NJ`-unit × `R`-row register tile of [`gemm_rows_in_lanes`]: per
+/// `k`, one contiguous `R`-wide load of input feature `k` and a broadcast
+/// weight per unit; every accumulator starts at zero and takes its terms
+/// in ascending `k`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn rows_tile<const NJ: usize, const R: usize>(
+    x: &[f32],
+    w: &[f32],
+    out: &mut [f32],
+    m: usize,
+    kw: usize,
+    klim: usize,
+    r0: usize,
+    j0: usize,
+) {
+    let mut acc = [[0f32; R]; NJ];
+    let w_rows: [&[f32]; NJ] = std::array::from_fn(|u| &w[(j0 + u) * kw..][..klim]);
+    for k in 0..klim {
+        let xs = &x[k * m + r0..][..R];
+        for (acc_u, w_u) in acc.iter_mut().zip(&w_rows) {
+            let wv = w_u[k];
+            for (o, &xv) in acc_u.iter_mut().zip(xs) {
+                *o += xv * wv;
+            }
+        }
+    }
+    for (u, acc_u) in acc.iter().enumerate() {
+        out[(j0 + u) * m + r0..][..R].copy_from_slice(acc_u);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1018,6 +1119,59 @@ mod tests {
                     a.matmul_col_band_into_naive(&b, band.clone(), &mut naive);
                     for (x, y) in limited.data().iter().zip(naive.data()) {
                         assert_eq!(x.to_bits(), y.to_bits(), "band {band:?} klim {klim}");
+                    }
+                }
+            }
+        }
+    }
+
+    fn transpose(m: &Matrix) -> Matrix {
+        let mut t = Matrix::zeros(m.cols(), m.rows());
+        for r in 0..m.rows() {
+            for c in 0..m.cols() {
+                t.set(c, r, m.get(r, c));
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn rows_in_lanes_band_kernel_bit_identical_to_naive() {
+        // The sweep's band GEMM on transposed operands against the band
+        // oracle: row counts straddling every row tile (two lanes, one
+        // lane, 8, 4, 2, 1) on this build's lane width, band widths
+        // 1..=17 straddling the unit tiles (4, 2, 1), and k-limits with
+        // the skipped weight rows zeroed over the band.
+        let mut rng = StdRng::seed_from_u64(26);
+        let (k, n, l) = (19usize, 24usize, lane::WIDTH);
+        let mut rows = vec![1usize, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 67];
+        rows.extend(
+            [l - 1, l + 1, 2 * l - 1, 2 * l + 1, 4 * l + 3]
+                .iter()
+                .filter(|&&m| m > 0),
+        );
+        for m in rows {
+            let a = tricky(m, k, &mut rng);
+            let at = transpose(&a);
+            for w in 1..=17 {
+                let band = 5..5 + w;
+                for klim in [0usize, 1, 8, k] {
+                    let mut b = tricky(k, n, &mut rng);
+                    for r in klim..k {
+                        for c in band.clone() {
+                            b.set(r, c, 0.0);
+                        }
+                    }
+                    let (mut got, mut naive) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+                    at.matmul_t_band_into(&transpose(&b), band.clone(), klim, &mut got);
+                    a.matmul_col_band_into_naive(&b, band.clone(), &mut naive);
+                    assert_eq!(got.shape(), (w, m));
+                    for (i, jj) in (0..m).flat_map(|i| (0..w).map(move |jj| (i, jj))) {
+                        assert_eq!(
+                            got.get(jj, i).to_bits(),
+                            naive.get(i, jj).to_bits(),
+                            "{m} rows, band {band:?}, klim {klim}, at ({i}, {jj})"
+                        );
                     }
                 }
             }

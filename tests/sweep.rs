@@ -24,9 +24,20 @@ const CARDS: [usize; 4] = [7, 5, 9, 4];
 /// A model over [`CARDS`] with freshly initialised weights and a
 /// `ctx_dim`-wide context block (0: context-free).
 fn new_made(hidden: Vec<usize>, ctx_dim: usize, seed: u64) -> (Made, ParamStore) {
+    new_made_of(&CARDS, 4, hidden, ctx_dim, seed)
+}
+
+/// A model over `cards` with `embed`-wide embeddings.
+fn new_made_of(
+    cards: &[usize],
+    embed: usize,
+    hidden: Vec<usize>,
+    ctx_dim: usize,
+    seed: u64,
+) -> (Made, ParamStore) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut store = ParamStore::new();
-    let attrs = CARDS.iter().map(|&c| AttrSpec::new(c, 4)).collect();
+    let attrs = cards.iter().map(|&c| AttrSpec::new(c, embed)).collect();
     let cfg = MadeConfig::new(attrs).with_ctx(ctx_dim).with_hidden(hidden);
     let made = Made::new(cfg, &mut store, &mut rng);
     (made, store)
@@ -39,7 +50,12 @@ fn tokens(n: usize) -> Vec<Arc<Vec<u32>>> {
 /// One batch row per id, equal ids giving equal rows: attribute `a` of id
 /// `i` is `(i + a) % card`, so unequal ids still share short prefixes.
 fn tokens_of(ids: &[u32]) -> Vec<Arc<Vec<u32>>> {
-    CARDS
+    tokens_for(&CARDS, ids)
+}
+
+/// [`tokens_of`] over `cards`.
+fn tokens_for(cards: &[usize], ids: &[u32]) -> Vec<Arc<Vec<u32>>> {
+    cards
         .iter()
         .enumerate()
         .map(|(a, &card)| Arc::new(ids.iter().map(|i| (i + a as u32) % card as u32).collect()))
@@ -328,6 +344,131 @@ fn sweep_shares_duplicate_prefixes_without_changing_a_bit() {
             &excluded,
             &what,
         );
+    }
+}
+
+/// Every attribute's logit block from the sweep against the full-trunk
+/// block on one batch, bit for bit.
+fn assert_blocks_match_oracle(
+    made: &Made,
+    store: &ParamStore,
+    sessions: (&mut InferenceSession, &mut InferenceSession),
+    base: &[Arc<Vec<u32>>],
+    what: &str,
+) {
+    let (s_sweep, s_full) = sessions;
+    for attr in 0..base.len() {
+        let a = made
+            .logits_attr_in(s_sweep, store, base, None, attr)
+            .clone();
+        let b = made.logits_attr_full_in(s_full, store, base, None, attr);
+        assert_bits_eq(&a, b, &format!("{what}, attr {attr}"));
+    }
+}
+
+/// One sweep range against the full-trunk sampler on one batch: the tokens
+/// drawn and the position both RNG streams are left at.
+fn assert_range_matches_oracle(
+    made: &Made,
+    store: &ParamStore,
+    sessions: (&mut InferenceSession, &mut InferenceSession),
+    base: &[Arc<Vec<u32>>],
+    range: std::ops::Range<usize>,
+    what: &str,
+) {
+    let (s_sweep, s_full) = sessions;
+    let mut cols_a = base.to_vec();
+    let mut rng_a = StdRng::seed_from_u64(2000 + range.start as u64);
+    made.sample_range_in(
+        s_sweep,
+        store,
+        &mut cols_a,
+        None,
+        range.start,
+        range.end,
+        &[],
+        &mut rng_a,
+    );
+    let mut cols_b = base.to_vec();
+    let mut rng_b = StdRng::seed_from_u64(2000 + range.start as u64);
+    made.sample_range_full_in(
+        s_full,
+        store,
+        &mut cols_b,
+        None,
+        range.start,
+        range.end,
+        &[],
+        &mut rng_b,
+    );
+    assert_eq!(cols_a, cols_b, "{what}: tokens diverged over {range:?}");
+    assert_eq!(
+        rand::Rng::random::<u64>(&mut rng_a),
+        rand::Rng::random::<u64>(&mut rng_b),
+        "{what}: RNG streams misaligned over {range:?}"
+    );
+}
+
+/// The shapes the sweep serves: the housing chains' 8- and 11-attribute
+/// models with 8-wide embeddings over 64×64 hidden units, so degree bands
+/// hold 9–10 and 6–7 units; row counts straddling every row tile of the
+/// band kernel at any lane width (two lanes, one lane, 8, 4, 2, 1) and the
+/// 256-row batches of the completion engine; and one 256-row batch whose
+/// sweeps start from 1, 6 and 82 distinct evidence prefixes (a constant
+/// first attribute, six values of the second, 82 pairs with the third).
+#[test]
+fn sweep_bit_identical_at_production_shapes() {
+    let cards8 = [12usize, 7, 30, 5, 3, 20, 9, 4];
+    let cards11 = [12usize, 7, 30, 5, 3, 20, 9, 4, 16, 2, 11];
+    for (cards, seed) in [(&cards8[..], 71u64), (&cards11[..], 72)] {
+        let n_attrs = cards.len();
+        let (made, store) = new_made_of(cards, 8, vec![64, 64], 0, seed);
+        let mut s_sweep = InferenceSession::new();
+        let mut s_full = InferenceSession::new();
+        for n in [1usize, 3, 4, 5, 15, 16, 17, 31, 32, 33, 255, 256, 257] {
+            let what = format!("{n_attrs} attributes, {n} rows");
+            // Every third row repeats its predecessor: prefixes are shared.
+            let ids: Vec<u32> = (0..n as u32).map(|i| (i - i / 3) * 7 % 101).collect();
+            let base = tokens_for(cards, &ids);
+            let sessions = (&mut s_sweep, &mut s_full);
+            assert_blocks_match_oracle(&made, &store, sessions, &base, &what);
+            for start in [0, 1, n_attrs / 2, n_attrs - 1] {
+                let sessions = (&mut s_sweep, &mut s_full);
+                assert_range_matches_oracle(&made, &store, sessions, &base, start..n_attrs, &what);
+            }
+        }
+
+        let base: Vec<Arc<Vec<u32>>> = (cards.iter().enumerate())
+            .map(|(a, &card)| {
+                let col = (0..256u32).map(|r| {
+                    let g = r % 82;
+                    match a {
+                        0 => 0,
+                        1 => g % 6,
+                        2 => g / 6,
+                        _ => (r * 31 + a as u32) % card as u32,
+                    }
+                });
+                Arc::new(col.collect())
+            })
+            .collect();
+        for (start, expect) in [(1, 1), (2, 6), (3, 82)] {
+            let prefixes: std::collections::HashSet<Vec<u32>> = (0..256)
+                .map(|r| base[..start].iter().map(|col| col[r]).collect())
+                .collect();
+            assert_eq!(
+                prefixes.len(),
+                expect,
+                "distinct prefixes before attr {start}"
+            );
+        }
+        let what = format!("{n_attrs} attributes, 1/6/82 prefixes");
+        let sessions = (&mut s_sweep, &mut s_full);
+        assert_blocks_match_oracle(&made, &store, sessions, &base, &what);
+        for start in 1..=3 {
+            let sessions = (&mut s_sweep, &mut s_full);
+            assert_range_matches_oracle(&made, &store, sessions, &base, start..n_attrs, &what);
+        }
     }
 }
 
