@@ -11,9 +11,10 @@ use std::sync::Arc;
 
 use rand::Rng;
 
-use crate::infer::{Forward, InferenceSession};
+use crate::infer::InferenceSession;
 use crate::layers::{Embedding, Mlp};
 use crate::params::ParamStore;
+use crate::tape::Forward;
 use crate::tensor::Matrix;
 
 /// Configuration of the encoder for one fan-out table.
@@ -98,9 +99,9 @@ impl DeepSets {
     }
 
     /// Encodes the fan-out evidence of `n_rows` evidence tuples into an
-    /// `n_rows × ctx_dim` context through any [`Forward`] executor — on the
-    /// tape during SSAR training (so gradients flow back into the
-    /// encoders), on the no-grad engine during completion.
+    /// `n_rows × ctx_dim` context through a [`Forward`] executor — on a
+    /// tape that SSAR training differentiates (so gradients flow back into
+    /// the encoders) and completion does not ([`DeepSets::encode_in`]).
     pub fn forward<F: Forward>(
         &self,
         f: &mut F,
@@ -144,8 +145,8 @@ impl DeepSets {
         self.post.forward(f, store, joint)
     }
 
-    /// Gradient-free batched encoding into the session's pooled buffers,
-    /// returning a borrow of the `n_rows × ctx_dim` context matrix.
+    /// Gradient-free batched encoding on the session's tape, returning a
+    /// borrow of the `n_rows × ctx_dim` context matrix.
     pub fn encode_in<'s>(
         &self,
         session: &'s mut InferenceSession,
@@ -153,9 +154,9 @@ impl DeepSets {
         batch: &SetBatch,
         n_rows: usize,
     ) -> &'s Matrix {
-        let mut f = session.ctx(store);
+        let mut f = session.tape.ctx(store);
         let out = self.forward(&mut f, store, batch, n_rows);
-        session.value(store, out)
+        f.into_value(out)
     }
 }
 

@@ -4,8 +4,8 @@ use std::sync::Arc;
 
 use rand::Rng;
 
-use crate::infer::Forward;
 use crate::params::{ParamId, ParamStore};
+use crate::tape::Forward;
 use crate::tensor::Matrix;
 
 /// Dense affine layer `y = x·W + b`.
@@ -63,8 +63,8 @@ impl MaskedLinear {
         &self.mask
     }
 
-    /// `(weight, bias)` parameter ids — the inference engine's
-    /// block-restricted output evaluation reads these directly.
+    /// `(weight, bias)` parameter ids — the sweep and the block-restricted
+    /// output of its full-trunk oracle read these directly.
     pub(crate) fn param_ids(&self) -> (ParamId, ParamId) {
         (self.w, self.b)
     }
@@ -201,7 +201,9 @@ mod tests {
             let x = f.input(&x_mat);
             let pred = mlp.forward(&mut f, &store, x);
             let mut dloss = f.value(pred).clone();
-            dloss.add_scaled(&y_mat, -1.0);
+            for (d, y) in dloss.data_mut().iter_mut().zip(y_mat.data()) {
+                *d -= y;
+            }
             last = dloss.data().iter().map(|d| d * d).sum::<f32>() / 32.0;
             dloss.scale_assign(2.0 / 32.0);
             let mut grads = GradBuffer::new(&store);

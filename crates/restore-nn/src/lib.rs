@@ -5,12 +5,14 @@
 //! crate provides the minimal substrate the models need, built from scratch:
 //!
 //! * [`Matrix`] — dense row-major `f32` matrices;
-//! * [`Tape`] — reverse-mode automatic differentiation (training): a pass
-//!   is recorded through [`Tape::ctx`]'s [`TapeCtx`] and differentiated by
-//!   [`Tape::backward_with`];
-//! * [`InferenceSession`] — the gradient-free batched inference engine
-//!   (completion): the [`Forward`] trait lets one set of layer definitions
-//!   drive both the recorded and the no-grad execution paths;
+//! * [`Tape`] — the one forward executor, with reverse-mode automatic
+//!   differentiation: the layers are written against the [`Forward`] op
+//!   vocabulary, a pass is recorded through [`Tape::ctx`]'s [`TapeCtx`], and
+//!   training differentiates it with [`Tape::backward_with`] (a
+//!   gradient-free pass never does);
+//! * [`InferenceSession`] — a worker's warm state for gradient-free
+//!   inference (completion): a tape for full forwards and the
+//!   band-incremental sweep's caches;
 //! * [`ParamStore`] — parameter/gradient storage;
 //! * linear, masked linear, embedding and MLP layers, and MADE mask
 //!   construction with attribute-grouped degrees (internal);
@@ -46,11 +48,11 @@ mod tensor;
 mod train;
 
 pub use deepsets::{DeepSets, DeepSetsConfig, SetBatch, SetTableSpec, TableSet};
-pub use infer::{Forward, InferenceSession};
+pub use infer::InferenceSession;
 pub use loss::{block_cross_entropy_sums, kl_divergence, softmax_into, BlockLoss, BlockLossSums};
 pub use made::{sample_categorical, AttrSpec, Made, MadeConfig};
 pub use optim::Adam;
 pub use params::{GradBuffer, ParamStore};
-pub use tape::{Tape, TapeCtx};
+pub use tape::{Forward, Tape, TapeCtx};
 pub use tensor::{lane, Matrix};
 pub use train::TrainEngine;

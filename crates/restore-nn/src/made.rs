@@ -7,12 +7,13 @@ use std::sync::Arc;
 
 use rand::Rng;
 
-use crate::infer::{Forward, InferenceSession};
+use crate::infer::InferenceSession;
 use crate::layers::{Embedding, MaskedLinear};
 use crate::loss::{block_cross_entropy, softmax_into, BlockLayout, BlockLoss};
 use crate::masks::build_masks;
 use crate::params::ParamStore;
 use crate::sweep::{ArSweep, BandedCache, SweepNet};
+use crate::tape::{Forward, Tape};
 use crate::tensor::Matrix;
 
 /// One model attribute: its token cardinality and embedding width.
@@ -176,10 +177,9 @@ impl Made {
         }
         match (self.cfg.ctx_dim, ctx_shape) {
             (0, None) => {}
+            (0, Some(_)) => panic!("model does not take a context"),
             (d, Some(shape)) => assert_eq!(shape, (m, d), "context shape mismatch"),
             (d, None) => panic!("model expects a {d}-wide context"),
-            #[allow(unreachable_patterns)]
-            (0, Some(_)) => panic!("model does not take a context"),
         }
         m
     }
@@ -205,21 +205,19 @@ impl Made {
         let mut h = self.input_layer.forward(f, store, x);
         h = f.relu(h);
         for layer in &self.hidden_layers {
-            let pre = layer.forward(f, store, h);
-            h = if self.cfg.residual && f.shape(pre) == f.shape(h) {
-                f.add_relu(pre, h)
-            } else {
-                f.relu(pre)
-            };
+            let mut pre = layer.forward(f, store, h);
+            if self.cfg.residual && f.shape(pre) == f.shape(h) {
+                pre = f.add(pre, h);
+            }
+            h = f.relu(pre);
         }
         h
     }
 
-    /// Forward pass through any [`Forward`] executor — a recording
-    /// [`TapeCtx`](crate::tape::TapeCtx) during training, a no-grad
-    /// `InferCtx` during inference. `tokens[a]`
-    /// holds the token of attribute `a` for every batch row; `ctx` must be
-    /// provided iff `ctx_dim > 0`.
+    /// Forward pass through a [`Forward`] executor — a
+    /// [`TapeCtx`](crate::tape::TapeCtx), differentiated during training and
+    /// not for the validation loss. `tokens[a]` holds the token of attribute
+    /// `a` for every batch row; `ctx` must be provided iff `ctx_dim > 0`.
     pub fn forward<F: Forward>(
         &self,
         f: &mut F,
@@ -254,8 +252,10 @@ impl Made {
     }
 
     /// The full-trunk oracle of [`Made::logits_attr_in`]: one complete
-    /// trunk forward, then the block-restricted output. Nothing serves
-    /// from it; the sweep suites compare against it bit for bit.
+    /// trunk forward on the session's tape, then the block-restricted
+    /// output — attribute `attr`'s columns of `h · (w ⊙ mask)`, plus bias.
+    /// Nothing serves from it; the sweep suites compare against it bit for
+    /// bit.
     pub fn logits_attr_full_in<'s>(
         &self,
         session: &'s mut InferenceSession,
@@ -266,12 +266,20 @@ impl Made {
     ) -> &'s Matrix {
         let (off, card) = self.layout.block(attr);
         let (w, b) = self.output_layer.param_ids();
-        let mask = Arc::clone(self.output_layer.mask());
-        let mut f = session.ctx(store);
+        let mut f = session.tape.ctx(store);
         let ctx_id = ctx.map(|c| f.input(c));
         let h = self.trunk(&mut f, store, tokens, ctx_id);
-        let out = f.masked_linear_cols(h, w, &mask, b, off..off + card);
-        session.value(store, out)
+        let h = f.into_value(h);
+        let masked = store.value(w).hadamard(self.output_layer.mask());
+        let block = &mut session.sweep.logits;
+        h.matmul_col_band_limited_into(&masked, off..off + card, h.cols(), block);
+        let bias = &store.value(b).row(0)[off..off + card];
+        for r in 0..block.rows() {
+            for (v, bv) in block.row_mut(r).iter_mut().zip(bias) {
+                *v += bv;
+            }
+        }
+        block
     }
 
     /// The sweep's view of the masked trunk.
@@ -325,32 +333,29 @@ impl Made {
         sweep.output_block(net, upto);
     }
 
-    /// Inference-only forward returning an owned logits matrix (convenience
-    /// wrapper over [`Made::logits_in`] with a throwaway session).
+    /// Gradient-free forward returning an owned logits matrix: the pass is
+    /// recorded on a throwaway tape and never differentiated.
     pub fn logits(
         &self,
         store: &ParamStore,
         tokens: &[Arc<Vec<u32>>],
         ctx: Option<&Matrix>,
     ) -> Matrix {
-        let mut session = InferenceSession::new();
-        self.logits_in(&mut session, store, tokens, ctx).clone()
+        self.logits_on(&mut Tape::new(), store, tokens, ctx).clone()
     }
 
-    /// Gradient-free batched forward: evaluates the logits for every batch
-    /// row into the session's pooled buffers and returns a borrow of the
-    /// result. Repeated calls with equal batch shapes are allocation-free.
-    pub fn logits_in<'s>(
+    /// [`Made::forward`] on `tape` without gradients, borrowing the logits.
+    fn logits_on<'t>(
         &self,
-        session: &'s mut InferenceSession,
-        store: &'s ParamStore,
+        tape: &'t mut Tape,
+        store: &'t ParamStore,
         tokens: &[Arc<Vec<u32>>],
         ctx: Option<&Matrix>,
-    ) -> &'s Matrix {
-        let mut f = session.ctx(store);
+    ) -> &'t Matrix {
+        let mut f = tape.ctx(store);
         let ctx_id = ctx.map(|c| f.input(c));
         let out = self.forward(&mut f, store, tokens, ctx_id);
-        session.value(store, out)
+        f.into_value(out)
     }
 
     /// Evaluates the per-attribute NLL without updating parameters — the
@@ -363,9 +368,10 @@ impl Made {
         ctx: Option<&Matrix>,
         weights: Option<&[Vec<f32>]>,
     ) -> BlockLoss {
-        let logits = self.logits(store, tokens, ctx);
+        let mut tape = Tape::new();
+        let logits = self.logits_on(&mut tape, store, tokens, ctx);
         let targets: Vec<&[u32]> = tokens.iter().map(|t| t.as_slice()).collect();
-        block_cross_entropy(&logits, &self.layout, &targets, weights)
+        block_cross_entropy(logits, &self.layout, &targets, weights)
     }
 
     /// Conditional distribution of attribute `attr` for every batch row,
@@ -403,13 +409,12 @@ impl Made {
         }
     }
 
-    /// Batched iterative forward sampling on the no-grad engine: one
-    /// gradient-free logit-block evaluation per attribute fills that
-    /// attribute for **all** batch rows at once. Token columns are updated
-    /// in place (`Arc::make_mut` — the session never retains them, so no
-    /// copies happen). Rows are sampled in order, one RNG draw per row per
-    /// attribute, so the draw sequence is a pure function of `(tokens,
-    /// start, end, rng state)`.
+    /// Batched iterative forward sampling: one gradient-free logit-block
+    /// evaluation per attribute fills that attribute for **all** batch rows
+    /// at once. Token columns are updated in place (`Arc::make_mut` — the
+    /// session never retains them, so no copies happen). Rows are sampled
+    /// in order, one RNG draw per row per attribute, so the draw sequence
+    /// is a pure function of `(tokens, start, end, rng state)`.
     ///
     /// The attribute loop runs on the band-incremental sweep: a setup pass
     /// computes all hidden bands of degree `≤ start` and attribute
@@ -650,6 +655,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A context-free model refuses a context whatever its width — the
+    /// `0`-wide one too, which would pass a shape check.
+    #[test]
+    #[should_panic(expected = "does not take a context")]
+    fn context_free_model_refuses_a_three_wide_context() {
+        let (made, store) = make_model(&[4, 4], 0, 15);
+        let toks: Vec<Arc<Vec<u32>>> = vec![Arc::new(vec![0, 1]), Arc::new(vec![1, 0])];
+        made.logits(&store, &toks, Some(&Matrix::zeros(2, 3)));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not take a context")]
+    fn context_free_model_refuses_a_zero_wide_context() {
+        let (made, store) = make_model(&[4, 4], 0, 16);
+        let toks: Vec<Arc<Vec<u32>>> = vec![Arc::new(vec![0, 1]), Arc::new(vec![1, 0])];
+        made.logits(&store, &toks, Some(&Matrix::zeros(2, 0)));
     }
 
     #[test]

@@ -99,10 +99,11 @@ impl<'a> SweepNet<'a> {
 /// contiguous row range.
 #[derive(Debug)]
 struct BandedLayer {
-    /// `Arc` pointer of the mask this cache was built against (to catch a
-    /// weight being reused under a different mask, like the session's
-    /// masked-weight cache).
-    mask_ptr: usize,
+    /// The mask this cache was built against. Weight ids are numbered from
+    /// 0 in every store, so a session that sweeps a second model finds the
+    /// first model's layer under the same id; the mask tells them apart
+    /// (held, so no later mask can reuse its address).
+    mask: Arc<Matrix>,
     /// `(w ⊙ mask)ᵀ`, rows permuted by `perm`: row `js` holds unit
     /// `perm[js]`'s weights over the inputs, in ascending input order.
     wmt: Matrix,
@@ -156,12 +157,12 @@ impl BandedLayer {
         for (js, &orig) in perm.iter().enumerate() {
             for r in 0..k {
                 // Same element order as `Matrix::hadamard` (w * mask), so
-                // cached values match the session's masked-weight cache.
+                // cached values match the tape's masked weights.
                 wmt.set(js, r, wv.get(r, orig) * mask.get(r, orig));
             }
         }
         Self {
-            mask_ptr: Arc::as_ptr(mask) as usize,
+            mask: Arc::clone(mask),
             wmt,
             bias: perm.iter().map(|&j| bv.get(0, j)).collect(),
             perm,
@@ -207,10 +208,6 @@ impl BandedCache {
             layers: layers.collect(),
         }
     }
-
-    fn get(&self, w: ParamId) -> Option<Arc<BandedLayer>> {
-        self.layers.get(&w).cloned()
-    }
 }
 
 /// Persistent state of one band-incremental sweep executor: frozen
@@ -218,9 +215,9 @@ impl BandedCache {
 /// attribute loop maintains. Lives inside an
 /// [`InferenceSession`](crate::infer::InferenceSession), so the
 /// completion engine's per-worker warm sessions keep the caches across
-/// batches and path steps (parameters are frozen at completion time, like
-/// the session's masked-weight cache). Activation matrices are recycled
-/// buffers — their *values* are per-sweep, their allocations persist.
+/// batches and path steps (parameters are frozen at completion time).
+/// Activation matrices are recycled buffers — their *values* are
+/// per-sweep, their allocations persist.
 #[derive(Default)]
 pub(crate) struct ArSweep {
     /// Degree-banded caches of every masked layer, by weight id — adopted
@@ -241,7 +238,9 @@ pub(crate) struct ArSweep {
     /// The buffer [`ArSweep::expand_rows`] expands into, swapped with the
     /// matrix it expanded.
     spare: Matrix,
-    /// Logit block of the attribute being evaluated, one row per batch row.
+    /// Logit block of the attribute being evaluated, one row per batch row
+    /// (the full-trunk oracle, `Made::logits_attr_full_in`, writes its
+    /// block here too).
     pub(crate) logits: Matrix,
     /// Softmax scratch, reused across attributes: every prefix's
     /// distribution for the first one of a sweep, then one row's at a time.
@@ -314,23 +313,23 @@ impl ArSweep {
     }
 
     /// Starts a sweep over `m` rows (one per distinct prefix): adopts the
-    /// model's shared frozen caches (or builds session-local ones on first
-    /// use) and sizes + zeroes the activation matrices (zeroed so the
+    /// model's shared frozen caches (or builds session-local ones) for
+    /// every layer the session holds no cache of under this layer's mask,
+    /// and sizes + zeroes the activation matrices (zeroed so the
     /// not-yet-computed bands contribute deterministic masked zeros to
     /// the full-length band dot products).
     pub(crate) fn begin(&mut self, store: &ParamStore, net: &SweepNet, m: usize) {
         for (layer, degrees) in net.each_layer() {
             let w = layer.param_ids().0;
-            let entry = self.banded.entry(w).or_insert_with(|| {
-                net.banded.and_then(|c| c.get(w)).unwrap_or_else(|| {
-                    Arc::new(BandedLayer::build(store, layer, degrees, net.n_attrs))
-                })
-            });
-            debug_assert_eq!(
-                entry.mask_ptr,
-                Arc::as_ptr(layer.mask()) as usize,
-                "weight {w} used with two different masks in one session"
-            );
+            let held = self.banded.get(&w);
+            if held.is_some_and(|b| Arc::ptr_eq(&b.mask, layer.mask())) {
+                continue;
+            }
+            let band = match net.banded.and_then(|c| c.layers.get(&w)) {
+                Some(frozen) => Arc::clone(frozen),
+                None => Arc::new(BandedLayer::build(store, layer, degrees, net.n_attrs)),
+            };
+            self.banded.insert(w, band);
         }
         self.x.resize(net.layers[0].mask().rows(), m);
         if self.acts.len() != net.layers.len() {

@@ -1,17 +1,19 @@
 //! A small tape-based reverse-mode automatic differentiation engine,
-//! arena-backed so one tape can be reused across training steps.
+//! arena-backed so one tape can be reused across passes — and the one
+//! forward executor of the crate.
 //!
-//! [`Tape::ctx`] borrows the tape together with a [`ParamStore`] and returns
-//! a [`TapeCtx`], whose [`Forward`] impl records every operation of a
-//! forward pass as an op plus a value slot in a node *arena*; parameter
-//! leaves resolve **in place** in the store (no copies).
+//! [`Forward`] names the op vocabulary the models are written against;
+//! [`TapeCtx`] is its one implementor. [`Tape::ctx`] borrows the tape
+//! together with a [`ParamStore`] and returns a [`TapeCtx`], which records
+//! every operation of a forward pass as an op plus a value slot in a node
+//! *arena*; parameter leaves resolve **in place** in the store (no copies).
 //! [`Tape::backward_with`] walks the ops in reverse and accumulates
-//! parameter gradients into a caller-owned [`GradBuffer`]. Starting a
-//! context rewinds the arenas without dropping their matrices, so after the
-//! first step of a training run every forward + backward pass of the same
-//! shape performs **no heap allocation** — mirroring what
-//! [`InferenceSession`](crate::infer::InferenceSession) does for the
-//! gradient-free completion path.
+//! parameter gradients into a caller-owned [`GradBuffer`]. A gradient-free
+//! pass (the validation loss, the SSAR context at completion, the sweep's
+//! full-trunk oracles) records the same way and simply never calls it.
+//! Starting a context rewinds the arenas without dropping their matrices,
+//! so after the first pass every forward (+ backward) pass of the same
+//! shape performs **no heap allocation**.
 //!
 //! Only the operations the ReStore models need are implemented: (masked)
 //! matrix multiplication, bias broadcast, element-wise add, ReLU, column
@@ -19,9 +21,44 @@
 
 use std::sync::Arc;
 
-use crate::infer::Forward;
 use crate::params::{GradBuffer, ParamId, ParamStore};
 use crate::tensor::Matrix;
+
+/// The forward-pass op vocabulary. Layer definitions (the crate's layers,
+/// [`Made`](crate::Made), [`DeepSets`](crate::DeepSets)) are written against
+/// it; [`TapeCtx`] implements it by recording nodes on a [`Tape`].
+pub trait Forward {
+    /// Handle to a value produced during this forward pass.
+    type Id: Copy;
+
+    /// Introduces a non-trainable input by copying it in.
+    fn input(&mut self, value: &Matrix) -> Self::Id;
+    /// References a trainable parameter of `store`.
+    fn param(&mut self, store: &ParamStore, id: ParamId) -> Self::Id;
+    /// `x · w`.
+    fn matmul(&mut self, x: Self::Id, w: Self::Id) -> Self::Id;
+    /// `x · (w ⊙ mask)` — MADE masked linear.
+    fn masked_matmul(&mut self, x: Self::Id, w: Self::Id, mask: &Arc<Matrix>) -> Self::Id;
+    /// Broadcast-add a `1 × n` bias row to every row of `x`.
+    fn add_row(&mut self, x: Self::Id, bias: Self::Id) -> Self::Id;
+    /// Element-wise addition of equally shaped values.
+    fn add(&mut self, a: Self::Id, b: Self::Id) -> Self::Id;
+    /// Element-wise `max(0, x)`.
+    fn relu(&mut self, x: Self::Id) -> Self::Id;
+    /// Column-wise concatenation.
+    fn concat_cols(&mut self, parts: &[Self::Id]) -> Self::Id;
+    /// Embedding gather: `out[i] = table[idx[i]]`.
+    fn gather(&mut self, table: Self::Id, idx: &Arc<Vec<u32>>) -> Self::Id;
+    /// Segment sum: `out[seg[i]] += x[i]` over `n_segments` output rows.
+    fn segment_sum(&mut self, x: Self::Id, seg: &Arc<Vec<u32>>, n_segments: usize) -> Self::Id;
+    /// The computed value behind `id`.
+    fn value(&self, id: Self::Id) -> &Matrix;
+
+    /// Shape of the value behind `id`.
+    fn shape(&self, id: Self::Id) -> (usize, usize) {
+        self.value(id).shape()
+    }
+}
 
 /// Handle to a value recorded on a [`Tape`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,8 +94,6 @@ enum Op {
         seg: Arc<Vec<u32>>,
         n_segments: usize,
     },
-    /// Scalar multiplication.
-    Scale { x: VarId, s: f32 },
 }
 
 /// Records a forward pass through [`Tape::ctx`]; consumed by
@@ -99,6 +134,12 @@ impl Tape {
         self.materialized.fill(false);
         self.has_grad.fill(false);
         TapeCtx { tape: self, store }
+    }
+
+    /// Node slots in the arena (diagnostics): the most nodes one pass of
+    /// this tape has recorded.
+    pub(crate) fn arena_len(&self) -> usize {
+        self.values.len()
     }
 
     /// The value of `v`: materialized in the arena, or — for a parameter
@@ -253,18 +294,6 @@ impl Tape {
             }
         }
         self.put(i, Op::Relu { x }, out)
-    }
-
-    fn do_scale(&mut self, store: &ParamStore, x: VarId, s: f32) -> VarId {
-        let (i, mut out) = self.claim();
-        {
-            let xm = self.val(store, x);
-            out.resize(xm.rows(), xm.cols());
-            for (o, &v) in out.data_mut().iter_mut().zip(xm.data()) {
-                *o = v * s;
-            }
-        }
-        self.put(i, Op::Scale { x, s }, out)
     }
 
     fn do_concat_cols(&mut self, store: &ParamStore, parts: &[VarId]) -> VarId {
@@ -493,13 +522,6 @@ impl Tape {
                     }
                     self.put_grad(x, gx);
                 }
-                Op::Scale { x, s } => {
-                    let (x, s) = (*x, *s);
-                    let (r, c) = gi.shape();
-                    let mut gx = self.take_grad(x, r, c);
-                    gx.add_scaled(&gi, s);
-                    self.put_grad(x, gx);
-                }
             }
             self.grads[i] = gi;
         }
@@ -507,10 +529,19 @@ impl Tape {
 }
 
 /// One recorded forward pass over a reusable [`Tape`] with parameters
-/// resolved in place — the training-path mirror of `InferCtx`.
+/// resolved in place.
 pub struct TapeCtx<'a> {
     tape: &'a mut Tape,
     store: &'a ParamStore,
+}
+
+impl<'a> TapeCtx<'a> {
+    /// Ends the pass, handing out the value behind `id` for as long as
+    /// the tape stays borrowed — how a gradient-free pass returns its
+    /// output.
+    pub(crate) fn into_value(self, id: VarId) -> &'a Matrix {
+        self.tape.val(self.store, id)
+    }
 }
 
 impl Forward for TapeCtx<'_> {
@@ -547,10 +578,6 @@ impl Forward for TapeCtx<'_> {
 
     fn relu(&mut self, x: VarId) -> VarId {
         self.tape.do_relu(self.store, x)
-    }
-
-    fn scale(&mut self, x: VarId, s: f32) -> VarId {
-        self.tape.do_scale(self.store, x, s)
     }
 
     fn concat_cols(&mut self, parts: &[VarId]) -> VarId {
@@ -907,8 +934,8 @@ mod tests {
         let h = f.masked_matmul(x, wv, mask);
         let h = f.add_row(h, bv);
         let h = f.relu(h);
-        let h2 = f.scale(h, 0.5);
-        let h = f.add(h, h2);
+        let h2 = f.add(h, h);
+        let h = f.add(h2, h);
         let cat = f.concat_cols(&[h, h]);
         let pooled = f.segment_sum(cat, seg, 2);
         let v = f.value(pooled).clone();

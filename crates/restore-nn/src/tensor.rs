@@ -203,8 +203,8 @@ impl Matrix {
     }
 
     /// [`Matrix::matmul`] writing into a preallocated output (resized and
-    /// overwritten) — the no-grad inference path reuses activations this
-    /// way instead of allocating per op.
+    /// overwritten) — the tape reuses its arena's activations this way
+    /// instead of allocating per op.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols,
@@ -252,64 +252,20 @@ impl Matrix {
         }
     }
 
-    /// `self · (w ⊙ mask)` without materializing the masked weight, written
-    /// into a preallocated output. Bit-identical to
-    /// `self.matmul(&w.hadamard(mask))`: the per-element product order
-    /// `a * (w * m)` matches hadamard-then-matmul exactly.
-    pub fn masked_matmul_into(&self, w: &Matrix, mask: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols,
-            w.rows,
-            "matmul shape mismatch {:?}·{:?}",
-            self.shape(),
-            w.shape()
-        );
-        assert_eq!(w.shape(), mask.shape(), "mask shape mismatch");
-        out.resize(self.rows, w.cols);
-        out.fill_zero();
-        let n = w.cols;
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let w_row = w.row(k);
-                let m_row = mask.row(k);
-                for j in 0..n {
-                    out_row[j] += a * (w_row[j] * m_row[j]);
-                }
-            }
-        }
-    }
-
     /// Computes only columns `cols` of `self · other` into `out` (shaped
-    /// `self.rows × cols.len()`) with the tiled kernel's zero-initialized
+    /// `self.rows × cols.len()`), contracting only `k < k_limit` of the
+    /// inner dimension, with the tiled kernel's zero-initialized
     /// ascending-`k` accumulation — the exact per-element add sequence of
-    /// [`Matrix::matmul_into`], so every value is bit-identical to the
-    /// corresponding entry of the full product. This is the band-restricted
-    /// GEMM of the incremental AR sweep: each degree band of hidden units
-    /// is a contiguous column range of the degree-sorted masked weight.
-    pub(crate) fn matmul_col_band_into(
-        &self,
-        other: &Matrix,
-        cols: std::ops::Range<usize>,
-        out: &mut Matrix,
-    ) {
-        self.matmul_col_band_limited_into(other, cols, self.cols, out)
-    }
-
-    /// The band GEMM (`Matrix::matmul_col_band_into`) contracting only `k < k_limit`
-    /// instead of the full inner dimension. The caller guarantees every
-    /// skipped `other` row is zero over `cols`; each skipped naive-loop
-    /// term is then an exact `a · 0.0 = ±0.0` whose addition cannot change
-    /// any accumulator bit (the accumulators start at `+0.0` and
-    /// `x + ±0.0` preserves `x`'s bits for every finite `x`), so results
-    /// stay bit-identical to the full-`k` product for finite activations.
-    /// The AR sweep uses this to skip input rows a band's mask zeroes out
-    /// — e.g. a degree-`d` first-layer band never reads the embedding
-    /// blocks of attributes `≥ d`.
+    /// [`Matrix::matmul_into`]. With `k_limit = self.cols()` every value is
+    /// bit-identical to the corresponding entry of the full product. A
+    /// smaller limit requires every skipped `other` row to be zero over
+    /// `cols`; each skipped naive-loop term is then an exact
+    /// `a · 0.0 = ±0.0` whose addition cannot change any accumulator bit
+    /// (the accumulators start at `+0.0` and `x + ±0.0` preserves `x`'s
+    /// bits for every finite `x`), so results stay bit-identical to the
+    /// full-`k` product for finite activations. The full-trunk oracle of
+    /// the AR sweep (`Made::logits_attr_full_in`) evaluates one
+    /// attribute's logit block with it; the benchmark probes it.
     pub fn matmul_col_band_limited_into(
         &self,
         other: &Matrix,
@@ -357,8 +313,9 @@ impl Matrix {
         gemm_rows_in_lanes(&self.data, w, &mut out.data, self.cols, wt.cols, k_limit);
     }
 
-    /// Reference (naive loop) form of [`Matrix::matmul_col_band_into`] —
-    /// the bit-equality oracle of the lane-tiled band GEMMs.
+    /// Reference (naive loop, full `k`) form of
+    /// [`Matrix::matmul_col_band_limited_into`] — the bit-equality oracle
+    /// of the lane-tiled band GEMMs.
     #[cfg(test)]
     pub(crate) fn matmul_col_band_into_naive(
         &self,
@@ -381,22 +338,6 @@ impl Matrix {
                 }
             }
         }
-    }
-
-    /// Computes only columns `cols` of `self · other` into `out` (shaped
-    /// `self.rows × cols.len()`). Per element this is the tiled kernel's
-    /// zero-initialized ascending-`k` dot product — exactly the sequence
-    /// [`Matrix::matmul_into`] runs — so the values are bit-identical to
-    /// the corresponding slice of the full product. The batched sampler
-    /// uses this to evaluate just the logit block of the attribute being
-    /// sampled.
-    pub(crate) fn matmul_cols_into(
-        &self,
-        other: &Matrix,
-        cols: std::ops::Range<usize>,
-        out: &mut Matrix,
-    ) {
-        self.matmul_col_band_into(other, cols, out)
     }
 
     /// `out += self · otherᵀ` without materializing the transpose, into a
@@ -530,14 +471,6 @@ impl Matrix {
         assert_eq!(self.shape(), other.shape(), "add shape mismatch");
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += b;
-        }
-    }
-
-    /// Element-wise in-place `self += scale * other`.
-    pub(crate) fn add_scaled(&mut self, other: &Matrix, scale: f32) {
-        assert_eq!(self.shape(), other.shape(), "add_scaled shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += scale * b;
         }
     }
 
@@ -1084,7 +1017,7 @@ mod tests {
                 let band = start..start + w;
                 let mut tiled = Matrix::zeros(0, 0);
                 let mut naive = Matrix::zeros(0, 0);
-                a.matmul_col_band_into(&b, band.clone(), &mut tiled);
+                a.matmul_col_band_limited_into(&b, band.clone(), k, &mut tiled);
                 a.matmul_col_band_into_naive(&b, band.clone(), &mut naive);
                 for (x, y) in tiled.data().iter().zip(naive.data()) {
                     assert_eq!(x.to_bits(), y.to_bits(), "band {band:?} of {m}x{k}x{n}");
@@ -1212,7 +1145,7 @@ mod tests {
             ];
             for band in bands {
                 let mut out = Matrix::zeros(0, 0);
-                a.matmul_col_band_into(&b, band.clone(), &mut out);
+                a.matmul_col_band_limited_into(&b, band.clone(), k, &mut out);
                 assert_eq!(out.shape(), (m, band.len()));
                 for i in 0..m {
                     for (jj, j) in band.clone().enumerate() {

@@ -106,10 +106,10 @@ impl TrainEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::infer::Forward;
     use crate::loss::{block_cross_entropy_sums, BlockLayout};
     use crate::made::{AttrSpec, Made, MadeConfig};
     use crate::optim::Adam;
+    use crate::tape::Forward;
     use crate::tensor::Matrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -32,12 +32,12 @@ fn autograd_matches_finite_differences() {
         let mut store = ParamStore::new();
         let w = store.register(Matrix::rand_uniform(inner, cols, -1.0, 1.0, &mut rng));
 
-        // sum((x·W)·2 + x·W), recorded on a tape.
+        // sum((x·W + x·W) + x·W), recorded on a tape.
         fn pass<F: Forward>(f: &mut F, store: &ParamStore, x: &Matrix, w: usize) -> F::Id {
             let xi = f.input(x);
             let wi = f.param(store, w);
             let h = f.matmul(xi, wi);
-            let s = f.scale(h, 2.0);
+            let s = f.add(h, h);
             f.add(s, h)
         }
         let forward = |store: &ParamStore| -> f32 {

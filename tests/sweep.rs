@@ -5,7 +5,9 @@
 //! (`start > 0`), excluded tokens, the SSAR DeepSets context, and batches
 //! that repeat their evidence prefixes (which the sweep evaluates once per
 //! distinct prefix) — all over warm, reused sessions, the way the
-//! completion engine runs it.
+//! completion engine runs it. A warm session also gives what a fresh one
+//! gives across batch shapes and across models, and its SSAR context
+//! encoding what a fresh tape gives.
 //! Worker-count invariance of completions under the sweep is also pinned
 //! by `tests/determinism.rs::worker_count_never_changes_the_completion`.
 
@@ -15,8 +17,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use restore::nn::{
-    softmax_into, AttrSpec, DeepSets, DeepSetsConfig, InferenceSession, Made, MadeConfig, Matrix,
-    ParamStore, SetBatch, SetTableSpec, TableSet,
+    softmax_into, AttrSpec, DeepSets, DeepSetsConfig, Forward, InferenceSession, Made, MadeConfig,
+    Matrix, ParamStore, SetBatch, SetTableSpec, TableSet, Tape,
 };
 
 const CARDS: [usize; 4] = [7, 5, 9, 4];
@@ -472,12 +474,11 @@ fn sweep_bit_identical_at_production_shapes() {
     }
 }
 
-/// The SSAR path: a DeepSets-encoded context conditions the sweep exactly
-/// as it conditions the full trunk (degree-0 hidden bands exist and are
-/// computed at setup), for both block logits and sampling.
-#[test]
-fn sweep_matches_full_path_under_deepsets_context() {
-    let mut rng = StdRng::seed_from_u64(56);
+/// An SSAR model over [`CARDS`]: a one-table DeepSets encoder feeding a
+/// 5-wide context to the MADE, both in one store, and the fan-out evidence
+/// of a 9-row batch (rows 3, 5, 6 and 7 without set tuples).
+fn ssar_fixture(seed: u64) -> (DeepSets, Made, ParamStore, SetBatch) {
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut store = ParamStore::new();
     let ds_cfg = DeepSetsConfig {
         tables: vec![SetTableSpec::new(vec![6, 4], 4, 8)],
@@ -491,8 +492,6 @@ fn sweep_matches_full_path_under_deepsets_context() {
         &mut store,
         &mut rng,
     );
-
-    let n = 9;
     let batch = SetBatch {
         tables: vec![TableSet {
             tokens: vec![
@@ -502,6 +501,16 @@ fn sweep_matches_full_path_under_deepsets_context() {
             segments: Arc::new(vec![0, 0, 1, 2, 4, 4, 4, 8]),
         }],
     };
+    (ds, made, store, batch)
+}
+
+/// The SSAR path: a DeepSets-encoded context conditions the sweep exactly
+/// as it conditions the full trunk (degree-0 hidden bands exist and are
+/// computed at setup), for both block logits and sampling.
+#[test]
+fn sweep_matches_full_path_under_deepsets_context() {
+    let (ds, made, store, batch) = ssar_fixture(56);
+    let n = 9;
     let mut s_sweep = InferenceSession::new();
     let mut s_full = InferenceSession::new();
     let ctx = ds.encode_in(&mut s_sweep, &store, &batch, n).clone();
@@ -594,4 +603,105 @@ fn completion_is_bit_identical_with_and_without_sweep() {
     }
     assert_eq!(serial.syn, parallel.syn);
     assert_eq!(serial.tf, parallel.tf);
+}
+
+/// The sweep's block of an attribute equals the corresponding slice of the
+/// full logits, bit for bit.
+#[test]
+fn block_logits_match_full_logits() {
+    let (made, store) = new_made(vec![32, 32], 0, 46);
+    let toks = tokens(21);
+    let full = made.logits(&store, &toks, None);
+    for attr in 0..CARDS.len() {
+        let (off, card) = made.layout().block(attr);
+        let mut session = InferenceSession::new();
+        let block = made.logits_attr_in(&mut session, &store, &toks, None, attr);
+        assert_eq!(block.shape(), (21, card));
+        for r in 0..block.rows() {
+            assert_eq!(
+                block.row(r),
+                &full.row(r)[off..off + card],
+                "attr {attr} row {r} diverged"
+            );
+        }
+    }
+}
+
+/// One warm session across differently shaped batches gives what fresh
+/// sessions give, bit for bit, with the sweep and the full-trunk oracle
+/// taking turns on it: no buffer leaks state from one pass into the next.
+#[test]
+fn session_reuse_across_batch_shapes_is_exact() {
+    let (made, store) = new_made(vec![32, 32], 0, 43);
+    let mut session = InferenceSession::new();
+    for &n in &[64usize, 1, 17, 64, 3] {
+        let toks = tokens(n);
+        for attr in 0..CARDS.len() {
+            let what = format!("batch of {n} rows, attr {attr}");
+            let mut fresh = InferenceSession::new();
+            let want = made.logits_attr_full_in(&mut fresh, &store, &toks, None, attr);
+            let got = made.logits_attr_full_in(&mut session, &store, &toks, None, attr);
+            assert_bits_eq(got, want, &format!("{what}, full trunk"));
+            let mut fresh = InferenceSession::new();
+            let want = made.logits_attr_in(&mut fresh, &store, &toks, None, attr);
+            let got = made.logits_attr_in(&mut session, &store, &toks, None, attr);
+            assert_bits_eq(got, want, &format!("{what}, sweep"));
+        }
+    }
+}
+
+/// The SSAR context a warm session encodes — one that already encoded
+/// another batch and swept the model — is the context `DeepSets::forward`
+/// records on a fresh tape, bit for bit.
+#[test]
+fn ssar_context_on_a_warm_session_matches_a_fresh_tape() {
+    let (ds, made, store, batch) = ssar_fixture(42);
+    let n = 9;
+    let want = {
+        let mut tape = Tape::new();
+        let mut f = tape.ctx(&store);
+        let ctx = ds.forward(&mut f, &store, &batch, n);
+        f.value(ctx).clone()
+    };
+
+    let mut session = InferenceSession::new();
+    let other = SetBatch {
+        tables: vec![TableSet {
+            tokens: vec![Arc::new(vec![5, 4, 3]), Arc::new(vec![0, 1, 2])],
+            segments: Arc::new(vec![0, 1, 1]),
+        }],
+    };
+    let ctx = ds.encode_in(&mut session, &store, &other, 2).clone();
+    made.logits_attr_in(&mut session, &store, &tokens(2), Some(&ctx), 1);
+    let got = ds.encode_in(&mut session, &store, &batch, n);
+    assert_bits_eq(got, &want, "DeepSets context");
+}
+
+/// Every store numbers its parameters from 0, so a session that swept one
+/// model finds that model's banded caches under the ids of the next one's
+/// layers: it must sweep the next model's weights anyway, whether either
+/// model froze its caches or not.
+#[test]
+fn a_reused_session_sweeps_each_models_own_weights() {
+    let toks = tokens(9);
+    for (freeze_a, freeze_b) in [(false, false), (true, true), (false, true), (true, false)] {
+        let (mut a, store_a) = new_made(vec![32, 32], 0, 81);
+        let (mut b, store_b) = new_made(vec![32, 32], 0, 82);
+        if freeze_a {
+            a.freeze_banded(&store_a);
+        }
+        if freeze_b {
+            b.freeze_banded(&store_b);
+        }
+        let mut session = InferenceSession::new();
+        for attr in 0..CARDS.len() {
+            for (made, store, name) in [(&a, &store_a, "a"), (&b, &store_b, "b")] {
+                let what = format!("model {name} (frozen: {freeze_a}, {freeze_b}), attr {attr}");
+                let mut fresh = InferenceSession::new();
+                let want = made.logits_attr_in(&mut fresh, store, &toks, None, attr);
+                let got = made.logits_attr_in(&mut session, store, &toks, None, attr);
+                assert_bits_eq(got, want, &what);
+            }
+        }
+    }
 }
