@@ -594,7 +594,8 @@ impl CompletionModel {
         val_rows: &[usize],
     ) -> CoreResult<restore_nn::BlockLoss> {
         let (btoks, bweights) = gather_batch(tokens, weights, val_rows);
-        let ctx_matrix = self.context_matrix(join, val_rows, true)?;
+        let mut session = InferenceSession::new();
+        let ctx_matrix = self.context_matrix_in(&mut session, join, val_rows, true)?;
         let arc_toks: Vec<Arc<Vec<u32>>> = btoks.into_iter().map(Arc::new).collect();
         Ok(self
             .made
@@ -668,19 +669,8 @@ impl CompletionModel {
         Ok((loss_sum / w_total) as f32)
     }
 
-    /// DeepSets context matrix for specific join rows (inference path —
-    /// gradient-free batched encoding, no tape).
-    fn context_matrix(
-        &self,
-        join: &Table,
-        rows: &[usize],
-        exclude_self: bool,
-    ) -> CoreResult<Option<Matrix>> {
-        let mut session = InferenceSession::new();
-        self.context_matrix_in(&mut session, join, rows, exclude_self)
-    }
-
-    /// [`CompletionModel::context_matrix`] over a caller-owned session.
+    /// DeepSets context matrix for specific join rows, encoded on the
+    /// session's tape without a gradient (`None` for a plain AR model).
     fn context_matrix_in(
         &self,
         session: &mut InferenceSession,
@@ -771,23 +761,15 @@ impl CompletionModel {
     ) -> CoreResult<Vec<f64>> {
         let attr_idx = self.tf_attrs[step]
             .ok_or_else(|| CoreError::Invalid(format!("step {step} has no tuple factor")))?;
-        // The per-row distributions are consumed in place, so the scratch
-        // rides on the worker's warm session — across batches and steps
-        // these calls reuse the same allocations.
-        let mut dists = session.take_dists();
-        let filled =
-            self.conditional_dists_encoded_into(session, join, encoded, attr_idx, rows, &mut dists);
-        let result = filled.map(|()| {
-            let enc = &self.attrs[attr_idx].encoder;
-            let worth: Vec<f64> = (0..enc.cardinality() as u32)
-                .map(|token| enc.decode(token).as_i64().unwrap_or(0) as f64)
-                .collect();
-            (dists.iter())
-                .map(|d| d.iter().zip(&worth).map(|(&p, w)| p as f64 * w).sum())
-                .collect()
-        });
-        session.store_dists(dists);
-        result
+        let enc = &self.attrs[attr_idx].encoder;
+        let worth: Vec<f64> = (0..enc.cardinality() as u32)
+            .map(|token| enc.decode(token).as_i64().unwrap_or(0) as f64)
+            .collect();
+        let mut expectations = Vec::with_capacity(rows.len());
+        self.conditional_dists_encoded_in(session, join, encoded, attr_idx, rows, |_, d| {
+            expectations.push(d.iter().zip(&worth).map(|(&p, w)| p as f64 * w).sum())
+        })?;
+        Ok(expectations)
     }
 
     /// The stochastic-rounding half of
@@ -807,25 +789,10 @@ impl CompletionModel {
     }
 
     /// Samples all column attributes of path table `table_idx` for the given
-    /// join rows; returns decoded values per modeled column.
-    pub fn sample_table_columns(
-        &self,
-        join: &Table,
-        tf_values: &[Vec<Option<i64>>],
-        table_idx: usize,
-        rows: &[usize],
-        rng: &mut StdRng,
-    ) -> CoreResult<Vec<Vec<Value>>> {
-        let encoded = self.encode_tokens(join, tf_values);
-        let mut session = InferenceSession::new();
-        self.sample_table_columns_encoded_in(&mut session, join, &encoded, table_idx, rows, rng)
-    }
-
-    /// [`CompletionModel::sample_table_columns`] over pre-encoded tokens and
-    /// a caller-owned session (see
-    /// [`CompletionModel::tf_expectations_encoded_in`]) — one no-grad
-    /// forward pass per attribute fills the whole row batch: the decoding
-    /// wrapper of `CompletionModel::sample_table_tokens_in`.
+    /// join rows of pre-encoded tokens, over a caller-owned session (see
+    /// [`CompletionModel::tf_expectations_encoded_in`]); returns decoded
+    /// values per modeled column — the decoding wrapper of
+    /// `CompletionModel::sample_table_tokens_in`.
     pub fn sample_table_columns_encoded_in(
         &self,
         session: &mut InferenceSession,
@@ -846,7 +813,10 @@ impl CompletionModel {
 
     /// Samples the column attributes of path table `table_idx` for the
     /// given join rows as tokens, one vec per modeled column — what the
-    /// walk assembles its synthesized blocks from.
+    /// walk assembles its synthesized blocks from. Batched iterative
+    /// forward sampling on the sweep ([`Made::sample_range_in`]): one
+    /// gradient-free logit-block evaluation per attribute fills it for the
+    /// whole row batch.
     pub(crate) fn sample_table_tokens_in(
         &self,
         session: &mut InferenceSession,
@@ -860,38 +830,20 @@ impl CompletionModel {
         if range.is_empty() {
             return Ok(Vec::new());
         }
-        self.sample_attr_block(session, join, encoded, range, rows, rng)
-    }
-
-    /// Core sampling routine: fills the token block `attr_range` for the
-    /// selected rows via batched iterative forward sampling on the no-grad
-    /// engine, returning the sampled tokens (one vec per attr in the
-    /// range). The session's activation buffers are reused across the
-    /// autoregressive steps, so the loop is allocation-free after the first
-    /// attribute.
-    fn sample_attr_block(
-        &self,
-        session: &mut InferenceSession,
-        join: &Table,
-        encoded: &[Vec<u32>],
-        attr_range: Range<usize>,
-        rows: &[usize],
-        rng: &mut StdRng,
-    ) -> CoreResult<Vec<Vec<u32>>> {
-        let mut batch = batch_tokens(encoded, rows, attr_range.end);
+        let mut batch = batch_tokens(encoded, rows, range.end);
         let ctx = self.context_matrix_in(session, join, rows, false)?;
         self.made.sample_range_in(
             session,
             &self.store,
             &mut batch,
             ctx.as_ref(),
-            attr_range.start,
-            attr_range.end,
+            range.start,
+            range.end,
             &self.mask_tokens,
             rng,
         );
         // The session retains nothing, so each sampled column moves out.
-        let sampled = batch.drain(attr_range);
+        let sampled = batch.drain(range);
         Ok(sampled
             .map(|col| Arc::try_unwrap(col).unwrap_or_else(|shared| (*shared).clone()))
             .collect())
@@ -922,7 +874,6 @@ impl CompletionModel {
             .map(|a| self.encode_attr_column(join, tf_values, a, Some(rows)))
             .collect();
         let mut session = InferenceSession::new();
-        let mut dists = Vec::new();
         let batch_size = batch_size.max(1);
         for (k, chunk) in rows.chunks(batch_size).enumerate() {
             let span = k * batch_size..k * batch_size + chunk.len();
@@ -933,57 +884,55 @@ impl CompletionModel {
                 })
                 .map(Arc::new)
                 .collect();
-            self.conditional_dists_into(&mut session, join, &batch, attr_idx, chunk, &mut dists)?;
-            dists.iter().for_each(|d| visit(d));
+            self.visit_conditionals(&mut session, join, &batch, attr_idx, chunk, |_, d| visit(d))?;
         }
         Ok(())
     }
 
-    /// Fills `out` (allocations reused) with the conditional distribution
-    /// of `attr_idx` for the given rows of `join`, read out of token
-    /// columns that cover the whole join — one batch, however many rows.
-    #[allow(clippy::too_many_arguments)]
-    pub fn conditional_dists_encoded_into(
+    /// The conditional distribution of `attr_idx` for the given rows of
+    /// `join`, read out of token columns that cover the whole join — one
+    /// batch, however many rows: `visit(i, dist)` sees `rows[i]`'s, in
+    /// order, MASK dropped.
+    pub fn conditional_dists_encoded_in(
         &self,
         session: &mut InferenceSession,
         join: &Table,
         encoded: &[Vec<u32>],
         attr_idx: usize,
         rows: &[usize],
-        out: &mut Vec<Vec<f32>>,
+        visit: impl FnMut(usize, &[f32]),
     ) -> CoreResult<()> {
         let batch = batch_tokens(encoded, rows, attr_idx);
-        self.conditional_dists_into(session, join, &batch, attr_idx, rows, out)
+        self.visit_conditionals(session, join, &batch, attr_idx, rows, visit)
     }
 
     /// The conditional distribution of `attr_idx` for a batch of token
     /// rows — `rows` are the join rows they stand for, which is where an
-    /// SSAR model finds their evidence sets — MASK token dropped and
-    /// renormalized.
-    #[allow(clippy::too_many_arguments)]
-    fn conditional_dists_into(
+    /// SSAR model finds their evidence sets: `visit(i, dist)` sees batch
+    /// row `i`'s, in order, over the attribute's `cardinality()` real
+    /// tokens. The sampler's rule drops MASK ([`Made::conditional_dists_in`]
+    /// with the MASK token excluded): it is zeroed and the rest
+    /// renormalized, once per distinct evidence prefix.
+    fn visit_conditionals(
         &self,
         session: &mut InferenceSession,
         join: &Table,
         batch: &[Arc<Vec<u32>>],
         attr_idx: usize,
         rows: &[usize],
-        out: &mut Vec<Vec<f32>>,
+        mut visit: impl FnMut(usize, &[f32]),
     ) -> CoreResult<()> {
         let ctx = self.context_matrix_in(session, join, rows, false)?;
-        self.made
-            .conditional_dists_in(session, &self.store, batch, ctx.as_ref(), attr_idx, out);
-        // Drop the MASK token and renormalize.
         let card = self.attrs[attr_idx].encoder.cardinality();
-        for d in out.iter_mut() {
-            d.truncate(card);
-            let s: f32 = d.iter().sum();
-            if s > 0.0 {
-                for v in d.iter_mut() {
-                    *v /= s;
-                }
-            }
-        }
+        self.made.conditional_dists_in(
+            session,
+            &self.store,
+            batch,
+            ctx.as_ref(),
+            attr_idx,
+            self.mask_tokens[attr_idx],
+            |i, d| visit(i, &d[..card]),
+        );
         Ok(())
     }
 
@@ -1356,8 +1305,10 @@ mod tests {
         let rows: Vec<usize> = (0..40).collect();
         let mut rng = StdRng::seed_from_u64(9);
         let tf_slots: Vec<Vec<Option<i64>>> = vec![vec![None; ta.n_rows()]];
+        let encoded = model.encode_tokens(&ta, &tf_slots);
+        let mut session = InferenceSession::new();
         let vals = model
-            .sample_table_columns(&ta, &tf_slots, 1, &rows, &mut rng)
+            .sample_table_columns_encoded_in(&mut session, &ta, &encoded, 1, &rows, &mut rng)
             .unwrap();
         // With predictability 1.0, b must equal f(a) = a mod 10 for most rows.
         let a_idx = ta.resolve("ta.a").unwrap();

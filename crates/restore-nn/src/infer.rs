@@ -10,8 +10,9 @@
 use crate::tape::Tape;
 
 /// Reusable state for gradient-free forward passes: a tape for the full
-/// forwards, the sweep's caches and buffers, and the conditional
-/// distributions scratch.
+/// forwards and the sweep's caches and buffers (conditionals are read out of
+/// the sweep's own distribution scratch, see
+/// [`Made::conditional_dists_in`](crate::made::Made::conditional_dists_in)).
 ///
 /// Create one per worker thread, then run any number of forward passes
 /// through it. Sessions assume **frozen parameters**: a model's
@@ -25,9 +26,6 @@ pub struct InferenceSession {
     /// masked-weight caches plus per-layer activation buffers, persistent
     /// across batches (see [`crate::sweep::ArSweep`]).
     pub(crate) sweep: crate::sweep::ArSweep,
-    /// Per-row conditional-distribution scratch (see
-    /// [`InferenceSession::take_dists`]).
-    dists: Vec<Vec<f32>>,
 }
 
 impl InferenceSession {
@@ -38,21 +36,5 @@ impl InferenceSession {
     /// Node slots of the session's tape (diagnostics).
     pub fn pooled_buffers(&self) -> usize {
         self.tape.arena_len()
-    }
-
-    /// Takes the session's per-row conditional-distribution scratch — the
-    /// buffer [`Made::conditional_dists_in`](crate::made::Made::conditional_dists_in)
-    /// fills. Taken by value (and returned via
-    /// [`InferenceSession::store_dists`]) because the fill call borrows
-    /// the session too; callers that consume the distributions in place
-    /// hand the allocations back so repeated calls on a warm session
-    /// allocate nothing.
-    pub fn take_dists(&mut self) -> Vec<Vec<f32>> {
-        std::mem::take(&mut self.dists)
-    }
-
-    /// Returns a scratch taken with [`InferenceSession::take_dists`].
-    pub fn store_dists(&mut self, dists: Vec<Vec<f32>>) {
-        self.dists = dists;
     }
 }

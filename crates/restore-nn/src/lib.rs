@@ -19,11 +19,14 @@
 //! * [`Made`] — the masked autoregressive network (AR backbone), whose
 //!   band-incremental sweep recomputes, per sampled attribute, only the
 //!   hidden-degree band the masks say changed, bit-identical to full
-//!   recompute;
+//!   recompute, and hands out conditionals through a visitor: one
+//!   distribution per distinct evidence prefix, MASK dropped by the
+//!   sampler's rule, no per-row copy;
 //! * [`DeepSets`] — permutation-invariant tree embeddings (SSAR
 //!   conditioning);
 //! * [`block_cross_entropy_sums`] / [`kl_divergence`] — per-attribute
-//!   softmax cross-entropy and KL divergence;
+//!   softmax cross-entropy (with its logit gradient; the held-out loss,
+//!   [`Made::evaluate`], computes none) and KL divergence;
 //! * [`Adam`] — the optimizer;
 //! * [`TrainEngine`] — the data-parallel gradient engine (per-worker arena
 //!   tapes, per-microbatch gradient buffers, order-pinned reduction).

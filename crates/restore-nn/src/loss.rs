@@ -24,13 +24,6 @@ pub fn softmax_into(logits: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Convenience allocating version of [`softmax_into`].
-pub(crate) fn softmax(logits: &[f32]) -> Vec<f32> {
-    let mut out = vec![0.0; logits.len()];
-    softmax_into(logits, &mut out);
-    out
-}
-
 /// Layout of the per-attribute logit blocks inside a logits matrix.
 #[derive(Clone, Debug)]
 pub struct BlockLayout {
@@ -66,23 +59,15 @@ impl BlockLayout {
     pub fn block(&self, i: usize) -> (usize, usize) {
         (self.offsets[i], self.cards[i])
     }
-
-    /// Extracts the softmax distribution of block `attr` from one logits row.
-    pub fn dist(&self, logits_row: &[f32], attr: usize) -> Vec<f32> {
-        let (off, card) = self.block(attr);
-        softmax(&logits_row[off..off + card])
-    }
 }
 
-/// Result of `block_cross_entropy`.
+/// Result of `block_cross_entropy`: the held-out loss, no gradient.
 pub struct BlockLoss {
     /// Mean negative log-likelihood per weighted target.
     pub loss: f32,
     /// Per-attribute mean NLL (unweighted rows excluded), useful as the
     /// model-selection "test loss" of the paper (§5, Fig. 5b).
     pub per_attr: Vec<f32>,
-    /// Gradient w.r.t. the logits, ready to seed `Tape::backward_with`.
-    pub dlogits: Matrix,
 }
 
 /// Unnormalized result of [`block_cross_entropy_sums`]: weighted *sums*
@@ -119,6 +104,18 @@ pub fn block_cross_entropy_sums<T: AsRef<[u32]>>(
     targets: &[T],
     weights: Option<&[Vec<f32>]>,
 ) -> BlockLossSums {
+    block_nll(logits, layout, targets, weights, true)
+}
+
+/// [`block_cross_entropy_sums`], with the gradient only if `grad` (else
+/// `dlogits` is `0 × 0`).
+fn block_nll<T: AsRef<[u32]>>(
+    logits: &Matrix,
+    layout: &BlockLayout,
+    targets: &[T],
+    weights: Option<&[Vec<f32>]>,
+    grad: bool,
+) -> BlockLossSums {
     let m = logits.rows();
     assert_eq!(logits.cols(), layout.total_width(), "logits width mismatch");
     assert_eq!(
@@ -127,7 +124,7 @@ pub fn block_cross_entropy_sums<T: AsRef<[u32]>>(
         "target attr count mismatch"
     );
 
-    let mut dlogits = Matrix::zeros(m, logits.cols());
+    let mut dlogits = Matrix::zeros(if grad { m } else { 0 }, logits.cols());
     let mut loss_sum = 0.0f64;
     let mut weight_sum = 0.0f64;
     let mut per_attr = vec![0.0f32; layout.num_blocks()];
@@ -155,11 +152,13 @@ pub fn block_cross_entropy_sums<T: AsRef<[u32]>>(
             weight_sum += w as f64;
             per_attr[a] += w * nll;
             per_attr_weight[a] += w;
-            let drow = dlogits.row_mut(r);
-            for (j, &pj) in probs.iter().enumerate() {
-                drow[off + j] += w * pj;
+            if grad {
+                let drow = dlogits.row_mut(r);
+                for (j, &pj) in probs.iter().enumerate() {
+                    drow[off + j] += w * pj;
+                }
+                drow[off + t] -= w;
             }
-            drow[off + t] -= w;
         }
     }
 
@@ -172,21 +171,15 @@ pub fn block_cross_entropy_sums<T: AsRef<[u32]>>(
     }
 }
 
-/// Softmax cross-entropy over attribute blocks — the mean-normalized
-/// convenience form of [`block_cross_entropy_sums`].
+/// Softmax cross-entropy over attribute blocks, mean-normalized and
+/// without a gradient — the held-out loss of [`Made::evaluate`](crate::made::Made::evaluate).
 pub(crate) fn block_cross_entropy<T: AsRef<[u32]>>(
     logits: &Matrix,
     layout: &BlockLayout,
     targets: &[T],
     weights: Option<&[Vec<f32>]>,
 ) -> BlockLoss {
-    let mut sums = block_cross_entropy_sums(logits, layout, targets, weights);
-    let norm = if sums.weight_sum > 0.0 {
-        1.0 / sums.weight_sum as f32
-    } else {
-        0.0
-    };
-    sums.dlogits.scale_assign(norm);
+    let mut sums = block_nll(logits, layout, targets, weights, false);
     for (p, w) in sums.per_attr.iter_mut().zip(&sums.per_attr_weight) {
         if *w > 0.0 {
             *p /= w;
@@ -199,7 +192,6 @@ pub(crate) fn block_cross_entropy<T: AsRef<[u32]>>(
             0.0
         },
         per_attr: sums.per_attr,
-        dlogits: sums.dlogits,
     }
 }
 
@@ -223,7 +215,8 @@ mod tests {
 
     #[test]
     fn softmax_sums_to_one_and_orders() {
-        let s = softmax(&[1.0, 2.0, 3.0]);
+        let mut s = [0.0; 3];
+        softmax_into(&[1.0, 2.0, 3.0], &mut s);
         let sum: f32 = s.iter().sum();
         assert!((sum - 1.0).abs() < 1e-6);
         assert!(s[2] > s[1] && s[1] > s[0]);
@@ -231,7 +224,8 @@ mod tests {
 
     #[test]
     fn softmax_handles_extreme_logits() {
-        let s = softmax(&[1000.0, -1000.0]);
+        let mut s = [0.0; 2];
+        softmax_into(&[1000.0, -1000.0], &mut s);
         assert!((s[0] - 1.0).abs() < 1e-6);
         assert!(s.iter().all(|v| v.is_finite()));
     }
@@ -257,9 +251,9 @@ mod tests {
     fn gradient_is_softmax_minus_onehot() {
         let layout = BlockLayout::new(&[2]);
         let logits = Matrix::from_rows(&[&[0.0, 0.0]]);
-        let loss = block_cross_entropy(&logits, &layout, &[vec![1]], None);
-        assert!((loss.dlogits.get(0, 0) - 0.5).abs() < 1e-6);
-        assert!((loss.dlogits.get(0, 1) + 0.5).abs() < 1e-6);
+        let sums = block_cross_entropy_sums(&logits, &layout, &[vec![1]], None);
+        assert!((sums.dlogits.get(0, 0) - 0.5).abs() < 1e-6);
+        assert!((sums.dlogits.get(0, 1) + 0.5).abs() < 1e-6);
     }
 
     #[test]
@@ -267,10 +261,11 @@ mod tests {
         let layout = BlockLayout::new(&[2]);
         let logits = Matrix::from_rows(&[&[5.0, -5.0], &[0.0, 0.0]]);
         let weights = vec![vec![0.0, 1.0]];
-        let loss = block_cross_entropy(&logits, &layout, &[vec![1, 0]], Some(&weights));
+        let sums = block_cross_entropy_sums(&logits, &layout, &[vec![1, 0]], Some(&weights));
         // Only the second (uniform) row counts.
-        assert!((loss.loss - (2.0f32).ln()).abs() < 1e-5);
-        assert_eq!(loss.dlogits.row(0), &[0.0, 0.0]);
+        let loss = (sums.loss_sum / sums.weight_sum) as f32;
+        assert!((loss - (2.0f32).ln()).abs() < 1e-5);
+        assert_eq!(sums.dlogits.row(0), &[0.0, 0.0]);
     }
 
     #[test]

@@ -294,7 +294,7 @@ impl Made {
             output_degrees: &self.output_degrees,
             n_attrs: self.num_attrs(),
             residual: self.cfg.residual,
-            banded: self.banded.as_deref(),
+            banded: self.banded.as_ref(),
         }
     }
 
@@ -330,7 +330,7 @@ impl Made {
             sweep.gather_x_block_reps(self.embed_offsets[a], store.value(emb.param_id()), toks);
         }
         sweep.compute(net, 0..upto + 1);
-        sweep.output_block(net, upto);
+        sweep.output_block(upto);
     }
 
     /// Gradient-free forward returning an owned logits matrix: the pass is
@@ -358,9 +358,10 @@ impl Made {
         f.into_value(out)
     }
 
-    /// Evaluates the per-attribute NLL without updating parameters — the
-    /// "test loss" used for basic model selection (§5). Targets are
-    /// borrowed straight from the token columns, never cloned.
+    /// Evaluates the per-attribute NLL without updating parameters and
+    /// without a gradient — the "test loss" used for basic model selection
+    /// (§5). Targets are borrowed straight from the token columns, never
+    /// cloned.
     pub fn evaluate(
         &self,
         store: &ParamStore,
@@ -376,11 +377,12 @@ impl Made {
 
     /// Conditional distribution of attribute `attr` for every batch row,
     /// given the tokens of attributes `< attr` (later columns are ignored by
-    /// construction — pass placeholders), over a caller-owned session *and*
-    /// output buffer — the completion engine keeps one session per worker warm
-    /// across batches, and `out` is resized and refilled in place (inner
-    /// vectors reused) instead of allocating per-row softmax results on
-    /// every call. Rows that share an evidence prefix share one evaluation.
+    /// construction — pass placeholders): `visit(r, dist)` sees batch row
+    /// `r`'s, once per row and in row order. A distribution is the one the
+    /// sampler draws from (`block_row_dist`: the `excluded` token zeroed,
+    /// the rest renormalized), computed once per distinct evidence prefix
+    /// into the sweep's distribution scratch; rows that share a prefix are
+    /// handed the same slice, so nothing is copied per row.
     #[allow(clippy::too_many_arguments)]
     pub fn conditional_dists_in(
         &self,
@@ -389,23 +391,15 @@ impl Made {
         tokens: &[Arc<Vec<u32>>],
         ctx: Option<&Matrix>,
         attr: usize,
-        out: &mut Vec<Vec<f32>>,
+        excluded: Option<u32>,
+        mut visit: impl FnMut(usize, &[f32]),
     ) {
         let net = self.sweep_net();
         let sweep = &mut session.sweep;
         self.sweep_begin(&net, sweep, store, tokens, ctx, attr);
-        // One softmax per prefix, at the first row that carries it; the
-        // prefix's later rows copy that row's result.
-        out.resize_with(sweep.group.len(), Vec::new);
+        let card = prefix_dists(&sweep.logits, excluded, &mut sweep.dist);
         for (r, &g) in sweep.group.iter().enumerate() {
-            let (done, rest) = out.split_at_mut(r);
-            match done.get(sweep.reps[g as usize] as usize) {
-                Some(first) => rest[0].clone_from(first),
-                None => {
-                    rest[0].resize(sweep.logits.cols(), 0.0);
-                    softmax_into(sweep.logits.row(g as usize), &mut rest[0]);
-                }
-            }
+            visit(r, &sweep.dist[g as usize * card..][..card]);
         }
     }
 
@@ -464,7 +458,7 @@ impl Made {
                 &tokens[prev],
             );
             sweep.compute(&net, attr..attr + 1);
-            sweep.output_block(&net, attr);
+            sweep.output_block(attr);
             let ArSweep {
                 logits,
                 dist,
@@ -545,9 +539,9 @@ fn sample_block_rows<R: Rng>(
 }
 
 /// [`sample_block_rows`] for the first attribute of a sweep, whose block has
-/// one row per distinct prefix: one distribution per prefix (`dist` holds
-/// them all), and still one draw per batch row, in row order, from the
-/// distribution of its prefix `group[r]`.
+/// one row per distinct prefix: one distribution per prefix
+/// ([`prefix_dists`]), and still one draw per batch row, in row order, from
+/// the distribution of its prefix `group[r]`.
 fn sample_block_groups<R: Rng>(
     block: &Matrix,
     excluded: Option<u32>,
@@ -556,11 +550,7 @@ fn sample_block_groups<R: Rng>(
     sampled: &mut Vec<u32>,
     rng: &mut R,
 ) {
-    let card = block.cols();
-    dist.resize(block.rows() * card, 0.0);
-    for (g, d) in dist.chunks_exact_mut(card).enumerate() {
-        block_row_dist(block.row(g), excluded, d);
-    }
+    let card = prefix_dists(block, excluded, dist);
     sampled.clear();
     for &g in group {
         let d = &dist[g as usize * card..][..card];
@@ -568,8 +558,23 @@ fn sample_block_groups<R: Rng>(
     }
 }
 
-/// The distribution a logits row is sampled from: its softmax, with the
-/// excluded token (if any) zeroed and the rest renormalized.
+/// Fills `dist` with the [`block_row_dist`] of every row of `block`, back
+/// to back, and returns the row width: prefix `g`'s distribution is
+/// `dist[g * width..][..width]`.
+fn prefix_dists(block: &Matrix, excluded: Option<u32>, dist: &mut Vec<f32>) -> usize {
+    let card = block.cols();
+    dist.resize(block.rows() * card, 0.0);
+    for (g, d) in dist.chunks_exact_mut(card).enumerate() {
+        block_row_dist(block.row(g), excluded, d);
+    }
+    card
+}
+
+/// The distribution a logits row is sampled from, and the conditional
+/// [`Made::conditional_dists_in`] hands out: its softmax, with the excluded
+/// token (if any) zeroed and the rest renormalized — uniform over the rest
+/// if the excluded token held all the mass. The one rule for dropping an
+/// attribute's MASK token.
 fn block_row_dist(logits: &[f32], excluded: Option<u32>, dist: &mut [f32]) {
     softmax_into(logits, dist);
     let Some(ex) = excluded.map(|ex| ex as usize).filter(|&ex| ex < dist.len()) else {
@@ -615,6 +620,7 @@ pub fn sample_categorical<R: Rng>(dist: &[f32], rng: &mut R) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loss::block_cross_entropy_sums;
     use crate::optim::Adam;
     use crate::params::GradBuffer;
     use crate::tape::Tape;
@@ -704,9 +710,11 @@ mod tests {
             let mut f = tape.ctx(&store);
             let out = made.forward(&mut f, &store, &cols, None);
             let targets = vec![x0.clone(), x1.clone()];
-            let loss = block_cross_entropy(f.value(out), made.layout(), &targets, None);
+            let sums = block_cross_entropy_sums(f.value(out), made.layout(), &targets, None);
+            let mut dlogits = sums.dlogits;
+            dlogits.scale_assign(1.0 / sums.weight_sum as f32);
             let mut grads = GradBuffer::new(&store);
-            tape.backward_with(out, loss.dlogits, &store, &mut grads);
+            tape.backward_with(out, dlogits, &store, &mut grads);
             store.accumulate_from(&grads);
             store.clip_grad_norm(5.0);
             adam.step(&mut store);
@@ -715,14 +723,11 @@ mod tests {
         let mut session = InferenceSession::new();
         for v in 0..4u32 {
             let toks = vec![Arc::new(vec![v]), Arc::new(vec![0])];
-            let mut dist = Vec::new();
-            made.conditional_dists_in(&mut session, &store, &toks, None, 1, &mut dist);
-            let argmax = dist[0]
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                .unwrap()
-                .0 as u32;
+            let mut argmax = u32::MAX;
+            made.conditional_dists_in(&mut session, &store, &toks, None, 1, None, |_, d| {
+                let best = d.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1));
+                argmax = best.unwrap().0 as u32;
+            });
             assert_eq!(argmax, (v + 1) % 4, "p(x1|x0={v}) put mass on {argmax}");
         }
         // And sampling follows it.
@@ -768,6 +773,20 @@ mod tests {
         assert!(toks[0].is_empty());
         let loss = made.evaluate(&store, &[Arc::new(vec![]), Arc::new(vec![])], None, None);
         assert_eq!(loss.loss, 0.0);
+    }
+
+    /// All the mass on the excluded token (a row that can only say MASK):
+    /// the distribution falls back to uniform over the other tokens, for
+    /// sampling and conditionals alike.
+    #[test]
+    fn block_row_dist_falls_back_to_uniform_without_the_excluded_token() {
+        let mut dist = [0.0; 4];
+        block_row_dist(&[-200.0, -200.0, -200.0, 200.0], Some(3), &mut dist);
+        assert_eq!(dist, [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 0.0]);
+        block_row_dist(&[-200.0, -200.0, 200.0, -200.0], Some(2), &mut dist);
+        assert_eq!(dist, [1.0 / 3.0, 1.0 / 3.0, 0.0, 1.0 / 3.0]);
+        block_row_dist(&[0.0, 0.0, 0.0, 0.0], None, &mut dist);
+        assert_eq!(dist, [0.25; 4]);
     }
 
     /// The vendored `random::<f32>()` tops out at `1 − 2⁻²⁴`, which a

@@ -44,15 +44,15 @@
 //! with copies of each evidence row, one per missing tuple. The setup pass
 //! runs over one row per distinct prefix ([`ArSweep::group_prefixes`]);
 //! every batch row then takes its own draw, and [`ArSweep::expand_rows`]
-//! copies the per-prefix state out for the incremental steps. Every kernel
+//! copies the per-prefix state out for the incremental steps; a conditional
+//! is never expanded, each row reads its prefix's distribution. Every kernel
 //! computes a batch row's outputs from that row's inputs alone, so no value
 //! depends on which rows are evaluated beside it.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::layers::MaskedLinear;
-use crate::params::{ParamId, ParamStore};
+use crate::params::ParamStore;
 use crate::tensor::Matrix;
 
 /// The masked layers of a MADE network, as the sweep sees them: the input
@@ -76,10 +76,10 @@ pub(crate) struct SweepNet<'a> {
     pub n_attrs: usize,
     /// Identity skips between equal-width hidden layers.
     pub residual: bool,
-    /// Prebuilt frozen banded caches shared across sessions, if the model
-    /// froze them (snapshot rehydration does). Sessions adopt these via
-    /// `Arc` instead of re-deriving their own copies.
-    pub banded: Option<&'a BandedCache>,
+    /// The prebuilt frozen banded cache shared across sessions, if the
+    /// model froze one (snapshot rehydration does). Sessions adopt it via
+    /// `Arc` instead of re-deriving their own copy.
+    pub banded: Option<&'a Arc<BandedCache>>,
 }
 
 impl<'a> SweepNet<'a> {
@@ -99,11 +99,6 @@ impl<'a> SweepNet<'a> {
 /// contiguous row range.
 #[derive(Debug)]
 struct BandedLayer {
-    /// The mask this cache was built against. Weight ids are numbered from
-    /// 0 in every store, so a session that sweeps a second model finds the
-    /// first model's layer under the same id; the mask tells them apart
-    /// (held, so no later mask can reuse its address).
-    mask: Arc<Matrix>,
     /// `(w ⊙ mask)ᵀ`, rows permuted by `perm`: row `js` holds unit
     /// `perm[js]`'s weights over the inputs, in ascending input order.
     wmt: Matrix,
@@ -162,7 +157,6 @@ impl BandedLayer {
             }
         }
         Self {
-            mask: Arc::clone(mask),
             wmt,
             bias: perm.iter().map(|&j| bv.get(0, j)).collect(),
             perm,
@@ -187,24 +181,32 @@ impl BandedLayer {
     }
 }
 
-/// Frozen, `Arc`-shareable set of banded caches for one model — built once
-/// by [`Made::freeze_banded`](crate::made::Made::freeze_banded) (snapshot
+/// Frozen, `Arc`-shareable banded caches of one model, one per layer in
+/// [`SweepNet::each_layer`] order — built once by
+/// [`Made::freeze_banded`](crate::made::Made::freeze_banded) (snapshot
 /// rehydration does this right after streaming the weights in) and adopted
 /// by every inference session, so sessions skip the per-session
 /// degree-sort-and-transpose copy of every layer. Weights must be frozen
 /// when this is built; a model that keeps training must not freeze.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct BandedCache {
-    layers: HashMap<ParamId, Arc<BandedLayer>>,
+    /// The model's input-layer mask: what a session-built cache is known
+    /// by. Weight ids are numbered from 0 in every store, so a session
+    /// that sweeps a second model cannot tell the models apart by them;
+    /// every model builds its own masks (held, so no later mask can reuse
+    /// the address).
+    mask: Arc<Matrix>,
+    /// The trunk layers, then the output layer.
+    layers: Vec<BandedLayer>,
 }
 
 impl BandedCache {
     pub(crate) fn build(store: &ParamStore, net: &SweepNet) -> Self {
-        let layers = net.each_layer().map(|(layer, degrees)| {
-            let band = BandedLayer::build(store, layer, degrees, net.n_attrs);
-            (layer.param_ids().0, Arc::new(band))
-        });
+        let layers = net
+            .each_layer()
+            .map(|(layer, degrees)| BandedLayer::build(store, layer, degrees, net.n_attrs));
         Self {
+            mask: Arc::clone(net.layers[0].mask()),
             layers: layers.collect(),
         }
     }
@@ -220,10 +222,10 @@ impl BandedCache {
 /// per-sweep, their allocations persist.
 #[derive(Default)]
 pub(crate) struct ArSweep {
-    /// Degree-banded caches of every masked layer, by weight id — adopted
-    /// from the model's shared [`BandedCache`] when it froze one, otherwise
-    /// built on first use.
-    banded: HashMap<ParamId, Arc<BandedLayer>>,
+    /// Degree-banded caches of the swept model's layers — the model's
+    /// shared [`BandedCache`] when it froze one, otherwise built on first
+    /// use. `None` before the first sweep.
+    banded: Option<Arc<BandedCache>>,
     /// Current trunk input, feature-major: context block + every
     /// attribute's embedding block, refreshed in place as columns are
     /// sampled.
@@ -243,7 +245,9 @@ pub(crate) struct ArSweep {
     /// block here too).
     pub(crate) logits: Matrix,
     /// Softmax scratch, reused across attributes: every prefix's
-    /// distribution for the first one of a sweep, then one row's at a time.
+    /// distribution for the first one of a sweep (and for a conditional,
+    /// whose rows are visited with their prefix's slice), then one row's at
+    /// a time.
     pub(crate) dist: Vec<f32>,
     /// Sampled token column scratch, reused across attributes.
     pub(crate) sampled: Vec<u32>,
@@ -313,23 +317,22 @@ impl ArSweep {
     }
 
     /// Starts a sweep over `m` rows (one per distinct prefix): adopts the
-    /// model's shared frozen caches (or builds session-local ones) for
-    /// every layer the session holds no cache of under this layer's mask,
-    /// and sizes + zeroes the activation matrices (zeroed so the
-    /// not-yet-computed bands contribute deterministic masked zeros to
-    /// the full-length band dot products).
+    /// model's shared frozen cache (or builds a session-local one) unless
+    /// the session already holds it, and sizes + zeroes the activation
+    /// matrices (zeroed so the not-yet-computed bands contribute
+    /// deterministic masked zeros to the full-length band dot products).
     pub(crate) fn begin(&mut self, store: &ParamStore, net: &SweepNet, m: usize) {
-        for (layer, degrees) in net.each_layer() {
-            let w = layer.param_ids().0;
-            let held = self.banded.get(&w);
-            if held.is_some_and(|b| Arc::ptr_eq(&b.mask, layer.mask())) {
-                continue;
-            }
-            let band = match net.banded.and_then(|c| c.layers.get(&w)) {
+        let held = self.banded.as_ref();
+        let current = match net.banded {
+            Some(frozen) => held.is_some_and(|b| Arc::ptr_eq(b, frozen)),
+            None => held.is_some_and(|b| Arc::ptr_eq(&b.mask, net.layers[0].mask())),
+        };
+        if !current {
+            let cache = match net.banded {
                 Some(frozen) => Arc::clone(frozen),
-                None => Arc::new(BandedLayer::build(store, layer, degrees, net.n_attrs)),
+                None => Arc::new(BandedCache::build(store, net)),
             };
-            self.banded.insert(w, band);
+            self.banded = Some(cache);
         }
         self.x.resize(net.layers[0].mask().rows(), m);
         if self.acts.len() != net.layers.len() {
@@ -398,9 +401,9 @@ impl ArSweep {
             pre,
             ..
         } = self;
+        let banded = banded.as_deref().expect("begin() adopted the caches");
         let relu = |v: f32| if v < 0.0 { 0.0 } else { v };
-        for (l, layer) in net.layers.iter().enumerate() {
-            let band = &banded[&layer.param_ids().0];
+        for (l, band) in banded.layers[..net.layers.len()].iter().enumerate() {
             let (prev, act): (&Matrix, &mut Matrix) = if l == 0 {
                 (&*x, &mut acts[0])
             } else {
@@ -429,8 +432,9 @@ impl ArSweep {
     /// activations into `self.logits`, one row per batch row: the band
     /// kernel over the frozen output layer, then the bias — the op sequence
     /// of the session's block-restricted output path.
-    pub(crate) fn output_block(&mut self, net: &SweepNet, attr: usize) {
-        let band = &self.banded[&net.output.param_ids().0];
+    pub(crate) fn output_block(&mut self, attr: usize) {
+        let banded = self.banded.as_deref().expect("begin() adopted the caches");
+        let band = banded.layers.last().expect("the output layer's cache");
         let h = self.acts.last().expect("begin() sized the activations");
         let units = band.band_into(h, attr..attr + 1, &mut self.pre);
         let m = self.pre.cols();

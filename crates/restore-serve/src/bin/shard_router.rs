@@ -86,15 +86,19 @@ fn main() -> ExitCode {
     let args = parse_args();
     let _ = raise_fd_limit();
     let registry = Arc::new(SnapshotRegistry::new());
+    // Router workers run only `/healthz`, `/metrics`, `/fleet/{i}/metrics`
+    // and the fault seams (every `/v1/*` forward rides the reactor), so
+    // both modes size their pool alike.
+    let workers = args
+        .worker_threads
+        .unwrap_or_else(|| ServeConfig::default().workers);
 
     if args.worker {
         // A worker is a stock server; the PR 9 boot scan of the snapshot
         // directory is its entire startup story.
         let config = ServeConfig {
             snapshot_dir: args.snapshot_dir,
-            workers: args
-                .worker_threads
-                .unwrap_or_else(|| ServeConfig::default().workers),
+            workers,
             ..ServeConfig::default()
         };
         let server = match Server::bind(&args.addr, registry, config) {
@@ -145,12 +149,7 @@ fn main() -> ExitCode {
     };
     let config = ServeConfig {
         fleet: Some(Arc::clone(&fleet)),
-        // Router workers block while riding out a shard failover; keep
-        // enough of them that one stuck shard can't head-of-line block the
-        // healthy ones.
-        workers: args
-            .worker_threads
-            .unwrap_or_else(|| (4 * args.shards).max(8)),
+        workers,
         ..ServeConfig::default()
     };
     let server = match Server::bind(&args.addr, registry, config) {

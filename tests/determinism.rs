@@ -142,7 +142,8 @@ fn batched_sampler_reproduces_tape_driven_sampling() {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use restore::nn::{
-        sample_categorical, AttrSpec, Forward, InferenceSession, Made, MadeConfig, ParamStore, Tape,
+        sample_categorical, softmax_into, AttrSpec, Forward, InferenceSession, Made, MadeConfig,
+        ParamStore, Tape,
     };
     use std::sync::Arc;
 
@@ -172,9 +173,11 @@ fn batched_sampler_reproduces_tape_driven_sampling() {
             let mut f = tape.ctx(&store);
             let out = made.forward(&mut f, &store, &tape_cols, None);
             let logits = f.value(out);
+            let (off, card) = made.layout().block(attr);
+            let mut dist = vec![0.0; card];
             let sampled: Vec<u32> = (0..n)
                 .map(|r| {
-                    let dist = made.layout().dist(logits.row(r), attr);
+                    softmax_into(&logits.row(r)[off..off + card], &mut dist);
                     sample_categorical(&dist, &mut rng_a)
                 })
                 .collect();
@@ -202,9 +205,9 @@ fn batched_sampler_reproduces_tape_driven_sampling() {
 }
 
 /// Wiring contract for the encode-once path: sampling through the
-/// pre-encoded API one row at a time (what `Completer` issues at
-/// `batch_size: 1`) matches the self-encoding `sample_table_columns`
-/// wrapper under the same derived seeds. The *engine-level* single-row
+/// pre-encoded API one row at a time on one warm session (what `Completer`
+/// issues at `batch_size: 1`) matches a fresh encoding on a fresh session
+/// per row under the same derived seeds. The *engine-level* single-row
 /// contract — that these draws equal an independent tape-driven
 /// sampler's — is pinned by `batched_sampler_reproduces_tape_driven_sampling`
 /// above (which includes batch size 1); this test additionally covers the
@@ -241,24 +244,25 @@ fn batch_of_one_reproduces_single_row_sampling() {
     let tf_slots: Vec<Vec<Option<i64>>> = vec![vec![None; ta.n_rows()]];
     let encoded = model.encode_tokens(&ta, &tf_slots);
     let base = 7u64;
+    let mut warm = InferenceSession::new();
     for (i, r) in (0..30usize).enumerate() {
         let seed = derive_seed(base, i as u64);
         // Batched engine, batch of exactly one row.
         let mut rng_a = StdRng::seed_from_u64(seed);
         let batched = model
+            .sample_table_columns_encoded_in(&mut warm, &ta, &encoded, 1, &[r], &mut rng_a)
+            .unwrap();
+        // Single row, encoded afresh on a fresh session.
+        let mut rng_b = StdRng::seed_from_u64(seed);
+        let single = model
             .sample_table_columns_encoded_in(
                 &mut InferenceSession::new(),
                 &ta,
-                &encoded,
+                &model.encode_tokens(&ta, &tf_slots),
                 1,
                 &[r],
-                &mut rng_a,
+                &mut rng_b,
             )
-            .unwrap();
-        // Single-row API (re-encodes internally).
-        let mut rng_b = StdRng::seed_from_u64(seed);
-        let single = model
-            .sample_table_columns(&ta, &tf_slots, 1, &[r], &mut rng_b)
             .unwrap();
         assert_eq!(
             batched, single,

@@ -455,17 +455,17 @@ mod oracle {
         let real_rows: Vec<usize> = (0..n).filter(|&r| !syn[r]).collect();
 
         let encoded = model.encode_tokens(join, &out.tf);
-        let mut dists = Vec::new();
+        let mut dists: Vec<Vec<f32>> = Vec::new();
         if !syn_rows.is_empty() {
             let mut session = InferenceSession::new();
             model
-                .conditional_dists_encoded_into(
+                .conditional_dists_encoded_in(
                     &mut session,
                     join,
                     &encoded,
                     attr_idx,
                     &syn_rows,
-                    &mut dists,
+                    |_, d| dists.push(d.to_vec()),
                 )
                 .unwrap();
         }

@@ -72,7 +72,8 @@ fn assert_bits_eq(a: &Matrix, b: &Matrix, what: &str) {
 }
 
 /// The sweep against the full-trunk oracles on one batch: every
-/// attribute's logit block and conditional distributions by `to_bits`, and
+/// attribute's logit block and conditional distributions (each row visited
+/// once, in order, with and without its excluded token) by `to_bits`, and
 /// every `start..end` range's sampled tokens plus the position both RNG
 /// streams are left at.
 #[allow(clippy::too_many_arguments)]
@@ -86,24 +87,32 @@ fn assert_matches_oracle(
     excluded: &[Option<u32>],
     what: &str,
 ) {
-    let mut dists = Vec::new();
+    let bits = |d: &[f32]| d.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
     for attr in 0..CARDS.len() {
         let full = made
             .logits_attr_full_in(s_full, store, base, ctx, attr)
             .clone();
         let block = made.logits_attr_in(s_sweep, store, base, ctx, attr).clone();
         assert_bits_eq(&block, &full, &format!("{what} attr {attr}"));
-        made.conditional_dists_in(s_sweep, store, base, ctx, attr, &mut dists);
-        assert_eq!(dists.len(), full.rows(), "{what} attr {attr}: dist count");
-        let mut expect = vec![0.0; full.cols()];
-        for (r, dist) in dists.iter().enumerate() {
-            softmax_into(full.row(r), &mut expect);
-            let bits = |d: &[f32]| d.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(dist),
-                bits(&expect),
-                "{what} attr {attr} row {r}: dist"
-            );
+        // The conditional with and without the attribute's excluded token:
+        // the oracle row's softmax, that token zeroed and the row
+        // renormalized.
+        for ex in [None, excluded.get(attr).copied().flatten()] {
+            let mut expect = vec![0.0; full.cols()];
+            let mut visited = 0;
+            made.conditional_dists_in(s_sweep, store, base, ctx, attr, ex, |r, dist| {
+                assert_eq!(r, visited, "{what} attr {attr}: rows visited out of order");
+                visited += 1;
+                softmax_into(full.row(r), &mut expect);
+                if let Some(ex) = ex {
+                    expect[ex as usize] = 0.0;
+                    let s: f32 = expect.iter().sum();
+                    expect.iter_mut().for_each(|p| *p /= s);
+                }
+                let what = format!("{what} attr {attr} row {r} excluded {ex:?}: dist");
+                assert_eq!(bits(dist), bits(&expect), "{what}");
+            });
+            assert_eq!(visited, full.rows(), "{what} attr {attr}: rows visited");
         }
     }
     for start in 0..CARDS.len() {
