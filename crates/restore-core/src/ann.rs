@@ -69,7 +69,7 @@ impl AnnIndex {
         a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
     }
 
-    /// Index of (approximately) the nearest stored point.
+    /// Index of (approximately) the nearest stored point, for any query.
     pub(crate) fn nearest(&self, query: &[f32]) -> usize {
         assert_eq!(query.len(), self.dim, "query dimension mismatch");
         let mut best = usize::MAX;
@@ -96,6 +96,14 @@ impl AnnIndex {
                     best = i;
                 }
             }
+        }
+        if best == usize::MAX {
+            // No distance compared below infinity: the query, or every
+            // candidate, has an infinite or NaN feature. All are equally
+            // far, and the first candidate seen wins the tie.
+            let mut buckets = self.planes.iter().zip(&self.tables);
+            let first = buckets.find_map(|(set, table)| table.get(&Self::hash(set, query)));
+            best = first.map_or(0, |bucket| bucket[0] as usize);
         }
         best
     }
@@ -157,6 +165,21 @@ mod tests {
         // A single point forces any query into the fallback path eventually.
         let idx = AnnIndex::build(vec![vec![1000.0, -1000.0]], 12, 2, 3);
         assert_eq!(idx.nearest(&[-1000.0, 1000.0]), 0);
+    }
+
+    #[test]
+    fn every_query_gets_a_point_of_the_set() {
+        // Every distance to an infinite or NaN query is infinite or NaN,
+        // so none compares below infinity: the first point seen wins.
+        let pts = grid_points(50);
+        let idx = AnnIndex::build(pts.clone(), 8, 4, 6);
+        for q in [
+            [f32::INFINITY, 0.0],
+            [f32::NEG_INFINITY, 3.0],
+            [f32::NAN, 1.0],
+        ] {
+            assert!(idx.nearest(&q) < pts.len(), "{q:?}");
+        }
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Query-driven data completion (§4) — the **incompleteness join** of
 //! Algorithm 1.
 //!
-//! Walking the completion path from the evidence root, each step either
-//! fans out (1:n — predict tuple factors, subtract existing partners,
-//! duplicate evidence rows, synthesize the child attributes) or is n:1
-//! (synthesize one missing parent per orphaned row). Whenever a synthesized
-//! tuple belongs to a complete table — or further joins need its foreign
-//! keys — it is replaced by its (approximate) euclidean nearest neighbor
-//! among the real tuples (Fig. 3).
+//! Walking the completion path from the evidence root, every step does the
+//! same thing whichever way its edge points: join the next table's existing
+//! partners, count them per evidence row, ask one rule how many partners
+//! each row is missing (a 1:n row its tuple factor minus the partners it
+//! has, an n:1 row one if it has none), duplicate the rows that many times
+//! and synthesize the next table's attributes for the duplicates. Whenever
+//! a synthesized tuple belongs to a complete table — or further joins need
+//! its foreign keys — it is replaced by its (approximate) euclidean nearest
+//! neighbor among the real tuples (Fig. 3).
 
 //! **Batched, parallel sampling.** Every synthesis step samples its rows in
 //! batches of [`CompleterConfig::batch_size`]: one gradient-free forward
@@ -28,7 +30,7 @@ use restore_nn::InferenceSession;
 use restore_util::{default_workers, derive_seed, parallel_map_with};
 
 use crate::ann::AnnIndex;
-use crate::annotation::SchemaAnnotation;
+use crate::annotation::{tf_column_name, SchemaAnnotation};
 use crate::encoding::{coerce, AttrEncoder};
 use crate::error::{CoreError, CoreResult};
 use crate::model::{AttrKind, CompletionModel};
@@ -51,7 +53,7 @@ pub enum ReplacementMode {
 pub struct CompleterConfig {
     /// Euclidean replacement policy.
     pub replacement: ReplacementMode,
-    /// Rows sampled per no-grad forward pass (B). Larger batches amortize
+    /// Rows sampled per forward pass (B). Larger batches amortize
     /// the per-pass cost; `1` degrades to single-row sampling (the
     /// determinism-contract reference point).
     pub batch_size: usize,
@@ -470,7 +472,7 @@ impl<'a> Completer<'a> {
     /// batch derives its RNG from the seed and its position, independent of
     /// batch grouping across steps and of the worker count.
     pub fn complete(&self, model: &CompletionModel, seed: u64) -> CoreResult<CompletionOutput> {
-        let path = model.path().clone();
+        let path = model.path();
         let root = self.db.table(path.root())?;
         let n0 = root.n_rows();
         let table = root.qualified();
@@ -483,49 +485,24 @@ impl<'a> Completer<'a> {
         };
         // One inference session per worker, reused across every batch and
         // step of the walk: parameters are frozen during completion, so
-        // pooled activation buffers and the masked-weight cache stay valid
-        // for the whole join. Which session serves which batch never
+        // pooled activation buffers and the sweep's weight caches stay
+        // valid for the whole join. Which session serves which batch never
         // affects the output (buffers are fully overwritten per pass).
         let workers = if self.cfg.workers == 0 {
             default_workers()
         } else {
             self.cfg.workers
         };
-        let mut sessions: Vec<InferenceSession> = (0..workers.max(1))
-            .map(|_| InferenceSession::new())
-            .collect();
-
-        for (i, step) in path.steps().iter().enumerate() {
-            let next_name = path.tables()[i + 1].clone();
-            let t_next = self.db.table(&next_name)?;
-            let last = is_last_step(model, i);
-            // Synthesized tuples of complete tables must be replaced to
-            // comply with the annotation; tuples that feed further joins
-            // need real foreign keys (§4.2–§4.3).
-            let replace = match self.cfg.replacement {
-                ReplacementMode::Auto => self.annotation.is_complete(&next_name) || !last,
-                ReplacementMode::Always => true,
-                ReplacementMode::Never => false,
-            };
-
-            // Independent RNG streams for this step's tuple-factor and
-            // column sampling.
-            let tf_seed = derive_seed(seed, 2 * i as u64);
-            let col_seed = derive_seed(seed, 2 * i as u64 + 1);
-            if step.fan_out {
-                w = self.fanout_step(
-                    model,
-                    w,
-                    i,
-                    t_next,
-                    replace,
-                    tf_seed,
-                    col_seed,
-                    &mut sessions,
-                )?;
-            } else {
-                w = self.n_to_1_step(model, w, i, t_next, replace, col_seed, &mut sessions)?;
-            }
+        let mut walk = Walk {
+            completer: self,
+            model,
+            sessions: (0..workers.max(1))
+                .map(|_| InferenceSession::new())
+                .collect(),
+            seed,
+        };
+        for i in 0..path.steps().len() {
+            w = walk.step(w, i)?;
         }
 
         Ok(CompletionOutput {
@@ -537,30 +514,133 @@ impl<'a> Completer<'a> {
             relations: Mutex::default(),
         })
     }
+}
+
+/// What every step of one walk shares: the completer, the model whose path
+/// it walks, one inference session per worker, and the walk's seed, from
+/// which step `i` derives independent RNG streams for its tuple factors
+/// (`2i`) and its sampled columns (`2i + 1`).
+struct Walk<'a> {
+    completer: &'a Completer<'a>,
+    model: &'a CompletionModel,
+    sessions: Vec<InferenceSession>,
+    seed: u64,
+}
+
+impl Walk<'_> {
+    /// Step `i` of Algorithm 1, along the edge to path table `i + 1`, the
+    /// same for both edge kinds: join the existing partners, count them per
+    /// working row, synthesize the partners [`missing_partners`] says each
+    /// row lacks, and union them back.
+    fn step(&mut self, w: Working, i: usize) -> CoreResult<Working> {
+        let model = self.model;
+        let step = &model.path().steps()[i];
+        let fk = &step.fk;
+        let t_next = self.completer.db.table(&model.path().tables()[i + 1])?;
+        let last = is_last_step(model, i);
+
+        // Existing partners: a plain join on the key the working join holds
+        // (the parent's on a 1:n edge, the child's on an n:1 edge), which
+        // also counts them per working row (NULL keys have none).
+        let (key, next_key) = if step.fan_out {
+            (format!("{}.{}", fk.parent, fk.parent_col), &fk.child_col)
+        } else {
+            (format!("{}.{}", fk.child, fk.child_col), &fk.parent_col)
+        };
+        let jout = hash_join(&w.table, &key, t_next, next_key, "join")?;
+        let mut existing = vec![0i64; w.table.n_rows()];
+        for &l in &jout.left_indices {
+            existing[l] += 1;
+        }
+
+        // A 1:n step resolves every row's tuple factor, the known ones from
+        // the parent's `__tf` metadata column if it has one.
+        let tf = if step.fan_out {
+            let tf_ref = format!("{}.{}", fk.parent, tf_column_name(&fk.child));
+            let tf_col = w.table.resolve(&tf_ref).ok();
+            let known: Vec<Option<i64>> = (0..existing.len())
+                .map(|r| tf_col.and_then(|c| w.table.value(r, c).as_i64()))
+                .collect();
+            let child_complete = self.completer.annotation.is_complete(&fk.child);
+            let predict = |rows: &[usize]| self.predict_tuple_factors(&w, i, rows);
+            Some(tuple_factors(&known, &existing, child_complete, predict)?)
+        } else {
+            None
+        };
+        let dup_idx = missing_partners(&existing, tf.as_deref());
+
+        let mut w_inc = w.gather(&jout.left_indices, jout.table, !last);
+        w_inc.syn.push(vec![false; jout.left_indices.len()]);
+        let mut w_syn = w.gather(&dup_idx, w.table.gather(&dup_idx), true);
+        if let Some(tf) = &tf {
+            let resolved = |rows: &[usize]| -> Vec<Option<i64>> {
+                rows.iter().map(|&r| Some(tf[r])).collect()
+            };
+            w_inc.tf[i] = resolved(&jout.left_indices);
+            w_syn.tf[i] = resolved(&dup_idx);
+            // Sampling below conditions on the resolved tuple factor.
+            w_syn.refresh_tf_enc(model, i);
+        }
+        let block = self.synthesize_block(&w_syn, i, t_next)?;
+        w_syn.syn.push(vec![true; block.n_rows()]);
+        w_syn.table = w_syn.table.hstack(block, "join")?;
+        let mut w = w_inc.union(w_syn)?;
+        if !last {
+            // Re-encode what this step changed, for the next step to sample
+            // from: the tuple factor it resolved and the next table's
+            // columns — the real ones it joined, and the synthesized ones
+            // from the values they ended up with (replacement swaps them for
+            // a real neighbour's; dtype coercion rounds bin means).
+            w.refresh_tf_enc(model, i);
+            w.refresh_enc(model, model.table_attr_range(i + 1));
+        }
+        Ok(w)
+    }
+
+    /// The model's tuple factors of step `i` for `rows` of the working
+    /// join (Algorithm 1, line 6). Expectation evaluation is RNG-free and
+    /// row-independent, so it runs in a few large fused chunks; stochastic
+    /// rounding then replays the exact per-sampling-batch RNG streams of
+    /// [`Walk::sample_batches`], so the factors are those of sampling batch
+    /// by batch and invariant to the worker count.
+    fn predict_tuple_factors(
+        &mut self,
+        w: &Working,
+        i: usize,
+        rows: &[usize],
+    ) -> CoreResult<Vec<i64>> {
+        let model = self.model;
+        let encoded = w.encoded(model);
+        let expectations = self.eval_batches(rows, |session, chunk| {
+            model.tf_expectations_encoded_in(session, &w.table, encoded, i, chunk)
+        })?;
+        let bs = self.completer.cfg.batch_size.max(1);
+        let tf_seed = derive_seed(self.seed, 2 * i as u64);
+        let mut sampled = Vec::with_capacity(rows.len());
+        for (k, chunk) in expectations.chunks(bs).enumerate() {
+            let mut rng = StdRng::seed_from_u64(derive_seed(tf_seed, (k * bs) as u64));
+            sampled.extend(CompletionModel::round_tf_expectations(chunk, &mut rng));
+        }
+        Ok(sampled)
+    }
 
     /// Splits `rows` into sampling batches, fans them out over the worker
     /// pool (each worker reusing its session), and returns the per-batch
     /// results in input order. Each batch's RNG is seeded from `(seed,
     /// offset of the batch's first row)` so the output is a pure function
     /// of `(rows, seed, batch_size)`.
-    fn sample_batches<T, F>(
-        &self,
-        sessions: &mut [InferenceSession],
-        rows: &[usize],
-        seed: u64,
-        f: F,
-    ) -> CoreResult<Vec<T>>
+    fn sample_batches<T, F>(&mut self, rows: &[usize], seed: u64, f: F) -> CoreResult<Vec<T>>
     where
         T: Send,
         F: Fn(&mut InferenceSession, &[usize], &mut StdRng) -> CoreResult<T> + Sync,
     {
-        let bs = self.cfg.batch_size.max(1);
+        let bs = self.completer.cfg.batch_size.max(1);
         let jobs: Vec<(usize, &[usize])> = rows
             .chunks(bs)
             .enumerate()
             .map(|(k, chunk)| (k * bs, chunk))
             .collect();
-        parallel_map_with(jobs, sessions, |session, (offset, chunk)| {
+        parallel_map_with(jobs, &mut self.sessions, |session, (offset, chunk)| {
             let mut rng = StdRng::seed_from_u64(derive_seed(seed, *offset as u64));
             f(session, chunk, &mut rng)
         })
@@ -568,228 +648,40 @@ impl<'a> Completer<'a> {
         .collect()
     }
 
-    /// RNG-free sibling of [`Completer::sample_batches`] for
-    /// row-independent evaluations: fans `rows` out in a few *large* fused
-    /// chunks — about one per worker, at least one sampling batch and at
-    /// most 16 of them each (to bound the per-chunk logits footprint) — so
-    /// the sweep's degree-≤-step setup bands run once per fused chunk
-    /// instead of once per sampling batch. Each row's result must depend
-    /// only on that row (no RNG, no cross-row coupling), which is exactly
-    /// what makes the chunking invisible in the output. Results come back
-    /// flattened in input order.
-    fn eval_batches<T, F>(
-        &self,
-        sessions: &mut [InferenceSession],
-        rows: &[usize],
-        f: F,
-    ) -> CoreResult<Vec<T>>
+    /// RNG-free sibling of [`Walk::sample_batches`] for row-independent
+    /// evaluations: fans `rows` out in a few *large* fused chunks — about
+    /// one per worker, at least one sampling batch and at most 16 of them
+    /// each (to bound the per-chunk logits footprint) — so the sweep's
+    /// degree-≤-step setup bands run once per fused chunk instead of once
+    /// per sampling batch. Each row's result must depend only on that row
+    /// (no RNG, no cross-row coupling), which is exactly what makes the
+    /// chunking invisible in the output. Results come back flattened in
+    /// input order.
+    fn eval_batches<T, F>(&mut self, rows: &[usize], f: F) -> CoreResult<Vec<T>>
     where
         T: Send,
         F: Fn(&mut InferenceSession, &[usize]) -> CoreResult<Vec<T>> + Sync,
     {
-        let bs = self.cfg.batch_size.max(1);
-        let per_worker = rows.len().div_ceil(sessions.len().max(1));
+        let bs = self.completer.cfg.batch_size.max(1);
+        let per_worker = rows.len().div_ceil(self.sessions.len().max(1));
         let chunk = per_worker.clamp(bs, 16 * bs);
         let jobs: Vec<&[usize]> = rows.chunks(chunk).collect();
         let out: CoreResult<Vec<Vec<T>>> =
-            parallel_map_with(jobs, sessions, |session, chunk| f(session, chunk))
+            parallel_map_with(jobs, &mut self.sessions, |session, chunk| f(session, chunk))
                 .into_iter()
                 .collect();
         Ok(out?.into_iter().flatten().collect())
     }
 
-    /// 1:n step: predict tuple factors, join existing children, duplicate
-    /// evidence rows for the missing ones and synthesize their attributes.
-    #[allow(clippy::too_many_arguments)]
-    fn fanout_step(
-        &self,
-        model: &CompletionModel,
-        w: Working,
-        step_idx: usize,
-        t_next: &Table,
-        replace: bool,
-        tf_seed: u64,
-        col_seed: u64,
-        sessions: &mut [InferenceSession],
-    ) -> CoreResult<Working> {
-        let step = &model.path().steps()[step_idx];
-        let last = is_last_step(model, step_idx);
-        let parent_key_ref = format!("{}.{}", step.fk.parent, step.fk.parent_col);
-        let n = w.table.n_rows();
-
-        // Existing partners: plain incompleteness-free join, which also
-        // counts them per working row (NULL keys have none).
-        let jout = hash_join(
-            &w.table,
-            &parent_key_ref,
-            t_next,
-            &step.fk.child_col,
-            "join",
-        )?;
-        let mut existing = vec![0i64; n];
-        for &l in &jout.left_indices {
-            existing[l] += 1;
-        }
-
-        // Known tuple factors from the __tf metadata column, if present.
-        let tf_ref = format!(
-            "{}.{}",
-            step.fk.parent,
-            crate::annotation::tf_column_name(&step.fk.child)
-        );
-        let known: Vec<Option<i64>> = match w.table.resolve(&tf_ref) {
-            Ok(idx) => (0..n).map(|r| w.table.value(r, idx).as_i64()).collect(),
-            Err(_) => vec![None; n],
-        };
-
-        // Resolve the factor for every row: known metadata beats everything;
-        // a complete child table means the observed count is the truth;
-        // otherwise the model predicts it (Algorithm 1, line 6).
-        let child_complete = self.annotation.is_complete(&step.fk.child);
-        let mut tf_final: Vec<i64> = vec![0; n];
-        let mut to_predict: Vec<usize> = Vec::new();
-        for r in 0..n {
-            match known[r] {
-                Some(v) => tf_final[r] = v,
-                None if child_complete => tf_final[r] = existing[r],
-                None => to_predict.push(r),
-            }
-        }
-        if !to_predict.is_empty() {
-            // Expectation evaluation is RNG-free and row-independent, so
-            // it runs in a few large fused chunks; stochastic rounding
-            // then replays the exact per-sampling-batch RNG streams of
-            // `sample_batches`, so the predicted factors are bit-identical
-            // to the unfused path and invariant to worker count.
-            let encoded = w.encoded(model);
-            let expectations = self.eval_batches(sessions, &to_predict, |session, chunk| {
-                model.tf_expectations_encoded_in(session, &w.table, encoded, step_idx, chunk)
-            })?;
-            let bs = self.cfg.batch_size.max(1);
-            let mut sampled = Vec::with_capacity(to_predict.len());
-            for (k, chunk) in expectations.chunks(bs).enumerate() {
-                let mut rng = StdRng::seed_from_u64(derive_seed(tf_seed, (k * bs) as u64));
-                sampled.extend(CompletionModel::round_tf_expectations(chunk, &mut rng));
-            }
-            for (&r, v) in to_predict.iter().zip(sampled) {
-                tf_final[r] = v;
-            }
-        }
-        for r in 0..n {
-            tf_final[r] = tf_final[r].max(existing[r]);
-        }
-        let missing: Vec<i64> = (0..n)
-            .map(|r| (tf_final[r] - existing[r]).clamp(0, MAX_MISSING_PER_ROW))
-            .collect();
-
-        let mut w_inc = w.gather(&jout.left_indices, jout.table, !last);
-        w_inc.syn.push(vec![false; jout.left_indices.len()]);
-        w_inc.tf[step_idx] = jout
-            .left_indices
-            .iter()
-            .map(|&l| Some(tf_final[l]))
-            .collect();
-        if !last {
-            // The join resolved this step's tuple factor and brought
-            // t_next's real columns into the working join — re-encode
-            // exactly those, for the next step to sample from.
-            w_inc.refresh_tf_enc(model, step_idx);
-            w_inc.refresh_enc(model, model.table_attr_range(step_idx + 1));
-        }
-
-        // Synthesized partners: duplicate each evidence row `missing` times.
-        let mut dup_idx = Vec::new();
-        for (r, &m) in missing.iter().enumerate() {
-            for _ in 0..m {
-                dup_idx.push(r);
-            }
-        }
-        let mut w_syn = w.gather(&dup_idx, w.table.gather(&dup_idx), true);
-        w_syn.tf[step_idx] = dup_idx.iter().map(|&r| Some(tf_final[r])).collect();
-        // Sampling below conditions on the resolved tuple factor.
-        w_syn.refresh_tf_enc(model, step_idx);
-        w_inc.union(self.synthesize(model, w_syn, step_idx, t_next, replace, col_seed, sessions)?)
-    }
-
-    /// n:1 step: every working row without a partner gets one synthesized.
-    #[allow(clippy::too_many_arguments)]
-    fn n_to_1_step(
-        &self,
-        model: &CompletionModel,
-        w: Working,
-        step_idx: usize,
-        t_next: &Table,
-        replace: bool,
-        col_seed: u64,
-        sessions: &mut [InferenceSession],
-    ) -> CoreResult<Working> {
-        let step = &model.path().steps()[step_idx];
-        let last = is_last_step(model, step_idx);
-        let child_key_ref = format!("{}.{}", step.fk.child, step.fk.child_col);
-        let jout = hash_join(
-            &w.table,
-            &child_key_ref,
-            t_next,
-            &step.fk.parent_col,
-            "join",
-        )?;
-
-        let mut w_inc = w.gather(&jout.left_indices, jout.table, !last);
-        w_inc.syn.push(vec![false; jout.left_indices.len()]);
-        if !last {
-            w_inc.refresh_enc(model, model.table_attr_range(step_idx + 1));
-        }
-
-        let unmatched = &jout.unmatched_left;
-        let w_syn = w.gather(unmatched, w.table.gather(unmatched), true);
-        w_inc.union(self.synthesize(model, w_syn, step_idx, t_next, replace, col_seed, sessions)?)
-    }
-
-    /// Gives every row of `w_syn` a synthesized `t_next` tuple: stacks the
-    /// sampled block beside the evidence, flags it, and — unless this is
-    /// the path's last step — encodes it from the values it ended up with
-    /// (replacement swaps them for a real neighbour's; dtype coercion
-    /// rounds bin means).
-    #[allow(clippy::too_many_arguments)]
-    fn synthesize(
-        &self,
-        model: &CompletionModel,
-        mut w_syn: Working,
-        step_idx: usize,
-        t_next: &Table,
-        replace: bool,
-        col_seed: u64,
-        sessions: &mut [InferenceSession],
-    ) -> CoreResult<Working> {
-        let table_idx = step_idx + 1;
-        let block = self.synthesize_block(
-            model, &w_syn, table_idx, t_next, replace, col_seed, sessions,
-        )?;
-        w_syn.syn.push(vec![true; block.n_rows()]);
-        w_syn.table = w_syn.table.hstack(block, "join")?;
-        if !is_last_step(model, step_idx) {
-            w_syn.refresh_enc(model, model.table_attr_range(table_idx));
-        }
-        Ok(w_syn)
-    }
-
-    /// Samples the modeled columns of path table `table_idx` for every row
-    /// of the working join — in parallel batches of `batch_size` rows, one
-    /// no-grad forward pass per attribute per batch — optionally replacing
-    /// each synthesized tuple with its nearest real neighbor, and returns
-    /// the qualified column block. The block is assembled from tokens: one
-    /// decoded value per token, the sampled tokens pick among them.
-    #[allow(clippy::too_many_arguments)]
-    fn synthesize_block(
-        &self,
-        model: &CompletionModel,
-        w: &Working,
-        table_idx: usize,
-        t_next: &Table,
-        replace: bool,
-        seed: u64,
-        sessions: &mut [InferenceSession],
-    ) -> CoreResult<Table> {
+    /// Samples the modeled columns of path table `i + 1` for every row of
+    /// `w` — in parallel batches of `batch_size` rows, one forward pass per
+    /// attribute per batch — optionally replacing each synthesized tuple
+    /// with its nearest real neighbor, and returns the qualified column
+    /// block. The block is assembled from tokens: one decoded value per
+    /// token, the sampled tokens pick among them.
+    fn synthesize_block(&mut self, w: &Working, i: usize, t_next: &Table) -> CoreResult<Table> {
+        let model = self.model;
+        let table_idx = i + 1;
         let n = w.table.n_rows();
         let modeled: Vec<(&str, &AttrEncoder)> = model.attrs()[model.table_attr_range(table_idx)]
             .iter()
@@ -804,7 +696,8 @@ impl<'a> Completer<'a> {
         if n > 0 {
             let rows: Vec<usize> = (0..n).collect();
             let encoded = w.encoded(model);
-            let batches = self.sample_batches(sessions, &rows, seed, |session, chunk, rng| {
+            let seed = derive_seed(self.seed, 2 * i as u64 + 1);
+            let batches = self.sample_batches(&rows, seed, |session, chunk, rng| {
                 model.sample_table_tokens_in(session, &w.table, encoded, table_idx, chunk, rng)
             })?;
             for block in batches {
@@ -814,32 +707,20 @@ impl<'a> Completer<'a> {
             }
         }
 
-        // Euclidean replacement (Fig. 3): swap synthesized tuples for their
-        // nearest real neighbors so keys become real.
-        let mut replacement_rows: Option<Vec<usize>> = None;
-        if replace && t_next.n_rows() > 0 && n > 0 && !modeled.is_empty() {
-            // What each token of each modeled attribute decodes to.
-            let decoded: Vec<Vec<Value>> = modeled
-                .iter()
-                .map(|(_, enc)| {
-                    (0..enc.model_cardinality() as u32)
-                        .map(|t| enc.decode(t))
-                        .collect()
-                })
-                .collect();
-            let featurizer = Featurizer::fit(t_next, &modeled)?;
-            let points = featurizer.features_of_table(t_next)?;
-            let index = AnnIndex::build(points, ANN_BITS, ANN_TABLES, 0xa11);
-            let queries: Vec<Vec<f32>> = (0..n)
-                .map(|i| {
-                    let vals: Vec<&Value> = (decoded.iter().zip(&sampled))
-                        .map(|(values, tokens)| &values[tokens[i] as usize])
-                        .collect();
-                    featurizer.features_of_values(&vals)
-                })
-                .collect();
-            replacement_rows = Some(index.nearest_batch(&queries));
-        }
+        // Synthesized tuples of complete tables must be replaced to comply
+        // with the annotation; tuples that feed further joins need real
+        // foreign keys (§4.2–§4.3).
+        let replace = match self.completer.cfg.replacement {
+            ReplacementMode::Auto => {
+                let next = &model.path().tables()[table_idx];
+                self.completer.annotation.is_complete(next) || !is_last_step(model, i)
+            }
+            ReplacementMode::Always => true,
+            ReplacementMode::Never => false,
+        };
+        let replacement_rows = (replace && t_next.n_rows() > 0 && n > 0 && !modeled.is_empty())
+            .then(|| nearest_real_rows(t_next, &modeled, &sampled))
+            .transpose()?;
 
         // Assemble the block with t_next's full schema.
         let mut columns: Vec<Column> = Vec::with_capacity(t_next.n_cols());
@@ -858,8 +739,91 @@ impl<'a> Completer<'a> {
     }
 }
 
+/// Algorithm 1, line 6: the tuple factor of every working row of a 1:n
+/// step, in this order. A known factor (`known`, the `__tf` metadata)
+/// beats everything; a complete child table means the observed partner
+/// count `existing` is the truth; otherwise `predict` estimates it, called
+/// once, with the rows left in ascending order, if any are left. No row
+/// gets a factor below the partners it has.
+fn tuple_factors(
+    known: &[Option<i64>],
+    existing: &[i64],
+    child_complete: bool,
+    predict: impl FnOnce(&[usize]) -> CoreResult<Vec<i64>>,
+) -> CoreResult<Vec<i64>> {
+    let mut tf = vec![0; known.len()];
+    let mut to_predict = Vec::new();
+    for (r, &k) in known.iter().enumerate() {
+        match k {
+            Some(v) => tf[r] = v,
+            None if child_complete => tf[r] = existing[r],
+            None => to_predict.push(r),
+        }
+    }
+    if !to_predict.is_empty() {
+        for (&r, v) in to_predict.iter().zip(predict(&to_predict)?) {
+            tf[r] = v;
+        }
+    }
+    Ok(tf
+        .into_iter()
+        .zip(existing)
+        .map(|(t, &e)| t.max(e))
+        .collect())
+}
+
+/// How many partners each working row is missing, the one rule of both
+/// edge kinds, as the rows to synthesize a partner for: row `r` repeated
+/// once per missing partner, ascending. `existing[r]` counts the partners
+/// row `r` has. On an n:1 edge (`tf` is `None`) a row misses its one
+/// partner exactly when it has none; on a 1:n edge it misses its tuple
+/// factor minus `existing[r]`, clamped to `[0, MAX_MISSING_PER_ROW]`.
+fn missing_partners(existing: &[i64], tf: Option<&[i64]>) -> Vec<usize> {
+    let missing = |r: usize| match tf {
+        Some(tf) => (tf[r] - existing[r]).clamp(0, MAX_MISSING_PER_ROW),
+        None => i64::from(existing[r] == 0),
+    };
+    (0..existing.len())
+        .flat_map(|r| std::iter::repeat_n(r, missing(r) as usize))
+        .collect()
+}
+
+/// Euclidean replacement (Fig. 3): for every row of the sampled token
+/// columns, the row of `table` nearest to the tuple its tokens decode to,
+/// so synthesized keys become real ones.
+fn nearest_real_rows(
+    table: &Table,
+    modeled: &[(&str, &AttrEncoder)],
+    sampled: &[Vec<u32>],
+) -> CoreResult<Vec<usize>> {
+    // What each token of each modeled attribute decodes to.
+    let decoded: Vec<Vec<Value>> = modeled
+        .iter()
+        .map(|(_, enc)| {
+            (0..enc.model_cardinality() as u32)
+                .map(|t| enc.decode(t))
+                .collect()
+        })
+        .collect();
+    let featurizer = Featurizer::fit(table, modeled)?;
+    let points = featurizer.features_of_table(table)?;
+    let index = AnnIndex::build(points, ANN_BITS, ANN_TABLES, 0xa11);
+    let n = sampled.first().map_or(0, Vec::len);
+    let queries: Vec<Vec<f32>> = (0..n)
+        .map(|i| {
+            let vals: Vec<&Value> = (decoded.iter().zip(sampled))
+                .map(|(values, tokens)| &values[tokens[i] as usize])
+                .collect();
+            featurizer.features_of_values(&vals)
+        })
+        .collect();
+    Ok(index.nearest_batch(&queries))
+}
+
 /// Feature extraction for euclidean replacement: categorical attributes are
-/// one-hot, numeric attributes are z-normalized against the real table.
+/// one-hot, numeric attributes are z-normalized against the real table's
+/// finite cells. A NULL, NaN or infinite cell has no place on that scale
+/// and featurizes as the mean.
 struct Featurizer<'m> {
     specs: Vec<(&'m str, &'m AttrEncoder, FeatKind)>,
 }
@@ -877,12 +841,8 @@ impl<'m> Featurizer<'m> {
                 AttrEncoder::Categorical { .. } => FeatKind::OneHot(enc.cardinality()),
                 _ => {
                     let col = table.column_by_name(name)?;
-                    let mut vals = Vec::with_capacity(col.len());
-                    for r in 0..col.len() {
-                        if let Some(x) = col.get(r).as_f64() {
-                            vals.push(x as f32);
-                        }
-                    }
+                    let vals: Vec<f32> =
+                        (0..col.len()).filter_map(|r| finite(&col.get(r))).collect();
                     let mean = if vals.is_empty() {
                         0.0
                     } else {
@@ -928,7 +888,7 @@ impl<'m> Featurizer<'m> {
                 }
             }
             FeatKind::Numeric { mean, std } => {
-                let x = v.as_f64().unwrap_or(*mean as f64) as f32;
+                let x = finite(v).unwrap_or(*mean);
                 out.push((x - mean) / std);
             }
         }
@@ -958,6 +918,11 @@ impl<'m> Featurizer<'m> {
         }
         f
     }
+}
+
+/// A numeric cell as a feature, if it is a finite one.
+fn finite(v: &Value) -> Option<f32> {
+    v.as_f64().map(|x| x as f32).filter(|x| x.is_finite())
 }
 
 #[cfg(test)]
@@ -1130,5 +1095,115 @@ mod tests {
         // A query equal to row 0's values maps onto row 0's features.
         let q = f.features_of_values(&[&Value::str("a"), &Value::Float(1.0)]);
         assert_eq!(q, pts[0]);
+    }
+
+    #[test]
+    fn n_to_1_rows_miss_one_partner_exactly_when_they_have_none() {
+        // Child keys, one NULL, against parents 1 and 3, joined as the
+        // walk joins them.
+        let int = |name: &str| Field::new(name, restore_db::DataType::Int);
+        let mut child = Table::new("ta", vec![int("k")]);
+        for k in [Some(1), None, Some(2), Some(3), Some(4), Some(1)] {
+            child
+                .push_row(&[k.map_or(Value::Null, Value::Int)])
+                .unwrap();
+        }
+        let mut parent = Table::new("tb", vec![int("id")]);
+        for id in [1, 3] {
+            parent.push_row(&[Value::Int(id)]).unwrap();
+        }
+        let jout = hash_join(&child.qualified(), "ta.k", &parent, "id", "join").unwrap();
+        let mut existing = vec![0; child.n_rows()];
+        for &l in &jout.left_indices {
+            existing[l] += 1;
+        }
+        // Partnerless rows once each, ascending — a NULL key is
+        // partnerless — and what the join reports as unmatched.
+        let missing = missing_partners(&existing, None);
+        assert_eq!(missing, vec![1, 2, 4]);
+        assert_eq!(missing, jout.unmatched_left);
+    }
+
+    #[test]
+    fn fan_out_rows_miss_their_tuple_factor_minus_their_partners() {
+        let m = MAX_MISSING_PER_ROW;
+        let existing = [2, 0, 3, 1, 0];
+        let known = [Some(5), None, Some(1), None, Some(m + 10)];
+        // The model would give every row it is asked about 1,000 partners.
+        let model = |rows: &[usize]| Ok(vec![1_000; rows.len()]);
+        let tf = tuple_factors(&known, &existing, false, model).unwrap();
+        // A known factor wins over the model; none falls below the
+        // partners a row has.
+        assert_eq!(tf, vec![5, 1_000, 3, 1_000, m + 10]);
+        // A factor below the partners a row has gives 0, one above them by
+        // more than the clamp gives the clamp.
+        let tf = [5, 1_000, 1, 1_000, m + 10];
+        let missing = missing_partners(&existing, Some(&tf));
+        let per_row = |r: usize| missing.iter().filter(|&&x| x == r).count() as i64;
+        assert_eq!((0..5).map(per_row).collect::<Vec<_>>(), [3, m, 0, m, m]);
+        assert!(missing.windows(2).all(|w| w[0] <= w[1]));
+
+        // A complete child table: the partners a row has are all it has,
+        // and the model is never asked.
+        let unknown = [None; 5];
+        let never = |_: &[usize]| -> CoreResult<Vec<i64>> { panic!("model asked") };
+        let tf = tuple_factors(&unknown, &existing, true, never).unwrap();
+        assert_eq!(tf, existing);
+        assert!(missing_partners(&existing, Some(&tf)).is_empty());
+        // Only the rows without a known factor are asked about, ascending.
+        let asked = |rows: &[usize]| {
+            assert_eq!(rows, [1, 3]);
+            Ok(vec![7, 8])
+        };
+        let tf = tuple_factors(&known, &existing, false, asked).unwrap();
+        assert_eq!(tf, vec![5, 7, 3, 8, m + 10]);
+    }
+
+    #[test]
+    fn replacement_finds_a_real_row_beside_nan_and_infinite_cells() {
+        // A categorical column and a binned float column holding one NaN
+        // and one infinite cell of each sign.
+        let mut t = Table::new(
+            "x",
+            vec![
+                Field::new("c", restore_db::DataType::Str),
+                Field::new("v", restore_db::DataType::Float),
+            ],
+        );
+        for r in 0..203 {
+            let v = match r {
+                5 => f64::NAN,
+                7 => f64::INFINITY,
+                9 => f64::NEG_INFINITY,
+                _ => r as f64 * 0.5,
+            };
+            let c = ["a", "b", "c"][r % 3];
+            t.push_row(&[Value::str(c), Value::Float(v)]).unwrap();
+        }
+        let enc_c = AttrEncoder::fit(t.column_by_name("c").unwrap(), 8);
+        let enc_v = AttrEncoder::fit(t.column_by_name("v").unwrap(), 8);
+        assert!(matches!(enc_v, AttrEncoder::Binned { .. }));
+        let modeled = vec![("c", &enc_c), ("v", &enc_v)];
+        // Every token of `v`, the infinite bins' included, beside each
+        // category.
+        let cards = (enc_c.model_cardinality(), enc_v.model_cardinality());
+        let pairs: Vec<(u32, u32)> = (0..cards.0 as u32)
+            .flat_map(|c| (0..cards.1 as u32).map(move |v| (c, v)))
+            .collect();
+        let sampled = vec![
+            pairs.iter().map(|p| p.0).collect(),
+            pairs.iter().map(|p| p.1).collect(),
+        ];
+        let rows = nearest_real_rows(&t, &modeled, &sampled).unwrap();
+        assert_eq!(rows.len(), pairs.len());
+        assert!(rows.iter().all(|&r| r < t.n_rows()), "{rows:?}");
+        // A finite cell still featurizes on the finite cells' scale.
+        let f = Featurizer::fit(&t, &modeled).unwrap();
+        let pts = f.features_of_table(&t).unwrap();
+        assert!(pts.iter().flatten().all(|x| x.is_finite()));
+        assert_eq!(
+            pts[5],
+            f.features_of_values(&[&Value::str("c"), &Value::Null])
+        );
     }
 }

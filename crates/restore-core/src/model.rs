@@ -749,8 +749,8 @@ impl CompletionModel {
     /// setup pass per chunk instead of one per sampling batch) without
     /// changing any value. The session is the caller's: each completion
     /// worker keeps one warm across batches and path steps (parameters are
-    /// frozen at completion time, so its masked-weight cache stays valid
-    /// for the whole walk).
+    /// frozen at completion time, so the sweep's degree-banded weight
+    /// caches it holds stay valid for the whole walk).
     pub fn tf_expectations_encoded_in(
         &self,
         session: &mut InferenceSession,
