@@ -5,16 +5,14 @@
 
 use std::collections::BTreeSet;
 
-use restore_db::Table;
-
-/// Name of the tuple-factor metadata column for an incomplete child table.
-pub(crate) fn tf_column_name(child_table: &str) -> String {
-    format!("__tf_{child_table}")
-}
+use restore_db::{Table, TF_COLUMN_PREFIX};
 
 /// True for helper columns that are not part of the logical schema.
 pub(crate) fn is_tf_column(name: &str) -> bool {
-    name.rsplit('.').next().unwrap_or(name).starts_with("__tf_")
+    name.rsplit('.')
+        .next()
+        .unwrap_or(name)
+        .starts_with(TF_COLUMN_PREFIX)
 }
 
 /// True for key columns (primary `id` / foreign `*_id`) — completion models

@@ -17,9 +17,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-
-use restore_util::SingleFlight;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::completion::CompletionOutput;
 use crate::error::CoreResult;
@@ -63,10 +61,14 @@ struct Inner {
     total_bytes: usize,
 }
 
+/// One in-flight synthesis: the cell every caller needing the chain waits on.
+type Flight = Arc<OnceLock<CoreResult<Arc<CompletionOutput>>>>;
+
 /// Thread-safe cache of completed joins keyed by the ordered path tables.
 pub struct JoinCache {
     inner: Mutex<Inner>,
-    flights: SingleFlight<Vec<String>, CoreResult<Arc<CompletionOutput>>>,
+    /// The chains being synthesized right now.
+    flights: Mutex<HashMap<Vec<String>, Flight>>,
     /// Approximate memory budget in bytes; `0` = unbounded.
     budget_bytes: usize,
     hits: AtomicU64,
@@ -81,7 +83,7 @@ impl JoinCache {
     pub fn with_budget(budget_bytes: usize) -> Self {
         Self {
             inner: Mutex::new(Inner::default()),
-            flights: SingleFlight::new(),
+            flights: Mutex::default(),
             budget_bytes,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -113,8 +115,11 @@ impl JoinCache {
     /// The serving entry point: returns the cached completion for `tables`,
     /// or runs `compute` to synthesize it — under **single-flight**
     /// semantics, so concurrent callers needing the same cold path share
-    /// one synthesis (the leader computes and inserts; followers block and
-    /// clone the leader's result, errors included).
+    /// one synthesis. Every caller takes the chain's cell from `flights`;
+    /// the one whose closure runs is the leader, which computes, inserts
+    /// and retires the cell, and the others block in `get_or_init` and
+    /// clone its result, errors included. A leader that panics leaves the
+    /// cell empty, so a waiter runs the synthesis again.
     pub(crate) fn get_or_compute<F>(
         &self,
         tables: &[String],
@@ -127,23 +132,31 @@ impl JoinCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(out);
         }
-        let key = tables.to_vec();
-        let (result, leader) = self.flights.run(&key, || {
+        let flight = Arc::clone(lock(&self.flights).entry(tables.to_vec()).or_default());
+        let mut led = false;
+        let result = flight.get_or_init(|| {
+            led = true;
             // Re-check under the flight: this caller may have lost the race
             // to a leader that already finished and inserted.
-            if let Some(out) = self.lookup(&key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(out);
-            }
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            let out = compute()?;
-            self.put(key.clone(), Arc::clone(&out));
-            Ok(out)
+            let result = match self.lookup(tables) {
+                Some(out) => {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    Ok(out)
+                }
+                None => {
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    compute().inspect(|out| self.put(tables.to_vec(), Arc::clone(out)))
+                }
+            };
+            // Retired before the result is published: a caller arriving
+            // from here on finds the entry, or (after an error) leads anew.
+            lock(&self.flights).remove(tables);
+            result
         });
-        if !leader {
+        if !led {
             self.waits.fetch_add(1, Ordering::Relaxed);
         }
-        result
+        result.clone()
     }
 
     /// Inserts an entry, evicting least-recently-used entries while the
@@ -299,6 +312,10 @@ mod tests {
         assert_eq!(calls, 1);
         let stats = cache.full_stats();
         assert_eq!((stats.misses, stats.hits), (1, 2));
+        // Another path leads a flight of its own.
+        let other = cache.get_or_compute(&key(&["a"]), || Ok(dummy_output(&["a"])));
+        assert_eq!(other.unwrap().tables, key(&["a"]));
+        assert_eq!(cache.full_stats().misses, 2);
     }
 
     #[test]
@@ -350,10 +367,10 @@ mod tests {
         assert_eq!(cache.full_stats().misses, 1, "one synthesis for one path");
     }
 
-    /// The serving stack's only dedupe survives a panicking synthesis: each
-    /// follower waiting on the chain panics too or, arriving after the key
-    /// retired, leads a flight of its own — none hangs — and the cache
-    /// stays consistent for the next call.
+    /// The serving stack's only dedupe survives a panicking synthesis: a
+    /// follower waiting on the chain runs the synthesis again, the others
+    /// share its result — none hangs — and the cache stays consistent for
+    /// the next call.
     #[test]
     fn a_panicking_leader_neither_hangs_followers_nor_corrupts_the_cache() {
         let (cache, ab) = (JoinCache::with_budget(0), key(&["a", "b"]));

@@ -25,12 +25,12 @@ use std::sync::{Arc, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use restore_db::{hash_join, Column, Database, Table, Value};
+use restore_db::{hash_join, tf_column_name, Column, Database, Table, Value};
 use restore_nn::InferenceSession;
 use restore_util::{default_workers, derive_seed, parallel_map_with};
 
 use crate::ann::AnnIndex;
-use crate::annotation::{tf_column_name, SchemaAnnotation};
+use crate::annotation::SchemaAnnotation;
 use crate::encoding::{coerce, AttrEncoder};
 use crate::error::{CoreError, CoreResult};
 use crate::model::{AttrKind, CompletionModel};
@@ -542,12 +542,8 @@ impl Walk<'_> {
         // Existing partners: a plain join on the key the working join holds
         // (the parent's on a 1:n edge, the child's on an n:1 edge), which
         // also counts them per working row (NULL keys have none).
-        let (key, next_key) = if step.fan_out {
-            (format!("{}.{}", fk.parent, fk.parent_col), &fk.child_col)
-        } else {
-            (format!("{}.{}", fk.child, fk.child_col), &fk.parent_col)
-        };
-        let jout = hash_join(&w.table, &key, t_next, next_key, "join")?;
+        let (key, next_key) = step.join_keys();
+        let jout = hash_join(&w.table, &key, t_next, &next_key, "join")?;
         let mut existing = vec![0i64; w.table.n_rows()];
         for &l in &jout.left_indices {
             existing[l] += 1;

@@ -311,7 +311,7 @@ mod tests {
                 Field::new("id", DataType::Int),
                 Field::new("a", DataType::Str),
                 // Every parent is known to have three children.
-                Field::new(crate::annotation::tf_column_name("c"), DataType::Int),
+                Field::new(restore_db::tf_column_name("c"), DataType::Int),
             ],
         );
         let mut child = Table::new(

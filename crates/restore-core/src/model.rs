@@ -15,14 +15,14 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use restore_db::{hash_join, partner_counts, Database, Table, Value};
+use restore_db::{hash_join, partner_counts, tf_column_name, Database, Table, Value};
 use restore_nn::{
     block_cross_entropy_sums, Adam, AttrSpec, DeepSets, DeepSetsConfig, Forward, InferenceSession,
     Made, MadeConfig, Matrix, ParamStore, SetBatch, SetTableSpec, TableSet, TrainEngine,
 };
 use restore_util::default_workers;
 
-use crate::annotation::{modeled_columns, tf_column_name, SchemaAnnotation};
+use crate::annotation::{modeled_columns, SchemaAnnotation};
 use crate::encoding::AttrEncoder;
 use crate::error::{CoreError, CoreResult};
 use crate::paths::CompletionPath;
@@ -1034,19 +1034,9 @@ fn assemble_set_batch(
 pub fn build_path_join(db: &Database, path: &CompletionPath) -> CoreResult<Table> {
     let mut join = db.table(path.root())?.qualified();
     for step in path.steps() {
+        let (left_on, right_on) = step.join_keys();
         let right = db.table(step.to_table())?;
-        let (lref, rref) = if step.fan_out {
-            (
-                format!("{}.{}", step.fk.parent, step.fk.parent_col),
-                format!("{}.{}", step.fk.child, step.fk.child_col),
-            )
-        } else {
-            (
-                format!("{}.{}", step.fk.child, step.fk.child_col),
-                format!("{}.{}", step.fk.parent, step.fk.parent_col),
-            )
-        };
-        join = hash_join(&join, &lref, right, &rref, "join")?.table;
+        join = hash_join(&join, &left_on, right, &right_on, "join")?.table;
     }
     Ok(join)
 }
@@ -1077,13 +1067,9 @@ fn encode_training_tokens(
             (0..n).map(|r| join.value(r, idx).as_i64()).collect()
         } else {
             // Child is complete: observed counts are the truth.
+            let (parent_on, child_on) = step.join_keys();
             let child = db.table(&step.fk.child)?;
-            let counts = partner_counts(
-                join,
-                &format!("{}.{}", step.fk.parent, step.fk.parent_col),
-                child,
-                &step.fk.child_col,
-            )?;
+            let counts = partner_counts(join, &parent_on, child, &child_on)?;
             counts.into_iter().map(|c| Some(c as i64)).collect()
         };
         tf_per_step[i] = Some(vals);

@@ -17,7 +17,7 @@ use std::collections::HashSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use restore_db::{Column, DataType, Database, Field, Table, Value};
+use restore_db::{tf_column_name, Column, DataType, Database, Field, Table, Value};
 
 /// How removal correlates with the biased attribute.
 #[derive(Clone, Debug, PartialEq)]
@@ -98,12 +98,6 @@ pub struct Scenario {
     /// The concrete categorical value the removal was biased towards
     /// (`None` for continuous bias).
     pub bias_value: Option<String>,
-}
-
-/// Name of the tuple-factor metadata column a parent table carries for an
-/// incomplete child (`TFApartments` in Fig. 1a).
-pub(crate) fn tf_column_name(child_table: &str) -> String {
-    format!("__tf_{child_table}")
 }
 
 /// Most frequent non-null value of a column (ties broken lexicographically).

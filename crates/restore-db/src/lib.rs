@@ -32,7 +32,8 @@ pub use column::{Column, Dictionary};
 pub use error::{DbError, DbResult};
 pub use expr::{ArithOp, CmpOp, Expr};
 pub use query::{
-    aggregate, execute, execute_on_join, hash_join, partner_counts, Agg, Query, QueryResult,
+    aggregate, execute, execute_on_join, hash_join, partner_counts, tf_column_name, Agg, Query,
+    QueryResult, TF_COLUMN_PREFIX,
 };
 pub use schema::{Database, ForeignKey, PathStep};
 pub use table::{Field, Table, TableView};

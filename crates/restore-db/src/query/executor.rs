@@ -56,21 +56,8 @@ pub fn join_tables(db: &Database, tables: &[String]) -> DbResult<Table> {
         let step = step
             .as_ref()
             .ok_or_else(|| DbError::InvalidJoin(format!("{name} lacks a join edge")))?;
-        let right = db.table(name)?;
-        let (left_on, right_on) = if step.fan_out {
-            // Accumulated side holds the parent.
-            (
-                format!("{}.{}", step.fk.parent, step.fk.parent_col),
-                format!("{}.{}", step.fk.child, step.fk.child_col),
-            )
-        } else {
-            (
-                format!("{}.{}", step.fk.child, step.fk.child_col),
-                format!("{}.{}", step.fk.parent, step.fk.parent_col),
-            )
-        };
-        let out = hash_join(&joined, &left_on, right, &right_on, "join")?;
-        joined = out.table;
+        let (left_on, right_on) = step.join_keys();
+        joined = hash_join(&joined, &left_on, db.table(name)?, &right_on, "join")?.table;
     }
     Ok(joined)
 }

@@ -98,6 +98,16 @@ pub fn hash_join(
     })
 }
 
+/// What every tuple-factor metadata column's name starts with.
+pub const TF_COLUMN_PREFIX: &str = "__tf_";
+
+/// Name of the tuple-factor metadata column a parent table carries for an
+/// incomplete child (`TFApartments` in Fig. 1a), NULL where the factor is
+/// unknown.
+pub fn tf_column_name(child_table: &str) -> String {
+    format!("{TF_COLUMN_PREFIX}{child_table}")
+}
+
 /// Number of join partners each left row has in `right` — the raw material
 /// for tuple factors.
 pub fn partner_counts(

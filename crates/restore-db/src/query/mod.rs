@@ -14,7 +14,7 @@ mod join;
 
 pub use aggregate::{aggregate, Agg};
 pub use executor::{execute, execute_on_join, QueryResult};
-pub use join::{hash_join, partner_counts};
+pub use join::{hash_join, partner_counts, tf_column_name, TF_COLUMN_PREFIX};
 
 use crate::expr::Expr;
 

@@ -53,6 +53,19 @@ impl PathStep {
             &self.fk.parent
         }
     }
+
+    /// The qualified keys this step joins on: the one on the side already
+    /// joined (the parent's on a 1:n step, the child's on an n:1 step) and
+    /// the one on the table it arrives at.
+    pub fn join_keys(&self) -> (String, String) {
+        let parent = format!("{}.{}", self.fk.parent, self.fk.parent_col);
+        let child = format!("{}.{}", self.fk.child, self.fk.child_col);
+        if self.fan_out {
+            (parent, child)
+        } else {
+            (child, parent)
+        }
+    }
 }
 
 /// An in-memory database: named tables + foreign keys.
@@ -102,21 +115,9 @@ impl Database {
 
     /// FK edge connecting two tables (either direction), if any.
     pub fn edge_between(&self, a: &str, b: &str) -> Option<PathStep> {
-        for fk in &self.foreign_keys {
-            if fk.parent == a && fk.child == b {
-                return Some(PathStep {
-                    fk: fk.clone(),
-                    fan_out: true,
-                });
-            }
-            if fk.child == a && fk.parent == b {
-                return Some(PathStep {
-                    fk: fk.clone(),
-                    fan_out: false,
-                });
-            }
-        }
-        None
+        self.neighbors(a)
+            .into_iter()
+            .find(|step| step.to_table() == b)
     }
 
     /// All schema-graph neighbors of `table` with their step descriptors.

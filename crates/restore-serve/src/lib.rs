@@ -67,14 +67,15 @@
 //!   registry atomically; in-flight requests finish on v1 under their own
 //!   `Arc`, new requests see v2, and no request ever observes a torn
 //!   registry.
-//! * **Panic containment** — a panicking handler (including a follower of
-//!   a cache flight whose leader panicked) answers 500 on its own
-//!   connection and leaves every other connection serving.
-//! * **Graceful shutdown** — an eventfd wake pops the reactor out of
-//!   `epoll_wait`, the listener and idle keep-alive sockets close
-//!   immediately, and in-flight responses ride through the drain; built on
-//!   `restore-util`'s [`Shutdown`](restore_util::Shutdown) accounting
-//!   (guards now live on reactor-owned connection slots, not threads).
+//! * **Panic containment** — a panicking handler answers 500 on its own
+//!   connection and leaves every other connection serving; a request
+//!   waiting on a cache flight whose leader panicked runs the synthesis
+//!   itself.
+//! * **Graceful shutdown** — a stop flag and an eventfd wake pop the
+//!   reactor out of `epoll_wait`, the listener and idle keep-alive sockets
+//!   close immediately, and in-flight responses ride through the drain;
+//!   the reactor thread exits once its last connection closes, which is
+//!   what [`Server::shutdown`] waits for.
 //! * **Bounded overload** — an admission gate
 //!   ([`ServeConfig::max_in_flight`]) and a per-tenant token bucket
 //!   ([`ServeConfig::rate_limit`]) shed excess load with 429 +

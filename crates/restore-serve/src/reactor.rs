@@ -43,7 +43,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use restore_util::{retry_wait, ConnectionGuard};
+use restore_util::retry_wait;
 
 use crate::client::encode_request;
 use crate::fault::FaultAction;
@@ -378,7 +378,6 @@ struct Conn {
     registered: (bool, bool),
     /// The forward of phase `AwaitingUpstream`.
     forward: Option<Forward>,
-    _guard: ConnectionGuard,
 }
 
 impl Conn {
@@ -547,7 +546,7 @@ impl Reactor {
                 }
             }
             self.drain_completions();
-            if self.shared.shutdown.is_triggered() {
+            if self.shared.stopping.load(Ordering::Acquire) {
                 self.on_shutdown();
                 if self.listener.is_none() && self.conns.is_empty() {
                     return;
@@ -591,12 +590,12 @@ impl Reactor {
             };
             match listener.accept() {
                 Ok((stream, _)) => {
-                    self.shared.metrics.accepts.fetch_add(1, Ordering::Relaxed);
-                    // A refused guard means shutdown won the race: drop the
-                    // socket; the listener itself closes on the next sweep.
-                    let Some(guard) = self.shared.shutdown.begin() else {
+                    // Shutdown won the race: drop the socket; the listener
+                    // itself closes on the next sweep.
+                    if self.shared.stopping.load(Ordering::Acquire) {
                         continue;
-                    };
+                    }
+                    self.shared.metrics.accepts.fetch_add(1, Ordering::Relaxed);
                     if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                         continue;
                     }
@@ -633,7 +632,6 @@ impl Reactor {
                             peer_eof: false,
                             registered: (true, false),
                             forward: None,
-                            _guard: guard,
                         },
                     );
                 }
@@ -1262,7 +1260,7 @@ impl Reactor {
                 self.upstreams.remove(&up);
             }
             // Dropping `conn` closes the socket (auto-deregistering it
-            // from epoll) and releases its ConnectionGuard.
+            // from epoll).
         }
     }
 }
@@ -1283,7 +1281,7 @@ fn tenant(job: &Job) -> &str {
 
 /// Whether the client's connection closes after this job's response.
 fn closing(shared: &Shared, job: &Job) -> bool {
-    job.request.wants_close() || shared.shutdown.is_triggered()
+    job.request.wants_close() || shared.stopping.load(Ordering::Acquire)
 }
 
 fn set_phase(metrics: &Metrics, conn: &mut Conn, phase: Phase) {

@@ -53,14 +53,14 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use restore_util::json::JsonValue;
-use restore_util::{fnv1a64, json_object, HealthState, Shutdown};
+use restore_util::{fnv1a64, json_object, HealthState};
 
 use crate::client::{header_lines, response_frame, ClientConfig};
 use crate::http::{parse_digits, Request, Response};
@@ -204,7 +204,9 @@ impl Drop for Shard {
 pub struct Fleet {
     pub(crate) shards: Vec<Arc<Shard>>,
     pub(crate) config: FleetConfig,
-    shutdown: Shutdown,
+    /// Set once by [`Fleet::shutdown`]: the monitor exits and stops
+    /// respawning workers.
+    stopping: AtomicBool,
     monitor: Mutex<Option<JoinHandle<()>>>,
     started: Instant,
 }
@@ -275,7 +277,7 @@ impl Fleet {
         let fleet = Arc::new(Self {
             shards,
             config,
-            shutdown: Shutdown::new(),
+            stopping: AtomicBool::new(false),
             monitor: Mutex::new(None),
             started: Instant::now(),
         });
@@ -337,7 +339,7 @@ impl Fleet {
 
     /// Stops the monitor and kills every fleet-spawned worker. Idempotent.
     pub fn shutdown(&self) {
-        self.shutdown.trigger();
+        self.stopping.store(true, Ordering::Release);
         let handle = {
             let mut monitor = self.monitor.lock().unwrap_or_else(|e| e.into_inner());
             monitor.take()
@@ -532,7 +534,7 @@ fn monitor_loop(fleet: Weak<Fleet>) {
         let Some(fleet) = fleet.upgrade() else {
             return;
         };
-        if fleet.shutdown.is_triggered() {
+        if fleet.stopping.load(Ordering::Acquire) {
             return;
         }
         for shard in &fleet.shards {
@@ -576,7 +578,7 @@ fn check_shard(fleet: &Fleet, shard: &Shard) {
             }
         );
     }
-    if shard.health.is_up() || fleet.shutdown.is_triggered() {
+    if shard.health.is_up() || fleet.stopping.load(Ordering::Acquire) {
         return;
     }
     let Some(spec) = &shard.spec else {

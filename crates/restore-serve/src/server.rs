@@ -21,7 +21,7 @@
 //!      │  write on writability (+X-Request-Id; keep-alive; pipelined
 //!      │  carry re-parsed immediately after each response)
 //!      ▼
-//!  Server::shutdown(): trigger + wake → close listener + idle conns,
+//!  Server::shutdown(): stop flag + wake → close listener + idle conns,
 //!  in-flight responses ride through drain, then the reactor exits
 //! ```
 //!
@@ -66,6 +66,7 @@ use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -74,14 +75,14 @@ use restore_core::wire::{self, QueryRequest};
 use restore_core::{CoreError, ReStore, SnapshotRegistry};
 use restore_db::DbError;
 use restore_util::json::JsonValue;
-use restore_util::{derive_seed, json_object, RateLimitConfig, RateLimiter, Shutdown};
+use restore_util::{derive_seed, json_object, RateLimitConfig, RateLimiter};
 
 use crate::fault::{self, FaultAction, FaultConfig, FaultPlan};
 use crate::http::{parse_digits, Request, Response};
 use crate::reactor::{Epoll, Reactor, WakeHandle, TOKEN_LISTENER, TOKEN_WAKE};
 use crate::store::SnapshotStore;
 
-/// How long [`Server::shutdown`] waits for in-flight connections.
+/// How long [`Server::shutdown`] waits for the reactor to drain.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Server knobs. Defaults are sized for tests and modest deployments.
@@ -364,7 +365,10 @@ impl JobQueue {
 pub(crate) struct Shared {
     registry: Arc<SnapshotRegistry>,
     pub(crate) config: ServeConfig,
-    pub(crate) shutdown: Shutdown,
+    /// Set once by [`Server::shutdown`]: the reactor accepts no more
+    /// connections and closes the idle ones, and every response closes its
+    /// connection.
+    pub(crate) stopping: AtomicBool,
     pub(crate) metrics: Metrics,
     /// When the server was bound: the start of `/metrics`' uptime.
     started: Instant,
@@ -456,7 +460,7 @@ impl Shared {
                     let response =
                         Response::too_many_requests("server at capacity", self.retry_after_hint())
                             .with_header("X-Request-Id", request_id.to_string());
-                    let close = request.wants_close() || self.shutdown.is_triggered();
+                    let close = request.wants_close() || self.stopping.load(Ordering::Acquire);
                     return Decision::Respond(response, close);
                 }
             }
@@ -500,7 +504,9 @@ impl Shared {
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    reactor: Option<JoinHandle<()>>,
+    /// The reactor thread, and the channel that disconnects when it exits
+    /// (in a `Mutex` only to keep `Server` `Sync`; it is never locked).
+    reactor: Option<(JoinHandle<()>, Mutex<Receiver<()>>)>,
 }
 
 impl Server {
@@ -532,7 +538,7 @@ impl Server {
         let shared = Arc::new(Shared {
             registry,
             config,
-            shutdown: Shutdown::new(),
+            stopping: AtomicBool::new(false),
             metrics,
             started,
             request_ids: AtomicU64::new(1),
@@ -556,7 +562,13 @@ impl Server {
         }
         let reactor = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || Reactor::new(listener, epoll, shared).run())
+            let (exiting, exited) = mpsc::channel::<()>();
+            let thread = std::thread::spawn(move || {
+                // Dropped when the loop returns, which ends `drain`'s wait.
+                let _exiting = exiting;
+                Reactor::new(listener, epoll, shared).run()
+            });
+            (thread, Mutex::new(exited))
         };
         Ok(Self {
             addr,
@@ -571,7 +583,7 @@ impl Server {
 
     /// Connections currently being served.
     pub fn connections_active(&self) -> usize {
-        self.shared.shutdown.active()
+        self.shared.metrics.open_connections.load(Ordering::Relaxed) as usize
     }
 
     /// `/v1/*` requests currently holding an admission permit.
@@ -579,20 +591,26 @@ impl Server {
         self.shared.admitted.load(Ordering::Acquire) as usize
     }
 
-    /// Stops accepting, wakes the reactor, and waits up to the configured
-    /// drain timeout for in-flight connections to finish. Returns `true`
-    /// when fully drained.
+    /// Stops accepting, wakes the reactor, and waits up to ten seconds for
+    /// in-flight connections to finish. Returns `true` when fully drained.
     pub fn shutdown(mut self) -> bool {
-        self.shutdown_inner()
+        self.drain(DRAIN_TIMEOUT)
     }
 
-    fn shutdown_inner(&mut self) -> bool {
-        let Some(reactor) = self.reactor.take() else {
+    /// [`Server::shutdown`] with its drain window: the reactor returns
+    /// once its listener is closed and its last connection is, which
+    /// disconnects the channel its thread holds.
+    fn drain(&mut self, window: Duration) -> bool {
+        let Some((reactor, exited)) = self.reactor.take() else {
             return true;
         };
-        self.shared.shutdown.trigger();
+        self.shared.stopping.store(true, Ordering::Release);
         self.shared.wake.wake();
-        let drained = self.shared.shutdown.drain(DRAIN_TIMEOUT);
+        let exited = exited.into_inner().unwrap_or_else(|e| e.into_inner());
+        let drained = matches!(
+            exited.recv_timeout(window),
+            Err(RecvTimeoutError::Disconnected)
+        );
         // Drain window over (or instantly drained): tell the reactor to
         // exit unconditionally, dropping whatever connections remain.
         self.shared.abandon.store(true, Ordering::Release);
@@ -605,7 +623,7 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.shutdown_inner();
+        self.drain(DRAIN_TIMEOUT);
     }
 }
 
@@ -625,12 +643,11 @@ fn worker_loop(shared: Arc<Shared>) {
                 continue;
             }
             Ok(Some(response)) => {
-                let close = job.request.wants_close() || shared.shutdown.is_triggered();
+                let close = job.request.wants_close() || shared.stopping.load(Ordering::Acquire);
                 (response, close)
             }
             Err(_) => {
-                // A handler panic (own, injected, or a poisoned
-                // single-flight follower's) answers 500 and closes this
+                // A handler panic (own or injected) answers 500 and closes this
                 // connection; every other connection is unaffected.
                 shared.metrics.panics_caught.fetch_add(1, Ordering::Relaxed);
                 (
@@ -1051,7 +1068,7 @@ pub(crate) fn metrics(shared: &Shared, fleet: Option<JsonValue>) -> Response {
     let mut doc = json_object! {
         "uptime_s": uptime,
         "connections": json_object! {
-            "total": shared.shutdown.total_started(), "active": shared.shutdown.active(),
+            "total": load(&m.accepts), "active": load(&m.open_connections),
         },
         "event_loop": json_object! {
             "open_connections": load(&m.open_connections),
@@ -1110,5 +1127,33 @@ mod tests {
             let refused = seed_param(&with_query(&format!("serve_seed={raw}")), "serve_seed");
             assert_eq!(refused.map_err(|r| r.status).err(), Some(400), "{raw:?}");
         }
+    }
+
+    /// The drain window bounds the wait: a request still on a worker when
+    /// it closes makes the drain report `false`.
+    #[test]
+    fn a_drain_window_shorter_than_the_work_in_flight_reports_false() {
+        use std::io::Write;
+        let delay = FaultConfig {
+            seed: 1,
+            window: (1, 2),
+            delay_prob: 1.0,
+            delay: Duration::from_millis(500),
+            ..FaultConfig::default()
+        };
+        let config = ServeConfig {
+            fault: Some(delay),
+            ..ServeConfig::default()
+        };
+        let registry = Arc::new(SnapshotRegistry::new());
+        let mut server = Server::bind("127.0.0.1:0", registry, config).expect("bind");
+        let mut client = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+        let delayed = b"GET /healthz HTTP/1.1\r\nX-Fault-Key: 1\r\n\r\n";
+        client.write_all(delayed).expect("write");
+        let in_flight = &server.shared.metrics.requests_in_flight;
+        while in_flight.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        assert!(!server.drain(Duration::from_millis(30)));
     }
 }

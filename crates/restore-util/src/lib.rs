@@ -1,8 +1,10 @@
 //! Shared utilities: a deterministic, order-preserving parallel map over a
 //! small worker pool, stable seed derivation for per-batch RNGs, and the
 //! workspace's one JSON document model ([`json::JsonValue`]: a reader and a
-//! writer), plus the file, health, rate-limit, shutdown and single-flight
-//! primitives the serving layer shares.
+//! writer), plus the file, health, backoff and rate-limit primitives the
+//! serving layer shares. Rendezvous come from `std`: the completion cache's
+//! single-flight is a map of `OnceLock`s, and a server's drain is its
+//! reactor thread exiting.
 //!
 //! Both the evaluation harness (independent experiment cells) and the core
 //! completion engine (batched autoregressive sampling) fan work out over
@@ -18,15 +20,11 @@ mod fsio;
 mod health;
 pub mod json;
 mod ratelimit;
-mod shutdown;
-mod singleflight;
 
 pub use backoff::retry_wait;
 pub use fsio::{fnv1a64, is_tmp_name, write_atomic, Fnv64};
 pub use health::HealthState;
 pub use ratelimit::{RateLimitConfig, RateLimiter};
-pub use shutdown::{ConnectionGuard, Shutdown};
-pub use singleflight::SingleFlight;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

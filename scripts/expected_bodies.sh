@@ -9,7 +9,11 @@
 #   * every cycle shape's wire body, `fixtures::expected(..).body`;
 #   * the completed join, `wire::table_json` of `Snapshot::complete_join`, of
 #     every chain the snapshot holds a trained model for (the 3-table housing
-#     chains and their n:1 steps included, whether or not a shape serves them).
+#     chains and their n:1 steps included, whether or not a shape serves them);
+#   * the completed join of one n:1 fixture the benchmark lacks: housing with
+#     landlords removed, completed along `apartment -> landlord`, so apartments
+#     whose landlord is gone lose their one partner and the n:1 step
+#     synthesizes it (no benchmark chain ever leaves an n:1 row partnerless).
 # Exits non-zero unless the two outputs are `cmp`-equal. About 4 minutes on
 # two cores, most of it the two release builds and the housing training.
 set -euo pipefail
@@ -47,10 +51,47 @@ EOF
     cat >>"$crate/src/main.rs" <<'EOF'
 
 use restore_core::wire::table_json;
+use restore_core::{ReStore, RestoreConfig, TrainConfig};
+use restore_data::housing::{generate_housing, HousingConfig};
+use restore_data::{apply_removal, BiasSpec, RemovalConfig};
 use restore_util::derive_seed;
 use spec::Workload;
 
+/// Housing with 60 % of the landlords removed, completed from apartments.
+fn n_to_1_fixture() {
+    let complete = generate_housing(&HousingConfig::scaled(0.1), 41);
+    let mut removal = RemovalConfig::new(
+        BiasSpec::continuous("landlord", "landlord_response_rate"),
+        0.6,
+        0.5,
+    );
+    removal.seed = 41;
+    let train = TrainConfig {
+        epochs: 3,
+        min_steps: 60,
+        hidden: vec![24, 24],
+        workers: 1,
+        ..TrainConfig::default()
+    };
+    let config = RestoreConfig {
+        train,
+        ..RestoreConfig::default()
+    };
+    let mut restore = ReStore::new(apply_removal(&complete, &removal).incomplete, config);
+    restore.mark_incomplete("landlord");
+    let chain = ["apartment".to_string(), "landlord".to_string()];
+    restore.set_selected_path("landlord", &chain, 41).expect("train the n:1 chain");
+    for seed in 1..=4 {
+        let snapshot = restore.seal(seed);
+        let out = snapshot.complete_join(&chain).expect("the n:1 chain completes");
+        let synthesized = out.syn[1].iter().filter(|&&s| s).count();
+        assert!(synthesized > 0, "the n:1 step synthesizes landlords");
+        println!("n:1 seed {seed} chain {}: {}", chain.join(","), table_json(&out.join));
+    }
+}
+
 fn main() {
+    n_to_1_fixture();
     for workload in Workload::ALL {
         let name = workload.name();
         // Training does not depend on the seed: only the query seeds do.

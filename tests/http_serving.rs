@@ -532,11 +532,23 @@ fn graceful_shutdown_drains_idle_keepalive_connections() {
     let server = serve(&registry, ServeConfig::default());
     let addr = server.local_addr();
 
-    // An idle keep-alive connection holds a ConnectionGuard; shutdown must
+    // An idle keep-alive connection holds a reactor slot; shutdown must
     // release it at the next poll tick rather than time out.
     let mut idle = HttpClient::connect(addr).expect("connect");
     let (status, _) = idle.get("/healthz").expect("healthz");
     assert_eq!(status, 200);
+    // A connection the client closes leaves the count.
+    let mut closed = HttpClient::connect(addr).expect("connect");
+    assert_eq!(closed.get("/healthz").expect("healthz").0, 200);
+    drop(closed);
+    let started = std::time::Instant::now();
+    while server.connections_active() != 1 {
+        assert!(
+            started.elapsed().as_secs() < 5,
+            "closed connection still counted"
+        );
+        std::thread::yield_now();
+    }
     assert!(server.connections_active() >= 1);
     assert!(server.shutdown(), "idle connections must drain");
     assert!(
