@@ -33,7 +33,6 @@ pub struct TrainConfig {
     pub epochs: usize,
     pub batch_size: usize,
     pub hidden: Vec<usize>,
-    pub embed_dim: usize,
     /// Training joins larger than this are subsampled (stride sampling).
     pub max_train_rows: usize,
     /// Width of the SSAR conditioning context (0 disables DeepSets → AR).
@@ -46,10 +45,6 @@ pub struct TrainConfig {
     /// under any worker count: microbatch gradients are computed
     /// independently and reduced in a fixed order.
     pub workers: usize,
-    /// Rows per microbatch — the unit of training parallelism. A pure
-    /// function of the batch (never of `workers`), so it fixes both the
-    /// work split and the gradient reduction tree.
-    pub microbatch: usize,
 }
 
 impl Default for TrainConfig {
@@ -58,12 +53,10 @@ impl Default for TrainConfig {
             epochs: 12,
             batch_size: 256,
             hidden: vec![64, 64],
-            embed_dim: 8,
             max_train_rows: 20_000,
             ctx_dim: 0,
             min_steps: 400,
             workers: 0,
-            microbatch: 32,
         }
     }
 }
@@ -106,6 +99,13 @@ pub(crate) const TF_CAP: i64 = 64;
 pub(crate) const MAX_SET_SIZE: usize = 12;
 /// Early-stopping patience: epochs without validation improvement.
 pub(crate) const PATIENCE: usize = 10;
+/// Embedding width of every model attribute and of every attribute of a
+/// DeepSets evidence table.
+pub(crate) const EMBED_DIM: usize = 8;
+/// Rows per microbatch — the unit of training parallelism. Never a function
+/// of the worker count, so it fixes both the work split and the gradient
+/// reduction tree.
+pub(crate) const MICROBATCH: usize = 32;
 
 /// What a model attribute represents.
 #[derive(Clone, Debug, PartialEq)]
@@ -229,10 +229,9 @@ impl CompletionModel {
         &self.store
     }
 
-    /// Whether the degree-banded weight caches of the sweep were frozen for
-    /// cross-session sharing — true for trained and snapshot-rehydrated
-    /// models alike, which build them once the weights are final instead of
-    /// once per inference session.
+    /// Whether the degree-banded weights the sweep reads are built — true
+    /// for trained and snapshot-rehydrated models alike, which build them
+    /// once the weights are final instead of on their first sweep.
     pub fn has_frozen_banded(&self) -> bool {
         self.made.has_frozen_banded()
     }
@@ -303,8 +302,8 @@ impl CompletionModel {
 
         let mut model = Self::from_structure(path, structure, cfg);
         model.fit(&join, tokens, weights, workers, &mut rng)?;
-        // The weights are final: share the banded trunk caches across all
-        // inference sessions, as a loaded model does.
+        // The weights are final: build the sweep's banded weights now, as a
+        // loaded model does.
         model.made.freeze_banded(&model.store);
         model.train_seconds = started.elapsed().as_secs_f64();
         Ok(model)
@@ -318,8 +317,7 @@ impl CompletionModel {
     /// seed fed to weight init is irrelevant — every value it produces is
     /// replaced — so the result serves byte-identically to the original.
     /// The degree-banded weight matrices the synthesis sweep reads are built
-    /// once here and shared across all inference sessions, instead of
-    /// being re-derived (a second copy) per session.
+    /// here too, so no query's first sweep pays for them.
     pub(crate) fn rehydrate(
         db: &Database,
         annotation: &SchemaAnnotation,
@@ -449,7 +447,7 @@ impl CompletionModel {
         let mut store = ParamStore::new();
         let specs: Vec<AttrSpec> = attrs
             .iter()
-            .map(|a| AttrSpec::new(a.encoder.model_cardinality(), cfg.embed_dim))
+            .map(|a| AttrSpec::new(a.encoder.model_cardinality(), EMBED_DIM))
             .collect();
         let made_cfg = MadeConfig::new(specs)
             .with_ctx(effective_ctx_dim)
@@ -465,13 +463,11 @@ impl CompletionModel {
                     .map(|c| {
                         SetTableSpec::new(
                             c.encoders.iter().map(|e| e.model_cardinality()).collect(),
-                            cfg.embed_dim,
-                            16,
+                            EMBED_DIM,
                         )
                     })
                     .collect(),
                 ctx_dim: cfg.ctx_dim,
-                post_hidden: 32,
             };
             Some(DeepSets::new(&ds_cfg, &mut store, rng))
         };
@@ -603,7 +599,7 @@ impl CompletionModel {
     }
 
     /// One data-parallel gradient step: the batch is split into
-    /// microbatches of `cfg.microbatch` rows, each microbatch's forward +
+    /// microbatches of [`MICROBATCH`] rows, each microbatch's forward +
     /// backward runs on a worker with its own arena tape and gradient
     /// buffer, and the buffers reduce into the store in ascending
     /// microbatch order. Per-microbatch `dlogits` are normalized by the
@@ -639,7 +635,7 @@ impl CompletionModel {
         let loss_sum = engine.step(
             &mut self.store,
             rows,
-            self.cfg.microbatch,
+            MICROBATCH,
             |tape, store, chunk, grads| -> CoreResult<f64> {
                 let (btoks, bweights) = gather_batch(tokens, weights, chunk);
                 let arc_toks: Vec<Arc<Vec<u32>>> = btoks.iter().cloned().map(Arc::new).collect();

@@ -49,8 +49,8 @@ use crate::completion::{
 };
 use crate::error::CoreError;
 use crate::model::{
-    CompletionModel, RehydratedStats, TrainConfig, CLIP_NORM, LR, MAX_BINS, MAX_SET_SIZE, PATIENCE,
-    TF_CAP, VAL_FRACTION,
+    CompletionModel, RehydratedStats, TrainConfig, CLIP_NORM, EMBED_DIM, LR, MAX_BINS,
+    MAX_SET_SIZE, MICROBATCH, PATIENCE, TF_CAP, VAL_FRACTION,
 };
 use crate::paths::CompletionPath;
 use crate::restore::RestoreConfig;
@@ -706,7 +706,7 @@ fn suspected_from_json(meta: &JsonValue) -> Result<Vec<SuspectedBias>, PersistEr
 // keys: the writer no longer emits them, and the reader accepts each only
 // at its constant's value, so such a file still serves what it was built
 // to serve.
-const RETIRED_TRAIN_KEYS: [(&str, f64); 7] = [
+const RETIRED_TRAIN_KEYS: [(&str, f64); 9] = [
     ("lr", LR as f64),
     ("max_bins", MAX_BINS as f64),
     ("val_fraction", VAL_FRACTION),
@@ -714,6 +714,8 @@ const RETIRED_TRAIN_KEYS: [(&str, f64); 7] = [
     ("tf_cap", TF_CAP as f64),
     ("max_set_size", MAX_SET_SIZE as f64),
     ("patience", PATIENCE as f64),
+    ("embed_dim", EMBED_DIM as f64),
+    ("microbatch", MICROBATCH as f64),
 ];
 const RETIRED_COMPLETER_KEYS: [(&str, f64); 3] = [
     ("ann_bits", ANN_BITS as f64),
@@ -743,12 +745,10 @@ fn train_to_json(t: &TrainConfig) -> JsonValue {
         "epochs": t.epochs,
         "batch_size": t.batch_size,
         "hidden": t.hidden.clone(),
-        "embed_dim": t.embed_dim,
         "max_train_rows": t.max_train_rows,
         "ctx_dim": t.ctx_dim,
         "min_steps": t.min_steps,
         "workers": t.workers,
-        "microbatch": t.microbatch,
     }
 }
 
@@ -764,12 +764,10 @@ fn train_from_json(v: &JsonValue) -> Result<TrainConfig, PersistError> {
             .iter()
             .map(|h| json_usize(h, "hidden layer width"))
             .collect::<Result<_, _>>()?,
-        embed_dim: usize_field(v, "embed_dim")?,
         max_train_rows: usize_field(v, "max_train_rows")?,
         ctx_dim: usize_field(v, "ctx_dim")?,
         min_steps: usize_field(v, "min_steps")?,
         workers: usize_field(v, "workers")?,
-        microbatch: usize_field(v, "microbatch")?,
     })
 }
 

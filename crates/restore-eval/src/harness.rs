@@ -22,7 +22,6 @@ pub fn eval_train_config() -> TrainConfig {
         epochs: 15,
         batch_size: 256,
         hidden: vec![48, 48],
-        embed_dim: 8,
         max_train_rows: 8_000,
         workers: 1,
         ..TrainConfig::default()

@@ -17,6 +17,11 @@ use crate::params::ParamStore;
 use crate::tape::Forward;
 use crate::tensor::Matrix;
 
+/// Width of a table's per-tuple encoding (pre-pooling).
+const TUPLE_DIM: usize = 16;
+/// Hidden width of the post-pooling MLP.
+const POST_HIDDEN: usize = 32;
+
 /// Configuration of the encoder for one fan-out table.
 #[derive(Clone, Debug)]
 pub struct SetTableSpec {
@@ -24,16 +29,13 @@ pub struct SetTableSpec {
     pub attr_cards: Vec<usize>,
     /// Embedding width used for every attribute of this table.
     pub embed_dim: usize,
-    /// Width of the per-tuple encoding (pre-pooling).
-    pub tuple_dim: usize,
 }
 
 impl SetTableSpec {
-    pub fn new(attr_cards: Vec<usize>, embed_dim: usize, tuple_dim: usize) -> Self {
+    pub fn new(attr_cards: Vec<usize>, embed_dim: usize) -> Self {
         Self {
             attr_cards,
             embed_dim,
-            tuple_dim,
         }
     }
 }
@@ -44,8 +46,6 @@ pub struct DeepSetsConfig {
     pub tables: Vec<SetTableSpec>,
     /// Output context width fed into MADE.
     pub ctx_dim: usize,
-    /// Hidden width of the post-pooling MLP.
-    pub post_hidden: usize,
 }
 
 struct TableEncoder {
@@ -89,12 +89,12 @@ impl DeepSets {
                     .map(|&c| Embedding::new(store, c, spec.embed_dim, rng))
                     .collect::<Vec<_>>();
                 let in_dim = spec.embed_dim * spec.attr_cards.len();
-                let pre = Mlp::new(store, &[in_dim, spec.tuple_dim, spec.tuple_dim], rng);
+                let pre = Mlp::new(store, &[in_dim, TUPLE_DIM, TUPLE_DIM], rng);
                 TableEncoder { embeddings, pre }
             })
             .collect::<Vec<_>>();
-        let pooled_dim: usize = cfg.tables.iter().map(|t| t.tuple_dim).sum();
-        let post = Mlp::new(store, &[pooled_dim, cfg.post_hidden, cfg.ctx_dim], rng);
+        let pooled_dim = TUPLE_DIM * cfg.tables.len();
+        let post = Mlp::new(store, &[pooled_dim, POST_HIDDEN, cfg.ctx_dim], rng);
         Self { encoders, post }
     }
 
@@ -174,9 +174,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut store = ParamStore::new();
         let cfg = DeepSetsConfig {
-            tables: vec![SetTableSpec::new(vec![4], 4, 8)],
+            tables: vec![SetTableSpec::new(vec![4], 4)],
             ctx_dim: 6,
-            post_hidden: 16,
         };
         let ds = DeepSets::new(&cfg, &mut store, &mut rng);
         (ds, store)

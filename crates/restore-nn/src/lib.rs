@@ -10,15 +10,16 @@
 //!   vocabulary, a pass is recorded through [`Tape::ctx`]'s [`TapeCtx`], and
 //!   training differentiates it with [`Tape::backward_with`] (a
 //!   gradient-free pass never does);
-//! * [`InferenceSession`] — a worker's warm state for gradient-free
+//! * [`InferenceSession`] — a worker's warm buffers for gradient-free
 //!   inference (completion): a tape for full forwards and the
-//!   band-incremental sweep's caches;
+//!   band-incremental sweep's matrices, for any number of models;
 //! * [`ParamStore`] — parameter/gradient storage;
 //! * linear, masked linear, embedding and MLP layers, and MADE mask
 //!   construction with attribute-grouped degrees (internal);
 //! * [`Made`] — the masked autoregressive network (AR backbone), whose
 //!   band-incremental sweep recomputes, per sampled attribute, only the
-//!   hidden-degree band the masks say changed, bit-identical to full
+//!   hidden-degree band the masks say changed, from degree-banded weights
+//!   the model builds once ([`Made::freeze_banded`]), bit-identical to full
 //!   recompute, and hands out conditionals through a visitor: one
 //!   distribution per distinct evidence prefix, MASK dropped by the
 //!   sampler's rule, no per-row copy;

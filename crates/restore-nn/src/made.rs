@@ -3,7 +3,7 @@
 //! (§3.1–§3.2 of the paper), with learned per-attribute embeddings and
 //! residual connections as in naru (Yang et al., VLDB 2019).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rand::Rng;
 
@@ -39,9 +39,9 @@ pub struct MadeConfig {
     /// Width of the always-visible conditioning block (0 = plain AR model;
     /// >0 = SSAR conditioning from the DeepSets tree encoder).
     pub ctx_dim: usize,
-    /// Hidden layer widths. Equal widths enable residual connections.
+    /// Hidden layer widths. An identity skip joins every two consecutive
+    /// hidden layers of equal width.
     pub hidden: Vec<usize>,
-    pub residual: bool,
 }
 
 impl MadeConfig {
@@ -50,7 +50,6 @@ impl MadeConfig {
             attrs,
             ctx_dim: 0,
             hidden: vec![64, 64],
-            residual: true,
         }
     }
 
@@ -84,10 +83,10 @@ pub struct Made {
     /// Column offset of each attribute's embedding block inside the trunk
     /// input (after the `ctx_dim`-wide context block).
     embed_offsets: Vec<usize>,
-    /// Frozen banded trunk caches shared across inference sessions — built
-    /// by [`Made::freeze_banded`] once the weights are final (snapshot
-    /// rehydration). `None` while the model may still train.
-    banded: Option<Arc<BandedCache>>,
+    /// The degree-banded weights every sweep of this model reads, built
+    /// once from the final weights: by [`Made::freeze_banded`], or else by
+    /// the first sweep. Clones share it.
+    banded: OnceLock<Arc<BandedCache>>,
 }
 
 impl Made {
@@ -132,25 +131,34 @@ impl Made {
                 .flat_map(|(a, &card)| std::iter::repeat_n(a, card))
                 .collect(),
             embed_offsets,
-            banded: None,
+            banded: OnceLock::new(),
         }
     }
 
-    /// Builds the degree-sorted, transposed caches of the trunk and output
-    /// layers once and freezes them for sharing across all inference
-    /// sessions (`Arc` adoption in `ArSweep::begin`) — the snapshot loader
-    /// calls this right after streaming the persisted weights in, so no
-    /// session ever pays the degree-sort-and-transpose copy again. Must
-    /// only be called once the weights are final: the caches snapshot
-    /// `w ⊙ mask`.
-    pub fn freeze_banded(&mut self, store: &ParamStore) {
-        let cache = BandedCache::build(store, &self.sweep_net());
-        self.banded = Some(Arc::new(cache));
+    /// Builds the degree-sorted, transposed weights of the trunk and output
+    /// layers that every sweep of this model reads, unless they are built —
+    /// training and the snapshot loader call this once the weights are
+    /// final, so no sweep pays the degree-sort-and-transpose copy. A model
+    /// never frozen builds them on its first sweep. Either way the weights
+    /// must be final by then: the cache holds `w ⊙ mask` and is never
+    /// rebuilt.
+    pub fn freeze_banded(&self, store: &ParamStore) {
+        self.banded(store);
     }
 
-    /// Whether [`Made::freeze_banded`] has run (diagnostics).
+    /// Whether the banded weights are built (diagnostics).
     pub fn has_frozen_banded(&self) -> bool {
-        self.banded.is_some()
+        self.banded.get().is_some()
+    }
+
+    /// The model's banded weights, built from `store` on first use.
+    fn banded(&self, store: &ParamStore) -> &BandedCache {
+        self.banded.get_or_init(|| {
+            let trunk = std::iter::once(&self.input_layer).chain(&self.hidden_layers);
+            let trunk = trunk.map(|l| (l, &self.hidden_degrees[..l.mask().cols()]));
+            let layers = trunk.chain([(&self.output_layer, &self.output_degrees[..])]);
+            Arc::new(BandedCache::build(store, layers, self.num_attrs()))
+        })
     }
 
     pub(crate) fn num_attrs(&self) -> usize {
@@ -206,7 +214,7 @@ impl Made {
         h = f.relu(h);
         for layer in &self.hidden_layers {
             let mut pre = layer.forward(f, store, h);
-            if self.cfg.residual && f.shape(pre) == f.shape(h) {
+            if f.shape(pre) == f.shape(h) {
                 pre = f.add(pre, h);
             }
             h = f.relu(pre);
@@ -244,7 +252,7 @@ impl Made {
         ctx: Option<&Matrix>,
         attr: usize,
     ) -> &'s Matrix {
-        let net = self.sweep_net();
+        let net = self.sweep_net(store);
         let sweep = &mut session.sweep;
         self.sweep_begin(&net, sweep, store, tokens, ctx, attr);
         sweep.logits.expand_rows(&sweep.group);
@@ -282,19 +290,11 @@ impl Made {
         block
     }
 
-    /// The sweep's view of the masked trunk.
-    fn sweep_net(&self) -> SweepNet<'_> {
-        let mut layers = Vec::with_capacity(1 + self.hidden_layers.len());
-        layers.push(&self.input_layer);
-        layers.extend(self.hidden_layers.iter());
+    /// The sweep's view of the masked network.
+    fn sweep_net(&self, store: &ParamStore) -> SweepNet<'_> {
         SweepNet {
-            layers,
             degrees: &self.hidden_degrees,
-            output: &self.output_layer,
-            output_degrees: &self.output_degrees,
-            n_attrs: self.num_attrs(),
-            residual: self.cfg.residual,
-            banded: self.banded.as_ref(),
+            banded: self.banded(store),
         }
     }
 
@@ -322,7 +322,7 @@ impl Made {
         // the k-limited GEMM skips their rows entirely), so their stale
         // contents are irrelevant.
         sweep.group_prefixes(&tokens[..upto], ctx, m);
-        sweep.begin(store, net, sweep.reps.len());
+        sweep.begin(net, sweep.reps.len());
         if let Some(c) = ctx {
             sweep.set_x_context(c);
         }
@@ -330,7 +330,7 @@ impl Made {
             sweep.gather_x_block_reps(self.embed_offsets[a], store.value(emb.param_id()), toks);
         }
         sweep.compute(net, 0..upto + 1);
-        sweep.output_block(upto);
+        sweep.output_block(net, upto);
     }
 
     /// Gradient-free forward returning an owned logits matrix: the pass is
@@ -394,7 +394,7 @@ impl Made {
         excluded: Option<u32>,
         mut visit: impl FnMut(usize, &[f32]),
     ) {
-        let net = self.sweep_net();
+        let net = self.sweep_net(store);
         let sweep = &mut session.sweep;
         self.sweep_begin(&net, sweep, store, tokens, ctx, attr);
         let card = prefix_dists(&sweep.logits, excluded, &mut sweep.dist);
@@ -434,7 +434,7 @@ impl Made {
         if self.empty_sample_range(tokens, start, end, excluded) {
             return;
         }
-        let net = self.sweep_net();
+        let net = self.sweep_net(store);
         let sweep = &mut session.sweep;
         self.sweep_begin(&net, sweep, store, tokens, ctx, start);
         let exclude = |attr: usize| excluded.get(attr).copied().flatten();
@@ -458,7 +458,7 @@ impl Made {
                 &tokens[prev],
             );
             sweep.compute(&net, attr..attr + 1);
-            sweep.output_block(attr);
+            sweep.output_block(&net, attr);
             let ArSweep {
                 logits,
                 dist,

@@ -48,6 +48,12 @@
 //! is never expanded, each row reads its prefix's distribution. Every kernel
 //! computes a batch row's outputs from that row's inputs alone, so no value
 //! depends on which rows are evaluated beside it.
+//!
+//! Who holds what: the frozen banded weights ([`BandedCache`]) belong to the
+//! model — [`Made`](crate::made::Made) builds them once, from its final
+//! weights, and every sweep of it reads that one copy — while [`ArSweep`],
+//! which lives in a session, holds only buffers. A session may therefore
+//! sweep any number of models, one after another, with nothing to check.
 
 use std::sync::Arc;
 
@@ -55,43 +61,14 @@ use crate::layers::MaskedLinear;
 use crate::params::ParamStore;
 use crate::tensor::Matrix;
 
-/// The masked layers of a MADE network, as the sweep sees them: the input
-/// layer followed by the hidden layers, the shared hidden-unit degree
-/// vector, the output layer and its column degrees, and the residual
-/// policy. Assembled per call by [`Made`](crate::made::Made) — it only
-/// borrows the model.
+/// A MADE network as the sweep sees it: the shared hidden-unit degree
+/// vector (length ≥ the widest layer; layer `l` uses the first `width(l)`
+/// entries, exactly as mask construction does) and the model's frozen
+/// banded weights. Assembled per call by [`Made`](crate::made::Made) — it
+/// only borrows the model.
 pub(crate) struct SweepNet<'a> {
-    /// Input layer then hidden layers, in trunk order.
-    pub layers: Vec<&'a MaskedLinear>,
-    /// Shared hidden-unit degrees (length ≥ the widest layer; layer `l`
-    /// uses the first `width(l)` entries, exactly as mask construction
-    /// does).
     pub degrees: &'a [usize],
-    /// The logit layer.
-    pub output: &'a MaskedLinear,
-    /// The attribute each logit column belongs to: the output layer's
-    /// degrees, ascending.
-    pub output_degrees: &'a [usize],
-    /// Number of model attributes; degrees lie in `0..n_attrs`.
-    pub n_attrs: usize,
-    /// Identity skips between equal-width hidden layers.
-    pub residual: bool,
-    /// The prebuilt frozen banded cache shared across sessions, if the
-    /// model froze one (snapshot rehydration does). Sessions adopt it via
-    /// `Arc` instead of re-deriving their own copy.
-    pub banded: Option<&'a Arc<BandedCache>>,
-}
-
-impl<'a> SweepNet<'a> {
-    /// Every layer the sweep multiplies, with its units' degrees: the
-    /// trunk, then the output layer.
-    fn each_layer(&self) -> impl Iterator<Item = (&'a MaskedLinear, &'a [usize])> + '_ {
-        let trunk = self
-            .layers
-            .iter()
-            .map(|l| (*l, &self.degrees[..l.mask().cols()]));
-        trunk.chain([(self.output, self.output_degrees)])
-    }
+    pub banded: &'a BandedCache,
 }
 
 /// Frozen per-layer cache: the transposed masked weight, one row per unit,
@@ -181,51 +158,44 @@ impl BandedLayer {
     }
 }
 
-/// Frozen, `Arc`-shareable banded caches of one model, one per layer in
-/// [`SweepNet::each_layer`] order — built once by
-/// [`Made::freeze_banded`](crate::made::Made::freeze_banded) (snapshot
-/// rehydration does this right after streaming the weights in) and adopted
-/// by every inference session, so sessions skip the per-session
-/// degree-sort-and-transpose copy of every layer. Weights must be frozen
-/// when this is built; a model that keeps training must not freeze.
+/// The frozen banded weights of one model, one [`BandedLayer`] per masked
+/// layer: the trunk in order, then the output layer. The model owns it
+/// ([`Made`](crate::made::Made) builds it once, when its weights are final)
+/// and every sweep of the model reads it.
 #[derive(Debug)]
 pub(crate) struct BandedCache {
-    /// The model's input-layer mask: what a session-built cache is known
-    /// by. Weight ids are numbered from 0 in every store, so a session
-    /// that sweeps a second model cannot tell the models apart by them;
-    /// every model builds its own masks (held, so no later mask can reuse
-    /// the address).
-    mask: Arc<Matrix>,
-    /// The trunk layers, then the output layer.
     layers: Vec<BandedLayer>,
 }
 
 impl BandedCache {
-    pub(crate) fn build(store: &ParamStore, net: &SweepNet) -> Self {
-        let layers = net
-            .each_layer()
-            .map(|(layer, degrees)| BandedLayer::build(store, layer, degrees, net.n_attrs));
+    /// Builds the cache of `layers` (each with its units' degrees) from
+    /// their weights in `store`.
+    pub(crate) fn build<'l>(
+        store: &ParamStore,
+        layers: impl Iterator<Item = (&'l MaskedLinear, &'l [usize])>,
+        n_attrs: usize,
+    ) -> Self {
+        let layers =
+            layers.map(|(layer, degrees)| BandedLayer::build(store, layer, degrees, n_attrs));
         Self {
-            mask: Arc::clone(net.layers[0].mask()),
             layers: layers.collect(),
         }
     }
+
+    /// The trunk layers' caches, in trunk order.
+    fn trunk(&self) -> &[BandedLayer] {
+        &self.layers[..self.layers.len() - 1]
+    }
 }
 
-/// Persistent state of one band-incremental sweep executor: frozen
-/// degree-sorted weight caches plus the feature-major matrices the
-/// attribute loop maintains. Lives inside an
-/// [`InferenceSession`](crate::infer::InferenceSession), so the
-/// completion engine's per-worker warm sessions keep the caches across
-/// batches and path steps (parameters are frozen at completion time).
-/// Activation matrices are recycled buffers — their *values* are
-/// per-sweep, their allocations persist.
+/// The buffers of one band-incremental sweep executor: the feature-major
+/// matrices the attribute loop maintains, and its scratch. Lives inside an
+/// [`InferenceSession`](crate::infer::InferenceSession), so the completion
+/// engine's per-worker warm sessions keep the allocations across batches,
+/// path steps and models; the weights it reads are the swept model's
+/// ([`SweepNet::banded`]). Every value is per-sweep.
 #[derive(Default)]
 pub(crate) struct ArSweep {
-    /// Degree-banded caches of the swept model's layers — the model's
-    /// shared [`BandedCache`] when it froze one, otherwise built on first
-    /// use. `None` before the first sweep.
-    banded: Option<Arc<BandedCache>>,
     /// Current trunk input, feature-major: context block + every
     /// attribute's embedding block, refreshed in place as columns are
     /// sampled.
@@ -316,30 +286,16 @@ impl ArSweep {
         }
     }
 
-    /// Starts a sweep over `m` rows (one per distinct prefix): adopts the
-    /// model's shared frozen cache (or builds a session-local one) unless
-    /// the session already holds it, and sizes + zeroes the activation
-    /// matrices (zeroed so the not-yet-computed bands contribute
-    /// deterministic masked zeros to the full-length band dot products).
-    pub(crate) fn begin(&mut self, store: &ParamStore, net: &SweepNet, m: usize) {
-        let held = self.banded.as_ref();
-        let current = match net.banded {
-            Some(frozen) => held.is_some_and(|b| Arc::ptr_eq(b, frozen)),
-            None => held.is_some_and(|b| Arc::ptr_eq(&b.mask, net.layers[0].mask())),
-        };
-        if !current {
-            let cache = match net.banded {
-                Some(frozen) => Arc::clone(frozen),
-                None => Arc::new(BandedCache::build(store, net)),
-            };
-            self.banded = Some(cache);
-        }
-        self.x.resize(net.layers[0].mask().rows(), m);
-        if self.acts.len() != net.layers.len() {
-            self.acts = net.layers.iter().map(|_| Matrix::zeros(0, 0)).collect();
-        }
-        for (a, layer) in self.acts.iter_mut().zip(&net.layers) {
-            a.resize(layer.mask().cols(), m);
+    /// Starts a sweep of `net` over `m` rows (one per distinct prefix):
+    /// sizes the trunk input and sizes + zeroes the activation matrices
+    /// (zeroed so the not-yet-computed bands contribute deterministic
+    /// masked zeros to the full-length band dot products).
+    pub(crate) fn begin(&mut self, net: &SweepNet, m: usize) {
+        let trunk = net.banded.trunk();
+        self.x.resize(trunk[0].wmt.cols(), m);
+        self.acts.resize_with(trunk.len(), Matrix::default);
+        for (a, layer) in self.acts.iter_mut().zip(trunk) {
+            a.resize(layer.wmt.rows(), m);
             a.fill_zero();
         }
     }
@@ -394,16 +350,9 @@ impl ArSweep {
     /// zero weight), plus bias, optional residual skip, and ReLU — the
     /// exact op sequence of the full trunk.
     pub(crate) fn compute(&mut self, net: &SweepNet, degrees: std::ops::Range<usize>) {
-        let ArSweep {
-            banded,
-            acts,
-            x,
-            pre,
-            ..
-        } = self;
-        let banded = banded.as_deref().expect("begin() adopted the caches");
+        let ArSweep { acts, x, pre, .. } = self;
         let relu = |v: f32| if v < 0.0 { 0.0 } else { v };
-        for (l, band) in banded.layers[..net.layers.len()].iter().enumerate() {
+        for (l, band) in net.banded.trunk().iter().enumerate() {
             let (prev, act): (&Matrix, &mut Matrix) = if l == 0 {
                 (&*x, &mut acts[0])
             } else {
@@ -413,7 +362,7 @@ impl ArSweep {
             let units = band.band_into(prev, degrees.clone(), pre);
             // The trunk applies residual skips only between equally shaped
             // hidden layers; the input layer (l == 0) never has one.
-            let residual = l > 0 && net.residual && prev.rows() == act.rows();
+            let residual = l > 0 && prev.rows() == act.rows();
             for (jj, js) in units.enumerate() {
                 let (orig, b) = (band.perm[js], band.bias[js]);
                 let out = act.row_mut(orig).iter_mut().zip(pre.row(jj));
@@ -432,9 +381,8 @@ impl ArSweep {
     /// activations into `self.logits`, one row per batch row: the band
     /// kernel over the frozen output layer, then the bias — the op sequence
     /// of the session's block-restricted output path.
-    pub(crate) fn output_block(&mut self, attr: usize) {
-        let banded = self.banded.as_deref().expect("begin() adopted the caches");
-        let band = banded.layers.last().expect("the output layer's cache");
+    pub(crate) fn output_block(&mut self, net: &SweepNet, attr: usize) {
+        let band = net.banded.layers.last().expect("the output layer's cache");
         let h = self.acts.last().expect("begin() sized the activations");
         let units = band.band_into(h, attr..attr + 1, &mut self.pre);
         let m = self.pre.cols();

@@ -189,179 +189,6 @@ impl Tape {
         (i, std::mem::take(&mut self.masked[i]))
     }
 
-    // ---- op recording ----------------------------------------------------
-
-    fn do_input(&mut self, value: &Matrix) -> VarId {
-        let (i, mut out) = self.claim();
-        out.copy_from(value);
-        self.put(i, Op::Leaf { param: None }, out)
-    }
-
-    fn do_param_ref(&mut self, id: ParamId) -> VarId {
-        let (i, buf) = self.claim();
-        // Keep the (stale) buffer in the arena slot; the node resolves
-        // against the store instead.
-        self.values[i] = buf;
-        self.ops.push(Op::Leaf { param: Some(id) });
-        debug_assert_eq!(self.ops.len(), i + 1, "op/arena cursor drift");
-        VarId(i)
-    }
-
-    fn do_matmul(&mut self, store: &ParamStore, x: VarId, w: VarId) -> VarId {
-        let (i, mut out) = self.claim();
-        {
-            let xm = self.val(store, x);
-            let wm = self.val(store, w);
-            xm.matmul_into(wm, &mut out);
-        }
-        self.put(i, Op::MatMul { x, w }, out)
-    }
-
-    fn do_masked_matmul(
-        &mut self,
-        store: &ParamStore,
-        x: VarId,
-        w: VarId,
-        mask: Arc<Matrix>,
-    ) -> VarId {
-        let (mi, mut mbuf) = self.claim_masked();
-        {
-            let wm = self.val(store, w);
-            assert_eq!(wm.shape(), mask.shape(), "mask shape mismatch");
-            mbuf.resize(wm.rows(), wm.cols());
-            for ((o, &a), &b) in mbuf.data_mut().iter_mut().zip(wm.data()).zip(mask.data()) {
-                *o = a * b;
-            }
-        }
-        self.masked[mi] = mbuf;
-        let (i, mut out) = self.claim();
-        {
-            let xm = self.val(store, x);
-            xm.matmul_into(&self.masked[mi], &mut out);
-        }
-        self.put(
-            i,
-            Op::MaskedMatMul {
-                x,
-                w,
-                mask,
-                masked: mi,
-            },
-            out,
-        )
-    }
-
-    fn do_add_row(&mut self, store: &ParamStore, x: VarId, bias: VarId) -> VarId {
-        let (i, mut out) = self.claim();
-        {
-            let xm = self.val(store, x);
-            let b = self.val(store, bias);
-            assert_eq!(b.shape(), (1, xm.cols()), "bias must be 1 x cols");
-            out.resize(xm.rows(), xm.cols());
-            let bias_row = b.row(0);
-            for r in 0..xm.rows() {
-                let src = xm.row(r);
-                let dst = &mut out.data_mut()[r * src.len()..(r + 1) * src.len()];
-                for ((o, &v), &bv) in dst.iter_mut().zip(src).zip(bias_row) {
-                    *o = v + bv;
-                }
-            }
-        }
-        self.put(i, Op::AddRow { x, bias }, out)
-    }
-
-    fn do_add(&mut self, store: &ParamStore, a: VarId, b: VarId) -> VarId {
-        let (i, mut out) = self.claim();
-        {
-            let am = self.val(store, a);
-            let bm = self.val(store, b);
-            assert_eq!(am.shape(), bm.shape(), "add shape mismatch");
-            out.resize(am.rows(), am.cols());
-            for ((o, &x), &y) in out.data_mut().iter_mut().zip(am.data()).zip(bm.data()) {
-                *o = x + y;
-            }
-        }
-        self.put(i, Op::Add { a, b }, out)
-    }
-
-    fn do_relu(&mut self, store: &ParamStore, x: VarId) -> VarId {
-        let (i, mut out) = self.claim();
-        {
-            let xm = self.val(store, x);
-            out.resize(xm.rows(), xm.cols());
-            for (o, &v) in out.data_mut().iter_mut().zip(xm.data()) {
-                *o = if v < 0.0 { 0.0 } else { v };
-            }
-        }
-        self.put(i, Op::Relu { x }, out)
-    }
-
-    fn do_concat_cols(&mut self, store: &ParamStore, parts: &[VarId]) -> VarId {
-        assert!(!parts.is_empty(), "concat of zero parts");
-        let start = self.parts.len();
-        self.parts.extend_from_slice(parts);
-        let range = start..self.parts.len();
-        let (i, mut out) = self.claim();
-        {
-            let rows = self.val(store, parts[0]).rows();
-            let total: usize = parts.iter().map(|&p| self.val(store, p).cols()).sum();
-            out.resize(rows, total);
-            let mut offset = 0;
-            for &p in parts {
-                let m = self.val(store, p);
-                assert_eq!(m.rows(), rows, "concat row mismatch");
-                let c = m.cols();
-                for r in 0..rows {
-                    out.data_mut()[r * total + offset..r * total + offset + c]
-                        .copy_from_slice(m.row(r));
-                }
-                offset += c;
-            }
-        }
-        self.put(i, Op::ConcatCols { parts: range }, out)
-    }
-
-    fn do_gather(&mut self, store: &ParamStore, table: VarId, idx: Arc<Vec<u32>>) -> VarId {
-        let (i, mut out) = self.claim();
-        {
-            let t = self.val(store, table);
-            out.resize(idx.len(), t.cols());
-            for (r, &ix) in idx.iter().enumerate() {
-                let ix = ix as usize;
-                assert!(ix < t.rows(), "gather index {ix} out of range {}", t.rows());
-                let c = t.cols();
-                out.data_mut()[r * c..(r + 1) * c].copy_from_slice(t.row(ix));
-            }
-        }
-        self.put(i, Op::Gather { table, idx }, out)
-    }
-
-    fn do_segment_sum(
-        &mut self,
-        store: &ParamStore,
-        x: VarId,
-        seg: Arc<Vec<u32>>,
-        n_segments: usize,
-    ) -> VarId {
-        let (i, mut out) = self.claim();
-        {
-            let m = self.val(store, x);
-            assert_eq!(m.rows(), seg.len(), "segment ids must cover all rows");
-            let cols = m.cols();
-            out.resize(n_segments, cols);
-            out.fill_zero();
-            for (r, &s) in seg.iter().enumerate() {
-                let s = s as usize;
-                assert!(s < n_segments, "segment id {s} out of range {n_segments}");
-                let src = m.row(r);
-                for (o, v) in out.data_mut()[s * cols..(s + 1) * cols].iter_mut().zip(src) {
-                    *o += v;
-                }
-            }
-        }
-        self.put(i, Op::SegmentSum { x, seg, n_segments }, out)
-    }
-
     // ---- backward -------------------------------------------------------
 
     /// Claims the gradient slot of `v`, zero-initializing it to the given
@@ -548,7 +375,10 @@ impl Forward for TapeCtx<'_> {
     type Id = VarId;
 
     fn input(&mut self, value: &Matrix) -> VarId {
-        self.tape.do_input(value)
+        let tape = &mut *self.tape;
+        let (i, mut out) = tape.claim();
+        out.copy_from(value);
+        tape.put(i, Op::Leaf { param: None }, out)
     }
 
     fn param(&mut self, store: &ParamStore, id: ParamId) -> VarId {
@@ -556,41 +386,167 @@ impl Forward for TapeCtx<'_> {
             std::ptr::eq(store, self.store),
             "parameters must come from the context's store"
         );
-        self.tape.do_param_ref(id)
+        let tape = &mut *self.tape;
+        let (i, buf) = tape.claim();
+        // Keep the (stale) buffer in the arena slot; the node resolves
+        // against the store instead.
+        tape.values[i] = buf;
+        tape.ops.push(Op::Leaf { param: Some(id) });
+        debug_assert_eq!(tape.ops.len(), i + 1, "op/arena cursor drift");
+        VarId(i)
     }
 
     fn matmul(&mut self, x: VarId, w: VarId) -> VarId {
-        self.tape.do_matmul(self.store, x, w)
+        let (tape, store) = (&mut *self.tape, self.store);
+        let (i, mut out) = tape.claim();
+        {
+            let xm = tape.val(store, x);
+            let wm = tape.val(store, w);
+            xm.matmul_into(wm, &mut out);
+        }
+        tape.put(i, Op::MatMul { x, w }, out)
     }
 
     fn masked_matmul(&mut self, x: VarId, w: VarId, mask: &Arc<Matrix>) -> VarId {
-        self.tape
-            .do_masked_matmul(self.store, x, w, Arc::clone(mask))
+        let (tape, store) = (&mut *self.tape, self.store);
+        let (mi, mut mbuf) = tape.claim_masked();
+        {
+            let wm = tape.val(store, w);
+            assert_eq!(wm.shape(), mask.shape(), "mask shape mismatch");
+            mbuf.resize(wm.rows(), wm.cols());
+            for ((o, &a), &b) in mbuf.data_mut().iter_mut().zip(wm.data()).zip(mask.data()) {
+                *o = a * b;
+            }
+        }
+        tape.masked[mi] = mbuf;
+        let (i, mut out) = tape.claim();
+        {
+            let xm = tape.val(store, x);
+            xm.matmul_into(&tape.masked[mi], &mut out);
+        }
+        tape.put(
+            i,
+            Op::MaskedMatMul {
+                x,
+                w,
+                mask: Arc::clone(mask),
+                masked: mi,
+            },
+            out,
+        )
     }
 
     fn add_row(&mut self, x: VarId, bias: VarId) -> VarId {
-        self.tape.do_add_row(self.store, x, bias)
+        let (tape, store) = (&mut *self.tape, self.store);
+        let (i, mut out) = tape.claim();
+        {
+            let xm = tape.val(store, x);
+            let b = tape.val(store, bias);
+            assert_eq!(b.shape(), (1, xm.cols()), "bias must be 1 x cols");
+            out.resize(xm.rows(), xm.cols());
+            let bias_row = b.row(0);
+            for r in 0..xm.rows() {
+                let src = xm.row(r);
+                let dst = &mut out.data_mut()[r * src.len()..(r + 1) * src.len()];
+                for ((o, &v), &bv) in dst.iter_mut().zip(src).zip(bias_row) {
+                    *o = v + bv;
+                }
+            }
+        }
+        tape.put(i, Op::AddRow { x, bias }, out)
     }
 
     fn add(&mut self, a: VarId, b: VarId) -> VarId {
-        self.tape.do_add(self.store, a, b)
+        let (tape, store) = (&mut *self.tape, self.store);
+        let (i, mut out) = tape.claim();
+        {
+            let am = tape.val(store, a);
+            let bm = tape.val(store, b);
+            assert_eq!(am.shape(), bm.shape(), "add shape mismatch");
+            out.resize(am.rows(), am.cols());
+            for ((o, &x), &y) in out.data_mut().iter_mut().zip(am.data()).zip(bm.data()) {
+                *o = x + y;
+            }
+        }
+        tape.put(i, Op::Add { a, b }, out)
     }
 
     fn relu(&mut self, x: VarId) -> VarId {
-        self.tape.do_relu(self.store, x)
+        let (tape, store) = (&mut *self.tape, self.store);
+        let (i, mut out) = tape.claim();
+        {
+            let xm = tape.val(store, x);
+            out.resize(xm.rows(), xm.cols());
+            for (o, &v) in out.data_mut().iter_mut().zip(xm.data()) {
+                *o = if v < 0.0 { 0.0 } else { v };
+            }
+        }
+        tape.put(i, Op::Relu { x }, out)
     }
 
     fn concat_cols(&mut self, parts: &[VarId]) -> VarId {
-        self.tape.do_concat_cols(self.store, parts)
+        let (tape, store) = (&mut *self.tape, self.store);
+        assert!(!parts.is_empty(), "concat of zero parts");
+        let start = tape.parts.len();
+        tape.parts.extend_from_slice(parts);
+        let range = start..tape.parts.len();
+        let (i, mut out) = tape.claim();
+        {
+            let rows = tape.val(store, parts[0]).rows();
+            let total: usize = parts.iter().map(|&p| tape.val(store, p).cols()).sum();
+            out.resize(rows, total);
+            let mut offset = 0;
+            for &p in parts {
+                let m = tape.val(store, p);
+                assert_eq!(m.rows(), rows, "concat row mismatch");
+                let c = m.cols();
+                for r in 0..rows {
+                    out.data_mut()[r * total + offset..r * total + offset + c]
+                        .copy_from_slice(m.row(r));
+                }
+                offset += c;
+            }
+        }
+        tape.put(i, Op::ConcatCols { parts: range }, out)
     }
 
     fn gather(&mut self, table: VarId, idx: &Arc<Vec<u32>>) -> VarId {
-        self.tape.do_gather(self.store, table, Arc::clone(idx))
+        let (tape, store) = (&mut *self.tape, self.store);
+        let (i, mut out) = tape.claim();
+        {
+            let t = tape.val(store, table);
+            out.resize(idx.len(), t.cols());
+            for (r, &ix) in idx.iter().enumerate() {
+                let ix = ix as usize;
+                assert!(ix < t.rows(), "gather index {ix} out of range {}", t.rows());
+                let c = t.cols();
+                out.data_mut()[r * c..(r + 1) * c].copy_from_slice(t.row(ix));
+            }
+        }
+        let idx = Arc::clone(idx);
+        tape.put(i, Op::Gather { table, idx }, out)
     }
 
     fn segment_sum(&mut self, x: VarId, seg: &Arc<Vec<u32>>, n_segments: usize) -> VarId {
-        self.tape
-            .do_segment_sum(self.store, x, Arc::clone(seg), n_segments)
+        let (tape, store) = (&mut *self.tape, self.store);
+        let (i, mut out) = tape.claim();
+        {
+            let m = tape.val(store, x);
+            assert_eq!(m.rows(), seg.len(), "segment ids must cover all rows");
+            let cols = m.cols();
+            out.resize(n_segments, cols);
+            out.fill_zero();
+            for (r, &s) in seg.iter().enumerate() {
+                let s = s as usize;
+                assert!(s < n_segments, "segment id {s} out of range {n_segments}");
+                let src = m.row(r);
+                for (o, v) in out.data_mut()[s * cols..(s + 1) * cols].iter_mut().zip(src) {
+                    *o += v;
+                }
+            }
+        }
+        let seg = Arc::clone(seg);
+        tape.put(i, Op::SegmentSum { x, seg, n_segments }, out)
     }
 
     fn value(&self, id: VarId) -> &Matrix {

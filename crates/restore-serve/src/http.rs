@@ -13,11 +13,12 @@
 use restore_util::json_object;
 
 /// Parse-time limits; oversized inputs answer 413 instead of buffering
-/// without bound.
+/// without bound. Outside this crate they are only ever the server's own,
+/// [`Limits::default`].
 #[derive(Clone, Copy, Debug)]
 pub struct Limits {
-    pub max_head_bytes: usize,
-    pub max_body_bytes: usize,
+    pub(crate) max_head_bytes: usize,
+    pub(crate) max_body_bytes: usize,
 }
 
 /// The limits the server parses every request under.

@@ -71,7 +71,7 @@
 //!   connection and leaves every other connection serving; a request
 //!   waiting on a cache flight whose leader panicked runs the synthesis
 //!   itself.
-//! * **Graceful shutdown** — a stop flag and an eventfd wake pop the
+//! * **Graceful shutdown** — a stop flag and a wake-pipe byte pop the
 //!   reactor out of `epoll_wait`, the listener and idle keep-alive sockets
 //!   close immediately, and in-flight responses ride through the drain;
 //!   the reactor thread exits once its last connection closes, which is

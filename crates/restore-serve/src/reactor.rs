@@ -1,12 +1,12 @@
 //! The epoll readiness event loop under the serving front-end — `std` only,
 //! speaking to the kernel through a minimal `extern "C"` surface
-//! (`epoll_create1` / `epoll_ctl` / `epoll_wait` / `eventfd`) against the
-//! libc `std` already links. One reactor thread owns every socket: it
+//! (`epoll_create1` / `epoll_ctl` / `epoll_wait`) against the libc `std`
+//! already links. One reactor thread owns every socket: it
 //! accepts, feeds nonblocking reads through the incremental
 //! [`RequestParser`](crate::http::RequestParser), and writes responses back
 //! on writability. Request *execution* never runs here — a parsed request
 //! is handed to the worker pool via [`Shared::on_request`], and the worker's
-//! completion is delivered back through an eventfd wake.
+//! completion is delivered back through a wake pipe ([`WakeHandle`]).
 //!
 //! Per-connection state machine:
 //!
@@ -36,7 +36,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::ffi::c_int;
-use std::io::{self, Read, Write};
+use std::io::{self, PipeReader, PipeWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::atomic::Ordering;
@@ -67,8 +67,6 @@ mod sys {
     pub(super) const EPOLL_CTL_MOD: c_int = 3;
 
     pub(super) const EPOLL_CLOEXEC: c_int = 0o2000000;
-    pub(super) const EFD_CLOEXEC: c_int = 0o2000000;
-    pub(super) const EFD_NONBLOCK: c_int = 0o4000;
 
     pub(super) const RLIMIT_NOFILE: c_int = 7;
 
@@ -103,9 +101,6 @@ mod sys {
             maxevents: c_int,
             timeout_ms: c_int,
         ) -> c_int;
-        pub(super) fn eventfd(initval: u32, flags: c_int) -> c_int;
-        pub(super) fn read(fd: c_int, buf: *mut u8, count: usize) -> isize;
-        pub(super) fn write(fd: c_int, buf: *const u8, count: usize) -> isize;
         pub(super) fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
         pub(super) fn setrlimit(resource: c_int, rlim: *const RLimit) -> c_int;
         pub(super) fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
@@ -280,46 +275,37 @@ impl Epoll {
     }
 }
 
-/// An eventfd the worker pool (and shutdown) use to pop the reactor out of
-/// `epoll_wait`. Nonblocking on both ends: a saturated counter still means
-/// "a wake is pending", and the reactor drains it back to zero per wakeup.
+/// A pipe the worker pool (and shutdown) use to pop the reactor out of
+/// `epoll_wait`: a wake writes one byte, and the reactor, registered for
+/// the read end, drains them. `std` opens both ends `O_CLOEXEC`, so a
+/// re-exec'd worker process inherits neither. Both ends block. A drain
+/// runs only on a readiness event, so its one read finds bytes waiting; a
+/// wake blocks only once 64 KiB of wakes sit undrained — more than one per
+/// connection — and the reactor, which never waits on a worker, drains
+/// them on its next turn.
 pub(crate) struct WakeHandle {
-    fd: OwnedFd,
+    reader: PipeReader,
+    writer: PipeWriter,
 }
 
 impl WakeHandle {
     pub(crate) fn new() -> io::Result<Self> {
-        // SAFETY: takes no pointer; the result is checked before use.
-        let fd = unsafe { sys::eventfd(0, sys::EFD_CLOEXEC | sys::EFD_NONBLOCK) };
-        if fd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(Self {
-            // SAFETY: `fd` was just opened by this call and is owned by
-            // nothing else, so the `OwnedFd` is its only owner and closes it
-            // exactly once.
-            fd: unsafe { OwnedFd::from_raw_fd(fd) },
-        })
+        let (reader, writer) = io::pipe()?;
+        Ok(Self { reader, writer })
     }
 
     pub(crate) fn as_raw_fd(&self) -> RawFd {
-        self.fd.as_raw_fd()
+        self.reader.as_raw_fd()
     }
 
     pub(crate) fn wake(&self) {
-        let one = 1u64.to_ne_bytes();
-        // SAFETY: the eventfd is open for as long as `self` lives, and the
-        // kernel reads `one.len()` bytes from `one`, a live local of that
-        // length.
-        let _ = unsafe { sys::write(self.fd.as_raw_fd(), one.as_ptr(), one.len()) };
+        let _ = (&self.writer).write(&[1]);
     }
 
+    /// Reads what is pending, up to 512 wakes, in one read: any left over
+    /// keep the (level-triggered) read end ready for the next wait.
     pub(crate) fn drain(&self) {
-        let mut buf = [0u8; 8];
-        // SAFETY: the eventfd is open for as long as `self` lives, and the
-        // kernel writes at most `buf.len()` bytes into `buf`, a live local
-        // of that length.
-        while unsafe { sys::read(self.fd.as_raw_fd(), buf.as_mut_ptr(), buf.len()) } > 0 {}
+        let _ = (&self.reader).read(&mut [0u8; 512]);
     }
 }
 
@@ -1309,32 +1295,34 @@ mod tests {
     }
 
     #[test]
-    fn eventfd_wakes_epoll_and_drains() {
+    fn wake_pipe_wakes_epoll_and_drains() {
         let mut epoll = Epoll::new().expect("epoll");
-        let wake = WakeHandle::new().expect("eventfd");
+        let wake = WakeHandle::new().expect("pipe");
         epoll
             .add(wake.as_raw_fd(), TOKEN_WAKE, true, false)
             .expect("register");
         let mut events = Vec::new();
+        let mut wait = |epoll: &mut Epoll, timeout| {
+            epoll.wait(&mut events, Some(timeout)).expect("wait");
+            events.clone()
+        };
         // Nothing pending: a short wait times out empty.
-        epoll
-            .wait(&mut events, Some(Duration::from_millis(10)))
-            .expect("wait");
-        assert!(events.is_empty());
-        wake.wake();
-        wake.wake();
-        epoll
-            .wait(&mut events, Some(Duration::from_secs(5)))
-            .expect("wait");
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].0, TOKEN_WAKE);
-        assert_ne!(events[0].1 & sys::EPOLLIN, 0);
-        wake.drain();
-        // Drained: readiness is gone (level-triggered would re-report).
-        epoll
-            .wait(&mut events, Some(Duration::from_millis(10)))
-            .expect("wait");
-        assert!(events.is_empty());
+        assert!(wait(&mut epoll, Duration::from_millis(10)).is_empty());
+        // One wake, and many: each time epoll reports the read end readable
+        // once, and one drain clears it.
+        for wakes in [1, 300] {
+            for _ in 0..wakes {
+                wake.wake();
+            }
+            let got = wait(&mut epoll, Duration::from_secs(5));
+            assert_eq!(got.len(), 1, "{wakes} wakes");
+            assert_eq!(got[0].0, TOKEN_WAKE);
+            assert_ne!(got[0].1 & sys::EPOLLIN, 0);
+            wake.drain();
+            // Drained: readiness is gone (level-triggered would re-report).
+            let after = wait(&mut epoll, Duration::from_millis(10));
+            assert!(after.is_empty(), "{wakes} wakes took more than one drain");
+        }
     }
 
     #[test]

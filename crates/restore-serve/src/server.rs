@@ -16,7 +16,7 @@
 //!      │                                     │ per-tenant token bucket 429
 //!      │                                     │ deadline budget checks 503
 //!      │                                     │ catch_unwind: panic → 500
-//!      │    ┌────── Completion{response} ◄───┘ (+eventfd wake)
+//!      │    ┌────── Completion{response} ◄───┘ (+1 byte on the wake pipe)
 //!      │    ▼
 //!      │  write on writability (+X-Request-Id; keep-alive; pipelined
 //!      │  carry re-parsed immediately after each response)
@@ -513,7 +513,7 @@ impl Server {
     /// Binds and starts serving `registry` on `addr` (use port 0 for an
     /// ephemeral port; read it back via [`Server::local_addr`]). Fails
     /// loudly if the listener cannot be made nonblocking or the epoll
-    /// set / wake eventfd cannot be created — a server whose event loop
+    /// set / wake pipe cannot be created — a server whose event loop
     /// can't run should never come up half-alive.
     pub fn bind(
         addr: impl ToSocketAddrs,

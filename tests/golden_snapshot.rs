@@ -126,8 +126,8 @@ fn golden_fixture_loads_and_serves_pinned_results() {
 #[test]
 fn golden_fixture_resaves_to_pinned_bytes() {
     let bytes = Snapshot::load(&fixture_path()).expect("load").to_bytes();
-    assert_eq!(bytes.len(), 9_676);
-    assert_eq!(fnv1a64(&bytes), 0xaa8d_f0a2_ec86_7c9b);
+    assert_eq!(bytes.len(), 9_616);
+    assert_eq!(fnv1a64(&bytes), 0xf0e8_4977_c1b1_6f3f);
     let again = Snapshot::from_bytes(&bytes).expect("reload").to_bytes();
     assert_eq!(again, bytes, "re-saving a loaded snapshot is idempotent");
 }

@@ -91,8 +91,8 @@ fn round_trip_serves_byte_identically() {
         serve_fingerprints(&snapshot),
         "loaded snapshot must serve byte-identically"
     );
-    // Trained or loaded, the banded trunk caches are built once the weights
-    // are final, not once per inference session.
+    // Trained or loaded, the sweep's banded weights are built once the
+    // weights are final, not on the model's first sweep.
     for served in [&snapshot, &loaded] {
         let models = served.trained_models();
         assert!(!models.is_empty());
@@ -192,7 +192,7 @@ fn edit_meta(file: &[u8], edit: impl FnOnce(&str) -> String) -> Vec<u8> {
 
 #[test]
 fn retired_option_keys_are_not_written_and_load_only_at_their_constants() {
-    const RETIRED: [&str; 11] = [
+    const RETIRED: [&str; 13] = [
         "lr",
         "max_bins",
         "val_fraction",
@@ -200,6 +200,8 @@ fn retired_option_keys_are_not_written_and_load_only_at_their_constants() {
         "tf_cap",
         "max_set_size",
         "patience",
+        "embed_dim",
+        "microbatch",
         "ann_bits",
         "ann_tables",
         "max_missing_per_row",
@@ -232,7 +234,7 @@ fn retired_option_keys_are_not_written_and_load_only_at_their_constants() {
     let old = edit_meta(&bytes, |m| {
         m.replace(
             r#""train":{"#,
-            r#""train":{"lr":0.004999999888241291,"max_bins":24,"val_fraction":0.1,"clip_norm":5,"tf_cap":64,"max_set_size":12,"patience":10,"#,
+            r#""train":{"lr":0.004999999888241291,"max_bins":24,"val_fraction":0.1,"clip_norm":5,"tf_cap":64,"max_set_size":12,"patience":10,"embed_dim":8,"microbatch":32,"#,
         )
         .replace(
             r#""completer":{"#,
@@ -245,6 +247,7 @@ fn retired_option_keys_are_not_written_and_load_only_at_their_constants() {
 
     for (key, from, to) in [
         ("max_bins", r#""max_bins":24"#, r#""max_bins":16"#),
+        ("microbatch", r#""microbatch":32"#, r#""microbatch":48"#),
         ("ann_tables", r#""ann_tables":4"#, r#""ann_tables":5"#),
         ("max_path_len", r#""max_path_len":5"#, r#""max_path_len":3"#),
     ] {

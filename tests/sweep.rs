@@ -490,9 +490,8 @@ fn ssar_fixture(seed: u64) -> (DeepSets, Made, ParamStore, SetBatch) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut store = ParamStore::new();
     let ds_cfg = DeepSetsConfig {
-        tables: vec![SetTableSpec::new(vec![6, 4], 4, 8)],
+        tables: vec![SetTableSpec::new(vec![6, 4], 4)],
         ctx_dim: 5,
-        post_hidden: 16,
     };
     let ds = DeepSets::new(&ds_cfg, &mut store, &mut rng);
     let attrs = CARDS.iter().map(|&c| AttrSpec::new(c, 4)).collect();
@@ -686,16 +685,17 @@ fn ssar_context_on_a_warm_session_matches_a_fresh_tape() {
     assert_bits_eq(got, &want, "DeepSets context");
 }
 
-/// Every store numbers its parameters from 0, so a session that swept one
-/// model finds that model's banded caches under the ids of the next one's
-/// layers: it must sweep the next model's weights anyway, whether either
-/// model froze its caches or not.
+/// Every store numbers its parameters from 0, so two models' layers carry
+/// the same ids: a session that swept one model must sweep the next one's
+/// weights all the same, whether either model froze its banded weights or
+/// built them on its first sweep. The full-trunk oracle reads no banded
+/// weights, so it says what each model's own are.
 #[test]
 fn a_reused_session_sweeps_each_models_own_weights() {
     let toks = tokens(9);
     for (freeze_a, freeze_b) in [(false, false), (true, true), (false, true), (true, false)] {
-        let (mut a, store_a) = new_made(vec![32, 32], 0, 81);
-        let (mut b, store_b) = new_made(vec![32, 32], 0, 82);
+        let (a, store_a) = new_made(vec![32, 32], 0, 81);
+        let (b, store_b) = new_made(vec![32, 32], 0, 82);
         if freeze_a {
             a.freeze_banded(&store_a);
         }
@@ -706,8 +706,8 @@ fn a_reused_session_sweeps_each_models_own_weights() {
         for attr in 0..CARDS.len() {
             for (made, store, name) in [(&a, &store_a, "a"), (&b, &store_b, "b")] {
                 let what = format!("model {name} (frozen: {freeze_a}, {freeze_b}), attr {attr}");
-                let mut fresh = InferenceSession::new();
-                let want = made.logits_attr_in(&mut fresh, store, &toks, None, attr);
+                let mut oracle = InferenceSession::new();
+                let want = made.logits_attr_full_in(&mut oracle, store, &toks, None, attr);
                 let got = made.logits_attr_in(&mut session, store, &toks, None, attr);
                 assert_bits_eq(got, want, &what);
             }

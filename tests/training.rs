@@ -105,10 +105,10 @@ fn ssar_training_is_bit_identical_across_worker_counts() {
 #[test]
 fn tape_reuse_survives_ragged_microbatches() {
     let sc = synthetic_scenario(33);
-    // 256-row batches with 48-row microbatches → last microbatch is ragged
-    // (256 = 5·48 + 16); epochs > 1 re-feeds the tapes every shape.
+    // 80-row batches in 32-row microbatches → last microbatch is ragged
+    // (80 = 2·32 + 16); epochs > 1 re-feeds the tapes every shape.
     let cfg = TrainConfig {
-        microbatch: 48,
+        batch_size: 80,
         ..quick_cfg(3)
     };
     let a = train_with_workers(&sc, cfg.clone(), 33);
