@@ -118,8 +118,10 @@ impl JoinCache {
     /// one synthesis. Every caller takes the chain's cell from `flights`;
     /// the one whose closure runs is the leader, which computes, inserts
     /// and retires the cell, and the others block in `get_or_init` and
-    /// clone its result, errors included. A leader that panics leaves the
-    /// cell empty, so a waiter runs the synthesis again.
+    /// clone its result, errors included. A blocked follower gives its core
+    /// back to the budget ([`restore_util::idle`]); only the leader's
+    /// closure counts itself busy. A leader that panics leaves the cell
+    /// empty, so a waiter runs the synthesis again.
     pub(crate) fn get_or_compute<F>(
         &self,
         tables: &[String],
@@ -134,7 +136,9 @@ impl JoinCache {
         }
         let flight = Arc::clone(lock(&self.flights).entry(tables.to_vec()).or_default());
         let mut led = false;
+        let idle = restore_util::idle();
         let result = flight.get_or_init(|| {
+            let _busy = restore_util::busy();
             led = true;
             // Re-check under the flight: this caller may have lost the race
             // to a leader that already finished and inserted.
@@ -153,6 +157,7 @@ impl JoinCache {
             lock(&self.flights).remove(tables);
             result
         });
+        drop(idle);
         if !led {
             self.waits.fetch_add(1, Ordering::Relaxed);
         }

@@ -13,8 +13,9 @@
 
 //! **Batched, parallel sampling.** Every synthesis step samples its rows in
 //! batches of [`CompleterConfig::batch_size`]: one gradient-free forward
-//! pass per attribute fills a whole batch, and the batches fan out over a
-//! worker pool ([`CompleterConfig::workers`]). Each batch owns an RNG
+//! pass per attribute fills a whole batch, and the batches fan out over the
+//! calling thread and the helpers the process's core budget grants
+//! ([`CompleterConfig::workers`] caps them). Each batch owns an RNG
 //! seeded from `(step seed, batch offset)`, so completions are bit-stable
 //! under any worker count and reproduce the single-row sampling sequence
 //! at `batch_size = 1`.
@@ -27,7 +28,7 @@ use rand::{Rng, SeedableRng};
 
 use restore_db::{hash_join, tf_column_name, Column, Database, Table, Value};
 use restore_nn::InferenceSession;
-use restore_util::{default_workers, derive_seed, parallel_map_with};
+use restore_util::{busy, busy_threads, default_workers, derive_seed, parallel_map_with};
 
 use crate::ann::AnnIndex;
 use crate::annotation::SchemaAnnotation;
@@ -57,8 +58,10 @@ pub struct CompleterConfig {
     /// the per-pass cost; `1` degrades to single-row sampling (the
     /// determinism-contract reference point).
     pub batch_size: usize,
-    /// Worker threads the sampling batches fan out over (`0` = one per
-    /// available hardware thread). Results never depend on this value.
+    /// At most this many threads, the caller included, run one
+    /// completion's batches; `0` = as many as the process's core budget
+    /// grants (the caller, plus a helper per idle core). Results never
+    /// depend on this value.
     pub workers: usize,
 }
 
@@ -483,11 +486,15 @@ impl<'a> Completer<'a> {
             syn: vec![vec![false; n0]],
             tf,
         };
-        // One inference session per worker, reused across every batch and
-        // step of the walk: parameters are frozen during completion, so
-        // pooled activation buffers and the sweep's weight caches stay
-        // valid for the whole join. Which session serves which batch never
-        // affects the output (buffers are fully overwritten per pass).
+        // The walk computes on this thread from here on; maps below add
+        // helpers only on idle cores.
+        let _busy = busy();
+        // One inference session per thread a map may use, reused across
+        // every batch and step of the walk: parameters are frozen during
+        // completion, so pooled activation buffers and the sweep's weight
+        // caches stay valid for the whole join. Which session serves which
+        // batch never affects the output (buffers are fully overwritten per
+        // pass); a session no helper takes allocates nothing.
         let workers = if self.cfg.workers == 0 {
             default_workers()
         } else {
@@ -517,7 +524,7 @@ impl<'a> Completer<'a> {
 }
 
 /// What every step of one walk shares: the completer, the model whose path
-/// it walks, one inference session per worker, and the walk's seed, from
+/// it walks, one inference session per thread, and the walk's seed, from
 /// which step `i` derives independent RNG streams for its tuple factors
 /// (`2i`) and its sampled columns (`2i + 1`).
 struct Walk<'a> {
@@ -620,8 +627,8 @@ impl Walk<'_> {
         Ok(sampled)
     }
 
-    /// Splits `rows` into sampling batches, fans them out over the worker
-    /// pool (each worker reusing its session), and returns the per-batch
+    /// Splits `rows` into sampling batches, fans them out over the caller
+    /// and its helpers (each reusing its session), and returns the per-batch
     /// results in input order. Each batch's RNG is seeded from `(seed,
     /// offset of the batch's first row)` so the output is a pure function
     /// of `(rows, seed, batch_size)`.
@@ -646,21 +653,24 @@ impl Walk<'_> {
 
     /// RNG-free sibling of [`Walk::sample_batches`] for row-independent
     /// evaluations: fans `rows` out in a few *large* fused chunks — about
-    /// one per worker, at least one sampling batch and at most 16 of them
-    /// each (to bound the per-chunk logits footprint) — so the sweep's
-    /// degree-≤-step setup bands run once per fused chunk instead of once
-    /// per sampling batch. Each row's result must depend only on that row
-    /// (no RNG, no cross-row coupling), which is exactly what makes the
-    /// chunking invisible in the output. Results come back flattened in
-    /// input order.
+    /// one per thread the core budget would grant right now, at least one
+    /// sampling batch and at most 16 of them each (to bound the per-chunk
+    /// logits footprint) — so the sweep's degree-≤-step setup bands run
+    /// once per fused chunk instead of once per sampling batch. Each row's
+    /// result must depend only on that row (no RNG, no cross-row coupling),
+    /// which is exactly what makes the chunking, and the racy read of the
+    /// budget that sizes it, invisible in the output. Results come back
+    /// flattened in input order.
     fn eval_batches<T, F>(&mut self, rows: &[usize], f: F) -> CoreResult<Vec<T>>
     where
         T: Send,
         F: Fn(&mut InferenceSession, &[usize]) -> CoreResult<Vec<T>> + Sync,
     {
         let bs = self.completer.cfg.batch_size.max(1);
-        let per_worker = rows.len().div_ceil(self.sessions.len().max(1));
-        let chunk = per_worker.clamp(bs, 16 * bs);
+        // The caller (counted by `complete`) plus one helper per idle core.
+        let threads = 1 + default_workers().saturating_sub(busy_threads());
+        let per_thread = rows.len().div_ceil(threads.min(self.sessions.len()));
+        let chunk = per_thread.clamp(bs, 16 * bs);
         let jobs: Vec<&[usize]> = rows.chunks(chunk).collect();
         let out: CoreResult<Vec<Vec<T>>> =
             parallel_map_with(jobs, &mut self.sessions, |session, chunk| f(session, chunk))
@@ -786,7 +796,8 @@ fn missing_partners(existing: &[i64], tf: Option<&[i64]>) -> Vec<usize> {
 
 /// Euclidean replacement (Fig. 3): for every row of the sampled token
 /// columns, the row of `table` nearest to the tuple its tokens decode to,
-/// so synthesized keys become real ones.
+/// so synthesized keys become real ones. The index is asked once per
+/// distinct token tuple: rows that sampled the same tuple share its answer.
 fn nearest_real_rows(
     table: &Table,
     modeled: &[(&str, &AttrEncoder)],
@@ -805,15 +816,17 @@ fn nearest_real_rows(
     let points = featurizer.features_of_table(table)?;
     let index = AnnIndex::build(points, ANN_BITS, ANN_TABLES, 0xa11);
     let n = sampled.first().map_or(0, Vec::len);
-    let queries: Vec<Vec<f32>> = (0..n)
-        .map(|i| {
-            let vals: Vec<&Value> = (decoded.iter().zip(sampled))
-                .map(|(values, tokens)| &values[tokens[i] as usize])
+    let mut nearest: HashMap<Vec<u32>, usize> = HashMap::new();
+    let rows = (0..n).map(|i| {
+        let tuple = sampled.iter().map(|tokens| tokens[i]).collect();
+        *nearest.entry(tuple).or_insert_with_key(|tuple| {
+            let vals: Vec<&Value> = (decoded.iter().zip(tuple))
+                .map(|(values, &token)| &values[token as usize])
                 .collect();
-            featurizer.features_of_values(&vals)
+            index.nearest(&featurizer.features_of_values(&vals))
         })
-        .collect();
-    Ok(index.nearest_batch(&queries))
+    });
+    Ok(rows.collect())
 }
 
 /// Feature extraction for euclidean replacement: categorical attributes are

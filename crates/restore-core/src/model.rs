@@ -40,10 +40,11 @@ pub struct TrainConfig {
     /// Minimum number of gradient steps: small training sets get extra
     /// epochs so the conditional is actually fit.
     pub min_steps: usize,
-    /// Worker threads for the data-parallel gradient engine (`0` = one per
-    /// available hardware thread). Training results are **bit-identical**
-    /// under any worker count: microbatch gradients are computed
-    /// independently and reduced in a fixed order.
+    /// At most this many threads, the caller included, run the
+    /// data-parallel gradient engine; `0` = as many as the process's core
+    /// budget grants. Training results are **bit-identical** under any
+    /// worker count: microbatch gradients are computed independently and
+    /// reduced in a fixed order.
     pub workers: usize,
 }
 
@@ -72,7 +73,7 @@ impl TrainConfig {
         self.ctx_dim > 0
     }
 
-    /// `workers` with `0` resolved to one per available hardware thread.
+    /// `workers` with `0` resolved to the core budget's size.
     pub(crate) fn engine_workers(&self) -> usize {
         match self.workers {
             0 => default_workers(),

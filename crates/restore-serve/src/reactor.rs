@@ -40,7 +40,7 @@ use std::io::{self, PipeReader, PipeWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use restore_util::retry_wait;
@@ -300,6 +300,21 @@ impl WakeHandle {
 
     pub(crate) fn wake(&self) {
         let _ = (&self.writer).write(&[1]);
+    }
+
+    /// Pushes `item` onto `queue`, which the reactor takes after it drains
+    /// this pipe, and wakes it only if `queue` was empty: a push onto a
+    /// non-empty queue is taken by the take that the earlier push's wake
+    /// is still due to cause. One wake per batch of completions.
+    pub(crate) fn push<T>(&self, queue: &Mutex<Vec<T>>, item: T) {
+        let was_empty = {
+            let mut queue = queue.lock().unwrap_or_else(|e| e.into_inner());
+            queue.push(item);
+            queue.len() == 1
+        };
+        if was_empty {
+            self.wake();
+        }
     }
 
     /// Reads what is pending, up to 512 wakes, in one read: any left over
@@ -1323,6 +1338,27 @@ mod tests {
             let after = wait(&mut epoll, Duration::from_millis(10));
             assert!(after.is_empty(), "{wakes} wakes took more than one drain");
         }
+    }
+
+    #[test]
+    fn pushes_before_a_take_leave_one_wake() {
+        let wake = WakeHandle::new().expect("pipe");
+        let queue = Mutex::new(Vec::new());
+        // The bytes in the pipe, plus one marker so the read never blocks.
+        let pending = || {
+            wake.wake();
+            (&wake.reader).read(&mut [0u8; 512]).expect("read") - 1
+        };
+        for k in [1, 5, 300] {
+            for item in 0..k {
+                wake.push(&queue, item);
+            }
+            // One byte for the push onto the empty queue, none after it.
+            assert_eq!(pending(), 1, "{k} pushes");
+            let taken = std::mem::take(&mut *queue.lock().unwrap());
+            assert_eq!(taken, (0..k).collect::<Vec<_>>());
+        }
+        assert_eq!(pending(), 0);
     }
 
     #[test]

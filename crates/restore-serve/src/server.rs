@@ -491,11 +491,7 @@ impl Shared {
     }
 
     fn complete(&self, completion: Completion) {
-        {
-            let mut completions = self.completions.lock().unwrap_or_else(|e| e.into_inner());
-            completions.push(completion);
-        }
-        self.wake.wake();
+        self.wake.push(&self.completions, completion);
     }
 }
 
@@ -631,6 +627,9 @@ fn worker_loop(shared: Arc<Shared>) {
     while let Some(job) = shared.jobs.pop() {
         let handled = {
             let _in_flight = InFlight::enter(&shared.metrics.requests_in_flight);
+            // The handler computes on its own core: a completion it runs
+            // adds helpers only on cores no other handler is using.
+            let _busy = restore_util::busy();
             catch_unwind(AssertUnwindSafe(|| execute_job(&shared, &job)))
         };
         let (mut response, close) = match handled {

@@ -1,16 +1,20 @@
-//! Shared utilities: a deterministic, order-preserving parallel map over a
-//! small worker pool, stable seed derivation for per-batch RNGs, and the
-//! workspace's one JSON document model ([`json::JsonValue`]: a reader and a
-//! writer), plus the file, health, backoff and rate-limit primitives the
-//! serving layer shares. Rendezvous come from `std`: the completion cache's
-//! single-flight is a map of `OnceLock`s, and a server's drain is its
-//! reactor thread exiting.
+//! Shared utilities: a deterministic, order-preserving parallel map, stable
+//! seed derivation for per-batch RNGs, and the workspace's one JSON
+//! document model ([`json::JsonValue`]: a reader and a writer), plus the
+//! file, health, backoff and rate-limit primitives the serving layer
+//! shares. Rendezvous come from `std`: the completion cache's single-flight
+//! is a map of `OnceLock`s, and a server's drain is its reactor thread
+//! exiting.
 //!
 //! Both the evaluation harness (independent experiment cells) and the core
 //! completion engine (batched autoregressive sampling) fan work out over
 //! threads; keeping the combinators here means one implementation with one
 //! determinism contract: results are a pure function of the inputs and the
-//! seeds, never of scheduling.
+//! seeds, never of scheduling. The maps share one core budget per process:
+//! [`busy_threads`] counts the threads computing against
+//! [`default_workers`], and a map runs on its caller plus a helper per idle
+//! core, so concurrent requests share the cores instead of each spawning a
+//! thread per core.
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
@@ -26,30 +30,71 @@ pub use fsio::{fnv1a64, is_tmp_name, write_atomic, Fnv64};
 pub use health::HealthState;
 pub use ratelimit::{RateLimitConfig, RateLimiter};
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
+use std::thread::Builder;
 
-/// Maps `f` over `jobs` on up to `available_parallelism()` threads,
-/// preserving input order.
+/// Maps `f` over `jobs` on the caller and the helpers the core budget
+/// grants, preserving input order.
 pub fn parallel_map<J, T, F>(jobs: Vec<J>, f: F) -> Vec<T>
 where
     J: Send + Sync,
     T: Send,
     F: Fn(&J) -> T + Sync,
 {
-    let workers = default_workers().min(jobs.len().max(1));
-    parallel_map_workers(jobs, workers, f)
+    parallel_map_workers(jobs, default_workers(), f)
 }
 
-/// The default worker count: one per available hardware thread.
+/// The process's core budget: its available hardware threads, read once.
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(2, |n| n.get()))
 }
 
-/// [`parallel_map`] with an explicit worker count. `workers <= 1` runs
-/// inline on the calling thread.
+static BUSY: AtomicUsize = AtomicUsize::new(0);
+thread_local!(static COUNTED: Cell<bool> = const { Cell::new(false) });
+
+/// The threads counted as computing now: those in [`busy`], and helpers.
+pub fn busy_threads() -> usize {
+    BUSY.load(Ordering::Acquire)
+}
+
+/// Counts the calling thread as computing until the guard drops, whatever
+/// the count; a thread already counted is not counted twice.
+pub fn busy() -> CoreState {
+    CoreState(count_me(true))
+}
+
+/// Takes the calling thread out of the count until the guard drops, while
+/// it blocks on another thread's work.
+pub fn idle() -> CoreState {
+    CoreState(count_me(false))
+}
+
+/// A [`busy`] or [`idle`] guard: its drop, a panic's unwind included,
+/// counts the thread as it was before.
+#[must_use]
+pub struct CoreState(bool);
+
+impl Drop for CoreState {
+    fn drop(&mut self) {
+        count_me(self.0);
+    }
+}
+
+/// Sets whether the calling thread is counted; returns what it was.
+fn count_me(now: bool) -> bool {
+    let was = COUNTED.replace(now);
+    match (was, now) {
+        (false, true) => BUSY.fetch_add(1, Ordering::AcqRel),
+        (true, false) => BUSY.fetch_sub(1, Ordering::AcqRel),
+        _ => 0,
+    };
+    was
+}
+
+/// [`parallel_map`] on at most `workers` threads, the caller included.
 pub fn parallel_map_workers<J, T, F>(jobs: Vec<J>, workers: usize, f: F) -> Vec<T>
 where
     J: Send + Sync,
@@ -60,19 +105,22 @@ where
     parallel_map_with(jobs, &mut scratch, |_, j| f(j))
 }
 
-/// Order-preserving parallel map where every worker owns a reusable
+/// Order-preserving parallel map where every thread owns a reusable
 /// scratch object for the duration of the call — and, because the caller
 /// supplies the scratch slice, across *calls* too.
 ///
-/// One worker thread is spawned per `scratch` element (capped at the job
-/// count); each worker pulls jobs off a shared counter and runs
-/// `f(&mut scratch_i, &job)`. The scratch a job lands on is a scheduling
-/// accident, so `f` must not let results depend on scratch *contents* —
-/// scratch is for reusable capacity (tapes, sessions, buffers), not state.
-/// With a single scratch slot the whole map runs inline on the caller.
+/// The caller, counted [`busy`] for the call, runs jobs on `scratch[0]`,
+/// and a helper is spawned for each further slot (capped at the job count)
+/// only while the core budget has an idle core: `scratch.len()` caps the
+/// threads, the caller included, and a map started while every core
+/// computes runs on its caller, in order. Each thread pulls jobs off a
+/// shared counter and runs `f(&mut scratch_i, &job)`. The scratch a job
+/// lands on is a scheduling accident, so `f` must not let results depend
+/// on scratch *contents* — it is for reusable capacity (tapes, sessions,
+/// buffers), not state.
 ///
-/// This is what lets the training engine keep one arena tape per worker
-/// and the completion engine one `InferenceSession` per worker, both warm
+/// This is what lets the training engine keep one arena tape per thread
+/// and the completion engine one `InferenceSession` per thread, both warm
 /// across batches.
 pub fn parallel_map_with<J, T, S, F>(jobs: Vec<J>, scratch: &mut [S], f: F) -> Vec<T>
 where
@@ -81,32 +129,44 @@ where
     S: Send,
     F: Fn(&mut S, &J) -> T + Sync,
 {
-    assert!(
-        !scratch.is_empty(),
-        "parallel_map_with needs at least one scratch slot"
-    );
-    if scratch.len() == 1 || jobs.len() <= 1 {
-        let s = &mut scratch[0];
-        return jobs.iter().map(|j| f(s, j)).collect();
+    let (first, rest) = scratch
+        .split_first_mut()
+        .expect("parallel_map_with needs at least one scratch slot");
+    let _caller = busy();
+    if rest.is_empty() || jobs.len() <= 1 {
+        return jobs.iter().map(|j| f(first, j)).collect();
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    let n_jobs = jobs.len();
-    {
-        let (next, slots, jobs, f) = (&next, &slots, &jobs, &f);
-        std::thread::scope(|scope| {
-            for s in scratch.iter_mut().take(n_jobs) {
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(i) else { break };
-                    *slots[i].lock().unwrap() = Some(f(s, job));
-                });
+    let run = |s: &mut S| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(job) = jobs.get(i) else { break };
+        *slots[i].lock().unwrap() = Some(f(s, job));
+    };
+    // Counts one more thread if fewer than the cores compute, without waiting.
+    let below_cores = |n: usize| (n < default_workers()).then_some(n + 1);
+    let take_core = || BUSY.fetch_update(Ordering::AcqRel, Ordering::Acquire, below_cores);
+    std::thread::scope(|scope| {
+        for s in rest.iter_mut().take(jobs.len() - 1) {
+            if take_core().is_err() {
+                break;
             }
-        });
-    }
+            // The helper is counted until it ends, a panic's unwind included.
+            let helper = move || {
+                COUNTED.set(true);
+                let _uncount_on_exit = CoreState(false);
+                run(s)
+            };
+            if Builder::new().spawn_scoped(scope, helper).is_err() {
+                BUSY.fetch_sub(1, Ordering::AcqRel);
+                break;
+            }
+        }
+        run(first);
+    });
     slots
         .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("worker filled every slot"))
+        .map(|m| m.into_inner().unwrap().expect("a thread filled every slot"))
         .collect()
 }
 

@@ -63,8 +63,32 @@ fn query_seed_alone_only_drives_thinning() {
     assert!(counts.iter().all(|&c| c == counts[0]), "{counts:?}");
 }
 
+/// Runs `f` while every core of the process's budget is counted busy on
+/// parked threads.
+fn with_every_core_busy<T>(f: impl FnOnce() -> T) -> T {
+    use std::sync::{Barrier, RwLock};
+    let cores = restore::util::default_workers();
+    let parked = RwLock::new(());
+    let gate = parked.write().unwrap();
+    let counted = Barrier::new(cores + 1);
+    std::thread::scope(|s| {
+        for _ in 0..cores {
+            s.spawn(|| {
+                let _busy = restore::util::busy();
+                counted.wait();
+                drop(parked.read());
+            });
+        }
+        counted.wait();
+        let out = f();
+        drop(gate);
+        out
+    })
+}
+
 /// The batching contract of the completion engine: for a fixed batch size
-/// the sampled completion is bit-identical under any worker count.
+/// the sampled completion is bit-identical under any worker count, and
+/// under a core budget with no core to spare.
 #[test]
 fn worker_count_never_changes_the_completion() {
     use restore::core::{
@@ -116,14 +140,21 @@ fn worker_count_never_changes_the_completion() {
             })
             .0;
         assert!(longest_run > 3, "no run of duplicates to split");
-        for workers in [2, 8] {
-            let parallel = complete_with(batch_size, workers);
+        let parallel = [
+            ("2 workers", complete_with(batch_size, 2)),
+            ("8 workers", complete_with(batch_size, 8)),
+            (
+                "every core busy",
+                with_every_core_busy(|| complete_with(batch_size, 0)),
+            ),
+        ];
+        for (label, parallel) in parallel {
             assert_eq!(serial.join.n_rows(), parallel.join.n_rows());
             for r in 0..serial.join.n_rows() {
                 assert_eq!(
                     serial.join.row(r),
                     parallel.join.row(r),
-                    "row {r} differs at {workers} workers"
+                    "row {r} differs at {label}"
                 );
             }
             assert_eq!(serial.syn, parallel.syn);
