@@ -1,13 +1,14 @@
 //! Completed-join reuse (§4.5): data synthesized for one query is reused
 //! for related queries, matched by exact path
-//! ([`JoinCache::get_or_compute`]).
+//! ([`JoinCache::get_or_compute`]) if it drew the columns they read; one
+//! that drew fewer is synthesized again at the wider need and replaced.
 //!
 //! The cache is built for concurrent serving:
 //!
 //! * **Single-flight synthesis** — concurrent requests for the same cold
 //!   path block on one in-flight completion ([`JoinCache::get_or_compute`])
-//!   instead of racing duplicates; the miss counter counts *syntheses*
-//!   (distinct cold paths), not requests.
+//!   instead of racing duplicates; the miss counter counts *syntheses*,
+//!   not requests.
 //! * **Memory budget** — entries carry an approximate byte size
 //!   ([`CompletionOutput::approx_bytes`]), read again when a query attaches
 //!   a projection or a relation to one ([`JoinCache::recharge`]); inserts
@@ -34,7 +35,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct CacheStats {
     /// Requests answered from a resident entry.
     pub hits: u64,
-    /// Syntheses actually run (distinct cold paths, not requests).
+    /// Syntheses actually run, not requests: a cold path, or one whose
+    /// entry drew fewer columns than the request reads.
     pub misses: u64,
     /// Requests that blocked on another thread's in-flight synthesis and
     /// shared its result (single-flight followers).
@@ -65,7 +67,7 @@ struct Inner {
 type Flight = Arc<OnceLock<CoreResult<Arc<CompletionOutput>>>>;
 
 /// Thread-safe cache of completed joins keyed by the ordered path tables.
-pub struct JoinCache {
+pub(crate) struct JoinCache {
     inner: Mutex<Inner>,
     /// The chains being synthesized right now.
     flights: Mutex<HashMap<Vec<String>, Flight>>,
@@ -80,7 +82,7 @@ pub struct JoinCache {
 impl JoinCache {
     /// A cache that evicts least-recently-used entries once the resident
     /// estimate exceeds `budget_bytes` (`0` = unbounded).
-    pub fn with_budget(budget_bytes: usize) -> Self {
+    pub(crate) fn with_budget(budget_bytes: usize) -> Self {
         Self {
             inner: Mutex::new(Inner::default()),
             flights: Mutex::default(),
@@ -92,82 +94,84 @@ impl JoinCache {
         }
     }
 
-    /// Stat-free lookup that refreshes the entry's LRU stamp.
-    fn lookup(&self, tables: &[String]) -> Option<Arc<CompletionOutput>> {
+    /// The entry for `tables` if it drew at least `need` columns — a hit,
+    /// which refreshes the entry's LRU stamp.
+    fn hit(&self, tables: &[String], need: usize) -> Option<Arc<CompletionOutput>> {
         let mut inner = lock(&self.inner);
         inner.clock += 1;
         let clock = inner.clock;
-        let entry = inner.map.get_mut(tables)?;
+        let entry = inner.map.get_mut(tables).filter(|e| e.out.drawn >= need)?;
         entry.stamp = clock;
+        self.hits.fetch_add(1, Ordering::Relaxed);
         Some(Arc::clone(&entry.out))
     }
 
-    /// Exact-path lookup.
-    pub fn get(&self, tables: &[String]) -> Option<Arc<CompletionOutput>> {
-        let out = self.lookup(tables);
-        match &out {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        out
-    }
-
-    /// The serving entry point: returns the cached completion for `tables`,
-    /// or runs `compute` to synthesize it — under **single-flight**
-    /// semantics, so concurrent callers needing the same cold path share
-    /// one synthesis. Every caller takes the chain's cell from `flights`;
-    /// the one whose closure runs is the leader, which computes, inserts
-    /// and retires the cell, and the others block in `get_or_init` and
-    /// clone its result, errors included. A blocked follower gives its core
-    /// back to the budget ([`restore_util::idle`]); only the leader's
-    /// closure counts itself busy. A leader that panics leaves the cell
-    /// empty, so a waiter runs the synthesis again.
+    /// The serving entry point: the cached completion for `tables` if it
+    /// drew at least `need` columns, else `compute`'s — **single-flight**:
+    /// every caller takes the chain's cell from `flights`; the one whose
+    /// closure runs leads (computes, inserts, retires the cell), the others
+    /// block in `get_or_init` and clone its result, errors included, unless
+    /// it drew too few columns: then they take a cell again. A blocked
+    /// follower gives its core back to the budget ([`restore_util::idle`]);
+    /// only the leader counts itself busy. A leader that panics leaves the
+    /// cell empty, so a waiter runs the synthesis again.
     pub(crate) fn get_or_compute<F>(
         &self,
         tables: &[String],
+        need: usize,
         compute: F,
     ) -> CoreResult<Arc<CompletionOutput>>
     where
         F: FnOnce() -> CoreResult<Arc<CompletionOutput>>,
     {
-        if let Some(out) = self.lookup(tables) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(out) = self.hit(tables, need) {
             return Ok(out);
         }
-        let flight = Arc::clone(lock(&self.flights).entry(tables.to_vec()).or_default());
-        let mut led = false;
-        let idle = restore_util::idle();
-        let result = flight.get_or_init(|| {
-            let _busy = restore_util::busy();
-            led = true;
-            // Re-check under the flight: this caller may have lost the race
-            // to a leader that already finished and inserted.
-            let result = match self.lookup(tables) {
-                Some(out) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    Ok(out)
-                }
-                None => {
+        let mut compute = Some(compute);
+        loop {
+            let flight = Arc::clone(lock(&self.flights).entry(tables.to_vec()).or_default());
+            let mut led = false;
+            let idle = restore_util::idle();
+            let result = flight.get_or_init(|| {
+                let _busy = restore_util::busy();
+                led = true;
+                // Re-check under the flight: this caller may have lost the
+                // race to a leader that already finished and inserted.
+                let result = self.hit(tables, need).map(Ok).unwrap_or_else(|| {
                     self.misses.fetch_add(1, Ordering::Relaxed);
+                    // Drop a narrower entry before synthesizing the wider one.
+                    self.take(tables);
+                    let compute = compute.take().expect("a caller leads once");
                     compute().inspect(|out| self.put(tables.to_vec(), Arc::clone(out)))
+                });
+                // Retired before the result is published: later callers find
+                // the entry, or (after an error) lead anew.
+                lock(&self.flights).remove(tables);
+                result
+            });
+            drop(idle);
+            if !led {
+                if matches!(result, Ok(out) if out.drawn < need) {
+                    continue;
                 }
-            };
-            // Retired before the result is published: a caller arriving
-            // from here on finds the entry, or (after an error) leads anew.
-            lock(&self.flights).remove(tables);
-            result
-        });
-        drop(idle);
-        if !led {
-            self.waits.fetch_add(1, Ordering::Relaxed);
+                self.waits.fetch_add(1, Ordering::Relaxed);
+            }
+            return result.clone();
         }
-        result.clone()
     }
 
-    /// Inserts an entry, evicting least-recently-used entries while the
-    /// resident estimate exceeds the budget (the fresh entry is never
-    /// evicted by its own insert).
-    pub fn put(&self, tables: Vec<String>, output: Arc<CompletionOutput>) {
+    /// Removes the entry for `tables`, for the caller to drop unlocked.
+    fn take(&self, tables: &[String]) -> Option<Entry> {
+        let mut inner = lock(&self.inner);
+        let entry = inner.map.remove(tables)?;
+        inner.total_bytes -= entry.bytes;
+        Some(entry)
+    }
+
+    /// Inserts an entry, replacing the chain's old one, and evicts
+    /// least-recently-used entries while the resident estimate exceeds the
+    /// budget (the fresh entry is never evicted by its own insert).
+    pub(crate) fn put(&self, tables: Vec<String>, output: Arc<CompletionOutput>) {
         let bytes = output.approx_bytes();
         let mut inner = lock(&self.inner);
         inner.clock += 1;
@@ -190,7 +194,7 @@ impl JoinCache {
     /// something to its completion — and evicts as [`JoinCache::put`] does,
     /// never the grown entry itself. A no-op if the entry is gone. The
     /// caller must hold no lock of the completion.
-    pub fn recharge(&self, tables: &[String]) {
+    pub(crate) fn recharge(&self, tables: &[String]) {
         let mut inner = lock(&self.inner);
         let Some(entry) = inner.map.get_mut(tables) else {
             return;
@@ -223,7 +227,7 @@ impl JoinCache {
     }
 
     /// All counters plus resident-size gauges.
-    pub fn full_stats(&self) -> CacheStats {
+    pub(crate) fn full_stats(&self) -> CacheStats {
         let inner = lock(&self.inner);
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -251,43 +255,60 @@ mod tests {
     use super::*;
     use restore_db::Table;
 
-    fn dummy_output(tables: &[&str]) -> Arc<CompletionOutput> {
+    /// An output padded by `rows` synthesized rows to a known approximate
+    /// size, which drew `drawn` columns of its last table.
+    fn output(tables: &[&str], rows: usize, drawn: usize) -> Arc<CompletionOutput> {
+        let mut syn = vec![vec![false; rows]; tables.len()];
+        syn[0] = vec![true; rows];
         Arc::new(CompletionOutput {
             join: Table::new("j", vec![]),
             tables: tables.iter().map(|s| s.to_string()).collect(),
-            syn: vec![Vec::new(); tables.len()],
+            syn,
             tf: Vec::new(),
+            drawn,
             projections: Default::default(),
             relations: Default::default(),
         })
-    }
-
-    /// An output padded to a known approximate size.
-    fn sized_output(tables: &[&str], rows: usize) -> Arc<CompletionOutput> {
-        let mut out = CompletionOutput {
-            join: Table::new("j", vec![]),
-            tables: tables.iter().map(|s| s.to_string()).collect(),
-            syn: vec![vec![false; rows]; tables.len()],
-            tf: Vec::new(),
-            projections: Default::default(),
-            relations: Default::default(),
-        };
-        out.syn[0] = vec![true; rows];
-        Arc::new(out)
     }
 
     fn key(tables: &[&str]) -> Vec<String> {
         tables.iter().map(|s| s.to_string()).collect()
     }
 
+    /// A wider request than an entry drew synthesizes again and replaces
+    /// it, and a follower that needs more than its leader drew leads a
+    /// flight of its own — a miss, not a wait.
     #[test]
-    fn exact_hit_and_miss_counting() {
+    fn an_entry_that_drew_too_few_columns_is_not_a_hit() {
         let cache = JoinCache::with_budget(0);
-        assert!(cache.get(&key(&["a", "b"])).is_none());
-        cache.put(key(&["a", "b"]), dummy_output(&["a", "b"]));
-        assert!(cache.get(&key(&["a", "b"])).is_some());
+        let ab = key(&["a", "b"]);
+        let drew = |n| move || Ok(output(&["a", "b"], 0, n));
+        let drawn = |need, n| cache.get_or_compute(&ab, need, drew(n)).unwrap().drawn;
+        assert_eq!(drawn(1, 1), 1, "cold: a miss");
+        assert_eq!(drawn(0, 4), 1, "narrower: a hit");
+        assert_eq!(drawn(3, 3), 3, "wider: a miss that replaces the entry");
+        assert_eq!(drawn(1, 4), 3, "covered by the wider entry: a hit");
         let stats = cache.full_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 2, 1));
+
+        let cd = key(&["c", "d"]);
+        let inside = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| {
+                cache.get_or_compute(&cd, 1, || {
+                    inside.wait();
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    Ok(output(&["c", "d"], 0, 1))
+                })
+            });
+            inside.wait();
+            let follower = cache.get_or_compute(&cd, 4, || Ok(output(&["c", "d"], 0, 4)));
+            assert_eq!(follower.unwrap().drawn, 4, "a covering entry");
+            assert_eq!(leader.join().unwrap().unwrap().drawn, 1);
+        });
+        let stats = cache.full_stats();
+        assert_eq!((stats.hits, stats.waits, stats.misses), (2, 0, 4));
+        assert_eq!(cache.hit(&cd, 4).map(|out| out.drawn), Some(4), "replaced");
     }
 
     #[test]
@@ -295,7 +316,7 @@ mod tests {
         let cache = JoinCache::with_budget(0);
         for chain in ["b c", "a c", "c", "a b c", "b"] {
             let chain: Vec<&str> = chain.split(' ').collect();
-            cache.put(key(&chain), dummy_output(&chain));
+            cache.put(key(&chain), output(&chain, 0, 0));
         }
         let listed: Vec<String> = cache.entries().iter().map(|(k, _)| k.join(" ")).collect();
         assert_eq!(listed, ["a b c", "a c", "b", "b c", "c"]);
@@ -307,9 +328,9 @@ mod tests {
         let mut calls = 0;
         for _ in 0..3 {
             let out = cache
-                .get_or_compute(&key(&["a", "b"]), || {
+                .get_or_compute(&key(&["a", "b"]), 0, || {
                     calls += 1;
-                    Ok(dummy_output(&["a", "b"]))
+                    Ok(output(&["a", "b"], 0, 0))
                 })
                 .unwrap();
             assert_eq!(out.tables, key(&["a", "b"]));
@@ -318,7 +339,7 @@ mod tests {
         let stats = cache.full_stats();
         assert_eq!((stats.misses, stats.hits), (1, 2));
         // Another path leads a flight of its own.
-        let other = cache.get_or_compute(&key(&["a"]), || Ok(dummy_output(&["a"])));
+        let other = cache.get_or_compute(&key(&["a"]), 0, || Ok(output(&["a"], 0, 0)));
         assert_eq!(other.unwrap().tables, key(&["a"]));
         assert_eq!(cache.full_stats().misses, 2);
     }
@@ -326,14 +347,14 @@ mod tests {
     #[test]
     fn get_or_compute_propagates_errors_without_caching() {
         let cache = JoinCache::with_budget(0);
-        let err = cache.get_or_compute(&key(&["a"]), || {
+        let err = cache.get_or_compute(&key(&["a"]), 0, || {
             Err(crate::error::CoreError::Invalid("boom".into()))
         });
         assert!(err.is_err());
         assert_eq!(cache.full_stats().entries, 0, "errors must not be cached");
         // The next call retries.
         assert!(cache
-            .get_or_compute(&key(&["a"]), || Ok(dummy_output(&["a"])))
+            .get_or_compute(&key(&["a"]), 0, || Ok(output(&["a"], 0, 0)))
             .is_ok());
         assert_eq!(cache.full_stats().misses, 2);
     }
@@ -353,10 +374,10 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 barrier.wait();
                 cache
-                    .get_or_compute(&key(&["a", "b"]), || {
+                    .get_or_compute(&key(&["a", "b"]), 0, || {
                         synths.fetch_add(1, Ordering::SeqCst);
                         std::thread::sleep(std::time::Duration::from_millis(20));
-                        Ok(dummy_output(&["a", "b"]))
+                        Ok(output(&["a", "b"], 0, 0))
                     })
                     .unwrap()
             }));
@@ -380,10 +401,10 @@ mod tests {
     fn a_panicking_leader_neither_hangs_followers_nor_corrupts_the_cache() {
         let (cache, ab) = (JoinCache::with_budget(0), key(&["a", "b"]));
         let inside = std::sync::Barrier::new(4);
-        let compute = || Ok(sized_output(&["a", "b"], 100));
+        let compute = || Ok(output(&["a", "b"], 100, 0));
         std::thread::scope(|s| {
             let leader = s.spawn(|| {
-                cache.get_or_compute(&ab, || {
+                cache.get_or_compute(&ab, 0, || {
                     inside.wait();
                     std::thread::sleep(std::time::Duration::from_millis(30));
                     panic!("synthesis died")
@@ -391,7 +412,7 @@ mod tests {
             });
             let follow = || {
                 inside.wait();
-                cache.get_or_compute(&ab, compute)
+                cache.get_or_compute(&ab, 0, compute)
             };
             let followers: Vec<_> = (0..3).map(|_| s.spawn(follow)).collect();
             assert!(leader.join().is_err(), "the leader panics");
@@ -399,46 +420,49 @@ mod tests {
                 assert_eq!(led_its_own.unwrap().tables, ab);
             }
         });
-        let out = cache.get_or_compute(&ab, compute).unwrap();
+        let out = cache.get_or_compute(&ab, 0, compute).unwrap();
         let stats = cache.full_stats();
         assert_eq!((stats.entries, stats.bytes), (1, out.approx_bytes()));
     }
 
     #[test]
     fn budget_evicts_least_recently_used() {
-        let per_entry = sized_output(&["x"], 1000).approx_bytes();
+        let per_entry = output(&["x"], 1000, 0).approx_bytes();
         assert!(per_entry >= 1000);
         // Room for two entries, not three.
         let cache = JoinCache::with_budget(2 * per_entry + per_entry / 2);
-        cache.put(key(&["a"]), sized_output(&["a"], 1000));
-        cache.put(key(&["b"]), sized_output(&["b"], 1000));
+        cache.put(key(&["a"]), output(&["a"], 1000, 0));
+        cache.put(key(&["b"]), output(&["b"], 1000, 0));
         // Touch "a" so "b" is the LRU victim.
-        assert!(cache.get(&key(&["a"])).is_some());
-        cache.put(key(&["c"]), sized_output(&["c"], 1000));
+        assert!(cache.hit(&key(&["a"]), 0).is_some());
+        cache.put(key(&["c"]), output(&["c"], 1000, 0));
         assert_eq!(cache.full_stats().entries, 2);
-        assert!(cache.get(&key(&["b"])).is_none(), "LRU entry must go");
-        assert!(cache.get(&key(&["a"])).is_some());
-        assert!(cache.get(&key(&["c"])).is_some());
+        assert!(cache.hit(&key(&["b"]), 0).is_none(), "LRU entry must go");
+        assert!(cache.hit(&key(&["a"]), 0).is_some());
+        assert!(cache.hit(&key(&["c"]), 0).is_some());
         let stats = cache.full_stats();
         assert_eq!(stats.evictions, 1);
         assert!(stats.bytes <= cache.budget_bytes);
+        // An entry that is gone cannot be charged.
+        cache.recharge(&key(&["b"]));
+        assert_eq!(cache.full_stats(), stats);
     }
 
     #[test]
     fn oversized_entry_survives_its_own_insert() {
         let cache = JoinCache::with_budget(8);
-        cache.put(key(&["big"]), sized_output(&["big"], 10_000));
+        cache.put(key(&["big"]), output(&["big"], 10_000, 0));
         assert_eq!(
             cache.full_stats().entries,
             1,
             "the fresh entry is never self-evicted"
         );
-        cache.put(key(&["big2"]), sized_output(&["big2"], 10_000));
+        cache.put(key(&["big2"]), output(&["big2"], 10_000, 0));
         assert_eq!(
             cache.full_stats().entries,
             1,
             "over budget, the older entry goes"
         );
-        assert!(cache.get(&key(&["big2"])).is_some());
+        assert!(cache.hit(&key(&["big2"]), 0).is_some());
     }
 }

@@ -97,6 +97,9 @@ pub struct CompletionOutput {
     pub syn: Vec<Vec<bool>>,
     /// Tuple-factor values used per fan-out step (aligned with rows).
     pub tf: Vec<Vec<Option<i64>>>,
+    /// How many of the last path table's modeled columns, in AR order, the
+    /// walk drew: its synthesized rows hold NULL in the rest, as in keys.
+    pub(crate) drawn: usize,
     /// §4.4 projections of this join, keyed by which path tables the query
     /// names. Built on first use and dropped with the join, so eviction,
     /// hot swap and re-synthesis need no invalidation.
@@ -391,12 +394,6 @@ fn gather_cols<T: Copy>(cols: &[Vec<T>], idx: &[usize]) -> Vec<Vec<T>> {
     cols.iter().map(rows).collect()
 }
 
-/// Whether nothing samples after step `step_idx` of the model's path, so the
-/// tokens of what it adds to the working join would have no reader.
-fn is_last_step(model: &CompletionModel, step_idx: usize) -> bool {
-    step_idx + 1 == model.path().steps().len()
-}
-
 impl Working {
     /// Rows `idx` of the provenance arrays — and of the tokens, if somebody
     /// will read them — around `table`, which holds those rows already.
@@ -475,6 +472,18 @@ impl<'a> Completer<'a> {
     /// batch derives its RNG from the seed and its position, independent of
     /// batch grouping across steps and of the worker count.
     pub fn complete(&self, model: &CompletionModel, seed: u64) -> CoreResult<CompletionOutput> {
+        self.complete_drawing(model, seed, usize::MAX)
+    }
+
+    /// [`Completer::complete`] with the last step drawing only the first
+    /// `columns` of its table's modeled columns ([`Walk::columns_drawn`]),
+    /// each token the one [`Completer::complete`] draws.
+    pub(crate) fn complete_drawing(
+        &self,
+        model: &CompletionModel,
+        seed: u64,
+        columns: usize,
+    ) -> CoreResult<CompletionOutput> {
         let path = model.path();
         let root = self.db.table(path.root())?;
         let n0 = root.n_rows();
@@ -507,6 +516,7 @@ impl<'a> Completer<'a> {
                 .map(|_| InferenceSession::new())
                 .collect(),
             seed,
+            columns,
         };
         for i in 0..path.steps().len() {
             w = walk.step(w, i)?;
@@ -517,6 +527,7 @@ impl<'a> Completer<'a> {
             tables: path.tables().to_vec(),
             syn: w.syn,
             tf: w.tf,
+            drawn: walk.columns_drawn(path.tables().len() - 1),
             projections: Mutex::default(),
             relations: Mutex::default(),
         })
@@ -524,17 +535,43 @@ impl<'a> Completer<'a> {
 }
 
 /// What every step of one walk shares: the completer, the model whose path
-/// it walks, one inference session per thread, and the walk's seed, from
+/// it walks, one inference session per thread, the walk's seed, from
 /// which step `i` derives independent RNG streams for its tuple factors
-/// (`2i`) and its sampled columns (`2i + 1`).
+/// (`2i`) and its sampled columns (`2i + 1`), and the read's `columns`.
 struct Walk<'a> {
     completer: &'a Completer<'a>,
     model: &'a CompletionModel,
     sessions: Vec<InferenceSession>,
     seed: u64,
+    columns: usize,
 }
 
 impl Walk<'_> {
+    /// Whether path table `t`'s synthesized tuples are replaced by their
+    /// nearest real neighbours (Fig. 3): a complete table's must be, and so
+    /// must those whose foreign keys further joins need (§4.2–§4.3).
+    fn replaces(&self, t: usize) -> bool {
+        let tables = self.model.path().tables();
+        match self.completer.cfg.replacement {
+            ReplacementMode::Auto => {
+                self.completer.annotation.is_complete(&tables[t]) || t + 1 < tables.len()
+            }
+            ReplacementMode::Always => true,
+            ReplacementMode::Never => false,
+        }
+    }
+
+    /// How many of path table `t`'s modeled columns, in AR order, the walk
+    /// draws: the first `columns` on a synthesized last table that keeps
+    /// what it samples, all where a replacement or a later step reads them.
+    fn columns_drawn(&self, t: usize) -> usize {
+        let all = self.model.table_attr_range(t).len();
+        match t > 0 && t + 1 == self.model.path().tables().len() && !self.replaces(t) {
+            true => self.columns.min(all),
+            false => all,
+        }
+    }
+
     /// Step `i` of Algorithm 1, along the edge to path table `i + 1`, the
     /// same for both edge kinds: join the existing partners, count them per
     /// working row, synthesize the partners [`missing_partners`] says each
@@ -544,7 +581,8 @@ impl Walk<'_> {
         let step = &model.path().steps()[i];
         let fk = &step.fk;
         let t_next = self.completer.db.table(&model.path().tables()[i + 1])?;
-        let last = is_last_step(model, i);
+        // Nothing samples after the last step, so what it adds needs no tokens.
+        let last = i + 1 == model.path().steps().len();
 
         // Existing partners: a plain join on the key the working join holds
         // (the parent's on a 1:n edge, the child's on an n:1 edge), which
@@ -679,9 +717,10 @@ impl Walk<'_> {
         Ok(out?.into_iter().flatten().collect())
     }
 
-    /// Samples the modeled columns of path table `i + 1` for every row of
-    /// `w` — in parallel batches of `batch_size` rows, one forward pass per
-    /// attribute per batch — optionally replacing each synthesized tuple
+    /// Samples the modeled columns of path table `i + 1` the walk draws
+    /// ([`Walk::columns_drawn`]) for every row of `w` — in parallel batches
+    /// of `batch_size` rows, one forward pass per attribute per batch —
+    /// optionally replacing each synthesized tuple
     /// with its nearest real neighbor, and returns the qualified column
     /// block. The block is assembled from tokens: one decoded value per
     /// token, the sampled tokens pick among them.
@@ -698,13 +737,15 @@ impl Walk<'_> {
             .collect();
 
         // Sampled token columns, the per-batch blocks concatenated.
-        let mut sampled: Vec<Vec<u32>> = vec![Vec::with_capacity(n); modeled.len()];
-        if n > 0 {
+        let drawn = self.columns_drawn(table_idx);
+        let mut sampled: Vec<Vec<u32>> = vec![Vec::with_capacity(n); drawn];
+        if n > 0 && drawn > 0 {
             let rows: Vec<usize> = (0..n).collect();
             let encoded = w.encoded(model);
             let seed = derive_seed(self.seed, 2 * i as u64 + 1);
             let batches = self.sample_batches(&rows, seed, |session, chunk, rng| {
-                model.sample_table_tokens_in(session, &w.table, encoded, table_idx, chunk, rng)
+                let table = &w.table;
+                model.sample_table_tokens_in(session, table, encoded, table_idx, drawn, chunk, rng)
             })?;
             for block in batches {
                 for (col, part) in sampled.iter_mut().zip(block) {
@@ -713,30 +754,20 @@ impl Walk<'_> {
             }
         }
 
-        // Synthesized tuples of complete tables must be replaced to comply
-        // with the annotation; tuples that feed further joins need real
-        // foreign keys (§4.2–§4.3).
-        let replace = match self.completer.cfg.replacement {
-            ReplacementMode::Auto => {
-                let next = &model.path().tables()[table_idx];
-                self.completer.annotation.is_complete(next) || !is_last_step(model, i)
-            }
-            ReplacementMode::Always => true,
-            ReplacementMode::Never => false,
-        };
-        let replacement_rows = (replace && t_next.n_rows() > 0 && n > 0 && !modeled.is_empty())
-            .then(|| nearest_real_rows(t_next, &modeled, &sampled))
-            .transpose()?;
+        let replacement_rows =
+            (self.replaces(table_idx) && t_next.n_rows() > 0 && n > 0 && !modeled.is_empty())
+                .then(|| nearest_real_rows(t_next, &modeled, &sampled))
+                .transpose()?;
 
         // Assemble the block with t_next's full schema.
         let mut columns: Vec<Column> = Vec::with_capacity(t_next.n_cols());
         for (fi, field) in t_next.fields().iter().enumerate() {
             let base = field.name.rsplit('.').next().unwrap_or(&field.name);
-            let modeled_at = modeled.iter().position(|(name, _)| *name == base);
-            columns.push(match (&replacement_rows, modeled_at) {
+            let drawn_at = modeled[..drawn].iter().position(|(name, _)| *name == base);
+            columns.push(match (&replacement_rows, drawn_at) {
                 (Some(repl), _) => t_next.column(fi).gather_compact(repl),
                 (None, Some(m)) => modeled[m].1.decode_column(&sampled[m], field.dtype)?,
-                // Keys / metadata of synthesized tuples stay NULL.
+                // Keys / metadata / undrawn columns of synthesized tuples stay NULL.
                 (None, None) => Column::nulls(field.dtype, n),
             });
         }

@@ -121,12 +121,20 @@ pub fn confidence_interval(
     };
 
     // Model conditionals of the synthesized rows against the training
-    // marginal, in row order.
+    // marginal, in row order. Rows sharing an evidence prefix share one
+    // conditional, back to back (Algorithm 1): a row whose distribution is
+    // bit-equal to the last one's reuses its worth and certainty.
     let marginal = model.training_marginal(db, attr_idx)?;
     let (mut lo, mut hi, mut estimate) = (existing, existing, existing);
+    let (mut prev, mut value, mut c) = (Vec::new(), 0.0, 0.0);
     let accumulate = |d: &[f32]| {
-        let value: f64 = d.iter().zip(&worth).map(|(&p, w)| p as f64 * w).sum();
-        let c = certainty(d, &marginal) as f64;
+        let bits = d.iter().map(|p| p.to_bits());
+        if prev.is_empty() || !bits.clone().eq(prev.iter().copied()) {
+            value = d.iter().zip(&worth).map(|(&p, w)| p as f64 * w).sum();
+            c = certainty(d, &marginal) as f64;
+            prev.clear();
+            prev.extend(bits);
+        }
         lo += c * value + (1.0 - c) * bound_lo;
         hi += c * value + (1.0 - c) * bound_hi;
         estimate += value;

@@ -17,7 +17,8 @@
 //! * [`score_candidates`] / [`SelectionStrategy`] — model & path
 //!   selection (§5);
 //! * [`confidence_interval`] — completion confidence intervals (§6);
-//! * [`JoinCache`] — completed-join reuse (§4.5): single-flight, budgeted;
+//! * completed-join reuse (§4.5) behind [`Snapshot::complete_join`] and
+//!   every query: a single-flight, budgeted cache inside the snapshot;
 //! * [`ReStore`] — the builder: annotate, train, then [`ReStore::seal`].
 //!   It answers no query;
 //! * [`Snapshot`] — the immutable, concurrent serving snapshot a seal (or
@@ -50,7 +51,6 @@ mod snapshot;
 pub mod wire;
 
 pub use annotation::SchemaAnnotation;
-pub use cache::JoinCache;
 pub use completion::{Completer, CompleterConfig, CompletionOutput, ReplacementMode};
 pub use confidence::{confidence_interval, ConfidenceInterval, ConfidenceQuery};
 pub use encoding::AttrEncoder;

@@ -242,6 +242,21 @@ impl CompletionModel {
         self.table_ranges[idx].clone()
     }
 
+    /// How many of the last path table's modeled columns, in AR order, a
+    /// read of the bare column names `focus` (`None`: every column) needs
+    /// drawn: one past the last it names. A name match over-draws at worst.
+    pub(crate) fn last_columns_read(&self, focus: Option<&[String]>) -> usize {
+        let attrs = &self.attrs[self.table_attr_range(self.path.len() - 1)];
+        let Some(focus) = focus else {
+            return attrs.len();
+        };
+        let named = |a: &ModelAttr| match &a.kind {
+            AttrKind::Column { column, .. } => focus.contains(column),
+            AttrKind::TupleFactor { .. } => false,
+        };
+        attrs.iter().rposition(named).map_or(0, |i| i + 1)
+    }
+
     /// Attr index of the tuple factor of step `step`, if it is fan-out.
     pub fn tf_attr(&self, step: usize) -> Option<usize> {
         self.tf_attrs[step]
@@ -799,7 +814,9 @@ impl CompletionModel {
         rows: &[usize],
         rng: &mut StdRng,
     ) -> CoreResult<Vec<Vec<Value>>> {
-        let sampled = self.sample_table_tokens_in(session, join, encoded, table_idx, rows, rng)?;
+        let all = usize::MAX;
+        let sampled =
+            self.sample_table_tokens_in(session, join, encoded, table_idx, all, rows, rng)?;
         let attrs = &self.attrs[self.table_attr_range(table_idx)];
         Ok(sampled
             .into_iter()
@@ -808,22 +825,25 @@ impl CompletionModel {
             .collect())
     }
 
-    /// Samples the column attributes of path table `table_idx` for the
-    /// given join rows as tokens, one vec per modeled column — what the
-    /// walk assembles its synthesized blocks from. Batched iterative
-    /// forward sampling on the sweep ([`Made::sample_range_in`]): one
-    /// gradient-free logit-block evaluation per attribute fills it for the
-    /// whole row batch.
+    /// Samples the first `columns` column attributes of path table
+    /// `table_idx`, in AR order, for the given join rows as tokens, one vec
+    /// per drawn column — what the walk assembles its synthesized blocks
+    /// from. Batched iterative forward sampling on the sweep
+    /// ([`Made::sample_range_in`]): one gradient-free logit-block
+    /// evaluation per attribute fills it for the whole row batch.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn sample_table_tokens_in(
         &self,
         session: &mut InferenceSession,
         join: &Table,
         encoded: &[Vec<u32>],
         table_idx: usize,
+        columns: usize,
         rows: &[usize],
         rng: &mut StdRng,
     ) -> CoreResult<Vec<Vec<u32>>> {
-        let range = self.table_attr_range(table_idx);
+        let full = self.table_attr_range(table_idx);
+        let range = full.start..full.start + columns.min(full.len());
         if range.is_empty() {
             return Ok(Vec::new());
         }

@@ -8,19 +8,24 @@
 //! is safe to call from any number of threads over one `Arc<Snapshot>`.
 //! A snapshot comes from [`ReStore::seal`](crate::restore::ReStore::seal)
 //! or from [`Snapshot::from_bytes`]; both fix its serve seed.
-//! The only interior mutability is the [`JoinCache`], which is thread-safe
-//! and single-flight: concurrent queries needing the same cold completion
-//! path block on one synthesis instead of racing duplicates.
+//! The only interior mutability is the completion cache, which is
+//! thread-safe and single-flight: concurrent queries needing the same cold
+//! completion path block on one synthesis instead of racing duplicates.
 //!
 //! **Determinism contract.** A query's result is a pure function of
-//! `(snapshot, query, seed)` — never of scheduling or of what other
-//! threads are executing. Two ingredients make this hold:
+//! `(snapshot, query, seed)` — never of scheduling, of what other threads
+//! are executing, or of what the cache held before. Three ingredients make
+//! this hold:
 //!
 //! 1. every per-query random choice (row thinning, projection) draws from
-//!    an RNG seeded only by the query seed, and
+//!    an RNG seeded only by the query seed,
 //! 2. the synthesis seed of a completion path is derived from the
 //!    snapshot's fixed serve seed and the path itself — so whichever
-//!    thread happens to populate the cache, the cached join is the same.
+//!    thread happens to populate the cache, the cached join is the same,
+//!    and
+//! 3. a cold query draws only the columns it reads, and an entry answers
+//!    only a read it drew enough for — in the same bits: a sampling batch
+//!    consumes its RNG attribute by attribute.
 //!
 //! So the *serve* seed resamples the synthesized tuples and the *query*
 //! seed only drives the §4.4 thinning: on a chain with nothing to thin,
@@ -102,7 +107,9 @@ impl Snapshot {
         self.cache.full_stats()
     }
 
-    /// All completed joins currently cached (diagnostics).
+    /// All completed joins currently cached (diagnostics). An entry may
+    /// have drawn fewer columns than [`Snapshot::complete_join`] does, and
+    /// holds NULL in the rest of its synthesized rows.
     pub fn cached_completions(&self) -> Vec<(Vec<String>, Arc<CompletionOutput>)> {
         self.cache.entries()
     }
@@ -144,19 +151,23 @@ impl Snapshot {
             return self.execute_without_completion(query);
         }
         let focus = query_focus_columns(query);
+        // An aggregate reads the columns it names; a query without one
+        // returns its rows, every column of them.
+        let read = (!query.aggregates.is_empty()).then_some(&focus[..]);
         // Every query runs in place, over a view of what its cache entry
         // holds. A single-table query sees the completed relation: all real
         // rows plus the synthesized ones this seed's reweighting keeps.
         if let [table] = &query.tables[..] {
-            let answer =
-                self.with_completed(table, &focus, seed, |view| execute_on_join(view, query))?;
+            let answer = self.with_completed(table, &focus, read, seed, |view| {
+                execute_on_join(view, query)
+            })?;
             return answer.map_err(CoreError::from);
         }
         // A join query sees the cached join: the query tables' columns, and
         // the rows this seed's §4.4 thinning keeps when the chain carries
         // extra evidence tables.
         let chain = self.execution_chain(&query.tables, &focus)?;
-        let out = self.complete_join(&chain)?;
+        let out = self.completion(&chain, read)?;
         let mut view = TableView::from(&out.join);
         let projection = out.projection(&query.tables, || self.cache.recharge(&chain))?;
         let rows;
@@ -172,15 +183,28 @@ impl Snapshot {
     /// §4.5 caching and single-flight deduplication. Calling it ahead of
     /// the first query is §4.5 offline completion.
     pub fn complete_join(&self, tables: &[String]) -> CoreResult<Arc<CompletionOutput>> {
+        self.completion(tables, None)
+    }
+
+    /// [`Snapshot::complete_join`] for a read of the bare column names
+    /// `focus` (`None`: every column): the cached completion if it drew what
+    /// the read needs, else a synthesis that draws just that.
+    fn completion(
+        &self,
+        tables: &[String],
+        focus: Option<&[String]>,
+    ) -> CoreResult<Arc<CompletionOutput>> {
+        let model = self.model_for_path(tables)?;
+        let need = model.last_columns_read(focus);
         // The synthesis seed derives from (serve seed, path), so the cached
         // join never depends on which query — or which thread — populated
         // the cache.
         let synth_seed = derive_seed(self.serve_seed, path_fingerprint(tables));
-        self.cache.get_or_compute(tables, || {
-            let model = self.model_for_path(tables)?;
+        self.cache.get_or_compute(tables, need, || {
             let completer = Completer::new(&self.db, &self.annotation)
                 .with_config(self.config.completer.clone());
-            Ok(Arc::new(completer.complete(&model, synth_seed ^ 0xc0de)?))
+            let out = completer.complete_drawing(&model, synth_seed ^ 0xc0de, need)?;
+            Ok(Arc::new(out))
         })
     }
 
@@ -202,21 +226,23 @@ impl Snapshot {
         focus: &[String],
         seed: u64,
     ) -> CoreResult<Table> {
-        self.with_completed(table, focus, seed, |view| view.materialize())
+        self.with_completed(table, focus, None, seed, |view| view.materialize())
     }
 
     /// Runs `read` over the completed relation of `table` on the chain
-    /// `focus` selects — built once per cache entry — narrowed to the rows
-    /// this seed sees.
+    /// `focus` selects — built once per cache entry that drew the columns
+    /// `columns` names (`None`: all of them) — narrowed to the rows this
+    /// seed sees.
     fn with_completed<R>(
         &self,
         table: &str,
         focus: &[String],
+        columns: Option<&[String]>,
         seed: u64,
         read: impl FnOnce(TableView) -> R,
     ) -> CoreResult<R> {
         let chain = self.execution_chain(&[table.to_string()], focus)?;
-        let out = self.complete_join(&chain)?;
+        let out = self.completion(&chain, columns)?;
         let relation = out.relation(self.db.table(table)?, || self.cache.recharge(&chain))?;
         let rows = relation.rows(&mut StdRng::seed_from_u64(seed ^ 0x517e));
         Ok(read(TableView {
@@ -242,7 +268,7 @@ impl Snapshot {
             | ConfidenceQuery::Sum { column, .. } => vec![column.clone()],
         };
         let chain = self.execution_chain(query_tables, &focus)?;
-        let out = self.complete_join(&chain)?;
+        let out = self.completion(&chain, Some(&focus))?;
         let model = self.model_for_path(&chain)?;
         let batch_size = self.config.completer.batch_size;
         confidence_interval(&model, &self.db, &out, query, level, batch_size)

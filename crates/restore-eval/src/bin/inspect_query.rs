@@ -68,7 +68,10 @@ fn main() {
             .collect();
         println!("model {}: {}", model.path().describe(), per_attr.join(" "));
     }
-    for (chain, out) in rs.cached_completions() {
+    // The cache holds what the query drew; a chain's completion with every
+    // column drawn shows no NULL where a column was left undrawn.
+    for (chain, _) in rs.cached_completions() {
+        let out = rs.complete_join(&chain).expect("complete the cached chain");
         println!(
             "completed chain {chain:?}: {} rows, {} with synthesized parts",
             out.join.n_rows(),

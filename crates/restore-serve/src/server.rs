@@ -889,17 +889,29 @@ fn boot_scan(store: &SnapshotStore, registry: &Arc<SnapshotRegistry>, metrics: &
 /// thread exits — by any path, including a panic inside training.
 struct RebuildGuard {
     shared: Arc<Shared>,
-    tenant: String,
+    tenant: Option<String>,
+}
+
+impl RebuildGuard {
+    /// Leaves the in-flight set, publishing `sealed` first under the set's
+    /// lock: a `POST …/rebuild` that already reads the new version is never
+    /// refused as still in flight. Only the first call does anything.
+    fn leave(&mut self, sealed: Option<restore_core::Snapshot>) {
+        let Some(tenant) = self.tenant.take() else {
+            return;
+        };
+        let shared = &self.shared;
+        let mut rebuilds = shared.rebuilds.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(sealed) = sealed {
+            shared.registry.publish(&tenant, Arc::new(sealed));
+        }
+        rebuilds.remove(&tenant);
+    }
 }
 
 impl Drop for RebuildGuard {
     fn drop(&mut self) {
-        let mut rebuilds = self
-            .shared
-            .rebuilds
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        rebuilds.remove(&self.tenant);
+        self.leave(None);
     }
 }
 
@@ -946,7 +958,7 @@ fn rebuild(shared: &Arc<Shared>, tenant: &str, request: &Request) -> Response {
         .fetch_add(1, Ordering::Relaxed);
     let guard = RebuildGuard {
         shared: Arc::clone(shared),
-        tenant: tenant.to_string(),
+        tenant: Some(tenant.to_string()),
     };
     std::thread::spawn(move || {
         run_rebuild(guard, store, snapshot, version, train_seed, serve_seed)
@@ -969,7 +981,7 @@ fn seed_param(request: &Request, name: &str) -> Result<Option<u64>, Response> {
 
 /// The rebuild thread body: retrain → seal → atomic save → publish.
 fn run_rebuild(
-    guard: RebuildGuard,
+    mut guard: RebuildGuard,
     store: SnapshotStore,
     base: Arc<restore_core::Snapshot>,
     version: u32,
@@ -977,7 +989,7 @@ fn run_rebuild(
     serve_seed: u64,
 ) {
     let shared = Arc::clone(&guard.shared);
-    let tenant = guard.tenant.clone();
+    let tenant = guard.tenant.clone().expect("a rebuild starts in flight");
     let result = (|| -> Result<(), String> {
         let rs = ReStore::rebuild_from(&base, train_seed).map_err(|e| e.to_string())?;
         let sealed = rs.seal(serve_seed);
@@ -992,7 +1004,7 @@ fn run_rebuild(
             .metrics
             .snapshot_saved_bytes
             .fetch_add(bytes, Ordering::Relaxed);
-        shared.registry.publish(&tenant, Arc::new(sealed));
+        guard.leave(Some(sealed));
         eprintln!(
             "restore-serve: rebuilt tenant {tenant:?} as v{version:05} ({bytes} bytes) at {}",
             path.display()

@@ -404,3 +404,72 @@ fn a_chain_is_trained_once_whoever_asks() {
         "rebuild_from under the build's seed did not reproduce the build"
     );
 }
+
+/// A cold query draws only the columns it reads of the chain's last table,
+/// and a later read that needs more synthesizes the chain again. Neither
+/// shows in an answer: one snapshot (nothing evicted) answers a read of the
+/// first modeled `apartment` column, one of the last, the first again, and
+/// `complete_join`, each byte-equal to what a fresh snapshot answers.
+#[test]
+fn what_a_completion_drew_before_never_shows_in_an_answer() {
+    use restore::core::model::AttrKind;
+    use restore::core::wire::{query_response_json, table_json};
+    use restore::core::Snapshot;
+    use restore::data::housing::{generate_housing, HousingConfig};
+
+    let seed = 72;
+    let complete = generate_housing(&HousingConfig::scaled(0.1), seed);
+    let mut removal = RemovalConfig::new(BiasSpec::continuous("apartment", "price"), 0.4, 0.6);
+    removal.seed = seed;
+    let cfg = RestoreConfig {
+        train: TrainConfig {
+            epochs: 3,
+            hidden: vec![24, 24],
+            min_steps: 60,
+            max_train_rows: 2_000,
+            ..TrainConfig::default()
+        },
+        cache_budget_bytes: 1 << 30,
+        ..RestoreConfig::default()
+    };
+    let mut rs = ReStore::new(apply_removal(&complete, &removal).incomplete, cfg);
+    rs.mark_incomplete("apartment");
+    let chain = ["neighborhood", "apartment"].map(String::from);
+    rs.set_selected_path("apartment", &chain, seed).unwrap();
+    let snapshot = rs.seal(seed);
+    let bytes = snapshot.to_bytes();
+    let fresh = || Snapshot::from_bytes(&bytes).unwrap();
+
+    // The incomplete table's modeled columns, in AR order.
+    let model = snapshot.model_for_path(&chain).unwrap();
+    let columns: Vec<String> = (model.attrs().iter())
+        .filter_map(|a| match &a.kind {
+            AttrKind::Column { table, column } if table == "apartment" => Some(column.clone()),
+            _ => None,
+        })
+        .collect();
+    assert!(columns.len() >= 2, "{columns:?}");
+    let reads = |column: &String, tables: &[&str]| {
+        Query::new(tables.iter().copied())
+            .group_by([column.clone()])
+            .aggregate(Agg::CountStar)
+    };
+    let (first, last) = (&columns[0], &columns[columns.len() - 1]);
+    for query in [
+        reads(first, &["apartment"]),
+        reads(last, &["neighborhood", "apartment"]),
+        reads(first, &["apartment"]),
+    ] {
+        let body = |snap: &Snapshot| query_response_json(&snap.execute(&query, 3).unwrap(), None);
+        assert_eq!(body(&snapshot), body(&fresh()), "{query:?}");
+    }
+    let join = |snap: &Snapshot| table_json(&snap.complete_join(&chain).unwrap().join);
+    assert_eq!(join(&snapshot), join(&fresh()));
+    // The read of the last column synthesized the chain again.
+    let stats = snapshot.full_cache_stats();
+    assert_eq!(
+        (stats.misses, stats.hits, stats.entries),
+        (2, 2, 1),
+        "{stats:?}"
+    );
+}

@@ -348,19 +348,21 @@ fn cache_budget_evicts_lru_end_to_end() {
 
 /// A completed relation is half as large as the join it hangs off, so it
 /// counts: the entry grows by it on the first single-table query and by
-/// nothing after, growth past the budget evicts the least recently used
-/// *other* entry, and an entry that is gone cannot be charged.
+/// nothing after, and growth past the budget evicts the least recently
+/// used *other* entry, never the grown one.
 #[test]
 fn attached_relations_count_against_the_cache_budget() {
-    use restore::core::JoinCache;
     let q1 = Query::new(["c1"]).aggregate(Agg::CountStar);
     let q2 = Query::new(["c2"]).aggregate(Agg::CountStar);
-    let mut rs = two_chain_restore(0, 36);
-    rs.train(36).expect("train");
-    for q in [&q1, &q2] {
-        rs.ensure_query_models(&q.tables, 36).expect("ensure");
-    }
-    let snap = rs.seal(36);
+    let build = |budget| {
+        let mut rs = two_chain_restore(budget, 36);
+        rs.train(36).expect("train");
+        for q in [&q1, &q2] {
+            rs.ensure_query_models(&q.tables, 36).expect("ensure");
+        }
+        rs.seal(36)
+    };
+    let snap = build(0);
     let chain_of = |q: &Query| {
         let probe = Snapshot::from_bytes(&snap.to_bytes()).expect("load");
         probe.execute(q, 1).expect("execute");
@@ -374,12 +376,6 @@ fn attached_relations_count_against_the_cache_budget() {
     let out2 = snap.complete_join(&chain2).expect("complete");
     let (join1, join2) = (out1.approx_bytes(), out2.approx_bytes());
     assert_eq!(snap.full_cache_stats().bytes, join1 + join2);
-    // A second cache over the same completions, with room for the two joins
-    // and nothing else; `chain1` is its least recently used entry.
-    let tight = JoinCache::with_budget(join1 + join2);
-    tight.put(chain1.clone(), Arc::clone(&out1));
-    tight.put(chain2.clone(), Arc::clone(&out2));
-    assert_eq!(tight.full_stats().evictions, 0);
 
     snap.execute(&q1, 1).expect("execute");
     let relation = out1.approx_bytes() - join1;
@@ -400,15 +396,19 @@ fn attached_relations_count_against_the_cache_budget() {
         "nothing was attached to c2's join"
     );
 
-    // Charging the growth evicts the other entry, never the grown one.
-    tight.recharge(&chain1);
-    assert!(tight.get(&chain1).is_some(), "the grown entry stays");
-    let stats = tight.full_stats();
+    // The same build with room for the two joins and nothing else, where
+    // `chain1` is the least recently used entry: charging the growth evicts
+    // the other entry, never the grown one.
+    let tight = build(join1 + join2);
+    tight.complete_join(&chain1).expect("complete");
+    tight.complete_join(&chain2).expect("complete");
+    assert_eq!(tight.full_cache_stats().evictions, 0);
+    tight.execute(&q1, 1).expect("execute");
+    let stats = tight.full_cache_stats();
     assert_eq!((stats.entries, stats.evictions), (1, 1), "{stats:?}");
     assert_eq!(stats.bytes, join1 + relation);
-    // The evicted chain is gone: nothing to charge, nothing to evict.
-    tight.recharge(&chain2);
-    assert_eq!(tight.full_stats(), stats);
+    let (resident, _) = tight.cached_completions().pop().expect("one entry");
+    assert_eq!(resident, chain1, "the grown entry stays");
 }
 
 /// Retired formulations, kept as oracles. Of `Snapshot::execute`: the warm
@@ -709,16 +709,17 @@ fn assert_matches_copying_oracle(mut rs: ReStore, shapes: &[Query], seed: u64) -
         query_response_json(&snap.execute(q, seed).expect("execute"), None)
     };
 
-    // The completion each shape is served from, out of a cache that has
-    // seen nothing else (synthesis is a function of serve seed and chain).
+    // The completion each shape is served from, every column drawn, out of
+    // a cache that has seen nothing else (synthesis is a function of serve
+    // seed and chain).
     let outputs: Vec<_> = shapes
         .iter()
         .map(|q| {
             let fresh = load();
             fresh.execute(q, 0).expect("execute");
-            let (chain, out) = fresh.cached_completions().pop().expect("one completion");
+            let (chain, _) = fresh.cached_completions().pop().expect("one completion");
             assert!(q.tables.iter().all(|t| chain.contains(t)));
-            out
+            fresh.complete_join(&chain).expect("complete")
         })
         .collect();
     assert!(

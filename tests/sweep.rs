@@ -193,6 +193,19 @@ fn sweep_sampling_bit_identical_and_rng_aligned() {
     let mut s_full = InferenceSession::new();
     for &n in &[1usize, 7, 33] {
         for start in 0..CARDS.len() {
+            // Every attribute from `start` on, from the seed each range uses.
+            let mut all = tokens(n);
+            let mut rng_all = StdRng::seed_from_u64(1000 + start as u64);
+            made.sample_range_in(
+                &mut s_sweep,
+                &store,
+                &mut all,
+                None,
+                start,
+                CARDS.len(),
+                &[],
+                &mut rng_all,
+            );
             for end in start..=CARDS.len() {
                 let base = tokens(n);
                 let mut cols_a = base.clone();
@@ -222,6 +235,12 @@ fn sweep_sampling_bit_identical_and_rng_aligned() {
                 assert_eq!(
                     cols_a, cols_b,
                     "tokens diverged at n {n} range {start}..{end}"
+                );
+                // A shorter range draws a prefix of the longer one's columns.
+                assert_eq!(
+                    cols_a[start..end],
+                    all[start..end],
+                    "range {start}..{end} is no prefix of {start}.. at n {n}"
                 );
                 // Same number of draws consumed → streams stay aligned.
                 assert_eq!(
