@@ -82,9 +82,7 @@ impl TrainConfig {
     }
 }
 
-// Training constants no caller varies. Snapshot files written while they
-// were `TrainConfig` fields still carry them as keys; the loader accepts a
-// key only at its constant's value.
+// Training constants no caller varies.
 
 /// Adam's learning rate.
 pub(crate) const LR: f32 = 5e-3;
@@ -169,16 +167,6 @@ struct ModelStructure {
     deepsets: Option<DeepSets>,
 }
 
-/// The training-time statistics a snapshot persists alongside weights —
-/// `val_per_attr` in particular feeds the §5 selection criterion, so a
-/// loaded model must report exactly what the trained one did.
-pub(crate) struct RehydratedStats {
-    pub train_losses: Vec<f32>,
-    pub val_per_attr: Vec<f32>,
-    pub val_loss: f32,
-    pub train_seconds: f64,
-}
-
 /// A trained completion model for one path.
 pub struct CompletionModel {
     path: CompletionPath,
@@ -193,7 +181,6 @@ pub struct CompletionModel {
     deepsets: Option<DeepSets>,
     /// Every attribute's MASK token — what sampling must never draw.
     mask_tokens: Vec<Option<u32>>,
-    cfg: TrainConfig,
     /// Per-epoch mean training loss.
     pub train_losses: Vec<f32>,
     /// Held-out per-attribute NLL (the §5 model-selection "test loss").
@@ -287,8 +274,8 @@ impl CompletionModel {
 
     /// [`CompletionModel::train`] on `workers` engine threads, whatever
     /// `cfg.workers` says: a build that trains chains side by side splits
-    /// its workers between them. The model keeps `cfg` as given; the split
-    /// moves no weight (training is bit-identical under any worker count).
+    /// its workers between them. The split moves no weight (training is
+    /// bit-identical under any worker count).
     pub(crate) fn train_on(
         db: &Database,
         annotation: &SchemaAnnotation,
@@ -316,8 +303,8 @@ impl CompletionModel {
         let (tokens, weights) =
             encode_training_tokens(db, &path, &structure.attrs, &structure.tf_attrs, &join)?;
 
-        let mut model = Self::from_structure(path, structure, cfg);
-        model.fit(&join, tokens, weights, workers, &mut rng)?;
+        let mut model = Self::from_structure(path, structure);
+        model.fit(cfg, &join, tokens, weights, workers, &mut rng)?;
         // The weights are final: build the sweep's banded weights now, as a
         // loaded model does.
         model.made.freeze_banded(&model.store);
@@ -333,48 +320,30 @@ impl CompletionModel {
     /// seed fed to weight init is irrelevant — every value it produces is
     /// replaced — so the result serves byte-identically to the original.
     /// The degree-banded weight matrices the synthesis sweep reads are built
-    /// here too, so no query's first sweep pays for them.
+    /// here too, so no query's first sweep pays for them. The training
+    /// statistics are the caller's to restore.
     pub(crate) fn rehydrate(
         db: &Database,
         annotation: &SchemaAnnotation,
         path: CompletionPath,
         cfg: &TrainConfig,
         weights: &[u8],
-        stats: RehydratedStats,
     ) -> CoreResult<Self> {
         let mut rng = StdRng::seed_from_u64(0);
         let structure = Self::build_structure(db, annotation, &path, cfg, &mut rng)?;
-        if stats.val_per_attr.len() != structure.attrs.len() {
-            return Err(CoreError::Invalid(format!(
-                "snapshot for path {} has {} per-attr losses, model has {} attrs",
-                path.describe(),
-                stats.val_per_attr.len(),
-                structure.attrs.len()
-            )));
-        }
-        let mut model = Self::from_structure(path, structure, cfg);
+        let mut model = Self::from_structure(path, structure);
         model.store.import_raw_le(weights).map_err(|e| {
             CoreError::Invalid(format!(
                 "snapshot weights for {}: {e}",
                 model.path.describe()
             ))
         })?;
-        model.train_losses = stats.train_losses;
-        model.val_per_attr = stats.val_per_attr;
-        model.val_loss = stats.val_loss;
-        model.train_seconds = stats.train_seconds;
         model.made.freeze_banded(&model.store);
         Ok(model)
     }
 
-    /// The training configuration this model was built with — persisted so
-    /// a loaded snapshot can rebuild the identical structure.
-    pub fn train_config(&self) -> &TrainConfig {
-        &self.cfg
-    }
-
     /// Wraps a built structure into an (untrained) model shell.
-    fn from_structure(path: CompletionPath, s: ModelStructure, cfg: &TrainConfig) -> Self {
+    fn from_structure(path: CompletionPath, s: ModelStructure) -> Self {
         let mask_tokens = (s.attrs.iter())
             .map(|a| Some(a.encoder.mask_token()))
             .collect();
@@ -388,7 +357,6 @@ impl CompletionModel {
             store: s.store,
             ctx: s.ctx,
             deepsets: s.deepsets,
-            cfg: cfg.clone(),
             train_losses: Vec::new(),
             val_per_attr: Vec::new(),
             val_loss: 0.0,
@@ -525,6 +493,7 @@ impl CompletionModel {
 
     fn fit(
         &mut self,
+        cfg: &TrainConfig,
         join: &Table,
         tokens: Vec<Vec<u32>>,
         weights: Vec<Vec<f32>>,
@@ -537,7 +506,7 @@ impl CompletionModel {
         for i in (1..order.len()).rev() {
             order.swap(i, rng.random_range(0..=i));
         }
-        order.truncate(self.cfg.max_train_rows.max(16));
+        order.truncate(cfg.max_train_rows.max(16));
         let n_val = ((order.len() as f64 * VAL_FRACTION) as usize).clamp(1, order.len() / 2 + 1);
         let val_rows: Vec<usize> = order.split_off(order.len() - n_val);
         let train_rows = order;
@@ -546,12 +515,9 @@ impl CompletionModel {
         // The engine's tapes and gradient-buffer pool live for the whole
         // training run: after the first epoch every step reuses its arenas.
         let mut engine = TrainEngine::new(workers);
-        let bs = self.cfg.batch_size.max(8);
+        let bs = cfg.batch_size.max(8);
         let batches_per_epoch = train_rows.len().div_ceil(bs).max(1);
-        let epochs = self
-            .cfg
-            .epochs
-            .max(self.cfg.min_steps.div_ceil(batches_per_epoch));
+        let epochs = cfg.epochs.max(cfg.min_steps.div_ceil(batches_per_epoch));
 
         // Early stopping on the held-out split: small training joins (a few
         // hundred rows) overfit quickly, which would both hurt the

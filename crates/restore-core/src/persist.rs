@@ -6,10 +6,11 @@
 //! ```text
 //! offset  size     content
 //! 0       8        magic "RSTRSNAP"
-//! 8       4        format version, u32 LE (currently 1)
+//! 8       4        format version, u32 LE (currently 2)
 //! 12      8        meta length in bytes, u64 LE
-//! 20      m        meta JSON (UTF-8): catalog, annotation, configs,
-//!                  per-model metadata + parameter shapes, selected paths
+//! 20      m        meta JSON (UTF-8): catalog, annotation, config (the
+//!                  one training config every model was built under),
+//!                  per-model stats + parameter shapes, selected paths
 //! 20+m    p        binary payload: column sections per table (catalog
 //!                  order), then raw little-endian f32 weight blocks per
 //!                  model (sorted path order, authoritative unpadded
@@ -33,7 +34,7 @@
 //! seed is stored as a decimal *string* because the JSON reader funnels
 //! numbers through `f64`, which loses integers above 2^53.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -44,25 +45,20 @@ use restore_util::{fnv1a64, json_object, write_atomic};
 
 use crate::annotation::SchemaAnnotation;
 use crate::cache::JoinCache;
-use crate::completion::{
-    CompleterConfig, ReplacementMode, ANN_BITS, ANN_TABLES, MAX_MISSING_PER_ROW,
-};
+use crate::completion::{CompleterConfig, ReplacementMode};
 use crate::error::CoreError;
-use crate::model::{
-    CompletionModel, RehydratedStats, TrainConfig, CLIP_NORM, EMBED_DIM, LR, MAX_BINS,
-    MAX_SET_SIZE, MICROBATCH, PATIENCE, TF_CAP, VAL_FRACTION,
-};
+use crate::model::{CompletionModel, TrainConfig};
 use crate::paths::CompletionPath;
 use crate::restore::RestoreConfig;
 use crate::selection::{BiasDirection, SelectionStrategy, SuspectedBias};
-use crate::snapshot::{Snapshot, MAX_PATH_LEN};
+use crate::snapshot::Snapshot;
 use crate::wire::{name_of, named};
 
 /// File magic of snapshot files.
 pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"RSTRSNAP";
 /// Current format version. Bump on ANY layout change — the loader refuses
 /// other versions rather than misreading them.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
 
 /// Errors of the snapshot persistence layer.
 #[derive(Debug)]
@@ -119,8 +115,6 @@ impl Snapshot {
     /// (maps are emitted in sorted order), so re-saving an unchanged
     /// version is byte-idempotent.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let model_keys = self.sorted_model_keys();
-
         let mut payload = Vec::new();
         for name in self.db.table_names() {
             let table = self.db.table(name).expect("catalog table");
@@ -128,8 +122,7 @@ impl Snapshot {
                 write_column(&mut payload, col);
             }
         }
-        for key in &model_keys {
-            let model = &self.models[key];
+        for model in self.models.values() {
             for mat in model.params().values() {
                 for &v in mat.data() {
                     payload.extend_from_slice(&v.to_le_bytes());
@@ -137,7 +130,7 @@ impl Snapshot {
             }
         }
 
-        let meta = self.meta_json(&model_keys).to_json();
+        let meta = self.meta_json().to_json();
         let mut out = Vec::with_capacity(20 + meta.len() + payload.len() + 8);
         out.extend_from_slice(SNAPSHOT_MAGIC);
         out.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
@@ -237,14 +230,13 @@ impl Snapshot {
             .map_err(|_| corrupt(format!("serve_seed {serve_seed:?} is not a u64")))?;
 
         // ---- models (weight blocks follow the catalog in the payload) ---
-        let mut models = HashMap::new();
+        let mut models = BTreeMap::new();
         for mmeta in arr(&meta, "models")? {
             let tables: Vec<String> = arr(mmeta, "tables")?
                 .iter()
                 .map(|v| v.as_str().map(str::to_string))
                 .collect::<Option<_>>()
                 .ok_or_else(|| corrupt("model path tables"))?;
-            let train = train_from_json(field(mmeta, "train")?)?;
             // Total scalar count across all parameter blocks: the weights
             // are handed to the model as one raw LE byte slice and stream
             // straight into the rebuilt store — no intermediate matrices.
@@ -266,15 +258,22 @@ impl Snapshot {
                     .checked_mul(4)
                     .ok_or_else(|| corrupt("parameter shape overflow"))?,
             )?;
-            let stats = RehydratedStats {
-                train_losses: f32_list(mmeta, "train_losses")?,
-                val_per_attr: f32_list(mmeta, "val_per_attr")?,
-                val_loss: num_field(mmeta, "val_loss")? as f32,
-                train_seconds: num_field(mmeta, "train_seconds")?,
-            };
             let path = CompletionPath::from_tables(&db, &tables)
                 .map_err(|e| corrupt(format!("model path {tables:?}: {e}")))?;
-            let model = CompletionModel::rehydrate(&db, &annotation, path, &train, raw, stats)?;
+            let mut model = CompletionModel::rehydrate(&db, &annotation, path, &config.train, raw)?;
+            // `val_per_attr` feeds the §5 selection criterion, so a loaded
+            // model must report exactly what the trained one did.
+            model.val_per_attr = f32_list(mmeta, "val_per_attr")?;
+            if model.val_per_attr.len() != model.attrs().len() {
+                return Err(corrupt(format!(
+                    "model {tables:?} has {} per-attr losses, but {} attrs",
+                    model.val_per_attr.len(),
+                    model.attrs().len()
+                )));
+            }
+            model.train_losses = f32_list(mmeta, "train_losses")?;
+            model.val_loss = num_field(mmeta, "val_loss")? as f32;
+            model.train_seconds = num_field(mmeta, "train_seconds")?;
             models.insert(tables, Arc::new(model));
         }
         if cur.pos != cur.buf.len() {
@@ -286,7 +285,7 @@ impl Snapshot {
 
         let selected = chains_from_json(&meta, "selected")?;
         let forced = chains_from_json(&meta, "forced")?;
-        let suspected = suspected_from_json(&meta)?;
+        let suspected = suspected_from_json(arr(&meta, "suspected")?)?;
 
         // Loaded snapshots start with a cold cache; path-derived seeds make
         // the repopulated entries bit-identical to the original's.
@@ -304,13 +303,7 @@ impl Snapshot {
         })
     }
 
-    pub(crate) fn sorted_model_keys(&self) -> Vec<Vec<String>> {
-        let mut keys: Vec<Vec<String>> = self.models.keys().cloned().collect();
-        keys.sort();
-        keys
-    }
-
-    fn meta_json(&self, model_keys: &[Vec<String>]) -> JsonValue {
+    fn meta_json(&self) -> JsonValue {
         let tables: Vec<JsonValue> = self
             .db
             .table_names()
@@ -340,10 +333,10 @@ impl Snapshot {
                 }
             })
             .collect();
-        let models: Vec<JsonValue> = model_keys
+        let models: Vec<JsonValue> = self
+            .models
             .iter()
-            .map(|key| {
-                let m = &self.models[key];
+            .map(|(key, m)| {
                 let shapes: Vec<JsonValue> = m
                     .params()
                     .values()
@@ -352,7 +345,6 @@ impl Snapshot {
                     .collect();
                 json_object! {
                     "tables": key.clone(),
-                    "train": train_to_json(m.train_config()),
                     "train_losses": m.train_losses.clone(),
                     "val_per_attr": m.val_per_attr.clone(),
                     "val_loss": m.val_loss,
@@ -362,7 +354,7 @@ impl Snapshot {
             })
             .collect();
         let incomplete: Vec<&str> = self.annotation.incomplete_tables().collect();
-        let mut meta = json_object! {
+        json_object! {
             "format": "restore-snapshot",
             "serve_seed": self.serve_seed.to_string(),
             "incomplete": incomplete,
@@ -372,14 +364,8 @@ impl Snapshot {
             "models": models,
             "selected": chains_to_json(&self.selected),
             "forced": chains_to_json(&self.forced),
-        };
-        // Optional key: suspected-bias hints. Emitted only when present so
-        // hint-free snapshots keep their pre-existing byte layout (and the
-        // golden fixture stays valid); old files simply lack the key.
-        if !self.suspected.is_empty() {
-            meta.push("suspected", suspected_to_json(&self.suspected));
+            "suspected": suspected_to_json(&self.suspected),
         }
-        meta
     }
 }
 
@@ -618,12 +604,9 @@ const DTYPES: [(DataType, &str); 3] = [
     (DataType::Str, "str"),
 ];
 
-fn chains_to_json(map: &HashMap<String, Vec<String>>) -> JsonValue {
-    let mut entries: Vec<(&String, &Vec<String>)> = map.iter().collect();
-    entries.sort_by_key(|(k, _)| k.as_str());
+fn chains_to_json(map: &BTreeMap<String, Vec<String>>) -> JsonValue {
     JsonValue::Arr(
-        entries
-            .into_iter()
+        map.iter()
             .map(|(k, chain)| (k.as_str(), chain.clone()).into())
             .collect(),
     )
@@ -632,8 +615,8 @@ fn chains_to_json(map: &HashMap<String, Vec<String>>) -> JsonValue {
 fn chains_from_json(
     meta: &JsonValue,
     key: &str,
-) -> Result<HashMap<String, Vec<String>>, PersistError> {
-    let mut out = HashMap::new();
+) -> Result<BTreeMap<String, Vec<String>>, PersistError> {
+    let mut out = BTreeMap::new();
     for entry in arr(meta, key)? {
         let pair = entry
             .as_array()
@@ -672,15 +655,7 @@ fn suspected_to_json(hints: &[SuspectedBias]) -> JsonValue {
     JsonValue::Arr(hints.iter().map(hint).collect())
 }
 
-/// Tolerant reader for the optional `"suspected"` meta key: files written
-/// before the key existed simply have no hints.
-fn suspected_from_json(meta: &JsonValue) -> Result<Vec<SuspectedBias>, PersistError> {
-    let Some(entries) = meta.get("suspected") else {
-        return Ok(Vec::new());
-    };
-    let entries = entries
-        .as_array()
-        .ok_or_else(|| corrupt("meta field \"suspected\" is not an array"))?;
+fn suspected_from_json(entries: &[JsonValue]) -> Result<Vec<SuspectedBias>, PersistError> {
     entries
         .iter()
         .map(|e| {
@@ -702,44 +677,6 @@ fn suspected_from_json(meta: &JsonValue) -> Result<Vec<SuspectedBias>, PersistEr
         .collect()
 }
 
-// Options that became constants. v1 files written before carry them as
-// keys: the writer no longer emits them, and the reader accepts each only
-// at its constant's value, so such a file still serves what it was built
-// to serve.
-const RETIRED_TRAIN_KEYS: [(&str, f64); 9] = [
-    ("lr", LR as f64),
-    ("max_bins", MAX_BINS as f64),
-    ("val_fraction", VAL_FRACTION),
-    ("clip_norm", CLIP_NORM as f64),
-    ("tf_cap", TF_CAP as f64),
-    ("max_set_size", MAX_SET_SIZE as f64),
-    ("patience", PATIENCE as f64),
-    ("embed_dim", EMBED_DIM as f64),
-    ("microbatch", MICROBATCH as f64),
-];
-const RETIRED_COMPLETER_KEYS: [(&str, f64); 3] = [
-    ("ann_bits", ANN_BITS as f64),
-    ("ann_tables", ANN_TABLES as f64),
-    ("max_missing_per_row", MAX_MISSING_PER_ROW as f64),
-];
-const RETIRED_CONFIG_KEYS: [(&str, f64); 1] = [("max_path_len", MAX_PATH_LEN as f64)];
-
-/// Refuses a meta object whose retired key holds anything but the constant
-/// that replaced it; an absent key is what this build writes.
-fn check_retired(v: &JsonValue, retired: &[(&str, f64)]) -> Result<(), PersistError> {
-    for &(key, value) in retired {
-        if let Some(x) = v.get(key) {
-            if x.as_f64() != Some(value) {
-                return Err(corrupt(format!(
-                    "meta field {key:?} is {}, but this build only runs with {value}",
-                    x.to_json()
-                )));
-            }
-        }
-    }
-    Ok(())
-}
-
 fn train_to_json(t: &TrainConfig) -> JsonValue {
     json_object! {
         "epochs": t.epochs,
@@ -752,11 +689,7 @@ fn train_to_json(t: &TrainConfig) -> JsonValue {
     }
 }
 
-// Meta lookups are by name, so v1 files written while the
-// `incremental_sweep` / `incremental_encoding` options still existed load
-// unchanged: nothing reads those two keys any more.
 fn train_from_json(v: &JsonValue) -> Result<TrainConfig, PersistError> {
-    check_retired(v, &RETIRED_TRAIN_KEYS)?;
     Ok(TrainConfig {
         epochs: usize_field(v, "epochs")?,
         batch_size: usize_field(v, "batch_size")?,
@@ -787,7 +720,6 @@ fn completer_to_json(c: &CompleterConfig) -> JsonValue {
 }
 
 fn completer_from_json(v: &JsonValue) -> Result<CompleterConfig, PersistError> {
-    check_retired(v, &RETIRED_COMPLETER_KEYS)?;
     let replacement = str_field(v, "replacement")?;
     Ok(CompleterConfig {
         replacement: named(&REPLACEMENT_MODES, replacement)
@@ -817,17 +749,14 @@ fn config_to_json(c: &RestoreConfig) -> JsonValue {
 }
 
 fn config_from_json(v: &JsonValue) -> Result<RestoreConfig, PersistError> {
-    check_retired(v, &RETIRED_CONFIG_KEYS)?;
     Ok(RestoreConfig {
         train: train_from_json(field(v, "train")?)?,
         completer: completer_from_json(field(v, "completer")?)?,
         max_candidates: usize_field(v, "max_candidates")?,
-        strategy: match str_field(v, "strategy")? {
-            // Retired name, read only. Serving never honoured it, so the
-            // file keeps its candidate count.
-            "shortest" => SelectionStrategy::BestValLoss,
-            name => named(&STRATEGIES, name)
-                .ok_or_else(|| corrupt(format!("unknown selection strategy {name:?}")))?,
+        strategy: {
+            let name = str_field(v, "strategy")?;
+            named(&STRATEGIES, name)
+                .ok_or_else(|| corrupt(format!("unknown selection strategy {name:?}")))?
         },
         cache_budget_bytes: usize_field(v, "cache_budget_bytes")?,
     })
@@ -846,12 +775,6 @@ mod tests {
         assert_eq!(back.completer.batch_size, cfg.completer.batch_size);
         assert_eq!(back.cache_budget_bytes, cfg.cache_budget_bytes);
         assert_eq!(back.strategy, cfg.strategy);
-        // A file written while `SelectionStrategy::Shortest` existed.
-        let old = config_to_json(&cfg)
-            .to_json()
-            .replace("best_val_loss", "shortest");
-        let back = config_from_json(&parse(&old).unwrap()).unwrap();
-        assert_eq!(back.strategy, SelectionStrategy::BestValLoss);
         assert_eq!(back.max_candidates, cfg.max_candidates);
     }
 

@@ -24,7 +24,7 @@
 //! operators. The builder trains the models of step (1)'s candidates; the
 //! snapshot picks among them per query and does the rest.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use restore_db::Database;
@@ -99,12 +99,12 @@ pub struct ReStore {
     db: Arc<Database>,
     annotation: SchemaAnnotation,
     config: RestoreConfig,
-    models: HashMap<Vec<String>, Arc<CompletionModel>>,
+    models: BTreeMap<Vec<String>, Arc<CompletionModel>>,
     /// The build's ranking: reported and persisted, read by no serving path.
-    selected: HashMap<String, Vec<String>>,
+    selected: BTreeMap<String, Vec<String>>,
     /// Paths that bind the serving side: set by [`ReStore::set_selected_path`]
     /// or ranked first by [`ReStore::train`] under the user's bias hint.
-    forced: HashMap<String, Vec<String>>,
+    forced: BTreeMap<String, Vec<String>>,
     suspected: Vec<SuspectedBias>,
 }
 
@@ -114,9 +114,9 @@ impl ReStore {
             db: Arc::new(db),
             annotation: SchemaAnnotation::new(),
             config,
-            models: HashMap::new(),
-            selected: HashMap::new(),
-            forced: HashMap::new(),
+            models: BTreeMap::new(),
+            selected: BTreeMap::new(),
+            forced: BTreeMap::new(),
             suspected: Vec::new(),
         }
     }
@@ -143,7 +143,7 @@ impl ReStore {
         self.suspected.push(bias);
     }
 
-    /// All models trained so far (diagnostics).
+    /// All models trained so far, in chain order (diagnostics).
     pub fn trained_models(&self) -> Vec<Arc<CompletionModel>> {
         self.models.values().cloned().collect()
     }
@@ -181,12 +181,13 @@ impl ReStore {
             db: Arc::clone(&snapshot.db),
             annotation: snapshot.annotation.clone(),
             config: snapshot.config.clone(),
-            models: HashMap::new(),
+            models: BTreeMap::new(),
             selected: snapshot.selected.clone(),
             forced: snapshot.forced.clone(),
             suspected: snapshot.suspected.clone(),
         };
-        for trained in rs.models_for_paths(&snapshot.sorted_model_keys(), train_seed) {
+        let chains: Vec<&Vec<String>> = snapshot.models.keys().collect();
+        for trained in rs.models_for_paths(&chains, train_seed) {
             trained?;
         }
         Ok(rs)

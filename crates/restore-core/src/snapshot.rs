@@ -31,7 +31,7 @@
 //! seed only drives the §4.4 thinning: on a chain with nothing to thin,
 //! every query seed gives the same bits.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -69,11 +69,11 @@ pub struct Snapshot {
     pub(crate) db: Arc<Database>,
     pub(crate) annotation: SchemaAnnotation,
     pub(crate) config: RestoreConfig,
-    pub(crate) models: HashMap<Vec<String>, Arc<CompletionModel>>,
+    pub(crate) models: BTreeMap<Vec<String>, Arc<CompletionModel>>,
     /// The build's ranking, a diagnostic: `execution_chain` picks what serves.
-    pub(crate) selected: HashMap<String, Vec<String>>,
+    pub(crate) selected: BTreeMap<String, Vec<String>>,
     /// Paths bound at build time by the user or by their suspected-bias hint.
-    pub(crate) forced: HashMap<String, Vec<String>>,
+    pub(crate) forced: BTreeMap<String, Vec<String>>,
     /// Suspected-bias hints registered at build time (§5). Frozen into the
     /// snapshot (and persisted) so a rebuild re-ranks candidates under the
     /// same hints instead of silently dropping them.
@@ -114,7 +114,7 @@ impl Snapshot {
         self.cache.entries()
     }
 
-    /// All models frozen into the snapshot.
+    /// All models frozen into the snapshot, in chain order.
     pub fn trained_models(&self) -> Vec<Arc<CompletionModel>> {
         self.models.values().cloned().collect()
     }
@@ -323,8 +323,6 @@ impl Snapshot {
 }
 
 /// Maximum completion-path length in tables; the movie setups need 5.
-/// Snapshot files written while it was a `RestoreConfig` field still carry
-/// it as a key; the loader accepts the key only at this value.
 pub(crate) const MAX_PATH_LEN: usize = 5;
 
 /// The candidate completion paths of an incomplete table: the one list
@@ -350,7 +348,7 @@ pub(crate) fn candidate_paths(
 pub(crate) fn candidate_chains(
     db: &Database,
     annotation: &SchemaAnnotation,
-    forced: &HashMap<String, Vec<String>>,
+    forced: &BTreeMap<String, Vec<String>>,
     config: &RestoreConfig,
     query_tables: &[String],
 ) -> CoreResult<(Vec<Vec<String>>, Option<CoreError>)> {

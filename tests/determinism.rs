@@ -316,7 +316,9 @@ fn different_data_seed_changes_data() {
 /// One function trains a chain, under the caller's seed as given — so a
 /// chain's model is the same whoever asks for it and in whatever order.
 /// `train` keeps every candidate it trains, `ensure_query_models` finds them
-/// there, and a rebuild under the build's seed reproduces the build.
+/// there, and a rebuild under the build's seed reproduces the build. The
+/// build and the snapshot it seals list their models in chain order, so
+/// whatever prints or fingerprints that list is reproducible.
 #[test]
 fn a_chain_is_trained_once_whoever_asks() {
     use restore::core::CompletionModel;
@@ -380,6 +382,15 @@ fn a_chain_is_trained_once_whoever_asks() {
     let built = rs.trained_models();
     let built_bits = bits(&built);
     assert_eq!(built.len(), 4);
+    let chains = |models: &[Arc<CompletionModel>]| -> Vec<Vec<String>> {
+        models.iter().map(|m| m.path().tables().to_vec()).collect()
+    };
+    let sorted: Vec<Vec<String>> = built_bits.keys().cloned().collect();
+    assert_eq!(
+        chains(&built),
+        sorted,
+        "the build lists its models out of order"
+    );
     for model in &kept {
         assert!(
             built.iter().any(|m| Arc::ptr_eq(m, model)),
@@ -398,7 +409,13 @@ fn a_chain_is_trained_once_whoever_asks() {
         "the order of the calls decided a chain's weights"
     );
 
-    let rebuilt = ReStore::rebuild_from(&rs.seal(1), seed).unwrap();
+    let sealed = rs.seal(1);
+    assert_eq!(
+        chains(&sealed.trained_models()),
+        sorted,
+        "the snapshot lists its models out of order"
+    );
+    let rebuilt = ReStore::rebuild_from(&sealed, seed).unwrap();
     assert!(
         bits(&rebuilt.trained_models()) == built_bits,
         "rebuild_from under the build's seed did not reproduce the build"

@@ -1,10 +1,13 @@
-//! Golden snapshot fixture: a committed v1-format snapshot file that
+//! Golden snapshot fixture: a committed v2-format snapshot file that
 //! today's loader must read and serve **byte-for-byte** as pinned when it
-//! was created. This is the cross-PR format-compatibility gate — any
-//! change to the on-disk layout, the rehydration path, or serving
-//! numerics breaks it, and the only sanctioned escape is bumping
-//! `SNAPSHOT_FORMAT_VERSION` and regenerating the fixture (run the
-//! `#[ignore]`d `regenerate_golden_fixture` test and commit both files).
+//! was created, and that its writer must save back to the same bytes.
+//! This is the format-compatibility gate — any change to the on-disk
+//! layout, the rehydration path, or serving numerics breaks it, and the
+//! only sanctioned escape is bumping `SNAPSHOT_FORMAT_VERSION` and
+//! regenerating the fixture (run the `#[ignore]`d
+//! `regenerate_golden_fixture` test, commit both files under the new
+//! version's name and pin the re-save it prints). The loader reads one
+//! version, so the old fixture goes.
 
 use std::path::PathBuf;
 
@@ -22,11 +25,11 @@ fn fixture_dir() -> PathBuf {
 }
 
 fn fixture_path() -> PathBuf {
-    fixture_dir().join("golden_v1.snap")
+    fixture_dir().join("golden_v2.snap")
 }
 
 fn expected_path() -> PathBuf {
-    fixture_dir().join("golden_v1_expected.txt")
+    fixture_dir().join("golden_v2_expected.txt")
 }
 
 /// The fixture's serving transcript: the shared workload under two seeds,
@@ -98,17 +101,17 @@ fn build_golden() -> Snapshot {
 #[test]
 fn golden_fixture_loads_and_serves_pinned_results() {
     assert_eq!(
-        SNAPSHOT_FORMAT_VERSION, 1,
+        SNAPSHOT_FORMAT_VERSION, 2,
         "format version changed: regenerate the golden fixture \
          (cargo test --test golden_snapshot -- --ignored) and rename it"
     );
     let snapshot = Snapshot::load(&fixture_path()).expect(
-        "committed golden_v1.snap must load with today's loader \
+        "committed golden_v2.snap must load with today's loader \
          (format change without a version bump?)",
     );
     assert_eq!(snapshot.serve_seed(), 41);
     let expected: Vec<String> = std::fs::read_to_string(expected_path())
-        .expect("committed golden_v1_expected.txt")
+        .expect("committed golden_v2_expected.txt")
         .lines()
         .map(str::to_string)
         .collect();
@@ -120,14 +123,13 @@ fn golden_fixture_loads_and_serves_pinned_results() {
 }
 
 /// What the writer makes of the fixture, pinned: its length and
-/// checksum, and a reload that saves the same bytes again. The re-save is
-/// not the committed file's 10,059 bytes, because keys of options that
-/// became constants are read but not written back.
+/// checksum — the committed file's own, since the reader drops nothing the
+/// writer wrote — and a reload that saves the same bytes again.
 #[test]
 fn golden_fixture_resaves_to_pinned_bytes() {
     let bytes = Snapshot::load(&fixture_path()).expect("load").to_bytes();
-    assert_eq!(bytes.len(), 9_616);
-    assert_eq!(fnv1a64(&bytes), 0xf0e8_4977_c1b1_6f3f);
+    assert_eq!(bytes.len(), 9_518);
+    assert_eq!(fnv1a64(&bytes), 0x0a30_59e7_4961_063a);
     let again = Snapshot::from_bytes(&bytes).expect("reload").to_bytes();
     assert_eq!(again, bytes, "re-saving a loaded snapshot is idempotent");
 }

@@ -10,9 +10,9 @@
 //!   corrupt newest version falls back to the newest *valid* one;
 //! * **idempotence** — re-saving the same snapshot version is byte-equal,
 //!   and a server boots tenants straight from the snapshot directory;
-//! * **retired option keys** — options that became constants are no longer
-//!   written, load from older v1 files only at the constants' values, and
-//!   are refused by name otherwise;
+//! * **one format** — the meta states each fact once (the training config
+//!   under `config` alone, no retired option key, `suspected` always), and
+//!   a file of another format version is refused, not read;
 //! * **hot swap from disk** — a *loaded* v2 publishes over an in-memory
 //!   v1 under concurrent load torn-free (the `http_serving.rs` harness,
 //!   with the replacement snapshot coming off disk).
@@ -177,7 +177,7 @@ fn resave_of_same_version_is_byte_idempotent() {
 }
 
 /// `file` with its meta JSON rewritten by `edit`, the meta length and the
-/// checksum fixed up: the same snapshot as another v1 writer would save it.
+/// checksum fixed up.
 fn edit_meta(file: &[u8], edit: impl FnOnce(&str) -> String) -> Vec<u8> {
     let meta_len = u64::from_le_bytes(file[12..20].try_into().unwrap()) as usize;
     let meta = edit(std::str::from_utf8(&file[20..20 + meta_len]).expect("UTF-8 meta"));
@@ -190,9 +190,24 @@ fn edit_meta(file: &[u8], edit: impl FnOnce(&str) -> String) -> Vec<u8> {
     out
 }
 
+/// `file` with its format version set to `version` and the checksum fixed
+/// up: what a writer of that version saves, as far as the header goes.
+fn with_format_version(file: &[u8], version: u32) -> Vec<u8> {
+    let mut out = file.to_vec();
+    out[8..12].copy_from_slice(&version.to_le_bytes());
+    let body = out.len() - 8;
+    let checksum = fnv1a64(&out[..body]);
+    out[body..].copy_from_slice(&checksum.to_le_bytes());
+    out
+}
+
+/// Format v2 states each fact once: the training config every model was
+/// built under sits under `config` alone, no key of an option that became a
+/// constant is written, and `suspected` is always there. A v1 file is
+/// refused by version, not read by a second set of rules.
 #[test]
-fn retired_option_keys_are_not_written_and_load_only_at_their_constants() {
-    const RETIRED: [&str; 13] = [
+fn the_meta_states_each_fact_once_and_a_v1_file_is_refused() {
+    const RETIRED: [&str; 15] = [
         "lr",
         "max_bins",
         "val_fraction",
@@ -206,57 +221,35 @@ fn retired_option_keys_are_not_written_and_load_only_at_their_constants() {
         "ann_tables",
         "max_missing_per_row",
         "max_path_len",
+        "incremental_sweep",
+        "incremental_encoding",
     ];
     let bytes = sealed_synthetic_snapshot(29, 4).to_bytes();
     let meta_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
-    let meta = parse(std::str::from_utf8(&bytes[20..20 + meta_len]).unwrap()).expect("meta");
+    let text = std::str::from_utf8(&bytes[20..20 + meta_len]).unwrap();
+    let meta = parse(text).expect("meta");
     let field = |v: &JsonValue, key: &str| v.get(key).cloned().expect(key);
     let config = field(&meta, "config");
-    let mut blocks = vec![
-        config.clone(),
-        field(&config, "train"),
-        field(&config, "completer"),
-    ];
+    assert!(
+        config.get("train").is_some(),
+        "config states the train config"
+    );
+    assert_eq!(text.matches(r#""train":"#).count(), 1, "{text}");
     let models = field(&meta, "models");
     let models = models.as_array().expect("models");
     assert!(!models.is_empty());
-    blocks.extend(models.iter().map(|m| field(m, "train")));
-    for block in &blocks {
-        for key in RETIRED {
-            assert!(
-                block.get(key).is_none(),
-                "a saved file still writes {key:?}"
-            );
-        }
+    for key in RETIRED {
+        assert!(
+            !text.contains(&format!("\"{key}\"")),
+            "a saved file still writes {key:?}"
+        );
     }
+    assert_eq!(field(&meta, "suspected"), JsonValue::Arr(Vec::new()));
 
-    // Every earlier v1 writer emitted the keys at today's constants.
-    let old = edit_meta(&bytes, |m| {
-        m.replace(
-            r#""train":{"#,
-            r#""train":{"lr":0.004999999888241291,"max_bins":24,"val_fraction":0.1,"clip_norm":5,"tf_cap":64,"max_set_size":12,"patience":10,"embed_dim":8,"microbatch":32,"#,
-        )
-        .replace(
-            r#""completer":{"#,
-            r#""completer":{"ann_bits":10,"ann_tables":4,"max_missing_per_row":64,"#,
-        )
-        .replace(r#""max_candidates""#, r#""max_path_len":5,"max_candidates""#)
-    });
-    let loaded = Snapshot::from_bytes(&old).expect("v1 keys at the constants load");
-    assert_eq!(loaded.to_bytes(), bytes, "the reader ignores them");
-
-    for (key, from, to) in [
-        ("max_bins", r#""max_bins":24"#, r#""max_bins":16"#),
-        ("microbatch", r#""microbatch":32"#, r#""microbatch":48"#),
-        ("ann_tables", r#""ann_tables":4"#, r#""ann_tables":5"#),
-        ("max_path_len", r#""max_path_len":5"#, r#""max_path_len":3"#),
-    ] {
-        let changed = edit_meta(&old, |m| m.replacen(from, to, 1));
-        match Snapshot::from_bytes(&changed) {
-            Err(PersistError::Corrupt(m)) => assert!(m.contains(key), "{m}"),
-            other => panic!("a different {key} must be refused, got {:?}", other.err()),
-        }
-    }
+    assert!(matches!(
+        Snapshot::from_bytes(&with_format_version(&bytes, 1)),
+        Err(PersistError::UnsupportedVersion(1))
+    ));
 }
 
 /// A file that declares more rows than its payload holds is refused by
@@ -295,16 +288,24 @@ fn boot_scan_ignores_crash_window_temp_files_and_corrupt_versions() {
     let mid = corrupt.len() / 2;
     corrupt[mid] ^= 0x01;
     std::fs::write(store.version_path("t", 3), &corrupt).expect("write corrupt v3");
+    // A version of an older format (a v1 header, checksum intact): skipped
+    // by its version, not misread.
+    let old_format = with_format_version(&snapshot.to_bytes(), 1);
+    std::fs::write(store.version_path("t", 2), old_format).expect("write v1-format v2");
 
-    assert_eq!(store.versions("t"), vec![1, 3], "tmp file must not list");
+    assert_eq!(store.versions("t"), vec![1, 2, 3], "tmp file must not list");
     let (loaded, skipped) = store.load_latest("t");
     let loaded = loaded.expect("v1 must load");
     assert_eq!(loaded.version, 1, "scan must fall back to the valid v1");
-    assert_eq!(skipped.len(), 1, "corrupt v3 must be skipped, not fatal");
+    let reasons: Vec<&str> = skipped.iter().map(|s| s.reason.as_str()).collect();
+    assert_eq!(reasons.len(), 2, "v3 and v2 must be skipped, not fatal");
     assert!(
-        skipped[0].reason.contains("checksum"),
-        "skip reason names the failure: {}",
-        skipped[0].reason
+        reasons[0].contains("checksum"),
+        "names the failure: {reasons:?}"
+    );
+    assert!(
+        reasons[1].contains("unsupported snapshot format version 1"),
+        "names the version: {reasons:?}"
     );
 
     // End to end: a server pointed at the directory boots the tenant and

@@ -410,13 +410,11 @@ fn a_build_is_bit_identical_across_worker_counts() {
         }
         let snapshot = rs.seal(1);
         let rebuilt = ReStore::rebuild_from(&snapshot, seed).unwrap();
-        for model in rs.trained_models() {
-            assert_eq!(
-                model.train_config().workers,
-                workers,
-                "the split was stored"
-            );
-        }
+        assert_eq!(
+            snapshot.config().train.workers,
+            workers,
+            "the split was stored"
+        );
         (bits(&rs), bits(&rebuilt), snapshot.to_bytes())
     };
 
