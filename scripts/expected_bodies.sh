@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Byte identity of what the program serves, REF against the working tree:
-#   scripts/expected_bodies.sh [REF=HEAD]
-# Builds, from a `git archive` copy of REF and from the working tree (both
-# under .bench_build/bodies, so the root .cargo/config.toml applies to both),
-# a throwaway crate that includes benchmark/src/{spec,fixtures}.rs and prints,
-# for every workload at benchmark seeds 1-4 (sealed with the serve seed the
-# benchmark's `--seed` seals with):
-#   * every cycle shape's wire body, `fixtures::expected(..).body`;
+# Byte identity of what the program serves, checked against a pinned file:
+#   scripts/expected_bodies.sh          # check the working tree
+#   scripts/expected_bodies.sh --pin    # rewrite tests/fixtures/expected_bodies.txt
+# Builds, from the working tree (under .bench_build/bodies, so the root
+# .cargo/config.toml applies; a RUSTFLAGS such as `-C target-cpu=x86-64-v2`
+# overrides it), a throwaway crate that includes benchmark/src/{spec,fixtures}.rs
+# and prints one `label fnv1a64` line, the hash of the line's body, for:
+#   * every workload's cycle shapes at benchmark seeds 1-4 (sealed with the
+#     serve seed the benchmark's `--seed` seals with): the wire body,
+#     `fixtures::expected(..).body`;
 #   * the completed join, `wire::table_json` of `Snapshot::complete_join`, of
 #     every chain the snapshot holds a trained model for (the 3-table housing
 #     chains and their n:1 steps included, whether or not a shape serves them);
@@ -14,19 +16,20 @@
 #     landlords removed, completed along `apartment -> landlord`, so apartments
 #     whose landlord is gone lose their one partner and the n:1 step
 #     synthesizes it (no benchmark chain ever leaves an n:1 row partnerless).
-# Exits non-zero unless the two outputs are `cmp`-equal. About 4 minutes on
-# two cores, most of it the two release builds and the housing training.
+# Names every label whose hash differs from the pinned file's, or that only
+# one side has, and then exits non-zero. About 40 s on two cores once the
+# build is cached, most of it the housing training.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-ref=${1:-HEAD} root=$PWD dir=$PWD/.bench_build/bodies
-echo "expected bodies: ref = $ref ($(git rev-parse --short "$ref")), work = working tree" >&2
-rm -rf "$dir/ref" && mkdir -p "$dir/ref" && git archive "$ref" | tar -x -C "$dir/ref"
-
-declare -A tree=([ref]=$dir/ref [work]=$root)
-for side in ref work; do
-    crate=$dir/crate-$side src=${tree[$side]}
-    mkdir -p "$crate/src"
-    cat >"$crate/Cargo.toml" <<EOF
+case ${1:-} in
+    '') pin=false ;;
+    --pin) pin=true ;;
+    *) echo "usage: $0 [--pin]" >&2; exit 2 ;;
+esac
+root=$PWD dir=$PWD/.bench_build/bodies pinned=$PWD/tests/fixtures/expected_bodies.txt
+crate=$dir/crate
+mkdir -p "$crate/src"
+cat >"$crate/Cargo.toml" <<EOF
 [package]
 name = "expected-bodies"
 version = "0.0.0"
@@ -36,26 +39,31 @@ publish = false
 [workspace]
 
 [dependencies]
-restore-core = { path = "$src/crates/restore-core" }
-restore-data = { path = "$src/crates/restore-data" }
-restore-db = { path = "$src/crates/restore-db" }
-restore-util = { path = "$src/crates/restore-util" }
+restore-core = { path = "$root/crates/restore-core" }
+restore-data = { path = "$root/crates/restore-data" }
+restore-db = { path = "$root/crates/restore-db" }
+restore-util = { path = "$root/crates/restore-util" }
 EOF
-    cat >"$crate/src/main.rs" <<EOF
+cat >"$crate/src/main.rs" <<EOF
 #![allow(dead_code)]
-#[path = "$src/benchmark/src/spec.rs"]
+#[path = "$root/benchmark/src/spec.rs"]
 mod spec;
-#[path = "$src/benchmark/src/fixtures.rs"]
+#[path = "$root/benchmark/src/fixtures.rs"]
 mod fixtures;
 EOF
-    cat >>"$crate/src/main.rs" <<'EOF'
+cat >>"$crate/src/main.rs" <<'EOF'
 
 use restore_core::wire::table_json;
 use restore_core::{ReStore, RestoreConfig, TrainConfig};
 use restore_data::housing::{generate_housing, HousingConfig};
 use restore_data::{apply_removal, BiasSpec, RemovalConfig};
-use restore_util::derive_seed;
+use restore_util::{derive_seed, fnv1a64};
 use spec::Workload;
+
+/// One line of the pinned file: `label` and the fnv1a64 of `body`.
+fn pin(label: &str, body: &str) {
+    println!("{label} {:016x}", fnv1a64(body.as_bytes()));
+}
 
 /// Housing with 60 % of the landlords removed, completed from apartments.
 fn n_to_1_fixture() {
@@ -86,7 +94,7 @@ fn n_to_1_fixture() {
         let out = snapshot.complete_join(&chain).expect("the n:1 chain completes");
         let synthesized = out.syn[1].iter().filter(|&&s| s).count();
         assert!(synthesized > 0, "the n:1 step synthesizes landlords");
-        println!("n:1 seed {seed} chain {}: {}", chain.join(","), table_json(&out.join));
+        pin(&format!("n:1 seed {seed} chain {}", chain.join(",")), &table_json(&out.join));
     }
 }
 
@@ -101,7 +109,7 @@ fn main() {
             let snapshot = built.restore.seal(derive_seed(seed, 0x5e41));
             for (i, request) in fixtures::cycle(workload, seed).iter().enumerate() {
                 let body = fixtures::expected(&snapshot, request).body;
-                println!("{name} seed {seed} shape {i}: {body}");
+                pin(&format!("{name} seed {seed} shape {i}"), &body);
             }
             let mut chains: Vec<Vec<String>> = snapshot
                 .trained_models()
@@ -111,16 +119,32 @@ fn main() {
             chains.sort();
             for chain in chains {
                 let out = snapshot.complete_join(&chain).expect("a trained chain completes");
-                println!("{name} seed {seed} chain {}: {}", chain.join(","), table_json(&out.join));
+                pin(&format!("{name} seed {seed} chain {}", chain.join(",")), &table_json(&out.join));
             }
         }
     }
 }
 EOF
-    echo "expected bodies: building and running $side" >&2
-    (cd "$crate" && CARGO_TARGET_DIR=$dir/target-$side \
-        cargo run --release --offline --quiet) >"$dir/$side.out"
-done
-echo "expected bodies: $(wc -l <"$dir/work.out") lines, $(wc -c <"$dir/work.out") bytes" >&2
-cmp "$dir/ref.out" "$dir/work.out"
-echo "expected bodies: identical" >&2
+echo "expected bodies: building and running the working tree" >&2
+(cd "$crate" && CARGO_TARGET_DIR=$dir/target cargo run --release --offline --quiet) >"$dir/work.out"
+if $pin; then
+    cp "$dir/work.out" "$pinned"
+    echo "expected bodies: pinned $(wc -l <"$pinned") lines to ${pinned#"$root"/}" >&2
+    exit 0
+fi
+# A line's label is everything before its last field, the hash.
+if ! awk '
+    { label = substr($0, 1, length($0) - length($NF) - 1) }
+    NR == FNR { want[label] = $NF; next }
+    !(label in want) { print "expected bodies: not pinned: " label; bad++; next }
+    want[label] != $NF { print "expected bodies: differs: " label; bad++ }
+    { delete want[label] }
+    END {
+        for (label in want) { print "expected bodies: missing: " label; bad++ }
+        exit bad > 0
+    }' "$pinned" "$dir/work.out" >&2; then
+    echo "expected bodies: the working tree does not serve the pinned bytes" \
+        "(scripts/expected_bodies.sh --pin re-pins them on purpose)" >&2
+    exit 1
+fi
+echo "expected bodies: $(wc -l <"$dir/work.out") lines identical to the pinned file" >&2
