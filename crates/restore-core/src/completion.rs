@@ -36,24 +36,9 @@ use crate::encoding::{coerce, AttrEncoder};
 use crate::error::{CoreError, CoreResult};
 use crate::model::{AttrKind, CompletionModel};
 
-/// When the euclidean replacement of Fig. 3 runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ReplacementMode {
-    /// Replace when the joined table is complete or further joins need its
-    /// foreign keys (the paper's rule).
-    #[default]
-    Auto,
-    /// Always replace (benchmarking the replacement cost, Fig. 12).
-    Always,
-    /// Never replace (the "AR/SSAR without NN replacement" series).
-    Never,
-}
-
 /// Tuning knobs of the completion executor.
 #[derive(Clone, Debug)]
 pub struct CompleterConfig {
-    /// Euclidean replacement policy.
-    pub replacement: ReplacementMode,
     /// Rows sampled per forward pass (B). Larger batches amortize
     /// the per-pass cost; `1` degrades to single-row sampling (the
     /// determinism-contract reference point).
@@ -68,16 +53,13 @@ pub struct CompleterConfig {
 impl Default for CompleterConfig {
     fn default() -> Self {
         Self {
-            replacement: ReplacementMode::Auto,
             batch_size: 256,
             workers: 0,
         }
     }
 }
 
-// Completion constants no caller varies. Snapshot files written while they
-// were `CompleterConfig` fields still carry them as keys; the loader accepts
-// a key only at its constant's value.
+// Completion constants: no caller varies them, so they are not options.
 
 /// LSH hyperplanes per hash table of the euclidean replacement's index.
 pub(crate) const ANN_BITS: usize = 10;
@@ -546,30 +528,36 @@ struct Walk<'a> {
     columns: usize,
 }
 
-impl Walk<'_> {
-    /// Whether path table `t`'s synthesized tuples are replaced by their
-    /// nearest real neighbours (Fig. 3): a complete table's must be, and so
-    /// must those whose foreign keys further joins need (§4.2–§4.3).
-    fn replaces(&self, t: usize) -> bool {
-        let tables = self.model.path().tables();
-        match self.completer.cfg.replacement {
-            ReplacementMode::Auto => {
-                self.completer.annotation.is_complete(&tables[t]) || t + 1 < tables.len()
-            }
-            ReplacementMode::Always => true,
-            ReplacementMode::Never => false,
-        }
-    }
+/// Whether path table `t`'s synthesized tuples are replaced by their nearest
+/// real neighbours (Fig. 3): a complete table's must be, and so must those
+/// whose foreign keys further joins need (§4.2–§4.3).
+fn replaces(annotation: &SchemaAnnotation, tables: &[String], t: usize) -> bool {
+    annotation.is_complete(&tables[t]) || t + 1 < tables.len()
+}
 
-    /// How many of path table `t`'s modeled columns, in AR order, the walk
-    /// draws: the first `columns` on a synthesized last table that keeps
-    /// what it samples, all where a replacement or a later step reads them.
+/// How many of path table `t`'s `all` modeled columns, in AR order, a walk
+/// for a read of `columns` draws: the first `columns` on a synthesized last
+/// table that keeps what it samples, all where a replacement or a later step
+/// reads them.
+fn columns_drawn(
+    annotation: &SchemaAnnotation,
+    tables: &[String],
+    t: usize,
+    all: usize,
+    columns: usize,
+) -> usize {
+    match t > 0 && t + 1 == tables.len() && !replaces(annotation, tables, t) {
+        true => columns.min(all),
+        false => all,
+    }
+}
+
+impl Walk<'_> {
+    /// [`columns_drawn`] on this walk's path and read.
     fn columns_drawn(&self, t: usize) -> usize {
         let all = self.model.table_attr_range(t).len();
-        match t > 0 && t + 1 == self.model.path().tables().len() && !self.replaces(t) {
-            true => self.columns.min(all),
-            false => all,
-        }
+        let tables = self.model.path().tables();
+        columns_drawn(self.completer.annotation, tables, t, all, self.columns)
     }
 
     /// Step `i` of Algorithm 1, along the edge to path table `i + 1`, the
@@ -754,10 +742,10 @@ impl Walk<'_> {
             }
         }
 
-        let replacement_rows =
-            (self.replaces(table_idx) && t_next.n_rows() > 0 && n > 0 && !modeled.is_empty())
-                .then(|| nearest_real_rows(t_next, &modeled, &sampled))
-                .transpose()?;
+        let replaced = replaces(self.completer.annotation, model.path().tables(), table_idx);
+        let replacement_rows = (replaced && t_next.n_rows() > 0 && n > 0 && !modeled.is_empty())
+            .then(|| nearest_real_rows(t_next, &modeled, &sampled))
+            .transpose()?;
 
         // Assemble the block with t_next's full schema.
         let mut columns: Vec<Column> = Vec::with_capacity(t_next.n_cols());
@@ -1135,6 +1123,25 @@ mod tests {
         // A query equal to row 0's values maps onto row 0's features.
         let q = f.features_of_values(&[&Value::str("a"), &Value::Float(1.0)]);
         assert_eq!(q, pts[0]);
+    }
+
+    /// Fig. 3's rule: a complete table is replaced, and so is an incomplete
+    /// one whose keys a later step joins on; an incomplete last table keeps
+    /// what it samples, so a walk draws only the read's columns of it.
+    #[test]
+    fn replacement_covers_complete_and_non_final_tables_only() {
+        let ann = SchemaAnnotation::with_incomplete(["apartment", "landlord"]);
+        let path = |tables: &[&str]| tables.iter().map(|t| t.to_string()).collect::<Vec<_>>();
+        let complete_last = path(&["landlord", "neighborhood"]);
+        assert!(replaces(&ann, &complete_last, 1));
+        assert_eq!(columns_drawn(&ann, &complete_last, 1, 5, 2), 5);
+        let incomplete_middle = path(&["neighborhood", "apartment", "landlord"]);
+        assert!(replaces(&ann, &incomplete_middle, 1));
+        assert_eq!(columns_drawn(&ann, &incomplete_middle, 1, 5, 2), 5);
+        let incomplete_last = path(&["neighborhood", "apartment"]);
+        assert!(!replaces(&ann, &incomplete_last, 1));
+        assert_eq!(columns_drawn(&ann, &incomplete_last, 1, 5, 2), 2);
+        assert_eq!(columns_drawn(&ann, &incomplete_last, 1, 5, usize::MAX), 5);
     }
 
     #[test]

@@ -51,7 +51,7 @@ mod snapshot;
 pub mod wire;
 
 pub use annotation::SchemaAnnotation;
-pub use completion::{Completer, CompleterConfig, CompletionOutput, ReplacementMode};
+pub use completion::{Completer, CompleterConfig, CompletionOutput};
 pub use confidence::{confidence_interval, ConfidenceInterval, ConfidenceQuery};
 pub use encoding::AttrEncoder;
 pub use error::{CoreError, CoreResult};

@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size     content
 //! 0       8        magic "RSTRSNAP"
-//! 8       4        format version, u32 LE (currently 2)
+//! 8       4        format version, u32 LE (currently 3)
 //! 12      8        meta length in bytes, u64 LE
 //! 20      m        meta JSON (UTF-8): catalog, annotation, config (the
 //!                  one training config every model was built under),
@@ -45,7 +45,7 @@ use restore_util::{fnv1a64, json_object, write_atomic};
 
 use crate::annotation::SchemaAnnotation;
 use crate::cache::JoinCache;
-use crate::completion::{CompleterConfig, ReplacementMode};
+use crate::completion::CompleterConfig;
 use crate::error::CoreError;
 use crate::model::{CompletionModel, TrainConfig};
 use crate::paths::CompletionPath;
@@ -58,7 +58,7 @@ use crate::wire::{name_of, named};
 pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"RSTRSNAP";
 /// Current format version. Bump on ANY layout change — the loader refuses
 /// other versions rather than misreading them.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
 
 /// Errors of the snapshot persistence layer.
 #[derive(Debug)]
@@ -704,26 +704,15 @@ fn train_from_json(v: &JsonValue) -> Result<TrainConfig, PersistError> {
     })
 }
 
-/// Each replacement mode's meta name, read in both directions.
-const REPLACEMENT_MODES: [(ReplacementMode, &str); 3] = [
-    (ReplacementMode::Auto, "auto"),
-    (ReplacementMode::Always, "always"),
-    (ReplacementMode::Never, "never"),
-];
-
 fn completer_to_json(c: &CompleterConfig) -> JsonValue {
     json_object! {
-        "replacement": name_of(&REPLACEMENT_MODES, &c.replacement),
         "batch_size": c.batch_size,
         "workers": c.workers,
     }
 }
 
 fn completer_from_json(v: &JsonValue) -> Result<CompleterConfig, PersistError> {
-    let replacement = str_field(v, "replacement")?;
     Ok(CompleterConfig {
-        replacement: named(&REPLACEMENT_MODES, replacement)
-            .ok_or_else(|| corrupt(format!("unknown replacement mode {replacement:?}")))?,
         batch_size: usize_field(v, "batch_size")?,
         workers: usize_field(v, "workers")?,
     })

@@ -5,8 +5,8 @@
 use restore_util::json_fields;
 
 use restore_core::{
-    confidence_interval, ConfidenceInterval, ConfidenceQuery, ReStore, ReplacementMode,
-    RestoreConfig, SelectionStrategy,
+    confidence_interval, ConfidenceInterval, ConfidenceQuery, ReStore, RestoreConfig,
+    SelectionStrategy,
 };
 use restore_data::{build_scenario, setup_by_id, Scenario};
 
@@ -107,8 +107,7 @@ pub fn run_confidence_synthetic(
 /// the error names the stage that failed.
 fn synthetic_interval(sc: &Scenario, seed: u64) -> Result<ConfidenceInterval, &'static str> {
     let model = train_synthetic_model(sc, &eval_train_config(), seed).map_err(|_| "train")?;
-    let out = complete_scenario(sc, &model, ReplacementMode::Auto, seed ^ 0xc0ffee)
-        .map_err(|_| "complete")?;
+    let out = complete_scenario(sc, &model, seed ^ 0xc0ffee).map_err(|_| "complete")?;
     let q = ConfidenceQuery::CountFraction {
         table: "tb".into(),
         column: "b".into(),

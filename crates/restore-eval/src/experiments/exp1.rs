@@ -2,7 +2,6 @@
 //! reductions vs predictability / skew), Fig. 5b (training loss vs
 //! predictability), Fig. 5c (SSAR vs AR under fan-out predictability).
 
-use restore_core::ReplacementMode;
 use restore_util::json_fields;
 
 use crate::harness::{
@@ -92,7 +91,7 @@ pub fn run_exp1(cfg: &Exp1Config) -> Vec<Exp1Cell> {
             Ok(m) => m,
             Err(_) => return cell(f64::NAN, f32::NAN, f32::NAN),
         };
-        let out = match complete_scenario(&sc, &model, ReplacementMode::Auto, seed ^ 0xc0ffee) {
+        let out = match complete_scenario(&sc, &model, seed ^ 0xc0ffee) {
             Ok(o) => o,
             Err(_) => return cell(f64::NAN, model.target_val_loss(), f32::NAN),
         };
@@ -135,8 +134,7 @@ pub fn run_exp1_fanout(coherences: &[f64], n_parent: usize, seed: u64) -> Vec<Fa
             let Ok(model) = train_synthetic_model(&sc, train, *s) else {
                 return f64::NAN;
             };
-            let Ok(out) = complete_scenario(&sc, &model, ReplacementMode::Auto, *s ^ 0xc0ffee)
-            else {
+            let Ok(out) = complete_scenario(&sc, &model, *s ^ 0xc0ffee) else {
                 return f64::NAN;
             };
             scenario_bias_reduction(&sc, &out.join, true)

@@ -8,8 +8,8 @@ use std::time::Instant;
 use restore_util::json_fields;
 
 use restore_core::{
-    enumerate_paths, score_candidates, BiasDirection, CompletionModel, ReplacementMode,
-    SchemaAnnotation, SelectionStrategy, SuspectedBias, TrainConfig,
+    enumerate_paths, score_candidates, BiasDirection, CompletionModel, SchemaAnnotation,
+    SelectionStrategy, SuspectedBias, TrainConfig,
 };
 use restore_data::{build_scenario, Scenario, Setup};
 
@@ -33,7 +33,7 @@ json_fields!(Fig9Cell {
 
 /// The bias reduction of completing the biased attribute with `model`.
 fn complete_and_score(sc: &Scenario, model: &CompletionModel, seed: u64) -> f64 {
-    complete_scenario(sc, model, ReplacementMode::Auto, seed ^ 0xf19)
+    complete_scenario(sc, model, seed ^ 0xf19)
         .map_or(f64::NAN, |out| scenario_bias_reduction(sc, &out.join, true))
 }
 
@@ -164,10 +164,8 @@ pub struct TimingCell {
     pub model_class: String,
     pub path: String,
     pub train_seconds: f64,
-    /// Completion time without euclidean replacement.
+    /// Completion time under Algorithm 1's replacement rule.
     pub completion_seconds: f64,
-    /// Completion time with euclidean replacement forced on.
-    pub completion_nn_seconds: f64,
     pub synthesized_tuples: usize,
 }
 json_fields!(TimingCell {
@@ -177,13 +175,12 @@ json_fields!(TimingCell {
     path,
     train_seconds,
     completion_seconds,
-    completion_nn_seconds,
     synthesized_tuples
 });
 
 /// Runs the Fig. 11/12 timing measurements: per setup, train AR and SSAR
-/// models and time the completion of one path with and without nearest-
-/// neighbor replacement.
+/// models and time one completion of one path, replacing synthesized tuples
+/// as serving does (Fig. 12's split of that time is not measured here).
 pub fn run_timings(setups: &[Setup], scale: f64, seed: u64) -> Vec<TimingCell> {
     let mut jobs = Vec::new();
     for (i, setup) in setups.iter().enumerate() {
@@ -205,7 +202,6 @@ pub fn run_timings(setups: &[Setup], scale: f64, seed: u64) -> Vec<TimingCell> {
             path: String::new(),
             train_seconds: f64::NAN,
             completion_seconds: f64::NAN,
-            completion_nn_seconds: f64::NAN,
             synthesized_tuples: 0,
         };
         let Some(model) = first_path_model(&sc, &train, *s) else {
@@ -213,17 +209,10 @@ pub fn run_timings(setups: &[Setup], scale: f64, seed: u64) -> Vec<TimingCell> {
         };
         cell.path = model.path().describe();
         cell.train_seconds = model.train_seconds;
-        let timed = |mode| {
-            let started = Instant::now();
-            let out = complete_scenario(&sc, &model, mode, *s ^ 0x71e5).ok()?;
-            Some((started.elapsed().as_secs_f64(), out.n_synthesized()))
-        };
-        if let Some((seconds, synthesized)) = timed(ReplacementMode::Never) {
-            cell.completion_seconds = seconds;
-            cell.synthesized_tuples = synthesized;
-        }
-        if let Some((seconds, _)) = timed(ReplacementMode::Always) {
-            cell.completion_nn_seconds = seconds;
+        let started = Instant::now();
+        if let Ok(out) = complete_scenario(&sc, &model, *s ^ 0x71e5) {
+            cell.completion_seconds = started.elapsed().as_secs_f64();
+            cell.synthesized_tuples = out.n_synthesized();
         }
         cell
     })

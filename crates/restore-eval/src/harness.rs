@@ -3,7 +3,7 @@
 
 use restore_core::{
     Completer, CompleterConfig, CompletionModel, CompletionOutput, CompletionPath, CoreResult,
-    ReplacementMode, SchemaAnnotation, TrainConfig,
+    SchemaAnnotation, TrainConfig,
 };
 use restore_data::{
     apply_removal, generate_synthetic, BiasSpec, RemovalConfig, Scenario, SyntheticConfig,
@@ -95,16 +95,11 @@ pub(crate) fn eval_completer_config() -> CompleterConfig {
 pub(crate) fn complete_scenario(
     sc: &Scenario,
     model: &CompletionModel,
-    replacement: ReplacementMode,
     seed: u64,
 ) -> CoreResult<CompletionOutput> {
     let ann = SchemaAnnotation::with_incomplete(sc.incomplete_tables.iter().map(String::as_str));
-    let cfg = CompleterConfig {
-        replacement,
-        ..eval_completer_config()
-    };
     Completer::new(&sc.incomplete, &ann)
-        .with_config(cfg)
+        .with_config(eval_completer_config())
         .complete(model, seed)
 }
 
@@ -187,7 +182,7 @@ mod tests {
         let mut cfg = eval_train_config();
         cfg.epochs = 4;
         let model = train_synthetic_model(&sc, &cfg, 3).unwrap();
-        let out = complete_scenario(&sc, &model, ReplacementMode::Auto, 3).unwrap();
+        let out = complete_scenario(&sc, &model, 3).unwrap();
         assert!(out.join.n_rows() > sc.incomplete.table("tb").unwrap().n_rows());
     }
 }

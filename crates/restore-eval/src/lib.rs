@@ -14,6 +14,11 @@
 //! | Fig. 11 / 12 | [`run_timings`] | `fig11_fig12_timing.json` |
 //! | Fig. 14 | [`run_confidence_real`] | `fig14_confidence_real.json` |
 //!
+//! Fig. 11/12's artifact holds training seconds and one completion's seconds
+//! per setup and model class. Fig. 12's split of a completion with and
+//! without euclidean replacement is not reproduced: replacement is a rule of
+//! Algorithm 1, not a setting, so every completion replaces as serving does.
+//!
 //! The `run_all` binary calls every runner in one process and writes each
 //! artifact under `results/` (or `$RESTORE_RESULTS_DIR`), with one verdict
 //! line per artifact; `inspect_query` runs one Table 1 query side by side.

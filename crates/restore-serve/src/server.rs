@@ -1078,9 +1078,6 @@ pub(crate) fn metrics(shared: &Shared, fleet: Option<JsonValue>) -> Response {
     }
     let mut doc = json_object! {
         "uptime_s": uptime,
-        "connections": json_object! {
-            "total": load(&m.accepts), "active": load(&m.open_connections),
-        },
         "event_loop": json_object! {
             "open_connections": load(&m.open_connections),
             "keepalive_idle": load(&m.keepalive_idle),

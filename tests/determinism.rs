@@ -119,7 +119,6 @@ fn worker_count_never_changes_the_completion() {
         let ccfg = CompleterConfig {
             batch_size,
             workers,
-            ..CompleterConfig::default()
         };
         let completer = Completer::new(&sc.incomplete, &ann).with_config(ccfg);
         completer.complete(&model, 9).unwrap()

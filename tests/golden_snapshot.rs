@@ -1,4 +1,4 @@
-//! Golden snapshot fixture: a committed v2-format snapshot file that
+//! Golden snapshot fixture: a committed v3-format snapshot file that
 //! today's loader must read and serve **byte-for-byte** as pinned when it
 //! was created, and that its writer must save back to the same bytes.
 //! This is the format-compatibility gate — any change to the on-disk
@@ -25,11 +25,11 @@ fn fixture_dir() -> PathBuf {
 }
 
 fn fixture_path() -> PathBuf {
-    fixture_dir().join("golden_v2.snap")
+    fixture_dir().join("golden_v3.snap")
 }
 
 fn expected_path() -> PathBuf {
-    fixture_dir().join("golden_v2_expected.txt")
+    fixture_dir().join("golden_v3_expected.txt")
 }
 
 /// The fixture's serving transcript: the shared workload under two seeds,
@@ -101,17 +101,17 @@ fn build_golden() -> Snapshot {
 #[test]
 fn golden_fixture_loads_and_serves_pinned_results() {
     assert_eq!(
-        SNAPSHOT_FORMAT_VERSION, 2,
+        SNAPSHOT_FORMAT_VERSION, 3,
         "format version changed: regenerate the golden fixture \
          (cargo test --test golden_snapshot -- --ignored) and rename it"
     );
     let snapshot = Snapshot::load(&fixture_path()).expect(
-        "committed golden_v2.snap must load with today's loader \
+        "committed golden_v3.snap must load with today's loader \
          (format change without a version bump?)",
     );
     assert_eq!(snapshot.serve_seed(), 41);
     let expected: Vec<String> = std::fs::read_to_string(expected_path())
-        .expect("committed golden_v2_expected.txt")
+        .expect("committed golden_v3_expected.txt")
         .lines()
         .map(str::to_string)
         .collect();
@@ -128,8 +128,8 @@ fn golden_fixture_loads_and_serves_pinned_results() {
 #[test]
 fn golden_fixture_resaves_to_pinned_bytes() {
     let bytes = Snapshot::load(&fixture_path()).expect("load").to_bytes();
-    assert_eq!(bytes.len(), 9_518);
-    assert_eq!(fnv1a64(&bytes), 0x0a30_59e7_4961_063a);
+    assert_eq!(bytes.len(), 9_497);
+    assert_eq!(fnv1a64(&bytes), 0x15d0_70a4_6718_4793);
     let again = Snapshot::from_bytes(&bytes).expect("reload").to_bytes();
     assert_eq!(again, bytes, "re-saving a loaded snapshot is idempotent");
 }

@@ -434,10 +434,8 @@ fn assert_counters_are_plain_digits(body: &str) {
 }
 
 /// The key paths of a worker's `/metrics` before its first query.
-const WORKER_METRICS: [&str; 32] = [
+const WORKER_METRICS: [&str; 30] = [
     "uptime_s",
-    "connections.total",
-    "connections.active",
     "event_loop.open_connections",
     "event_loop.keepalive_idle",
     "event_loop.accepts",
@@ -500,7 +498,7 @@ fn worker_metrics_keep_their_key_paths_and_plain_digit_counters() {
         .post("/v1/synthetic/query", &request.to_json())
         .expect("query");
     assert_eq!(status, 200);
-    let mut expected: Vec<String> = WORKER_METRICS[..31].iter().map(|p| p.to_string()).collect();
+    let mut expected: Vec<String> = WORKER_METRICS[..29].iter().map(|p| p.to_string()).collect();
     expected.extend(
         TENANT_METRICS
             .iter()

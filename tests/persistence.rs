@@ -201,13 +201,14 @@ fn with_format_version(file: &[u8], version: u32) -> Vec<u8> {
     out
 }
 
-/// Format v2 states each fact once: the training config every model was
+/// The meta states each fact once: the training config every model was
 /// built under sits under `config` alone, no key of an option that became a
-/// constant is written, and `suspected` is always there. A v1 file is
-/// refused by version, not read by a second set of rules.
+/// constant or a rule is written, and `suspected` is always there. A file
+/// of an older format (v1 or v2) is refused by version, not read by a second
+/// set of rules.
 #[test]
 fn the_meta_states_each_fact_once_and_a_v1_file_is_refused() {
-    const RETIRED: [&str; 15] = [
+    const RETIRED: [&str; 16] = [
         "lr",
         "max_bins",
         "val_fraction",
@@ -223,6 +224,7 @@ fn the_meta_states_each_fact_once_and_a_v1_file_is_refused() {
         "max_path_len",
         "incremental_sweep",
         "incremental_encoding",
+        "replacement",
     ];
     let bytes = sealed_synthetic_snapshot(29, 4).to_bytes();
     let meta_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
@@ -246,10 +248,12 @@ fn the_meta_states_each_fact_once_and_a_v1_file_is_refused() {
     }
     assert_eq!(field(&meta, "suspected"), JsonValue::Arr(Vec::new()));
 
-    assert!(matches!(
-        Snapshot::from_bytes(&with_format_version(&bytes, 1)),
-        Err(PersistError::UnsupportedVersion(1))
-    ));
+    for old in [1, 2] {
+        assert!(matches!(
+            Snapshot::from_bytes(&with_format_version(&bytes, old)),
+            Err(PersistError::UnsupportedVersion(v)) if v == old
+        ));
+    }
 }
 
 /// A file that declares more rows than its payload holds is refused by

@@ -374,10 +374,8 @@ fn assert_counters_are_plain_digits(body: &str) {
 }
 
 /// The key paths of a fresh router's `/metrics` over one live worker.
-const ROUTER_METRICS: [&str; 54] = [
+const ROUTER_METRICS: [&str; 52] = [
     "uptime_s",
-    "connections.total",
-    "connections.active",
     "event_loop.open_connections",
     "event_loop.keepalive_idle",
     "event_loop.accepts",

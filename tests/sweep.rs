@@ -614,7 +614,6 @@ fn completion_is_bit_identical_with_and_without_sweep() {
         let ccfg = CompleterConfig {
             batch_size: 64,
             workers,
-            ..CompleterConfig::default()
         };
         Completer::new(&sc.incomplete, &ann)
             .with_config(ccfg)

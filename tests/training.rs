@@ -272,14 +272,13 @@ fn completion_fingerprint(out: &CompletionOutput) -> (u64, usize) {
 /// Housing with apartments *and* landlords removed: one table (nothing to
 /// walk), the two chains the cold benchmark synthesizes (binned floats,
 /// year-like categoricals, strings, known tuple factors), and
-/// `neighborhood → apartment → landlord` under every replacement mode —
-/// a non-final fan-out step whose sampled tuples are (or are not) swapped
-/// for real neighbours before an n:1 step samples from the tokens the walk
+/// `neighborhood → apartment → landlord` — a non-final fan-out step whose
+/// sampled tuples are swapped for real neighbours before an n:1 step
+/// samples from the tokens the walk
 /// maintained, which debug builds compare with the full re-encode at every
 /// sampling point (`Working::encoded`).
 #[test]
 fn completions_are_pinned_on_one_two_and_three_table_paths() {
-    use restore::core::ReplacementMode::{self, Always, Auto, Never};
     use restore::data::housing::{generate_housing, HousingConfig};
 
     let complete = generate_housing(&HousingConfig::scaled(0.1), 37);
@@ -304,37 +303,29 @@ fn completions_are_pinned_on_one_two_and_three_table_paths() {
     };
 
     let mut got = Vec::new();
-    let chains: [(&[&str], &[ReplacementMode]); 4] = [
-        (&["neighborhood"], &[Auto]),
-        (&["neighborhood", "apartment"], &[Auto]),
-        (&["landlord", "apartment"], &[Auto]),
-        (
-            &["neighborhood", "apartment", "landlord"],
-            &[Auto, Always, Never],
-        ),
+    let chains: [&[&str]; 4] = [
+        &["neighborhood"],
+        &["neighborhood", "apartment"],
+        &["landlord", "apartment"],
+        &["neighborhood", "apartment", "landlord"],
     ];
-    for (chain, modes) in chains {
+    for chain in chains {
         let tables: Vec<String> = chain.iter().map(|t| t.to_string()).collect();
         let path = CompletionPath::from_tables(&db, &tables).unwrap();
         let model = CompletionModel::train(&db, &ann, path, &cfg, 37).unwrap();
-        for &replacement in modes {
-            let ccfg = CompleterConfig {
-                batch_size: 64,
-                replacement,
-                ..CompleterConfig::default()
-            };
-            let completer = Completer::new(&db, &ann).with_config(ccfg);
-            let out = completer.complete(&model, 14).unwrap();
-            got.push(completion_fingerprint(&out));
-        }
+        let ccfg = CompleterConfig {
+            batch_size: 64,
+            ..CompleterConfig::default()
+        };
+        let completer = Completer::new(&db, &ann).with_config(ccfg);
+        let out = completer.complete(&model, 14).unwrap();
+        got.push(completion_fingerprint(&out));
     }
-    let pinned: [(u64, usize); 6] = [
+    let pinned: [(u64, usize); 4] = [
         (0x2e91fcc6106dbc61, 1_723),
         (0x4908abbb4f407a2a, 70_474),
         (0x3bd0662be9faa944, 61_541),
         (0xc2177e61e10c08f7, 98_756),
-        (0x87cf464bf60379cf, 98_756),
-        (0x41ff6547a2c2bc9a, 98_756),
     ];
     assert_eq!(got, pinned, "{got:#x?}");
 }
