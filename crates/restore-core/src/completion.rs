@@ -1144,6 +1144,50 @@ mod tests {
         assert_eq!(columns_drawn(&ann, &incomplete_last, 1, 5, usize::MAX), 5);
     }
 
+    /// Fig. 3's complete-table half over a whole walk: an n:1 step from rows
+    /// whose key is NULL synthesizes their partners in a complete last
+    /// table, and replacement makes each of those a real row of it.
+    #[test]
+    fn a_complete_last_table_synthesizes_only_real_rows() {
+        let mut db = restore_data::generate_synthetic(
+            &SyntheticConfig {
+                predictability: 0.95,
+                n_parent: 120,
+                ..Default::default()
+            },
+            31,
+        );
+        let tb = db.table("tb").unwrap();
+        let key = tb.resolve("a_id").unwrap();
+        let mut keyless = Table::new("tb", tb.fields().to_vec());
+        for r in 0..tb.n_rows() {
+            let mut row: Vec<Value> = (0..tb.n_cols()).map(|c| tb.value(r, c)).collect();
+            if r % 5 == 0 {
+                row[key] = Value::Null;
+            }
+            keyless.push_row(&row).unwrap();
+        }
+        let n_keyless = tb.n_rows().div_ceil(5);
+        db.replace_table(keyless);
+        let ann = SchemaAnnotation::with_incomplete(["tb"]);
+        let path = CompletionPath::from_tables(&db, &["tb".into(), "ta".into()]).unwrap();
+        let model = CompletionModel::train(&db, &ann, path, &quick_cfg(), 31).unwrap();
+        let out = Completer::new(&db, &ann).complete(&model, 31).unwrap();
+
+        let syn = out.synthesized_for("ta").unwrap();
+        assert_eq!(syn.iter().filter(|&&s| s).count(), n_keyless);
+        let ta = db.table("ta").unwrap();
+        let id = ta.resolve("id").unwrap();
+        let ids: HashSet<i64> = (0..ta.n_rows())
+            .filter_map(|r| ta.value(r, id).as_i64())
+            .collect();
+        let join_id = out.join.resolve("ta.id").unwrap();
+        for r in 0..out.join.n_rows() {
+            let got = out.join.value(r, join_id).as_i64();
+            assert!(got.is_some_and(|i| ids.contains(&i)), "row {r}: {got:?}");
+        }
+    }
+
     #[test]
     fn n_to_1_rows_miss_one_partner_exactly_when_they_have_none() {
         // Child keys, one NULL, against parents 1 and 3, joined as the

@@ -15,7 +15,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use restore_db::{hash_join, partner_counts, tf_column_name, Database, Table, Value};
+use restore_db::{hash_join, partner_counts, tf_column_name, Database, PathStep, Table, Value};
 use restore_nn::{
     block_cross_entropy_sums, Adam, AttrSpec, DeepSets, DeepSetsConfig, Forward, InferenceSession,
     Made, MadeConfig, Matrix, ParamStore, SetBatch, SetTableSpec, TableSet, TrainEngine,
@@ -40,11 +40,12 @@ pub struct TrainConfig {
     /// Minimum number of gradient steps: small training sets get extra
     /// epochs so the conditional is actually fit.
     pub min_steps: usize,
-    /// At most this many threads, the caller included, run the
-    /// data-parallel gradient engine; `0` = as many as the process's core
-    /// budget grants. Training results are **bit-identical** under any
-    /// worker count: microbatch gradients are computed independently and
-    /// reduced in a fixed order.
+    /// At most this many chains of a build train side by side, and at most
+    /// this many threads, the caller included, run one training's
+    /// data-parallel gradient engine — a helper only on an idle core of the
+    /// process's core budget; `0` = the budget's size. Training results are
+    /// **bit-identical** under any worker count: microbatch gradients are
+    /// computed independently and reduced in a fixed order.
     pub workers: usize,
 }
 
@@ -154,19 +155,6 @@ struct CtxTable {
     self_evidence: bool,
 }
 
-/// Everything about a model except trained weights: the output of
-/// [`CompletionModel::build_structure`], shared by training and snapshot
-/// rehydration.
-struct ModelStructure {
-    attrs: Vec<ModelAttr>,
-    table_ranges: Vec<Range<usize>>,
-    tf_attrs: Vec<Option<usize>>,
-    made: Made,
-    store: ParamStore,
-    ctx: Vec<CtxTable>,
-    deepsets: Option<DeepSets>,
-}
-
 /// A trained completion model for one path.
 pub struct CompletionModel {
     path: CompletionPath,
@@ -204,10 +192,6 @@ impl CompletionModel {
 
     pub fn is_ssar(&self) -> bool {
         self.deepsets.is_some()
-    }
-
-    pub(crate) fn num_parameters(&self) -> usize {
-        self.store.num_scalars()
     }
 
     /// The trained parameter store — exposed so the training-determinism
@@ -261,7 +245,8 @@ impl CompletionModel {
     }
 
     /// Trains a completion model for `path` on the available data of the
-    /// (incomplete) database.
+    /// (incomplete) database, its engine on at most [`TrainConfig::workers`]
+    /// threads.
     pub fn train(
         db: &Database,
         annotation: &SchemaAnnotation,
@@ -269,42 +254,24 @@ impl CompletionModel {
         cfg: &TrainConfig,
         seed: u64,
     ) -> CoreResult<Self> {
-        Self::train_on(db, annotation, path, cfg, cfg.engine_workers(), seed)
-    }
-
-    /// [`CompletionModel::train`] on `workers` engine threads, whatever
-    /// `cfg.workers` says: a build that trains chains side by side splits
-    /// its workers between them. The split moves no weight (training is
-    /// bit-identical under any worker count).
-    pub(crate) fn train_on(
-        db: &Database,
-        annotation: &SchemaAnnotation,
-        path: CompletionPath,
-        cfg: &TrainConfig,
-        workers: usize,
-        seed: u64,
-    ) -> CoreResult<Self> {
         let started = Instant::now();
         let mut rng = StdRng::seed_from_u64(seed);
 
         // Structure first: it consumes RNG only for weight init, so hoisting
         // it before the join build leaves the training stream bit-identical.
-        let structure = Self::build_structure(db, annotation, &path, cfg, &mut rng)?;
+        let mut model = Self::build_structure(db, annotation, path, cfg, &mut rng)?;
 
         // ---- training join ------------------------------------------------
-        let join = build_path_join(db, &path)?;
+        let join = build_path_join(db, &model.path)?;
         if join.n_rows() < 8 {
             return Err(CoreError::InsufficientData(format!(
                 "path {} yields only {} joined rows",
-                path.describe(),
+                model.path.describe(),
                 join.n_rows()
             )));
         }
-        let (tokens, weights) =
-            encode_training_tokens(db, &path, &structure.attrs, &structure.tf_attrs, &join)?;
-
-        let mut model = Self::from_structure(path, structure);
-        model.fit(cfg, &join, tokens, weights, workers, &mut rng)?;
+        let (tokens, weights) = model.encode_training_tokens(db, &join)?;
+        model.fit(cfg, &join, tokens, weights, &mut rng)?;
         // The weights are final: build the sweep's banded weights now, as a
         // loaded model does.
         model.made.freeze_banded(&model.store);
@@ -330,8 +297,7 @@ impl CompletionModel {
         weights: &[u8],
     ) -> CoreResult<Self> {
         let mut rng = StdRng::seed_from_u64(0);
-        let structure = Self::build_structure(db, annotation, &path, cfg, &mut rng)?;
-        let mut model = Self::from_structure(path, structure);
+        let mut model = Self::build_structure(db, annotation, path, cfg, &mut rng)?;
         model.store.import_raw_le(weights).map_err(|e| {
             CoreError::Invalid(format!(
                 "snapshot weights for {}: {e}",
@@ -342,42 +308,19 @@ impl CompletionModel {
         Ok(model)
     }
 
-    /// Wraps a built structure into an (untrained) model shell.
-    fn from_structure(path: CompletionPath, s: ModelStructure) -> Self {
-        let mask_tokens = (s.attrs.iter())
-            .map(|a| Some(a.encoder.mask_token()))
-            .collect();
-        Self {
-            path,
-            mask_tokens,
-            attrs: s.attrs,
-            table_ranges: s.table_ranges,
-            tf_attrs: s.tf_attrs,
-            made: s.made,
-            store: s.store,
-            ctx: s.ctx,
-            deepsets: s.deepsets,
-            train_losses: Vec::new(),
-            val_per_attr: Vec::new(),
-            val_loss: 0.0,
-            train_seconds: 0.0,
-        }
-    }
-
-    /// Builds everything about a model except its trained weights: the
-    /// attribute layout with fitted encoders, the SSAR context tables, and
-    /// the network with freshly initialized parameters. Everything here is
-    /// a deterministic function of `(db, annotation, path, cfg)` — the only
-    /// RNG consumption is weight initialization — which is what makes
-    /// snapshot rehydration byte-exact: the loader replays this and then
-    /// overwrites the weights.
+    /// Builds the untrained model: the attribute layout with fitted
+    /// encoders, the SSAR context tables, and the network with freshly
+    /// initialized parameters. Everything here is a deterministic function
+    /// of `(db, annotation, path, cfg)` — the only RNG consumption is weight
+    /// initialization — which is what makes snapshot rehydration
+    /// byte-exact: the loader replays this and then overwrites the weights.
     fn build_structure(
         db: &Database,
         annotation: &SchemaAnnotation,
-        path: &CompletionPath,
+        path: CompletionPath,
         cfg: &TrainConfig,
         rng: &mut StdRng,
-    ) -> CoreResult<ModelStructure> {
+    ) -> CoreResult<Self> {
         // ---- attribute layout & encoders --------------------------------
         let mut attrs: Vec<ModelAttr> = Vec::new();
         let mut table_ranges = Vec::with_capacity(path.len());
@@ -396,19 +339,16 @@ impl CompletionModel {
                 });
             }
             table_ranges.push(start..attrs.len());
-            if i < path.steps().len() {
-                let step = &path.steps()[i];
-                if step.fan_out {
-                    // Tuple factor of this step, fit on known factors.
-                    let parent = db.table(&step.fk.parent)?;
-                    let known = Self::known_tf_values(db, parent, step)?;
-                    let encoder = AttrEncoder::fit_tuple_factor(known, TF_CAP);
-                    tf_attrs[i] = Some(attrs.len());
-                    attrs.push(ModelAttr {
-                        kind: AttrKind::TupleFactor { step: i },
-                        encoder,
-                    });
-                }
+            if let Some(step) = path.steps().get(i).filter(|s| s.fan_out) {
+                // Tuple factor of this step, fit on the parent's known factors.
+                let parent = db.table(&step.fk.parent)?;
+                let known = known_tuple_factors(db, step, parent)?;
+                let encoder = AttrEncoder::fit_tuple_factor(known.into_iter().flatten(), TF_CAP);
+                tf_attrs[i] = Some(attrs.len());
+                attrs.push(ModelAttr {
+                    kind: AttrKind::TupleFactor { step: i },
+                    encoder,
+                });
             }
         }
         if attrs.is_empty() {
@@ -421,7 +361,7 @@ impl CompletionModel {
         // ---- SSAR context (decided before the network: a path without
         // fan-out evidence degrades to a plain AR model) -------------------
         let ctx = if cfg.is_ssar() {
-            build_ctx_tables(db, annotation, path)?
+            build_ctx_tables(db, annotation, &path)?
         } else {
             Vec::new()
         };
@@ -456,7 +396,11 @@ impl CompletionModel {
             Some(DeepSets::new(&ds_cfg, &mut store, rng))
         };
 
-        Ok(ModelStructure {
+        let mask_tokens = (attrs.iter())
+            .map(|a| Some(a.encoder.mask_token()))
+            .collect();
+        Ok(Self {
+            path,
             attrs,
             table_ranges,
             tf_attrs,
@@ -464,31 +408,36 @@ impl CompletionModel {
             store,
             ctx,
             deepsets,
+            mask_tokens,
+            train_losses: Vec::new(),
+            val_per_attr: Vec::new(),
+            val_loss: 0.0,
+            train_seconds: 0.0,
         })
     }
 
-    /// Known tuple factors of a fan-out step: the non-null `__tf_<child>`
-    /// metadata if present, otherwise the observed partner counts (child
-    /// table complete ⇒ observed = true).
-    fn known_tf_values(
-        db: &Database,
-        parent: &Table,
-        step: &restore_db::PathStep,
-    ) -> CoreResult<Vec<i64>> {
-        let tf_col = tf_column_name(&step.fk.child);
-        if let Ok(idx) = parent.resolve(&tf_col) {
-            Ok((0..parent.n_rows())
-                .filter_map(|r| parent.value(r, idx).as_i64())
-                .collect())
-        } else {
-            let child = db.table(&step.fk.child)?;
-            Ok(
-                partner_counts(parent, &step.fk.parent_col, child, &step.fk.child_col)?
-                    .into_iter()
-                    .map(|c| c as i64)
-                    .collect(),
-            )
+    /// Encodes the training join into token + loss-weight columns: MASK — a
+    /// NULL, a NaN, an unknown factor — carries no loss weight.
+    fn encode_training_tokens(&self, db: &Database, join: &Table) -> CoreResult<TokenColumns> {
+        let mut tokens: Vec<Vec<u32>> = Vec::with_capacity(self.attrs.len());
+        let mut weights: Vec<Vec<f32>> = Vec::with_capacity(self.attrs.len());
+        for attr in &self.attrs {
+            let column = match &attr.kind {
+                AttrKind::Column { table, column } => {
+                    let idx = join.resolve(&format!("{table}.{column}"))?;
+                    attr.encoder.encode_column(join.column(idx), None)
+                }
+                AttrKind::TupleFactor { step } => {
+                    let step = &self.path.steps()[*step];
+                    let known = known_tuple_factors(db, step, join)?;
+                    attr.encoder.encode_ints(&known, None)
+                }
+            };
+            let mask = attr.encoder.mask_token();
+            weights.push(column.iter().map(|&t| f32::from(t != mask)).collect());
+            tokens.push(column);
         }
+        Ok((tokens, weights))
     }
 
     fn fit(
@@ -497,7 +446,6 @@ impl CompletionModel {
         join: &Table,
         tokens: Vec<Vec<u32>>,
         weights: Vec<Vec<f32>>,
-        workers: usize,
         rng: &mut StdRng,
     ) -> CoreResult<()> {
         let n = tokens[0].len();
@@ -514,7 +462,7 @@ impl CompletionModel {
         let mut adam = Adam::new(&self.store, LR);
         // The engine's tapes and gradient-buffer pool live for the whole
         // training run: after the first epoch every step reuses its arenas.
-        let mut engine = TrainEngine::new(workers);
+        let mut engine = TrainEngine::new(cfg.engine_workers());
         let bs = cfg.batch_size.max(8);
         let batches_per_epoch = train_rows.len().div_ceil(bs).max(1);
         let epochs = cfg.epochs.max(cfg.min_steps.div_ceil(batches_per_epoch));
@@ -571,13 +519,13 @@ impl CompletionModel {
         weights: &[Vec<f32>],
         val_rows: &[usize],
     ) -> CoreResult<restore_nn::BlockLoss> {
-        let (btoks, bweights) = gather_batch(tokens, weights, val_rows);
+        let btoks = batch_tokens(tokens, val_rows, tokens.len());
+        let bweights = gather_weights(weights, val_rows);
         let mut session = InferenceSession::new();
         let ctx_matrix = self.context_matrix_in(&mut session, join, val_rows, true)?;
-        let arc_toks: Vec<Arc<Vec<u32>>> = btoks.into_iter().map(Arc::new).collect();
         Ok(self
             .made
-            .evaluate(&self.store, &arc_toks, ctx_matrix.as_ref(), Some(&bweights)))
+            .evaluate(&self.store, &btoks, ctx_matrix.as_ref(), Some(&bweights)))
     }
 
     /// One data-parallel gradient step: the batch is split into
@@ -619,8 +567,8 @@ impl CompletionModel {
             rows,
             MICROBATCH,
             |tape, store, chunk, grads| -> CoreResult<f64> {
-                let (btoks, bweights) = gather_batch(tokens, weights, chunk);
-                let arc_toks: Vec<Arc<Vec<u32>>> = btoks.iter().cloned().map(Arc::new).collect();
+                let btoks = batch_tokens(tokens, chunk, tokens.len());
+                let bweights = gather_weights(weights, chunk);
                 let set_batch = match deepsets {
                     Some(_) => Some(assemble_set_batch(ctx_tables, join, chunk, true)?),
                     None => None,
@@ -629,11 +577,12 @@ impl CompletionModel {
                 let ctx_var = deepsets
                     .zip(set_batch.as_ref())
                     .map(|(ds, batch)| ds.forward(&mut f, store, batch, chunk.len()));
-                let logits = made.forward(&mut f, store, &arc_toks, ctx_var);
+                let logits = made.forward(&mut f, store, &btoks, ctx_var);
+                let targets: Vec<&[u32]> = btoks.iter().map(|t| t.as_slice()).collect();
                 let sums = block_cross_entropy_sums(
                     f.value(logits),
                     made.layout(),
-                    &btoks,
+                    &targets,
                     Some(&bweights),
                 );
                 let mut dlogits = sums.dlogits;
@@ -659,21 +608,11 @@ impl CompletionModel {
         let Some(ds) = &self.deepsets else {
             return Ok(None);
         };
-        let batch = self.build_set_batch(join, rows, exclude_self)?;
+        let batch = assemble_set_batch(&self.ctx, join, rows, exclude_self)?;
         Ok(Some(
             ds.encode_in(session, &self.store, &batch, rows.len())
                 .clone(),
         ))
-    }
-
-    /// Assembles the fan-out evidence sets for a batch of join rows.
-    fn build_set_batch(
-        &self,
-        join: &Table,
-        rows: &[usize],
-        exclude_self: bool,
-    ) -> CoreResult<SetBatch> {
-        assemble_set_batch(&self.ctx, join, rows, exclude_self)
     }
 
     /// Encodes the columns of a (partial) completed join into model tokens.
@@ -1024,60 +963,41 @@ pub fn build_path_join(db: &Database, path: &CompletionPath) -> CoreResult<Table
     Ok(join)
 }
 
+/// The training side's known tuple factors of fan-out `step`, one per row of
+/// `rows` — the step's parent table (to fit the factor's encoder) or a join
+/// holding it (to encode the training join): the parent's `__tf_<child>`
+/// value where that column exists, a NULL staying unknown, and the observed
+/// partner count where it does not.
+///
+/// Algorithm 1's walk reads factors differently (`tuple_factors` in
+/// `completion.rs`): it asks the annotation, and where no known value is
+/// given it predicts the factor of an incomplete child rather than taking
+/// its partner count. The two agree where the column exists for exactly
+/// the parents of children that lost tuples, as `apply_removal` adds it.
+/// A database with an incomplete child and no column (the
+/// `data_integration` example's) is read both ways: training takes the
+/// surviving counts as known factors, the walk predicts them.
+fn known_tuple_factors(
+    db: &Database,
+    step: &PathStep,
+    rows: &Table,
+) -> CoreResult<Vec<Option<i64>>> {
+    let tf_ref = format!("{}.{}", step.fk.parent, tf_column_name(&step.fk.child));
+    if let Ok(idx) = rows.resolve(&tf_ref) {
+        return Ok((0..rows.n_rows())
+            .map(|r| rows.value(r, idx).as_i64())
+            .collect());
+    }
+    let (parent_on, child_on) = step.join_keys();
+    let child = db.table(&step.fk.child)?;
+    let counts = partner_counts(rows, &parent_on, child, &child_on)?;
+    Ok(counts.into_iter().map(|c| Some(c as i64)).collect())
+}
+
 /// Column-major training tokens plus per-attribute loss weights.
 type TokenColumns = (Vec<Vec<u32>>, Vec<Vec<f32>>);
 
-/// Encodes the training join into token + loss-weight columns.
-fn encode_training_tokens(
-    db: &Database,
-    path: &CompletionPath,
-    attrs: &[ModelAttr],
-    tf_attrs: &[Option<usize>],
-    join: &Table,
-) -> CoreResult<TokenColumns> {
-    let n = join.n_rows();
-    let mut tokens: Vec<Vec<u32>> = Vec::with_capacity(attrs.len());
-    let mut weights: Vec<Vec<f32>> = Vec::with_capacity(attrs.len());
-
-    // Tuple factors per fan-out step, resolved once per step.
-    let mut tf_per_step: Vec<Option<Vec<Option<i64>>>> = vec![None; path.steps().len()];
-    for (i, step) in path.steps().iter().enumerate() {
-        if tf_attrs[i].is_none() {
-            continue;
-        }
-        let parent_ref = format!("{}.{}", step.fk.parent, tf_column_name(&step.fk.child));
-        let vals: Vec<Option<i64>> = if let Ok(idx) = join.resolve(&parent_ref) {
-            (0..n).map(|r| join.value(r, idx).as_i64()).collect()
-        } else {
-            // Child is complete: observed counts are the truth.
-            let (parent_on, child_on) = step.join_keys();
-            let child = db.table(&step.fk.child)?;
-            let counts = partner_counts(join, &parent_on, child, &child_on)?;
-            counts.into_iter().map(|c| Some(c as i64)).collect()
-        };
-        tf_per_step[i] = Some(vals);
-    }
-
-    // MASK — a NULL, a NaN, an unknown factor — carries no loss weight.
-    for attr in attrs {
-        let column = match &attr.kind {
-            AttrKind::Column { table, column } => {
-                let idx = join.resolve(&format!("{table}.{column}"))?;
-                attr.encoder.encode_column(join.column(idx), None)
-            }
-            AttrKind::TupleFactor { step } => {
-                let vals = tf_per_step[*step].as_ref().expect("tf resolved above");
-                attr.encoder.encode_ints(vals, None)
-            }
-        };
-        let mask = attr.encoder.mask_token();
-        weights.push(column.iter().map(|&t| f32::from(t != mask)).collect());
-        tokens.push(column);
-    }
-    Ok((tokens, weights))
-}
-
-/// The token columns of an inference batch over `rows`: the first `used`
+/// The token columns of a batch over `rows`: the first `used`
 /// attributes gathered out of `encoded`. The network neither reads nor
 /// range-checks a later attribute's tokens (a sampled range is overwritten),
 /// so those columns share one filler of the batch's length.
@@ -1094,21 +1014,11 @@ fn batch_tokens(encoded: &[Vec<u32>], rows: &[usize], used: usize) -> Vec<Arc<Ve
         .collect()
 }
 
-/// Gathers batch rows out of column-major token/weight storage.
-fn gather_batch(
-    tokens: &[Vec<u32>],
-    weights: &[Vec<f32>],
-    rows: &[usize],
-) -> (Vec<Vec<u32>>, Vec<Vec<f32>>) {
-    let btoks = tokens
-        .iter()
+/// Gathers batch rows out of column-major loss weights.
+fn gather_weights(weights: &[Vec<f32>], rows: &[usize]) -> Vec<Vec<f32>> {
+    (weights.iter())
         .map(|col| rows.iter().map(|&r| col[r]).collect())
-        .collect();
-    let bweights = weights
-        .iter()
-        .map(|col| rows.iter().map(|&r| col[r]).collect())
-        .collect();
-    (btoks, bweights)
+        .collect()
 }
 
 /// Builds the SSAR context tables: self-evidence (available target-table
@@ -1120,7 +1030,7 @@ fn build_ctx_tables(
     path: &CompletionPath,
 ) -> CoreResult<Vec<CtxTable>> {
     let mut out = Vec::new();
-    let mut candidates: Vec<(String, String, restore_db::PathStep, bool)> = Vec::new();
+    let mut candidates: Vec<(String, String, PathStep, bool)> = Vec::new();
 
     // Self-evidence: when the final step fans out, the available children of
     // the second-to-last table are evidence for the missing ones.
@@ -1228,6 +1138,52 @@ mod tests {
             CompletionPath::from_tables(&sc.incomplete, &["ta".into(), "tb".into()]).unwrap();
         let model = CompletionModel::train(&sc.incomplete, &ann, path, &quick_cfg(), seed).unwrap();
         (sc, model)
+    }
+
+    /// Parent `p` with ids 1..=3 and children `c` of ids 1, 1 and 2, with a
+    /// `__tf_c` column of `tf` if given.
+    fn parent_child_db(tf: Option<[Option<i64>; 3]>) -> Database {
+        use restore_db::{DataType, Field, ForeignKey};
+        let int = |name: &str| Field::new(name, DataType::Int);
+        let cell = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
+        let mut fields = vec![int("id")];
+        fields.extend(tf.map(|_| int(&tf_column_name("c"))));
+        let mut parent = Table::new("p", fields);
+        for r in 0..3 {
+            let mut row = vec![Value::Int(r as i64 + 1)];
+            row.extend(tf.map(|tf| cell(tf[r])));
+            parent.push_row(&row).unwrap();
+        }
+        let mut child = Table::new("c", vec![int("id"), int("p_id")]);
+        for (id, p_id) in [(1, 1), (2, 1), (3, 2)] {
+            child.push_row(&[Value::Int(id), Value::Int(p_id)]).unwrap();
+        }
+        let mut db = Database::new();
+        db.add_table(parent);
+        db.add_table(child);
+        db.add_foreign_key(ForeignKey::new("c", "p_id", "p", "id"))
+            .unwrap();
+        db
+    }
+
+    #[test]
+    fn known_tuple_factors_read_the_column_else_the_partner_counts() {
+        // The column's values, a NULL staying unknown, on the parent table
+        // and on a join holding it alike.
+        let tf = [Some(4), None, Some(0)];
+        let db = parent_child_db(Some(tf));
+        let step = db.edge_between("p", "c").unwrap();
+        let parent = db.table("p").unwrap();
+        assert_eq!(known_tuple_factors(&db, &step, parent).unwrap(), tf);
+        let join = parent.qualified();
+        assert_eq!(known_tuple_factors(&db, &step, &join).unwrap(), tf);
+        // No column: every row's observed partner count.
+        let db = parent_child_db(None);
+        let parent = db.table("p").unwrap();
+        let counts = [Some(2), Some(1), Some(0)];
+        assert_eq!(known_tuple_factors(&db, &step, parent).unwrap(), counts);
+        let join = parent.qualified();
+        assert_eq!(known_tuple_factors(&db, &step, &join).unwrap(), counts);
     }
 
     #[test]

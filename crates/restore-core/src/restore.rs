@@ -70,24 +70,10 @@ impl Default for RestoreConfig {
     }
 }
 
-/// Summary of one trained completion model.
-#[derive(Clone, Debug)]
-pub struct ModelSummary {
-    pub target: String,
-    pub path: String,
-    pub ssar: bool,
-    pub val_loss: f32,
-    pub target_val_loss: f32,
-    /// The chain's own wall time ([`CompletionModel::train_seconds`]);
-    /// chains trained side by side overlap.
-    pub seconds: f64,
-    pub parameters: usize,
-}
-
-/// Output of [`ReStore::train`].
+/// Output of [`ReStore::train`]; [`ReStore::selected_model`] returns each
+/// table's winner.
 #[derive(Clone, Debug, Default)]
 pub struct TrainReport {
-    pub models: Vec<ModelSummary>,
     /// Candidate scores per incomplete table (for Fig. 10-style analysis).
     pub candidates: HashMap<String, Vec<CandidateScore>>,
 }
@@ -238,15 +224,6 @@ impl ReStore {
             )?;
             let winner = candidates.iter().position(|c| c.selected);
             let model = &trained[winner.expect("a non-empty sheet marks its winner")];
-            report.models.push(ModelSummary {
-                target: target.clone(),
-                path: model.path().describe(),
-                ssar: model.is_ssar(),
-                val_loss: model.val_loss,
-                target_val_loss: model.target_val_loss(),
-                seconds: model.train_seconds,
-                parameters: model.num_parameters(),
-            });
             let tables = model.path().tables().to_vec();
             // The user's hint binds the serving side like a forced path; a
             // loss ranking is reported, and the snapshot picks per query.
@@ -273,10 +250,12 @@ impl ReStore {
     /// Returns (training on demand) the model of every chain, in input
     /// order: the build phase's one trainer. `seed` is used as given, so a
     /// chain's weights depend on (database, annotation, train config, chain,
-    /// seed) alone. The `k` chains not trained yet train side by side —
-    /// `min(k, W)` at a time with `max(1, W / k)` engine workers each, `W`
-    /// being [`TrainConfig::workers`] — which moves no weight: training is
-    /// bit-identical under any worker count.
+    /// seed) alone. The chains not trained yet train side by side, at most
+    /// `W` at a time, `W` being [`TrainConfig::workers`] (so `1` trains one
+    /// chain at a time on one thread). Each chain's engine has the same cap
+    /// `W` and, under the core budget, gets helpers only on idle cores: the
+    /// last chain of a build takes the cores its siblings free. That moves
+    /// no weight, since training is bit-identical under any worker count.
     fn models_for_paths<C: AsRef<[String]>>(
         &mut self,
         chains: &[C],
@@ -288,12 +267,10 @@ impl ReStore {
                 missing.push(chain);
             }
         }
-        let workers = self.config.train.engine_workers();
-        let each = (workers / missing.len().max(1)).max(1);
         let (db, annotation, cfg) = (&*self.db, &self.annotation, &self.config.train);
-        let trained = parallel_map_workers(missing.clone(), workers, |tables| {
+        let trained = parallel_map_workers(missing.clone(), cfg.engine_workers(), |tables| {
             let path = CompletionPath::from_tables(db, tables)?;
-            CompletionModel::train_on(db, annotation, path, cfg, each, seed).map(Arc::new)
+            CompletionModel::train(db, annotation, path, cfg, seed).map(Arc::new)
         });
         for (tables, model) in missing.iter().zip(&trained) {
             if let Ok(model) = model {
@@ -409,13 +386,12 @@ mod tests {
     fn train_reports_models() {
         let (_, mut rs) = restore_on_synthetic(51);
         let report = rs.train(51).unwrap();
-        assert_eq!(report.models.len(), 1);
-        let m = &report.models[0];
-        assert_eq!(m.target, "tb");
-        assert!(m.path.contains("ta"));
-        assert!(m.seconds > 0.0);
-        assert!(m.parameters > 100);
-        assert!(rs.selected_model("tb").is_some());
+        assert_eq!(report.candidates["tb"].len(), 1);
+        let m = rs.selected_model("tb").unwrap();
+        assert_eq!(m.path().target(), "tb");
+        assert!(m.path().describe().contains("ta"));
+        assert!(m.train_seconds > 0.0);
+        assert!(m.params().num_scalars() > 100);
     }
 
     #[test]

@@ -5,14 +5,14 @@
 use restore_util::json_fields;
 
 use restore_core::{
-    confidence_interval, ConfidenceInterval, ConfidenceQuery, ReStore, RestoreConfig,
-    SelectionStrategy,
+    confidence_interval, CompleterConfig, ConfidenceInterval, ConfidenceQuery, ReStore,
+    RestoreConfig, SelectionStrategy,
 };
 use restore_data::{build_scenario, setup_by_id, Scenario};
 
 use crate::harness::{
-    complete_scenario, eval_completer_config, eval_train_config, grid, scenario_stat,
-    synthetic_scenario, train_synthetic_model,
+    complete_scenario, eval_train_config, grid, scenario_stat, synthetic_scenario,
+    train_synthetic_model,
 };
 use restore_util::parallel_map;
 
@@ -113,7 +113,7 @@ fn synthetic_interval(sc: &Scenario, seed: u64) -> Result<ConfidenceInterval, &'
         column: "b".into(),
         value: sc.bias_value.clone().unwrap_or_default(),
     };
-    let batch_size = eval_completer_config().batch_size;
+    let batch_size = CompleterConfig::default().batch_size;
     confidence_interval(&model, &sc.incomplete, &out, &q, 0.95, batch_size).map_err(|_| "ci")
 }
 
@@ -135,7 +135,6 @@ pub fn run_confidence_real(
             train: eval_train_config(),
             strategy: SelectionStrategy::BestValLoss,
             max_candidates: 2,
-            completer: eval_completer_config(),
             ..RestoreConfig::default()
         };
         let mut rs = ReStore::new(sc.incomplete.clone(), cfg);

@@ -11,7 +11,7 @@ use restore_util::json_fields;
 use restore_core::{ReStore, RestoreConfig};
 use restore_data::{build_scenario, Setup};
 
-use crate::harness::{eval_completer_config, eval_train_config, grid, scenario_bias_reduction};
+use crate::harness::{eval_train_config, grid, scenario_bias_reduction};
 use crate::metrics::cardinality_correction;
 use restore_util::parallel_map;
 
@@ -72,7 +72,6 @@ pub fn run_exp2(
                 } else {
                     eval_train_config()
                 },
-                completer: eval_completer_config(),
                 ..RestoreConfig::default()
             };
             let mut rs = ReStore::new(sc.incomplete.clone(), cfg);

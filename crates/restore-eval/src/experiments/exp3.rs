@@ -7,7 +7,7 @@ use restore_core::{ReStore, RestoreConfig, SelectionStrategy};
 use restore_data::{build_scenario, Setup};
 use restore_db::QueryResult;
 
-use crate::harness::{eval_completer_config, eval_train_config, grid};
+use crate::harness::{eval_train_config, grid};
 use crate::metrics::{group_relative_error, relative_error};
 use crate::queries::queries_for_setup;
 use restore_util::parallel_map;
@@ -74,7 +74,6 @@ pub fn run_exp3(
             train: eval_train_config(),
             strategy: SelectionStrategy::BestValLoss,
             max_candidates: 3,
-            completer: eval_completer_config(),
             ..RestoreConfig::default()
         };
         let mut rs = ReStore::new(sc.incomplete.clone(), cfg);

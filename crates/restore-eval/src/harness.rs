@@ -2,8 +2,8 @@
 //! evaluation-sized defaults, and statistic extraction.
 
 use restore_core::{
-    Completer, CompleterConfig, CompletionModel, CompletionOutput, CompletionPath, CoreResult,
-    SchemaAnnotation, TrainConfig,
+    Completer, CompletionModel, CompletionOutput, CompletionPath, CoreResult, SchemaAnnotation,
+    TrainConfig,
 };
 use restore_data::{
     apply_removal, generate_synthetic, BiasSpec, RemovalConfig, Scenario, SyntheticConfig,
@@ -13,17 +13,16 @@ use restore_db::Table;
 use crate::metrics::bias_reduction;
 
 /// Training configuration sized for the evaluation sweeps (hundreds of
-/// models on a laptop). Each training runs on one worker thread: the
-/// harness already fans experiment cells out over the worker pool (same
-/// nested-ncpu² reasoning as the completer config), and trained
-/// weights never depend on the worker count.
+/// models on a laptop). The harness fans experiment cells out with
+/// `parallel_map`, and a training or completion inside a cell shares the
+/// process's core budget with it: a nested map adds helpers only on idle
+/// cores. Trained weights and completions never depend on the worker count.
 pub fn eval_train_config() -> TrainConfig {
     TrainConfig {
         epochs: 15,
         batch_size: 256,
         hidden: vec![48, 48],
         max_train_rows: 8_000,
-        workers: 1,
         ..TrainConfig::default()
     }
 }
@@ -80,17 +79,6 @@ pub(crate) fn train_synthetic_model(
     CompletionModel::train(&sc.incomplete, &ann, path, train, seed)
 }
 
-/// Completer configuration for experiment cells: the harness already
-/// fans cells out over the worker pool (`parallel_map`), so the inner
-/// sampling stays single-threaded to avoid a nested ncpu² thread blowup.
-/// Results are identical either way (worker-count invariance).
-pub(crate) fn eval_completer_config() -> CompleterConfig {
-    CompleterConfig {
-        workers: 1,
-        ..CompleterConfig::default()
-    }
-}
-
 /// Runs Algorithm 1 for `model` on the scenario's incomplete database.
 pub(crate) fn complete_scenario(
     sc: &Scenario,
@@ -98,9 +86,7 @@ pub(crate) fn complete_scenario(
     seed: u64,
 ) -> CoreResult<CompletionOutput> {
     let ann = SchemaAnnotation::with_incomplete(sc.incomplete_tables.iter().map(String::as_str));
-    Completer::new(&sc.incomplete, &ann)
-        .with_config(eval_completer_config())
-        .complete(model, seed)
+    Completer::new(&sc.incomplete, &ann).complete(model, seed)
 }
 
 /// Fraction of rows where `column == value`, or the mean of `column` when

@@ -475,7 +475,7 @@ impl Matrix {
     }
 
     /// Element-wise product (Hadamard), returning a new matrix.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
+    pub(crate) fn hadamard(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.shape(), other.shape(), "hadamard shape mismatch");
         let data = self
             .data

@@ -29,18 +29,18 @@ fn main() {
     restore.mark_incomplete("apartment");
 
     // 4. Train the completion models (§3).
-    let report = restore.train(42).expect("training");
-    for m in &report.models {
-        println!(
-            "trained {} model for `{}` via {} ({} params, {:.1}s, held-out NLL {:.3})",
-            if m.ssar { "SSAR" } else { "AR" },
-            m.target,
-            m.path,
-            m.parameters,
-            m.seconds,
-            m.target_val_loss,
-        );
-    }
+    restore.train(42).expect("training");
+    let m = restore
+        .selected_model("apartment")
+        .expect("a selected model");
+    println!(
+        "trained {} model for `apartment` via {} ({} params, {:.1}s, held-out NLL {:.3})",
+        if m.is_ssar() { "SSAR" } else { "AR" },
+        m.path().describe(),
+        m.params().num_scalars(),
+        m.train_seconds,
+        m.target_val_loss(),
+    );
 
     // 5. Ask for the total price volume of entire homes — a query whose
     //    answer the biased removal corrupted (the paper's Q1).
