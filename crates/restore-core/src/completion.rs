@@ -21,12 +21,12 @@
 //! at `batch_size = 1`.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use restore_db::{hash_join, tf_column_name, Column, Database, Table, Value};
+use restore_db::{join_pairs, tf_column_name, Column, Database, JoinPairs, Table, Value};
 use restore_nn::InferenceSession;
 use restore_util::{busy, busy_threads, default_workers, derive_seed, parallel_map_with};
 
@@ -357,6 +357,7 @@ impl Relation {
 /// factor it resolved and the columns of the table it just joined. Tokens
 /// exist for the next sampling step to read; the path's last step has no
 /// reader, encodes nothing it adds and leaves `enc` empty.
+#[derive(Clone)]
 struct Working {
     table: Table,
     syn: Vec<Vec<bool>>,
@@ -454,29 +455,21 @@ impl<'a> Completer<'a> {
     /// batch derives its RNG from the seed and its position, independent of
     /// batch grouping across steps and of the worker count.
     pub fn complete(&self, model: &CompletionModel, seed: u64) -> CoreResult<CompletionOutput> {
-        self.complete_drawing(model, seed, usize::MAX)
+        self.complete_drawing(model, &OnceLock::new(), seed, usize::MAX)
     }
 
-    /// [`Completer::complete`] with the last step drawing only the first
+    /// [`Completer::complete`] from the [`ChainPlan`] in `plan`, built there
+    /// first if it is empty, with the last step drawing only the first
     /// `columns` of its table's modeled columns ([`Walk::columns_drawn`]),
     /// each token the one [`Completer::complete`] draws.
     pub(crate) fn complete_drawing(
         &self,
         model: &CompletionModel,
+        plan: &OnceLock<ChainPlan>,
         seed: u64,
         columns: usize,
     ) -> CoreResult<CompletionOutput> {
         let path = model.path();
-        let root = self.db.table(path.root())?;
-        let n0 = root.n_rows();
-        let table = root.qualified();
-        let tf = vec![Vec::new(); path.steps().len()];
-        let mut w = Working {
-            enc: model.encode_tokens(&table, &tf),
-            table,
-            syn: vec![vec![false; n0]],
-            tf,
-        };
         // The walk computes on this thread from here on; maps below add
         // helpers only on idle cores.
         let _busy = busy();
@@ -500,9 +493,26 @@ impl<'a> Completer<'a> {
             seed,
             columns,
         };
-        for i in 0..path.steps().len() {
-            w = walk.step(w, i)?;
-        }
+        let plan = match plan.get() {
+            Some(plan) => plan,
+            None => {
+                let built = walk.plan()?;
+                plan.get_or_init(|| built)
+            }
+        };
+        // Step 0 from the plan, every later step prepared on the working
+        // join its predecessor left.
+        let w = match &plan.first {
+            None => plan.root.clone(),
+            Some(first) => {
+                let mut w = walk.step(&plan.root, first, plan, 0)?;
+                for i in 1..path.steps().len() {
+                    let prepared = walk.prepare(&w, i)?;
+                    w = walk.step(&w, &prepared, plan, i)?;
+                }
+                w
+            }
+        };
 
         Ok(CompletionOutput {
             join: w.table,
@@ -514,6 +524,26 @@ impl<'a> Completer<'a> {
             relations: Mutex::default(),
         })
     }
+}
+
+/// Everything of one chain's walk that no seed changes, built once and read
+/// by every completion of the chain: the root's working state, step 0's
+/// [`Walk::prepare`]d half and a [`Replacement`] per replaced path table.
+pub(crate) struct ChainPlan {
+    root: Working,
+    /// `None` on a one-table path, which has no step.
+    first: Option<Prepared>,
+    /// Indexed by path table.
+    replacements: Vec<Option<Replacement>>,
+}
+
+/// The seed-independent half of one step of the walk: the existing
+/// partners as row pairs, their count per working row, and a 1:n step's
+/// tuple factors before their seeded rounding.
+struct Prepared {
+    pairs: JoinPairs,
+    existing: Vec<i64>,
+    factors: Option<Factors>,
 }
 
 /// What every step of one walk shares: the completer, the model whose path
@@ -533,6 +563,17 @@ struct Walk<'a> {
 /// whose foreign keys further joins need (§4.2–§4.3).
 fn replaces(annotation: &SchemaAnnotation, tables: &[String], t: usize) -> bool {
     annotation.is_complete(&tables[t]) || t + 1 < tables.len()
+}
+
+/// The modeled columns of path table `t`, in AR order, with their encoders.
+fn modeled(model: &CompletionModel, t: usize) -> Vec<(&str, &AttrEncoder)> {
+    model.attrs()[model.table_attr_range(t)]
+        .iter()
+        .map(|a| match &a.kind {
+            AttrKind::Column { column, .. } => (column.as_str(), &a.encoder),
+            AttrKind::TupleFactor { .. } => unreachable!("table range holds only columns"),
+        })
+        .collect()
 }
 
 /// How many of path table `t`'s `all` modeled columns, in AR order, a walk
@@ -560,57 +601,109 @@ impl Walk<'_> {
         columns_drawn(self.completer.annotation, tables, t, all, self.columns)
     }
 
-    /// Step `i` of Algorithm 1, along the edge to path table `i + 1`, the
-    /// same for both edge kinds: join the existing partners, count them per
-    /// working row, synthesize the partners [`missing_partners`] says each
-    /// row lacks, and union them back.
-    fn step(&mut self, w: Working, i: usize) -> CoreResult<Working> {
+    /// This walk's chain's [`ChainPlan`]; only a replaced path table with
+    /// rows and modeled columns gets a [`Replacement`].
+    fn plan(&mut self) -> CoreResult<ChainPlan> {
         let model = self.model;
-        let step = &model.path().steps()[i];
-        let fk = &step.fk;
-        let t_next = self.completer.db.table(&model.path().tables()[i + 1])?;
-        // Nothing samples after the last step, so what it adds needs no tokens.
-        let last = i + 1 == model.path().steps().len();
+        let (db, tables) = (self.completer.db, model.path().tables());
+        let table = db.table(&tables[0])?.qualified();
+        let tf = vec![Vec::new(); model.path().steps().len()];
+        let root = Working {
+            enc: model.encode_tokens(&table, &tf),
+            syn: vec![vec![false; table.n_rows()]],
+            table,
+            tf,
+        };
+        let steps = model.path().steps().len();
+        let first = (steps > 0).then(|| self.prepare(&root, 0)).transpose()?;
+        let replacements = (0..tables.len())
+            .map(|t| {
+                let (table, modeled) = (db.table(&tables[t])?, modeled(model, t));
+                let replaced = t > 0 && replaces(self.completer.annotation, tables, t);
+                (replaced && table.n_rows() > 0 && !modeled.is_empty())
+                    .then(|| Replacement::build(table, &modeled))
+                    .transpose()
+            })
+            .collect::<CoreResult<_>>()?;
+        Ok(ChainPlan {
+            root,
+            first,
+            replacements,
+        })
+    }
 
-        // Existing partners: a plain join on the key the working join holds
-        // (the parent's on a 1:n edge, the child's on an n:1 edge), which
-        // also counts them per working row (NULL keys have none).
+    /// The seed-independent half of step `i` on the working join `w`: its
+    /// existing partners in path table `i + 1` — a plain join on the key
+    /// `w` holds (the parent's on a 1:n edge, the child's on an n:1 edge),
+    /// which also counts them per working row (NULL keys have none) — and
+    /// a 1:n step's [`Factors`], the model's expectations included.
+    fn prepare(&mut self, w: &Working, i: usize) -> CoreResult<Prepared> {
+        let model = self.model;
+        let (step, t) = (&model.path().steps()[i], &model.path().tables()[i + 1]);
+        let (fk, t_next) = (&step.fk, self.completer.db.table(t)?);
         let (key, next_key) = step.join_keys();
-        let jout = hash_join(&w.table, &key, t_next, &next_key, "join")?;
-        let mut existing = vec![0i64; w.table.n_rows()];
-        for &l in &jout.left_indices {
-            existing[l] += 1;
-        }
-
-        // A 1:n step resolves every row's tuple factor, the known ones from
-        // the parent's `__tf` metadata column if it has one.
-        let tf = if step.fan_out {
+        let pairs = join_pairs(&w.table, &key, t_next, &next_key)?;
+        let existing: Vec<i64> = pairs.partners.iter().map(|&p| p as i64).collect();
+        // The known factors come from the parent's `__tf` metadata column
+        // if it has one.
+        let factors = if step.fan_out {
             let tf_ref = format!("{}.{}", fk.parent, tf_column_name(&fk.child));
             let tf_col = w.table.resolve(&tf_ref).ok();
             let known: Vec<Option<i64>> = (0..existing.len())
                 .map(|r| tf_col.and_then(|c| w.table.value(r, c).as_i64()))
                 .collect();
             let child_complete = self.completer.annotation.is_complete(&fk.child);
-            let predict = |rows: &[usize]| self.predict_tuple_factors(&w, i, rows);
-            Some(tuple_factors(&known, &existing, child_complete, predict)?)
+            let mut factors = Factors::split(&known, &existing, child_complete);
+            if !factors.to_predict.is_empty() {
+                // RNG-free and row-independent: a few large fused chunks.
+                let encoded = w.encoded(model);
+                factors.expectations =
+                    self.eval_batches(&factors.to_predict, |session, chunk| {
+                        model.tf_expectations_encoded_in(session, &w.table, encoded, i, chunk)
+                    })?;
+            }
+            Some(factors)
         } else {
             None
         };
-        let dup_idx = missing_partners(&existing, tf.as_deref());
+        Ok(Prepared {
+            pairs,
+            existing,
+            factors,
+        })
+    }
 
-        let mut w_inc = w.gather(&jout.left_indices, jout.table, !last);
-        w_inc.syn.push(vec![false; jout.left_indices.len()]);
+    /// Step `i` of Algorithm 1, along the edge to path table `i + 1`, the
+    /// same for both edge kinds, from its [`Walk::prepare`]d half `p`:
+    /// round the tuple factors under this walk's seed, synthesize the
+    /// partners [`missing_partners`] says each row lacks, and union them
+    /// with the existing ones.
+    fn step(&mut self, w: &Working, p: &Prepared, at: &ChainPlan, i: usize) -> CoreResult<Working> {
+        let model = self.model;
+        let t_next = self.completer.db.table(&model.path().tables()[i + 1])?;
+        // Nothing samples after the last step, so what it adds needs no tokens.
+        let last = i + 1 == model.path().steps().len();
+
+        let tf = p.factors.as_ref().map(|f| {
+            let predicted = self.round_tuple_factors(i, &f.expectations);
+            f.resolve(&p.existing, predicted)
+        });
+        let dup_idx = missing_partners(&p.existing, tf.as_deref());
+
+        let joined = p.pairs.gather(&w.table, t_next, "join")?;
+        let mut w_inc = w.gather(&p.pairs.left_indices, joined, !last);
+        w_inc.syn.push(vec![false; p.pairs.left_indices.len()]);
         let mut w_syn = w.gather(&dup_idx, w.table.gather(&dup_idx), true);
         if let Some(tf) = &tf {
             let resolved = |rows: &[usize]| -> Vec<Option<i64>> {
                 rows.iter().map(|&r| Some(tf[r])).collect()
             };
-            w_inc.tf[i] = resolved(&jout.left_indices);
+            w_inc.tf[i] = resolved(&p.pairs.left_indices);
             w_syn.tf[i] = resolved(&dup_idx);
             // Sampling below conditions on the resolved tuple factor.
             w_syn.refresh_tf_enc(model, i);
         }
-        let block = self.synthesize_block(&w_syn, i, t_next)?;
+        let block = self.synthesize_block(&w_syn, i, at)?;
         w_syn.syn.push(vec![true; block.n_rows()]);
         w_syn.table = w_syn.table.hstack(block, "join")?;
         let mut w = w_inc.union(w_syn)?;
@@ -626,31 +719,18 @@ impl Walk<'_> {
         Ok(w)
     }
 
-    /// The model's tuple factors of step `i` for `rows` of the working
-    /// join (Algorithm 1, line 6). Expectation evaluation is RNG-free and
-    /// row-independent, so it runs in a few large fused chunks; stochastic
-    /// rounding then replays the exact per-sampling-batch RNG streams of
-    /// [`Walk::sample_batches`], so the factors are those of sampling batch
-    /// by batch and invariant to the worker count.
-    fn predict_tuple_factors(
-        &mut self,
-        w: &Working,
-        i: usize,
-        rows: &[usize],
-    ) -> CoreResult<Vec<i64>> {
-        let model = self.model;
-        let encoded = w.encoded(model);
-        let expectations = self.eval_batches(rows, |session, chunk| {
-            model.tf_expectations_encoded_in(session, &w.table, encoded, i, chunk)
-        })?;
+    /// The seeded half of step `i`'s tuple factors: stochastic rounding of
+    /// the `expectations` replays the per-sampling-batch RNG streams of
+    /// [`Walk::sample_batches`], so it is invariant to the worker count.
+    fn round_tuple_factors(&self, i: usize, expectations: &[f64]) -> Vec<i64> {
         let bs = self.completer.cfg.batch_size.max(1);
         let tf_seed = derive_seed(self.seed, 2 * i as u64);
-        let mut sampled = Vec::with_capacity(rows.len());
+        let mut sampled = Vec::with_capacity(expectations.len());
         for (k, chunk) in expectations.chunks(bs).enumerate() {
             let mut rng = StdRng::seed_from_u64(derive_seed(tf_seed, (k * bs) as u64));
             sampled.extend(CompletionModel::round_tf_expectations(chunk, &mut rng));
         }
-        Ok(sampled)
+        sampled
     }
 
     /// Splits `rows` into sampling batches, fans them out over the caller
@@ -708,21 +788,16 @@ impl Walk<'_> {
     /// Samples the modeled columns of path table `i + 1` the walk draws
     /// ([`Walk::columns_drawn`]) for every row of `w` — in parallel batches
     /// of `batch_size` rows, one forward pass per attribute per batch —
-    /// optionally replacing each synthesized tuple
-    /// with its nearest real neighbor, and returns the qualified column
-    /// block. The block is assembled from tokens: one decoded value per
+    /// replacing each synthesized tuple with its nearest real neighbor if
+    /// the plan `at` has a [`Replacement`] for the table, and returns the
+    /// qualified column block, assembled from tokens: one decoded value per
     /// token, the sampled tokens pick among them.
-    fn synthesize_block(&mut self, w: &Working, i: usize, t_next: &Table) -> CoreResult<Table> {
+    fn synthesize_block(&mut self, w: &Working, i: usize, at: &ChainPlan) -> CoreResult<Table> {
         let model = self.model;
         let table_idx = i + 1;
+        let t_next = self.completer.db.table(&model.path().tables()[table_idx])?;
         let n = w.table.n_rows();
-        let modeled: Vec<(&str, &AttrEncoder)> = model.attrs()[model.table_attr_range(table_idx)]
-            .iter()
-            .map(|a| match &a.kind {
-                AttrKind::Column { column, .. } => (column.as_str(), &a.encoder),
-                AttrKind::TupleFactor { .. } => unreachable!("table range holds only columns"),
-            })
-            .collect();
+        let modeled = modeled(model, table_idx);
 
         // Sampled token columns, the per-batch blocks concatenated.
         let drawn = self.columns_drawn(table_idx);
@@ -742,10 +817,9 @@ impl Walk<'_> {
             }
         }
 
-        let replaced = replaces(self.completer.annotation, model.path().tables(), table_idx);
-        let replacement_rows = (replaced && t_next.n_rows() > 0 && n > 0 && !modeled.is_empty())
-            .then(|| nearest_real_rows(t_next, &modeled, &sampled))
-            .transpose()?;
+        let replacement_rows = (at.replacements[table_idx].as_ref())
+            .filter(|_| n > 0)
+            .map(|r| r.nearest_rows(&sampled));
 
         // Assemble the block with t_next's full schema.
         let mut columns: Vec<Column> = Vec::with_capacity(t_next.n_cols());
@@ -764,37 +838,47 @@ impl Walk<'_> {
     }
 }
 
-/// Algorithm 1, line 6: the tuple factor of every working row of a 1:n
-/// step, in this order. A known factor (`known`, the `__tf` metadata)
-/// beats everything; a complete child table means the observed partner
-/// count `existing` is the truth; otherwise `predict` estimates it, called
-/// once, with the rows left in ascending order, if any are left. No row
-/// gets a factor below the partners it has.
-fn tuple_factors(
-    known: &[Option<i64>],
-    existing: &[i64],
-    child_complete: bool,
-    predict: impl FnOnce(&[usize]) -> CoreResult<Vec<i64>>,
-) -> CoreResult<Vec<i64>> {
-    let mut tf = vec![0; known.len()];
-    let mut to_predict = Vec::new();
-    for (r, &k) in known.iter().enumerate() {
-        match k {
-            Some(v) => tf[r] = v,
-            None if child_complete => tf[r] = existing[r],
-            None => to_predict.push(r),
+/// Algorithm 1, line 6, before the seed: each working row's tuple factor
+/// where a known factor or a complete child table fixes it, the rows left for
+/// the model, ascending, and the model's expected factor of each.
+struct Factors {
+    fixed: Vec<i64>,
+    to_predict: Vec<usize>,
+    expectations: Vec<f64>,
+}
+
+impl Factors {
+    /// A known factor (`known`, the `__tf` metadata) beats everything; with a
+    /// complete child table the partners a row has (`existing`) are all.
+    fn split(known: &[Option<i64>], existing: &[i64], child_complete: bool) -> Self {
+        let mut fixed = vec![0; known.len()];
+        let mut to_predict = Vec::new();
+        for (r, &k) in known.iter().enumerate() {
+            match k {
+                Some(v) => fixed[r] = v,
+                None if child_complete => fixed[r] = existing[r],
+                None => to_predict.push(r),
+            }
+        }
+        Self {
+            fixed,
+            to_predict,
+            expectations: Vec::new(),
         }
     }
-    if !to_predict.is_empty() {
-        for (&r, v) in to_predict.iter().zip(predict(&to_predict)?) {
+
+    /// Every row's factor, `predicted` giving those of the rows left for the
+    /// model, in order. No row gets a factor below the partners it has.
+    fn resolve(&self, existing: &[i64], predicted: Vec<i64>) -> Vec<i64> {
+        let mut tf = self.fixed.clone();
+        for (&r, v) in self.to_predict.iter().zip(predicted) {
             tf[r] = v;
         }
+        for (t, &e) in tf.iter_mut().zip(existing) {
+            *t = (*t).max(e);
+        }
+        tf
     }
-    Ok(tf
-        .into_iter()
-        .zip(existing)
-        .map(|(t, &e)| t.max(e))
-        .collect())
 }
 
 /// How many partners each working row is missing, the one rule of both
@@ -813,47 +897,60 @@ fn missing_partners(existing: &[i64], tf: Option<&[i64]>) -> Vec<usize> {
         .collect()
 }
 
-/// Euclidean replacement (Fig. 3): for every row of the sampled token
-/// columns, the row of `table` nearest to the tuple its tokens decode to,
-/// so synthesized keys become real ones. The index is asked once per
-/// distinct token tuple: rows that sampled the same tuple share its answer.
-fn nearest_real_rows(
-    table: &Table,
-    modeled: &[(&str, &AttrEncoder)],
-    sampled: &[Vec<u32>],
-) -> CoreResult<Vec<usize>> {
-    // What each token of each modeled attribute decodes to.
-    let decoded: Vec<Vec<Value>> = modeled
-        .iter()
-        .map(|(_, enc)| {
-            (0..enc.model_cardinality() as u32)
-                .map(|t| enc.decode(t))
-                .collect()
+/// Euclidean replacement's state for one path table (Fig. 3), a function of
+/// the table and the model's encoders: what each token of each modeled
+/// attribute decodes to, the featurizer and the index over the real rows.
+struct Replacement {
+    decoded: Vec<Vec<Value>>,
+    featurizer: Featurizer,
+    index: AnnIndex,
+}
+
+impl Replacement {
+    fn build(table: &Table, modeled: &[(&str, &AttrEncoder)]) -> CoreResult<Self> {
+        let decoded = modeled
+            .iter()
+            .map(|(_, enc)| {
+                (0..enc.model_cardinality() as u32)
+                    .map(|t| enc.decode(t))
+                    .collect()
+            })
+            .collect();
+        let featurizer = Featurizer::fit(table, modeled)?;
+        let points = featurizer.features_of_table(table)?;
+        let index = AnnIndex::build(points, ANN_BITS, ANN_TABLES, 0xa11);
+        Ok(Self {
+            decoded,
+            featurizer,
+            index,
         })
-        .collect();
-    let featurizer = Featurizer::fit(table, modeled)?;
-    let points = featurizer.features_of_table(table)?;
-    let index = AnnIndex::build(points, ANN_BITS, ANN_TABLES, 0xa11);
-    let n = sampled.first().map_or(0, Vec::len);
-    let mut nearest: HashMap<Vec<u32>, usize> = HashMap::new();
-    let rows = (0..n).map(|i| {
-        let tuple = sampled.iter().map(|tokens| tokens[i]).collect();
-        *nearest.entry(tuple).or_insert_with_key(|tuple| {
-            let vals: Vec<&Value> = (decoded.iter().zip(tuple))
-                .map(|(values, &token)| &values[token as usize])
-                .collect();
-            index.nearest(&featurizer.features_of_values(&vals))
-        })
-    });
-    Ok(rows.collect())
+    }
+
+    /// For every row of the sampled token columns, the row of the table
+    /// nearest to the tuple its tokens decode to, so synthesized keys become
+    /// real ones. The index is asked once per distinct token tuple: rows
+    /// that sampled the same tuple share its answer.
+    fn nearest_rows(&self, sampled: &[Vec<u32>]) -> Vec<usize> {
+        let n = sampled.first().map_or(0, Vec::len);
+        let mut nearest: HashMap<Vec<u32>, usize> = HashMap::new();
+        let rows = (0..n).map(|i| {
+            let tuple = sampled.iter().map(|tokens| tokens[i]).collect();
+            *nearest.entry(tuple).or_insert_with_key(|tuple| {
+                let vals = (self.decoded.iter().zip(tuple)).map(|(v, &t)| &v[t as usize]);
+                self.index
+                    .nearest(&self.featurizer.features_of_values(vals))
+            })
+        });
+        rows.collect()
+    }
 }
 
 /// Feature extraction for euclidean replacement: categorical attributes are
 /// one-hot, numeric attributes are z-normalized against the real table's
 /// finite cells. A NULL, NaN or infinite cell has no place on that scale
 /// and featurizes as the mean.
-struct Featurizer<'m> {
-    specs: Vec<(&'m str, &'m AttrEncoder, FeatKind)>,
+struct Featurizer {
+    specs: Vec<(String, AttrEncoder, FeatKind)>,
 }
 
 enum FeatKind {
@@ -861,8 +958,8 @@ enum FeatKind {
     Numeric { mean: f32, std: f32 },
 }
 
-impl<'m> Featurizer<'m> {
-    fn fit(table: &Table, modeled: &[(&'m str, &'m AttrEncoder)]) -> CoreResult<Self> {
+impl Featurizer {
+    fn fit(table: &Table, modeled: &[(&str, &AttrEncoder)]) -> CoreResult<Self> {
         let mut specs = Vec::with_capacity(modeled.len());
         for (name, enc) in modeled {
             let kind = match enc {
@@ -871,36 +968,19 @@ impl<'m> Featurizer<'m> {
                     let col = table.column_by_name(name)?;
                     let vals: Vec<f32> =
                         (0..col.len()).filter_map(|r| finite(&col.get(r))).collect();
-                    let mean = if vals.is_empty() {
-                        0.0
-                    } else {
-                        vals.iter().sum::<f32>() / vals.len() as f32
-                    };
-                    let var = if vals.is_empty() {
-                        1.0
-                    } else {
-                        vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>()
-                            / vals.len() as f32
-                    };
+                    let n = vals.len() as f32;
+                    let mean = vals.iter().sum::<f32>() / n.max(1.0);
+                    let sq = vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>();
+                    let var = if vals.is_empty() { 1.0 } else { sq / n };
                     FeatKind::Numeric {
                         mean,
                         std: var.sqrt().max(1e-6),
                     }
                 }
             };
-            specs.push((*name, *enc, kind));
+            specs.push((name.to_string(), (*enc).clone(), kind));
         }
         Ok(Self { specs })
-    }
-
-    fn dim(&self) -> usize {
-        self.specs
-            .iter()
-            .map(|(_, _, k)| match k {
-                FeatKind::OneHot(c) => *c,
-                FeatKind::Numeric { .. } => 1,
-            })
-            .sum()
     }
 
     fn push_value(&self, out: &mut Vec<f32>, spec_idx: usize, v: &Value) {
@@ -923,25 +1003,17 @@ impl<'m> Featurizer<'m> {
     }
 
     fn features_of_table(&self, table: &Table) -> CoreResult<Vec<Vec<f32>>> {
-        let idxs: Vec<usize> = self
-            .specs
-            .iter()
-            .map(|(name, _, _)| table.resolve(name).map_err(CoreError::from))
-            .collect::<CoreResult<_>>()?;
+        let cols = (self.specs.iter()).map(|(name, _, _)| table.resolve(name));
+        let cols = cols.collect::<Result<Vec<usize>, _>>()?;
+        let row = |r| cols.iter().map(|&c| table.value(r, c)).collect::<Vec<_>>();
         Ok((0..table.n_rows())
-            .map(|r| {
-                let mut f = Vec::with_capacity(self.dim());
-                for (s, &ci) in idxs.iter().enumerate() {
-                    self.push_value(&mut f, s, &table.value(r, ci));
-                }
-                f
-            })
+            .map(|r| self.features_of_values(&row(r)))
             .collect())
     }
 
-    fn features_of_values(&self, values: &[&Value]) -> Vec<f32> {
-        let mut f = Vec::with_capacity(self.dim());
-        for (s, v) in values.iter().enumerate() {
+    fn features_of_values<'v>(&self, values: impl IntoIterator<Item = &'v Value>) -> Vec<f32> {
+        let mut f = Vec::new();
+        for (s, v) in values.into_iter().enumerate() {
             self.push_value(&mut f, s, v);
         }
         f
@@ -1012,7 +1084,12 @@ mod tests {
             CompletionPath::from_tables(&sc.incomplete, &["ta".into(), "tb".into()]).unwrap();
         let model = CompletionModel::train(&sc.incomplete, &ann, path, &quick_cfg(), seed).unwrap();
         let completer = Completer::new(&sc.incomplete, &ann);
-        completer.complete(&model, seed).unwrap()
+        // A plan that another seed's walk built holds none of its draws.
+        let (plan, all) = (OnceLock::new(), usize::MAX);
+        let walk = |s| completer.complete_drawing(&model, &plan, s, all).unwrap();
+        let (_, out) = (walk(seed + 1), walk(seed));
+        assert_eq!(out.tf, completer.complete(&model, seed).unwrap().tf);
+        out
     }
 
     #[test]
@@ -1121,7 +1198,7 @@ mod tests {
         assert_eq!(pts.len(), 2);
         assert_ne!(pts[0], pts[1]);
         // A query equal to row 0's values maps onto row 0's features.
-        let q = f.features_of_values(&[&Value::str("a"), &Value::Float(1.0)]);
+        let q = f.features_of_values([&Value::str("a"), &Value::Float(1.0)]);
         assert_eq!(q, pts[0]);
     }
 
@@ -1203,16 +1280,11 @@ mod tests {
         for id in [1, 3] {
             parent.push_row(&[Value::Int(id)]).unwrap();
         }
-        let jout = hash_join(&child.qualified(), "ta.k", &parent, "id", "join").unwrap();
-        let mut existing = vec![0; child.n_rows()];
-        for &l in &jout.left_indices {
-            existing[l] += 1;
-        }
+        let pairs = join_pairs(&child.qualified(), "ta.k", &parent, "id").unwrap();
+        let existing: Vec<i64> = pairs.partners.iter().map(|&p| p as i64).collect();
         // Partnerless rows once each, ascending — a NULL key is
-        // partnerless — and what the join reports as unmatched.
-        let missing = missing_partners(&existing, None);
-        assert_eq!(missing, vec![1, 2, 4]);
-        assert_eq!(missing, jout.unmatched_left);
+        // partnerless.
+        assert_eq!(missing_partners(&existing, None), vec![1, 2, 4]);
     }
 
     #[test]
@@ -1220,9 +1292,11 @@ mod tests {
         let m = MAX_MISSING_PER_ROW;
         let existing = [2, 0, 3, 1, 0];
         let known = [Some(5), None, Some(1), None, Some(m + 10)];
-        // The model would give every row it is asked about 1,000 partners.
-        let model = |rows: &[usize]| Ok(vec![1_000; rows.len()]);
-        let tf = tuple_factors(&known, &existing, false, model).unwrap();
+        // Only the rows without a known factor are left to the model,
+        // ascending; say it gives each of them 1,000 partners.
+        let factors = Factors::split(&known, &existing, false);
+        assert_eq!(factors.to_predict, [1, 3]);
+        let tf = factors.resolve(&existing, vec![1_000; 2]);
         // A known factor wins over the model; none falls below the
         // partners a row has.
         assert_eq!(tf, vec![5, 1_000, 3, 1_000, m + 10]);
@@ -1235,18 +1309,13 @@ mod tests {
         assert!(missing.windows(2).all(|w| w[0] <= w[1]));
 
         // A complete child table: the partners a row has are all it has,
-        // and the model is never asked.
-        let unknown = [None; 5];
-        let never = |_: &[usize]| -> CoreResult<Vec<i64>> { panic!("model asked") };
-        let tf = tuple_factors(&unknown, &existing, true, never).unwrap();
+        // and the model is left nothing.
+        let factors = Factors::split(&[None; 5], &existing, true);
+        assert!(factors.to_predict.is_empty());
+        let tf = factors.resolve(&existing, Vec::new());
         assert_eq!(tf, existing);
         assert!(missing_partners(&existing, Some(&tf)).is_empty());
-        // Only the rows without a known factor are asked about, ascending.
-        let asked = |rows: &[usize]| {
-            assert_eq!(rows, [1, 3]);
-            Ok(vec![7, 8])
-        };
-        let tf = tuple_factors(&known, &existing, false, asked).unwrap();
+        let tf = Factors::split(&known, &existing, false).resolve(&existing, vec![7, 8]);
         assert_eq!(tf, vec![5, 7, 3, 8, m + 10]);
     }
 
@@ -1285,7 +1354,8 @@ mod tests {
             pairs.iter().map(|p| p.0).collect(),
             pairs.iter().map(|p| p.1).collect(),
         ];
-        let rows = nearest_real_rows(&t, &modeled, &sampled).unwrap();
+        let replacement = Replacement::build(&t, &modeled).unwrap();
+        let rows = replacement.nearest_rows(&sampled);
         assert_eq!(rows.len(), pairs.len());
         assert!(rows.iter().all(|&r| r < t.n_rows()), "{rows:?}");
         // A finite cell still featurizes on the finite cells' scale.
@@ -1294,7 +1364,7 @@ mod tests {
         assert!(pts.iter().flatten().all(|x| x.is_finite()));
         assert_eq!(
             pts[5],
-            f.features_of_values(&[&Value::str("c"), &Value::Null])
+            f.features_of_values([&Value::str("c"), &Value::Null])
         );
     }
 }

@@ -15,7 +15,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use restore_db::{hash_join, partner_counts, tf_column_name, Database, PathStep, Table, Value};
+use restore_db::{hash_join, join_pairs, tf_column_name, Database, PathStep, Table, Value};
 use restore_nn::{
     block_cross_entropy_sums, Adam, AttrSpec, DeepSets, DeepSetsConfig, Forward, InferenceSession,
     Made, MadeConfig, Matrix, ParamStore, SetBatch, SetTableSpec, TableSet, TrainEngine,
@@ -958,7 +958,7 @@ pub fn build_path_join(db: &Database, path: &CompletionPath) -> CoreResult<Table
     for step in path.steps() {
         let (left_on, right_on) = step.join_keys();
         let right = db.table(step.to_table())?;
-        join = hash_join(&join, &left_on, right, &right_on, "join")?.table;
+        join = hash_join(&join, &left_on, right, &right_on, "join")?;
     }
     Ok(join)
 }
@@ -969,7 +969,7 @@ pub fn build_path_join(db: &Database, path: &CompletionPath) -> CoreResult<Table
 /// value where that column exists, a NULL staying unknown, and the observed
 /// partner count where it does not.
 ///
-/// Algorithm 1's walk reads factors differently (`tuple_factors` in
+/// Algorithm 1's walk reads factors differently (`Factors::split` in
 /// `completion.rs`): it asks the annotation, and where no known value is
 /// given it predicts the factor of an incomplete child rather than taking
 /// its partner count. The two agree where the column exists for exactly
@@ -990,7 +990,7 @@ fn known_tuple_factors(
     }
     let (parent_on, child_on) = step.join_keys();
     let child = db.table(&step.fk.child)?;
-    let counts = partner_counts(rows, &parent_on, child, &child_on)?;
+    let counts = join_pairs(rows, &parent_on, child, &child_on)?.partners;
     Ok(counts.into_iter().map(|c| Some(c as i64)).collect())
 }
 

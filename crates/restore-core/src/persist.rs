@@ -51,7 +51,7 @@ use crate::model::{CompletionModel, TrainConfig};
 use crate::paths::CompletionPath;
 use crate::restore::RestoreConfig;
 use crate::selection::{BiasDirection, SelectionStrategy, SuspectedBias};
-use crate::snapshot::Snapshot;
+use crate::snapshot::{plan_slots, Snapshot};
 use crate::wire::{name_of, named};
 
 /// File magic of snapshot files.
@@ -294,6 +294,7 @@ impl Snapshot {
             db: Arc::new(db),
             annotation,
             config,
+            plans: plan_slots(&models),
             models,
             selected,
             forced,

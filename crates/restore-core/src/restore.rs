@@ -37,7 +37,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::model::{CompletionModel, TrainConfig};
 use crate::paths::CompletionPath;
 use crate::selection::{score_candidates, CandidateScore, SelectionStrategy, SuspectedBias};
-use crate::snapshot::{candidate_chains, candidate_paths, Snapshot};
+use crate::snapshot::{candidate_chains, candidate_paths, plan_slots, Snapshot};
 
 /// Configuration of a ReStore build and of the snapshots sealed from it.
 #[derive(Clone, Debug)]
@@ -145,6 +145,7 @@ impl ReStore {
             db: Arc::clone(&self.db),
             annotation: self.annotation.clone(),
             config: self.config.clone(),
+            plans: plan_slots(&self.models),
             models: self.models.clone(),
             selected: self.selected.clone(),
             forced: self.forced.clone(),

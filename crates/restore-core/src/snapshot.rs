@@ -32,7 +32,7 @@
 //! every query seed gives the same bits.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,7 +42,7 @@ use restore_util::{derive_seed, Fnv64};
 
 use crate::annotation::{modeled_columns, SchemaAnnotation};
 use crate::cache::{CacheStats, JoinCache};
-use crate::completion::{Completer, CompletionOutput};
+use crate::completion::{ChainPlan, Completer, CompletionOutput};
 use crate::confidence::{confidence_interval, ConfidenceInterval, ConfidenceQuery};
 use crate::error::{CoreError, CoreResult};
 use crate::model::CompletionModel;
@@ -70,6 +70,10 @@ pub struct Snapshot {
     pub(crate) annotation: SchemaAnnotation,
     pub(crate) config: RestoreConfig,
     pub(crate) models: BTreeMap<Vec<String>, Arc<CompletionModel>>,
+    /// One slot per model, which the chain's first cold completion fills
+    /// with its [`ChainPlan`] inside the cache's single flight. Outside the
+    /// cache: a budget that evicts every join must not evict plans too.
+    pub(crate) plans: BTreeMap<Vec<String>, OnceLock<ChainPlan>>,
     /// The build's ranking, a diagnostic: `execution_chain` picks what serves.
     pub(crate) selected: BTreeMap<String, Vec<String>>,
     /// Paths bound at build time by the user or by their suspected-bias hint.
@@ -200,10 +204,12 @@ impl Snapshot {
         // join never depends on which query — or which thread — populated
         // the cache.
         let synth_seed = derive_seed(self.serve_seed, path_fingerprint(tables));
+        // Every model has a plan slot: both construction sites fill them.
+        let plan = &self.plans[tables];
         self.cache.get_or_compute(tables, need, || {
             let completer = Completer::new(&self.db, &self.annotation)
                 .with_config(self.config.completer.clone());
-            let out = completer.complete_drawing(&model, synth_seed ^ 0xc0de, need)?;
+            let out = completer.complete_drawing(&model, plan, synth_seed ^ 0xc0de, need)?;
             Ok(Arc::new(out))
         })
     }
@@ -320,6 +326,16 @@ impl Snapshot {
             })
         })
     }
+}
+
+/// An empty [`ChainPlan`] slot for every model's chain.
+pub(crate) fn plan_slots(
+    models: &BTreeMap<Vec<String>, Arc<CompletionModel>>,
+) -> BTreeMap<Vec<String>, OnceLock<ChainPlan>> {
+    models
+        .keys()
+        .map(|k| (k.clone(), OnceLock::new()))
+        .collect()
 }
 
 /// Maximum completion-path length in tables; the movie setups need 5.

@@ -269,8 +269,9 @@ pub fn apply_removal(complete: &Database, cfg: &RemovalConfig) -> Scenario {
         let complete_child = complete.table(&fk.child).expect("complete child").clone();
         let parent = incomplete.table(&fk.parent).expect("parent").clone();
         let counts =
-            restore_db::partner_counts(&parent, &fk.parent_col, &complete_child, &fk.child_col)
-                .expect("tuple factor computation");
+            restore_db::join_pairs(&parent, &fk.parent_col, &complete_child, &fk.child_col)
+                .expect("tuple factor computation")
+                .partners;
         let mut col = Column::new(DataType::Int);
         for &c in &counts {
             if rng.random::<f64>() < cfg.tf_keep_rate {
@@ -370,7 +371,10 @@ mod tests {
         let share = known as f64 / ta.n_rows() as f64;
         assert!((share - 0.3).abs() < 0.1, "tf keep share {share}");
         // Known TFs must equal the true (complete) fan-out.
-        let counts = restore_db::partner_counts(ta, "id", db.table("tb").unwrap(), "a_id").unwrap();
+        let tb = db.table("tb").unwrap();
+        let counts = restore_db::join_pairs(ta, "id", tb, "a_id")
+            .unwrap()
+            .partners;
         // counts here are against the complete child (db is the original).
         let idx = ta.resolve(&tf_column_name("tb")).unwrap();
         for (r, &count) in counts.iter().enumerate() {

@@ -8,7 +8,7 @@
 //! * a catalog with a foreign-key **schema graph** ([`Database`]) —
 //!   completion paths and acyclic walks are paths in this graph;
 //! * scalar expressions for filter predicates ([`Expr`]);
-//! * hash equi-joins with row provenance ([`hash_join`]) — the
+//! * hash equi-joins with row provenance ([`join_pairs`]) — the
 //!   incompleteness join needs to know which evidence rows lack partners;
 //! * grouped aggregation and an SPJA executor ([`execute`]), including
 //!   [`execute_on_join`] for running a query tail over a *completed* join
@@ -32,8 +32,8 @@ pub use column::{Column, Dictionary};
 pub use error::{DbError, DbResult};
 pub use expr::{ArithOp, CmpOp, Expr};
 pub use query::{
-    aggregate, execute, execute_on_join, hash_join, partner_counts, tf_column_name, Agg, Query,
-    QueryResult, TF_COLUMN_PREFIX,
+    aggregate, execute, execute_on_join, hash_join, join_pairs, tf_column_name, Agg, JoinPairs,
+    Query, QueryResult, TF_COLUMN_PREFIX,
 };
 pub use schema::{Database, ForeignKey, PathStep};
 pub use table::{Field, Table, TableView};

@@ -57,7 +57,7 @@ pub fn join_tables(db: &Database, tables: &[String]) -> DbResult<Table> {
             .as_ref()
             .ok_or_else(|| DbError::InvalidJoin(format!("{name} lacks a join edge")))?;
         let (left_on, right_on) = step.join_keys();
-        joined = hash_join(&joined, &left_on, db.table(name)?, &right_on, "join")?.table;
+        joined = hash_join(&joined, &left_on, db.table(name)?, &right_on, "join")?;
     }
     Ok(joined)
 }

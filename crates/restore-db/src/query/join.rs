@@ -7,20 +7,6 @@ use crate::column::Column;
 use crate::error::DbResult;
 use crate::table::Table;
 
-/// Result of a hash join, keeping the row provenance that ReStore's
-/// incompleteness join needs (which left rows had no partner, §4.2).
-#[derive(Debug)]
-pub struct JoinOutput {
-    /// The joined table (columns of both inputs, qualified names).
-    pub table: Table,
-    /// For each output row: the source row in the left input.
-    pub left_indices: Vec<usize>,
-    /// For each output row: the source row in the right input.
-    pub right_indices: Vec<usize>,
-    /// Left rows that found no join partner.
-    pub unmatched_left: Vec<usize>,
-}
-
 /// Builds a hash table on the right keys, then calls `visit(l, partners)`
 /// for every left row in order, with the right rows (ascending) whose key
 /// equals its own. NULL keys (`None`) have no partners.
@@ -62,40 +48,62 @@ fn probe_keys<'a>(left: &'a Column, right: &'a Column, visit: impl FnMut(usize, 
     }
 }
 
-/// Inner hash join `left ⋈ right` on `left.left_on == right.right_on`.
-///
-/// The matched rows are gathered from each input and their fields
-/// qualified (`table.column`) before stacking, so column names never
-/// collide. NULL keys never match (SQL semantics).
+/// The probe half of [`hash_join`]: which rows of each input pair up, in
+/// the order `hash_join` stacks them, and how many partners each left row
+/// has — the raw material of tuple factors and of the incompleteness join
+/// (which left rows lack partners, §4.2).
+#[derive(Debug, Default)]
+pub struct JoinPairs {
+    /// For each pair: the row of the left input.
+    pub left_indices: Vec<usize>,
+    /// For each pair: the row of the right input.
+    pub right_indices: Vec<usize>,
+    /// For each left row: its number of partners.
+    pub partners: Vec<usize>,
+}
+
+/// The row pairs of `left ⋈ right` on `left.left_on == right.right_on`,
+/// without the joined table. NULL keys never match (SQL semantics).
+pub fn join_pairs(
+    left: &Table,
+    left_on: &str,
+    right: &Table,
+    right_on: &str,
+) -> DbResult<JoinPairs> {
+    let lcol = left.resolve(left_on)?;
+    let rcol = right.resolve(right_on)?;
+    let mut pairs = JoinPairs::default();
+    probe_keys(left.column(lcol), right.column(rcol), |l, partners| {
+        pairs.partners.push(partners.len());
+        for &r in partners {
+            pairs.left_indices.push(l);
+            pairs.right_indices.push(r);
+        }
+    });
+    Ok(pairs)
+}
+
+impl JoinPairs {
+    /// The gather half of [`hash_join`]: the paired rows of each input,
+    /// their fields qualified (`table.column`) so names never collide,
+    /// stacked side by side.
+    pub fn gather(&self, left: &Table, right: &Table, out_name: &str) -> DbResult<Table> {
+        let lgath = left.gather(&self.left_indices).into_qualified();
+        let rgath = right.gather(&self.right_indices).into_qualified();
+        lgath.hstack(rgath, out_name)
+    }
+}
+
+/// Inner hash join `left ⋈ right` on `left.left_on == right.right_on`:
+/// [`join_pairs`], then [`JoinPairs::gather`].
 pub fn hash_join(
     left: &Table,
     left_on: &str,
     right: &Table,
     right_on: &str,
     out_name: &str,
-) -> DbResult<JoinOutput> {
-    let lcol = left.resolve(left_on)?;
-    let rcol = right.resolve(right_on)?;
-    let mut left_indices = Vec::new();
-    let mut right_indices = Vec::new();
-    let mut unmatched_left = Vec::new();
-    probe_keys(left.column(lcol), right.column(rcol), |l, partners| {
-        if partners.is_empty() {
-            unmatched_left.push(l);
-        }
-        for &r in partners {
-            left_indices.push(l);
-            right_indices.push(r);
-        }
-    });
-    let lgath = left.gather(&left_indices).into_qualified();
-    let rgath = right.gather(&right_indices).into_qualified();
-    Ok(JoinOutput {
-        table: lgath.hstack(rgath, out_name)?,
-        left_indices,
-        right_indices,
-        unmatched_left,
-    })
+) -> DbResult<Table> {
+    join_pairs(left, left_on, right, right_on)?.gather(left, right, out_name)
 }
 
 /// What every tuple-factor metadata column's name starts with.
@@ -106,23 +114,6 @@ pub const TF_COLUMN_PREFIX: &str = "__tf_";
 /// unknown.
 pub fn tf_column_name(child_table: &str) -> String {
     format!("{TF_COLUMN_PREFIX}{child_table}")
-}
-
-/// Number of join partners each left row has in `right` — the raw material
-/// for tuple factors.
-pub fn partner_counts(
-    left: &Table,
-    left_on: &str,
-    right: &Table,
-    right_on: &str,
-) -> DbResult<Vec<usize>> {
-    let lcol = left.resolve(left_on)?;
-    let rcol = right.resolve(right_on)?;
-    let mut counts = Vec::with_capacity(left.n_rows());
-    probe_keys(left.column(lcol), right.column(rcol), |_, partners| {
-        counts.push(partners.len())
-    });
-    Ok(counts)
 }
 
 #[cfg(test)]
@@ -165,6 +156,7 @@ mod tests {
         let p = parent();
         let c = child();
         let out = hash_join(&p, "id", &c, "pid", "j").unwrap();
+        let pairs = join_pairs(&p, "id", &c, "pid").unwrap();
         // Reference: nested loop.
         let mut expect = 0;
         for i in 0..p.n_rows() {
@@ -174,44 +166,37 @@ mod tests {
                 }
             }
         }
-        assert_eq!(out.table.n_rows(), expect);
-        assert_eq!(out.table.n_rows(), 3);
+        assert_eq!(out.n_rows(), expect);
+        assert_eq!(out.n_rows(), 3);
         // Provenance lines up.
-        for (k, (&l, &r)) in out.left_indices.iter().zip(&out.right_indices).enumerate() {
-            assert_eq!(out.table.value(k, 0), p.value(l, 0));
-            assert_eq!(out.table.value(k, 3), c.value(r, 1));
+        for (k, (&l, &r)) in pairs
+            .left_indices
+            .iter()
+            .zip(&pairs.right_indices)
+            .enumerate()
+        {
+            assert_eq!(out.value(k, 0), p.value(l, 0));
+            assert_eq!(out.value(k, 3), c.value(r, 1));
         }
     }
 
     #[test]
-    fn unmatched_left_rows_are_reported() {
-        let p = parent();
-        let c = child();
-        let out = hash_join(&p, "id", &c, "pid", "j").unwrap();
-        assert_eq!(out.unmatched_left, vec![1]); // id=2 has no children
+    fn partners_are_counted_per_left_row() {
+        let out = join_pairs(&parent(), "id", &child(), "pid").unwrap();
+        assert_eq!(out.partners, vec![2, 0, 1]); // id=2 has no children
     }
 
     #[test]
     fn null_keys_never_match() {
-        let p = parent();
-        let c = child();
-        let out = hash_join(&c, "pid", &p, "id", "j").unwrap();
+        let out = join_pairs(&child(), "pid", &parent(), "id").unwrap();
         // The NULL child is unmatched even though no parent key is NULL.
-        assert!(out.unmatched_left.contains(&3));
+        assert_eq!(out.partners[3], 0);
     }
 
     #[test]
     fn qualified_output_names() {
         let out = hash_join(&parent(), "id", &child(), "pid", "j").unwrap();
-        let names: Vec<&str> = out.table.fields().iter().map(|f| f.name.as_str()).collect();
+        let names: Vec<&str> = out.fields().iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["p.id", "p.x", "c.pid", "c.y"]);
-    }
-
-    #[test]
-    fn partner_counts_match_join() {
-        let p = parent();
-        let c = child();
-        let counts = partner_counts(&p, "id", &c, "pid").unwrap();
-        assert_eq!(counts, vec![2, 0, 1]);
     }
 }

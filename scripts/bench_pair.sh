@@ -5,27 +5,30 @@
 # Builds the benchmark of REF (from a `git archive` copy) and of the working tree
 # into separate target dirs under .bench_build/pair, runs PAIRS pairs (the
 # seed is the pair number, which side goes first alternates) and prints per
-# end-to-end metric both sides' median [quartiles], the pairs each won and the
-# guide's verdict: `gain` (work won >= 9/10 of the pairs and the medians are
+# end-to-end metric both sides' median [quartiles], the ratio of work's median
+# to ref's, the pairs each won and the guide's verdict: `gain` (work won >= 9/10 of the pairs and the medians are
 # further apart than ref's interquartile distance), `regression beyond bound`
 # (work's median worse than ref's by more than the metric's BENCHMARK.json
 # bound), `unresolved` (either side's interquartile distance is wider than that
 # bound and the two sides' runs overlap) or `flat`.
 # `all` runs every workload of BENCHMARK.json on the one build: a markdown table.
+# Below the rows, every `unresolved` metric's per-run values, ref and work in
+# pair order, so a reader can see what spread them (say, two modes).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 workloads=${1:?usage: scripts/bench_pair.sh WORKLOAD|all [PAIRS=10] [REF=HEAD]}
 pairs=${2:-10} ref=${3:-HEAD} root=$PWD dir=$PWD/.bench_build/pair
 seconds=$(awk -F'[:,]' '/"run_seconds"/ { print $2 + 0 }' BENCHMARK.json)
 echo "$workloads: $pairs pairs, ref = $ref ($(git rev-parse --short "$ref")), work = working tree"
-row='%-16s ref %-30s work %-30s pairs won: work %d, ref %d (%s is better): %s\n'
+row='%-16s ref %-30s work %-30s work/ref %s, pairs won: work %d, ref %d (%s is better): %s\n'
 if [[ $workloads == all ]]; then
     workloads=$(awk '/"workloads"/ { on = 1 } /"end_to_end"/ { on = 0 }
         on && /"name"/ { gsub(/[",]/, ""); print $2 }' BENCHMARK.json)
-    row='| `%s` | %s | %s | work %d, ref %d (%s) | %s |\n'
-    printf '%s\n' '| workload, metric | ref median [q1, q3] | work median [q1, q3] | pairs won | verdict |' '|---|---|---|---|---|'
+    row='| `%s` | %s | %s | %s | work %d, ref %d (%s) | %s |\n'
+    printf '%s\n' '| workload, metric | ref median [q1, q3] | work median [q1, q3] | work/ref | pairs won | verdict |' '|---|---|---|---|---|---|'
 fi
 rm -rf "$dir/ref" && mkdir -p "$dir/ref" && git archive "$ref" | tar -x -C "$dir/ref"
+: >"$dir/unresolved"
 
 declare -A tree=([ref]=$dir/ref [work]=$root)
 for side in ref work; do
@@ -62,7 +65,7 @@ for workload in $workloads; do
         on && /"better"/ { gsub(/[",]/, ""); better = $2 }
         on && /"bound"/ { print name, better, $2 + 0 }' BENCHMARK.json |
         while read -r metric better bound; do
-            read -r won_work won_ref verdict < <(paste <(values ref "$metric") <(values work "$metric") \
+            read -r ratio won_work won_ref verdict < <(paste <(values ref "$metric") <(values work "$metric") \
                 <(values ref "$metric" | sort -g) <(values work "$metric" | sort -g) |
                 awk -v better="$better" -v bound="$bound" '
                 function ceil(x) { return int(x) + (x > int(x)) }
@@ -77,9 +80,18 @@ for workload in $workloads; do
                   else if (-gap > bound * med(r)) verdict = "regression beyond bound"
                   else if (spread > bound * med(r) && !apart) verdict = "unresolved"
                   else verdict = "flat"
-                  print work + 0, ref + 0, verdict }')
+                  printf "%.3f %d %d %s\n", med(w) / med(r), work, ref, verdict }')
             # shellcheck disable=SC2059
             printf "$row" "$workload $metric" "$(values ref "$metric" | summary)" \
-                "$(values work "$metric" | summary)" "$won_work" "$won_ref" "$better" "$verdict"
+                "$(values work "$metric" | summary)" "$ratio" "$won_work" "$won_ref" "$better" "$verdict"
+            if [[ $verdict == unresolved ]]; then
+                printf '`%s %s` runs, pair order: ref %s; work %s\n' "$workload" "$metric" \
+                    "$(values ref "$metric" | paste -sd' ')" "$(values work "$metric" | paste -sd' ')" \
+                    >>"$dir/unresolved"
+            fi
         done
 done
+if [[ -s $dir/unresolved ]]; then
+    printf '\n'
+    cat "$dir/unresolved"
+fi

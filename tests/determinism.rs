@@ -489,3 +489,120 @@ fn what_a_completion_drew_before_never_shows_in_an_answer() {
         "{stats:?}"
     );
 }
+
+/// A chain's plan — what no seed changes, built by the chain's first cold
+/// completion and kept beside its model, outside the cache — moves no byte.
+/// Under a one-byte cache budget every read synthesizes again, from the plan
+/// an earlier read built: a narrower one (one `apartment` column, then every
+/// column), or the other thread of a concurrent first use. Each answer must
+/// equal a freshly sealed snapshot's, for both 2-table chains and a 3-table
+/// chain whose middle table is replaced, at three serve seeds; and
+/// `Completer::complete`, which builds a plan of its own, must give the
+/// snapshot's completed join.
+#[test]
+fn a_chain_plan_built_once_moves_no_byte() {
+    use restore::core::model::AttrKind;
+    use restore::core::wire::{query_response_json, table_json};
+    use restore::core::{Completer, Snapshot};
+    use restore::data::housing::{generate_housing, HousingConfig};
+    use restore::util::{derive_seed, Fnv64};
+
+    let seed = 73;
+    let complete = generate_housing(&HousingConfig::scaled(0.1), seed);
+    let mut removal = RemovalConfig::new(BiasSpec::continuous("apartment", "price"), 0.4, 0.6);
+    removal.seed = seed;
+    let cfg = RestoreConfig {
+        train: TrainConfig {
+            epochs: 3,
+            hidden: vec![24, 24],
+            min_steps: 60,
+            max_train_rows: 2_000,
+            ..TrainConfig::default()
+        },
+        cache_budget_bytes: 1,
+        ..RestoreConfig::default()
+    };
+    let mut rs = ReStore::new(apply_removal(&complete, &removal).incomplete, cfg);
+    rs.mark_incomplete("apartment");
+    let names = |tables: &[&str]| tables.iter().map(|t| t.to_string()).collect::<Vec<_>>();
+    let (n_a, l_a) = (
+        names(&["neighborhood", "apartment"]),
+        names(&["landlord", "apartment"]),
+    );
+    let (all, apartment) = (
+        names(&["neighborhood", "apartment", "landlord"]),
+        names(&["apartment"]),
+    );
+    // Each chain, the `apartment` path forced for it, and what reads it:
+    // forcing a path makes every read of these tables use its chain.
+    let chains = [
+        (n_a.clone(), n_a.clone(), apartment.clone()),
+        (l_a.clone(), l_a, apartment),
+        (all.clone(), n_a, all),
+    ];
+    for (_, forced, read_tables) in &chains {
+        rs.set_selected_path("apartment", forced, seed).unwrap();
+        rs.ensure_query_models(read_tables, seed).unwrap();
+    }
+    for (k, (chain, forced, read_tables)) in chains.iter().enumerate() {
+        // A completion of another chain evicts this chain's cache entry.
+        rs.set_selected_path("apartment", forced, seed).unwrap();
+        let other = &chains[(k + 1) % chains.len()].0;
+        let model = rs.seal(0).model_for_path(chain).unwrap();
+        let column = (model.attrs().iter())
+            .find_map(|a| match &a.kind {
+                AttrKind::Column { table, column } if table == "apartment" => Some(column.clone()),
+                _ => None,
+            })
+            .unwrap();
+        let one_column = Query::new(read_tables.iter().map(String::as_str))
+            .group_by([column])
+            .aggregate(Agg::CountStar);
+        let read =
+            |snap: &Snapshot| query_response_json(&snap.execute(&one_column, 3).unwrap(), None);
+        let join = |snap: &Snapshot| table_json(&snap.complete_join(chain).unwrap().join);
+        for serve_seed in [1, 2, 3] {
+            let fresh = || rs.seal(serve_seed);
+            let (want_read, want_join) = (read(&fresh()), join(&fresh()));
+            // One snapshot: the one-column read builds the plan, every later
+            // read of either width synthesizes again from it.
+            let snapshot = fresh();
+            for _ in 0..2 {
+                assert_eq!(read(&snapshot), want_read, "{chain:?} at {serve_seed}");
+                let cached = snapshot.cached_completions();
+                assert_eq!(cached[0].0, *chain, "the read completed another chain");
+                snapshot.complete_join(other).unwrap();
+                assert_eq!(join(&snapshot), want_join, "{chain:?} at {serve_seed}");
+                snapshot.complete_join(other).unwrap();
+            }
+            assert_eq!(snapshot.full_cache_stats().misses, 8, "{chain:?}");
+            // A concurrent first use: whichever thread builds the plan, both
+            // answers are the fresh ones.
+            let snapshot = fresh();
+            std::thread::scope(|s| {
+                let narrow = s.spawn(|| read(&snapshot));
+                assert_eq!(join(&snapshot), want_join, "{chain:?} at {serve_seed}");
+                assert_eq!(
+                    narrow.join().unwrap(),
+                    want_read,
+                    "{chain:?} at {serve_seed}"
+                );
+            });
+            // The synthesis seed as `Snapshot` derives it from the chain.
+            let mut fingerprint = Fnv64::new();
+            for name in chain {
+                fingerprint.update(name.as_bytes());
+                fingerprint.update(&[0x1f]);
+            }
+            let synth_seed = derive_seed(serve_seed, fingerprint.finish()) ^ 0xc0de;
+            let completer = Completer::new(snapshot.db(), snapshot.annotation())
+                .with_config(snapshot.config().completer.clone());
+            let out = completer.complete(&model, synth_seed).unwrap();
+            assert_eq!(
+                table_json(&out.join),
+                want_join,
+                "{chain:?} at {serve_seed}"
+            );
+        }
+    }
+}

@@ -197,7 +197,7 @@ fn hash_join_matches_nested_loop() {
             .iter()
             .map(|lk| right_keys.iter().filter(|rk| *rk == lk).count())
             .sum();
-        assert_eq!(out.table.n_rows(), expect, "case {case}");
+        assert_eq!(out.n_rows(), expect, "case {case}");
     }
 }
 
@@ -1037,7 +1037,7 @@ fn typed_append_matches_pushing_values() {
 #[test]
 fn typed_hash_join_matches_the_value_keyed_join() {
     use restore::db::DataType::{Float, Int, Str};
-    use restore::db::{hash_join, partner_counts, Field, Table, Value};
+    use restore::db::{hash_join, join_pairs, Field, Table, Value};
     use std::collections::HashMap;
     let mut rng = StdRng::seed_from_u64(0xac);
     let keys: [&[Value]; 3] = [
@@ -1075,7 +1075,7 @@ fn typed_hash_join_matches_the_value_keyed_join() {
         for row in (0..r.n_rows()).filter(|&row| !r.value(row, 0).is_null()) {
             build.entry(r.value(row, 0)).or_default().push(row);
         }
-        let (mut li, mut ri, mut unmatched, mut counts) = (vec![], vec![], vec![], vec![]);
+        let (mut li, mut ri, mut counts) = (vec![], vec![], vec![]);
         for row in 0..l.n_rows() {
             let partners = build.get(&l.value(row, 0)).map_or(&[][..], Vec::as_slice);
             let partners = if l.value(row, 0).is_null() {
@@ -1084,9 +1084,6 @@ fn typed_hash_join_matches_the_value_keyed_join() {
                 partners
             };
             counts.push(partners.len());
-            if partners.is_empty() {
-                unmatched.push(row);
-            }
             for &partner in partners {
                 li.push(row);
                 ri.push(partner);
@@ -1096,13 +1093,13 @@ fn typed_hash_join_matches_the_value_keyed_join() {
             .hstack(r.qualified().gather(&ri), "j")
             .unwrap();
 
+        let pairs = join_pairs(&l, "k", &r, "r.k").unwrap();
+        assert_eq!(pairs.left_indices, li, "case {case}");
+        assert_eq!(pairs.right_indices, ri, "case {case}");
+        assert_eq!(pairs.partners, counts, "case {case}");
         let out = hash_join(&l, "k", &r, "r.k", "j").unwrap();
-        assert_eq!(out.left_indices, li, "case {case}");
-        assert_eq!(out.right_indices, ri, "case {case}");
-        assert_eq!(out.unmatched_left, unmatched, "case {case}");
-        assert_eq!(out.table.name(), "j");
-        assert_eq!(typed::table_repr(&out.table), typed::table_repr(&stacked));
-        assert_eq!(partner_counts(&l, "k", &r, "k").unwrap(), counts);
+        assert_eq!(out.name(), "j");
+        assert_eq!(typed::table_repr(&out), typed::table_repr(&stacked));
     }
 }
 
